@@ -280,7 +280,7 @@ pub fn headlines(ctx: &Context) -> Table {
 
 /// **A1a** — design-space sweep over array size / RF depth / buffer.
 pub fn dse_sweep(ctx: &Context) -> Table {
-    let pts = codesign_core::sweep_with(
+    let pts = codesign_core::sweep_full_with(
         &ctx.sim,
         &zoo::squeezenet_v1_0(),
         &SweepSpace::paper_default(),
@@ -288,7 +288,8 @@ pub fn dse_sweep(ctx: &Context) -> Table {
         &ctx.energy,
         ctx.jobs,
     )
-    .expect("the paper-default sweep space is non-empty");
+    .expect("the paper-default sweep space is non-empty")
+    .points;
     let front = codesign_core::pareto_designs(&pts);
     let mut t = Table::new(
         "A1a: design-space sweep (SqueezeNet v1.0)",

@@ -9,6 +9,8 @@
 
 use std::fmt;
 
+use codesign_trace::json::quote;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -125,37 +127,18 @@ impl Value {
             Value::Num(n) if n.is_finite() => format!("{n}"),
             // JSON has no NaN/Infinity; null is the conventional fallback.
             Value::Num(_) => "null".to_owned(),
-            Value::Str(s) => escape(s),
+            Value::Str(s) => quote(s),
             Value::Arr(items) => {
                 let inner: Vec<String> = items.iter().map(Value::to_json).collect();
                 format!("[{}]", inner.join(","))
             }
             Value::Obj(fields) => {
                 let inner: Vec<String> =
-                    fields.iter().map(|(k, v)| format!("{}:{}", escape(k), v.to_json())).collect();
+                    fields.iter().map(|(k, v)| format!("{}:{}", quote(k), v.to_json())).collect();
                 format!("{{{}}}", inner.join(","))
             }
         }
     }
-}
-
-/// Escapes a string into a quoted JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 struct Parser<'a> {
@@ -365,7 +348,6 @@ mod tests {
             assert_eq!(Value::parse(&v.to_json()).unwrap(), v, "{text}");
         }
         assert_eq!(Value::parse(r#""é""#).unwrap(), Value::Str("é".to_owned()));
-        assert_eq!(escape("a\"b\\c\nd"), r#""a\"b\\c\nd""#);
     }
 
     #[test]

@@ -157,7 +157,7 @@ fn run_frontier_sweep(
                     ))
                 })?;
             }
-            Some(CheckpointConfig { base, every_points: inv.checkpoint_every, keep: 3 })
+            Some(CheckpointConfig { base, every_points: inv.checkpoint_every })
         }
         None => None,
     };
@@ -167,7 +167,6 @@ fn run_frontier_sweep(
         prune: inv.prune,
         checkpoint,
         resume: inv.resume,
-        ..FrontierConfig::default()
     };
     let started = std::time::Instant::now();
     let outcome = codesign_core::sweep_frontier_with(

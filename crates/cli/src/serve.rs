@@ -64,16 +64,14 @@ use codesign_core::{
 use codesign_dnn::Network;
 use codesign_sim::{
     aggregate_cache_stats, atomic_write, pool_size, recover_cache, resolve_jobs, scan_generations,
-    validate_network, write_generation, CancelToken, SimOptions, Simulator,
+    validate_network, write_generation, CancelToken, SimOptions, Simulator, GENERATIONS_KEPT,
 };
+use codesign_trace::json::quote;
 use codesign_trace::Tracer;
 
 use crate::args::Invocation;
-use crate::jsonval::{escape, Value};
+use crate::jsonval::Value;
 use crate::{load_network, RunError};
-
-/// Generations kept on disk by the autosave rotation.
-const GENERATIONS_KEPT: usize = 3;
 
 /// How long a response write may stall on a slow client before the
 /// connection is declared dead.
@@ -489,7 +487,7 @@ fn handle_connection(stream: TcpStream, state: &ServerState) {
 }
 
 fn error_body(code: &str, message: &str) -> String {
-    format!("\"event\":\"error\",\"code\":{},\"message\":{}", escape(code), escape(message))
+    format!("\"event\":\"error\",\"code\":{},\"message\":{}", quote(code), quote(message))
 }
 
 /// Handles one request line. Returns `true` when the connection should
@@ -627,7 +625,7 @@ fn stats_body(state: &ServerState) -> String {
     let inflight = lock(&state.inflight).len();
     let counters = state.tracer.snapshot().counters;
     let counters_json: Vec<String> =
-        counters.iter().map(|(name, v)| format!("{}:{v}", escape(name))).collect();
+        counters.iter().map(|(name, v)| format!("{}:{v}", quote(name))).collect();
     format!(
         "\"event\":\"done\",\"cmd\":\"stats\",\"requests\":{},\"deduped\":{},\"inflight\":{inflight},\"active\":{},\"pool_size\":{},\"cache\":{{\"hits\":{},\"misses\":{},\"entries\":{},\"contended\":{}}},\"counters\":{{{}}}",
         state.requests.load(Ordering::SeqCst),
@@ -872,7 +870,7 @@ fn compute_and_publish(
                             deltas += 1;
                             emit(format!(
                                 "\"event\":\"frontier\",\"index\":{index},\"design\":{},\"cycles\":{},\"energy\":{},\"utilization\":{},\"area\":{}",
-                                escape(&point.params.to_string()),
+                                quote(&point.params.to_string()),
                                 point.cycles,
                                 point.energy,
                                 point.utilization,
@@ -892,7 +890,7 @@ fn compute_and_publish(
                     let best = outcome
                         .best
                         .as_ref()
-                        .map_or("null".to_owned(), |p| escape(&p.params.to_string()));
+                        .map_or("null".to_owned(), |p| quote(&p.params.to_string()));
                     emit(format!(
                         "\"event\":\"done\",\"cmd\":\"sweep\",\"points\":{},\"failures\":{},\"pruned\":{},\"frontier\":{},\"best\":{best}",
                         outcome.counters.evaluated,
@@ -932,7 +930,7 @@ fn compute_and_publish(
             ) {
                 Some(c) => emit(format!(
                     "\"event\":\"done\",\"cmd\":\"codesign\",\"network\":{},\"hybrid_cycles\":{},\"ws_cycles\":{},\"os_cycles\":{},\"speedup_vs_ws\":{},\"speedup_vs_os\":{},\"energy_reduction_vs_ws\":{},\"energy_reduction_vs_os\":{}",
-                    escape(&c.network),
+                    quote(&c.network),
                     c.hybrid.total_cycles(),
                     c.ws.total_cycles(),
                     c.os.total_cycles(),

@@ -34,7 +34,7 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
-use codesign_sim::{scan_generations, write_generation};
+use codesign_sim::{scan_generations, write_generation, GENERATIONS_KEPT};
 
 use crate::dse::{DesignParams, DesignPoint, PointFailure};
 
@@ -57,7 +57,7 @@ pub(crate) struct CheckpointState {
     pub peak_frontier: u64,
     /// Live frontier members in insertion (grid) order.
     pub frontier: Vec<DesignPoint>,
-    /// Retained failure diagnostics (capped by the sweep config).
+    /// Retained failure diagnostics (capped by the sweep engine).
     pub failures: Vec<PointFailure>,
 }
 
@@ -236,15 +236,14 @@ pub(crate) fn decode(bytes: &[u8], fingerprint: u64) -> Result<CheckpointState, 
 }
 
 /// Writes one checkpoint generation (atomic publish, oldest pruned past
-/// `keep`).
+/// [`GENERATIONS_KEPT`]).
 pub(crate) fn save(
     base: &Path,
     generation: u64,
     fingerprint: u64,
     state: &CheckpointState,
-    keep: usize,
 ) -> io::Result<PathBuf> {
-    write_generation(base, generation, &encode(fingerprint, state), keep)
+    write_generation(base, generation, &encode(fingerprint, state), GENERATIONS_KEPT)
 }
 
 /// Loads the newest decodable generation of `base` matching
@@ -374,9 +373,9 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let base = dir.join("sweep.ck");
         let mut s = state();
-        save(&base, 1, 9, &s, 3).unwrap();
+        save(&base, 1, 9, &s).unwrap();
         s.pos = 84;
-        let newest = save(&base, 2, 9, &s, 3).unwrap();
+        let newest = save(&base, 2, 9, &s).unwrap();
         // Tear the newest generation mid-write.
         let full = std::fs::read(&newest).unwrap();
         std::fs::write(&newest, &full[..full.len() / 2]).unwrap();

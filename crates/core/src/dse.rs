@@ -3,10 +3,11 @@
 //! model can lead to a 1.9–6.3× improvement in speed").
 
 use std::fmt;
+use std::ops::Range;
 
 use codesign_arch::{area, AcceleratorConfig, AreaModel, DataflowPolicy, EnergyModel};
 use codesign_dnn::Network;
-use codesign_sim::{par_map_catch_range, CancelToken, SimError, SimOptions, Simulator};
+use codesign_sim::{par_map_catch_range, SimError, SimOptions, Simulator};
 
 /// The swept hardware parameters of one design point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -144,10 +145,11 @@ pub enum SweepError {
     /// The sweep space has an empty axis, so there are no grid points to
     /// evaluate. The payload names the empty axis.
     EmptySpace(&'static str),
-    /// The sweep's [`CancelToken`] fired (deadline passed or explicit
-    /// cancel) before every chunk completed. Events already delivered to
-    /// the observer remain valid — they are a prefix of the uncancelled
-    /// run — but no [`SweepOutcome`] is produced.
+    /// The sweep's [`CancelToken`](codesign_sim::CancelToken) fired
+    /// (deadline passed or explicit cancel) before every chunk completed.
+    /// Events already delivered to the observer remain valid — they are a
+    /// prefix of the uncancelled run — but no
+    /// [`FrontierOutcome`](crate::stream::FrontierOutcome) is produced.
     Cancelled,
     /// A checkpointing streaming sweep could not write (or clear) its
     /// checkpoint files. Losing checkpoints silently would defeat the
@@ -268,38 +270,83 @@ impl SweepOutcome {
     }
 }
 
+/// What became of one grid point: the three dispositions every sweep
+/// folds.
+pub(crate) enum PointEval {
+    /// The point evaluated to a design point.
+    Evaluated(DesignPoint),
+    /// The configuration was invalid or degenerate, and was skipped.
+    Skipped,
+    /// The simulator rejected the point, or its worker panicked.
+    Failed(PointFailure),
+}
+
+/// Evaluates the flat grid indices `range` of `space` across `jobs`
+/// worker threads (`0` = one per core) — the one evaluation loop under
+/// both [`sweep_full_with`] and the streaming engine of
+/// [`crate::stream`]. Yields `(index, disposition)` in grid order,
+/// bit-identical whatever `jobs` is. Typed simulator errors *and* worker
+/// panics are caught per point, so one bad point never aborts the rest.
+pub(crate) fn evaluate_range<'a>(
+    sim: &Simulator,
+    network: &Network,
+    space: &'a SweepSpace,
+    opts: SimOptions,
+    energy_model: &EnergyModel,
+    jobs: usize,
+    range: Range<usize>,
+) -> impl Iterator<Item = (usize, PointEval)> + 'a {
+    let start = range.start;
+    // Range-based fan-out: workers decode grid points from their flat
+    // index, so the grid is never materialized ahead of the sweep.
+    let evals = par_map_catch_range(jobs, range.len(), |j| {
+        let i = start + j;
+        // Test-only fault injection: a magic network name poisons the
+        // worker evaluating grid point 0, proving a panicking worker
+        // degrades to a `PointFailure` instead of hanging the pool.
+        #[cfg(test)]
+        #[allow(clippy::panic)]
+        if network.name() == "__poison_point_0__" && i == 0 {
+            panic!("injected worker poison");
+        }
+        // Unreachable once `check_non_empty` passed: every i < len()
+        // decodes. Treated as a skipped point rather than a panic.
+        let Some(params) = space.point(i) else { return PointEval::Skipped };
+        match evaluate_point(sim, network, params, opts, energy_model) {
+            Ok(Some(point)) => PointEval::Evaluated(point),
+            Ok(None) => PointEval::Skipped,
+            Err(e) => PointEval::Failed(PointFailure { params, reason: e.to_string() }),
+        }
+    });
+    range.zip(evals).map(move |(i, eval)| {
+        let eval = eval.unwrap_or_else(|panic_msg| match space.point(i) {
+            Some(params) => PointEval::Failed(PointFailure {
+                params,
+                reason: format!("worker panicked: {panic_msg}"),
+            }),
+            None => PointEval::Skipped,
+        });
+        (i, eval)
+    })
+}
+
 /// Evaluates every design point in `space` for `network` on the hybrid
 /// architecture, fanning out across `jobs` worker threads (`0` = one per
-/// core) through the shared `sim` handle. Invalid or degenerate
-/// configurations are skipped; the result order is the deterministic
-/// grid order regardless of `jobs`.
+/// core) through the shared `sim` handle, and keeps every result. Each
+/// point is isolated: typed simulation errors *and* worker panics become
+/// one [`PointFailure`] each, so the sweep completes with partial
+/// results instead of aborting; invalid or degenerate configurations are
+/// skipped. Points and diagnostics are in deterministic grid order — bit
+/// identical across `jobs` settings.
+///
+/// This materializes the whole grid; [`crate::stream::sweep_frontier_with`]
+/// sweeps in bounded memory when only the Pareto frontier is needed.
 ///
 /// # Errors
 ///
 /// [`SweepError::EmptySpace`] when any sweep axis is empty — an empty
 /// space is a caller bug (a misconfigured sweep silently producing zero
 /// points is indistinguishable from "every config was invalid").
-pub fn sweep_with(
-    sim: &Simulator,
-    network: &Network,
-    space: &SweepSpace,
-    opts: SimOptions,
-    energy_model: &EnergyModel,
-    jobs: usize,
-) -> Result<Vec<DesignPoint>, SweepError> {
-    Ok(sweep_full_with(sim, network, space, opts, energy_model, jobs)?.points)
-}
-
-/// Degradation-tolerant variant of [`sweep_with`]: evaluates every grid
-/// point with per-point isolation (typed simulation errors *and* worker
-/// panics are caught per point), so the sweep completes with partial
-/// results plus one diagnostic per failed point instead of aborting.
-/// Results and diagnostics are in deterministic grid order — bit
-/// identical across `jobs` settings.
-///
-/// # Errors
-///
-/// [`SweepError::EmptySpace`] when any sweep axis is empty.
 pub fn sweep_full_with(
     sim: &Simulator,
     network: &Network,
@@ -308,185 +355,16 @@ pub fn sweep_full_with(
     energy_model: &EnergyModel,
     jobs: usize,
 ) -> Result<SweepOutcome, SweepError> {
-    // One chunk covering the whole grid, no observer: the batch sweep is
-    // the streaming sweep with nobody watching.
-    sweep_streaming_with(sim, network, space, opts, energy_model, jobs, usize::MAX, |_| {})
-}
-
-/// One completed evaluation of a streaming sweep, delivered to the
-/// observer in deterministic grid order (chunk by chunk).
-#[derive(Debug, Clone, PartialEq)]
-pub enum SweepEvent<'a> {
-    /// The grid point at flat index `index` evaluated successfully.
-    Point {
-        /// Flat grid index (row-major, see [`SweepSpace::point`]).
-        index: usize,
-        /// The evaluated design point.
-        point: &'a DesignPoint,
-    },
-    /// The grid point was invalid or degenerate and was skipped.
-    Skipped {
-        /// Flat grid index.
-        index: usize,
-        /// The skipped parameters.
-        params: DesignParams,
-    },
-    /// The grid point failed with a diagnostic.
-    Failure {
-        /// Flat grid index.
-        index: usize,
-        /// The per-point diagnostic.
-        failure: &'a PointFailure,
-    },
-}
-
-/// [`sweep_full_with`] with partial-result streaming: the grid is
-/// evaluated in chunks of `chunk` points (still `jobs`-wide inside each
-/// chunk), and after each chunk completes `on_event` observes every
-/// point of that chunk in deterministic grid order. `codesign serve`
-/// sits Pareto-frontier delta streaming on top of this; smaller chunks
-/// trade a little fan-out efficiency for earlier partial results.
-///
-/// The returned outcome is bit-identical to [`sweep_full_with`] on the
-/// same inputs, whatever `chunk` or `jobs` — chunking changes only
-/// *when* results become observable, never what they are.
-///
-/// # Errors
-///
-/// [`SweepError::EmptySpace`] when any sweep axis is empty.
-#[allow(clippy::too_many_arguments)]
-pub fn sweep_streaming_with(
-    sim: &Simulator,
-    network: &Network,
-    space: &SweepSpace,
-    opts: SimOptions,
-    energy_model: &EnergyModel,
-    jobs: usize,
-    chunk: usize,
-    on_event: impl FnMut(SweepEvent<'_>),
-) -> Result<SweepOutcome, SweepError> {
-    sweep_streaming_cancellable_with(
-        sim,
-        network,
-        space,
-        opts,
-        energy_model,
-        jobs,
-        chunk,
-        &CancelToken::never(),
-        on_event,
-    )
-}
-
-/// [`sweep_streaming_with`] with cooperative cancellation: `cancel` is
-/// polled once per chunk, *between* chunks, so every chunk that starts
-/// also finishes and fires its events. When the token fires the sweep
-/// stops with [`SweepError::Cancelled`] — and because chunks complete
-/// atomically in deterministic grid order, the events delivered before
-/// the cancellation are **bit-identical to a prefix** of the uncancelled
-/// run's event stream, whatever `jobs` is.
-///
-/// A token that is already cancelled on entry yields zero events (the
-/// empty prefix).
-///
-/// # Errors
-///
-/// [`SweepError::EmptySpace`] when any sweep axis is empty (checked
-/// before the token, so an empty space is always reported as such);
-/// [`SweepError::Cancelled`] when `cancel` fires before the last chunk.
-#[allow(clippy::too_many_arguments)]
-pub fn sweep_streaming_cancellable_with(
-    sim: &Simulator,
-    network: &Network,
-    space: &SweepSpace,
-    opts: SimOptions,
-    energy_model: &EnergyModel,
-    jobs: usize,
-    chunk: usize,
-    cancel: &CancelToken,
-    mut on_event: impl FnMut(SweepEvent<'_>),
-) -> Result<SweepOutcome, SweepError> {
     space.check_non_empty()?;
-    let len = space.len();
-    let chunk = chunk.max(1);
-    let mut points = Vec::new();
-    let mut failures = Vec::new();
-    let mut start = 0usize;
-    while start < len {
-        if cancel.is_cancelled() {
-            return Err(SweepError::Cancelled);
+    let mut outcome = SweepOutcome { points: Vec::new(), failures: Vec::new() };
+    for (_, eval) in evaluate_range(sim, network, space, opts, energy_model, jobs, 0..space.len()) {
+        match eval {
+            PointEval::Evaluated(point) => outcome.points.push(point),
+            PointEval::Skipped => {}
+            PointEval::Failed(failure) => outcome.failures.push(failure),
         }
-        let count = chunk.min(len - start);
-        // Range-based fan-out: workers decode grid points from their
-        // flat index, so the grid is never materialized ahead of the
-        // sweep.
-        let evals = par_map_catch_range(jobs, count, |j| {
-            let i = start + j;
-            // Test-only fault injection: a magic network name poisons the
-            // worker evaluating grid point 0, proving a panicking worker
-            // degrades to a `PointFailure` instead of hanging the pool.
-            #[cfg(test)]
-            #[allow(clippy::panic)]
-            if network.name() == "__poison_point_0__" && i == 0 {
-                panic!("injected worker poison");
-            }
-            match space.point(i) {
-                Some(params) => evaluate_point(sim, network, params, opts, energy_model),
-                // Unreachable once `check_non_empty` passed: every
-                // i < len() decodes. Treated as a skipped point rather
-                // than a panic.
-                None => Ok(None),
-            }
-        });
-        for (j, eval) in evals.into_iter().enumerate() {
-            let i = start + j;
-            let Some(params) = space.point(i) else { continue };
-            match eval {
-                Ok(Ok(Some(point))) => {
-                    points.push(point);
-                    if let Some(point) = points.last() {
-                        on_event(SweepEvent::Point { index: i, point });
-                    }
-                }
-                // Invalid or degenerate config: skipped from the
-                // outcome, but still observable as an event.
-                Ok(Ok(None)) => on_event(SweepEvent::Skipped { index: i, params }),
-                Ok(Err(e)) => {
-                    failures.push(PointFailure { params, reason: e.to_string() });
-                    if let Some(failure) = failures.last() {
-                        on_event(SweepEvent::Failure { index: i, failure });
-                    }
-                }
-                Err(panic_msg) => {
-                    failures.push(PointFailure {
-                        params,
-                        reason: format!("worker panicked: {panic_msg}"),
-                    });
-                    if let Some(failure) = failures.last() {
-                        on_event(SweepEvent::Failure { index: i, failure });
-                    }
-                }
-            }
-        }
-        start += count;
     }
-    Ok(SweepOutcome { points, failures })
-}
-
-/// Evaluates every design point in `space` for `network` on the hybrid
-/// architecture with a fresh memoizing [`Simulator`] and one worker per
-/// core. See [`sweep_with`].
-///
-/// # Errors
-///
-/// [`SweepError::EmptySpace`] when any sweep axis is empty.
-pub fn sweep(
-    network: &Network,
-    space: &SweepSpace,
-    opts: SimOptions,
-    energy_model: &EnergyModel,
-) -> Result<Vec<DesignPoint>, SweepError> {
-    sweep_with(&Simulator::new(), network, space, opts, energy_model, 0)
+    Ok(outcome)
 }
 
 /// The design point with the lowest energy-delay product.
@@ -500,139 +378,26 @@ pub fn best_by_energy_delay(points: &[DesignPoint]) -> Option<&DesignPoint> {
 
 /// The Pareto-optimal hardware designs over (cycles, energy, area): a
 /// point survives unless some other point is no worse on all three axes
-/// and strictly better on at least one. Returned sorted by ascending
-/// cycles.
+/// and strictly better on at least one. Survivors keep their input
+/// order under a stable sort by ascending cycles.
 ///
-/// Runs in O(n log n): a sweep over ascending cycles with a 2-D
-/// (energy, area) staircase replaces the former all-pairs scan, but the
-/// survivor set, their relative order, and hence the output bytes are
-/// identical to it.
+/// Folds every point through an [`OnlineFrontier`], so the batch filter
+/// and the streaming sweep share one dominance kernel. NaN coordinates
+/// compare false on every axis: such points neither dominate nor are
+/// dominated.
 pub fn pareto_designs(points: &[DesignPoint]) -> Vec<DesignPoint> {
-    let dominated = dominated_mask(points);
-    let mut front: Vec<DesignPoint> =
-        points.iter().zip(&dominated).filter(|(_, d)| !**d).map(|(p, _)| p.clone()).collect();
-    front.sort_by_key(|p| p.cycles);
-    front
+    let mut frontier = OnlineFrontier::new();
+    for p in points {
+        frontier.insert(p);
+    }
+    frontier.into_sorted()
 }
 
-/// For each point, whether some *other* point strictly dominates it —
-/// exactly the all-pairs predicate of the former O(n²) scan, computed
-/// in O(n log n).
-///
-/// Points are visited in ascending-cycles groups. A 2-D staircase holds,
-/// for every energy level, the minimum area achieved by any point with
-/// *strictly smaller* cycles; against those the test is non-strict on
-/// energy and area (the cycles axis supplies the strictness). Points
-/// sharing the point's cycle count are handled inside the group, where
-/// strictness must come from energy or area. NaN coordinates compare
-/// false on every axis, so such points neither dominate nor are
-/// dominated — they bypass both the staircase and the group scan, as in
-/// the all-pairs version.
-fn dominated_mask(points: &[DesignPoint]) -> Vec<bool> {
-    let mut order: Vec<usize> = (0..points.len()).collect();
-    order.sort_by(|&a, &b| {
-        points[a]
-            .cycles
-            .cmp(&points[b].cycles)
-            .then(points[a].energy.total_cmp(&points[b].energy))
-            .then(points[a].area.total_cmp(&points[b].area))
-    });
-    let mut dominated = vec![false; points.len()];
-    // (energy, area) pairs: strictly increasing energy, strictly
-    // decreasing area, NaN-free.
-    let mut stairs: Vec<(f64, f64)> = Vec::new();
-    let mut i = 0;
-    while i < order.len() {
-        let cycles = points[order[i]].cycles;
-        let mut j = i + 1;
-        while j < order.len() && points[order[j]].cycles == cycles {
-            j += 1;
-        }
-        let group = &order[i..j];
-        // Dominators with strictly smaller cycles: non-strict staircase
-        // query.
-        for &pi in group {
-            let p = &points[pi];
-            if p.energy.is_nan() || p.area.is_nan() {
-                continue;
-            }
-            let pos = stairs.partition_point(|&(e, _)| e <= p.energy);
-            if pos > 0 && stairs[pos - 1].1 <= p.area {
-                dominated[pi] = true;
-            }
-        }
-        // Dominators within the equal-cycles group: the sort placed the
-        // group in ascending (energy, area), so runs of numerically
-        // equal energy are contiguous (total_cmp splits -0.0/0.0, but
-        // the == grouping below re-merges them). Strictness comes from a
-        // strictly smaller energy or, within a run, a strictly smaller
-        // area.
-        let mut min_area_smaller_energy = f64::INFINITY;
-        let mut k = 0;
-        while k < group.len() {
-            let energy = points[group[k]].energy;
-            let mut m = k + 1;
-            while m < group.len() && points[group[m]].energy == energy {
-                m += 1;
-            }
-            let run = &group[k..m];
-            if !energy.is_nan() {
-                let run_min_area = points[run[0]].area;
-                for &pi in run {
-                    let p = &points[pi];
-                    if p.area.is_nan() {
-                        continue;
-                    }
-                    if min_area_smaller_energy <= p.area || run_min_area < p.area {
-                        dominated[pi] = true;
-                    }
-                }
-                if run_min_area < min_area_smaller_energy {
-                    min_area_smaller_energy = run_min_area;
-                }
-            }
-            k = m;
-        }
-        // Fold the whole group into the staircase for later (larger
-        // cycles) groups. Dominated members are folded too: they can
-        // still dominate, exactly as in the all-pairs scan.
-        for &pi in group {
-            let p = &points[pi];
-            if !(p.energy.is_nan() || p.area.is_nan()) {
-                stair_insert(&mut stairs, p.energy, p.area);
-            }
-        }
-        i = j;
-    }
-    dominated
-}
-
-/// Inserts `(energy, area)` into the staircase, preserving the
-/// strictly-increasing-energy / strictly-decreasing-area invariant.
-fn stair_insert(stairs: &mut Vec<(f64, f64)>, energy: f64, area: f64) {
-    let pos = stairs.partition_point(|&(e, _)| e < energy);
-    // Useless if an entry at no more energy already has no more area.
-    if pos > 0 && stairs[pos - 1].1 <= area {
-        return;
-    }
-    if pos < stairs.len() && stairs[pos].0 == energy && stairs[pos].1 <= area {
-        return;
-    }
-    stairs.insert(pos, (energy, area));
-    // Drop now-covered entries at >= energy with >= area.
-    let mut end = pos + 1;
-    while end < stairs.len() && stairs[end].1 >= area {
-        end += 1;
-    }
-    stairs.drain(pos + 1..end);
-}
-
-/// An online Pareto frontier over (cycles, energy, area) with exactly
-/// [`pareto_designs`]' dominance semantics: inserting every evaluated
-/// point and calling [`OnlineFrontier::into_sorted`] yields bit-identical
-/// output to `pareto_designs` over the same points — while retaining
-/// only the live frontier in memory. This is the bounded-memory heart of
-/// the streaming sweep.
+/// An online Pareto frontier over (cycles, energy, area) — the one
+/// design-point dominance kernel. [`pareto_designs`] inserts every point
+/// and calls [`OnlineFrontier::into_sorted`]; the streaming sweep inserts
+/// points as they are evaluated and so retains only the live frontier in
+/// memory. This is the bounded-memory heart of the streaming sweep.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct OnlineFrontier {
     /// Live members in insertion order (the sweep's grid order).
@@ -642,11 +407,14 @@ pub struct OnlineFrontier {
     peak: usize,
 }
 
-fn strictly_dominates(q: &DesignPoint, p: &DesignPoint) -> bool {
-    q.cycles <= p.cycles
-        && q.energy <= p.energy
-        && q.area <= p.area
-        && (q.cycles < p.cycles || q.energy < p.energy || q.area < p.area)
+/// Whether `q` strictly dominates `(cycles, energy, area)`: no worse on
+/// every axis and strictly better on at least one. NaN compares false,
+/// so a NaN coordinate on either side rules dominance out.
+fn strictly_dominates(q: &DesignPoint, cycles: u64, energy: f64, area: f64) -> bool {
+    q.cycles <= cycles
+        && q.energy <= energy
+        && q.area <= area
+        && (q.cycles < cycles || q.energy < energy || q.area < area)
 }
 
 impl OnlineFrontier {
@@ -688,10 +456,10 @@ impl OnlineFrontier {
     /// member enter, matching [`pareto_designs`] (which keeps exact
     /// duplicates: neither strictly dominates the other).
     pub fn insert(&mut self, p: &DesignPoint) -> bool {
-        if self.members.iter().any(|q| strictly_dominates(q, p)) {
+        if self.strictly_dominates_bound(p.cycles, p.energy, p.area) {
             return false;
         }
-        self.members.retain(|q| !strictly_dominates(p, q));
+        self.members.retain(|q| !strictly_dominates(p, q.cycles, q.energy, q.area));
         self.members.push(p.clone());
         self.peak = self.peak.max(self.members.len());
         true
@@ -703,18 +471,12 @@ impl OnlineFrontier {
     /// best corner merely ties a member (an exact duplicate) is never
     /// pruned, preserving `pareto_designs`' keep-duplicates semantics.
     pub fn strictly_dominates_bound(&self, cycles: u64, energy: f64, area: f64) -> bool {
-        self.members.iter().any(|q| {
-            q.cycles <= cycles
-                && q.energy <= energy
-                && q.area <= area
-                && (q.cycles < cycles || q.energy < energy || q.area < area)
-        })
+        self.members.iter().any(|q| strictly_dominates(q, cycles, energy, area))
     }
 
     /// Finishes the frontier: members sorted by ascending cycles. Because
     /// members are kept in insertion order and the sort is stable, the
-    /// result is bit-identical to [`pareto_designs`] over every point
-    /// ever offered.
+    /// result equals [`pareto_designs`] over every point ever offered.
     pub fn into_sorted(mut self) -> Vec<DesignPoint> {
         self.members.sort_by_key(|p| p.cycles);
         self.members
@@ -741,6 +503,15 @@ mod tests {
     use super::*;
     use codesign_dnn::zoo;
 
+    /// Every evaluated point of `space` on a fresh simulator, one worker
+    /// per core.
+    fn sweep_points(network: &Network, space: &SweepSpace) -> Vec<DesignPoint> {
+        let em = EnergyModel::default();
+        sweep_full_with(&Simulator::new(), network, space, SimOptions::default(), &em, 0)
+            .expect("test space has no empty axis")
+            .points
+    }
+
     #[test]
     fn sweep_covers_the_grid() {
         let space = SweepSpace {
@@ -748,9 +519,7 @@ mod tests {
             rf_depths: vec![8],
             buffer_bytes: vec![64 * 1024],
         };
-        let pts =
-            sweep(&zoo::squeezenet_v1_1(), &space, SimOptions::default(), &EnergyModel::default())
-                .unwrap();
+        let pts = sweep_points(&zoo::squeezenet_v1_1(), &space);
         assert_eq!(pts.len(), 2);
         assert!(pts.iter().all(|p| p.cycles > 0 && p.energy > 0.0));
     }
@@ -762,9 +531,7 @@ mod tests {
             rf_depths: vec![16],
             buffer_bytes: vec![128 * 1024],
         };
-        let pts =
-            sweep(&zoo::squeezenet_v1_0(), &space, SimOptions::default(), &EnergyModel::default())
-                .unwrap();
+        let pts = sweep_points(&zoo::squeezenet_v1_0(), &space);
         let n8 = pts.iter().find(|p| p.params.array_size == 8).unwrap();
         let n32 = pts.iter().find(|p| p.params.array_size == 32).unwrap();
         assert!(n32.cycles < n8.cycles);
@@ -787,9 +554,7 @@ mod tests {
             rf_depths: vec![8, 16],
             buffer_bytes: vec![128 * 1024],
         };
-        let pts =
-            sweep(&zoo::tiny_darknet(), &space, SimOptions::default(), &EnergyModel::default())
-                .unwrap();
+        let pts = sweep_points(&zoo::tiny_darknet(), &space);
         let best = best_by_energy_delay(&pts).unwrap();
         for p in &pts {
             assert!(best.energy_delay() <= p.energy_delay());
@@ -803,9 +568,7 @@ mod tests {
             rf_depths: vec![8, 16],
             buffer_bytes: vec![128 * 1024],
         };
-        let pts =
-            sweep(&zoo::squeezenet_v1_1(), &space, SimOptions::default(), &EnergyModel::default())
-                .unwrap();
+        let pts = sweep_points(&zoo::squeezenet_v1_1(), &space);
         let front = pareto_designs(&pts);
         assert!(!front.is_empty() && front.len() <= pts.len());
         // No front point dominates another front point.
@@ -824,6 +587,86 @@ mod tests {
         assert!(front.windows(2).all(|w| w[0].cycles <= w[1].cycles));
     }
 
+    /// The all-pairs definition `pareto_designs` promises: a point
+    /// survives unless another strictly dominates it, and survivors keep
+    /// their input order under a stable sort by cycles.
+    fn pareto_designs_quadratic(points: &[DesignPoint]) -> Vec<DesignPoint> {
+        let dominates = |q: &DesignPoint, p: &DesignPoint| {
+            q.cycles <= p.cycles
+                && q.energy <= p.energy
+                && q.area <= p.area
+                && (q.cycles < p.cycles || q.energy < p.energy || q.area < p.area)
+        };
+        let mut front: Vec<DesignPoint> =
+            points.iter().filter(|p| !points.iter().any(|q| dominates(q, p))).cloned().collect();
+        front.sort_by_key(|p| p.cycles);
+        front
+    }
+
+    #[test]
+    fn pareto_designs_match_the_all_pairs_oracle_bit_for_bit() {
+        // Bitwise comparison: `PartialEq` would call any result
+        // containing NaN unequal to itself.
+        let bits = |front: Vec<DesignPoint>| -> Vec<(DesignParams, u64, u64, u64, u64)> {
+            front
+                .into_iter()
+                .map(|p| {
+                    (
+                        p.params,
+                        p.cycles,
+                        p.energy.to_bits(),
+                        p.utilization.to_bits(),
+                        p.area.to_bits(),
+                    )
+                })
+                .collect()
+        };
+        let pt = |i: usize, cycles: u64, energy: f64, area: f64| DesignPoint {
+            params: DesignParams { array_size: i, rf_depth: 8, global_buffer_bytes: 64 * 1024 },
+            cycles,
+            energy,
+            utilization: 0.5,
+            area,
+        };
+        // A sign-negative NaN area must not shield the dominated (1, 1, 2)
+        // from (1, 1, 1).
+        let nan_area = vec![pt(0, 1, 1.0, 1.0), pt(1, 1, 1.0, 2.0), pt(2, 1, 1.0, -f64::NAN)];
+        assert_eq!(bits(pareto_designs(&nan_area)), bits(pareto_designs_quadratic(&nan_area)));
+
+        // Deterministic LCG over a coarse lattice: exact ties on every
+        // axis, duplicated points, and ±0.0 / ±NaN energies and areas.
+        let mut state: u64 = 0x2545_F491_4F6C_DD1D;
+        let mut next = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let mut value = |specials: bool| match next() % if specials { 12 } else { 8 } {
+            8 => 0.0,
+            9 => -0.0,
+            10 => f64::NAN,
+            11 => -f64::NAN,
+            v => (v % 4 + 1) as f64,
+        };
+        for round in 0..2000 {
+            let specials = round % 2 == 0;
+            let n = round % 13 + 2;
+            let mut pts: Vec<DesignPoint> = Vec::with_capacity(n + 1);
+            for i in 0..n {
+                let cycles = (value(false) as u64) * 10;
+                pts.push(pt(i, cycles, value(specials), value(specials)));
+            }
+            if round % 3 == 0 {
+                let dup = pts[round % pts.len()].clone();
+                pts.push(dup);
+            }
+            assert_eq!(
+                bits(pareto_designs(&pts)),
+                bits(pareto_designs_quadratic(&pts)),
+                "round {round}: {pts:?}"
+            );
+        }
+    }
+
     #[test]
     fn invalid_points_are_skipped() {
         let space = SweepSpace {
@@ -831,9 +674,7 @@ mod tests {
             rf_depths: vec![8],
             buffer_bytes: vec![1024], // too small for a 64x64 array
         };
-        let pts =
-            sweep(&zoo::tiny_darknet(), &space, SimOptions::default(), &EnergyModel::default())
-                .unwrap();
+        let pts = sweep_points(&zoo::tiny_darknet(), &space);
         assert!(pts.is_empty());
         assert!(best_by_energy_delay(&pts).is_none());
     }
@@ -848,9 +689,16 @@ mod tests {
                 _ => space.buffer_bytes.clear(),
             }
             assert!(space.is_empty());
-            let err =
-                sweep(&zoo::tiny_darknet(), &space, SimOptions::default(), &EnergyModel::default())
-                    .unwrap_err();
+            let em = EnergyModel::default();
+            let err = sweep_full_with(
+                &Simulator::new(),
+                &zoo::tiny_darknet(),
+                &space,
+                SimOptions::default(),
+                &em,
+                0,
+            )
+            .unwrap_err();
             assert_eq!(err, SweepError::EmptySpace(axis));
             assert!(err.to_string().contains(axis));
         }
@@ -931,7 +779,7 @@ mod tests {
         let run = |jobs: usize| {
             let tracer = Tracer::enabled();
             let sim = Simulator::new().with_tracer(tracer.clone());
-            sweep_with(&sim, &net, &space, opts, &em, jobs).unwrap();
+            sweep_full_with(&sim, &net, &space, opts, &em, jobs).unwrap();
             MetricsSnapshot::of(&tracer.snapshot())
         };
         let serial = run(1);
@@ -970,17 +818,21 @@ mod tests {
         assert_eq!(failure.params.global_buffer_bytes, 256);
         assert!(failure.reason.contains("infeasible tiling"), "{}", failure.reason);
         assert!(outcome.failure_summary().contains("1 of 3 points failed"));
-        // The tolerant path and the plain path agree on the survivors.
-        let plain = sweep_with(
+        // The streaming engine folds the same evaluations: same
+        // diagnostic, and the frontier of the same survivors.
+        let streamed = crate::stream::sweep_frontier_with(
             &Simulator::new(),
             &net,
             &space,
             SimOptions::default(),
             &EnergyModel::default(),
-            1,
+            &crate::stream::FrontierConfig::default(),
+            &codesign_sim::CancelToken::never(),
+            |_| {},
         )
         .unwrap();
-        assert_eq!(outcome.points, plain);
+        assert_eq!(streamed.failures, outcome.failures);
+        assert_eq!(streamed.frontier, pareto_designs(&outcome.points));
     }
 
     #[test]
@@ -1067,172 +919,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_sweep_is_chunk_and_jobs_invariant() {
-        // Chunking changes when results become observable, never what
-        // they are: every (chunk, jobs) combination reproduces the batch
-        // outcome bit-for-bit and fires exactly one event per grid
-        // point, in grid order — including a failure event for the
-        // infeasible 256-byte-buffer point.
-        let space = SweepSpace {
-            array_sizes: vec![8, 16],
-            rf_depths: vec![16],
-            buffer_bytes: vec![256, 64 * 1024, 128 * 1024],
-        };
-        let net = zoo::tiny_darknet();
-        let opts = SimOptions::default();
-        let em = EnergyModel::default();
-        let batch =
-            sweep_full_with(&Simulator::new(), &net, &space, opts, &EnergyModel::default(), 1)
-                .unwrap();
-        assert!(!batch.failures.is_empty(), "space includes an infeasible point");
-        for chunk in [0usize, 1, 3, usize::MAX] {
-            for jobs in [1usize, 4] {
-                let mut indices = Vec::new();
-                let mut seen_points = Vec::new();
-                let mut seen_failures = Vec::new();
-                let outcome = sweep_streaming_with(
-                    &Simulator::new(),
-                    &net,
-                    &space,
-                    opts,
-                    &em,
-                    jobs,
-                    chunk,
-                    |event| match event {
-                        SweepEvent::Point { index, point } => {
-                            indices.push(index);
-                            seen_points.push(point.clone());
-                        }
-                        SweepEvent::Skipped { index, .. } => indices.push(index),
-                        SweepEvent::Failure { index, failure } => {
-                            indices.push(index);
-                            seen_failures.push(failure.clone());
-                        }
-                    },
-                )
-                .unwrap();
-                assert_eq!(outcome, batch, "chunk={chunk} jobs={jobs}");
-                assert_eq!(
-                    indices,
-                    (0..space.len()).collect::<Vec<_>>(),
-                    "one event per grid point, in grid order (chunk={chunk} jobs={jobs})"
-                );
-                assert_eq!(seen_points, outcome.points);
-                assert_eq!(seen_failures, outcome.failures);
-            }
-        }
-    }
-
-    #[test]
-    fn cancelled_token_on_entry_yields_the_empty_prefix() {
-        let mut fired = 0usize;
-        let token = CancelToken::never();
-        token.cancel();
-        let err = sweep_streaming_cancellable_with(
-            &Simulator::new(),
-            &zoo::tiny_darknet(),
-            &SweepSpace::paper_default(),
-            SimOptions::default(),
-            &EnergyModel::default(),
-            1,
-            1,
-            &token,
-            |_| fired += 1,
-        )
-        .unwrap_err();
-        assert_eq!(err, SweepError::Cancelled);
-        assert_eq!(fired, 0);
-    }
-
-    #[test]
-    fn cancel_mid_sweep_delivers_a_prefix_of_the_full_run() {
-        // The tentpole determinism guarantee: whatever chunk size, jobs
-        // count, and cancel point, the events delivered before the token
-        // fires are bit-identical to a prefix of the uncancelled run's
-        // event stream.
-        let space = SweepSpace {
-            array_sizes: vec![8, 16],
-            rf_depths: vec![16],
-            buffer_bytes: vec![256, 64 * 1024, 128 * 1024],
-        };
-        let net = zoo::tiny_darknet();
-        let opts = SimOptions::default();
-        let em = EnergyModel::default();
-        let describe = |event: &SweepEvent<'_>| match event {
-            SweepEvent::Point { index, point } => format!("{index}:point:{point:?}"),
-            SweepEvent::Skipped { index, params } => format!("{index}:skip:{params}"),
-            SweepEvent::Failure { index, failure } => format!("{index}:fail:{failure}"),
-        };
-        let mut full = Vec::new();
-        sweep_full_with(&Simulator::new(), &net, &space, opts, &em, 1).unwrap();
-        sweep_streaming_with(&Simulator::new(), &net, &space, opts, &em, 1, 1, |e| {
-            full.push(describe(&e))
-        })
-        .unwrap();
-        assert_eq!(full.len(), space.len());
-        for chunk in [1usize, 2, 4] {
-            for jobs in [1usize, 4] {
-                for cancel_after in [1usize, 2, 5] {
-                    let token = CancelToken::never();
-                    let mut delivered = Vec::new();
-                    let result = sweep_streaming_cancellable_with(
-                        &Simulator::new(),
-                        &net,
-                        &space,
-                        opts,
-                        &em,
-                        jobs,
-                        chunk,
-                        &token,
-                        |e| {
-                            delivered.push(describe(&e));
-                            if delivered.len() >= cancel_after {
-                                token.cancel();
-                            }
-                        },
-                    );
-                    let tag = format!("chunk={chunk} jobs={jobs} cancel_after={cancel_after}");
-                    assert_eq!(
-                        delivered,
-                        full[..delivered.len()],
-                        "delivered events are a prefix ({tag})"
-                    );
-                    if delivered.len() < full.len() {
-                        assert_eq!(result.unwrap_err(), SweepError::Cancelled, "{tag}");
-                        // The whole current chunk completed before the
-                        // between-chunk poll noticed the cancel.
-                        assert_eq!(delivered.len() % chunk, 0, "{tag}");
-                    } else {
-                        // Cancel fired during the final chunk: the sweep
-                        // was already complete.
-                        assert!(result.is_ok(), "{tag}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn streaming_sweep_rejects_empty_spaces_before_any_event() {
-        let mut space = SweepSpace::paper_default();
-        space.rf_depths.clear();
-        let mut fired = 0usize;
-        let err = sweep_streaming_with(
-            &Simulator::new(),
-            &zoo::tiny_darknet(),
-            &space,
-            SimOptions::default(),
-            &EnergyModel::default(),
-            1,
-            1,
-            |_| fired += 1,
-        )
-        .unwrap_err();
-        assert_eq!(err, SweepError::EmptySpace("rf-depth"));
-        assert_eq!(fired, 0, "no events before validation");
-    }
-
-    #[test]
     fn parallel_cached_sweep_matches_serial_uncached() {
         // The tentpole contract: `jobs` and the cache change wall-time,
         // never results or order.
@@ -1244,8 +930,8 @@ mod tests {
         let net = zoo::squeezenet_v1_1();
         let opts = SimOptions::default();
         let em = EnergyModel::default();
-        let serial = sweep_with(&Simulator::uncached(), &net, &space, opts, &em, 1).unwrap();
-        let parallel = sweep_with(&Simulator::new(), &net, &space, opts, &em, 4).unwrap();
+        let serial = sweep_full_with(&Simulator::uncached(), &net, &space, opts, &em, 1).unwrap();
+        let parallel = sweep_full_with(&Simulator::new(), &net, &space, opts, &em, 4).unwrap();
         assert_eq!(serial, parallel);
     }
 }

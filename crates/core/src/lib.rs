@@ -46,9 +46,8 @@ pub use codesign::{
     evaluate_variant, evaluate_variant_with, CodesignStudy, ModelTransform, VariantResult,
 };
 pub use dse::{
-    best_by_energy_delay, pareto_designs, rf_tuneup_effect, sweep, sweep_full_with,
-    sweep_streaming_cancellable_with, sweep_streaming_with, sweep_with, DesignParams, DesignPoint,
-    OnlineFrontier, PointFailure, SweepError, SweepEvent, SweepOutcome, SweepSpace,
+    best_by_energy_delay, pareto_designs, rf_tuneup_effect, sweep_full_with, DesignParams,
+    DesignPoint, OnlineFrontier, PointFailure, SweepError, SweepOutcome, SweepSpace,
 };
 pub use evaluate::{
     compare_all, compare_networks, compare_networks_with, ArchitectureComparison, RelativeResult,

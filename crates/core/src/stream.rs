@@ -1,15 +1,17 @@
 //! Bounded-memory streaming sweeps: online Pareto pruning, dominance
 //! branch-and-bound, and crash-safe checkpoint/resume.
 //!
-//! [`sweep_streaming_cancellable_with`](crate::dse::sweep_streaming_cancellable_with)
-//! still accumulates every evaluated point, so a 10M-point sweep holds
-//! 10M [`DesignPoint`]s before the Pareto filter ever runs. The
-//! [`sweep_frontier_with`] pipeline in this module never does: grid
-//! points are decoded from their flat index chunk by chunk, each
-//! evaluated point is offered to an [`OnlineFrontier`] that retains only
-//! the live Pareto set, and everything else is dropped on the spot.
-//! Peak memory is `O(frontier + chunk + retained failures)` regardless
-//! of the space's size.
+//! [`sweep_full_with`](crate::dse::sweep_full_with) keeps every
+//! evaluated point, so a 10M-point sweep holds 10M [`DesignPoint`]s
+//! before the Pareto filter ever runs. The [`sweep_frontier_with`]
+//! engine in this module never does: grid points are decoded from their
+//! flat index chunk by chunk, each evaluated point is offered to an
+//! [`OnlineFrontier`] that retains only the live Pareto set, and
+//! everything else is dropped on the spot. Peak memory is
+//! `O(frontier + chunk + retained failures)` regardless of the space's
+//! size. Both sweeps evaluate through the same chunk evaluator, and
+//! this engine is the only one that streams events, honours a
+//! [`CancelToken`], or checkpoints.
 //!
 //! Three cooperating mechanisms:
 //!
@@ -43,13 +45,17 @@ use std::path::PathBuf;
 
 use codesign_arch::{area, AcceleratorConfig, AreaModel, EnergyModel};
 use codesign_dnn::Network;
-use codesign_sim::{par_map_catch_range, CancelToken, SimOptions, Simulator};
+use codesign_sim::{CancelToken, SimOptions, Simulator};
 
 use crate::checkpoint::{self, CheckpointState};
 use crate::dse::{
-    best_by_energy_delay, evaluate_point, DesignParams, DesignPoint, OnlineFrontier, PointFailure,
-    SweepError, SweepSpace,
+    best_by_energy_delay, evaluate_point, evaluate_range, DesignParams, DesignPoint,
+    OnlineFrontier, PointEval, PointFailure, SweepError, SweepSpace,
 };
+
+/// Failure diagnostics a sweep retains; the `failed` counter still
+/// counts every failure past the cap.
+const MAX_FAILURES: usize = 1024;
 
 /// Where and how often a streaming sweep checkpoints.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,10 +63,10 @@ pub struct CheckpointConfig {
     /// Base path for the generation files (`<base>.gen-K`).
     pub base: PathBuf,
     /// Minimum number of newly completed grid points between
-    /// checkpoints (clamped to at least 1).
+    /// checkpoints (clamped to at least 1). The newest
+    /// [`GENERATIONS_KEPT`](codesign_sim::GENERATIONS_KEPT) generations
+    /// stay on disk.
     pub every_points: u64,
-    /// How many generations to keep on disk (clamped to at least 1).
-    pub keep: usize,
 }
 
 /// Tuning knobs for [`sweep_frontier_with`].
@@ -78,9 +84,6 @@ pub struct FrontierConfig {
     /// evaluations (and their skip/failure diagnostics) that provably
     /// cannot contribute frontier members.
     pub prune: bool,
-    /// Retain at most this many [`PointFailure`] diagnostics (the
-    /// `failed` counter still counts all of them).
-    pub max_failures: usize,
     /// Checkpoint persistence; `None` disables checkpointing.
     pub checkpoint: Option<CheckpointConfig>,
     /// Resume from the newest intact, fingerprint-matching checkpoint
@@ -93,14 +96,7 @@ pub struct FrontierConfig {
 
 impl Default for FrontierConfig {
     fn default() -> Self {
-        Self {
-            jobs: 0,
-            chunk: 64,
-            prune: false,
-            max_failures: 1024,
-            checkpoint: None,
-            resume: false,
-        }
+        Self { jobs: 0, chunk: 64, prune: false, checkpoint: None, resume: false }
     }
 }
 
@@ -143,8 +139,8 @@ pub enum FrontierEvent<'a> {
         /// The entering point.
         point: &'a DesignPoint,
     },
-    /// A point failed with a diagnostic (fired even past the
-    /// `max_failures` retention cap).
+    /// A point failed with a diagnostic (fired even past the retention
+    /// cap of [`FrontierOutcome::failures`]).
     Failure {
         /// Flat grid index of the point.
         index: usize,
@@ -174,8 +170,7 @@ pub struct FrontierOutcome {
     /// minimum over *all* evaluated points is always attained on the
     /// frontier). `None` only when the frontier is empty.
     pub best: Option<DesignPoint>,
-    /// Retained failure diagnostics, in grid order, capped at
-    /// `max_failures`.
+    /// Retained failure diagnostics, in grid order: the first 1,024.
     pub failures: Vec<PointFailure>,
     /// Aggregate accounting.
     pub counters: SweepCounters,
@@ -224,7 +219,6 @@ struct Engine<'a> {
     jobs: usize,
     chunk: usize,
     prune: bool,
-    max_failures: usize,
     cancel: &'a CancelToken,
     frontier: OnlineFrontier,
     failures: Vec<PointFailure>,
@@ -342,48 +336,24 @@ impl Engine<'_> {
     /// folds the results — in grid order — into the frontier, counters,
     /// and diagnostics.
     fn leaf(&mut self, lo: usize, hi: usize, on_event: &mut EventSink<'_>) {
-        let (sim, network, space) = (self.sim, self.network, self.space);
-        let (opts, energy_model) = (self.opts, self.energy_model);
-        let evals = par_map_catch_range(self.jobs, hi - lo, |j| match space.point(lo + j) {
-            Some(params) => evaluate_point(sim, network, params, opts, energy_model),
-            // Unreachable once `check_non_empty` passed; treated as a
-            // skipped point rather than a panic.
-            None => Ok(None),
-        });
-        for (j, eval) in evals.into_iter().enumerate() {
-            let i = lo + j;
-            let Some(params) = space.point(i) else { continue };
+        let (sim, net, space, em) = (self.sim, self.network, self.space, self.energy_model);
+        for (index, eval) in evaluate_range(sim, net, space, self.opts, em, self.jobs, lo..hi) {
             match eval {
-                Ok(Ok(Some(point))) => {
+                PointEval::Evaluated(point) => {
                     self.counters.evaluated += 1;
                     if self.frontier.insert(&point) {
-                        on_event(FrontierEvent::Entered { index: i, point: &point });
+                        on_event(FrontierEvent::Entered { index, point: &point });
                     }
                 }
-                Ok(Ok(None)) => self.counters.skipped += 1,
-                Ok(Err(e)) => self.record_failure(i, params, e.to_string(), on_event),
-                Err(panic_msg) => self.record_failure(
-                    i,
-                    params,
-                    format!("worker panicked: {panic_msg}"),
-                    on_event,
-                ),
+                PointEval::Skipped => self.counters.skipped += 1,
+                PointEval::Failed(failure) => {
+                    self.counters.failed += 1;
+                    on_event(FrontierEvent::Failure { index, failure: &failure });
+                    if self.failures.len() < MAX_FAILURES {
+                        self.failures.push(failure);
+                    }
+                }
             }
-        }
-    }
-
-    fn record_failure(
-        &mut self,
-        index: usize,
-        params: DesignParams,
-        reason: String,
-        on_event: &mut EventSink<'_>,
-    ) {
-        self.counters.failed += 1;
-        let failure = PointFailure { params, reason };
-        on_event(FrontierEvent::Failure { index, failure: &failure });
-        if self.failures.len() < self.max_failures {
-            self.failures.push(failure);
         }
     }
 
@@ -409,8 +379,7 @@ impl Engine<'_> {
         };
         let Some(ck) = self.ckpt.as_mut() else { return Ok(()) };
         ck.generation += 1;
-        checkpoint::save(&ck.cfg.base, ck.generation, ck.fingerprint, &state, ck.cfg.keep.max(1))
-            .map_err(|e| {
+        checkpoint::save(&ck.cfg.base, ck.generation, ck.fingerprint, &state).map_err(|e| {
             SweepError::Checkpoint(format!("writing generation {}: {e}", ck.generation))
         })?;
         ck.last_pos = done;
@@ -446,8 +415,8 @@ impl Engine<'_> {
 ///   `jobs`;
 /// * the final `frontier` (and `best`) are bit-identical to batch
 ///   [`pareto_designs`](crate::dse::pareto_designs) +
-///   [`best_by_energy_delay`](crate::dse::best_by_energy_delay) over
-///   the full sweep, whatever `chunk`, `prune`, or resume history;
+///   [`best_by_energy_delay`] over the full sweep, whatever `chunk`,
+///   `prune`, or resume history;
 /// * with pruning off, `counters` and `failures` are also bit-identical
 ///   across runs; with pruning on, diagnostics inside pruned segments
 ///   are omitted and the evaluated/pruned split may vary with `chunk`.
@@ -480,7 +449,6 @@ pub fn sweep_frontier_with(
         jobs: config.jobs,
         chunk: config.chunk.max(1),
         prune: config.prune,
-        max_failures: config.max_failures,
         cancel,
         frontier: OnlineFrontier::new(),
         failures: Vec::new(),
@@ -522,7 +490,8 @@ pub fn sweep_frontier_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dse::{pareto_designs, sweep_with, SweepSpace};
+    use crate::dse::{pareto_designs, sweep_full_with, SweepSpace};
+    use codesign_sim::GENERATIONS_KEPT;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn tiny_network() -> Network {
@@ -582,7 +551,7 @@ mod tests {
     fn frontier_matches_batch_pareto_bit_for_bit() {
         let net = tiny_network();
         let space = small_space();
-        let batch = sweep_with(
+        let batch = sweep_full_with(
             &Simulator::new(),
             &net,
             &space,
@@ -590,7 +559,8 @@ mod tests {
             &EnergyModel::default(),
             0,
         )
-        .expect("batch sweep runs");
+        .expect("batch sweep runs")
+        .points;
         let expected = pareto_designs(&batch);
         for chunk in [1, 2, 3, 64] {
             for prune in [false, true] {
@@ -673,7 +643,7 @@ mod tests {
         let uninterrupted = run_plain(&FrontierConfig::default());
 
         let base = temp_base("resume");
-        let ckpt = CheckpointConfig { base: base.clone(), every_points: 2, keep: 3 };
+        let ckpt = CheckpointConfig { base: base.clone(), every_points: 2 };
         let config = FrontierConfig {
             chunk: 2,
             checkpoint: Some(ckpt.clone()),
@@ -729,7 +699,7 @@ mod tests {
     fn foreign_checkpoints_are_ignored_and_the_sweep_starts_fresh() {
         let net = tiny_network();
         let base = temp_base("foreign");
-        let ckpt = CheckpointConfig { base: base.clone(), every_points: 1, keep: 2 };
+        let ckpt = CheckpointConfig { base: base.clone(), every_points: 1 };
         // Complete a checkpointed sweep over one space...
         let config = FrontierConfig {
             chunk: 2,
@@ -772,7 +742,7 @@ mod tests {
     fn fresh_checkpointing_run_clears_stale_generations() {
         let net = tiny_network();
         let base = temp_base("clear");
-        let ckpt = CheckpointConfig { base: base.clone(), every_points: 1, keep: 10 };
+        let ckpt = CheckpointConfig { base: base.clone(), every_points: 1 };
         let config =
             FrontierConfig { chunk: 2, checkpoint: Some(ckpt), ..FrontierConfig::default() };
         let run = || {
@@ -789,14 +759,48 @@ mod tests {
             .expect("sweep runs")
         };
         let first = run();
+        // A stale generation numbered past anything a run writes: left
+        // in place, the rotation would keep it over a fresh one.
+        std::fs::write(codesign_sim::generation_path(&base, 99), b"stale")
+            .expect("plant a stale generation");
         let second = run();
-        // The second run cleared the first's generations before writing
-        // its own, so generation numbering restarted.
+        // The second run cleared every old generation before writing
+        // its own, so generation numbering restarted and exactly its
+        // newest `GENERATIONS_KEPT` remain.
         assert_eq!(first.counters.checkpoints_written, second.counters.checkpoints_written);
-        let gens = codesign_sim::scan_generations(&base);
-        assert_eq!(gens.len() as u64, second.counters.checkpoints_written.min(10));
+        let written = second.counters.checkpoints_written;
+        assert!(written > GENERATIONS_KEPT as u64, "the rotation must prune: {written}");
+        let gens: Vec<u64> =
+            codesign_sim::scan_generations(&base).into_iter().map(|(g, _)| g).collect();
+        assert_eq!(gens, (written + 1 - GENERATIONS_KEPT as u64..=written).collect::<Vec<_>>());
         if let Some(dir) = base.parent() {
             std::fs::remove_dir_all(dir).ok();
+        }
+    }
+
+    #[test]
+    fn empty_spaces_are_rejected_before_any_event() {
+        let mut space = SweepSpace::paper_default();
+        space.rf_depths.clear();
+        let cancelled = CancelToken::never();
+        cancelled.cancel();
+        // The space is validated before the token is polled, so an empty
+        // space is reported as such even when already cancelled.
+        for cancel in [CancelToken::never(), cancelled] {
+            let mut fired = 0usize;
+            let err = sweep_frontier_with(
+                &Simulator::new(),
+                &codesign_dnn::zoo::tiny_darknet(),
+                &space,
+                SimOptions::default(),
+                &EnergyModel::default(),
+                &FrontierConfig { jobs: 1, chunk: 1, ..FrontierConfig::default() },
+                &cancel,
+                |_| fired += 1,
+            )
+            .unwrap_err();
+            assert_eq!(err, SweepError::EmptySpace("rf-depth"));
+            assert_eq!(fired, 0, "no events before validation");
         }
     }
 }

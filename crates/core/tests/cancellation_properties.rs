@@ -1,15 +1,14 @@
 //! Property-based cancellation-determinism tests: for *any* sweep
-//! space, chunk size, worker count, and cancel point, the frontier
-//! events streamed before a deadline fires are bit-identical to a
-//! prefix of the uncancelled run's event stream — and the uncancelled
+//! space, chunk size, worker count, prune setting, and cancel point, the
+//! frontier events streamed before a deadline fires are bit-identical to
+//! a prefix of the uncancelled run's event stream — and the uncancelled
 //! stream itself is independent of `--jobs`. This is the guarantee the
 //! server's `"code":"deadline"` error message asserts to clients.
 
 use codesign_arch::EnergyModel;
 use codesign_core::{
-    best_by_energy_delay, pareto_designs, sweep_frontier_with, sweep_full_with,
-    sweep_streaming_cancellable_with, sweep_streaming_with, FrontierConfig, FrontierEvent,
-    SweepError, SweepEvent, SweepSpace,
+    best_by_energy_delay, pareto_designs, sweep_frontier_with, sweep_full_with, FrontierConfig,
+    FrontierEvent, SweepError, SweepSpace,
 };
 use codesign_dnn::zoo;
 use codesign_sim::{CancelToken, SimOptions, Simulator};
@@ -24,7 +23,7 @@ fn subset<const N: usize>(all: [usize; N]) -> impl Strategy<Value = Vec<usize>> 
 
 /// An arbitrary small sweep space. The 256-byte buffer level is
 /// deliberately infeasible for every array size, so generated spaces
-/// mix `Point` and `Skipped` events.
+/// mix evaluated, skipped and failed points.
 fn arb_space() -> impl Strategy<Value = SweepSpace> {
     (subset([8, 16, 32]), subset([8, 16]), subset([256, 64 * 1024, 128 * 1024])).prop_map(
         |(array_sizes, rf_depths, buffer_bytes)| SweepSpace {
@@ -33,14 +32,6 @@ fn arb_space() -> impl Strategy<Value = SweepSpace> {
             buffer_bytes,
         },
     )
-}
-
-fn describe(event: &SweepEvent<'_>) -> String {
-    match event {
-        SweepEvent::Point { index, point } => format!("{index}:point:{point:?}"),
-        SweepEvent::Skipped { index, params } => format!("{index}:skip:{params}"),
-        SweepEvent::Failure { index, failure } => format!("{index}:fail:{failure}"),
-    }
 }
 
 fn describe_frontier(event: &FrontierEvent<'_>) -> String {
@@ -55,71 +46,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn cancelled_stream_is_a_prefix_for_any_space_chunk_and_cancel_point(
-        space in arb_space(),
-        chunk in 1usize..=5,
-        jobs in 1usize..=4,
-        cancel_after in 1usize..=12,
-    ) {
-        let net = zoo::tiny_darknet();
-        let opts = SimOptions::default();
-        let em = EnergyModel::default();
-
-        // Reference stream: serial, chunk size 1.
-        let mut full = Vec::new();
-        sweep_streaming_with(&Simulator::new(), &net, &space, opts, &em, 1, 1, |e| {
-            full.push(describe(&e));
-        })
-        .map_err(|e| TestCaseError::fail(format!("reference sweep failed: {e}")))?;
-        prop_assert_eq!(full.len(), space.len());
-
-        // The `--jobs` invariant: worker count changes wall-time, never
-        // the event stream.
-        let mut fanned = Vec::new();
-        sweep_streaming_with(&Simulator::new(), &net, &space, opts, &em, jobs, chunk, |e| {
-            fanned.push(describe(&e));
-        })
-        .map_err(|e| TestCaseError::fail(format!("fanned sweep failed: {e}")))?;
-        prop_assert_eq!(&fanned, &full, "jobs={} chunk={}", jobs, chunk);
-
-        // Cancel after `cancel_after` delivered events: whatever was
-        // streamed must be a byte-identical prefix of the full run.
-        let token = CancelToken::never();
-        let mut delivered = Vec::new();
-        let result = sweep_streaming_cancellable_with(
-            &Simulator::new(),
-            &net,
-            &space,
-            opts,
-            &em,
-            jobs,
-            chunk,
-            &token,
-            |e| {
-                delivered.push(describe(&e));
-                if delivered.len() >= cancel_after {
-                    token.cancel();
-                }
-            },
-        );
-        let tag = format!(
-            "space={}pts chunk={chunk} jobs={jobs} cancel_after={cancel_after}",
-            space.len()
-        );
-        prop_assert!(delivered.len() <= full.len(), "over-delivered ({tag})");
-        prop_assert_eq!(&delivered[..], &full[..delivered.len()], "not a prefix ({tag})");
-        if delivered.len() < full.len() {
-            // Cancelled mid-run: typed error, and the cut lands exactly
-            // on a chunk boundary (cancellation is polled between
-            // chunks, never inside one).
-            prop_assert_eq!(result, Err(SweepError::Cancelled), "{}", &tag);
-            prop_assert_eq!(delivered.len() % chunk, 0, "mid-chunk cut ({tag})");
-        } else {
-            prop_assert!(result.is_ok(), "complete run still errored ({tag})");
-        }
-    }
-
-    #[test]
     fn pre_expired_deadline_cancels_before_any_event(
         space in arb_space(),
         chunk in 1usize..=5,
@@ -129,14 +55,13 @@ proptest! {
         // degenerate cancel point: the empty prefix, no events at all.
         let token = CancelToken::with_deadline(std::time::Duration::ZERO);
         let mut fired = 0usize;
-        let result = sweep_streaming_cancellable_with(
+        let result = sweep_frontier_with(
             &Simulator::new(),
             &zoo::tiny_darknet(),
             &space,
             SimOptions::default(),
             &EnergyModel::default(),
-            jobs,
-            chunk,
+            &FrontierConfig { jobs, chunk, ..FrontierConfig::default() },
             &token,
             |_| fired += 1,
         );

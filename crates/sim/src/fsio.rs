@@ -28,6 +28,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::engine::Simulator;
 use crate::snapshot::SnapshotStats;
 
+/// Generations every rotating writer keeps on disk: the server's cache
+/// autosave and the sweep checkpoint both pass it to
+/// [`write_generation`].
+pub const GENERATIONS_KEPT: usize = 3;
+
 /// Distinguishes concurrent in-process writers of the same target path;
 /// the pid in the temp name distinguishes concurrent processes.
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);

@@ -12,9 +12,11 @@
 //! ```
 
 use codesign::arch::{AcceleratorConfig, EnergyModel};
-use codesign::core::{best_by_energy_delay, compare_networks, sweep, CodesignStudy, SweepSpace};
+use codesign::core::{
+    best_by_energy_delay, compare_networks, sweep_full_with, CodesignStudy, SweepSpace,
+};
 use codesign::dnn::zoo;
-use codesign::sim::SimOptions;
+use codesign::sim::{SimOptions, Simulator};
 
 fn main() {
     let opts = SimOptions::paper_default();
@@ -22,8 +24,10 @@ fn main() {
 
     println!("step 1: hardware design-space sweep on the baseline (1.0-SqNxt-23v1)");
     let baseline = zoo::squeezenext_variant(1);
-    let points = sweep(&baseline, &SweepSpace::paper_default(), opts, &energy)
-        .expect("the paper sweep space has no empty axis");
+    let space = SweepSpace::paper_default();
+    let points = sweep_full_with(&Simulator::new(), &baseline, &space, opts, &energy, 0)
+        .expect("the paper sweep space has no empty axis")
+        .points;
     let best = best_by_energy_delay(&points).expect("the paper sweep produces valid points");
     println!(
         "  best energy-delay point: {} ({} cycles, util {:.1}%)\n",

@@ -6,7 +6,7 @@
 use std::fs;
 use std::path::PathBuf;
 
-use codesign_bench::experiments::{headlines, table1, table2, Context};
+use codesign_bench::experiments::{dse_sweep, headlines, table1, table2, Context};
 use codesign_bench::Table;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -64,4 +64,9 @@ fn table2_matches_golden() {
 #[test]
 fn headlines_match_golden() {
     check_golden("headlines", headlines);
+}
+
+#[test]
+fn sweep_matches_golden() {
+    check_golden("sweep", dse_sweep);
 }
