@@ -175,8 +175,12 @@ impl Client {
         Ok(Client { writer: stream, reader })
     }
 
+    /// Sends one request line in a single write (DESIGN.md §16: a
+    /// request split over two writes waits for the delayed ACK).
     fn send(&mut self, line: &str) -> Result<(), String> {
-        writeln!(self.writer, "{line}").map_err(|e| format!("send failed: {e}"))
+        self.writer
+            .write_all(format!("{line}\n").as_bytes())
+            .map_err(|e| format!("send failed: {e}"))
     }
 
     /// One response line; `Ok(None)` when the server closed the

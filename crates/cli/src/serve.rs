@@ -195,7 +195,9 @@ pub fn run_serve_opts(
     on_ready: impl FnOnce(SocketAddr),
 ) -> Result<(), RunError> {
     let sim = Simulator::new();
-    let tracer = Tracer::enabled();
+    // Counters only: the server reports cumulative counters in `stats`
+    // and has no sink for spans, so recording them would be pure cost.
+    let tracer = Tracer::counters_only();
     if let Some(path) = &opts.cache_load {
         load_with_recovery(&sim, &tracer, path, opts.quiet)?;
     }
@@ -336,6 +338,7 @@ fn reap_finished(handles: &mut Vec<JoinHandle<()>>) {
 /// client learns immediately instead of queueing behind a full house.
 fn fast_reject_overloaded(stream: TcpStream, state: &ServerState) {
     state.tracer.add_counter("serve.overloaded", 1);
+    let _ = stream.set_nodelay(true);
     let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let mut writer = ConnWriter { stream, dead: false };
     writer.send(
@@ -354,12 +357,15 @@ struct ConnWriter {
 
 impl ConnWriter {
     /// One response line: the subscriber's `id` wrapped around a shared
-    /// body.
+    /// body, formatted first and sent with one `write_all`. Split writes
+    /// would let Nagle's algorithm hold the tail of the line until the
+    /// client's delayed ACK, ~40 ms per response.
     fn send(&mut self, id_json: &str, body: &str) {
         if self.dead {
             return;
         }
-        if writeln!(self.stream, "{{\"id\":{id_json},{body}}}").is_err() {
+        let line = format!("{{\"id\":{id_json},{body}}}\n");
+        if self.stream.write_all(line.as_bytes()).is_err() {
             self.dead = true;
         }
     }
@@ -445,6 +451,9 @@ fn handle_connection(stream: TcpStream, state: &ServerState) {
     // Periodic read timeouts keep the thread responsive to shutdown even
     // when the client goes quiet with the connection open; the write
     // timeout bounds how long a stalled client can block a response.
+    // TCP_NODELAY sends each response line (and each streamed frontier
+    // delta) as soon as it is written instead of after the client's ACK.
+    let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
     let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let Ok(write_half) = stream.try_clone() else { return };
@@ -828,11 +837,7 @@ fn compute_and_publish(
     writer: &mut ConnWriter,
     state: &ServerState,
 ) {
-    // Per-request observability: the worker fork shares the server's
-    // cache but records spans/counters into a request-local tracer,
-    // whose counters are folded into the server tracer at the end.
-    let request_tracer = Tracer::enabled();
-    let worker = state.sim.fork_counter().with_tracer(request_tracer.clone());
+    let worker = state.sim.fork_counter().with_tracer(state.tracer.clone());
     let opts = SimOptions::paper_default();
     let energy = EnergyModel::default();
     let cancel = match deadline_ms {
@@ -949,7 +954,6 @@ fn compute_and_publish(
     if deadline_hit {
         state.tracer.add_counter("serve.deadline", 1);
     }
-    state.tracer.absorb_counters(&request_tracer.snapshot());
 }
 
 #[cfg(test)]

@@ -49,13 +49,17 @@ struct Client {
 impl Client {
     fn connect(port: u16) -> Client {
         let stream = TcpStream::connect(("127.0.0.1", port)).expect("client connects");
+        stream.set_nodelay(true).expect("nodelay set");
         stream.set_read_timeout(Some(Duration::from_secs(60))).expect("timeout set");
         let reader = BufReader::new(stream.try_clone().expect("stream clones"));
         Client { writer: stream, reader }
     }
 
+    /// Sends one request line in a single write: a request split over
+    /// two writes waits for the server's delayed ACK (~40 ms) on a
+    /// kept-alive connection.
     fn send(&mut self, line: &str) {
-        writeln!(self.writer, "{line}").expect("request sends");
+        self.writer.write_all(format!("{line}\n").as_bytes()).expect("request sends");
     }
 
     fn recv(&mut self) -> String {
@@ -165,15 +169,30 @@ fn sweep_streams_frontier_deltas_then_a_summary() {
     assert!(cd.contains("\"hybrid_cycles\":") && cd.contains("\"speedup_vs_ws\":"), "{cd}");
 }
 
+/// A JSON array of the whole numbers in `range`.
+fn json_range(range: std::ops::RangeInclusive<usize>) -> String {
+    let items: Vec<String> = range.map(|n| n.to_string()).collect();
+    format!("[{}]", items.join(","))
+}
+
 #[test]
 fn identical_inflight_sweeps_are_deduplicated() {
     let server = spawn_server(&[]);
-    let sweep = r#"{"id":"ID","cmd":"sweep","network":"squeezenet-v1.1","arrays":[8,16],"rfs":[8,16],"buffers_kib":[64,128]}"#;
+    // Leader and follower send the same deadline, which is part of the
+    // dedup key. The grid has 241 x 64 x 64 ~ 987k valid points, ~45 s
+    // of work for a release build on a 2-core x86-64 host (~47 us per
+    // point) and far more in debug, so the leader stays registered in
+    // flight until its 1 s deadline fires: the follower attaches by
+    // construction instead of racing the leader's sweep.
+    let sweep = format!(
+        r#"{{"id":"ID","cmd":"sweep","network":"squeezenet-v1.1","deadline_ms":1000,"arrays":{},"rfs":{},"buffers_kib":{}}}"#,
+        json_range(16..=256),
+        json_range(1..=64),
+        json_range(512..=575)
+    );
 
     let mut leader = Client::connect(server.port);
     leader.send(&sweep.replace("ID", "a"));
-    // Deterministic overlap: wait until the leader's sweep is registered
-    // in-flight before sending the identical request.
     wait_for_stats(server.port, |s| field_u64(s, "inflight") >= 1);
     let mut follower = Client::connect(server.port);
     follower.send(&sweep.replace("ID", "b"));
@@ -192,10 +211,54 @@ fn identical_inflight_sweeps_are_deduplicated() {
             .collect()
     };
     assert_eq!(strip(&leader_lines, "a"), strip(&follower_lines, "b"));
+    // Both streams end in the leader's deadline error.
+    let last = leader_lines.last().expect("leader answered");
+    assert!(last.contains(r#""code":"deadline""#), "{last}");
 
     let stats = wait_for_stats(server.port, |s| field_u64(s, "inflight") == 0);
     assert_eq!(field_u64(&stats, "deduped"), 1, "{stats}");
     assert!(stats.contains(r#""serve.dedup":1"#), "dedup counter fired: {stats}");
+}
+
+#[test]
+fn kept_alive_responses_are_not_held_back() {
+    // Each response line leaves in one write on a TCP_NODELAY socket.
+    // A line split over several writes stalls ~40 ms on Nagle's
+    // algorithm and the client's delayed ACK, so these 130 round trips
+    // would take ~5.7 s. Without TCP_NODELAY each multi-line sweep
+    // still stalls once, ~1.2 s over 30 repeats.
+    let server = spawn_server(&[]);
+    let mut c = Client::connect(server.port);
+    let sweep = r#"{"id":"sw","cmd":"sweep","network":"tiny-darknet","arrays":[8,16],"rfs":[8,16],"buffers_kib":[64]}"#;
+    let warm = c.request(sweep);
+    assert!(warm.len() > 2, "a multi-line sweep: {warm:?}");
+
+    let start = Instant::now();
+    for i in 0..100 {
+        let pong = c.request(&format!(r#"{{"id":{i},"cmd":"ping"}}"#));
+        assert_eq!(pong.len(), 1, "{pong:?}");
+    }
+    for _ in 0..30 {
+        assert_eq!(c.request(sweep), warm, "a cached sweep answers the same lines");
+    }
+    let elapsed = start.elapsed();
+    assert!(elapsed < Duration::from_secs(1), "130 kept-alive requests took {elapsed:?}");
+}
+
+#[test]
+fn simulate_counts_every_layer_in_stats() {
+    // One hybrid simulation runs every layer under both dataflows, and
+    // its `sim.*` counters reach the server's counters before the
+    // `done` line is written.
+    let server = spawn_server(&[]);
+    let mut c = Client::connect(server.port);
+    let done = c.request(r#"{"id":1,"cmd":"simulate","network":"tiny-darknet"}"#).pop().unwrap();
+    assert!(field_u64(&done, "cycles") > 0, "{done}");
+    let stats = c.request(r#"{"id":2,"cmd":"stats"}"#).pop().unwrap();
+    let layers = codesign_dnn::zoo::by_name("tiny-darknet").expect("zoo network").layers().len();
+    assert_eq!(field_u64(&stats, "sim.layer_sims"), 2 * layers as u64, "{stats}");
+    assert!(field_u64(&stats, "sim.macs") > 0, "{stats}");
+    assert!(field_u64(&stats, "sim.dram.bytes") > 0, "{stats}");
 }
 
 #[test]

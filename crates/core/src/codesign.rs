@@ -90,7 +90,7 @@ pub fn evaluate_variant_with(
     energy_model: &EnergyModel,
 ) -> VariantResult {
     let perf = sim.simulate_network(network, cfg, DataflowPolicy::PerLayer, opts);
-    if sim.tracer().is_enabled() {
+    if sim.tracer().records_spans() {
         let mut track =
             sim.tracer().track(format!("codesign:{}:rf{}", network.name(), cfg.rf_depth()));
         track.leaf(

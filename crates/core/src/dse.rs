@@ -207,7 +207,7 @@ pub(crate) fn evaluate_point(
         return Ok(None);
     };
     let perf = sim.try_simulate_network(network, &cfg, DataflowPolicy::PerLayer, opts)?;
-    if sim.tracer().is_enabled() {
+    if sim.tracer().records_spans() {
         let mut track = sim.tracer().track(format!("sweep:{}:{}", network.name(), params));
         track.leaf(
             &params.to_string(),

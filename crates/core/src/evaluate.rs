@@ -80,7 +80,7 @@ impl ArchitectureComparison {
         let ws = run(DataflowPolicy::Fixed(Dataflow::WeightStationary))?;
         let os = run(DataflowPolicy::Fixed(Dataflow::OutputStationary))?;
         let cmp = Self { network: network.name().to_owned(), hybrid, ws, os, energy_model };
-        if sim.tracer().is_enabled() {
+        if sim.tracer().records_spans() {
             let mut track = sim.tracer().track(format!("cmp:{}", network.name()));
             track.leaf(
                 network.name(),

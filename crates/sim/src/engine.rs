@@ -172,6 +172,44 @@ fn finish_layer(
 /// answered locally without even consulting the shared cache.
 type LayerMemo = HashMap<(ConvWork, Dataflow), (ComputePerf, u64)>;
 
+/// The global `sim.*` counters one simulation call accumulates locally
+/// and flushes to the tracer once, so a whole network costs one batch
+/// of counter updates rather than several per layer.
+#[derive(Default)]
+struct LayerTally {
+    layer_sims: u64,
+    dram_bytes: u64,
+    macs: u64,
+    cache_hits: u64,
+    cache_misses: u64,
+    cache_contended: u64,
+}
+
+impl LayerTally {
+    /// Adds the tally to the tracer's global counters. The cache.*
+    /// triple is schedule-dependent under parallel misses and lock
+    /// timing (see the [`SimCache`] docs) and is only created when
+    /// non-zero; everything else is a pure function of the work
+    /// simulated.
+    fn flush(&self, tracer: &Tracer) {
+        if !tracer.is_enabled() || self.layer_sims == 0 {
+            return;
+        }
+        tracer.add_counter("sim.layer_sims", self.layer_sims);
+        tracer.add_counter("sim.dram.bytes", self.dram_bytes);
+        tracer.add_counter("sim.macs", self.macs);
+        for (name, value) in [
+            ("sim.cache.hits", self.cache_hits),
+            ("sim.cache.misses", self.cache_misses),
+            ("sim.cache.contended", self.cache_contended),
+        ] {
+            if value > 0 {
+                tracer.add_counter(name, value);
+            }
+        }
+    }
+}
+
 /// The memoizable part of one conv-shaped layer simulation: PE-array
 /// work plus the DRAM traffic byte count (the layer name is re-attached
 /// by the caller).
@@ -225,9 +263,10 @@ fn conv_layer_parts(
 /// [`Simulator::simulate_network`] call publishes one track of per-layer
 /// spans — duration in simulated cycles, with MACs, DRAM bytes/cycles,
 /// phase breakdown, buffer occupancy, and cache-hit counters attached —
-/// plus global `sim.*` counters. Tracing never changes simulation
-/// results: the instrumented paths only *observe* values that are
-/// computed anyway.
+/// plus global `sim.*` counters, added once per call. A
+/// [`Tracer::counters_only`] tracer keeps the counters and skips the
+/// spans. Tracing never changes simulation results: the instrumented
+/// paths only *observe* values that are computed anyway.
 #[derive(Debug, Clone, Default)]
 pub struct Simulator {
     cache: Option<Arc<SimCache>>,
@@ -362,7 +401,10 @@ impl Simulator {
         opts: SimOptions,
         dataflow: Dataflow,
     ) -> SimResult<LayerPerf> {
-        Ok(self.try_simulate_layer_flagged(layer, cfg, opts, dataflow, None)?.0)
+        let mut tally = LayerTally::default();
+        let result = self.try_simulate_layer_flagged(layer, cfg, opts, dataflow, None, &mut tally);
+        tally.flush(&self.tracer);
+        Ok(result?.0)
     }
 
     /// Simulates one layer under a forced dataflow (non-PE layers always
@@ -385,7 +427,8 @@ impl Simulator {
     /// flag deliberately ignores shared-cache hits: whether another sweep
     /// point already populated a shared entry is a race, while the dedup
     /// outcome is a pure function of the layer sequence — so the
-    /// per-layer trace stays schedule-independent.
+    /// per-layer trace stays schedule-independent. A successful layer
+    /// adds itself to `tally`, which the caller flushes.
     fn try_simulate_layer_flagged(
         &self,
         layer: &Layer,
@@ -393,9 +436,10 @@ impl Simulator {
         opts: SimOptions,
         dataflow: Dataflow,
         memo: Option<&mut LayerMemo>,
+        tally: &mut LayerTally,
     ) -> SimResult<(LayerPerf, bool)> {
-        // Shared-cache consultation outcomes for the tracer: memo answers
-        // and uncached recomputes consult nothing and report (0, 0, 0).
+        // Shared-cache consultation outcomes: memo answers and uncached
+        // recomputes consult nothing and report (0, 0, 0).
         let mut sub_hits = 0u64;
         let mut sub_misses = 0u64;
         let mut sub_contended = 0u64;
@@ -444,24 +488,12 @@ impl Simulator {
         };
         let (perf, answered) = result.map_err(|e| self.note_error(e.for_layer(&layer.name)))?;
         self.cycles.fetch_add(perf.total_cycles, Ordering::Relaxed);
-        if self.tracer.is_enabled() {
-            // Global counters. Note the cache.* triple is
-            // schedule-dependent under parallel misses and lock timing
-            // (see the [`SimCache`] docs); everything else is a pure
-            // function of the work simulated.
-            self.tracer.add_counter("sim.layer_sims", 1);
-            self.tracer.add_counter("sim.dram.bytes", perf.dram_bytes);
-            self.tracer.add_counter("sim.macs", perf.compute.executed_macs);
-            if sub_hits > 0 {
-                self.tracer.add_counter("sim.cache.hits", sub_hits);
-            }
-            if sub_misses > 0 {
-                self.tracer.add_counter("sim.cache.misses", sub_misses);
-            }
-            if sub_contended > 0 {
-                self.tracer.add_counter("sim.cache.contended", sub_contended);
-            }
-        }
+        tally.layer_sims += 1;
+        tally.dram_bytes += perf.dram_bytes;
+        tally.macs += perf.compute.executed_macs;
+        tally.cache_hits += sub_hits;
+        tally.cache_misses += sub_misses;
+        tally.cache_contended += sub_contended;
         Ok((perf, answered))
     }
 
@@ -521,6 +553,24 @@ impl Simulator {
         policy: DataflowPolicy,
         opts: SimOptions,
     ) -> SimResult<NetworkPerf> {
+        // Flushed on both paths: a network that fails at layer k still
+        // counts the layers simulated before it.
+        let mut tally = LayerTally::default();
+        let result = self.simulate_network_tallied(network, cfg, policy, opts, &mut tally);
+        tally.flush(&self.tracer);
+        result
+    }
+
+    /// [`Simulator::try_simulate_network`], adding every simulated
+    /// layer to `tally` instead of the tracer.
+    fn simulate_network_tallied(
+        &self,
+        network: &Network,
+        cfg: &AcceleratorConfig,
+        policy: DataflowPolicy,
+        opts: SimOptions,
+        tally: &mut LayerTally,
+    ) -> SimResult<NetworkPerf> {
         let mut dedup_hits = Vec::new();
         let mut layers = Vec::with_capacity(network.layers().len());
         // Per-network dedup memo: repeated layer shapes (fire modules,
@@ -530,7 +580,7 @@ impl Simulator {
         for layer in network.layers() {
             let (perf, hit) = match policy {
                 DataflowPolicy::Fixed(d) => {
-                    self.try_simulate_layer_flagged(layer, cfg, opts, d, Some(&mut memo))?
+                    self.try_simulate_layer_flagged(layer, cfg, opts, d, Some(&mut memo), tally)?
                 }
                 DataflowPolicy::PerLayer => {
                     let (ws, hit_ws) = self.try_simulate_layer_flagged(
@@ -539,6 +589,7 @@ impl Simulator {
                         opts,
                         Dataflow::WeightStationary,
                         Some(&mut memo),
+                        tally,
                     )?;
                     let (os, hit_os) = self.try_simulate_layer_flagged(
                         layer,
@@ -546,6 +597,7 @@ impl Simulator {
                         opts,
                         Dataflow::OutputStationary,
                         Some(&mut memo),
+                        tally,
                     )?;
                     if os.total_cycles < ws.total_cycles {
                         (os, hit_os)
@@ -558,7 +610,7 @@ impl Simulator {
             layers.push(perf);
         }
         let perf = NetworkPerf { name: network.name().to_owned(), layers };
-        if self.tracer.is_enabled() {
+        if self.tracer.records_spans() {
             record_network_impl(&self.tracer, network, &perf, cfg, policy, Some(&dedup_hits));
         }
         Ok(perf)
@@ -631,7 +683,7 @@ fn record_network_impl(
     policy: DataflowPolicy,
     dedup_hits: Option<&[bool]>,
 ) {
-    if !tracer.is_enabled() {
+    if !tracer.records_spans() {
         return;
     }
     let mut track = tracer.track(format!("sim:{}:{}", network.name(), policy_tag(policy)));
@@ -852,6 +904,41 @@ mod tests {
         // fire-module shapes make at least one of them a hit.
         assert!(track.spans[1..].iter().all(|s| s.counter("dedup.hit").is_some()));
         assert!(track.spans[1..].iter().any(|s| s.counter("dedup.hit") == Some(1)));
+    }
+
+    #[test]
+    fn a_failing_layer_still_counts_the_layers_before_it() {
+        // The counter batch is flushed on the error path too: a network
+        // that fails at layer k reports exactly what its first k layers
+        // report on their own.
+        let cfg = cfg();
+        // One input row of this width fits the working buffer next to its
+        // output row; the three rows a 3x3 kernel needs do not.
+        let width = cfg.working_buffer_bytes() / cfg.bytes_per_element() / 3;
+        let net = |with_wide_layer: bool| {
+            let mut b = NetworkBuilder::new("t", Shape::new(1, 4, width));
+            b.conv("fits", 1, 1, 1, 0);
+            if with_wide_layer {
+                b.conv("too_wide", 1, 3, 1, 1);
+            }
+            b.finish().unwrap()
+        };
+        let opts = SimOptions::paper_default();
+        let run = |net: &Network| {
+            let tracer = Tracer::counters_only();
+            let sim = Simulator::new().with_tracer(tracer.clone());
+            let result = sim.try_simulate_network(net, &cfg, DataflowPolicy::PerLayer, opts);
+            let data = tracer.snapshot();
+            assert!(data.tracks.is_empty(), "a counters-only tracer records no spans");
+            (result, ["sim.layer_sims", "sim.macs", "sim.dram.bytes"].map(|n| data.counter(n)))
+        };
+        let (prefix, want) = run(&net(false));
+        prefix.expect("the prefix simulates");
+        assert_eq!(want[0], Some(2), "one layer under both dataflows");
+        assert!(want.iter().all(|c| c.is_some_and(|v| v > 0)), "{want:?}");
+        let (full, got) = run(&net(true));
+        assert_eq!(full.unwrap_err().layer(), Some("too_wide"));
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -166,7 +166,7 @@ impl TrackData {
 /// appends a complete span at the cursor and advances it;
 /// [`Track::open`]/[`Track::close`] bracket nested spans whose duration
 /// is however far the cursor moved in between. All methods are no-ops on
-/// a disabled tracer's tracks.
+/// the tracks of a disabled or counters-only tracer.
 ///
 /// Dropping the track closes any still-open spans and publishes the
 /// recorded data to the owning [`crate::Tracer`].

@@ -12,6 +12,9 @@ pub(crate) struct Shared {
     /// Global named counters. A `BTreeMap` keeps snapshot order
     /// deterministic; `u64` sums keep aggregation order-independent.
     counters: Mutex<BTreeMap<String, u64>>,
+    /// Whether [`Tracer::track`] hands out recording tracks (`false`
+    /// for a [`Tracer::counters_only`] tracer).
+    spans: bool,
 }
 
 impl Shared {
@@ -35,6 +38,14 @@ pub struct Tracer {
 impl Tracer {
     /// A tracer that records spans and counters.
     pub fn enabled() -> Self {
+        Self { shared: Some(Arc::new(Shared { spans: true, ..Shared::default() })) }
+    }
+
+    /// A tracer that records counters but no spans: [`Tracer::track`]
+    /// hands out no-op tracks. For long-lived processes (`codesign
+    /// serve`) that want cumulative counters without accumulating a
+    /// track per request.
+    pub fn counters_only() -> Self {
         Self { shared: Some(Arc::new(Shared::default())) }
     }
 
@@ -43,24 +54,31 @@ impl Tracer {
         Self { shared: None }
     }
 
-    /// Whether this handle records anything.
+    /// Whether this handle records anything (counters at least).
     pub fn is_enabled(&self) -> bool {
         self.shared.is_some()
     }
 
+    /// Whether [`Tracer::track`] records spans. Instrumentation sites
+    /// check this before formatting track names or span counters.
+    pub fn records_spans(&self) -> bool {
+        self.shared.as_ref().is_some_and(|shared| shared.spans)
+    }
+
     /// Starts a new logical timeline. The name should identify the unit
     /// of work (`"sim:SqueezeNet v1.0:hybrid"`, `"sweep:16x16/rf8/64KB"`),
-    /// never a thread. The track publishes itself when dropped.
+    /// never a thread. The track publishes itself when dropped; on a
+    /// disabled or counters-only tracer it records nothing.
     pub fn track(&self, name: impl Into<String>) -> Track {
         match &self.shared {
-            Some(shared) => Track {
+            Some(shared) if shared.spans => Track {
                 shared: Some(Arc::clone(shared)),
                 name: name.into(),
                 spans: Vec::new(),
                 open: Vec::new(),
                 cursor: 0,
             },
-            None => Track {
+            _ => Track {
                 shared: None,
                 name: String::new(),
                 spans: Vec::new(),
@@ -80,19 +98,6 @@ impl Tracer {
                     counters.insert(name.to_owned(), delta);
                 }
             }
-        }
-    }
-
-    /// Folds every counter of `data` into this tracer's counters.
-    ///
-    /// The server uses this to merge per-request tracer snapshots into
-    /// the long-lived server tracer: counters sum (order-independent),
-    /// so absorbing N request snapshots equals having recorded against
-    /// one tracer all along. Tracks are *not* absorbed — per-request
-    /// spans stay with the request. No-op on a disabled tracer.
-    pub fn absorb_counters(&self, data: &TraceData) {
-        for (name, delta) in &data.counters {
-            self.add_counter(name, *delta);
         }
     }
 
@@ -183,27 +188,22 @@ mod tests {
     }
 
     #[test]
-    fn absorbing_counters_equals_recording_directly() {
-        let request_a = Tracer::enabled();
-        request_a.add_counter("sim.cache.hits", 3);
-        request_a.add_counter("serve.dedup", 1);
-        let request_b = Tracer::enabled();
-        request_b.add_counter("sim.cache.hits", 4);
+    fn counters_only_records_counters_but_no_spans() {
+        let t = Tracer::counters_only();
+        assert!(t.is_enabled());
+        assert!(!t.records_spans());
+        assert!(Tracer::enabled().records_spans());
+        assert!(!Tracer::disabled().records_spans());
 
-        let server = Tracer::enabled();
-        server.add_counter("sim.cache.hits", 1);
-        server.absorb_counters(&request_a.snapshot());
-        server.absorb_counters(&request_b.snapshot());
-
-        let direct = Tracer::enabled();
-        direct.add_counter("sim.cache.hits", 8);
-        direct.add_counter("serve.dedup", 1);
-        assert_eq!(server.snapshot().counters, direct.snapshot().counters);
-
-        // Absorbing into a disabled tracer stays a no-op.
-        let off = Tracer::disabled();
-        off.absorb_counters(&request_a.snapshot());
-        assert_eq!(off.snapshot(), TraceData::default());
+        let clone = t.clone();
+        clone.add_counter("sim.layer_sims", 2);
+        let mut track = clone.track("sim:net:hybrid");
+        assert!(!track.is_enabled());
+        track.leaf("conv1", Category::Layer, 10, &[("macs", 5)]);
+        drop(track);
+        let data = t.snapshot();
+        assert!(data.tracks.is_empty());
+        assert_eq!(data.counter("sim.layer_sims"), Some(2));
     }
 
     #[test]
