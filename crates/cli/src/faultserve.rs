@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 use codesign_arch::{AcceleratorConfig, DataflowPolicy};
 use codesign_dnn::{NetworkBuilder, Shape};
 use codesign_sim::{
-    atomic_write, generation_path, recover_cache, scan_generations, write_generation, CaseOutcome,
+    atomic_write, generation_path, recover, scan_generations, write_generation, CaseOutcome,
     FaultReport, SimOptions, Simulator,
 };
 
@@ -530,13 +530,14 @@ fn case_torn_autosave_every_offset() -> Result<(), String> {
     let scratch = Scratch::new("torn")?;
     let base = scratch.path("cache.snap");
     let snap = tiny_snapshot()?;
-    write_generation(&base, 1, &snap, 8).map_err(|e| format!("cannot write gen 1: {e}"))?;
+    write_generation(&base, 1, &snap).map_err(|e| format!("cannot write gen 1: {e}"))?;
     for cut in 0..snap.len() {
         atomic_write(&generation_path(&base, 2), &snap[..cut])
             .map_err(|e| format!("cannot write torn gen 2: {e}"))?;
         let sim = Simulator::new();
-        let rec = recover_cache(&sim, &base).map_err(|e| format!("recovery errored: {e}"))?;
-        match rec.loaded {
+        let (loaded, refused) = recover(&base, |bytes| sim.load_cache_snapshot(bytes))
+            .map_err(|e| format!("recovery errored: {e}"))?;
+        match loaded {
             Some(loaded) if loaded.generation == Some(1) => {}
             other => {
                 return Err(format!(
@@ -545,8 +546,8 @@ fn case_torn_autosave_every_offset() -> Result<(), String> {
                 ))
             }
         }
-        if rec.refused.len() != 1 {
-            return Err(format!("cut at byte {cut}: expected 1 refusal, got {:?}", rec.refused));
+        if refused.len() != 1 {
+            return Err(format!("cut at byte {cut}: expected 1 refusal, got {refused:?}"));
         }
     }
     Ok(())
@@ -581,7 +582,7 @@ fn case_zero_length_generation() -> Result<(), String> {
     let scratch = Scratch::new("zero-gen")?;
     let base = scratch.path("cache.snap");
     let snap = tiny_snapshot()?;
-    write_generation(&base, 1, &snap, 8).map_err(|e| format!("cannot write gen 1: {e}"))?;
+    write_generation(&base, 1, &snap).map_err(|e| format!("cannot write gen 1: {e}"))?;
     atomic_write(&generation_path(&base, 2), b"")
         .map_err(|e| format!("cannot write gen 2: {e}"))?;
     let mut opts = base_opts();

@@ -24,7 +24,7 @@ use codesign_core::{
 };
 use codesign_dnn::{parse_network, zoo, Network};
 use codesign_sim::{
-    atomic_write, cycle, record_network, run_corpus, try_compare_dataflows,
+    atomic_write, cycle, record_network, recover, run_corpus, try_compare_dataflows,
     try_simulate_network_batched, try_simulate_network_multicore, validate_network, ConvWork,
     MultiCoreConfig, Program, SimOptions, Simulator,
 };
@@ -93,32 +93,51 @@ fn load_network(spec: &str) -> Result<Network, RunError> {
     )))
 }
 
-/// Warm-starts `sim` from `--cache-load`, if given. A missing file is a
-/// usage error (exit 1); a refused snapshot — wrong magic, version, or
-/// checksum — is a rejection (exit 2), like any other invalid input.
-fn preload_cache(sim: &Simulator, inv: &Invocation) -> Result<(), RunError> {
-    if let Some(path) = &inv.cache_load {
-        let bytes =
-            fs::read(path).map_err(|e| RunError::Usage(format!("cannot read {path}: {e}")))?;
-        let stats = sim
-            .load_cache_snapshot(&bytes)
-            .map_err(|e| RunError::Rejected(format!("{path}: {e}")))?;
-        eprintln!("; warm-started from {path} ({} cache entries)", stats.entries());
+/// The one `--cache-load` policy (`sweep`, `compare`, `serve`): warm-starts
+/// `sim` through [`recover`], noting each refused candidate on stderr
+/// unless `quiet`. No candidate at all is a usage error (exit 1); every
+/// candidate refused is a rejection (exit 2). Returns the refusal count.
+fn load_cache(sim: &Simulator, path: Option<&str>, quiet: bool) -> Result<usize, RunError> {
+    let Some(path) = path else { return Ok(0) };
+    let (loaded, refused) = recover(std::path::Path::new(path), |b| sim.load_cache_snapshot(b))
+        .map_err(|e| RunError::Usage(format!("cannot read {path}: {e}")))?;
+    if !quiet {
+        for r in &refused {
+            eprintln!("; refused snapshot {}: {}", r.path.display(), r.value);
+        }
     }
-    Ok(())
+    let Some(loaded) = loaded else {
+        return Err(RunError::Rejected(format!(
+            "{path}: all {} snapshot candidate(s) refused",
+            refused.len()
+        )));
+    };
+    if !quiet {
+        eprintln!(
+            "; warm-started from {} ({} cache entries)",
+            loaded.path.display(),
+            loaded.value.entries()
+        );
+    }
+    Ok(refused.len())
 }
 
-/// Saves `sim`'s cache to `--cache-save`, if given. The write is
-/// atomic: a crash mid-save leaves the previous snapshot (or no file),
-/// never a torn one.
-fn save_cache(sim: &Simulator, inv: &Invocation) -> Result<(), RunError> {
-    if let Some(path) = &inv.cache_save {
-        let snap = sim.cache_snapshot().map_err(|e| RunError::Rejected(e.to_string()))?;
-        atomic_write(std::path::Path::new(path), &snap)
-            .map_err(|e| RunError::Usage(format!("cannot write {path}: {e}")))?;
+/// Saves `sim`'s cache to `path` (`--cache-save`), if given, and returns
+/// the bytes written. The write is atomic: a crash mid-save leaves the
+/// previous snapshot (or no file), never a torn one.
+fn save_cache(
+    sim: &Simulator,
+    path: Option<&str>,
+    quiet: bool,
+) -> Result<Option<Vec<u8>>, RunError> {
+    let Some(path) = path else { return Ok(None) };
+    let snap = sim.cache_snapshot().map_err(|e| RunError::Rejected(e.to_string()))?;
+    atomic_write(std::path::Path::new(path), &snap)
+        .map_err(|e| RunError::Usage(format!("cannot write {path}: {e}")))?;
+    if !quiet {
         eprintln!("; saved cache snapshot to {path} ({} bytes)", snap.len());
     }
-    Ok(())
+    Ok(Some(snap))
 }
 
 /// The bounded-memory streaming sweep behind `codesign sweep --frontier`
@@ -196,6 +215,9 @@ fn run_frontier_sweep(
     .map_err(|e| RunError::Usage(e.to_string()))?;
     let wall = started.elapsed();
     let c = outcome.counters;
+    for r in &outcome.refused_checkpoints {
+        eprintln!("; refused checkpoint {}: {}", r.path.display(), r.value);
+    }
     if let (Some(pos), Some(generation)) = (c.resumed_at, c.resumed_generation) {
         eprintln!(
             "; resumed from checkpoint generation {generation} at point {pos} of {}",
@@ -481,20 +503,20 @@ fn run(inv: &Invocation) -> Result<(), RunError> {
         }
         Action::Compare => {
             let sim = Simulator::new().with_tracer(tracer.clone());
-            preload_cache(&sim, inv)?;
+            load_cache(&sim, inv.cache_load.as_deref(), false)?;
             let c = ArchitectureComparison::evaluate_with(&sim, &net, &cfg, opts, energy);
             println!("{c}");
-            save_cache(&sim, inv)?;
+            save_cache(&sim, inv.cache_save.as_deref(), false)?;
         }
         Action::Sweep if inv.frontier_mode() => {
             let sim = Simulator::new().with_tracer(tracer.clone());
-            preload_cache(&sim, inv)?;
+            load_cache(&sim, inv.cache_load.as_deref(), false)?;
             run_frontier_sweep(&sim, &net, inv, opts, &energy)?;
-            save_cache(&sim, inv)?;
+            save_cache(&sim, inv.cache_save.as_deref(), false)?;
         }
         Action::Sweep => {
             let sim = Simulator::new().with_tracer(tracer.clone());
-            preload_cache(&sim, inv)?;
+            load_cache(&sim, inv.cache_load.as_deref(), false)?;
             let started = std::time::Instant::now();
             let outcome = codesign_core::sweep_full_with(
                 &sim,
@@ -535,7 +557,7 @@ fn run(inv: &Invocation) -> Result<(), RunError> {
                 codesign_sim::resolve_jobs(inv.jobs),
                 sim.stats()
             );
-            save_cache(&sim, inv)?;
+            save_cache(&sim, inv.cache_save.as_deref(), false)?;
         }
         Action::Wave => {
             let Some(layer_name) = inv.layer.as_deref() else {

@@ -44,13 +44,13 @@
 //!   atomically snapshotted into rotating `PATH.gen-K` files every N
 //!   requests; `--cache-load PATH` recovers the newest generation that
 //!   validates end-to-end, refusing torn or corrupt ones
-//!   (`serve.snapshot.refused` counts them).
+//!   (`serve.snapshot.refused` counts them) — the same policy as the
+//!   one-shot commands' `--cache-load`.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -63,15 +63,15 @@ use codesign_core::{
 };
 use codesign_dnn::Network;
 use codesign_sim::{
-    aggregate_cache_stats, atomic_write, pool_size, recover_cache, resolve_jobs, scan_generations,
-    validate_network, write_generation, CancelToken, SimOptions, Simulator, GENERATIONS_KEPT,
+    aggregate_cache_stats, pool_size, resolve_jobs, validate_network, CancelToken, GenerationStore,
+    SimOptions, Simulator,
 };
 use codesign_trace::json::quote;
 use codesign_trace::Tracer;
 
 use crate::args::Invocation;
 use crate::jsonval::Value;
-use crate::{load_network, RunError};
+use crate::{load_cache, load_network, save_cache, RunError};
 
 /// How long a response write may stall on a slow client before the
 /// connection is declared dead.
@@ -124,14 +124,6 @@ impl ServeOptions {
     }
 }
 
-/// Rotating-generation autosave cursor, serialized so two request
-/// threads can't snapshot concurrently ([`maybe_autosave`] skips when
-/// the lock is held — the other thread is already saving).
-struct AutosaveState {
-    base: PathBuf,
-    next_generation: u64,
-}
-
 /// The output buffer of one in-flight (or just-finished) computation.
 /// The leader pushes response fragments as they are produced; followers
 /// replay the buffer and wait on the condvar for more.
@@ -178,7 +170,10 @@ struct ServerState {
     deadline_ms: Option<u64>,
     max_line_bytes: usize,
     autosave_every: u64,
-    autosave: Option<Mutex<AutosaveState>>,
+    /// Rotating autosave generations, locked so two request threads
+    /// can't snapshot concurrently ([`maybe_autosave`] skips when the
+    /// lock is held — the other thread is already saving).
+    autosave: Option<Mutex<GenerationStore>>,
     quiet: bool,
 }
 
@@ -198,8 +193,9 @@ pub fn run_serve_opts(
     // Counters only: the server reports cumulative counters in `stats`
     // and has no sink for spans, so recording them would be pure cost.
     let tracer = Tracer::counters_only();
-    if let Some(path) = &opts.cache_load {
-        load_with_recovery(&sim, &tracer, path, opts.quiet)?;
+    let refused = load_cache(&sim, opts.cache_load.as_deref(), opts.quiet)?;
+    if refused > 0 {
+        tracer.add_counter("serve.snapshot.refused", refused as u64);
     }
     let listener = TcpListener::bind(("127.0.0.1", opts.port))
         .map_err(|e| RunError::Usage(format!("cannot bind 127.0.0.1:{}: {e}", opts.port)))?;
@@ -214,13 +210,11 @@ pub fn run_serve_opts(
     }
     on_ready(addr);
 
-    let autosave = opts.cache_save.as_ref().filter(|_| opts.autosave_every > 0).map(|base| {
-        let base = PathBuf::from(base);
-        // Resume the generation numbering where a previous run left off,
-        // so a restart never overwrites a generation it might need.
-        let next_generation = scan_generations(&base).last().map_or(1, |(g, _)| g + 1);
-        Mutex::new(AutosaveState { base, next_generation })
-    });
+    let autosave = opts
+        .cache_save
+        .as_ref()
+        .filter(|_| opts.autosave_every > 0)
+        .map(|base| Mutex::new(GenerationStore::open(base)));
     let state = Arc::new(ServerState {
         sim,
         tracer,
@@ -265,61 +259,15 @@ pub fn run_serve_opts(
         let _ = h.join();
     }
 
-    if let Some(path) = &opts.cache_save {
-        let snap = state.sim.cache_snapshot().map_err(|e| RunError::Rejected(e.to_string()))?;
-        atomic_write(Path::new(path), &snap)
-            .map_err(|e| RunError::Usage(format!("cannot write {path}: {e}")))?;
+    if let Some(snap) = save_cache(&state.sim, opts.cache_save.as_deref(), state.quiet)? {
         // Keep the newest generation at least as fresh as the base file:
         // recovery prefers generations, so a stale one must not shadow
         // the shutdown snapshot.
         if let Some(auto) = &state.autosave {
-            let st = lock(auto);
-            let _ = write_generation(&st.base, st.next_generation, &snap, GENERATIONS_KEPT);
-        }
-        if !state.quiet {
-            eprintln!("; saved cache snapshot to {path} ({} bytes)", snap.len());
+            let _ = lock(auto).write(&snap);
         }
     }
     Ok(())
-}
-
-/// Warm-starts from the newest valid snapshot among `path` and its
-/// generation files. Refused (torn/corrupt) candidates are logged and
-/// counted (`serve.snapshot.refused`), never loaded; the run only fails
-/// when nothing loads: exit 1 when no candidate exists at all, exit 2
-/// when every candidate was refused.
-fn load_with_recovery(
-    sim: &Simulator,
-    tracer: &Tracer,
-    path: &str,
-    quiet: bool,
-) -> Result<(), RunError> {
-    let recovery = recover_cache(sim, Path::new(path))
-        .map_err(|e| RunError::Usage(format!("cannot read {path}: {e}")))?;
-    if !recovery.refused.is_empty() {
-        tracer.add_counter("serve.snapshot.refused", recovery.refused.len() as u64);
-        if !quiet {
-            for r in &recovery.refused {
-                eprintln!("; refused snapshot {}: {}", r.path.display(), r.reason);
-            }
-        }
-    }
-    match recovery.loaded {
-        Some(loaded) => {
-            if !quiet {
-                eprintln!(
-                    "; warm-started from {} ({} cache entries)",
-                    loaded.path.display(),
-                    loaded.stats.entries()
-                );
-            }
-            Ok(())
-        }
-        None => Err(RunError::Rejected(format!(
-            "{path}: all {} snapshot candidate(s) refused",
-            recovery.refused.len()
-        ))),
-    }
 }
 
 /// Joins every connection thread that has already exited.
@@ -603,7 +551,7 @@ fn parse_deadline(req: &Value, state: &ServerState) -> Result<Option<u64>, Strin
 /// request skips (the in-progress save is at least as fresh).
 fn maybe_autosave(state: &ServerState) {
     let Some(auto) = &state.autosave else { return };
-    let Ok(mut st) = auto.try_lock() else { return };
+    let Ok(mut store) = auto.try_lock() else { return };
     let snap = match state.sim.cache_snapshot() {
         Ok(snap) => snap,
         Err(e) => {
@@ -613,13 +561,12 @@ fn maybe_autosave(state: &ServerState) {
             return;
         }
     };
-    match write_generation(&st.base, st.next_generation, &snap, GENERATIONS_KEPT) {
+    match store.write(&snap) {
         Ok(path) => {
             state.tracer.add_counter("serve.autosave", 1);
             if !state.quiet {
                 eprintln!("; autosaved cache to {} ({} bytes)", path.display(), snap.len());
             }
-            st.next_generation += 1;
         }
         Err(e) => {
             if !state.quiet {
@@ -960,7 +907,6 @@ fn compute_and_publish(
 mod tests {
     use super::*;
     use codesign_core::{DesignParams, DesignPoint, OnlineFrontier};
-    use std::io::Cursor;
 
     fn pt(cycles: u64, energy: f64, area: f64) -> DesignPoint {
         let params = DesignParams { array_size: 8, rf_depth: 8, global_buffer_bytes: 64 * 1024 };
@@ -987,7 +933,7 @@ mod tests {
 
     /// Drains a reader through `read_bounded_line`, tagging each outcome.
     fn drain(input: &[u8], max: usize) -> Vec<String> {
-        let mut reader = BufReader::with_capacity(8, Cursor::new(input.to_vec()));
+        let mut reader = BufReader::with_capacity(8, input);
         let mut line = Vec::new();
         let mut discarding = false;
         let mut out = Vec::new();
@@ -1036,7 +982,7 @@ mod tests {
         let mut input = vec![b'y'; 4096];
         input.push(b'\n');
         input.extend_from_slice(b"ok\n");
-        let mut reader = BufReader::with_capacity(16, Cursor::new(input));
+        let mut reader = BufReader::with_capacity(16, &input[..]);
         let mut line = Vec::new();
         let mut discarding = false;
         let mut overflows = 0;

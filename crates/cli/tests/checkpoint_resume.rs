@@ -42,17 +42,21 @@ fn buffer_axis(n: usize) -> String {
     (0..n).map(|i| (64 + i).to_string()).collect::<Vec<_>>().join(",")
 }
 
+/// The `<base>.gen-K` files, oldest first: sorted by the number `K`,
+/// not lexically, so `gen-10` comes after `gen-9`.
 fn generation_files(base: &Path) -> Vec<PathBuf> {
     let dir = base.parent().expect("base has a parent");
     let prefix = format!("{}.gen-", base.file_name().expect("base file name").to_string_lossy());
-    let mut found: Vec<PathBuf> = fs::read_dir(dir)
+    let mut found: Vec<(u64, PathBuf)> = fs::read_dir(dir)
         .expect("checkpoint dir lists")
         .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.file_name().and_then(|n| n.to_str()).is_some_and(|n| n.starts_with(&prefix)))
+        .filter_map(|e| {
+            let generation = e.file_name().to_str()?.strip_prefix(&prefix)?.parse().ok()?;
+            Some((generation, e.path()))
+        })
         .collect();
     found.sort();
-    found
+    found.into_iter().map(|(_, path)| path).collect()
 }
 
 #[test]
@@ -118,6 +122,9 @@ fn killed_sweep_resumes_bit_identically_even_with_a_torn_newest_generation() {
     assert_eq!(stdout(&resumed), expected, "resumed report diverged from uninterrupted run");
     let notes = stderr(&resumed);
     assert!(notes.contains("resumed from checkpoint generation"), "no resume notice in:\n{notes}");
+    // The torn generation is named, not skipped silently.
+    let refused = format!("; refused checkpoint {}: checkpoint: truncated", newest.display());
+    assert!(notes.contains(&refused), "no refusal note for the torn file in:\n{notes}");
 
     let _ = fs::remove_dir_all(&dir);
 }

@@ -354,6 +354,48 @@ fn one_shot_cache_flags_round_trip_and_reject_damage() {
 }
 
 #[test]
+fn cache_load_recovers_generations_and_refuses_version_1_in_every_command() {
+    let dir = std::env::temp_dir().join(format!("codesign-v1-gen-test-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let snap = dir.join("cache.snap");
+    let snap_str = snap.to_str().expect("utf-8 temp path");
+    let run = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_codesign")).args(args).output().expect("binary runs")
+    };
+
+    // Only a generation exists, as an autosaving server leaves behind:
+    // one-shot `--cache-load` recovers it the way `serve` does.
+    let cold = run(&["sweep", "tiny-darknet", "--cache-save", snap_str]);
+    assert!(cold.status.success(), "{}", String::from_utf8_lossy(&cold.stderr));
+    let gen1 = dir.join("cache.snap.gen-1");
+    std::fs::rename(&snap, &gen1).expect("snapshot becomes generation 1");
+    let warm = run(&["sweep", "tiny-darknet", "--cache-load", snap_str]);
+    assert!(warm.status.success(), "{}", String::from_utf8_lossy(&warm.stderr));
+    assert_eq!(warm.stdout, cold.stdout, "a generation warm-start changes no result");
+
+    // A newer generation in the version-1 layout (the same payload, no
+    // length word) is refused by name and counted, never migrated.
+    let bytes = std::fs::read(&gen1).expect("generation 1 reads");
+    let mut v1 = bytes[..8].to_vec();
+    v1.extend_from_slice(&1u32.to_le_bytes());
+    v1.extend_from_slice(&bytes[20..bytes.len() - 8]);
+    v1.extend_from_slice(&codesign_sim::fnv1a(&v1).to_le_bytes());
+    std::fs::write(dir.join("cache.snap.gen-2"), &v1).expect("v1 generation writes");
+    let warm = run(&["sweep", "tiny-darknet", "--cache-load", snap_str]);
+    assert!(warm.status.success(), "{}", String::from_utf8_lossy(&warm.stderr));
+    assert_eq!(warm.stdout, cold.stdout);
+    let notes = String::from_utf8_lossy(&warm.stderr);
+    assert!(notes.contains("schema version 1 is not the supported 2"), "{notes}");
+    let server = spawn_server(&["--cache-load", snap_str]);
+    let stats = Client::connect(server.port).request(r#"{"id":1,"cmd":"stats"}"#).pop().unwrap();
+    assert!(stats.contains(r#""serve.snapshot.refused":1"#), "{stats}");
+    assert!(field_u64(&stats, "entries") > 0, "warm-started from generation 1: {stats}");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn deadlines_answer_typed_errors_and_the_server_keeps_serving() {
     let server = spawn_server(&[]);
     let mut c = Client::connect(server.port);

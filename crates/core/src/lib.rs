@@ -42,6 +42,7 @@ pub mod schedule;
 pub mod select;
 pub mod stream;
 
+pub use checkpoint::CheckpointError;
 pub use codesign::{
     evaluate_variant, evaluate_variant_with, CodesignStudy, ModelTransform, VariantResult,
 };

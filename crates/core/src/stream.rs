@@ -34,10 +34,10 @@
 //!   is bit-identical with pruning on or off.
 //! * **Checkpoint/resume** — at configurable progress intervals the
 //!   engine persists its complete state (position, counters, frontier,
-//!   diagnostics) through `codesign-sim`'s atomic generation writer. A
-//!   killed sweep resumes from the newest intact generation and
-//!   produces a bit-identical final frontier; torn or foreign
-//!   checkpoint files are detected by checksum/fingerprint and skipped.
+//!   diagnostics) through `codesign-sim`'s generation store. A killed
+//!   sweep resumes from the newest intact generation and produces a
+//!   bit-identical final frontier; torn, corrupt or foreign checkpoint
+//!   files are refused, each reported with a typed [`CheckpointError`].
 //!
 //! [`pareto_designs`]: crate::dse::pareto_designs
 
@@ -45,9 +45,11 @@ use std::path::PathBuf;
 
 use codesign_arch::{area, AcceleratorConfig, AreaModel, EnergyModel};
 use codesign_dnn::Network;
-use codesign_sim::{CancelToken, SimOptions, Simulator};
+use codesign_sim::{
+    fnv1a, recover, CancelToken, Candidate, GenerationStore, SimOptions, Simulator,
+};
 
-use crate::checkpoint::{self, CheckpointState};
+use crate::checkpoint::{self, CheckpointError, CheckpointState};
 use crate::dse::{
     best_by_energy_delay, evaluate_point, evaluate_range, DesignParams, DesignPoint,
     OnlineFrontier, PointEval, PointFailure, SweepError, SweepSpace,
@@ -174,6 +176,8 @@ pub struct FrontierOutcome {
     pub failures: Vec<PointFailure>,
     /// Aggregate accounting.
     pub counters: SweepCounters,
+    /// Checkpoint files refused on resume, newest first.
+    pub refused_checkpoints: Vec<Candidate<CheckpointError>>,
 }
 
 /// Identity of a sweep for checkpoint compatibility: a resume is only
@@ -198,14 +202,13 @@ fn sweep_fingerprint(
         energy_model,
         prune,
     );
-    checkpoint::fnv1a(canonical.as_bytes())
+    fnv1a(canonical.as_bytes())
 }
 
 struct CkptRuntime {
-    cfg: CheckpointConfig,
+    store: GenerationStore,
+    every_points: u64,
     fingerprint: u64,
-    /// Last generation number written (or resumed from).
-    generation: u64,
     /// Grid position of the last checkpoint written (or resumed from).
     last_pos: u64,
 }
@@ -224,6 +227,7 @@ struct Engine<'a> {
     failures: Vec<PointFailure>,
     counters: SweepCounters,
     ckpt: Option<CkptRuntime>,
+    refused_checkpoints: Vec<Candidate<CheckpointError>>,
 }
 
 type EventSink<'s> = dyn FnMut(FrontierEvent<'_>) + 's;
@@ -363,7 +367,7 @@ impl Engine<'_> {
     fn maybe_checkpoint(&mut self, done: usize, force: bool) -> Result<(), SweepError> {
         let done = done as u64;
         let Some(ck) = &self.ckpt else { return Ok(()) };
-        let due = done.saturating_sub(ck.last_pos) >= ck.cfg.every_points.max(1);
+        let due = done.saturating_sub(ck.last_pos) >= ck.every_points.max(1);
         if done == ck.last_pos || (!force && !due) {
             return Ok(());
         }
@@ -378,10 +382,9 @@ impl Engine<'_> {
             failures: self.failures.clone(),
         };
         let Some(ck) = self.ckpt.as_mut() else { return Ok(()) };
-        ck.generation += 1;
-        checkpoint::save(&ck.cfg.base, ck.generation, ck.fingerprint, &state).map_err(|e| {
-            SweepError::Checkpoint(format!("writing generation {}: {e}", ck.generation))
-        })?;
+        ck.store
+            .write(&checkpoint::encode(ck.fingerprint, &state))
+            .map_err(|e| SweepError::Checkpoint(format!("writing a checkpoint generation: {e}")))?;
         ck.last_pos = done;
         self.counters.checkpoints_written += 1;
         Ok(())
@@ -398,7 +401,13 @@ impl Engine<'_> {
         // winner stable across chunking, pruning, and resume — online
         // tracking would make plateau EDP ties order-dependent.
         let best = best_by_energy_delay(&frontier).cloned();
-        FrontierOutcome { frontier, best, failures: self.failures, counters: self.counters }
+        FrontierOutcome {
+            frontier,
+            best,
+            failures: self.failures,
+            counters: self.counters,
+            refused_checkpoints: self.refused_checkpoints,
+        }
     }
 }
 
@@ -454,33 +463,39 @@ pub fn sweep_frontier_with(
         failures: Vec::new(),
         counters: SweepCounters { total: len as u64, ..SweepCounters::default() },
         ckpt: None,
+        refused_checkpoints: Vec::new(),
     };
     let mut start_pos = 0usize;
     if let Some(ckcfg) = &config.checkpoint {
         let fingerprint = sweep_fingerprint(network, space, opts, energy_model, config.prune);
-        let mut runtime =
-            CkptRuntime { cfg: ckcfg.clone(), fingerprint, generation: 0, last_pos: 0 };
+        let mut store = GenerationStore::open(&ckcfg.base);
+        let mut last_pos = 0;
         if config.resume {
-            let (loaded, _skipped) = checkpoint::load_latest(&ckcfg.base, fingerprint);
-            if let Some((generation, state)) = loaded {
+            // Nothing on disk (`Err`) is a fresh start, like a refusal.
+            let (loaded, refusals) =
+                recover(&ckcfg.base, |b| checkpoint::decode(b, fingerprint)).unwrap_or_default();
+            engine.refused_checkpoints = refusals;
+            if let Some(loaded) = loaded {
+                let state = loaded.value;
                 start_pos = (state.pos as usize).min(len);
                 engine.counters.evaluated = state.evaluated;
                 engine.counters.skipped = state.skipped;
                 engine.counters.failed = state.failed;
                 engine.counters.pruned = state.pruned;
                 engine.counters.resumed_at = Some(state.pos.min(len as u64));
-                engine.counters.resumed_generation = Some(generation);
+                engine.counters.resumed_generation = loaded.generation;
                 engine.frontier =
                     OnlineFrontier::from_members(state.frontier, state.peak_frontier as usize);
                 engine.failures = state.failures;
-                runtime.generation = generation;
-                runtime.last_pos = state.pos;
+                last_pos = state.pos;
             }
         } else {
-            checkpoint::clear_generations(&ckcfg.base)
+            store
+                .clear()
                 .map_err(|e| SweepError::Checkpoint(format!("clearing stale generations: {e}")))?;
         }
-        engine.ckpt = Some(runtime);
+        engine.ckpt =
+            Some(CkptRuntime { store, every_points: ckcfg.every_points, fingerprint, last_pos });
     }
     engine.run(start_pos, len, &mut on_event)?;
     engine.maybe_checkpoint(len, true)?;
@@ -491,7 +506,7 @@ pub fn sweep_frontier_with(
 mod tests {
     use super::*;
     use crate::dse::{pareto_designs, sweep_full_with, SweepSpace};
-    use codesign_sim::GENERATIONS_KEPT;
+    use codesign_sim::{FramingError, GENERATIONS_KEPT};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn tiny_network() -> Network {
@@ -733,6 +748,14 @@ mod tests {
         .expect("second sweep runs");
         assert_eq!(second.counters.resumed_at, None);
         assert_eq!(second.frontier, run_plain(&FrontierConfig::default()).frontier);
+        assert_eq!(second.refused_checkpoints.len(), GENERATIONS_KEPT);
+        for refused in &second.refused_checkpoints {
+            assert!(
+                matches!(refused.value, CheckpointError::ForeignSweep { .. }),
+                "{:?}",
+                refused.value
+            );
+        }
         if let Some(dir) = base.parent() {
             std::fs::remove_dir_all(dir).ok();
         }
@@ -773,6 +796,102 @@ mod tests {
         let gens: Vec<u64> =
             codesign_sim::scan_generations(&base).into_iter().map(|(g, _)| g).collect();
         assert_eq!(gens, (written + 1 - GENERATIONS_KEPT as u64..=written).collect::<Vec<_>>());
+        if let Some(dir) = base.parent() {
+            std::fs::remove_dir_all(dir).ok();
+        }
+    }
+
+    #[test]
+    fn a_resumed_sweep_keeps_its_checkpoints_past_another_runs_generations() {
+        let net = tiny_network();
+        let base = temp_base("numbering");
+        let ckpt = CheckpointConfig { base: base.clone(), every_points: 1 };
+        let config =
+            FrontierConfig { chunk: 2, checkpoint: Some(ckpt), ..FrontierConfig::default() };
+        let run = |space: &SweepSpace, resume: bool| {
+            sweep_frontier_with(
+                &Simulator::new(),
+                &net,
+                space,
+                SimOptions::default(),
+                &EnergyModel::default(),
+                &FrontierConfig { resume, ..config.clone() },
+                &CancelToken::never(),
+                |_| {},
+            )
+            .expect("sweep runs")
+        };
+        // Sweep A writes more generations than sweep B will.
+        let a = run(&plateau_space(), false);
+        let b = run(&small_space(), true);
+        assert!(a.counters.checkpoints_written > b.counters.checkpoints_written);
+        assert_eq!(b.counters.resumed_at, None, "A's checkpoints are foreign to B");
+        // B numbered its generations after A's, so the rotation kept
+        // B's newest and pruned A's...
+        let gens: Vec<u64> =
+            codesign_sim::scan_generations(&base).into_iter().map(|(g, _)| g).collect();
+        let newest = a.counters.checkpoints_written + b.counters.checkpoints_written;
+        assert_eq!(gens, (newest + 1 - GENERATIONS_KEPT as u64..=newest).collect::<Vec<_>>());
+        // ...and a second resume of B picks up where B finished.
+        let again = run(&small_space(), true);
+        assert_eq!(again.counters.resumed_at, Some(again.counters.total));
+        assert!(again.refused_checkpoints.is_empty(), "{:?}", again.refused_checkpoints);
+        assert_eq!(again.frontier, b.frontier);
+        if let Some(dir) = base.parent() {
+            std::fs::remove_dir_all(dir).ok();
+        }
+    }
+
+    #[test]
+    fn a_version_1_checkpoint_is_refused_and_the_sweep_starts_fresh() {
+        let net = tiny_network();
+        let base = temp_base("v1");
+        let ckpt = CheckpointConfig { base: base.clone(), every_points: 1 };
+        let config =
+            FrontierConfig { chunk: 2, checkpoint: Some(ckpt), ..FrontierConfig::default() };
+        let run = |resume: bool| {
+            sweep_frontier_with(
+                &Simulator::new(),
+                &net,
+                &small_space(),
+                SimOptions::default(),
+                &EnergyModel::default(),
+                &FrontierConfig { resume, ..config.clone() },
+                &CancelToken::never(),
+                |_| {},
+            )
+            .expect("sweep runs")
+        };
+        let first = run(false);
+        // Rewrite the newest generation in the version-1 layout: the
+        // same payload, with no length word after the version.
+        let (_, newest) = codesign_sim::scan_generations(&base).pop().expect("a generation");
+        let bytes = std::fs::read(&newest).expect("generation reads");
+        let mut v1 = bytes[..8].to_vec();
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&bytes[20..bytes.len() - 8]);
+        v1.extend_from_slice(&fnv1a(&v1).to_le_bytes());
+        for (_, path) in codesign_sim::scan_generations(&base) {
+            std::fs::remove_file(path).expect("generation removes");
+        }
+        std::fs::write(&newest, &v1).expect("v1 generation writes");
+        let resumed = run(true);
+        assert_eq!(resumed.counters.resumed_at, None);
+        assert_eq!(resumed.frontier, first.frontier);
+        assert!(
+            matches!(
+                resumed.refused_checkpoints[..],
+                [Candidate {
+                    value: CheckpointError::Framing(FramingError::WrongVersion {
+                        found: 1,
+                        expected: 2
+                    }),
+                    ..
+                }]
+            ),
+            "{:?}",
+            resumed.refused_checkpoints
+        );
         if let Some(dir) = base.parent() {
             std::fs::remove_dir_all(dir).ok();
         }

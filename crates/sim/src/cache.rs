@@ -21,7 +21,7 @@
 //!   in the paper-default sweep that collapses 54 `(config, dataflow)`
 //!   pairs per layer shape into 3 tiling searches.
 //!
-//! Each sub-cache is way-partitioned into [`SHARD_COUNT`] shards by key
+//! Each sub-cache is way-partitioned into `SHARD_COUNT` shards by key
 //! hash with a lock per shard, so parallel sweep workers rarely touch
 //! the same lock; cross-thread hit/miss/contention counters are cheap
 //! atomics. The cache is purely an accelerator: cached and uncached
@@ -286,8 +286,8 @@ impl<K: Eq + Hash + Copy, V: Copy> ShardedMap<K, V> {
 /// Thread-safe, sharded memo table for per-layer simulation results.
 ///
 /// Holds two independent sub-caches — the PE-array cycle model keyed by
-/// [`ComputeKey`] and the DRAM traffic derivation keyed by
-/// [`TrafficKey`] — so each result is shared across every configuration
+/// `ComputeKey` and the DRAM traffic derivation keyed by
+/// `TrafficKey` — so each result is shared across every configuration
 /// that cannot change it (see the module docs for the exact keying).
 #[derive(Debug, Default)]
 pub struct SimCache {
@@ -351,7 +351,7 @@ impl SimCache {
     /// The hit/miss counters are the one piece of cache state that is
     /// *not* schedule-independent: a key one run answers from cache may
     /// race and recompute in another (see
-    /// [`ShardedMap::get_or_compute`]'s miss policy), and the contention
+    /// `ShardedMap::get_or_compute`'s miss policy), and the contention
     /// counter depends entirely on thread timing.
     pub fn stats(&self) -> CacheStats {
         CacheStats {

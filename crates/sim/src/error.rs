@@ -5,7 +5,7 @@
 //! point must not abort a whole parallel DSE run. Every fallible entry
 //! point in this crate (`try_*` APIs) returns a typed [`SimError`];
 //! the infallible convenience wrappers keep their historical signatures
-//! and funnel through the single [`SimError::raise`] choke point so the
+//! and funnel through the single `SimError::raise` choke point so the
 //! crate carries exactly one deliberate panic site.
 //!
 //! Error kinds map one-to-one onto the `sim.error.<kind>` trace

@@ -1,37 +1,44 @@
-//! Crash-safe file output and generational snapshot persistence.
+//! The one owner of the on-disk format, its integrity check and its
+//! recovery policy. The cache snapshot (`snapshot.rs`) and the sweep
+//! checkpoint (`codesign-core`) are payload schemas over it.
 //!
-//! Two layers of defense against torn and stale files:
+//! * [`atomic_write`] publishes every output file by temp sibling →
+//!   `fsync` → `rename`, so a `kill -9` at any byte offset leaves the old
+//!   file or the new one, never a hybrid.
+//! * [`seal`] frames a payload; [`unseal`] checks the frame in one fixed
+//!   order — magic, version, length, checksum — refusing with a typed
+//!   [`FramingError`], and hands the payload to the one [`Decoder`].
+//!   Formats never migrate: a changed payload bumps the version, and
+//!   older files are refused.
 //!
-//! * [`atomic_write`] — every output file (cache snapshots, traces,
-//!   metrics, bench reports) is written to a temporary sibling, fsynced,
-//!   and renamed into place, so no path is ever observable half-written.
-//!   A `kill -9` at any byte offset leaves either the old file or the
-//!   new one, never a hybrid.
-//! * generational snapshots — a long-running server autosaves its cache
-//!   into rotating `<base>.gen-K` files ([`write_generation`]) and
-//!   recovers at boot by scanning the generations newest-first
-//!   ([`recover_cache`]), warm-starting from the newest snapshot that
-//!   validates (magic, version, checksum, record structure). Torn or
-//!   corrupt generations are reported and skipped — never trusted,
-//!   never fatal while an older valid generation survives.
-//!
-//! Rename-based atomicity means our *own* writer cannot produce a torn
-//! generation; the recovery scan defends against everything else:
-//! non-atomic writers, filesystem corruption, truncation in transit,
-//! and operators editing files by hand.
+//!   ```text
+//!   magic        8 bytes   names the format: b"CDSIMCS\0", b"CDSWEEP1"
+//!   version      u32 LE    the format's schema version
+//!   payload_len  u64 LE    payload bytes that follow
+//!   payload      the format's records
+//!   checksum     u64 LE    FNV-1a over every preceding byte
+//!   ```
+//! * A [`GenerationStore`] writes rotating `<base>.gen-K` files, and
+//!   [`recover`] loads the newest valid one. The server's autosave,
+//!   `--cache-load` and the sweep checkpoint all go through these two.
+//!   Our own writer cannot tear a generation; recovery defends against
+//!   everything else: non-atomic writers, filesystem corruption,
+//!   truncation in transit, and operators editing files by hand.
 
+use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::engine::Simulator;
-use crate::snapshot::SnapshotStats;
-
-/// Generations every rotating writer keeps on disk: the server's cache
-/// autosave and the sweep checkpoint both pass it to
-/// [`write_generation`].
+/// Generations a [`GenerationStore`] keeps on disk.
 pub const GENERATIONS_KEPT: usize = 3;
+
+/// Container bytes before the payload: magic, version, payload length.
+const HEADER_BYTES: usize = 8 + 4 + 8;
+/// Container bytes after the payload: the checksum.
+const CHECKSUM_BYTES: usize = 8;
 
 /// Distinguishes concurrent in-process writers of the same target path;
 /// the pid in the temp name distinguishes concurrent processes.
@@ -79,8 +86,210 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
     result
 }
 
-/// The path of generation `generation` for snapshot base `base`:
-/// `<base>.gen-K`.
+/// FNV-1a (64-bit): cheap, dependency-free, and plenty for detecting
+/// storage corruption (an integrity check, not an authenticity one).
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// Why a sealed file was refused before its payload was read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FramingError {
+    /// Shorter than its header, or than the payload length it declares.
+    Truncated {
+        /// Bytes the header (or the part of it present) requires.
+        expected: usize,
+        /// Bytes present.
+        actual: usize,
+    },
+    /// Not the format's magic.
+    BadMagic,
+    /// Another schema version of the format; there is no migration.
+    WrongVersion {
+        /// Version in the file.
+        found: u32,
+        /// Version this binary reads and writes.
+        expected: u32,
+    },
+    /// Longer than the payload length the header declares.
+    TrailingBytes {
+        /// Bytes the header accounts for.
+        expected: usize,
+        /// Bytes present.
+        actual: usize,
+    },
+    /// The checksum does not match: corrupted in storage or transit.
+    ChecksumMismatch {
+        /// Checksum stored in the file.
+        stored: u64,
+        /// Checksum recomputed over the file.
+        computed: u64,
+    },
+    /// The file exists but could not be read ([`recover`] only).
+    Unreadable(io::ErrorKind),
+}
+
+impl fmt::Display for FramingError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Truncated { expected, actual } => {
+                write!(f, "truncated: {actual} bytes where {expected} were expected")
+            }
+            Self::BadMagic => write!(f, "bad magic"),
+            Self::WrongVersion { found, expected } => {
+                write!(f, "schema version {found} is not the supported {expected}")
+            }
+            Self::TrailingBytes { expected, actual } => {
+                write!(f, "{actual} bytes where the header accounts for {expected}")
+            }
+            Self::ChecksumMismatch { stored, computed } => {
+                write!(f, "checksum mismatch: stored {stored:#018x}, computed {computed:#018x}")
+            }
+            Self::Unreadable(kind) => write!(f, "unreadable: {kind}"),
+        }
+    }
+}
+
+impl std::error::Error for FramingError {}
+
+/// Frames `payload` in the sealed container under `magic` and `version`.
+pub fn seal(magic: &[u8; 8], version: u32, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_BYTES + payload.len() + CHECKSUM_BYTES);
+    out.extend_from_slice(magic);
+    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.extend_from_slice(payload);
+    let checksum = fnv1a(&out);
+    out.extend_from_slice(&checksum.to_le_bytes());
+    out
+}
+
+/// Checks a sealed container's magic, version, length and checksum, in
+/// that order, and returns a [`Decoder`] over its payload.
+///
+/// # Errors
+///
+/// The first [`FramingError`] in that order.
+pub fn unseal<'a>(
+    magic: &[u8; 8],
+    version: u32,
+    bytes: &'a [u8],
+) -> Result<Decoder<'a>, FramingError> {
+    let actual = bytes.len();
+    let field = |range: Range<usize>| {
+        let expected = range.end;
+        bytes.get(range).ok_or(FramingError::Truncated { expected, actual })
+    };
+    if field(0..8)? != magic {
+        return Err(FramingError::BadMagic);
+    }
+    let found = u32::from_le_bytes(array(field(8..12)?));
+    if found != version {
+        return Err(FramingError::WrongVersion { found, expected: version });
+    }
+    // A length no file could have saturates, and is refused as truncated.
+    let expected = usize::try_from(u64::from_le_bytes(array(field(12..HEADER_BYTES)?)))
+        .ok()
+        .and_then(|len| len.checked_add(HEADER_BYTES + CHECKSUM_BYTES))
+        .unwrap_or(usize::MAX);
+    if actual < expected {
+        return Err(FramingError::Truncated { expected, actual });
+    }
+    if actual > expected {
+        return Err(FramingError::TrailingBytes { expected, actual });
+    }
+    let (sealed, checksum) = bytes.split_at(expected - CHECKSUM_BYTES);
+    let (stored, computed) = (u64::from_le_bytes(array(checksum)), fnv1a(sealed));
+    if stored != computed {
+        return Err(FramingError::ChecksumMismatch { stored, computed });
+    }
+    Ok(Decoder { bytes: &sealed[HEADER_BYTES..], pos: 0 })
+}
+
+/// `bytes`, which callers slice to exactly `N` long, as an array.
+fn array<const N: usize>(bytes: &[u8]) -> [u8; N] {
+    let mut out = [0u8; N];
+    out.copy_from_slice(bytes);
+    out
+}
+
+/// An intact container whose payload breaks its format's record rules.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Corrupt(pub String);
+
+/// The one payload word reader: bounds-checked little-endian reads over
+/// the payload of a container [`unseal`] accepted. Every read fails with
+/// [`Corrupt`] when the payload ends first.
+#[derive(Debug)]
+pub struct Decoder<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Decoder<'a> {
+    /// The next `n` bytes.
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], Corrupt> {
+        let slice = self
+            .pos
+            .checked_add(n)
+            .and_then(|end| self.bytes.get(self.pos..end))
+            .ok_or_else(|| Corrupt(format!("record truncated at payload byte {}", self.pos)))?;
+        self.pos += n;
+        Ok(slice)
+    }
+
+    /// The next `u32` LE word.
+    pub fn u32(&mut self) -> Result<u32, Corrupt> {
+        Ok(u32::from_le_bytes(array(self.bytes(4)?)))
+    }
+
+    /// The next `u64` LE word.
+    pub fn u64(&mut self) -> Result<u64, Corrupt> {
+        Ok(u64::from_le_bytes(array(self.bytes(8)?)))
+    }
+
+    /// The next `u64` word as a size or dimension, refused when it does
+    /// not fit a `usize`.
+    pub fn usize(&mut self, what: &str) -> Result<usize, Corrupt> {
+        let v = self.u64()?;
+        usize::try_from(v).map_err(|_| Corrupt(format!("{what} out of range: {v}")))
+    }
+
+    /// The next `u64` word as a flag, refused unless it is 0 or 1.
+    pub fn flag(&mut self, what: &str) -> Result<bool, Corrupt> {
+        match self.u64()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            v => Err(Corrupt(format!("{what} flag is {v}, not 0/1"))),
+        }
+    }
+
+    /// Checks a record count read from the payload: `count` records of at
+    /// least `record_bytes` each must fit in the bytes left, so a lying
+    /// count is refused before anything is reserved for it.
+    pub fn count(&self, count: u64, record_bytes: usize, what: &str) -> Result<usize, Corrupt> {
+        let left = self.bytes.len() - self.pos;
+        usize::try_from(count)
+            .ok()
+            .filter(|&n| n <= left / record_bytes.max(1))
+            .ok_or_else(|| Corrupt(format!("{what} count {count} exceeds the {left} bytes left")))
+    }
+
+    /// Ends the payload, refusing bytes left after the last record.
+    pub fn finish(self) -> Result<(), Corrupt> {
+        match self.bytes.len() - self.pos {
+            0 => Ok(()),
+            n => Err(Corrupt(format!("{n} trailing payload bytes"))),
+        }
+    }
+}
+
+/// The path of generation `generation` for base `base`: `<base>.gen-K`.
 pub fn generation_path(base: &Path, generation: u64) -> PathBuf {
     let name = base.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
     base.with_file_name(format!("{name}.gen-{generation}"))
@@ -113,83 +322,105 @@ pub fn scan_generations(base: &Path) -> Vec<(u64, PathBuf)> {
     generations
 }
 
-/// Atomically writes snapshot `bytes` as generation `generation` of
-/// `base`, then prunes the oldest generations so at most `keep` remain.
-/// Returns the generation file's path.
+/// Atomically writes `bytes` as generation `generation` of `base`, then
+/// prunes the lowest-numbered generations so at most
+/// [`GENERATIONS_KEPT`] remain. Returns the generation file's path.
 ///
 /// # Errors
 ///
-/// Propagates the [`atomic_write`] error; pruning failures are ignored
-/// (a leftover old generation is harmless — it is older than the one
-/// just written and will be pruned by a later rotation).
-pub fn write_generation(
-    base: &Path,
-    generation: u64,
-    bytes: &[u8],
-    keep: usize,
-) -> io::Result<PathBuf> {
+/// The [`atomic_write`] error. Pruning failures are ignored: a leftover
+/// old generation is pruned by a later rotation.
+pub fn write_generation(base: &Path, generation: u64, bytes: &[u8]) -> io::Result<PathBuf> {
     let path = generation_path(base, generation);
     atomic_write(&path, bytes)?;
     let generations = scan_generations(base);
-    if generations.len() > keep {
-        for (_, old) in &generations[..generations.len() - keep] {
-            let _ = fs::remove_file(old);
-        }
+    for (_, old) in &generations[..generations.len().saturating_sub(GENERATIONS_KEPT)] {
+        let _ = fs::remove_file(old);
     }
     Ok(path)
 }
 
-/// One snapshot candidate the recovery scan refused, with the typed
-/// reason it was not trusted.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RefusedSnapshot {
-    /// The refused file.
-    pub path: PathBuf,
-    /// Why it was refused (checksum mismatch, truncation, bad magic,
-    /// unreadable, ...).
-    pub reason: String,
+/// A writer of rotating `<base>.gen-K` files with the one numbering
+/// rule: continue from the newest generation on disk plus one, so it
+/// never overwrites a generation it might need, nor writes one the
+/// rotation prunes at once.
+#[derive(Debug)]
+pub struct GenerationStore {
+    base: PathBuf,
+    next: u64,
 }
 
-/// The snapshot the recovery scan warm-started from.
+impl GenerationStore {
+    /// A store for `base`.
+    pub fn open(base: impl Into<PathBuf>) -> Self {
+        let base = base.into();
+        let next = scan_generations(&base).last().map_or(1, |(generation, _)| generation + 1);
+        Self { base, next }
+    }
+
+    /// Writes `bytes` as the next generation through [`write_generation`];
+    /// a failed write is retried under the same number.
+    ///
+    /// # Errors
+    ///
+    /// The [`atomic_write`] error.
+    pub fn write(&mut self, bytes: &[u8]) -> io::Result<PathBuf> {
+        let path = write_generation(&self.base, self.next, bytes)?;
+        self.next += 1;
+        Ok(path)
+    }
+
+    /// Deletes every generation, so a later [`recover`] finds none of
+    /// them; numbering restarts at 1.
+    ///
+    /// # Errors
+    ///
+    /// The first removal that fails other than by the file being gone.
+    pub fn clear(&mut self) -> io::Result<()> {
+        for (_, path) in scan_generations(&self.base) {
+            match fs::remove_file(&path) {
+                Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+                _ => {}
+            }
+        }
+        self.next = 1;
+        Ok(())
+    }
+}
+
+/// A file [`recover`] tried, with what reading it produced: the loaded
+/// value, or the typed reason it was refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LoadedSnapshot {
-    /// The file that validated and loaded.
+pub struct Candidate<V> {
+    /// The file.
     pub path: PathBuf,
-    /// Its generation number (`None` when the plain base file loaded).
+    /// Its generation number (`None` for the plain base file).
     pub generation: Option<u64>,
-    /// What the load brought in.
-    pub stats: SnapshotStats,
+    /// The loaded value or the refusal.
+    pub value: V,
 }
 
-/// Outcome of a generation-scan recovery: at most one loaded snapshot
-/// plus every newer candidate that had to be refused.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapshotRecovery {
-    /// The newest candidate that validated, if any did.
-    pub loaded: Option<LoadedSnapshot>,
-    /// Candidates refused before (or instead of) the loaded one, newest
-    /// first. Candidates older than the loaded snapshot are never read.
-    pub refused: Vec<RefusedSnapshot>,
-}
+/// What [`recover`] found: the newest candidate that loaded, if any, and
+/// every candidate refused before it, newest first (older candidates are
+/// never read).
+pub type Recovery<T, E> = (Option<Candidate<T>>, Vec<Candidate<E>>);
 
-/// Warm-starts `sim` from the newest valid snapshot among `base`'s
-/// generation files and `base` itself.
-///
-/// Candidates are tried newest-first: `<base>.gen-K` by descending `K`,
-/// then the plain `base` file. The first candidate that validates
-/// end-to-end (magic, version, length, checksum, record tags) is loaded
-/// and the scan stops; every candidate refused on the way is recorded
-/// with its reason. A refused snapshot is *never* partially loaded —
-/// [`crate::cache::SimCache::load_snapshot`] validates everything before
-/// inserting anything.
+/// The one recovery loop: tries `base`'s generations by descending
+/// number, then `base` itself, and stops at the first whose bytes `load`
+/// accepts, recording every candidate refused on the way (an unreadable
+/// one as [`FramingError::Unreadable`]). `load` must validate everything
+/// before it changes any state, so a refused candidate is never
+/// partially loaded.
 ///
 /// # Errors
 ///
-/// `Err` only when there is nothing to recover at all: neither `base`
-/// nor any generation file exists. Corrupt-but-present candidates are
-/// reported in [`SnapshotRecovery::refused`], not as an `Err`, so one
-/// torn autosave can never mask an older valid generation.
-pub fn recover_cache(sim: &Simulator, base: &Path) -> io::Result<SnapshotRecovery> {
+/// [`io::ErrorKind::NotFound`] when neither `base` nor any generation
+/// exists. Present-but-invalid candidates are refused, not errors, so a
+/// torn generation never masks an older valid one.
+pub fn recover<T, E: From<FramingError>>(
+    base: &Path,
+    mut load: impl FnMut(&[u8]) -> Result<T, E>,
+) -> io::Result<Recovery<T, E>> {
     let mut candidates: Vec<(Option<u64>, PathBuf)> = scan_generations(base)
         .into_iter()
         .rev()
@@ -201,30 +432,20 @@ pub fn recover_cache(sim: &Simulator, base: &Path) -> io::Result<SnapshotRecover
     if candidates.is_empty() {
         return Err(io::Error::new(
             io::ErrorKind::NotFound,
-            format!("no snapshot or generation files at {}", base.display()),
+            format!("no file or generation files at {}", base.display()),
         ));
     }
-
     let mut refused = Vec::new();
     for (generation, path) in candidates {
-        let bytes = match fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) => {
-                refused.push(RefusedSnapshot { path, reason: format!("unreadable: {e}") });
-                continue;
-            }
-        };
-        match sim.load_cache_snapshot(&bytes) {
-            Ok(stats) => {
-                return Ok(SnapshotRecovery {
-                    loaded: Some(LoadedSnapshot { path, generation, stats }),
-                    refused,
-                })
-            }
-            Err(e) => refused.push(RefusedSnapshot { path, reason: e.to_string() }),
+        let loaded = fs::read(&path)
+            .map_err(|e| E::from(FramingError::Unreadable(e.kind())))
+            .and_then(|bytes| load(&bytes));
+        match loaded {
+            Ok(value) => return Ok((Some(Candidate { path, generation, value }), refused)),
+            Err(value) => refused.push(Candidate { path, generation, value }),
         }
     }
-    Ok(SnapshotRecovery { loaded: None, refused })
+    Ok((None, refused))
 }
 
 #[cfg(test)]
@@ -234,7 +455,17 @@ mod tests {
     use codesign_arch::{AcceleratorConfig, DataflowPolicy};
     use codesign_dnn::zoo;
 
-    use crate::engine::SimOptions;
+    use crate::engine::{SimOptions, Simulator};
+    use crate::snapshot::{SnapshotError, SnapshotStats};
+
+    /// Warm-starts `sim` through the one recovery loop, as `--cache-load`
+    /// does.
+    fn recover_into(
+        sim: &Simulator,
+        base: &Path,
+    ) -> io::Result<Recovery<SnapshotStats, SnapshotError>> {
+        recover(base, |bytes| sim.load_cache_snapshot(bytes))
+    }
 
     /// A unique scratch directory per test, removed on drop.
     struct Scratch(PathBuf);
@@ -325,7 +556,7 @@ mod tests {
         let scratch = Scratch::new("rotate");
         let base = scratch.path("cache.snap");
         for generation in 1..=5u64 {
-            write_generation(&base, generation, b"snapshot", 3).unwrap();
+            write_generation(&base, generation, b"snapshot").unwrap();
         }
         let gens: Vec<u64> = scan_generations(&base).into_iter().map(|(g, _)| g).collect();
         assert_eq!(gens, vec![3, 4, 5]);
@@ -336,13 +567,13 @@ mod tests {
         let scratch = Scratch::new("recover-newest");
         let base = scratch.path("cache.snap");
         let snap = populated_snapshot();
-        write_generation(&base, 1, &snap, 8).unwrap();
-        write_generation(&base, 2, &snap, 8).unwrap();
-        let rec = recover_cache(&Simulator::new(), &base).unwrap();
-        let loaded = rec.loaded.expect("a valid generation loads");
+        write_generation(&base, 1, &snap).unwrap();
+        write_generation(&base, 2, &snap).unwrap();
+        let (loaded, refused) = recover_into(&Simulator::new(), &base).unwrap();
+        let loaded = loaded.expect("a valid generation loads");
         assert_eq!(loaded.generation, Some(2));
-        assert!(loaded.stats.entries() > 0);
-        assert!(rec.refused.is_empty());
+        assert!(loaded.value.entries() > 0);
+        assert!(refused.is_empty());
     }
 
     #[test]
@@ -350,18 +581,18 @@ mod tests {
         let scratch = Scratch::new("recover-torn");
         let base = scratch.path("cache.snap");
         let snap = populated_snapshot();
-        write_generation(&base, 1, &snap, 8).unwrap();
+        write_generation(&base, 1, &snap).unwrap();
         // Generation 2 torn at every byte offset: whatever prefix a
         // crashed (non-atomic) writer left behind, recovery must refuse
         // it and warm-start from generation 1.
         for cut in [0, 1, 7, 8, 11, 12, snap.len() / 2, snap.len() - 1] {
             atomic_write(&generation_path(&base, 2), &snap[..cut]).unwrap();
             let sim = Simulator::new();
-            let rec = recover_cache(&sim, &base).unwrap();
-            let loaded = rec.loaded.expect("generation 1 still loads");
+            let (loaded, refused) = recover_into(&sim, &base).unwrap();
+            let loaded = loaded.expect("generation 1 still loads");
             assert_eq!(loaded.generation, Some(1), "cut={cut}");
-            assert_eq!(rec.refused.len(), 1, "cut={cut}");
-            assert!(rec.refused[0].path.ends_with("cache.snap.gen-2"));
+            assert_eq!(refused.len(), 1, "cut={cut}");
+            assert!(refused[0].path.ends_with("cache.snap.gen-2"));
         }
     }
 
@@ -370,15 +601,22 @@ mod tests {
         let scratch = Scratch::new("recover-flip");
         let base = scratch.path("cache.snap");
         let snap = populated_snapshot();
-        write_generation(&base, 1, &snap, 8).unwrap();
+        write_generation(&base, 1, &snap).unwrap();
         let mut flipped = snap.clone();
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0x10;
         atomic_write(&generation_path(&base, 2), &flipped).unwrap();
-        let rec = recover_cache(&Simulator::new(), &base).unwrap();
-        assert_eq!(rec.loaded.expect("gen 1 loads").generation, Some(1));
-        assert_eq!(rec.refused.len(), 1);
-        assert!(rec.refused[0].reason.contains("checksum"), "{}", rec.refused[0].reason);
+        let (loaded, refused) = recover_into(&Simulator::new(), &base).unwrap();
+        assert_eq!(loaded.expect("gen 1 loads").generation, Some(1));
+        assert_eq!(refused.len(), 1);
+        assert!(
+            matches!(
+                refused[0].value,
+                SnapshotError::Framing(FramingError::ChecksumMismatch { .. })
+            ),
+            "{:?}",
+            refused[0].value
+        );
     }
 
     #[test]
@@ -388,9 +626,9 @@ mod tests {
         let snap = populated_snapshot();
         atomic_write(&generation_path(&base, 1), &snap[..snap.len() / 3]).unwrap();
         atomic_write(&generation_path(&base, 2), b"").unwrap();
-        let rec = recover_cache(&Simulator::new(), &base).unwrap();
-        assert_eq!(rec.loaded, None);
-        assert_eq!(rec.refused.len(), 2, "{:?}", rec.refused);
+        let (loaded, refused) = recover_into(&Simulator::new(), &base).unwrap();
+        assert_eq!(loaded, None);
+        assert_eq!(refused.len(), 2, "{:?}", refused);
     }
 
     #[test]
@@ -398,11 +636,11 @@ mod tests {
         let scratch = Scratch::new("recover-empty");
         let base = scratch.path("cache.snap");
         let snap = populated_snapshot();
-        write_generation(&base, 4, &snap, 8).unwrap();
+        write_generation(&base, 4, &snap).unwrap();
         atomic_write(&generation_path(&base, 5), b"").unwrap();
-        let rec = recover_cache(&Simulator::new(), &base).unwrap();
-        assert_eq!(rec.loaded.expect("gen 4 loads").generation, Some(4));
-        assert_eq!(rec.refused.len(), 1);
+        let (loaded, refused) = recover_into(&Simulator::new(), &base).unwrap();
+        assert_eq!(loaded.expect("gen 4 loads").generation, Some(4));
+        assert_eq!(refused.len(), 1);
     }
 
     #[test]
@@ -412,17 +650,17 @@ mod tests {
         let snap = populated_snapshot();
         atomic_write(&base, &snap).unwrap();
         atomic_write(&generation_path(&base, 9), &snap[..9]).unwrap();
-        let rec = recover_cache(&Simulator::new(), &base).unwrap();
-        let loaded = rec.loaded.expect("base file loads");
+        let (loaded, refused) = recover_into(&Simulator::new(), &base).unwrap();
+        let loaded = loaded.expect("base file loads");
         assert_eq!(loaded.generation, None);
-        assert_eq!(rec.refused.len(), 1);
+        assert_eq!(refused.len(), 1);
     }
 
     #[test]
     fn nothing_to_recover_is_an_io_error() {
         let scratch = Scratch::new("recover-nothing");
         let base = scratch.path("absent.snap");
-        let err = recover_cache(&Simulator::new(), &base).unwrap_err();
+        let err = recover_into(&Simulator::new(), &base).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::NotFound);
     }
 
@@ -430,9 +668,9 @@ mod tests {
     fn recovered_cache_answers_without_misses() {
         let scratch = Scratch::new("recover-warm");
         let base = scratch.path("cache.snap");
-        write_generation(&base, 1, &populated_snapshot(), 8).unwrap();
+        write_generation(&base, 1, &populated_snapshot()).unwrap();
         let sim = Simulator::new();
-        recover_cache(&sim, &base).unwrap().loaded.expect("loads");
+        recover_into(&sim, &base).unwrap().0.expect("loads");
         let cfg = AcceleratorConfig::paper_default();
         sim.try_simulate_network(
             &zoo::tiny_darknet(),
@@ -444,5 +682,118 @@ mod tests {
         let stats = sim.stats();
         assert_eq!(stats.misses, 0, "warm start answers purely from the snapshot: {stats}");
         assert!(stats.hits > 0);
+    }
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        // FNV-1a 64-bit test vectors from the reference implementation.
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
+
+    #[test]
+    fn sealed_payload_round_trips_and_is_checked_magic_version_length_checksum() {
+        const MAGIC: &[u8; 8] = b"TESTFMT\0";
+        let sealed = seal(MAGIC, 7, b"payload");
+        assert_eq!(sealed.len(), HEADER_BYTES + 7 + CHECKSUM_BYTES);
+        let mut payload = unseal(MAGIC, 7, &sealed).unwrap();
+        assert_eq!(payload.bytes(7), Ok(&b"payload"[..]));
+        assert_eq!(payload.finish(), Ok(()));
+        assert_eq!(fnv1a(&sealed[..sealed.len() - 8]).to_le_bytes(), sealed[sealed.len() - 8..]);
+
+        // Damage every field at once, then repair them in check order:
+        // each refusal names the first damaged field still present.
+        let mut bad = sealed.clone();
+        bad[0] ^= 1; // magic
+        bad[8] ^= 1; // version
+        bad[12] ^= 1; // payload length
+        bad[HEADER_BYTES] ^= 1; // payload, so only the checksum notices
+        assert_eq!(unseal(MAGIC, 7, &bad).err(), Some(FramingError::BadMagic));
+        bad[0] ^= 1;
+        assert_eq!(
+            unseal(MAGIC, 7, &bad).err(),
+            Some(FramingError::WrongVersion { found: 6, expected: 7 })
+        );
+        bad[8] ^= 1;
+        assert_eq!(
+            unseal(MAGIC, 7, &bad).err(),
+            Some(FramingError::TrailingBytes { expected: sealed.len() - 1, actual: sealed.len() })
+        );
+        bad[12] ^= 1;
+        assert!(matches!(unseal(MAGIC, 7, &bad), Err(FramingError::ChecksumMismatch { .. })));
+
+        // Short files are truncated at the first field they cut.
+        for (len, expected) in [(0, 8), (7, 8), (8, 12), (11, 12), (12, 20), (19, 20), (20, 35)] {
+            assert_eq!(
+                unseal(MAGIC, 7, &sealed[..len]).err(),
+                Some(FramingError::Truncated { expected, actual: len }),
+                "len={len}"
+            );
+        }
+        // A length no file could have is refused, not overflowed.
+        let mut lying = sealed.clone();
+        lying[12..HEADER_BYTES].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(
+            unseal(MAGIC, 7, &lying).err(),
+            Some(FramingError::Truncated { expected: usize::MAX, actual: sealed.len() })
+        );
+    }
+
+    #[test]
+    fn decoder_refuses_counts_the_bytes_left_cannot_hold() {
+        let payload = [0u8; 24];
+        let mut d = Decoder { bytes: &payload, pos: 0 };
+        assert_eq!(d.u64(), Ok(0));
+        assert_eq!(d.count(2, 8, "word"), Ok(2));
+        for lie in [3, u64::from(u32::MAX), u64::MAX] {
+            assert!(d.count(lie, 8, "word").is_err(), "count {lie} accepted");
+        }
+        assert!(d.bytes(17).is_err());
+        assert_eq!(d.bytes(16).map(<[u8]>::len), Ok(16));
+        assert!(d.u32().is_err());
+        assert_eq!(d.finish(), Ok(()));
+        assert!(Decoder { bytes: &[0], pos: 0 }.finish().is_err(), "trailing bytes are refused");
+    }
+
+    #[test]
+    fn a_store_numbers_from_the_newest_generation_on_disk() {
+        let scratch = Scratch::new("store");
+        let base = scratch.path("sweep.ck");
+        let mut fresh = GenerationStore::open(&base);
+        assert!(fresh.write(b"a").unwrap().ends_with("sweep.ck.gen-1"));
+        // Another writer's generations, numbered past anything this one
+        // has written: a new store continues after them, so its own
+        // writes are never the ones the rotation prunes.
+        for generation in 4..=6 {
+            write_generation(&base, generation, b"other").unwrap();
+        }
+        let mut store = GenerationStore::open(&base);
+        for _ in 0..3 {
+            store.write(b"mine").unwrap();
+        }
+        let gens: Vec<u64> = scan_generations(&base).into_iter().map(|(g, _)| g).collect();
+        assert_eq!(gens, vec![7, 8, 9]);
+        store.clear().unwrap();
+        assert!(scan_generations(&base).is_empty());
+        assert!(store.write(b"again").unwrap().ends_with("sweep.ck.gen-1"));
+    }
+
+    #[test]
+    fn unreadable_candidate_is_refused_and_the_next_one_loads() {
+        let scratch = Scratch::new("recover-unreadable");
+        let base = scratch.path("cache.snap");
+        write_generation(&base, 1, &populated_snapshot()).unwrap();
+        // A directory where generation 2 should be: present, unreadable.
+        fs::create_dir_all(generation_path(&base, 2)).unwrap();
+        let (loaded, refused) = recover_into(&Simulator::new(), &base).unwrap();
+        assert_eq!(loaded.expect("gen 1 loads").generation, Some(1));
+        assert!(
+            matches!(
+                refused[..],
+                [Candidate { value: SnapshotError::Framing(FramingError::Unreadable(_)), .. }]
+            ),
+            "{:?}",
+            refused
+        );
     }
 }

@@ -84,8 +84,9 @@ pub use event::{
 };
 pub use faultinject::{run_corpus, CaseOutcome, FaultCase, FaultReport};
 pub use fsio::{
-    atomic_write, generation_path, recover_cache, scan_generations, write_generation,
-    LoadedSnapshot, RefusedSnapshot, SnapshotRecovery, GENERATIONS_KEPT,
+    atomic_write, fnv1a, generation_path, recover, scan_generations, seal, unseal,
+    write_generation, Candidate, Corrupt, Decoder, FramingError, GenerationStore, Recovery,
+    GENERATIONS_KEPT,
 };
 pub use functional::{
     conv2d_os, conv2d_os_jobs, conv2d_os_spec, conv2d_ws, conv2d_ws_jobs, conv2d_ws_spec, fc_ws,

@@ -141,7 +141,7 @@ impl Program {
     ///
     /// # Errors
     ///
-    /// The first [`SimError`] any layer surfaces, attributed to that
+    /// The first [`SimError`](crate::SimError) any layer surfaces, attributed to that
     /// layer.
     pub fn try_compile(
         network: &Network,

@@ -1,4 +1,4 @@
-//! Analytic row-stationary (RS) dataflow model (Eyeriss [3]).
+//! Analytic row-stationary (RS) dataflow model (Eyeriss \[3\]).
 //!
 //! §3.2 lists four dataflows — WS, OS, RS, NLR — and the paper builds its
 //! accelerator on the first two. This model (and [`crate::nlr`]) fills in

@@ -1,7 +1,7 @@
 //! The 1-D SIMD side path for non-convolutional layers.
 //!
 //! §3.1 of the paper: layers other than convolutions "have a very small
-//! computational complexity [and] are usually processed in a 1D SIMD
+//! computational complexity \[and\] are usually processed in a 1D SIMD
 //! manner". We model an N-lane vector unit fed from the global buffer.
 
 use codesign_arch::{AcceleratorConfig, AccessCounts};

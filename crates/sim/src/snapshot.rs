@@ -1,17 +1,12 @@
-//! Versioned, checksummed serialization of a [`SimCache`].
-//!
-//! A snapshot lets the memo table outlive the process: `codesign serve`
-//! saves its cache on shutdown and warm-starts from it on boot, and the
-//! one-shot CLI does the same through `--cache-load` / `--cache-save`.
-//! The format is deliberately dependency-free and plain:
+//! The cache snapshot: a payload schema over [`crate::fsio`]'s sealed
+//! container (magic `b"CDSIMCS\0"`, version [`SNAPSHOT_VERSION`]) that
+//! lets a [`SimCache`] outlive the process — `codesign serve` saves and
+//! autosaves it, and `--cache-load` / `--cache-save` warm-start any run.
 //!
 //! ```text
-//! magic     8 bytes   b"CDSIMCS\0"
-//! version   u32 LE    SNAPSHOT_VERSION
 //! n_compute u64 LE    compute-record count
 //! n_traffic u64 LE    traffic-record count
 //! records   n_compute × 27 u64-LE words, then n_traffic × 19 words
-//! checksum  u64 LE    FNV-1a over every preceding byte
 //! ```
 //!
 //! Every field is a `u64` little-endian word: dimensions directly,
@@ -21,16 +16,16 @@
 //! same cache contents always serialize to the same bytes regardless of
 //! shard iteration order.
 //!
-//! Loading validates in a fixed order — magic, version, length,
-//! checksum, then per-record tags — and refuses the file with a typed
-//! [`SnapshotError`] at the first violation. The version is checked
-//! *before* the checksum: a snapshot from an incompatible schema reports
-//! [`SnapshotError::WrongVersion`] rather than a useless checksum
-//! mismatch. Any change to the key or value layout (new fields,
-//! reordered fields, new enum variants) must bump [`SNAPSHOT_VERSION`];
-//! there is no migration path by design — a stale snapshot is merely a
-//! cold start, never a wrong answer, because loading only ever preloads
-//! entries the simulator would have recomputed identically.
+//! Loading checks the container, then each record count against the
+//! bytes left, then each record's tags, and refuses with a typed
+//! [`SnapshotError`] at the first violation. Any change to the key or
+//! value layout (new fields, reordered fields, new enum variants) must
+//! bump [`SNAPSHOT_VERSION`]; there is no migration path by design — a
+//! refused snapshot is merely a cold start, never a wrong answer,
+//! because loading only ever preloads entries the simulator would have
+//! recomputed identically. Version-1 files (the same records without
+//! the container's length word) are refused as
+//! [`FramingError::WrongVersion`].
 
 use std::fmt;
 
@@ -38,54 +33,31 @@ use codesign_arch::{AccessCounts, Dataflow};
 
 use crate::cache::{Bits, ComputeKey, OsOptsKey, SimCache, TrafficKey};
 use crate::engine::TrafficModel;
+use crate::fsio::{seal, unseal, Corrupt, Decoder, FramingError};
 use crate::perf::{ComputePerf, PhaseCycles};
 use crate::workload::{ConvWork, WorkKind};
 
 /// Schema version written into (and demanded from) every snapshot.
 /// Bump on any change to the record layout or the enum tag assignments.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Leading magic bytes identifying a codesign cache snapshot.
 const MAGIC: &[u8; 8] = b"CDSIMCS\0";
 
-/// `u64` words per encoded [`ComputeKey`] + [`ComputePerf`] record.
-const COMPUTE_WORDS: usize = 27;
-/// `u64` words per encoded [`TrafficKey`] + byte-count record.
-const TRAFFIC_WORDS: usize = 19;
-/// Fixed header bytes: magic + version + two record counts.
-const HEADER_BYTES: usize = 8 + 4 + 8 + 8;
+/// Bytes per encoded [`ComputeKey`] + [`ComputePerf`] record.
+const COMPUTE_BYTES: usize = 27 * 8;
+/// Bytes per encoded [`TrafficKey`] + byte-count record.
+const TRAFFIC_BYTES: usize = 19 * 8;
 
 /// Why a snapshot was refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotError {
-    /// The bytes do not start with the snapshot magic — not a snapshot
-    /// file at all.
-    BadMagic,
-    /// Written by an incompatible schema version; re-generate the
-    /// snapshot with the current binary.
-    WrongVersion {
-        /// Version found in the file.
-        found: u32,
-        /// Version this binary reads and writes.
-        expected: u32,
-    },
-    /// Shorter than its header (or record counts) claims.
-    Truncated {
-        /// Bytes the header implies.
-        expected: usize,
-        /// Bytes actually present.
-        actual: usize,
-    },
-    /// The trailing checksum does not match the payload — the file was
-    /// corrupted in storage or transit.
-    ChecksumMismatch {
-        /// Checksum stored in the file.
-        stored: u64,
-        /// Checksum recomputed over the payload.
-        computed: u64,
-    },
-    /// Structurally invalid contents (bad enum tag, non-boolean flag,
-    /// out-of-range dimension, trailing bytes).
+    /// The sealed container was refused: truncated, bad magic, wrong
+    /// version, trailing bytes, checksum mismatch, or unreadable.
+    Framing(FramingError),
+    /// Structurally invalid records inside an intact container (bad enum
+    /// tag, non-boolean flag, out-of-range dimension, a record count the
+    /// payload cannot hold, trailing payload bytes).
     Corrupted(String),
     /// The simulator carries no cache to snapshot or warm (it was built
     /// with [`crate::Simulator::uncached`]).
@@ -95,17 +67,7 @@ pub enum SnapshotError {
 impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::BadMagic => write!(f, "not a codesign cache snapshot (bad magic)"),
-            Self::WrongVersion { found, expected } => {
-                write!(f, "snapshot schema version {found} is not the supported {expected}")
-            }
-            Self::Truncated { expected, actual } => {
-                write!(f, "snapshot truncated: {actual} bytes where {expected} were expected")
-            }
-            Self::ChecksumMismatch { stored, computed } => write!(
-                f,
-                "snapshot checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
-            ),
+            Self::Framing(e) => write!(f, "snapshot: {e}"),
             Self::Corrupted(what) => write!(f, "snapshot corrupted: {what}"),
             Self::Uncached => write!(f, "simulator has no cache to snapshot or warm"),
         }
@@ -113,6 +75,18 @@ impl fmt::Display for SnapshotError {
 }
 
 impl std::error::Error for SnapshotError {}
+
+impl From<FramingError> for SnapshotError {
+    fn from(e: FramingError) -> Self {
+        Self::Framing(e)
+    }
+}
+
+impl From<Corrupt> for SnapshotError {
+    fn from(Corrupt(what): Corrupt) -> Self {
+        Self::Corrupted(what)
+    }
+}
 
 /// What a successful [`SimCache::load_snapshot`] brought in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -132,59 +106,8 @@ impl SnapshotStats {
     }
 }
 
-/// FNV-1a over `bytes` — cheap, dependency-free, and plenty for
-/// detecting storage corruption (this is an integrity check, not an
-/// authenticity one).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 fn push_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Sequential word reader over the record region.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Reader<'_> {
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        let end = self.pos + 8;
-        let chunk = self
-            .bytes
-            .get(self.pos..end)
-            .ok_or(SnapshotError::Truncated { expected: end, actual: self.bytes.len() })?;
-        self.pos = end;
-        let mut word = [0u8; 8];
-        word.copy_from_slice(chunk);
-        Ok(u64::from_le_bytes(word))
-    }
-
-    fn dim(&mut self, what: &str) -> Result<usize, SnapshotError> {
-        let v = self.u64()?;
-        usize::try_from(v)
-            .map_err(|_| SnapshotError::Corrupted(format!("{what} out of range: {v}")))
-    }
-
-    fn flag(&mut self, what: &str) -> Result<bool, SnapshotError> {
-        match self.u64()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            v => Err(SnapshotError::Corrupted(format!("{what} flag is {v}, not 0/1"))),
-        }
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, SnapshotError> {
-        let v = self.u64()?;
-        u32::try_from(v).map_err(|_| SnapshotError::Corrupted(format!("{what} out of range: {v}")))
-    }
 }
 
 fn encode_work(out: &mut Vec<u8>, work: &ConvWork) {
@@ -210,25 +133,25 @@ fn encode_work(out: &mut Vec<u8>, work: &ConvWork) {
     }
 }
 
-fn decode_work(r: &mut Reader<'_>) -> Result<ConvWork, SnapshotError> {
-    let kind = match r.u64()? {
+fn decode_work(d: &mut Decoder<'_>) -> Result<ConvWork, Corrupt> {
+    let kind = match d.u64()? {
         0 => WorkKind::Dense,
         1 => WorkKind::Depthwise,
         2 => WorkKind::FullyConnected,
-        v => return Err(SnapshotError::Corrupted(format!("unknown work kind tag {v}"))),
+        v => return Err(Corrupt(format!("unknown work kind tag {v}"))),
     };
     Ok(ConvWork {
         kind,
-        groups: r.dim("groups")?,
-        in_channels: r.dim("in_channels")?,
-        out_channels: r.dim("out_channels")?,
-        kernel_h: r.dim("kernel_h")?,
-        kernel_w: r.dim("kernel_w")?,
-        stride: r.dim("stride")?,
-        in_h: r.dim("in_h")?,
-        in_w: r.dim("in_w")?,
-        out_h: r.dim("out_h")?,
-        out_w: r.dim("out_w")?,
+        groups: d.usize("groups")?,
+        in_channels: d.usize("in_channels")?,
+        out_channels: d.usize("out_channels")?,
+        kernel_h: d.usize("kernel_h")?,
+        kernel_w: d.usize("kernel_w")?,
+        stride: d.usize("stride")?,
+        in_h: d.usize("in_h")?,
+        in_w: d.usize("in_w")?,
+        out_h: d.usize("out_h")?,
+        out_w: d.usize("out_w")?,
     })
 }
 
@@ -252,31 +175,31 @@ fn encode_compute_record(out: &mut Vec<u8>, key: &ComputeKey, perf: &ComputePerf
     push_u64(out, perf.accesses.dram);
 }
 
-fn decode_compute_record(r: &mut Reader<'_>) -> Result<(ComputeKey, ComputePerf), SnapshotError> {
-    let work = decode_work(r)?;
+fn decode_compute_record(d: &mut Decoder<'_>) -> Result<(ComputeKey, ComputePerf), Corrupt> {
+    let work = decode_work(d)?;
     let dataflow =
-        if r.flag("dataflow")? { Dataflow::OutputStationary } else { Dataflow::WeightStationary };
+        if d.flag("dataflow")? { Dataflow::OutputStationary } else { Dataflow::WeightStationary };
     let key = ComputeKey {
         work,
         dataflow,
-        array_size: r.dim("array_size")?,
-        rf_depth: r.dim("rf_depth")?,
+        array_size: d.usize("array_size")?,
+        rf_depth: d.usize("rf_depth")?,
         os: OsOptsKey {
-            zero_fraction: Bits(r.u64()?),
-            exploit_sparsity: r.flag("exploit_sparsity")?,
-            preload_overlap: r.flag("preload_overlap")?,
-            channel_packing: r.flag("channel_packing")?,
+            zero_fraction: Bits(d.u64()?),
+            exploit_sparsity: d.flag("exploit_sparsity")?,
+            preload_overlap: d.flag("preload_overlap")?,
+            channel_packing: d.flag("channel_packing")?,
         },
     };
     let perf = ComputePerf {
-        phases: PhaseCycles { load: r.u64()?, compute: r.u64()?, drain: r.u64()? },
-        executed_macs: r.u64()?,
+        phases: PhaseCycles { load: d.u64()?, compute: d.u64()?, drain: d.u64()? },
+        executed_macs: d.u64()?,
         accesses: AccessCounts {
-            macs: r.u64()?,
-            register_file: r.u64()?,
-            inter_pe: r.u64()?,
-            global_buffer: r.u64()?,
-            dram: r.u64()?,
+            macs: d.u64()?,
+            register_file: d.u64()?,
+            inter_pe: d.u64()?,
+            global_buffer: d.u64()?,
+            dram: d.u64()?,
         },
     };
     Ok((key, perf))
@@ -304,21 +227,27 @@ fn encode_traffic_record(out: &mut Vec<u8>, key: &TrafficKey, bytes: u64) {
     push_u64(out, bytes);
 }
 
-fn decode_traffic_record(r: &mut Reader<'_>) -> Result<(TrafficKey, u64), SnapshotError> {
-    let work = decode_work(r)?;
-    let model = if r.flag("traffic model")? {
+/// A `u64` word holding a `u32` field.
+fn word_u32(d: &mut Decoder<'_>, what: &str) -> Result<u32, Corrupt> {
+    let v = d.u64()?;
+    u32::try_from(v).map_err(|_| Corrupt(format!("{what} out of range: {v}")))
+}
+
+fn decode_traffic_record(d: &mut Decoder<'_>) -> Result<(TrafficKey, u64), Corrupt> {
+    let work = decode_work(d)?;
+    let model = if d.flag("traffic model")? {
         TrafficModel::TilingSearch
     } else {
         TrafficModel::ClosedForm
     };
-    let bytes_per_element = r.dim("bytes_per_element")?;
-    let working_buffer_bytes = r.dim("working_buffer_bytes")?;
-    let present = r.flag("compression present")?;
-    let data_bits = r.u32("compression data_bits")?;
-    let index_bits = r.u32("compression index_bits")?;
-    let zero_fraction = Bits(r.u64()?);
+    let bytes_per_element = d.usize("bytes_per_element")?;
+    let working_buffer_bytes = d.usize("working_buffer_bytes")?;
+    let present = d.flag("compression present")?;
+    let data_bits = word_u32(d, "compression data_bits")?;
+    let index_bits = word_u32(d, "compression index_bits")?;
+    let zero_fraction = Bits(d.u64()?);
     let compression = present.then_some((data_bits, index_bits, zero_fraction));
-    let bytes = r.u64()?;
+    let bytes = d.u64()?;
     Ok((TrafficKey { work, model, bytes_per_element, working_buffer_bytes, compression }, bytes))
 }
 
@@ -334,7 +263,7 @@ impl SimCache {
             .export_compute()
             .iter()
             .map(|(key, perf)| {
-                let mut rec = Vec::with_capacity(COMPUTE_WORDS * 8);
+                let mut rec = Vec::with_capacity(COMPUTE_BYTES);
                 encode_compute_record(&mut rec, key, perf);
                 rec
             })
@@ -343,7 +272,7 @@ impl SimCache {
             .export_traffic()
             .iter()
             .map(|(key, bytes)| {
-                let mut rec = Vec::with_capacity(TRAFFIC_WORDS * 8);
+                let mut rec = Vec::with_capacity(TRAFFIC_BYTES);
                 encode_traffic_record(&mut rec, key, *bytes);
                 rec
             })
@@ -351,18 +280,14 @@ impl SimCache {
         compute_records.sort_unstable();
         traffic_records.sort_unstable();
 
-        let body = (compute_records.len() + traffic_records.len()) * 8;
-        let mut out = Vec::with_capacity(HEADER_BYTES + body + 8);
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        push_u64(&mut out, compute_records.len() as u64);
-        push_u64(&mut out, traffic_records.len() as u64);
+        let body = compute_records.len() * COMPUTE_BYTES + traffic_records.len() * TRAFFIC_BYTES;
+        let mut payload = Vec::with_capacity(16 + body);
+        push_u64(&mut payload, compute_records.len() as u64);
+        push_u64(&mut payload, traffic_records.len() as u64);
         for rec in compute_records.iter().chain(&traffic_records) {
-            out.extend_from_slice(rec);
+            payload.extend_from_slice(rec);
         }
-        let checksum = fnv1a(&out);
-        push_u64(&mut out, checksum);
-        out
+        seal(MAGIC, SNAPSHOT_VERSION, &payload)
     }
 
     /// Preloads every entry from a snapshot into this cache (a union
@@ -376,66 +301,25 @@ impl SimCache {
     /// # Errors
     ///
     /// A typed [`SnapshotError`] and an untouched cache: validation
-    /// (magic, version, length, checksum, record tags) completes before
-    /// the first entry is inserted.
+    /// (container, record counts, record tags) completes before the
+    /// first entry is inserted.
     pub fn load_snapshot(&self, bytes: &[u8]) -> Result<SnapshotStats, SnapshotError> {
-        let magic =
-            bytes.get(..8).ok_or(SnapshotError::Truncated { expected: 8, actual: bytes.len() })?;
-        if magic != MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let version_bytes = bytes
-            .get(8..12)
-            .ok_or(SnapshotError::Truncated { expected: 12, actual: bytes.len() })?;
-        let mut v = [0u8; 4];
-        v.copy_from_slice(version_bytes);
-        let version = u32::from_le_bytes(v);
-        if version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::WrongVersion { found: version, expected: SNAPSHOT_VERSION });
-        }
-
-        let mut header = Reader { bytes, pos: 12 };
-        let n_compute = header.dim("compute record count")?;
-        let n_traffic = header.dim("traffic record count")?;
-        let expected = n_compute
-            .checked_mul(COMPUTE_WORDS * 8)
-            .and_then(|c| n_traffic.checked_mul(TRAFFIC_WORDS * 8).map(|t| (c, t)))
-            .and_then(|(c, t)| c.checked_add(t))
-            .and_then(|body| body.checked_add(HEADER_BYTES + 8))
-            .ok_or_else(|| {
-                SnapshotError::Corrupted(format!(
-                    "record counts overflow: {n_compute} compute + {n_traffic} traffic"
-                ))
-            })?;
-        if bytes.len() < expected {
-            return Err(SnapshotError::Truncated { expected, actual: bytes.len() });
-        }
-        if bytes.len() > expected {
-            return Err(SnapshotError::Corrupted(format!(
-                "{} trailing bytes after the checksum",
-                bytes.len() - expected
-            )));
-        }
-
-        let payload_len = bytes.len() - 8;
-        let mut tail = Reader { bytes, pos: payload_len };
-        let stored = tail.u64()?;
-        let computed = fnv1a(&bytes[..payload_len]);
-        if stored != computed {
-            return Err(SnapshotError::ChecksumMismatch { stored, computed });
-        }
+        let mut d = unseal(MAGIC, SNAPSHOT_VERSION, bytes)?;
+        let (n_compute, n_traffic) = (d.u64()?, d.u64()?);
+        let n_compute = d.count(n_compute, COMPUTE_BYTES, "compute record")?;
+        let n_traffic = d.count(n_traffic, TRAFFIC_BYTES, "traffic record")?;
 
         // Decode everything before inserting anything, so a corrupted
         // record never leaves a half-loaded cache.
-        let mut r = Reader { bytes: &bytes[..payload_len], pos: HEADER_BYTES };
         let mut compute_entries = Vec::with_capacity(n_compute);
         for _ in 0..n_compute {
-            compute_entries.push(decode_compute_record(&mut r)?);
+            compute_entries.push(decode_compute_record(&mut d)?);
         }
         let mut traffic_entries = Vec::with_capacity(n_traffic);
         for _ in 0..n_traffic {
-            traffic_entries.push(decode_traffic_record(&mut r)?);
+            traffic_entries.push(decode_traffic_record(&mut d)?);
         }
+        d.finish()?;
 
         for (key, perf) in &compute_entries {
             self.preload_compute(*key, *perf);
@@ -459,7 +343,8 @@ mod tests {
     fn empty_cache_round_trips() {
         let cache = SimCache::new();
         let snap = cache.to_snapshot();
-        assert_eq!(snap.len(), HEADER_BYTES + 8);
+        // Container header (20 bytes) + two record counts + checksum.
+        assert_eq!(snap.len(), 20 + 16 + 8);
         let fresh = SimCache::new();
         let stats = fresh.load_snapshot(&snap).unwrap();
         assert_eq!(
@@ -467,6 +352,14 @@ mod tests {
             SnapshotStats { compute_entries: 0, traffic_entries: 0, bytes: snap.len() }
         );
         assert_eq!(fresh.stats().entries, 0);
+    }
+
+    #[test]
+    fn a_record_decodes_into_no_more_bytes_than_it_encodes() {
+        // The count check bounds a reservation by the payload only if
+        // each reserved element is no larger than its encoding.
+        assert!(std::mem::size_of::<(ComputeKey, ComputePerf)>() <= COMPUTE_BYTES);
+        assert!(std::mem::size_of::<(TrafficKey, u64)>() <= TRAFFIC_BYTES);
     }
 
     #[test]
@@ -480,10 +373,13 @@ mod tests {
         let cache = SimCache::new();
         let mut snap = cache.to_snapshot();
         snap[0] ^= 0xff;
-        assert_eq!(SimCache::new().load_snapshot(&snap), Err(SnapshotError::BadMagic));
+        assert_eq!(
+            SimCache::new().load_snapshot(&snap),
+            Err(SnapshotError::Framing(FramingError::BadMagic))
+        );
         assert_eq!(
             SimCache::new().load_snapshot(b"nope"),
-            Err(SnapshotError::Truncated { expected: 8, actual: 4 })
+            Err(SnapshotError::Framing(FramingError::Truncated { expected: 8, actual: 4 }))
         );
     }
 
@@ -494,14 +390,10 @@ mod tests {
         snap[8] = 99; // version field, LSB
         assert_eq!(
             SimCache::new().load_snapshot(&snap),
-            Err(SnapshotError::WrongVersion { found: 99, expected: SNAPSHOT_VERSION })
+            Err(SnapshotError::Framing(FramingError::WrongVersion {
+                found: 99,
+                expected: SNAPSHOT_VERSION
+            }))
         );
-    }
-
-    #[test]
-    fn fnv1a_known_vector() {
-        // FNV-1a 64-bit test vectors from the reference implementation.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 }

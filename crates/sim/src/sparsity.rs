@@ -1,6 +1,6 @@
 //! Measured per-layer weight sparsity.
 //!
-//! The paper "conservatively model[s] the sparsity ... of each DNN layer
+//! The paper "conservatively model\[s\] the sparsity ... of each DNN layer
 //! at 40%". With a concrete weight store we can do better: measure each
 //! layer's actual zero fraction and feed it to the OS dataflow's
 //! zero-skipping broadcast, layer by layer.

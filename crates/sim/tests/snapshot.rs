@@ -1,32 +1,42 @@
 //! Snapshot persistence properties: save→load round trips are lossless
 //! and deterministic, warm-started runs are bit-identical to warm
-//! in-memory runs, damaged snapshots are refused with typed errors, and
-//! concurrent clients sharing one cache do strictly less simulation work
-//! than the same clients running serially cold.
+//! in-memory runs, damaged and version-1 snapshots are refused with
+//! typed errors, and concurrent clients sharing one cache do strictly
+//! less simulation work than the same clients running serially cold.
 
 use codesign_arch::{AcceleratorConfig, DataflowPolicy};
 use codesign_dnn::{zoo, Network, NetworkBuilder, Shape};
-use codesign_sim::{SimOptions, Simulator, SnapshotError, SNAPSHOT_VERSION};
+use codesign_sim::{
+    fnv1a, recover, seal, write_generation, Candidate, FramingError, SimOptions, Simulator,
+    SnapshotError, SNAPSHOT_VERSION,
+};
 use proptest::prelude::*;
 
-/// Same FNV-1a the snapshot uses, reimplemented here so corruption tests
-/// can re-seal a deliberately patched payload with a *valid* checksum
-/// (exercising record-level validation, not just the checksum).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+/// The sealed container's parts: magic, version, payload.
+struct Sealed {
+    magic: [u8; 8],
+    version: u32,
+    payload: Vec<u8>,
 }
 
-/// Recomputes the trailing checksum over a patched snapshot.
-fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
-    let payload = bytes.len() - 8;
-    let checksum = fnv1a(&bytes[..payload]);
-    bytes[payload..].copy_from_slice(&checksum.to_le_bytes());
-    bytes
+/// Splits a snapshot into its container parts, so corruption tests can
+/// patch one and re-seal it through the container's own sealer with a
+/// *valid* checksum (exercising the checks after the checksum, not just
+/// the checksum).
+fn unpack(snap: &[u8]) -> Sealed {
+    let mut magic = [0u8; 8];
+    magic.copy_from_slice(&snap[..8]);
+    let mut version = [0u8; 4];
+    version.copy_from_slice(&snap[8..12]);
+    Sealed {
+        magic,
+        version: u32::from_le_bytes(version),
+        payload: snap[20..snap.len() - 8].to_vec(),
+    }
+}
+
+fn reseal(parts: &Sealed) -> Vec<u8> {
+    seal(&parts.magic, parts.version, &parts.payload)
 }
 
 fn paper_cfg() -> AcceleratorConfig {
@@ -134,7 +144,9 @@ fn flipped_payload_byte_is_a_checksum_mismatch() {
     snap[40] ^= 0x01;
     let fresh = Simulator::new();
     match fresh.load_cache_snapshot(&snap) {
-        Err(SnapshotError::ChecksumMismatch { stored, computed }) => assert_ne!(stored, computed),
+        Err(SnapshotError::Framing(FramingError::ChecksumMismatch { stored, computed })) => {
+            assert_ne!(stored, computed)
+        }
         other => panic!("expected ChecksumMismatch, got {other:?}"),
     }
     assert_eq!(fresh.stats().entries, 0, "a refused snapshot loads nothing");
@@ -146,7 +158,7 @@ fn truncated_snapshot_is_rejected() {
     let fresh = Simulator::new();
     for keep in [snap.len() - 3, 30, 20, 5] {
         match fresh.load_cache_snapshot(&snap[..keep]) {
-            Err(SnapshotError::Truncated { expected, actual }) => {
+            Err(SnapshotError::Framing(FramingError::Truncated { expected, actual })) => {
                 assert_eq!(actual, keep);
                 assert!(expected > actual, "{expected} > {actual}");
             }
@@ -158,13 +170,12 @@ fn truncated_snapshot_is_rejected() {
 
 #[test]
 fn wrong_version_is_rejected_by_name() {
-    let mut snap = sample_snapshot();
-    snap[8..12].copy_from_slice(&(SNAPSHOT_VERSION + 1).to_le_bytes());
+    let mut parts = unpack(&sample_snapshot());
+    parts.version = SNAPSHOT_VERSION + 1;
     // Even with a re-sealed (valid) checksum the version gate fires
     // first, so the error names the schema mismatch, not corruption.
-    let resealed = reseal(snap);
-    match Simulator::new().load_cache_snapshot(&resealed) {
-        Err(SnapshotError::WrongVersion { found, expected }) => {
+    match Simulator::new().load_cache_snapshot(&reseal(&parts)) {
+        Err(SnapshotError::Framing(FramingError::WrongVersion { found, expected })) => {
             assert_eq!(found, SNAPSHOT_VERSION + 1);
             assert_eq!(expected, SNAPSHOT_VERSION);
         }
@@ -174,24 +185,25 @@ fn wrong_version_is_rejected_by_name() {
 
 #[test]
 fn bad_magic_and_garbage_are_rejected() {
-    let mut snap = sample_snapshot();
-    snap[2] ^= 0xff;
+    let mut parts = unpack(&sample_snapshot());
+    parts.magic[2] ^= 0xff;
     assert!(matches!(
-        Simulator::new().load_cache_snapshot(&reseal(snap)),
-        Err(SnapshotError::BadMagic)
+        Simulator::new().load_cache_snapshot(&reseal(&parts)),
+        Err(SnapshotError::Framing(FramingError::BadMagic))
     ));
     assert!(matches!(
         Simulator::new().load_cache_snapshot(b"definitely not a snapshot"),
-        Err(SnapshotError::BadMagic)
+        Err(SnapshotError::Framing(FramingError::BadMagic))
     ));
 }
 
 #[test]
 fn corrupt_record_tag_is_rejected_even_with_valid_checksum() {
-    let mut snap = sample_snapshot();
-    // First word of the first compute record is the work-kind tag.
-    snap[28..36].copy_from_slice(&99u64.to_le_bytes());
-    match Simulator::new().load_cache_snapshot(&reseal(snap)) {
+    let mut parts = unpack(&sample_snapshot());
+    // The payload opens with the two record counts; the first word of
+    // the first compute record after them is the work-kind tag.
+    parts.payload[16..24].copy_from_slice(&99u64.to_le_bytes());
+    match Simulator::new().load_cache_snapshot(&reseal(&parts)) {
         Err(SnapshotError::Corrupted(what)) => assert!(what.contains("kind"), "{what}"),
         other => panic!("expected Corrupted, got {other:?}"),
     }
@@ -203,8 +215,42 @@ fn trailing_bytes_are_rejected() {
     snap.push(0);
     assert!(matches!(
         Simulator::new().load_cache_snapshot(&snap),
-        Err(SnapshotError::Corrupted(_))
+        Err(SnapshotError::Framing(FramingError::TrailingBytes { .. }))
     ));
+}
+
+#[test]
+fn a_version_1_snapshot_is_refused_not_migrated() {
+    let dir = std::env::temp_dir().join(format!("codesign-snapshot-v1-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let base = dir.join("cache.snap");
+    let snap = sample_snapshot();
+    // The version-1 layout: the same records, no container length word.
+    let parts = unpack(&snap);
+    let mut v1 = parts.magic.to_vec();
+    v1.extend_from_slice(&1u32.to_le_bytes());
+    v1.extend_from_slice(&parts.payload);
+    v1.extend_from_slice(&fnv1a(&v1).to_le_bytes());
+    let refusal =
+        SnapshotError::Framing(FramingError::WrongVersion { found: 1, expected: SNAPSHOT_VERSION });
+    assert_eq!(Simulator::new().load_cache_snapshot(&v1), Err(refusal.clone()));
+    // Recovery refuses it by name and falls back to the older valid
+    // generation.
+    write_generation(&base, 1, &snap).expect("gen 1 writes");
+    write_generation(&base, 2, &v1).expect("gen 2 writes");
+    let sim = Simulator::new();
+    let (loaded, refused) =
+        recover(&base, |bytes| sim.load_cache_snapshot(bytes)).expect("candidates");
+    assert_eq!(loaded.expect("gen 1 loads").generation, Some(1));
+    assert_eq!(
+        refused,
+        vec![Candidate {
+            path: codesign_sim::generation_path(&base, 2),
+            generation: Some(2),
+            value: refusal
+        }]
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
