@@ -1,38 +1,32 @@
 //! Regenerates the paper's tables and figures.
 //!
 //! ```text
-//! report [all|table1|table2|fig1|fig3|fig4|ranges|codesign|sweep|ablations]
-//!        [--out DIR] [--jobs N] [--json[=PATH]] [--trace=PATH] [--metrics=PATH]
+//! report [all|EXPERIMENT] [--out DIR] [--jobs N] [--json[=PATH]] [--trace=PATH] [--metrics=PATH]
+//!
+//! EXPERIMENT: table1 table2 fig1 fig3 fig4 ranges codesign headlines sweep
+//!             ablations batch compression roofline event perlayer energy
+//!             robustness fusion taxonomy multicore constraints
 //! ```
 //!
-//! Markdown goes to stdout; CSV series are written to `--out` (default
-//! `results/`). `--jobs` bounds the worker threads used to generate
-//! experiments (`0`, the default, means one per core); results are
-//! independent of the thread count. `--json` additionally writes the
-//! schema-versioned machine-readable summary (`BENCH_report.json` under
-//! `--out` unless a path is given); `--trace`/`--metrics` capture the
-//! run through the observability layer as a Chrome trace / aggregated
-//! metrics snapshot.
+//! Markdown goes to stdout; CSV series (and SVG plots for Figures 1 and
+//! 4) are written to `--out` (default `results/`); `codesign` also
+//! writes `headlines`. `--jobs` bounds the worker threads used to
+//! generate experiments (`0`, the default, means one per core); results
+//! are independent of the thread count. `--json` additionally writes the
+//! schema-versioned `BENCH_report.json` summary of simulator output
+//! (under `--out` unless a path is given); `--trace`/`--metrics` capture
+//! the run through the observability layer as a Chrome trace /
+//! aggregated metrics snapshot.
 
 use std::env;
 use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
 
-use codesign_bench::experiments::{
-    ablations, batch_sweep, codesign, compression, constraints, dse_sweep, energy_breakdown,
-    event_crosscheck, fig1, fig3, fig4, fusion_study, headlines, multicore_scaling, per_layer_all,
-    ranges, roofline_table, schedule_robustness, table1, table2, taxonomy, Context,
-};
-use codesign_bench::{
-    bar_chart, bars_svg, scatter_svg, Bar, BenchReport, ExperimentTiming, ScatterPoint, Table,
-};
-use codesign_sim::{atomic_write, par_map};
+use codesign_bench::experiments::{generate, Context, ALL};
+use codesign_bench::{bar_chart, bars_svg, scatter_svg, Bar, BenchReport, ScatterPoint};
+use codesign_sim::atomic_write;
 use codesign_trace::{chrome_trace, MetricsSnapshot, Tracer};
-
-/// An experiment generator entry: name plus the table function.
-type Experiment = (&'static str, fn(&Context) -> Table);
 
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
@@ -84,31 +78,8 @@ fn main() -> ExitCode {
         // The clone shares the memo cache, so this only swaps the tracer in.
         ctx.sim = ctx.sim.clone().with_tracer(tracer.clone());
     }
-    let all: Vec<Experiment> = vec![
-        ("table1", table1),
-        ("table2", table2),
-        ("fig1", fig1),
-        ("fig3", fig3),
-        ("fig4", fig4),
-        ("ranges", ranges),
-        ("codesign", codesign),
-        ("headlines", headlines),
-        ("sweep", dse_sweep),
-        ("ablations", ablations),
-        ("batch", batch_sweep),
-        ("compression", compression),
-        ("roofline", roofline_table),
-        ("event", event_crosscheck),
-        ("perlayer", per_layer_all),
-        ("energy", energy_breakdown),
-        ("robustness", schedule_robustness),
-        ("fusion", fusion_study),
-        ("taxonomy", taxonomy),
-        ("multicore", multicore_scaling),
-        ("constraints", constraints),
-    ];
-    let selected: Vec<_> = all
-        .iter()
+    let selected: Vec<_> = ALL
+        .into_iter()
         .filter(|(name, _)| {
             which == "all" || which == *name || (which == "codesign" && *name == "headlines")
         })
@@ -116,7 +87,7 @@ fn main() -> ExitCode {
     if selected.is_empty() {
         eprintln!(
             "unknown experiment `{which}`; expected one of all, {}",
-            all.iter().map(|(n, _)| *n).collect::<Vec<_>>().join(", ")
+            ALL.map(|(n, _)| n).join(", ")
         );
         return ExitCode::FAILURE;
     }
@@ -126,24 +97,12 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    // Generate in parallel (each generator shares `ctx.sim`'s cache but
-    // carries its own simulated-cycles odometer, so throughput can be
-    // attributed per experiment), then print and write in the
-    // deterministic selection order.
-    let started = Instant::now();
-    let generated: Vec<(Table, std::time::Duration, u64)> =
-        par_map(jobs, &selected, |_, (_, gen)| {
-            let local = Context { sim: ctx.sim.fork_counter(), ..ctx.clone() };
-            let t0 = Instant::now();
-            let table = gen(&local);
-            (table, t0.elapsed(), local.sim.cycles_simulated())
-        });
-    let total_wall = started.elapsed();
-
-    for ((name, _), (table, elapsed, _)) in selected.iter().zip(&generated) {
-        eprintln!("[{name}] generated in {:.1} ms", elapsed.as_secs_f64() * 1e3);
+    // Generated in parallel; printed and written in selection order.
+    let generated = generate(&ctx, &selected);
+    for g in &generated {
+        let table = &g.table;
         println!("{}", table.to_markdown());
-        if *name == "fig1" {
+        if g.name == "fig1" {
             let bars: Vec<Bar> = (0..table.len())
                 .map(|i| Bar {
                     label: table.cell(i, 0).expect("fig1 rows have labels").to_owned(),
@@ -163,7 +122,7 @@ fn main() -> ExitCode {
             }
             eprintln!("wrote {}", svg_path.display());
         }
-        if *name == "fig4" {
+        if g.name == "fig4" {
             let family = |label: &str| {
                 if label.contains("SqNxt") {
                     0
@@ -201,7 +160,7 @@ fn main() -> ExitCode {
             }
             eprintln!("wrote {}", svg_path.display());
         }
-        let path = out_dir.join(format!("{name}.csv"));
+        let path = out_dir.join(format!("{}.csv", g.name));
         if let Err(e) = table.write_csv(&path) {
             eprintln!("cannot write {}: {e}", path.display());
             return ExitCode::FAILURE;
@@ -211,30 +170,12 @@ fn main() -> ExitCode {
 
     if let Some(dest) = json {
         let path = dest.unwrap_or_else(|| out_dir.join("BENCH_report.json"));
-        let timings: Vec<ExperimentTiming> = selected
-            .iter()
-            .zip(&generated)
-            .map(|(exp, (_, elapsed, sim_cycles))| ExperimentTiming {
-                name: exp.0.to_owned(),
-                wall_ms: elapsed.as_secs_f64() * 1e3,
-                sim_cycles: *sim_cycles,
-            })
-            .collect();
-        let report = BenchReport::collect(&ctx, timings, total_wall.as_secs_f64() * 1e3);
+        let report = BenchReport::collect(&ctx, &generated);
         if let Err(e) = atomic_write(&path, report.to_json().as_bytes()) {
             eprintln!("cannot write {}: {e}", path.display());
             return ExitCode::FAILURE;
         }
         eprintln!("wrote {}", path.display());
-        let fb = &report.functional_bench;
-        eprintln!(
-            "functional executor: {:.1} MMAC/s over {} network(s), {:.1}x vs naive ops, \
-             bit-identical: {}",
-            fb.gemm_macs_per_sec() / 1e6,
-            fb.networks,
-            fb.speedup_vs_naive(),
-            fb.outputs_identical,
-        );
     }
 
     if tracer.is_enabled() {
@@ -255,11 +196,6 @@ fn main() -> ExitCode {
         }
     }
 
-    let stats = ctx.sim.stats();
-    eprintln!(
-        "generated {} artifact(s) in {:.1} ms; sim cache: {stats}",
-        generated.len(),
-        total_wall.as_secs_f64() * 1e3,
-    );
+    eprintln!("generated {} artifact(s); sim cache: {}", generated.len(), ctx.sim.stats());
     ExitCode::SUCCESS
 }

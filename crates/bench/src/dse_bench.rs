@@ -1,29 +1,27 @@
-//! Streaming design-space-exploration bench: covers a ~10M-point sweep
-//! space through the bounded-memory frontier pipeline with dominance
-//! branch-and-bound enabled, and reports coverage throughput, the
-//! pruned fraction, and the peak live frontier.
+//! Streaming design-space-exploration workload: covers a ~10M-point
+//! sweep space through the bounded-memory frontier pipeline with
+//! dominance branch-and-bound enabled, and counts what it evaluated,
+//! what it pruned, and the peak live frontier. `report --json` records
+//! the counts; `perfbench` times the same space.
 //!
 //! The space is deliberately too large to materialize: the classic
-//! `sweep_full_with` path would allocate one [`DesignPoint`] per grid
-//! point (~gigabytes), while the streaming pipeline holds only the live
+//! `sweep_full_with` path would allocate one
+//! [`DesignPoint`](codesign_core::DesignPoint) per grid point
+//! (~gigabytes), while the streaming pipeline holds only the live
 //! Pareto frontier plus one in-flight chunk. The long monotone buffer
 //! axis is the shape branch-and-bound exists for — DRAM traffic is
 //! non-increasing in buffer budget, so once the frontier has the
 //! traffic plateau, whole buffer segments are provably dominated and
 //! skipped without evaluation.
 
-use std::time::Instant;
-
 use codesign_arch::EnergyModel;
-use codesign_core::{sweep_frontier_with, FrontierConfig, FrontierOutcome, SweepSpace};
+use codesign_core::{sweep_frontier_with, FrontierConfig, SweepSpace};
 use codesign_dnn::{Network, NetworkBuilder, Shape};
-use codesign_sim::{resolve_jobs, CancelToken, SimOptions, Simulator};
+use codesign_sim::{CancelToken, SimOptions, Simulator};
 
-/// Headline numbers of the streaming-DSE bench.
+/// Counts of one streaming frontier sweep over a space.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DseBench {
-    /// Worker threads (already resolved; never 0).
-    pub jobs: usize,
     /// Grid points in the swept space.
     pub points: u64,
     /// Points actually evaluated by the simulator.
@@ -37,23 +35,19 @@ pub struct DseBench {
     /// Pareto-optimal designs in the final frontier.
     pub frontier: usize,
     /// Largest number of design points held live at any moment — the
-    /// bench's bounded-memory claim, in points.
+    /// bounded-memory claim, in points.
     pub peak_frontier: u64,
-    /// Measured wall time in milliseconds (best of [`Self::REPS`]).
-    pub wall_ms: f64,
 }
 
 impl DseBench {
-    /// Cold-cache repetitions; the reported wall time is the minimum.
-    pub const REPS: usize = 2;
     /// Streaming chunk size. Small on purpose: more branch-and-bound
-    /// decision points, which is the code path being benchmarked.
+    /// decision points, which is the code path this space exercises.
     pub const CHUNK: usize = 32;
     /// Buffer-axis levels: 64 KiB up in 32-byte steps.
     pub const BUFFER_LEVELS: usize = 2_560_000;
 
-    /// The benchmarked network: one convolution, so every grid point is
-    /// a single tiling search and the bench isolates sweep-engine and
+    /// The swept network: one convolution, so every grid point is a
+    /// single tiling search and the space isolates sweep-engine and
     /// pruning overhead rather than per-layer simulation cost.
     pub fn network() -> Network {
         let mut b = NetworkBuilder::new("dse-bench-conv", Shape::new(16, 32, 32));
@@ -61,8 +55,8 @@ impl DseBench {
         b.finish().expect("static bench network builds")
     }
 
-    /// The benchmarked space: 2 array edges x 2 register-file depths x
-    /// 2.56M buffer levels = 10.24M grid points.
+    /// The swept space: 2 array edges x 2 register-file depths x 2.56M
+    /// buffer levels = 10.24M grid points.
     pub fn space() -> SweepSpace {
         SweepSpace {
             array_sizes: vec![8, 16],
@@ -71,41 +65,25 @@ impl DseBench {
         }
     }
 
-    /// Runs the streaming frontier sweep over `space`, best wall time of
-    /// [`Self::REPS`] cold-cache repetitions.
-    pub fn measure_space(jobs: usize, network: &Network, space: &SweepSpace) -> Self {
-        let opts = SimOptions::paper_default();
-        let energy = EnergyModel::default();
+    /// Runs the pruned streaming frontier sweep over `space` on a
+    /// cold-cache simulator with `jobs` workers. The counts do not
+    /// depend on `jobs`.
+    fn run_space(jobs: usize, network: &Network, space: &SweepSpace) -> Self {
         let config =
             FrontierConfig { jobs, chunk: Self::CHUNK, prune: true, ..FrontierConfig::default() };
-        let mut best_wall_ms = f64::INFINITY;
-        let mut outcome: Option<FrontierOutcome> = None;
-        for _ in 0..Self::REPS {
-            let sim = Simulator::new();
-            let started = Instant::now();
-            let out = sweep_frontier_with(
-                &sim,
-                network,
-                space,
-                opts,
-                &energy,
-                &config,
-                &CancelToken::never(),
-                |_| {},
-            )
-            .expect("bench space is non-empty and never cancelled");
-            let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-            if wall_ms < best_wall_ms {
-                best_wall_ms = wall_ms;
-            }
-            // The outcome is deterministic across repetitions; keep the
-            // last one.
-            outcome = Some(out);
-        }
-        let out = outcome.expect("REPS >= 1");
+        let out = sweep_frontier_with(
+            &Simulator::new(),
+            network,
+            space,
+            SimOptions::paper_default(),
+            &EnergyModel::default(),
+            &config,
+            &CancelToken::never(),
+            |_| {},
+        )
+        .expect("bench space is non-empty and never cancelled");
         let c = out.counters;
         Self {
-            jobs: resolve_jobs(jobs),
             points: c.total,
             evaluated: c.evaluated,
             pruned: c.pruned,
@@ -113,23 +91,12 @@ impl DseBench {
             failed: c.failed,
             frontier: out.frontier.len(),
             peak_frontier: c.peak_frontier,
-            wall_ms: best_wall_ms,
         }
     }
 
-    /// Runs the headline 10.24M-point bench.
-    pub fn measure(jobs: usize) -> Self {
-        Self::measure_space(jobs, &Self::network(), &Self::space())
-    }
-
-    /// Grid points covered (evaluated or proven dominated) per second.
-    pub fn points_per_sec(&self) -> f64 {
-        self.points as f64 / (self.wall_ms.max(f64::MIN_POSITIVE) / 1e3)
-    }
-
-    /// Fraction of the grid skipped by branch-and-bound.
-    pub fn pruned_fraction(&self) -> f64 {
-        self.pruned as f64 / (self.points as f64).max(f64::MIN_POSITIVE)
+    /// Runs the headline 10.24M-point space.
+    pub fn run(jobs: usize) -> Self {
+        Self::run_space(jobs, &Self::network(), &Self::space())
     }
 }
 
@@ -153,13 +120,13 @@ mod tests {
     fn bench_space_agrees_with_the_materializing_sweep() {
         let net = DseBench::network();
         let space = small_space();
-        let b = DseBench::measure_space(2, &net, &space);
+        let b = DseBench::run_space(2, &net, &space);
         assert_eq!(b.points as usize, space.len());
         assert_eq!(b.evaluated + b.pruned + b.skipped + b.failed, b.points);
         assert_eq!(b.failed, 0, "bench space evaluates cleanly");
-        assert!(b.pruned_fraction() >= 0.2, "plateau must prune: {}", b.pruned_fraction());
-        assert!(b.points_per_sec() > 0.0 && b.wall_ms > 0.0);
+        assert!(b.pruned * 5 >= b.points, "plateau must prune 20%: {} of {}", b.pruned, b.points);
         assert!(b.peak_frontier >= b.frontier as u64);
+        assert_eq!(DseBench::run_space(1, &net, &space), b, "counts must not depend on jobs");
 
         let batch = sweep_full_with(
             &Simulator::new(),

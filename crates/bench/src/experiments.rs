@@ -11,9 +11,9 @@ use codesign_core::{
 };
 use codesign_dnn::{zoo, LayerClass, MacBreakdown, Network};
 use codesign_sim::{
-    compare_taxonomy, simulate_network_batched, simulate_network_event, simulate_network_multicore,
-    MultiCoreConfig, OsModelOptions, SimOptions, Simulator, SparsityModel, TaxonomyDataflow,
-    TrafficModel, WeightCompression,
+    compare_taxonomy, par_map, simulate_network_batched, simulate_network_event,
+    simulate_network_multicore, MultiCoreConfig, OsModelOptions, SimOptions, Simulator,
+    SparsityModel, TaxonomyDataflow, TrafficModel, WeightCompression,
 };
 
 use crate::table::Table;
@@ -656,6 +656,62 @@ pub fn constraints(ctx: &Context) -> Table {
         ]);
     }
     t
+}
+
+/// A report experiment: its name (the stem of its CSV under `results/`)
+/// and its generator.
+pub type Experiment = (&'static str, fn(&Context) -> Table);
+
+/// Every experiment `report all` generates, in output order.
+pub const ALL: [Experiment; 21] = [
+    ("table1", table1),
+    ("table2", table2),
+    ("fig1", fig1),
+    ("fig3", fig3),
+    ("fig4", fig4),
+    ("ranges", ranges),
+    ("codesign", codesign),
+    ("headlines", headlines),
+    ("sweep", dse_sweep),
+    ("ablations", ablations),
+    ("batch", batch_sweep),
+    ("compression", compression),
+    ("roofline", roofline_table),
+    ("event", event_crosscheck),
+    ("perlayer", per_layer_all),
+    ("energy", energy_breakdown),
+    ("robustness", schedule_robustness),
+    ("fusion", fusion_study),
+    ("taxonomy", taxonomy),
+    ("multicore", multicore_scaling),
+    ("constraints", constraints),
+];
+
+/// One generated experiment.
+#[derive(Debug, Clone)]
+pub struct Generated {
+    /// Experiment name.
+    pub name: &'static str,
+    /// The generated artifact.
+    pub table: Table,
+    /// Simulated cycles delivered through the engine while generating
+    /// it. Cache hits count, so the figure does not depend on which
+    /// experiment warmed the shared cache first. Zero for experiments
+    /// that do not route layer simulation through the engine (static
+    /// tables, the standalone event/batch/multicore models).
+    pub sim_cycles: u64,
+}
+
+/// Generates `selected` on `ctx.jobs` workers, in selection order. Each
+/// generator shares `ctx.sim`'s cache through its own cycle odometer
+/// ([`Simulator::fork_counter`]); the output does not depend on the
+/// worker count.
+pub fn generate(ctx: &Context, selected: &[Experiment]) -> Vec<Generated> {
+    par_map(ctx.jobs, selected, |_, &(name, gen)| {
+        let local = Context { sim: ctx.sim.fork_counter(), ..ctx.clone() };
+        let table = gen(&local);
+        Generated { name, table, sim_cycles: local.sim.cycles_simulated() }
+    })
 }
 
 #[cfg(test)]

@@ -1,9 +1,9 @@
 //! # codesign-bench — experiment harness
 //!
 //! Regenerates every table and figure of the paper's evaluation as
-//! markdown/CSV (see the `report` binary), and hosts the benches
-//! measuring the simulator itself (built on the in-tree [`stopwatch`]
-//! harness, since the offline environment cannot fetch Criterion).
+//! markdown/CSV (see the `report` binary), plus the deterministic
+//! `BENCH_report.json` summary of simulator output. Nothing here reads
+//! a clock: wall-clock measurement is `perfbench`'s job.
 //!
 //! # Examples
 //!
@@ -20,21 +20,13 @@
 pub mod chart;
 pub mod dse_bench;
 pub mod experiments;
-pub mod functional_bench;
 pub mod report_json;
-pub mod serve_bench;
-pub mod stopwatch;
 pub mod svg;
 pub mod table;
 
 pub use chart::{bar_chart, Bar};
 pub use dse_bench::DseBench;
 pub use experiments::Context;
-pub use functional_bench::FunctionalBench;
-pub use report_json::{
-    BenchReport, ExperimentTiming, NetworkHeadline, SweepBench, BENCH_REPORT_SCHEMA,
-    SWEEP_BASELINE_WALL_MS,
-};
-pub use serve_bench::ServeBench;
+pub use report_json::{BenchReport, NetworkHeadline, BENCH_REPORT_SCHEMA};
 pub use svg::{bars_svg, scatter_svg, ScatterPoint};
 pub use table::Table;

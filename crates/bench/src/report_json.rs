@@ -1,64 +1,29 @@
-//! The machine-readable bench report (`BENCH_report.json`).
+//! The machine-readable report summary (`BENCH_report.json`).
 //!
-//! One schema-versioned JSON document summarizing a `report` run: wall
-//! time (total and per experiment), simulator cache statistics, and the
-//! per-network headline numbers (hybrid/WS/OS cycles, speedups, energy,
-//! utilization). CI uploads this artifact so regressions are diffable
-//! without re-running anything.
+//! One schema-versioned JSON document holding only simulator output:
+//! the simulated cycles of each generated experiment, the counts of the
+//! streaming-DSE space ([`DseBench`]), and the per-network headline
+//! numbers (hybrid/WS/OS cycles, speedups, energy, utilization). Every
+//! field regenerates exactly at any `--jobs`, so the committed
+//! `results/BENCH_report.json` is checked byte for byte like the golden
+//! CSVs. Wall-clock measurement belongs to `perfbench`.
 
-use std::time::Instant;
-
-use codesign_arch::EnergyModel;
-use codesign_core::{sweep_full_with, ArchitectureComparison, SweepSpace};
+use codesign_core::ArchitectureComparison;
 use codesign_dnn::zoo;
-use codesign_sim::{resolve_jobs, CacheStats, SimOptions, Simulator};
 use codesign_trace::json::{number, quote};
 
 use crate::dse_bench::DseBench;
-use crate::experiments::Context;
-use crate::functional_bench::FunctionalBench;
-use crate::serve_bench::ServeBench;
+use crate::experiments::{Context, Generated};
 
 /// Schema identifier written into every report. Bump the suffix when the
 /// document shape changes incompatibly. `/2` added the `contended` cache
 /// counter and the `sweep_bench` section; `/3` added per-experiment
-/// `sim_cycles` and `sim_cycles_per_sec` throughput; `/4` added the
-/// `serve_bench` section (concurrent-client cache sharing and snapshot
-/// warm-start speedup); `/5` added the `functional_bench` section
-/// (GEMM-backed inference throughput vs the naive reference ops); `/6`
-/// added the `dse_bench` section (streaming-frontier coverage of a
-/// 10.24M-point space with branch-and-bound pruning).
-pub const BENCH_REPORT_SCHEMA: &str = "codesign-bench-report/6";
-
-/// Pre-overhaul reference wall time for [`SweepBench`]: the
-/// paper-default sweep over the six table networks took ~206 ms at
-/// `--jobs 8` before the sweep-engine hot-path overhaul (sharded split
-/// cache, per-network layer dedup, persistent worker pool, pruned tiling
-/// search). Pinned so `speedup_vs_baseline` in committed reports tracks
-/// the same denominator across machines of similar class.
-pub const SWEEP_BASELINE_WALL_MS: f64 = 206.0;
-
-/// Wall time and simulation throughput of one experiment generator.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExperimentTiming {
-    /// Experiment name (`table1`, `fig4`, ...).
-    pub name: String,
-    /// Generation wall time in milliseconds.
-    pub wall_ms: f64,
-    /// Simulated cycles delivered through the shared engine handle while
-    /// generating this experiment (cache hits included — a memoized
-    /// answer still delivers its cycles). Zero for experiments that do
-    /// not route layer simulation through the engine (static tables, the
-    /// standalone event/batch/multicore models).
-    pub sim_cycles: u64,
-}
-
-impl ExperimentTiming {
-    /// Simulated-cycles-per-wall-second throughput of this experiment.
-    pub fn sim_cycles_per_sec(&self) -> f64 {
-        self.sim_cycles as f64 / (self.wall_ms.max(f64::MIN_POSITIVE) / 1e3)
-    }
-}
+/// `sim_cycles`; `/4`, `/5` and `/6` added the `serve_bench`,
+/// `functional_bench` and `dse_bench` sections. `/7` holds simulator
+/// output only: it dropped every wall time and `jobs` field, the
+/// schedule-dependent cache counters, and the sweep, serve and
+/// functional benches, and keeps `dse_bench` as counts.
+pub const BENCH_REPORT_SCHEMA: &str = "codesign-bench-report/7";
 
 /// Headline numbers for one network on the paper-default hardware point.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,123 +52,24 @@ pub struct NetworkHeadline {
     pub time_ms: f64,
 }
 
-/// Timed paper-default design-space sweep over the full table zoo,
-/// measured on a fresh (cold-cache) simulator so the number reflects the
-/// sweep engine's real hot path rather than a pre-warmed memo.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepBench {
-    /// Worker threads the sweep ran with (already resolved; never 0).
-    pub jobs: usize,
-    /// Networks swept.
-    pub networks: usize,
-    /// Design points evaluated across all networks.
-    pub points: usize,
-    /// Points that failed (expected 0).
-    pub failures: usize,
-    /// Measured wall time in milliseconds.
-    pub wall_ms: f64,
-    /// Pinned pre-overhaul reference ([`SWEEP_BASELINE_WALL_MS`]).
-    pub baseline_wall_ms: f64,
-    /// Cache counters of the dedicated sweep simulator.
-    pub cache: CacheStats,
-}
-
-impl SweepBench {
-    /// Cold-cache repetitions per measurement; the reported wall time is
-    /// the minimum, which filters scheduler noise out of the CI gate.
-    pub const REPS: usize = 3;
-
-    /// Runs and times the paper-default sweep (array × RF × buffer grid)
-    /// over every table network, best of [`Self::REPS`] runs, each on a
-    /// fresh simulator so no repetition inherits a warm cache.
-    pub fn measure(jobs: usize) -> Self {
-        let space = SweepSpace::paper_default();
-        let opts = SimOptions::paper_default();
-        let energy = EnergyModel::default();
-        let nets = zoo::table_networks();
-        let mut best_wall_ms = f64::INFINITY;
-        let mut points = 0usize;
-        let mut failures = 0usize;
-        let mut cache = CacheStats::default();
-        for _ in 0..Self::REPS {
-            let sim = Simulator::new();
-            let mut rep_points = 0usize;
-            let mut rep_failures = 0usize;
-            let started = Instant::now();
-            for net in &nets {
-                if let Ok(out) = sweep_full_with(&sim, net, &space, opts, &energy, jobs) {
-                    rep_points += out.points.len();
-                    rep_failures += out.failures.len();
-                }
-            }
-            let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-            if wall_ms < best_wall_ms {
-                best_wall_ms = wall_ms;
-            }
-            // Counts and cache shape are deterministic across reps; keep
-            // the last repetition's.
-            points = rep_points;
-            failures = rep_failures;
-            cache = sim.stats();
-        }
-        Self {
-            jobs: resolve_jobs(jobs),
-            networks: nets.len(),
-            points,
-            failures,
-            wall_ms: best_wall_ms,
-            baseline_wall_ms: SWEEP_BASELINE_WALL_MS,
-            cache,
-        }
-    }
-
-    /// Speedup of the measured sweep over the pinned pre-overhaul
-    /// reference wall time.
-    pub fn speedup_vs_baseline(&self) -> f64 {
-        self.baseline_wall_ms / self.wall_ms.max(f64::MIN_POSITIVE)
-    }
-}
-
 /// The full report document.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
-    /// Total report wall time in milliseconds.
-    pub wall_ms: f64,
-    /// Per-experiment wall times, in generation order.
-    pub experiments: Vec<ExperimentTiming>,
-    /// Simulator cache counters at the end of the run.
-    pub cache: CacheStats,
-    /// Timed cold-cache sweep over the full zoo.
-    pub sweep_bench: SweepBench,
-    /// Serve-mode load bench: concurrent-client cache sharing and
-    /// snapshot warm-start speedup.
-    pub serve_bench: ServeBench,
-    /// Functional-executor bench: GEMM inference throughput over the
-    /// zoo vs the naive reference ops, with bit-equality verified.
-    pub functional_bench: FunctionalBench,
-    /// Streaming-DSE bench: bounded-memory frontier coverage of a
-    /// 10.24M-point space with branch-and-bound pruning.
+    /// Name and simulated cycles of each generated experiment, in
+    /// generation order.
+    pub experiments: Vec<(&'static str, u64)>,
+    /// Counts of the pruned streaming sweep over [`DseBench::space`].
     pub dse_bench: DseBench,
     /// Per-network headlines for the paper's table networks.
     pub networks: Vec<NetworkHeadline>,
 }
 
-fn cache_json(c: &CacheStats) -> String {
-    format!(
-        "{{\"hits\":{},\"misses\":{},\"entries\":{},\"contended\":{},\"hit_rate\":{}}}",
-        c.hits,
-        c.misses,
-        c.entries,
-        c.contended,
-        number(c.hit_rate()),
-    )
-}
-
 impl BenchReport {
-    /// Assembles a report: takes the run's timings and re-derives the
-    /// per-network headlines through `ctx.sim` (with a warm cache these
-    /// evaluations are answered almost entirely from memo entries).
-    pub fn collect(ctx: &Context, experiments: Vec<ExperimentTiming>, wall_ms: f64) -> Self {
+    /// Assembles a report from `generated`: re-derives the per-network
+    /// headlines through `ctx.sim` (with a warm cache these evaluations
+    /// are answered almost entirely from memo entries) and runs the
+    /// streaming-DSE space on `ctx.jobs` workers.
+    pub fn collect(ctx: &Context, generated: &[Generated]) -> Self {
         let networks = zoo::table_networks()
             .iter()
             .map(|net| {
@@ -227,13 +93,8 @@ impl BenchReport {
             })
             .collect();
         Self {
-            wall_ms,
-            experiments,
-            cache: ctx.sim.stats(),
-            sweep_bench: SweepBench::measure(ctx.jobs),
-            serve_bench: ServeBench::measure(ctx.jobs),
-            functional_bench: FunctionalBench::measure(ctx.jobs),
-            dse_bench: DseBench::measure(ctx.jobs),
+            experiments: generated.iter().map(|g| (g.name, g.sim_cycles)).collect(),
+            dse_bench: DseBench::run(ctx.jobs),
             networks,
         }
     }
@@ -243,15 +104,8 @@ impl BenchReport {
         let experiments: Vec<String> = self
             .experiments
             .iter()
-            .map(|e| {
-                format!(
-                    "    {{\"name\":{},\"wall_ms\":{},\"sim_cycles\":{},\
-                     \"sim_cycles_per_sec\":{}}}",
-                    quote(&e.name),
-                    number(e.wall_ms),
-                    e.sim_cycles,
-                    number(e.sim_cycles_per_sec()),
-                )
+            .map(|(name, sim_cycles)| {
+                format!("    {{\"name\":{},\"sim_cycles\":{sim_cycles}}}", quote(name))
             })
             .collect();
         let networks: Vec<String> = self
@@ -277,61 +131,10 @@ impl BenchReport {
                 )
             })
             .collect();
-        let sb = &self.sweep_bench;
-        let sweep_bench = format!(
-            "{{\"jobs\":{},\"networks\":{},\"points\":{},\"failures\":{},\
-             \"wall_ms\":{},\"baseline_wall_ms\":{},\"speedup_vs_baseline\":{},\
-             \"cache\":{}}}",
-            sb.jobs,
-            sb.networks,
-            sb.points,
-            sb.failures,
-            number(sb.wall_ms),
-            number(sb.baseline_wall_ms),
-            number(sb.speedup_vs_baseline()),
-            cache_json(&sb.cache),
-        );
-        let vb = &self.serve_bench;
-        let serve_bench = format!(
-            "{{\"clients\":{},\"points\":{},\"wall_ms\":{},\"points_per_sec\":{},\
-             \"concurrent_misses\":{},\"serial_misses\":{},\"miss_reduction\":{},\
-             \"snapshot_cold_ms\":{},\"snapshot_warm_ms\":{},\"warm_speedup\":{},\
-             \"snapshot_bytes\":{},\"outputs_identical\":{}}}",
-            vb.clients,
-            vb.points,
-            number(vb.wall_ms),
-            number(vb.points_per_sec()),
-            vb.concurrent_misses,
-            vb.serial_misses,
-            number(vb.miss_reduction()),
-            number(vb.snapshot_cold_ms),
-            number(vb.snapshot_warm_ms),
-            number(vb.warm_speedup()),
-            vb.snapshot_bytes,
-            vb.outputs_identical,
-        );
-        let fb = &self.functional_bench;
-        let functional_bench = format!(
-            "{{\"jobs\":{},\"networks\":{},\"macs\":{},\
-             \"naive_wall_ms\":{},\"gemm_wall_ms\":{},\
-             \"naive_macs_per_sec\":{},\"gemm_macs_per_sec\":{},\
-             \"speedup_vs_naive\":{},\"outputs_identical\":{}}}",
-            fb.jobs,
-            fb.networks,
-            fb.macs,
-            number(fb.naive_wall_ms),
-            number(fb.gemm_wall_ms),
-            number(fb.naive_macs_per_sec()),
-            number(fb.gemm_macs_per_sec()),
-            number(fb.speedup_vs_naive()),
-            fb.outputs_identical,
-        );
         let db = &self.dse_bench;
         let dse_bench = format!(
-            "{{\"jobs\":{},\"points\":{},\"evaluated\":{},\"pruned\":{},\
-             \"skipped\":{},\"failed\":{},\"frontier\":{},\"peak_frontier\":{},\
-             \"wall_ms\":{},\"points_per_sec\":{},\"pruned_fraction\":{}}}",
-            db.jobs,
+            "{{\"points\":{},\"evaluated\":{},\"pruned\":{},\"skipped\":{},\"failed\":{},\
+             \"frontier\":{},\"peak_frontier\":{}}}",
             db.points,
             db.evaluated,
             db.pruned,
@@ -339,21 +142,12 @@ impl BenchReport {
             db.failed,
             db.frontier,
             db.peak_frontier,
-            number(db.wall_ms),
-            number(db.points_per_sec()),
-            number(db.pruned_fraction()),
         );
         format!(
-            "{{\n  \"schema\": {},\n  \"wall_ms\": {},\n  \"experiments\": [\n{}\n  ],\n  \
-             \"cache\": {},\n  \"sweep_bench\": {},\n  \"serve_bench\": {},\n  \
-             \"functional_bench\": {},\n  \"dse_bench\": {},\n  \"networks\": [\n{}\n  ]\n}}\n",
+            "{{\n  \"schema\": {},\n  \"experiments\": [\n{}\n  ],\n  \"dse_bench\": {},\n  \
+             \"networks\": [\n{}\n  ]\n}}\n",
             quote(BENCH_REPORT_SCHEMA),
-            number(self.wall_ms),
             experiments.join(",\n"),
-            cache_json(&self.cache),
-            sweep_bench,
-            serve_bench,
-            functional_bench,
             dse_bench,
             networks.join(",\n"),
         )
@@ -364,103 +158,43 @@ impl BenchReport {
 mod tests {
     use super::*;
 
-    fn json_is_balanced(json: &str) {
-        let mut depth = 0i64;
-        let mut in_string = false;
-        let mut escaped = false;
-        for c in json.chars() {
-            if in_string {
-                match (escaped, c) {
-                    (false, '\\') => escaped = true,
-                    (false, '"') => in_string = false,
-                    _ => escaped = false,
-                }
-                continue;
-            }
-            match c {
-                '"' => in_string = true,
-                '{' | '[' => depth += 1,
-                '}' | ']' => depth -= 1,
-                _ => {}
-            }
-            assert!(depth >= 0);
-        }
-        assert_eq!(depth, 0);
-        assert!(!in_string);
-    }
-
     #[test]
     fn collect_produces_sane_headlines() {
         let ctx = Context::paper_default();
-        let timings =
-            vec![ExperimentTiming { name: "table2".to_owned(), wall_ms: 12.5, sim_cycles: 1_000 }];
-        let report = BenchReport::collect(&ctx, timings, 40.0);
+        let report = BenchReport::collect(&ctx, &[]);
         assert_eq!(report.networks.len(), zoo::table_networks().len());
         for n in &report.networks {
             assert!(n.hybrid_cycles > 0, "{}", n.name);
             assert!(n.speedup_vs_os >= 1.0 && n.speedup_vs_ws >= 1.0, "{}", n.name);
             assert!(n.time_ms > 0.0 && n.utilization > 0.0, "{}", n.name);
         }
-        assert!(report.cache.lookups() > 0, "headlines route through ctx.sim");
-        let sb = &report.sweep_bench;
-        assert_eq!(sb.networks, zoo::table_networks().len());
-        assert!(sb.points > 0 && sb.failures == 0, "sweep bench evaluates the grid");
-        assert!(sb.jobs >= 1, "jobs are resolved");
-        assert!(sb.wall_ms > 0.0 && sb.speedup_vs_baseline() > 0.0);
-        assert!(sb.cache.hits > 0, "the sweep shares cache entries across points");
-        let vb = &report.serve_bench;
-        assert!(vb.concurrent_misses < vb.serial_misses, "shared cache dedups overlap");
-        assert!(vb.outputs_identical, "warm sweeps match cold bit-for-bit");
-        let fb = &report.functional_bench;
-        assert!(fb.networks >= 1 && fb.macs > 0);
-        assert!(fb.outputs_identical, "GEMM executor matches the reference");
-        assert!(fb.gemm_macs_per_sec() > 0.0 && fb.speedup_vs_naive() > 0.0);
+        assert!(ctx.sim.stats().lookups() > 0, "headlines route through ctx.sim");
         let db = &report.dse_bench;
         assert_eq!(db.evaluated + db.pruned + db.skipped + db.failed, db.points);
-        assert!(db.failed == 0, "DSE bench space evaluates cleanly");
-        assert!(db.pruned_fraction() >= 0.2, "branch-and-bound prunes the plateau");
-        assert!(db.points_per_sec() > 0.0 && db.peak_frontier >= db.frontier as u64);
+        assert!(db.peak_frontier >= db.frontier as u64);
     }
 
     #[test]
-    fn json_has_schema_and_balances() {
-        let ctx = Context::paper_default();
-        let report = BenchReport::collect(
-            &ctx,
-            vec![ExperimentTiming { name: "t\"1".to_owned(), wall_ms: 1.0, sim_cycles: 42 }],
-            2.0,
+    fn json_is_exactly_the_simulator_output() {
+        let report = BenchReport {
+            experiments: vec![("t\"1", 42)],
+            dse_bench: DseBench {
+                points: 4,
+                evaluated: 2,
+                pruned: 1,
+                skipped: 1,
+                failed: 0,
+                frontier: 1,
+                peak_frontier: 2,
+            },
+            networks: Vec::new(),
+        };
+        assert_eq!(
+            report.to_json(),
+            "{\n  \"schema\": \"codesign-bench-report/7\",\n  \"experiments\": [\n    \
+             {\"name\":\"t\\\"1\",\"sim_cycles\":42}\n  ],\n  \"dse_bench\": \
+             {\"points\":4,\"evaluated\":2,\"pruned\":1,\"skipped\":1,\"failed\":0,\
+             \"frontier\":1,\"peak_frontier\":2},\n  \"networks\": [\n\n  ]\n}\n"
         );
-        let json = report.to_json();
-        assert!(json.contains("\"schema\": \"codesign-bench-report/6\""));
-        assert!(json.contains("\"sim_cycles\":42"));
-        assert!(json.contains("\"sim_cycles_per_sec\":42000"));
-        assert!(json.contains("\"hybrid_cycles\""));
-        assert!(json.contains("\"hit_rate\""));
-        assert!(json.contains("\"contended\""));
-        assert!(json.contains("\"sweep_bench\""));
-        assert!(json.contains("\"baseline_wall_ms\""));
-        assert!(json.contains("\"serve_bench\""));
-        for field in [
-            "\"points_per_sec\":",
-            "\"warm_speedup\":",
-            "\"miss_reduction\":",
-            "\"snapshot_bytes\":",
-        ] {
-            assert!(json.contains(field), "missing {field}");
-        }
-        assert!(json.contains("\"functional_bench\""));
-        for field in [
-            "\"gemm_macs_per_sec\":",
-            "\"naive_macs_per_sec\":",
-            "\"speedup_vs_naive\":",
-            "\"outputs_identical\":",
-        ] {
-            assert!(json.contains(field), "missing {field}");
-        }
-        assert!(json.contains("\"dse_bench\""));
-        for field in ["\"points_per_sec\":", "\"pruned_fraction\":", "\"peak_frontier\":"] {
-            assert!(json.contains(field), "missing {field}");
-        }
-        json_is_balanced(&json);
     }
 }

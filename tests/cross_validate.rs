@@ -1,32 +1,13 @@
 //! Cross-validation of the analytical performance estimator against the
 //! independently implemented cycle-stepped machines: over a grid of
 //! small dense / pointwise / depthwise / strided layers, the analytic
-//! PE-array cycle counts must track the stepped WS/OS machines within a
-//! tight tolerance, and both levels must agree on which dataflow wins
-//! whenever the gap is decisive.
+//! PE-array cycle counts must equal the stepped WS/OS machines exactly
+//! (DESIGN.md §6), and both levels must agree on which dataflow wins
+//! whenever the two dataflows differ.
 
 use codesign::arch::{AcceleratorConfig, Dataflow};
 use codesign::dnn::{Network, NetworkBuilder, Shape};
 use codesign::sim::{compare_dataflows, cycle, ConvWork, SimOptions};
-
-/// Relative tolerance between the analytic estimator and the stepped
-/// machine. The two implementations intend to model the same schedule
-/// exactly, so this is a guard band for rounding (OS broadcast
-/// quantization), not a fudge factor.
-const CYCLE_TOLERANCE: f64 = 0.01;
-
-/// Minimum relative WS-vs-OS gap before the winner must be unambiguous
-/// at both modeling levels.
-const WINNER_BAND: f64 = 2.0 * CYCLE_TOLERANCE;
-
-fn rel_diff(a: u64, b: u64) -> f64 {
-    let m = a.max(b);
-    if m == 0 {
-        0.0
-    } else {
-        a.abs_diff(b) as f64 / m as f64
-    }
-}
 
 /// A grid of small layers covering the shapes the paper's networks are
 /// built from: stem convs, fire/expand 3x3 and 1x1, MobileNet-style
@@ -63,16 +44,10 @@ fn analytic_cycles_match_stepped_machines_within_tolerance() {
             let os_machine = cycle::trace_os(&work, &cfg, opts.os).cycles();
             let ws_analytic = ws.compute.cycles();
             let os_analytic = os.compute.cycles();
-            assert!(
-                rel_diff(ws_analytic, ws_machine) <= CYCLE_TOLERANCE,
-                "{} on {cfg}: analytic WS {ws_analytic} vs machine {ws_machine}",
-                layer.name
-            );
-            assert!(
-                rel_diff(os_analytic, os_machine) <= CYCLE_TOLERANCE,
-                "{} on {cfg}: analytic OS {os_analytic} vs machine {os_machine}",
-                layer.name
-            );
+            // The two implementations model the same schedule, so they
+            // must agree exactly.
+            assert_eq!(ws_analytic, ws_machine, "{} on {cfg}: WS analytic vs machine", layer.name);
+            assert_eq!(os_analytic, os_machine, "{} on {cfg}: OS analytic vs machine", layer.name);
         }
     }
 }
@@ -88,10 +63,8 @@ fn dataflow_winner_agrees_across_modeling_levels() {
             let (ws, os, _) = compare_dataflows(layer, &cfg, opts);
             let ws_analytic = ws.compute.cycles();
             let os_analytic = os.compute.cycles();
-            // Only adjudicate layers where the PE-array gap exceeds the
-            // combined model tolerance; inside the band either choice is
-            // defensible at machine granularity.
-            if rel_diff(ws_analytic, os_analytic) <= WINNER_BAND {
+            // A tie has no winner to agree on.
+            if ws_analytic == os_analytic {
                 continue;
             }
             decisive += 1;

@@ -5,7 +5,7 @@
 //! sweep that recomputes everything.
 
 use codesign::arch::EnergyModel;
-use codesign::core::{sweep_full_with, DesignPoint, SweepSpace};
+use codesign::core::{sweep_full_with, DesignPoint, SweepOutcome, SweepSpace};
 use codesign::dnn::zoo;
 use codesign::sim::{SimOptions, Simulator};
 use codesign::trace::Tracer;
@@ -103,16 +103,38 @@ fn tracing_on_preserves_determinism() {
 
 #[test]
 fn repeated_cached_sweeps_are_stable() {
-    // A second sweep over a warm cache answers conv layers entirely from
-    // memo entries and must reproduce the cold run exactly.
+    // A second sweep over a warm cache, in the same engine or in a fresh
+    // one warm-started from its snapshot, must re-simulate nothing and
+    // reproduce the cold run exactly. The workload is `codesign serve`'s
+    // warm-start case: the paper grid over the table zoo.
     let space = SweepSpace::paper_default();
     let opts = SimOptions::paper_default();
     let energy = EnergyModel::default();
-    let net = zoo::squeezenet_v1_1();
+    let nets = zoo::table_networks();
+    let sweep_zoo = |sim: &Simulator| -> Vec<SweepOutcome> {
+        nets.iter()
+            .map(|net| sweep_full_with(sim, net, &space, opts, &energy, 4).unwrap())
+            .collect()
+    };
+    let assert_same = |cold: &[SweepOutcome], warm: &[SweepOutcome]| {
+        assert_eq!(cold.len(), warm.len());
+        for (c, w) in cold.iter().zip(warm) {
+            assert_bit_identical(&c.points, &w.points);
+        }
+    };
+
     let sim = Simulator::new();
-    let cold = sweep_full_with(&sim, &net, &space, opts, &energy, 4).unwrap().points;
+    let cold = sweep_zoo(&sim);
+    assert_eq!(cold.iter().map(|o| o.points.len()).sum::<usize>(), 162, "6 networks x 27 points");
+    assert!(cold.iter().all(|o| o.failures.is_empty()), "the paper grid evaluates cleanly");
     let misses_after_cold = sim.stats().misses;
-    let warm = sweep_full_with(&sim, &net, &space, opts, &energy, 4).unwrap().points;
-    assert_bit_identical(&cold, &warm);
+    assert_same(&cold, &sweep_zoo(&sim));
     assert_eq!(sim.stats().misses, misses_after_cold, "warm sweep must not re-simulate");
+
+    let restored = Simulator::new();
+    restored.load_cache_snapshot(&sim.cache_snapshot().unwrap()).unwrap();
+    assert_same(&cold, &sweep_zoo(&restored));
+    let stats = restored.stats();
+    assert!(stats.hits > 0, "{stats}");
+    assert_eq!(stats.misses, 0, "a snapshot warm start must not re-simulate: {stats}");
 }
