@@ -1,4 +1,4 @@
-//! Dataflow taxonomy (after Eyeriss [3] and §3.2 of the paper).
+//! Dataflow taxonomy (after Eyeriss \[3\] and §3.2 of the paper).
 
 use std::fmt;
 

@@ -571,14 +571,17 @@ fn run(inv: &Invocation) -> Result<(), RunError> {
             })?;
             let (_, _, best) =
                 try_compare_dataflows(layer, &cfg, opts).map_err(RunError::rejected)?;
-            let trace = match best {
+            let (trace, track) = match best {
                 codesign_arch::Dataflow::WeightStationary => {
-                    cycle::trace_ws_recorded(&work, &cfg, &tracer)
+                    (cycle::trace_ws(&work, &cfg), "cycle:ws")
                 }
                 codesign_arch::Dataflow::OutputStationary => {
-                    cycle::trace_os_recorded(&work, &cfg, opts.os, &tracer)
+                    (cycle::trace_os(&work, &cfg, opts.os), "cycle:os")
                 }
             };
+            if tracer.is_enabled() {
+                trace.record_spans(&mut tracer.track(track));
+            }
             cycle::write_vcd(
                 &trace,
                 layer_name,

@@ -37,8 +37,8 @@ pub struct SqueezeNextConfig {
 }
 
 impl SqueezeNextConfig {
-    /// The baseline 1.0-SqNxt-23 configuration (identical to [`variant`]
-    /// `1`).
+    /// The baseline 1.0-SqNxt-23 configuration (identical to
+    /// [`squeezenext_variant`] `1`).
     pub fn baseline() -> Self {
         variant_config(1)
     }

@@ -1,4 +1,4 @@
-//! Trace representation shared by the WS and OS machines.
+//! Trace representation shared by the WS, OS and RS machine traces.
 
 use crate::perf::PhaseCycles;
 
@@ -27,8 +27,8 @@ impl Phase {
 /// A run of consecutive cycles in the same machine state, repeated
 /// `repeat` times back to back.
 ///
-/// `repeat` is the fast-forward lever: the closed-form machines emit one
-/// macro-segment per distinct tile shape instead of one segment per
+/// `repeat` is the fast-forward lever: a run-length schedule projects to
+/// one macro-segment per distinct tile shape instead of one segment per
 /// schedule step, so a thousand identical (group × tile × tap) steps
 /// collapse to a single entry. All aggregate accessors on
 /// [`MachineTrace`] weight by `repeat`; nothing needs to re-expand.
@@ -72,7 +72,7 @@ pub struct CycleState {
     pub active_pes: u64,
 }
 
-/// The full execution trace of one layer on the stepped machine.
+/// The full execution trace of one layer on the PE array.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MachineTrace {
     segments: Vec<PhaseSegment>,
@@ -82,18 +82,6 @@ impl MachineTrace {
     /// Creates an empty trace.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty trace with room for `segments` pushes — the
-    /// stepped machines know their segment counts up front, so the hot
-    /// tracing path never reallocates.
-    pub fn with_capacity(segments: usize) -> Self {
-        Self { segments: Vec::with_capacity(segments) }
-    }
-
-    /// Reserves room for at least `additional` further segments.
-    pub fn reserve(&mut self, additional: usize) {
-        self.segments.reserve(additional);
     }
 
     /// Appends a segment (no-op when `cycles == 0`).

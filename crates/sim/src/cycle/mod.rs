@@ -1,214 +1,149 @@
-//! Cycle-stepped PE-array machine.
+//! Machine traces: a layer's schedule laid out on the PE array's phase
+//! timeline.
 //!
-//! An independent implementation of the two dataflow schedules as explicit
-//! state machines that advance phase segments (and can be expanded to
-//! single cycles): the machine walks the *actual* tile/pass/channel loop
-//! structure, where the analytic models in [`crate::ws`]/[`crate::os`]
-//! sum closed forms. Agreement between the two is asserted by the
-//! validation tests — a bug in either loop structure breaks the equality.
-//!
-//! Two implementations coexist. The public `trace_*` functions are the
-//! *fast-forward* machines: they compute each distinct schedule step's
-//! repeat count up front and emit O(distinct-tile-shapes) macro-segments
-//! ([`PhaseSegment::repeat`]). The [`spec`] module keeps the original
-//! step-by-step loop walks as the executable specification; the property
-//! suite holds the pair bit-identical on every aggregate.
+//! A [`MachineTrace`] is a list of run-length [`PhaseSegment`]s (load,
+//! compute, drain, each with a repeat count); its aggregates — cycles,
+//! MACs, busy-PE cycles, per-phase totals, step count — fold the repeats
+//! in closed form, and [`MachineTrace::iter_cycles`] expands it to single
+//! cycles when a consumer wants every one. The `trace_*` functions
+//! project the same run-length schedule that `simulate_ws`/`simulate_os`/
+//! `simulate_rs` fold into a [`ComputePerf`](crate::ComputePerf), so the
+//! trace and the analytic counts are one description and cannot drift
+//! apart. The compiled command stream ([`crate::program`]) and the VCD
+//! writer ([`vcd`]) read traces. The independent check is the workspace's
+//! test-only loop-nest spec, which walks every schedule step literally.
 
 mod machine;
-mod os_machine;
-mod rs_machine;
-pub mod spec;
 pub mod vcd;
-mod ws_machine;
+
+use codesign_arch::AcceleratorConfig;
+
+use crate::os::OsModelOptions;
+use crate::steps;
+use crate::workload::ConvWork;
 
 pub use machine::{CycleState, MachineTrace, Phase, PhaseSegment};
-pub use os_machine::{trace_os, trace_os_recorded};
-pub use rs_machine::{trace_rs, trace_rs_recorded};
 pub use vcd::{trace_to_vcd, write_vcd, VcdGranularity};
-pub use ws_machine::{trace_ws, trace_ws_recorded};
+
+/// The WS machine trace: one (preload, stream) macro pair per distinct
+/// (column-tile, row-tile) shape, repeated `groups × tiles × taps` times.
+/// Depthwise layers split each shape into the diagonal pairs, which do
+/// useful MACs, and the off-diagonal ones, which burn the same cycles
+/// with none.
+pub fn trace_ws(work: &ConvWork, cfg: &AcceleratorConfig) -> MachineTrace {
+    steps::trace(&steps::ws(work, cfg))
+}
+
+/// The OS machine trace. Compute segments issue whole broadcasts, each
+/// worth one MAC per tile pixel, so [`MachineTrace::macs`] can exceed
+/// [`simulate_os`](crate::simulate_os)'s expected-MAC count by the
+/// per-pass round-up.
+pub fn trace_os(work: &ConvWork, cfg: &AcceleratorConfig, opts: OsModelOptions) -> MachineTrace {
+    steps::trace(&steps::os(work, cfg, opts))
+}
+
+/// The RS machine trace: per filter-row pass and output-row strip shape,
+/// the folded pair waves' preloads, streams and drains. Every stream runs
+/// exactly one MAC per busy PE per cycle.
+pub fn trace_rs(work: &ConvWork, cfg: &AcceleratorConfig) -> MachineTrace {
+    steps::trace(&steps::rs(work, cfg))
+}
 
 #[cfg(test)]
-mod validation {
+mod tests {
     use super::*;
-    use crate::os::{simulate_os, OsModelOptions, SparsityModel};
-    use crate::workload::{ConvWork, WorkKind};
-    use crate::ws::simulate_ws;
-    use codesign_arch::AcceleratorConfig;
+    use crate::workload::WorkKind;
 
-    fn corpus() -> Vec<ConvWork> {
-        let mk = |kind, c: usize, k: usize, f: usize, s: usize, oh: usize, ow: usize| ConvWork {
+    fn work(kind: WorkKind, c: usize, k: usize, f: usize, oh: usize) -> ConvWork {
+        ConvWork {
             kind,
             groups: 1,
             in_channels: c,
             out_channels: k,
             kernel_h: f,
             kernel_w: f,
-            stride: s,
-            in_h: (oh - 1) * s + f,
-            in_w: (ow - 1) * s + f,
+            stride: 1,
+            in_h: oh + f - 1,
+            in_w: oh + f - 1,
             out_h: oh,
-            out_w: ow,
+            out_w: oh,
+        }
+    }
+
+    fn array(n: usize, rf: usize) -> AcceleratorConfig {
+        AcceleratorConfig::builder().array_size(n).rf_depth(rf).build().unwrap()
+    }
+
+    #[test]
+    fn ws_segment_structure() {
+        // 2 full row tiles x 1 col tile x 1 tap: one macro pair.
+        let w = work(WorkKind::Dense, 16, 8, 1, 4);
+        let t = trace_ws(&w, &array(8, 16));
+        assert_eq!(t.segments().len(), 2);
+        assert_eq!(t.steps(), 4);
+        assert_eq!((t.phase_totals().load, t.phase_totals().compute), (16, 32));
+        assert_eq!(t.macs(), w.macs());
+    }
+
+    #[test]
+    fn ws_depthwise_burns_dense_cycles_for_diagonal_macs() {
+        let t = trace_ws(&work(WorkKind::Depthwise, 16, 16, 3, 4), &array(8, 16));
+        assert_eq!(t.macs(), 16 * 9 * 16);
+        assert_eq!(t.phase_totals().compute, 4 * 9 * 16);
+        // MobileNet-style 512 channels on 16 columns: 32x32 tile pairs x
+        // 9 taps, 992 of 1024 pairs dead, still a handful of segments.
+        let t = trace_ws(&work(WorkKind::Depthwise, 512, 512, 3, 7), &array(16, 16));
+        assert!(t.segments().len() <= 8, "{} macro-segments", t.segments().len());
+        assert_eq!(t.steps(), 2 * 32 * 32 * 9);
+    }
+
+    #[test]
+    fn os_serial_loads_appear_per_channel() {
+        let opts = OsModelOptions {
+            sparsity: crate::os::SparsityModel::dense(),
+            preload_overlap: false,
+            channel_packing: false,
         };
-        vec![
-            mk(WorkKind::Dense, 3, 96, 7, 2, 111, 111),
-            mk(WorkKind::Dense, 96, 16, 1, 1, 55, 55),
-            mk(WorkKind::Dense, 16, 64, 3, 1, 55, 55),
-            mk(WorkKind::Dense, 512, 1000, 1, 1, 13, 13),
-            mk(WorkKind::Dense, 64, 256, 3, 1, 13, 13),
-            mk(WorkKind::Depthwise, 32, 32, 3, 1, 112, 112),
-            mk(WorkKind::Depthwise, 512, 512, 3, 1, 7, 7),
-            mk(WorkKind::FullyConnected, 4096, 1000, 1, 1, 1, 1),
-            ConvWork { groups: 2, ..mk(WorkKind::Dense, 48, 128, 5, 1, 27, 27) },
-        ]
-    }
-
-    fn configs() -> Vec<AcceleratorConfig> {
-        vec![
-            AcceleratorConfig::paper_default(),
-            AcceleratorConfig::builder().array_size(16).rf_depth(8).build().unwrap(),
-            AcceleratorConfig::builder().array_size(8).rf_depth(32).build().unwrap(),
-        ]
+        let w = work(WorkKind::Dense, 4, 8, 3, 8);
+        let t = trace_os(&w, &array(8, 8), opts);
+        // One tile, one pass, 4 channels: 10 rows x ceil(10 / 8) each.
+        assert_eq!(t.phase_totals().load, 4 * 10 * 2);
+        assert_eq!(t.phase_totals().compute, 4 * 72);
+        assert_eq!(t.macs(), w.macs());
+        // 512 channels emit two channel-budget rates, not 1024 segments.
+        let t = trace_os(&work(WorkKind::Dense, 512, 64, 3, 13), &array(32, 16), opts);
+        assert!(t.segments().len() < 64, "{} macro-segments", t.segments().len());
     }
 
     #[test]
-    fn ws_machine_matches_analytic_phases_exactly() {
-        for cfg in configs() {
-            for work in corpus() {
-                let analytic = simulate_ws(&work, &cfg);
-                let trace = trace_ws(&work, &cfg);
-                assert_eq!(
-                    trace.phase_totals(),
-                    analytic.phases,
-                    "WS phases diverge for {work:?} on {cfg}"
-                );
-                assert_eq!(
-                    trace.macs(),
-                    analytic.executed_macs,
-                    "WS MACs diverge for {work:?} on {cfg}"
-                );
-            }
-        }
+    fn os_fc_mac_total_is_exact() {
+        let fc =
+            ConvWork { kind: WorkKind::FullyConnected, ..work(WorkKind::Dense, 4096, 1000, 1, 1) };
+        let t = trace_os(&fc, &AcceleratorConfig::paper_default(), OsModelOptions::default());
+        assert_eq!(t.macs(), 4096 * 1000);
     }
 
     #[test]
-    fn os_machine_matches_analytic_phases() {
-        let opt_sets = [
-            OsModelOptions::paper_default(),
-            OsModelOptions {
-                sparsity: SparsityModel::dense(),
-                preload_overlap: false,
-                channel_packing: false,
-            },
-            OsModelOptions {
-                sparsity: SparsityModel { zero_fraction: 0.4, exploit: true },
-                preload_overlap: false,
-                channel_packing: true,
-            },
-        ];
-        for cfg in configs() {
-            for work in corpus() {
-                for opts in opt_sets {
-                    let analytic = simulate_os(&work, &cfg, opts);
-                    let trace = trace_os(&work, &cfg, opts);
-                    assert_eq!(
-                        trace.phase_totals(),
-                        analytic.phases,
-                        "OS phases diverge for {work:?} on {cfg} with {opts:?}"
-                    );
-                    // Broadcast quantization differs by at most one
-                    // pixel-tile worth of MACs per expanded compute
-                    // step (repeats count as steps).
-                    let diff = trace.macs().abs_diff(analytic.executed_macs);
-                    let bound = trace
-                        .segments()
-                        .iter()
-                        .filter(|s| s.phase == Phase::Compute)
-                        .map(|s| s.repeat)
-                        .sum::<u64>()
-                        * cfg.pe_count() as u64;
-                    assert!(
-                        diff <= bound,
-                        "OS MACs diverge beyond rounding for {work:?}: {diff} > {bound}"
-                    );
-                }
-            }
-        }
-    }
-
-    /// Every aggregate the simulator consumes must agree between the
-    /// fast-forward machine and the step-by-step spec walk.
-    fn assert_fast_matches_spec(fast: &MachineTrace, spec: &MachineTrace, what: &str) {
-        assert_eq!(fast.cycles(), spec.cycles(), "{what}: total cycles");
-        assert_eq!(fast.phase_totals(), spec.phase_totals(), "{what}: per-phase cycles");
-        assert_eq!(fast.macs(), spec.macs(), "{what}: MACs");
-        assert_eq!(fast.active_pe_cycles(), spec.active_pe_cycles(), "{what}: busy-PE cycles");
-        assert_eq!(fast.steps(), spec.steps(), "{what}: expanded step count");
-        assert_eq!(
-            fast.iter_cycles().count() as u64,
-            spec.iter_cycles().count() as u64,
-            "{what}: expansion length"
-        );
-        assert_eq!(
-            fast.iter_cycles().map(|c| c.macs).sum::<u64>(),
-            spec.iter_cycles().map(|c| c.macs).sum::<u64>(),
-            "{what}: expansion MACs"
-        );
-    }
-
-    #[test]
-    fn fast_forward_matches_spec_on_the_corpus() {
-        for cfg in configs() {
-            for work in corpus() {
-                assert_fast_matches_spec(
-                    &trace_ws(&work, &cfg),
-                    &spec::trace_ws(&work, &cfg),
-                    "ws",
-                );
-                assert_fast_matches_spec(
-                    &trace_rs(&work, &cfg),
-                    &spec::trace_rs(&work, &cfg),
-                    "rs",
-                );
-                for opts in [
-                    OsModelOptions::paper_default(),
-                    OsModelOptions {
-                        sparsity: SparsityModel::dense(),
-                        preload_overlap: false,
-                        channel_packing: false,
-                    },
-                ] {
-                    assert_fast_matches_spec(
-                        &trace_os(&work, &cfg, opts),
-                        &spec::trace_os(&work, &cfg, opts),
-                        "os",
-                    );
-                }
-            }
-        }
+    fn rs_waves_preload_stream_and_drain() {
+        let t = trace_rs(&work(WorkKind::Dense, 16, 32, 3, 28), &array(8, 16));
+        let repeats = |p: Phase| -> u64 {
+            t.segments().iter().filter(|s| s.phase == p).map(|s| s.repeat).sum()
+        };
+        assert!(repeats(Phase::Drain) > 0);
+        assert_eq!(repeats(Phase::Load), repeats(Phase::Drain), "one drain per wave");
+        assert_eq!(repeats(Phase::Compute), repeats(Phase::Drain), "one stream per wave");
+        assert!(t.segments().iter().all(|s| s.macs_per_cycle <= s.active_pes));
     }
 
     #[test]
     fn per_cycle_expansion_is_consistent() {
-        let cfg = AcceleratorConfig::builder().array_size(8).rf_depth(8).build().unwrap();
-        let work = ConvWork {
-            kind: WorkKind::Dense,
-            groups: 1,
-            in_channels: 8,
-            out_channels: 16,
-            kernel_h: 3,
-            kernel_w: 3,
-            stride: 1,
-            in_h: 12,
-            in_w: 12,
-            out_h: 10,
-            out_w: 10,
-        };
-        for trace in [trace_ws(&work, &cfg), trace_os(&work, &cfg, OsModelOptions::paper_default())]
+        let w = work(WorkKind::Dense, 8, 16, 3, 10);
+        let cfg = array(8, 8);
+        for t in
+            [trace_ws(&w, &cfg), trace_os(&w, &cfg, OsModelOptions::default()), trace_rs(&w, &cfg)]
         {
-            let cycles = trace.iter_cycles().count() as u64;
-            assert_eq!(cycles, trace.cycles());
-            let macs: u64 = trace.iter_cycles().map(|c| c.macs).sum();
-            assert_eq!(macs, trace.macs());
+            assert_eq!(t.iter_cycles().count() as u64, t.cycles());
+            assert_eq!(t.iter_cycles().map(|c| c.macs).sum::<u64>(), t.macs());
         }
     }
 }

@@ -1,27 +1,22 @@
 //! Functional dataflow executors: run the WS and OS schedules over real
 //! tensor data.
 //!
-//! Each executor exists as a **spec/fast twin** (the same convention the
-//! cycle machines use):
-//!
-//! * the `*_spec` functions ([`conv2d_ws_spec`], [`conv2d_os_spec`],
-//!   [`fc_ws_spec`]) follow the exact scalar loop structure of the
-//!   hardware schedules — tile loops, register-file-bounded filter
-//!   passes, per-column adder chains, zero-weight skipping. They are the
-//!   executable specification of what the schedule computes;
-//! * the fast twins ([`conv2d_ws`], [`conv2d_os`], [`fc_ws`] and their
-//!   `_jobs` variants) keep the schedules' tile partitioning but compute
-//!   each tile's contribution with the packed, register-blocked GEMM
-//!   micro-kernel from `codesign_tensor::gemm`, parallelised over the
-//!   worker pool.
+//! The executors take their tiling from the run-length schedules
+//! ([`crate::cycle`] traces the same ones): [`conv2d_ws`] partitions the
+//! filters into the WS weight-column tiles and computes each tile's
+//! contribution with the packed, register-blocked GEMM micro-kernel from
+//! `codesign_tensor::gemm`; [`conv2d_os`] walks the OS output tiles and
+//! register-file-bounded filter passes with row-span broadcasts that skip
+//! zero weights; [`fc_ws`] runs fully-connected layers as degenerate WS.
+//! All parallelise over the worker pool.
 //!
 //! Every output element is an exact `i64` sum saturated once at the end,
-//! so reordering the additions cannot change a single bit: spec twin,
-//! fast twin, and the reference convolution in `codesign-tensor` are all
+//! so reordering the additions cannot change a single bit: the executors
+//! and the reference convolution in `codesign-tensor` are
 //! **bit-identical**, and the tests (plus the zoo-wide CI suite in
-//! `tests/functional_equality.rs`) assert it. They are the proof that
-//! the schedules the performance models count cycles for actually
-//! compute the right convolution.
+//! `tests/functional_equality.rs`) assert it. The workspace's test-only
+//! loop-nest spec walks the same schedules scalar step by scalar step
+//! and must match the reference too.
 
 use codesign_arch::AcceleratorConfig;
 use codesign_dnn::ConvSpec;
@@ -29,7 +24,7 @@ use codesign_tensor::gemm::{gemm_accumulate, is_depthwise, pack_patches, valid_r
 use codesign_tensor::ops::check_conv_args;
 use codesign_tensor::{Filters, ShapeMismatchError, Tensor};
 
-use crate::workload::split;
+use crate::steps::{os_pass, OutputTile, Tiles};
 
 /// Layers below this many multiply-accumulates run serially — worker-pool
 /// latency would dominate the work (same threshold as the GEMM path).
@@ -43,74 +38,8 @@ fn effective_jobs(jobs: usize, macs: u64) -> usize {
     }
 }
 
-/// Executes a convolution with the weight-stationary schedule, walking
-/// the scalar loop structure literally: weight tiles of at most N×N stay
-/// resident while every output pixel streams through; partial sums
-/// accumulate in a global-buffer image across row tiles and taps, with
-/// per-column adder chains. This is the executable specification of the
-/// WS schedule; [`conv2d_ws`] computes the same bits fast.
-///
-/// # Errors
-///
-/// Returns [`ShapeMismatchError`] under the same conditions as
-/// [`codesign_tensor::ops::conv2d`].
-pub fn conv2d_ws_spec(
-    input: &Tensor,
-    filters: &Filters,
-    spec: &ConvSpec,
-    cfg: &AcceleratorConfig,
-) -> Result<Tensor, ShapeMismatchError> {
-    let out_shape = check_conv_args(input, filters, spec, "conv2d_ws")?;
-    let n = cfg.array_size();
-    let cg = input.shape().channels / spec.groups;
-    let kg = spec.out_channels / spec.groups;
-
-    // The global buffer's partial-sum image.
-    let mut psum = vec![0i64; out_shape.elements()];
-    let plane = out_shape.plane();
-
-    for group in 0..spec.groups {
-        let mut k0 = 0usize;
-        for ct in split(kg, n) {
-            let mut c0 = 0usize;
-            for rt in split(cg, n) {
-                for dy in 0..spec.kernel.height {
-                    for dx in 0..spec.kernel.width {
-                        // Weight tile (rt rows x ct cols) is resident;
-                        // stream every output pixel through the array.
-                        for oy in 0..out_shape.height {
-                            for ox in 0..out_shape.width {
-                                let iy = (oy * spec.stride + dy) as isize - spec.pad_h as isize;
-                                let ix = (ox * spec.stride + dx) as isize - spec.pad_w as isize;
-                                for kk in 0..ct {
-                                    let k = group * kg + k0 + kk;
-                                    // Adder chain down column kk.
-                                    let mut chain = 0i64;
-                                    for cc in 0..rt {
-                                        let c = group * cg + c0 + cc;
-                                        let v = input.at_padded(c, iy, ix) as i64;
-                                        let w = filters.tap(k, c0 + cc, dy, dx) as i64;
-                                        chain += v * w;
-                                    }
-                                    psum[k * plane + oy * out_shape.width + ox] += chain;
-                                }
-                            }
-                        }
-                    }
-                }
-                c0 += rt;
-            }
-            k0 += ct;
-        }
-    }
-
-    let data = psum.into_iter().map(saturate).collect();
-    Ok(Tensor::from_vec(out_shape, data))
-}
-
-/// Executes a convolution with the weight-stationary schedule — fast
-/// twin of [`conv2d_ws_spec`], bit-identical to it (and to the
-/// reference convolution). [`conv2d_ws_jobs`] with one worker.
+/// Executes a convolution with the weight-stationary schedule, bit-identical
+/// to the reference convolution. [`conv2d_ws_jobs`] with one worker.
 ///
 /// # Errors
 ///
@@ -125,13 +54,12 @@ pub fn conv2d_ws(
     conv2d_ws_jobs(input, filters, spec, cfg, 1)
 }
 
-/// Fast weight-stationary executor: the WS schedule partitions the
-/// filter dimension into the same `split(kg, N)` weight-column tiles the
-/// array loads, and each tile's entire `(row-tile, dy, dx)` reduction is
-/// collapsed into packed dots by the GEMM micro-kernel (exact `i64`
-/// sums, so the reordering is invisible). Tiles are distributed over
-/// `jobs` workers (`0` = one per core); results are byte-identical for
-/// every `jobs` value.
+/// Weight-stationary executor: the filter dimension is partitioned into
+/// the same N-wide weight-column tiles the array loads, and each tile's
+/// entire `(row-tile, dy, dx)` reduction is collapsed into packed dots by
+/// the GEMM micro-kernel (exact `i64` sums, so the reordering is
+/// invisible). Tiles are distributed over `jobs` workers (`0` = one per
+/// core); results are byte-identical for every `jobs` value.
 ///
 /// Depthwise convolutions delegate to the dedicated direct path in
 /// `codesign_tensor::gemm` — under WS their weight tiles are 1×1 and the
@@ -152,17 +80,16 @@ pub fn conv2d_ws_jobs(
     if is_depthwise(spec, input.shape()) {
         return codesign_tensor::gemm::conv2d_gemm_jobs(input, filters, spec, jobs);
     }
-    let n = cfg.array_size();
     let cg = input.shape().channels / spec.groups;
     let kg = spec.out_channels / spec.groups;
     let rows = cg * spec.kernel.height * spec.kernel.width;
     let cols = out_shape.plane();
     let jobs = effective_jobs(jobs, (spec.out_channels * rows * cols) as u64);
+    let tiles: Vec<(usize, usize)> = Tiles::new(kg, cfg.array_size()).bounds().collect();
 
     let mut data = Vec::with_capacity(out_shape.elements());
     for group in 0..spec.groups {
         let patches = pack_patches(input, spec, group, out_shape);
-        let tiles = tile_bounds(kg, n);
         let blocks = codesign_parallel::par_map(jobs, &tiles, |_, &(k0, ct)| {
             let wrows: Vec<&[i32]> =
                 (k0..k0 + ct).map(|kk| filters.filter_taps(group * kg + kk)).collect();
@@ -177,116 +104,9 @@ pub fn conv2d_ws_jobs(
     Ok(Tensor::from_vec(out_shape, data))
 }
 
-/// `(start, len)` bounds of the [`split`] partitioning.
-fn tile_bounds(total: usize, tile: usize) -> Vec<(usize, usize)> {
-    let mut bounds = Vec::new();
-    let mut start = 0usize;
-    for len in split(total, tile) {
-        bounds.push((start, len));
-        start += len;
-    }
-    bounds
-}
-
-/// Executes a convolution with the output-stationary schedule, walking
-/// the scalar loop structure literally: N×N output tiles stay resident
-/// in per-PE register files (bounded by `rf_depth × packing` filters per
-/// pass), weights broadcast one at a time with **zero weights skipped**,
-/// finished tiles drain to the output. This is the executable
-/// specification of the OS schedule; [`conv2d_os`] computes the same
-/// bits fast.
-///
-/// # Errors
-///
-/// Returns [`ShapeMismatchError`] under the same conditions as
-/// [`codesign_tensor::ops::conv2d`].
-pub fn conv2d_os_spec(
-    input: &Tensor,
-    filters: &Filters,
-    spec: &ConvSpec,
-    cfg: &AcceleratorConfig,
-) -> Result<Tensor, ShapeMismatchError> {
-    let out_shape = check_conv_args(input, filters, spec, "conv2d_os")?;
-    let n = cfg.array_size();
-    let cg = input.shape().channels / spec.groups;
-    let kg_total = spec.out_channels / spec.groups;
-    let depthwise = is_depthwise(spec, input.shape());
-
-    let mut out = Tensor::zeros(out_shape);
-
-    for y0 in tile_starts(out_shape.height, n) {
-        for x0 in tile_starts(out_shape.width, n) {
-            let th = n.min(out_shape.height - y0);
-            let tw = n.min(out_shape.width - x0);
-            if depthwise {
-                // Each channel independently: one resident partial sum
-                // per PE.
-                for c in 0..input.shape().channels {
-                    let mut rf = vec![0i64; th * tw];
-                    for dy in 0..spec.kernel.height {
-                        for dx in 0..spec.kernel.width {
-                            let w = filters.tap(c, 0, dy, dx) as i64;
-                            if w == 0 {
-                                continue; // zero-weight broadcast skipped
-                            }
-                            accumulate_tile(&mut rf, input, c, w, y0, x0, th, tw, dy, dx, spec);
-                        }
-                    }
-                    drain(&mut out, c, y0, x0, th, tw, &rf);
-                }
-                continue;
-            }
-            let packing = ((n * n) / (th * tw).max(1)).max(1);
-            let resident = (cfg.rf_depth() * packing).min(kg_total.max(1));
-            for group in 0..spec.groups {
-                let mut k0 = 0usize;
-                for pass in split(kg_total, resident) {
-                    // Register files: one partial sum per (pixel, filter).
-                    let mut rf = vec![0i64; th * tw * pass];
-                    for c in 0..cg {
-                        let ic = group * cg + c;
-                        // Input tile is resident; broadcast each non-zero
-                        // weight of the pass's filters.
-                        for f in 0..pass {
-                            let kabs = group * kg_total + k0 + f;
-                            for dy in 0..spec.kernel.height {
-                                for dx in 0..spec.kernel.width {
-                                    let w = filters.tap(kabs, c, dy, dx) as i64;
-                                    if w == 0 {
-                                        continue; // zero-weight skip
-                                    }
-                                    accumulate_tile(
-                                        &mut rf[f * th * tw..(f + 1) * th * tw],
-                                        input,
-                                        ic,
-                                        w,
-                                        y0,
-                                        x0,
-                                        th,
-                                        tw,
-                                        dy,
-                                        dx,
-                                        spec,
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    for f in 0..pass {
-                        let kabs = group * kg_total + k0 + f;
-                        drain(&mut out, kabs, y0, x0, th, tw, &rf[f * th * tw..(f + 1) * th * tw]);
-                    }
-                    k0 += pass;
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Executes a convolution with the output-stationary schedule — fast
-/// twin of [`conv2d_os_spec`], bit-identical to it (and to the
-/// reference convolution). [`conv2d_os_jobs`] with one worker.
+/// Executes a convolution with the output-stationary schedule,
+/// bit-identical to the reference convolution. [`conv2d_os_jobs`] with
+/// one worker.
 ///
 /// # Errors
 ///
@@ -301,13 +121,13 @@ pub fn conv2d_os(
     conv2d_os_jobs(input, filters, spec, cfg, 1)
 }
 
-/// Fast output-stationary executor: keeps the OS schedule's structure —
-/// N×N spatial output tiles, register-file-bounded filter passes with
-/// per-tile packing, zero-weight skipping (a zero tap contributes an
-/// exact `0`, so skipping it never changes the sums) — but replaces the
-/// per-pixel padding branches with row-sliced multiply-accumulate spans
-/// and distributes spatial tiles over `jobs` workers (`0` = one per
-/// core). Results are byte-identical for every `jobs` value.
+/// Output-stationary executor: N×N spatial output tiles, register-file-
+/// bounded filter passes with per-tile channel packing, zero-weight
+/// skipping (a zero tap contributes an exact `0`, so skipping it never
+/// changes the sums), each weight broadcast computed as row-sliced
+/// multiply-accumulate spans. Spatial tiles are distributed over `jobs`
+/// workers (`0` = one per core); results are byte-identical for every
+/// `jobs` value.
 ///
 /// # Errors
 ///
@@ -321,27 +141,23 @@ pub fn conv2d_os_jobs(
     jobs: usize,
 ) -> Result<Tensor, ShapeMismatchError> {
     let out_shape = check_conv_args(input, filters, spec, "conv2d_os")?;
-    let n = cfg.array_size();
     let s = input.shape();
     let cg = s.channels / spec.groups;
     let kg_total = spec.out_channels / spec.groups;
     let depthwise = is_depthwise(spec, s);
     let dense_macs = spec.out_channels * cg * spec.kernel.height * spec.kernel.width;
     let jobs = effective_jobs(jobs, (dense_macs * out_shape.plane()) as u64);
-
-    let tiles: Vec<(usize, usize)> = tile_starts(out_shape.height, n)
-        .flat_map(|y0| tile_starts(out_shape.width, n).map(move |x0| (y0, x0)))
-        .collect();
+    let tiles: Vec<OutputTile> =
+        OutputTile::grid(out_shape.height, out_shape.width, cfg.array_size()).collect();
 
     // Each spatial tile is an independent (all-channels × tile-region)
     // block; workers never share an output region.
-    let blocks = codesign_parallel::par_map(jobs, &tiles, |_, &(y0, x0)| {
-        let th = n.min(out_shape.height - y0);
-        let tw = n.min(out_shape.width - x0);
-        let mut block = vec![0i32; spec.out_channels * th * tw];
+    let blocks = codesign_parallel::par_map(jobs, &tiles, |_, tile| {
+        let px = tile.th * tile.tw;
+        let mut block = vec![0i32; spec.out_channels * px];
         if depthwise {
             for c in 0..s.channels {
-                let mut rf = vec![0i64; th * tw];
+                let mut rf = vec![0i64; px];
                 let src = input.channel_plane(c);
                 for dy in 0..spec.kernel.height {
                     for dx in 0..spec.kernel.width {
@@ -349,21 +165,19 @@ pub fn conv2d_os_jobs(
                         if w == 0 {
                             continue; // zero-weight broadcast skipped
                         }
-                        accumulate_tile_rows(&mut rf, src, s, w, y0, x0, th, tw, dy, dx, spec);
+                        accumulate_tile_rows(&mut rf, src, s, spec, tile, (dy, dx), w);
                     }
                 }
-                for (dst, &acc) in block[c * th * tw..(c + 1) * th * tw].iter_mut().zip(&rf) {
+                for (dst, &acc) in block[c * px..(c + 1) * px].iter_mut().zip(&rf) {
                     *dst = saturate(acc);
                 }
             }
             return block;
         }
-        let packing = ((n * n) / (th * tw).max(1)).max(1);
-        let resident = (cfg.rf_depth() * packing).min(kg_total.max(1));
+        let resident = os_pass(cfg, tile.th, tile.tw, kg_total, true);
         for group in 0..spec.groups {
-            let mut k0 = 0usize;
-            for pass in split(kg_total, resident) {
-                let mut rf = vec![0i64; th * tw * pass];
+            for (k0, pass) in Tiles::new(kg_total, resident).bounds() {
+                let mut rf = vec![0i64; px * pass];
                 for c in 0..cg {
                     let src = input.channel_plane(group * cg + c);
                     for f in 0..pass {
@@ -374,33 +188,19 @@ pub fn conv2d_os_jobs(
                                 if w == 0 {
                                     continue; // zero-weight skip
                                 }
-                                accumulate_tile_rows(
-                                    &mut rf[f * th * tw..(f + 1) * th * tw],
-                                    src,
-                                    s,
-                                    w,
-                                    y0,
-                                    x0,
-                                    th,
-                                    tw,
-                                    dy,
-                                    dx,
-                                    spec,
-                                );
+                                let rf_f = &mut rf[f * px..(f + 1) * px];
+                                accumulate_tile_rows(rf_f, src, s, spec, tile, (dy, dx), w);
                             }
                         }
                     }
                 }
                 for f in 0..pass {
                     let kabs = group * kg_total + k0 + f;
-                    let rf_f = &rf[f * th * tw..(f + 1) * th * tw];
-                    for (dst, &acc) in
-                        block[kabs * th * tw..(kabs + 1) * th * tw].iter_mut().zip(rf_f)
-                    {
+                    let rf_f = &rf[f * px..(f + 1) * px];
+                    for (dst, &acc) in block[kabs * px..(kabs + 1) * px].iter_mut().zip(rf_f) {
                         *dst = saturate(acc);
                     }
                 }
-                k0 += pass;
             }
         }
         block
@@ -410,63 +210,33 @@ pub fn conv2d_os_jobs(
     let mut out = Tensor::zeros(out_shape);
     let (ow, plane) = (out_shape.width, out_shape.plane());
     let data = out.as_mut_slice();
-    for (block, &(y0, x0)) in blocks.iter().zip(&tiles) {
-        let th = n.min(out_shape.height - y0);
-        let tw = n.min(out_shape.width - x0);
+    for (block, t) in blocks.iter().zip(&tiles) {
         for k in 0..spec.out_channels {
-            for ty in 0..th {
-                let dst = k * plane + (y0 + ty) * ow + x0;
-                data[dst..dst + tw].copy_from_slice(&block[(k * th + ty) * tw..][..tw]);
+            for ty in 0..t.th {
+                let dst = k * plane + (t.y0 + ty) * ow + t.x0;
+                data[dst..dst + t.tw].copy_from_slice(&block[(k * t.th + ty) * t.tw..][..t.tw]);
             }
         }
     }
     Ok(out)
 }
 
-/// One weight broadcast: every PE of the tile multiplies its (shifted)
-/// input pixel by `w` and accumulates. Scalar spec form with per-pixel
-/// padding checks; [`accumulate_tile_rows`] is the branch-free fast form.
-#[allow(clippy::too_many_arguments)]
-fn accumulate_tile(
-    rf: &mut [i64],
-    input: &Tensor,
-    channel: usize,
-    w: i64,
-    y0: usize,
-    x0: usize,
-    th: usize,
-    tw: usize,
-    dy: usize,
-    dx: usize,
-    spec: &ConvSpec,
-) {
-    for ty in 0..th {
-        for tx in 0..tw {
-            let iy = ((y0 + ty) * spec.stride + dy) as isize - spec.pad_h as isize;
-            let ix = ((x0 + tx) * spec.stride + dx) as isize - spec.pad_w as isize;
-            rf[ty * tw + tx] += input.at_padded(channel, iy, ix) as i64 * w;
-        }
-    }
-}
-
-/// Fast form of [`accumulate_tile`]: the valid output span is computed
-/// once per row ([`valid_range`]) so the inner multiply-accumulate loop
-/// indexes the input plane directly with no padding branches. Pixels
-/// outside the span read zero padding and contribute nothing.
-#[allow(clippy::too_many_arguments)]
+/// One weight broadcast `w` at filter tap `(dy, dx)`: every PE of the
+/// output tile multiplies its (shifted) input pixel by `w` and
+/// accumulates. The valid output span is computed once per row
+/// ([`valid_range`]) so the inner loop indexes the input plane directly
+/// with no padding branches; pixels outside the span read zero padding
+/// and contribute nothing.
 fn accumulate_tile_rows(
     rf: &mut [i64],
     src_plane: &[i32],
     in_shape: codesign_dnn::Shape,
-    w: i64,
-    y0: usize,
-    x0: usize,
-    th: usize,
-    tw: usize,
-    dy: usize,
-    dx: usize,
     spec: &ConvSpec,
+    tile: &OutputTile,
+    (dy, dx): (usize, usize),
+    w: i64,
 ) {
+    let OutputTile { y0, x0, th, tw } = *tile;
     let (tylo, tyhi) = valid_range(th, y0, spec.stride, dy, spec.pad_h, in_shape.height);
     let (txlo, txhi) = valid_range(tw, x0, spec.stride, dx, spec.pad_w, in_shape.width);
     for ty in tylo..tyhi {
@@ -481,71 +251,15 @@ fn accumulate_tile_rows(
     }
 }
 
-fn tile_starts(extent: usize, tile: usize) -> impl Iterator<Item = usize> {
-    (0..extent).step_by(tile.max(1))
-}
-
-fn drain(out: &mut Tensor, k: usize, y0: usize, x0: usize, th: usize, tw: usize, rf: &[i64]) {
-    for ty in 0..th {
-        for tx in 0..tw {
-            *out.at_mut(k, y0 + ty, x0 + tx) = saturate(rf[ty * tw + tx]);
-        }
-    }
-}
-
 #[inline]
 fn saturate(acc: i64) -> i32 {
     codesign_tensor::ops::clamp_acc(acc)
 }
 
-/// Executes a fully-connected layer with the weight-stationary schedule,
-/// walking the scalar tile loops literally: N×N weight tiles resident,
-/// the input vector streamed through per-column adder chains — the
-/// degenerate (one-pixel) case of [`conv2d_ws_spec`], which is how the
-/// array §4.1.2 describes runs "the FC layer operations". This is the
-/// executable specification; [`fc_ws`] computes the same bits fast.
-///
-/// # Errors
-///
-/// Returns [`ShapeMismatchError`] when the weight matrix does not match
-/// the flattened input length.
-pub fn fc_ws_spec(
-    input: &Tensor,
-    weights: &Filters,
-    cfg: &AcceleratorConfig,
-) -> Result<Tensor, ShapeMismatchError> {
-    let flat = input.as_slice();
-    if weights.in_channels() != flat.len()
-        || weights.kernel_height() != 1
-        || weights.kernel_width() != 1
-    {
-        return Err(ShapeMismatchError::new("fc_ws", "weight matrix mismatch"));
-    }
-    let n = cfg.array_size();
-    let out_features = weights.out_channels();
-    let mut psum = vec![0i64; out_features];
-    let mut k0 = 0usize;
-    for ct in split(out_features, n) {
-        let mut c0 = 0usize;
-        for rt in split(flat.len(), n) {
-            // Weight tile resident; one streamed input vector slice.
-            for kk in 0..ct {
-                let mut chain = 0i64;
-                for cc in 0..rt {
-                    chain += flat[c0 + cc] as i64 * weights.tap(k0 + kk, c0 + cc, 0, 0) as i64;
-                }
-                psum[k0 + kk] += chain;
-            }
-            c0 += rt;
-        }
-        k0 += ct;
-    }
-    let data = psum.into_iter().map(saturate).collect();
-    Ok(Tensor::from_vec(codesign_dnn::Shape::vector(out_features), data))
-}
-
-/// Executes a fully-connected layer with the weight-stationary schedule —
-/// fast twin of [`fc_ws_spec`]. [`fc_ws_jobs`] with one worker.
+/// Executes a fully-connected layer with the weight-stationary schedule
+/// — the degenerate one-pixel case of [`conv2d_ws`], which is how the
+/// array §4.1.2 describes runs "the FC layer operations". [`fc_ws_jobs`]
+/// with one worker.
 ///
 /// # Errors
 ///
@@ -559,7 +273,7 @@ pub fn fc_ws(
     fc_ws_jobs(input, weights, cfg, 1)
 }
 
-/// Fast FC executor: the WS tiling only changes the order of the exact
+/// FC executor: the WS tiling only changes the order of the exact
 /// `i64` additions, so the blocked matrix-vector product from
 /// `codesign_tensor::gemm` produces the identical bits. The accelerator
 /// config is validated against but does not affect the result.
@@ -603,7 +317,7 @@ pub fn run_network_on_accelerator(
 }
 
 /// Executes a whole network functionally, running every convolution with
-/// the dataflow the given policy selects (fast WS/OS executors,
+/// the dataflow the given policy selects (WS/OS executors,
 /// parallelised with `jobs` workers) and every FC layer with the
 /// degenerate-WS schedule ([`fc_ws_jobs`]); non-compute layers use the
 /// reference operators. Activations are resolved by reference through
@@ -616,7 +330,6 @@ pub fn run_network_on_accelerator(
 ///
 /// Returns [`codesign_tensor::RunNetworkError`] under the same conditions
 /// as the reference executor.
-#[allow(clippy::too_many_arguments)]
 pub fn run_network_on_accelerator_jobs(
     network: &codesign_dnn::Network,
     image: &Tensor,
@@ -711,48 +424,24 @@ mod tests {
     }
 
     #[test]
-    fn ws_spec_matches_reference() {
+    fn ws_matches_reference() {
         let mut rng = StdRng::seed_from_u64(7);
         let cfg = small_cfg();
         for i in 0..60 {
             let (input, filters, spec) = random_case(&mut rng);
             let want = conv2d(&input, &filters, &spec).unwrap();
-            let got = conv2d_ws_spec(&input, &filters, &spec, &cfg).unwrap();
-            assert_eq!(got, want, "case {i}: {spec:?}");
-        }
-    }
-
-    #[test]
-    fn ws_fast_matches_spec() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let cfg = small_cfg();
-        for i in 0..60 {
-            let (input, filters, spec) = random_case(&mut rng);
-            let want = conv2d_ws_spec(&input, &filters, &spec, &cfg).unwrap();
             let got = conv2d_ws(&input, &filters, &spec, &cfg).unwrap();
             assert_eq!(got, want, "case {i}: {spec:?}");
         }
     }
 
     #[test]
-    fn os_spec_matches_reference() {
+    fn os_matches_reference() {
         let mut rng = StdRng::seed_from_u64(8);
         let cfg = small_cfg();
         for i in 0..60 {
             let (input, filters, spec) = random_case(&mut rng);
             let want = conv2d(&input, &filters, &spec).unwrap();
-            let got = conv2d_os_spec(&input, &filters, &spec, &cfg).unwrap();
-            assert_eq!(got, want, "case {i}: {spec:?}");
-        }
-    }
-
-    #[test]
-    fn os_fast_matches_spec() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let cfg = small_cfg();
-        for i in 0..60 {
-            let (input, filters, spec) = random_case(&mut rng);
-            let want = conv2d_os_spec(&input, &filters, &spec, &cfg).unwrap();
             let got = conv2d_os(&input, &filters, &spec, &cfg).unwrap();
             assert_eq!(got, want, "case {i}: {spec:?}");
         }
@@ -795,12 +484,10 @@ mod tests {
             let input = Tensor::random(Shape::new(n, 1, 1), 64, &mut rng);
             let w = Filters::random(k, n, 1, 1, 16, 0.4, &mut rng);
             let want = codesign_tensor::ops::fully_connected(&input, &w).unwrap();
-            assert_eq!(fc_ws_spec(&input, &w, &cfg).unwrap(), want);
             assert_eq!(fc_ws(&input, &w, &cfg).unwrap(), want);
         }
         let bad = Filters::zeros(4, 7, 1, 1);
         let input = Tensor::zeros(Shape::new(3, 1, 1));
-        assert!(fc_ws_spec(&input, &bad, &cfg).is_err());
         assert!(fc_ws(&input, &bad, &cfg).is_err());
     }
 
@@ -819,7 +506,5 @@ mod tests {
         };
         assert!(conv2d_ws(&input, &bad, &spec, &cfg).is_err());
         assert!(conv2d_os(&input, &bad, &spec, &cfg).is_err());
-        assert!(conv2d_ws_spec(&input, &bad, &spec, &cfg).is_err());
-        assert!(conv2d_os_spec(&input, &bad, &spec, &cfg).is_err());
     }
 }

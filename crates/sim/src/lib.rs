@@ -5,16 +5,25 @@
 //! accelerator that can run each layer in weight-stationary (WS) or
 //! output-stationary (OS) dataflow.
 //!
-//! Three cooperating layers of fidelity:
+//! Each dataflow's schedule (WS, OS with its FC path, RS) is written
+//! once, as run-length steps: runs of identical schedule steps with
+//! repeat counts, so tile loops cost O(distinct tile shapes) whatever the
+//! channel count. Three views read those steps:
 //!
-//! * **analytic model** ([`ws`], [`os`], [`engine`]) — closed-form cycle
-//!   and access counts; drives every table/figure reproduction;
-//! * **cycle-stepped machine** ([`cycle`]) — an independent state-machine
-//!   implementation stepped one cycle at a time, used to validate the
-//!   analytic counts;
-//! * **functional executors** ([`functional`]) — run the same WS/OS
-//!   schedules over real tensors and must bit-match the reference
+//! * **analytic model** ([`ws`], [`os`], [`rs`], [`engine`]) — the steps
+//!   folded into cycle and access counts; drives every table/figure
+//!   reproduction;
+//! * **machine traces** ([`cycle`]) — the same steps laid out on the PE
+//!   array's phase timeline, read by the compiled command stream
+//!   ([`program`]) and the VCD writer;
+//! * **functional executors** ([`functional`]) — run the WS/OS schedules'
+//!   tiling over real tensors and must bit-match the reference
 //!   convolution from `codesign-tensor`.
+//!
+//! The independent check is a test-only loop-nest spec in the workspace's
+//! `tests/`: it walks every schedule step literally, both folds must
+//! equal its counts, and its WS/OS walks must compute the reference
+//! convolution.
 //!
 //! # Examples
 //!
@@ -57,6 +66,7 @@ pub mod rs;
 pub mod simd;
 pub mod snapshot;
 pub mod sparsity;
+mod steps;
 pub mod taxonomy;
 pub mod tiling;
 pub mod validate;
@@ -89,8 +99,8 @@ pub use fsio::{
     GENERATIONS_KEPT,
 };
 pub use functional::{
-    conv2d_os, conv2d_os_jobs, conv2d_os_spec, conv2d_ws, conv2d_ws_jobs, conv2d_ws_spec, fc_ws,
-    fc_ws_jobs, fc_ws_spec, run_network_on_accelerator, run_network_on_accelerator_jobs,
+    conv2d_os, conv2d_os_jobs, conv2d_ws, conv2d_ws_jobs, fc_ws, fc_ws_jobs,
+    run_network_on_accelerator, run_network_on_accelerator_jobs,
 };
 pub use multicore::{
     schedule_branch_parallel, simulate_network_multicore, try_simulate_network_multicore,

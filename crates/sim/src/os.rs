@@ -21,10 +21,11 @@
 //! * small late-layer feature maps underfill the N×N array ("mismatch
 //!   between the size of the PE array and the size of the feature map").
 
-use codesign_arch::{AcceleratorConfig, AccessCounts};
+use codesign_arch::AcceleratorConfig;
 
-use crate::perf::{ComputePerf, PhaseCycles};
-use crate::workload::{split, ConvWork, WorkKind};
+use crate::perf::ComputePerf;
+use crate::steps;
+use crate::workload::ConvWork;
 
 /// Sparsity treatment for the OS weight broadcast.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -104,148 +105,18 @@ impl Default for OsModelOptions {
     }
 }
 
-/// Simulates one layer's MAC work under the OS dataflow.
+/// Simulates one layer's MAC work under the OS dataflow: the fold of its
+/// run-length schedule. `executed_macs` is the sparsity model's expected
+/// MAC count, rounded once per layer; the machine trace instead counts
+/// whole broadcasts ([`crate::cycle::trace_os`]).
 pub fn simulate_os(work: &ConvWork, cfg: &AcceleratorConfig, opts: OsModelOptions) -> ComputePerf {
-    match work.kind {
-        WorkKind::FullyConnected => simulate_os_fc(work, cfg),
-        WorkKind::Dense => simulate_os_conv(work, cfg, opts, false),
-        WorkKind::Depthwise => simulate_os_conv(work, cfg, opts, true),
-    }
-}
-
-fn simulate_os_conv(
-    work: &ConvWork,
-    cfg: &AcceleratorConfig,
-    opts: OsModelOptions,
-    depthwise: bool,
-) -> ComputePerf {
-    let n = cfg.array_size();
-    let eff = opts.sparsity.efficiency();
-    let taps = work.taps() as u64;
-
-    let th_tiles = split(work.out_h, n);
-    let tw_tiles = split(work.out_w, n);
-
-    let mut load = 0u64;
-    let mut compute_f = 0f64;
-    let mut drain = 0u64;
-    let mut macs_f = 0f64;
-    let mut acc = AccessCounts::zero();
-    let mut gb_reads_f = 0f64;
-
-    for _group in 0..work.groups {
-        for &th in &th_tiles {
-            for &tw in &tw_tiles {
-                let rows = (th - 1) * work.stride + work.kernel_h;
-                let cols = (tw - 1) * work.stride + work.kernel_w;
-                let row_load = rows as u64 * (cols as u64).div_ceil(n as u64);
-                let pixels = (th * tw) as u64;
-                // Distributing a loaded tile across the mesh costs each
-                // element about half the tile height in neighbour hops.
-                let distribute_hops = (rows * cols) as u64 * (th as u64 / 2).max(1);
-                // Overlapped preload: channel i+1's tile loads while
-                // channel i's weights broadcast, so a pass costs one fill
-                // load plus, per channel, only the excess of load over
-                // compute. Without overlap loads are fully serial.
-                let visible_load = |compute_per_channel: f64, channels: u64| -> u64 {
-                    if opts.preload_overlap {
-                        let stall = (row_load as f64 - compute_per_channel).max(0.0);
-                        row_load + (stall * channels as f64).round() as u64
-                    } else {
-                        row_load * channels
-                    }
-                };
-                if depthwise {
-                    // One pass; each channel loads its own tile and runs
-                    // its taps. Broadcast counts round up per channel
-                    // (the stream buffer issues whole weights).
-                    let c = work.in_channels as u64;
-                    let per_channel = taps as f64 * eff;
-                    load += visible_load(per_channel, c);
-                    acc.global_buffer += (rows * cols) as u64 * c;
-                    acc.inter_pe += distribute_hops * c;
-                    compute_f += (per_channel * c as f64).ceil();
-                    macs_f += pixels as f64 * per_channel * c as f64;
-                    gb_reads_f += per_channel * c as f64; // weight broadcasts
-                                                          // All channels' results drain.
-                    drain += (pixels * c).div_ceil(n as u64);
-                    acc.global_buffer += pixels * c;
-                    acc.inter_pe += pixels * c;
-                } else {
-                    // Channel packing: replicate an underfilling tile for
-                    // several output-channel groups, so one input load
-                    // feeds packing × rf_depth resident filters.
-                    let packing =
-                        if opts.channel_packing { ((n * n) / (th * tw).max(1)).max(1) } else { 1 };
-                    let resident = (cfg.rf_depth() * packing).min(work.out_channels.max(1));
-                    for kg in split(work.out_channels, resident) {
-                        // Input tiles reload once per filter pass — this
-                        // is what a deeper RF (8 -> 16) halves.
-                        let c = work.in_channels as u64;
-                        let per_channel = (kg as u64 * taps) as f64 * eff;
-                        load += visible_load(per_channel, c);
-                        acc.global_buffer += (rows * cols) as u64 * c;
-                        acc.inter_pe += distribute_hops * c;
-                        compute_f += (per_channel * c as f64).ceil();
-                        macs_f += pixels as f64 * per_channel * c as f64;
-                        gb_reads_f += per_channel * c as f64;
-                        drain += (pixels * kg as u64).div_ceil(n as u64);
-                        acc.global_buffer += pixels * kg as u64;
-                        acc.inter_pe += pixels * kg as u64;
-                    }
-                }
-            }
-        }
-    }
-
-    let compute = compute_f.ceil() as u64;
-    let macs = macs_f.round() as u64;
-    acc.macs = macs;
-    acc.global_buffer += gb_reads_f.round() as u64;
-    // Each MAC reads the resident input register and read-modify-writes
-    // its partial sum: 3 RF accesses.
-    acc.register_file += 3 * macs;
-    // Mesh shifts distribute loaded pixels: one hop per loaded element is
-    // subsumed in the load counts; broadcasts reach all active PEs.
-    acc.inter_pe += macs;
-
-    ComputePerf { phases: PhaseCycles { load, compute, drain }, executed_macs: macs, accesses: acc }
-}
-
-/// OS execution of a fully-connected layer: output neurons tile the whole
-/// N×N array, inputs broadcast one per cycle, but each PE then needs its
-/// own weight — the stream buffer's N-wide port becomes the bottleneck.
-fn simulate_os_fc(work: &ConvWork, cfg: &AcceleratorConfig) -> ComputePerf {
-    let n = cfg.array_size() as u64;
-    let c = work.in_channels as u64;
-    let mut compute = 0u64;
-    let mut drain = 0u64;
-    let mut macs = 0u64;
-    let mut acc = AccessCounts::zero();
-    for kp in split(work.out_channels, cfg.pe_count()) {
-        let kp = kp as u64;
-        // Weight supply at N per cycle gates the broadcast rate.
-        compute += (c * kp).div_ceil(n).max(c);
-        drain += kp.div_ceil(n);
-        macs += c * kp;
-        acc.global_buffer += c * kp // weights
-            + c // input broadcasts
-            + kp; // drained outputs
-        acc.inter_pe += kp;
-    }
-    acc.macs = macs;
-    acc.register_file += 3 * macs;
-    acc.inter_pe += macs;
-    ComputePerf {
-        phases: PhaseCycles { load: 0, compute, drain },
-        executed_macs: macs,
-        accesses: acc,
-    }
+    steps::fold(&steps::os(work, cfg, opts))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::WorkKind;
 
     fn cfg() -> AcceleratorConfig {
         AcceleratorConfig::paper_default()

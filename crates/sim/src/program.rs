@@ -5,11 +5,11 @@
 //! style (OS or WS) for each layer"; DNN inference "is statically
 //! schedulable". This module makes that schedule concrete: a [`Program`]
 //! is the per-layer command stream (dataflow mode set, DMA transfers,
-//! preload/broadcast/drain phases), produced from the same cycle-machine
-//! traces the validation suite checks. Replaying a program through
-//! [`Program::estimate`] must reproduce the simulator's cycle counts
-//! exactly — the compiled artifact and the performance model cannot
-//! drift apart.
+//! preload/broadcast/drain phases), produced from the machine traces of
+//! the same run-length schedules the analytic model folds. Replaying a
+//! program through [`Program::estimate`] must reproduce the simulator's
+//! cycle counts exactly — the compiled artifact and the performance model
+//! cannot drift apart.
 
 use std::fmt;
 
@@ -136,8 +136,8 @@ pub struct Program {
 
 impl Program {
     /// Compiles a network under the given policy: per layer, picks the
-    /// dataflow the scheduler would pick, walks the cycle machine's
-    /// trace, and emits the merged command stream.
+    /// dataflow the scheduler would pick, walks its machine trace, and
+    /// emits the merged command stream.
     ///
     /// # Errors
     ///
@@ -171,7 +171,7 @@ impl Program {
                     DataflowPolicy::Fixed(d) => d,
                     DataflowPolicy::PerLayer => try_compare_dataflows(layer, cfg, opts)?.2,
                 };
-                // Validation precedes the cycle machines: trace_ws/trace_os
+                // Validation precedes the machine traces: trace_ws/trace_os
                 // assume well-formed work, just like simulate_ws/simulate_os.
                 work.validate()?;
                 commands.push(Command::SetDataflow(dataflow));

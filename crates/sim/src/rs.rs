@@ -11,75 +11,30 @@
 //! vertical psum hops. The array holds `Fh` rows × up to `N` output rows,
 //! and folds additional (input-channel, output-channel) plane pairs onto
 //! leftover vertical space. Each resident PE streams its row pair: `W'`
-//! output positions × `Fw` taps per position.
+//! output positions × `Fw` taps per position. Kernels taller than the
+//! array split their filter rows into ⌈Fh / N⌉ passes, so no cycle runs
+//! more MACs than the array has PEs.
 
-use codesign_arch::{AcceleratorConfig, AccessCounts};
+use codesign_arch::AcceleratorConfig;
 
-use crate::perf::{ComputePerf, PhaseCycles};
-use crate::workload::{split, ConvWork, WorkKind};
+use crate::perf::ComputePerf;
+use crate::steps;
+use crate::workload::ConvWork;
 
-/// Simulates one layer's MAC work under the RS dataflow.
+/// Simulates one layer's MAC work under the RS dataflow: the fold of its
+/// run-length schedule.
 ///
 /// Like WS, row-stationary keeps weights resident, so weight sparsity is
 /// not exploitable. Fully-connected layers degenerate to `Fh = Fw = 1`
 /// row pairs — effectively a worse WS — and are modeled the same way.
 pub fn simulate_rs(work: &ConvWork, cfg: &AcceleratorConfig) -> ComputePerf {
-    let n = cfg.array_size();
-    let fh = work.kernel_h.min(n);
-    let fw = work.kernel_w as u64;
-    let ow = work.out_w as u64;
-
-    // Output-row strips of at most N rows sit across the array.
-    let row_strips = split(work.out_h, n);
-    // Plane pairs folded side by side: each pair needs fh PE rows.
-    let fold = (n / fh).max(1);
-
-    // Plane pairs to process per group: depthwise pairs each channel with
-    // its own filter; dense crosses C x K.
-    let pairs_per_group = match work.kind {
-        WorkKind::Depthwise => work.in_channels as u64,
-        _ => (work.in_channels * work.out_channels) as u64,
-    };
-    let pair_waves = pairs_per_group.div_ceil(fold as u64);
-
-    let mut load = 0u64;
-    let mut compute = 0u64;
-    let mut drain = 0u64;
-    let mut acc = AccessCounts::zero();
-
-    for _group in 0..work.groups {
-        for &strip in &row_strips {
-            let strip = strip as u64;
-            // Preload filter rows for the folded pairs: fh rows of fw
-            // taps each, one row per cycle per fold slot.
-            load += pair_waves * fh as u64;
-            acc.global_buffer += pair_waves * (fh as u64 * fw) * fold as u64;
-            // Stream: each PE walks W' output positions x Fw taps.
-            let stream = ow * fw;
-            compute += pair_waves * stream;
-            // Active PEs: fh x strip per folded pair.
-            let active = fh as u64 * strip * fold as u64;
-            acc.register_file += pair_waves * stream * active * 2; // weight + input regs
-            acc.inter_pe += pair_waves * stream * active; // vertical psum hops
-                                                          // Input rows stream in diagonally from the buffer.
-            acc.global_buffer += pair_waves * (strip + fh as u64 - 1) * work.in_w as u64;
-            // Output rows drain per pair wave (each wave's rows leave
-            // the array before the next wave's preload).
-            drain += pair_waves * (strip * ow).div_ceil(n as u64);
-            acc.global_buffer += strip * ow * pair_waves;
-        }
-    }
-
-    // Useful MACs: the dense count (no sparsity skipping in RS).
-    let macs = work.macs();
-    acc.macs = macs;
-
-    ComputePerf { phases: PhaseCycles { load, compute, drain }, executed_macs: macs, accesses: acc }
+    steps::fold(&steps::rs(work, cfg))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::WorkKind;
     use crate::ws::simulate_ws;
 
     fn cfg() -> AcceleratorConfig {
@@ -153,11 +108,15 @@ mod tests {
     }
 
     #[test]
-    fn oversized_kernels_clamp_to_the_array() {
+    fn tall_kernels_split_into_row_passes() {
+        // 11 filter rows on an 8-row array: an 8-row pass folding one
+        // plane pair per wave, then a 3-row pass folding two.
         let w = dense(3, 8, 11, 20, 20);
         let small = AcceleratorConfig::builder().array_size(8).build().unwrap();
         let p = simulate_rs(&w, &small);
-        assert!(p.cycles() > 0);
         assert_eq!(p.executed_macs, w.macs());
+        // 3 output-row strips x (24 waves x 8 rows + 12 waves x 3 rows).
+        assert_eq!(p.phases.load, 3 * (24 * 8 + 12 * 3));
+        assert!(p.utilization(small.pe_count()) <= 1.0);
     }
 }

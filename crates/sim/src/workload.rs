@@ -209,20 +209,6 @@ impl ConvWork {
     }
 }
 
-/// Splits `total` into chunks of at most `chunk` (e.g. channel tiles over
-/// the PE array edge). The last chunk carries the remainder.
-pub fn split(total: usize, chunk: usize) -> Vec<usize> {
-    assert!(chunk > 0, "chunk must be positive");
-    if total == 0 {
-        return Vec::new();
-    }
-    let mut v = vec![chunk; total / chunk];
-    if !total.is_multiple_of(chunk) {
-        v.push(total % chunk);
-    }
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,20 +273,5 @@ mod tests {
         assert_eq!(w.in_channels, 32); // 32 channels x 1 x 1 after GAP
         assert_eq!(w.out_channels, 10);
         assert_eq!(w.macs(), ls[5].macs());
-    }
-
-    #[test]
-    fn split_covers_total() {
-        assert_eq!(split(96, 32), vec![32, 32, 32]);
-        assert_eq!(split(70, 32), vec![32, 32, 6]);
-        assert_eq!(split(5, 32), vec![5]);
-        assert_eq!(split(0, 32), Vec::<usize>::new());
-        assert_eq!(split(64, 16).iter().sum::<usize>(), 64);
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk must be positive")]
-    fn split_rejects_zero_chunk() {
-        let _ = split(4, 0);
     }
 }

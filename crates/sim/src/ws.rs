@@ -18,95 +18,24 @@
 //! * weight zeros cannot be skipped — the weights are resident, and the
 //!   streaming schedule is oblivious to their values.
 
-use codesign_arch::{AcceleratorConfig, AccessCounts};
+use codesign_arch::AcceleratorConfig;
 
-use crate::perf::{ComputePerf, PhaseCycles};
-use crate::workload::{split, ConvWork, WorkKind};
+use crate::perf::ComputePerf;
+use crate::steps;
+use crate::workload::ConvWork;
 
-/// Simulates one layer's MAC work under the WS dataflow.
+/// Simulates one layer's MAC work under the WS dataflow: the fold of
+/// its run-length schedule.
 ///
 /// Weight sparsity is intentionally ignored (WS cannot exploit it).
 pub fn simulate_ws(work: &ConvWork, cfg: &AcceleratorConfig) -> ComputePerf {
-    let n = cfg.array_size();
-    let out_plane = work.out_plane() as u64;
-    let taps = work.taps() as u64;
-
-    // The WS array maps (input channel x output channel); depthwise
-    // weight matrices are diagonal but the naive reference architecture
-    // executes them densely.
-    let rows_total = work.in_channels;
-    let cols_total = work.out_channels;
-
-    let row_tiles = split(rows_total, n);
-    let col_tiles = split(cols_total, n);
-
-    let mut load = 0u64;
-    let mut stream = 0u64;
-    let mut useful_macs = 0u64;
-    let mut acc = AccessCounts::zero();
-
-    for _group in 0..work.groups {
-        for &ct in &col_tiles {
-            // Partial sums for this column tile's output channels
-            // accumulate in the global buffer across row tiles and taps;
-            // the very first contribution is a pure write.
-            let mut first_accumulation = true;
-            for &rt in &row_tiles {
-                for _tap in 0..taps {
-                    let (rt, ct) = (rt as u64, ct as u64);
-                    // Preload the weight tile, one row per cycle.
-                    load += rt;
-                    acc.global_buffer += rt * ct; // weight reads
-                                                  // Stream every output pixel position.
-                    stream += out_plane;
-                    acc.global_buffer += out_plane * rt; // input reads
-                                                         // Each streamed cycle drives rt*ct PEs.
-                    acc.register_file += out_plane * rt * ct; // weight read per MAC
-                    acc.inter_pe += out_plane * rt // input injection
-                        + out_plane * rt * ct; // adder-chain hops
-                                               // Partial sums accumulate in the global buffer across
-                                               // row tiles and taps.
-                    acc.global_buffer += out_plane * ct; // psum write
-                    if !first_accumulation {
-                        acc.global_buffer += out_plane * ct; // psum read-modify
-                    }
-                    first_accumulation = false;
-                }
-            }
-        }
-    }
-
-    // Useful MACs: dense layers use the whole tile; depthwise only the
-    // diagonal (one input channel per output channel).
-    useful_macs += match work.kind {
-        WorkKind::Depthwise => out_plane * taps * work.in_channels as u64,
-        _ => out_plane * taps * (work.in_channels * work.out_channels * work.groups) as u64,
-    };
-    acc.macs = useful_macs;
-
-    // A depthwise weight matrix is diagonal: the dense schedule still
-    // burns the cycles, but PEs holding zero weights neither switch their
-    // multipliers nor move data, so the energy-relevant access counts are
-    // those of the useful diagonal (inputs must still stream fully).
-    if work.kind == WorkKind::Depthwise {
-        let c = work.in_channels as u64;
-        acc.register_file = useful_macs;
-        acc.inter_pe = 2 * useful_macs;
-        acc.global_buffer = c * taps // diagonal weights
-            + out_plane * c * taps // streamed inputs
-            + 2 * out_plane * c * taps; // partial-sum traffic
-    }
-
-    ComputePerf {
-        phases: PhaseCycles { load, compute: stream, drain: 0 },
-        executed_macs: useful_macs,
-        accesses: acc,
-    }
+    steps::fold(&steps::ws(work, cfg))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::WorkKind;
 
     fn cfg() -> AcceleratorConfig {
         AcceleratorConfig::paper_default()

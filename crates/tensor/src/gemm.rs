@@ -21,9 +21,9 @@
 //!   common case for the quantized networks this repo models, and the
 //!   very effect the paper's accelerator exploits — cost only their
 //!   density, while dense filters degrade gracefully to a sequential
-//!   register-blocked walk. Filters are swept in chunks of [`MR`] with
+//!   register-blocked walk. Filters are swept in chunks of `MR` with
 //!   the column-block loop outside the filter loop, so one resident
-//!   block is reused [`MR`] times instead of the whole patch matrix
+//!   block is reused `MR` times instead of the whole patch matrix
 //!   streaming from L2 once per filter — the blocking that turns the
 //!   kernel from memory-bound into multiply-bound;
 //! * **a dedicated depthwise path** that skips the im2col blowup
@@ -147,9 +147,9 @@ pub fn pack_patches(input: &Tensor, spec: &ConvSpec, group: usize, out_shape: Sh
 /// row and pixel column, where `patches` is the lane-interleaved block
 /// matrix from [`pack_patches`].
 ///
-/// Filters are processed in chunks of [`MR`]: the chunk's nonzero taps
+/// Filters are processed in chunks of `MR`: the chunk's nonzero taps
 /// are gathered into one index/weight list, then the **column blocks are
-/// the outer loop** — each resident block is swept by all [`MR`] tap
+/// the outer loop** — each resident block is swept by all `MR` tap
 /// lists before moving on, so the patch matrix streams from cache once
 /// per chunk instead of once per filter. Per tap the kernel reads [`NC`]
 /// contiguous lanes and widens `i32 × i32 → i64` into [`NC`] register
@@ -361,7 +361,7 @@ pub fn fully_connected_gemm(
 
 /// Fully-connected layer as a dense matrix-vector product: the flattened
 /// input vector stays cache-resident while each weight row streams past
-/// it once ([`dense_matvec`]) — no patch packing, no tap lists. Parallel
+/// it once (`dense_matvec`) — no patch packing, no tap lists. Parallel
 /// over output-feature blocks; byte-identical to
 /// [`crate::ops::fully_connected`] for every `jobs` value.
 ///

@@ -13,7 +13,7 @@ pub enum Category {
     Network,
     /// One layer inside a network simulation.
     Layer,
-    /// One phase segment of the cycle-stepped machine (load/compute/drain).
+    /// One phase segment of a machine trace (load/compute/drain).
     Phase,
     /// One design point of a hardware sweep.
     Sweep,

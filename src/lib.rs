@@ -9,8 +9,8 @@
 //!   executor);
 //! * [`arch`] — accelerator hardware description and energy model;
 //! * [`sim`] — the Squeezelerator performance/energy simulator
-//!   (analytic models, cycle-stepped machine, functional dataflow
-//!   executors);
+//!   (run-length dataflow schedules folded into analytic counts and
+//!   machine traces, functional dataflow executors);
 //! * [`core`] — the co-design engine (hybrid scheduling, DSE, model
 //!   transformations, Pareto analysis);
 //! * [`trace`] — the observability layer (spans, counters, Chrome-trace

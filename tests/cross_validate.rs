@@ -1,13 +1,20 @@
-//! Cross-validation of the analytical performance estimator against the
-//! independently implemented cycle-stepped machines: over a grid of
-//! small dense / pointwise / depthwise / strided layers, the analytic
-//! PE-array cycle counts must equal the stepped WS/OS machines exactly
-//! (DESIGN.md §6), and both levels must agree on which dataflow wins
-//! whenever the two dataflows differ.
+//! Cross-validation of the simulator against the test-only loop-nest
+//! spec (`tests/loopnest`): over a grid of small dense / pointwise /
+//! depthwise / strided layers, the PE-array cycles the engine reports
+//! must equal the spec's literal step walk exactly (DESIGN.md §6), and
+//! the spec's WS and OS walks, given tensors, must compute the reference
+//! convolution bit for bit.
+
+mod loopnest;
 
 use codesign::arch::{AcceleratorConfig, Dataflow};
-use codesign::dnn::{Network, NetworkBuilder, Shape};
-use codesign::sim::{compare_dataflows, cycle, ConvWork, SimOptions};
+use codesign::dnn::{LayerOp, Network, NetworkBuilder, Shape};
+use codesign::sim::{compare_dataflows, simulate_rs, ConvWork, SimOptions};
+use codesign::tensor::ops::conv2d;
+use codesign::tensor::{Filters, Tensor};
+use loopnest::Data;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// A grid of small layers covering the shapes the paper's networks are
 /// built from: stem convs, fire/expand 3x3 and 1x1, MobileNet-style
@@ -33,27 +40,7 @@ fn configs() -> Vec<AcceleratorConfig> {
 }
 
 #[test]
-fn analytic_cycles_match_stepped_machines_within_tolerance() {
-    let opts = SimOptions::paper_default();
-    let net = layer_grid();
-    for cfg in configs() {
-        for layer in net.layers() {
-            let Some(work) = ConvWork::from_layer(layer) else { continue };
-            let (ws, os, _) = compare_dataflows(layer, &cfg, opts);
-            let ws_machine = cycle::trace_ws(&work, &cfg).cycles();
-            let os_machine = cycle::trace_os(&work, &cfg, opts.os).cycles();
-            let ws_analytic = ws.compute.cycles();
-            let os_analytic = os.compute.cycles();
-            // The two implementations model the same schedule, so they
-            // must agree exactly.
-            assert_eq!(ws_analytic, ws_machine, "{} on {cfg}: WS analytic vs machine", layer.name);
-            assert_eq!(os_analytic, os_machine, "{} on {cfg}: OS analytic vs machine", layer.name);
-        }
-    }
-}
-
-#[test]
-fn dataflow_winner_agrees_across_modeling_levels() {
+fn simulated_cycles_equal_the_loop_nest_spec() {
     let opts = SimOptions::paper_default();
     let net = layer_grid();
     let mut decisive = 0usize;
@@ -61,42 +48,54 @@ fn dataflow_winner_agrees_across_modeling_levels() {
         for layer in net.layers() {
             let Some(work) = ConvWork::from_layer(layer) else { continue };
             let (ws, os, _) = compare_dataflows(layer, &cfg, opts);
-            let ws_analytic = ws.compute.cycles();
-            let os_analytic = os.compute.cycles();
-            // A tie has no winner to agree on.
-            if ws_analytic == os_analytic {
-                continue;
-            }
-            decisive += 1;
-            let analytic_winner = if os_analytic < ws_analytic {
-                Dataflow::OutputStationary
-            } else {
-                Dataflow::WeightStationary
-            };
-            let ws_machine = cycle::trace_ws(&work, &cfg).cycles();
-            let os_machine = cycle::trace_os(&work, &cfg, opts.os).cycles();
-            let machine_winner = if os_machine < ws_machine {
-                Dataflow::OutputStationary
-            } else {
-                Dataflow::WeightStationary
-            };
-            assert_eq!(
-                analytic_winner, machine_winner,
-                "{} on {cfg}: analytic picks {analytic_winner:?} \
-                 (ws {ws_analytic}, os {os_analytic}) but the machine picks \
-                 {machine_winner:?} (ws {ws_machine}, os {os_machine})",
-                layer.name
-            );
+            let ws_spec = loopnest::ws(&work, &cfg, None).perf.cycles();
+            let os_spec = loopnest::os(&work, &cfg, opts.os, None).perf.cycles();
+            assert_eq!(ws.compute.cycles(), ws_spec, "{} on {cfg}: WS", layer.name);
+            assert_eq!(os.compute.cycles(), os_spec, "{} on {cfg}: OS", layer.name);
+            let rs_spec = loopnest::rs(&work, &cfg).perf.cycles();
+            assert_eq!(simulate_rs(&work, &cfg).cycles(), rs_spec, "{} on {cfg}: RS", layer.name);
+            // A tie has no winner for the grid to exercise.
+            decisive += usize::from(ws_spec != os_spec);
         }
     }
     assert!(decisive >= 8, "grid too easy: only {decisive} decisive layers");
 }
 
 #[test]
+fn loop_nest_outputs_match_the_reference_conv() {
+    let mut rng = StdRng::seed_from_u64(2018);
+    let opts = SimOptions::paper_default();
+    let net = layer_grid();
+    for cfg in configs() {
+        for layer in net.layers() {
+            let LayerOp::Conv(spec) = &layer.op else { continue };
+            let work = ConvWork::from_layer(layer).expect("conv layers map to the PE array");
+            let input = Tensor::random(layer.input, 64, &mut rng);
+            let cg = layer.input.channels / spec.groups;
+            let filters = Filters::random(
+                spec.out_channels,
+                cg,
+                spec.kernel.height,
+                spec.kernel.width,
+                16,
+                0.4,
+                &mut rng,
+            );
+            let want = conv2d(&input, &filters, spec).expect("grid layers are well-formed");
+            let data = Some(Data { input: &input, filters: &filters, spec });
+            let ws = loopnest::ws(&work, &cfg, data).output;
+            let os = loopnest::os(&work, &cfg, opts.os, data).output;
+            assert_eq!(ws.as_ref(), Some(&want), "{} on {cfg}: WS walk", layer.name);
+            assert_eq!(os.as_ref(), Some(&want), "{} on {cfg}: OS walk", layer.name);
+        }
+    }
+}
+
+#[test]
 fn depthwise_layers_prefer_os_at_both_levels() {
     // The paper's core observation: depthwise layers starve the WS array
-    // (one useful diagonal) while OS keeps the array busy. Both modeling
-    // levels must reproduce it.
+    // (one useful diagonal) while OS keeps the array busy. Both the engine
+    // and the loop-nest spec must reproduce it.
     let opts = SimOptions::paper_default();
     let cfg = AcceleratorConfig::paper_default();
     let net = layer_grid();
@@ -105,10 +104,7 @@ fn depthwise_layers_prefer_os_at_both_levels() {
         let (ws, os, best) = compare_dataflows(layer, &cfg, opts);
         assert_eq!(best, Dataflow::OutputStationary, "{}", layer.name);
         assert!(os.compute.cycles() < ws.compute.cycles(), "{}", layer.name);
-        assert!(
-            cycle::trace_os(&work, &cfg, opts.os).cycles() < cycle::trace_ws(&work, &cfg).cycles(),
-            "{}",
-            layer.name
-        );
+        let os_spec = loopnest::os(&work, &cfg, opts.os, None).perf.cycles();
+        assert!(os_spec < loopnest::ws(&work, &cfg, None).perf.cycles(), "{}", layer.name);
     }
 }

@@ -4,7 +4,7 @@
 
 use codesign::arch::{AcceleratorConfig, Dataflow, DataflowPolicy, EnergyModel};
 use codesign::dnn::zoo;
-use codesign::sim::{simulate_network, NetworkPerf, SimOptions};
+use codesign::sim::{cycle, simulate_network, simulate_rs, ConvWork, NetworkPerf, SimOptions};
 
 fn all_networks() -> Vec<codesign::dnn::Network> {
     let mut nets = zoo::table_networks();
@@ -72,6 +72,31 @@ fn ws_executes_every_algorithmic_mac() {
         let perf =
             simulate_network(&net, &cfg, DataflowPolicy::Fixed(Dataflow::WeightStationary), opts);
         assert_eq!(perf.total_macs(), net.total_macs(), "{}", net.name());
+    }
+}
+
+#[test]
+fn rs_never_issues_more_macs_than_busy_pes() {
+    // Kernels taller than the array (AlexNet conv1 is 11x11) split their
+    // filter rows into passes, so RS runs every algorithmic MAC, reads
+    // utilization <= 1, and no trace segment issues more MACs per cycle
+    // than it has busy PEs.
+    for n in [8, 16, 32] {
+        let cfg = AcceleratorConfig::builder().array_size(n).build().unwrap();
+        for net in zoo::table_networks() {
+            for layer in net.layers() {
+                let Some(work) = ConvWork::from_layer(layer) else { continue };
+                let perf = simulate_rs(&work, &cfg);
+                let what = format!("{} {} on {n}x{n}", net.name(), layer.name);
+                assert_eq!(perf.executed_macs, work.macs(), "{what}");
+                assert!(perf.utilization(cfg.pe_count()) <= 1.0, "{what}");
+                let trace = cycle::trace_rs(&work, &cfg);
+                assert!(
+                    trace.segments().iter().all(|s| s.macs_per_cycle <= s.active_pes),
+                    "{what}"
+                );
+            }
+        }
     }
 }
 

@@ -1,61 +1,57 @@
-//! Property tests for the fast-forward execution layer.
+//! Property tests for the run-length schedules and the fast-forward
+//! event model.
 //!
-//! The run-length WS/OS/RS machines (`codesign::sim::cycle`) must be
-//! bit-identical to the step-by-step loop walks kept in `cycle::spec` on
-//! every aggregate the simulator consumes — total cycles, per-phase
-//! cycles, MACs, busy-PE cycles, step counts, and the per-cycle
-//! expansion. Likewise the event model's steady-state time skip must
-//! reproduce the tile-by-tile baseline exactly. These invariants are the
-//! licence to ship the fast paths as the defaults.
+//! Each dataflow's schedule is written once, as run-length steps, and
+//! folded two ways: into `ComputePerf` (`simulate_ws`/`simulate_os`/
+//! `simulate_rs`) and into a `MachineTrace` (`cycle::trace_*`). Both folds
+//! must equal the test-only loop-nest spec (`tests/loopnest`), which walks
+//! every schedule step literally — every phase total, the MAC count, every
+//! access counter, and every trace aggregate. Likewise the event model's
+//! steady-state time skip must reproduce the tile-by-tile baseline
+//! exactly. These invariants are the licence to ship the fast paths as
+//! the defaults.
+
+mod loopnest;
 
 use codesign::arch::{AcceleratorConfig, DataflowPolicy};
 use codesign::dnn::zoo;
-use codesign::sim::cycle::{self, spec, MachineTrace};
+use codesign::sim::cycle::{self, MachineTrace};
 use codesign::sim::{
-    try_simulate_network_event_mode, ConvWork, OsModelOptions, SimOptions, SparsityModel, TimeSkip,
-    WorkKind,
+    simulate_os, simulate_rs, simulate_ws, try_simulate_network_event_mode, ComputePerf, ConvWork,
+    OsModelOptions, SimOptions, SparsityModel, TimeSkip, WorkKind,
 };
+use loopnest::Walk;
 use proptest::prelude::*;
 
-/// Every aggregate a consumer can observe must agree between the
-/// fast-forward machine and the executable spec.
-fn assert_fast_matches_spec(fast: &MachineTrace, spec: &MachineTrace, what: &str) {
-    assert_eq!(fast.cycles(), spec.cycles(), "{what}: total cycles");
-    assert_eq!(fast.phase_totals(), spec.phase_totals(), "{what}: per-phase cycles");
-    assert_eq!(fast.macs(), spec.macs(), "{what}: MACs");
-    assert_eq!(fast.active_pe_cycles(), spec.active_pe_cycles(), "{what}: busy-PE cycles");
-    assert_eq!(fast.steps(), spec.steps(), "{what}: expanded step count");
-    // The per-cycle expansion walk is O(total cycles); cap it so huge
-    // random shapes don't dominate the suite (the aggregate equalities
-    // above already pin every total unconditionally).
-    if fast.cycles() < 2_000_000 {
-        assert_eq!(
-            fast.iter_cycles().count() as u64,
-            spec.iter_cycles().count() as u64,
-            "{what}: expansion length"
-        );
-        assert_eq!(
-            fast.iter_cycles().map(|c| c.macs).sum::<u64>(),
-            spec.iter_cycles().map(|c| c.macs).sum::<u64>(),
-            "{what}: expansion MACs"
-        );
-    }
+/// Every observable count of both folds must equal the spec walk's.
+fn assert_folds_match_spec(perf: &ComputePerf, trace: &MachineTrace, spec: &Walk, what: &str) {
+    assert_eq!(perf.phases, spec.perf.phases, "{what}: per-phase cycles");
+    assert_eq!(perf.executed_macs, spec.perf.executed_macs, "{what}: executed MACs");
+    assert_eq!(perf.accesses, spec.perf.accesses, "{what}: access counts");
+    assert_eq!(trace.cycles(), spec.trace.cycles(), "{what}: trace cycles");
+    assert_eq!(trace.phase_totals(), spec.trace.phase_totals(), "{what}: trace phases");
+    assert_eq!(trace.macs(), spec.trace.macs(), "{what}: trace MACs");
+    assert_eq!(trace.active_pe_cycles(), spec.trace.active_pe_cycles(), "{what}: busy-PE cycles");
+    assert_eq!(trace.steps(), spec.trace.steps(), "{what}: expanded step count");
 }
 
-fn check_all_machines(work: &ConvWork, cfg: &AcceleratorConfig, os_opts: OsModelOptions) {
-    assert_fast_matches_spec(
+fn check_all_dataflows(work: &ConvWork, cfg: &AcceleratorConfig, os_opts: OsModelOptions) {
+    assert_folds_match_spec(
+        &simulate_ws(work, cfg),
         &cycle::trace_ws(work, cfg),
-        &spec::trace_ws(work, cfg),
+        &loopnest::ws(work, cfg, None),
         &format!("ws {work:?} on {cfg}"),
     );
-    assert_fast_matches_spec(
+    assert_folds_match_spec(
+        &simulate_os(work, cfg, os_opts),
         &cycle::trace_os(work, cfg, os_opts),
-        &spec::trace_os(work, cfg, os_opts),
+        &loopnest::os(work, cfg, os_opts, None),
         &format!("os {work:?} on {cfg} with {os_opts:?}"),
     );
-    assert_fast_matches_spec(
+    assert_folds_match_spec(
+        &simulate_rs(work, cfg),
         &cycle::trace_rs(work, cfg),
-        &spec::trace_rs(work, cfg),
+        &loopnest::rs(work, cfg),
         &format!("rs {work:?} on {cfg}"),
     );
 }
@@ -130,8 +126,9 @@ fn os_opts() -> impl Strategy<Value = OsModelOptions> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The tentpole contract: fast-forward == spec, bit for bit, over
-    /// arbitrary `ConvWork` × `AcceleratorConfig` × OS model options.
+    /// The schedules' contract: both folds == the loop-nest spec, bit
+    /// for bit, over arbitrary `ConvWork` × `AcceleratorConfig` × OS model
+    /// options.
     #[test]
     fn fast_forward_machines_match_the_spec(
         work in work(),
@@ -139,7 +136,7 @@ proptest! {
         os_opts in os_opts(),
     ) {
         work.validate().expect("generated workloads are well-formed");
-        check_all_machines(&work, &cfg, os_opts);
+        check_all_dataflows(&work, &cfg, os_opts);
     }
 }
 
@@ -168,8 +165,9 @@ fn pinned(
 }
 
 /// Shapes that have historically exercised distinct aggregation paths:
-/// depthwise (off-diagonal dead tiles), grouped dense, 1×1 pointwise,
-/// and a single-tile layer whose whole schedule is one repeat block.
+/// depthwise (off-diagonal dead tiles), grouped dense, 1×1 pointwise, a
+/// single-tile layer whose whole schedule is one repeat block, and an
+/// 11×11 kernel taller than an 8-row array (two RS row passes).
 #[test]
 fn pinned_regressions_match_the_spec() {
     let cases = [
@@ -180,6 +178,7 @@ fn pinned_regressions_match_the_spec() {
         pinned(WorkKind::Dense, 1, 96, 16, 1, 1, 55), // fire-module squeeze (1×1)
         pinned(WorkKind::Dense, 1, 8, 8, 3, 1, 4),    // single tile on every array size
         pinned(WorkKind::FullyConnected, 1, 4096, 1000, 1, 1, 1),
+        pinned(WorkKind::Dense, 1, 3, 96, 11, 4, 55), // AlexNet conv1
     ];
     let cfgs = [
         AcceleratorConfig::paper_default(),
@@ -188,7 +187,7 @@ fn pinned_regressions_match_the_spec() {
     for cfg in &cfgs {
         for work in &cases {
             work.validate().expect("pinned workloads are well-formed");
-            check_all_machines(work, cfg, OsModelOptions::paper_default());
+            check_all_dataflows(work, cfg, OsModelOptions::paper_default());
         }
     }
 }

@@ -193,21 +193,6 @@ proptest! {
             .total_cycles() as f64 / batch as f64;
         prop_assert!(bn <= b1 * 1.0001, "batch {batch}: {bn} > {b1}");
     }
-
-    /// The cycle-stepped machines agree with the analytic models for
-    /// arbitrary workloads and configurations, not just the corpus.
-    #[test]
-    fn machines_match_analytic(work in conv_work(), cfg in config()) {
-        let ws = codesign::sim::simulate_ws(&work, &cfg);
-        let ws_trace = codesign::sim::cycle::trace_ws(&work, &cfg);
-        prop_assert_eq!(ws_trace.phase_totals(), ws.phases);
-        prop_assert_eq!(ws_trace.macs(), ws.executed_macs);
-
-        let opts = OsModelOptions::paper_default();
-        let os = codesign::sim::simulate_os(&work, &cfg, opts);
-        let os_trace = codesign::sim::cycle::trace_os(&work, &cfg, opts);
-        prop_assert_eq!(os_trace.phase_totals(), os.phases);
-    }
 }
 
 proptest! {

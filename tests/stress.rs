@@ -4,7 +4,10 @@
 
 use codesign::arch::{AcceleratorConfig, Dataflow, DataflowPolicy, DramModel, EnergyModel};
 use codesign::dnn::{parse_network, zoo, NetworkBuilder, Shape};
-use codesign::sim::{simulate_network, simulate_network_event, try_simulate_network, SimOptions};
+use codesign::sim::{
+    simulate_network, simulate_network_event, try_compare_taxonomy, try_simulate_network,
+    validate_network, Program, SimOptions,
+};
 
 fn opts() -> SimOptions {
     SimOptions::paper_default()
@@ -167,4 +170,34 @@ fn sixty_four_cores_saturate_not_crash() {
     let single = simulate_network(&net, &mc.core, DataflowPolicy::PerLayer, opts());
     assert!(perf.total_cycles() > 0);
     assert!(perf.total_cycles() <= single.total_cycles());
+}
+
+#[test]
+fn hostile_channel_counts_simulate_in_closed_form() {
+    // AlexNet with conv1 widened to 2^32 filters passes validation: every
+    // MAC and element count fits the overflow headroom. Its schedules have
+    // 2^27 weight-column tiles and 2^28 OS filter passes, so the models
+    // must count them in closed form, not one tile at a time.
+    let net = NetworkBuilder::new("AlexNet-wide", Shape::new(3, 227, 227))
+        .conv("conv1", 1 << 32, 11, 4, 0)
+        .max_pool("pool1", 3, 2)
+        .grouped_conv("conv2", 256, 5, 1, 2, 2)
+        .max_pool("pool2", 3, 2)
+        .conv("conv3", 384, 3, 1, 1)
+        .grouped_conv("conv4", 384, 3, 1, 1, 2)
+        .grouped_conv("conv5", 256, 3, 1, 1, 2)
+        .max_pool("pool5", 3, 2)
+        .fully_connected("fc6", 4096)
+        .fully_connected("fc7", 4096)
+        .fully_connected("fc8", 1000)
+        .finish()
+        .unwrap();
+    let cfg = AcceleratorConfig::paper_default();
+    validate_network(&net, &cfg).expect("2^32 filters stay within the modeling range");
+    let perf = try_simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts()).unwrap();
+    assert!(perf.layers[0].compute.executed_macs > 1 << 50, "conv1's ~4.7e15 MACs are counted");
+    let program = Program::try_compile(&net, &cfg, DataflowPolicy::PerLayer, opts()).unwrap();
+    assert_eq!(program.estimate(&cfg), perf.total_cycles());
+    let taxonomy = try_compare_taxonomy(&net, &cfg, opts()).unwrap();
+    assert!(taxonomy.hybrid4 <= taxonomy.hybrid2);
 }
