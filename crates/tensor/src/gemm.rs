@@ -14,7 +14,14 @@
 //!   slice. A micro-kernel step therefore touches a single cache line
 //!   per tap (a pixel-major layout touches [`NC`] lines), the lane loop
 //!   is a fixed-width SIMD multiply-add, and padding is resolved once
-//!   during packing, never in the reduction loop;
+//!   during packing, never in the reduction loop. Packing fills a block
+//!   one tap at a time by copying contiguous input-row runs, clipped
+//!   against the padding by [`valid_range`];
+//! * **pack-free pointwise layers**: for a 1×1, stride-1, unpadded
+//!   convolution, tap `c` of column block `b` is already contiguous in
+//!   the CHW input at `input[c][b * NC..][..NC]`, so the micro-kernel
+//!   reads full blocks in place with the channel plane as its tap stride,
+//!   and only each group's partial last block is packed;
 //! * **zero-skipping micro-kernel** ([`gemm_accumulate`]): each filter's
 //!   nonzero taps are gathered once into an index/weight list and swept
 //!   over register-blocked column groups, so sparse filters — the
@@ -98,41 +105,69 @@ pub fn valid_range(
 /// This is [`crate::im2col::im2col`] transposed and tiled: one tap of
 /// [`NC`] neighbouring pixels is a single contiguous slice, so the
 /// reduction loop reads one cache line per tap and the lane loop is a
-/// fixed-width SIMD multiply-add.
+/// fixed-width SIMD multiply-add. A block's pixels split into output-row
+/// runs; each run is clipped against the padding once per kernel column
+/// with [`valid_range`], and every tap then copies it from one input row,
+/// so no per-pixel padding branch remains.
 pub fn pack_patches(input: &Tensor, spec: &ConvSpec, group: usize, out_shape: Shape) -> Vec<i32> {
+    pack_blocks(input, spec, group, out_shape, 0)
+}
+
+/// [`pack_patches`] from column block `first` on: the same bytes, minus
+/// the first `first * rows * NC` elements.
+fn pack_blocks(
+    input: &Tensor,
+    spec: &ConvSpec,
+    group: usize,
+    out_shape: Shape,
+    first: usize,
+) -> Vec<i32> {
     let s = input.shape();
     let cg = s.channels / spec.groups.max(1);
     let (kh, kw) = (spec.kernel.height, spec.kernel.width);
-    let (oh, ow) = (out_shape.height, out_shape.width);
+    let ow = out_shape.width;
     let rows = cg * kh * kw;
-    let cols = oh * ow;
-    let mut m = vec![0i32; cols.div_ceil(NC) * rows * NC];
-    if s.height == 0 || s.width == 0 {
+    let cols = out_shape.plane();
+    let nblocks = cols.div_ceil(NC);
+    let mut m = vec![0i32; nblocks.saturating_sub(first) * rows * NC];
+    if s.height == 0 || s.width == 0 || rows == 0 {
         return m;
     }
-    // Output pixels outermost: each (c, dy) contributes a short kw-tap
-    // run read from one L1-resident input row, and writes land in one
-    // L1-resident block (stride NC within it). Per-element padding
-    // branches run here once so the reduction loop never branches.
-    let base = group * cg;
-    for oy in 0..oh {
-        for ox in 0..ow {
-            let col = oy * ow + ox;
-            let blk = &mut m[(col / NC) * rows * NC..];
-            let lane = col % NC;
-            for c in 0..cg {
-                let src = input.channel_plane(base + c);
-                for dy in 0..kh {
-                    let iy = oy * spec.stride + dy;
+    // Per block: (first input row before padding, lane offset within a
+    // kernel row's taps, first input column, length) for each clipped
+    // output-row run and kernel column.
+    let mut runs = Vec::with_capacity(NC * kw);
+    for (b, blk) in (first..nblocks).zip(m.chunks_exact_mut(rows * NC)) {
+        runs.clear();
+        let (mut col, end) = (b * NC, cols.min(b * NC + NC));
+        while col < end {
+            let (oy, ox) = (col / ow, col % ow);
+            let len = (ow - ox).min(end - col);
+            for dx in 0..kw {
+                let (lo, hi) = valid_range(len, ox, spec.stride, dx, spec.pad_w, s.width);
+                if lo < hi {
+                    let ix = (ox + lo) * spec.stride + dx - spec.pad_w;
+                    runs.push((oy * spec.stride, dx * NC + col % NC + lo, ix, hi - lo));
+                }
+            }
+            col += len;
+        }
+        for c in 0..cg {
+            let src = input.channel_plane(group * cg + c);
+            for dy in 0..kh {
+                let taps = &mut blk[(c * kh + dy) * kw * NC..][..kw * NC];
+                for &(y0, at, ix, n) in &runs {
+                    let iy = y0 + dy;
                     if iy < spec.pad_h || iy - spec.pad_h >= s.height {
                         continue;
                     }
-                    let src_row = &src[(iy - spec.pad_h) * s.width..][..s.width];
-                    let r0 = (c * kh + dy) * kw;
-                    for dx in 0..kw {
-                        let ix = ox * spec.stride + dx;
-                        if ix >= spec.pad_w && ix - spec.pad_w < s.width {
-                            blk[(r0 + dx) * NC + lane] = src_row[ix - spec.pad_w];
+                    let src = &src[(iy - spec.pad_h) * s.width + ix..];
+                    let dst = &mut taps[at..at + n];
+                    if spec.stride == 1 {
+                        dst.copy_from_slice(&src[..n]);
+                    } else {
+                        for (d, &v) in dst.iter_mut().zip(src.iter().step_by(spec.stride)) {
+                            *d = v;
                         }
                     }
                 }
@@ -170,12 +205,24 @@ pub fn gemm_accumulate(
     cols: usize,
     acc: &mut [i64],
 ) {
+    debug_assert!(patches.len() >= cols.div_ceil(NC) * rows * NC);
+    accumulate(wrows, rows, cols, acc, |b| (&patches[b * rows * NC..][..rows * NC], NC));
+}
+
+/// [`gemm_accumulate`] over any block layout: `block(b)` returns column
+/// block `b`'s taps as a slice and a tap stride, with tap `r` of its
+/// [`NC`] pixels at `slice[r * stride..][..NC]`.
+fn accumulate<'a>(
+    wrows: &[&[i32]],
+    rows: usize,
+    cols: usize,
+    acc: &mut [i64],
+    block: impl Fn(usize) -> (&'a [i32], usize),
+) {
     debug_assert_eq!(acc.len(), wrows.len() * cols);
     if rows == 0 || cols == 0 {
         return;
     }
-    let nblocks = cols.div_ceil(NC);
-    debug_assert!(patches.len() >= nblocks * rows * NC);
     let mut nnz: Vec<(u32, i32)> = Vec::with_capacity(MR * rows);
     let mut offs = [0usize; MR + 1];
     for f0 in (0..wrows.len()).step_by(MR) {
@@ -187,23 +234,39 @@ pub fn gemm_accumulate(
             nnz.extend(w.iter().enumerate().filter(|(_, &v)| v != 0).map(|(r, &v)| (r as u32, v)));
         }
         offs[fl] = nnz.len();
-        for b in 0..nblocks {
-            let blk = &patches[b * rows * NC..(b + 1) * rows * NC];
-            let c0 = b * NC;
-            let bw = NC.min(cols - c0);
-            for i in 0..fl {
-                let taps = &nnz[offs[i]..offs[i + 1]];
-                let mut a = [0i64; NC];
-                for &(r, wv) in taps {
-                    let x = &blk[r as usize * NC..][..NC];
-                    for j in 0..NC {
-                        a[j] += wv as i64 * x[j] as i64;
-                    }
-                }
-                for (d, &av) in acc[(f0 + i) * cols + c0..][..bw].iter_mut().zip(a.iter()) {
-                    *d += av;
-                }
+        let acc = &mut acc[f0 * cols..(f0 + fl) * cols];
+        for b in 0..cols.div_ceil(NC) {
+            let (blk, stride) = block(b);
+            sweep_block(&nnz, &offs[..=fl], blk, stride, acc, cols, b * NC);
+        }
+    }
+}
+
+/// One column block under one filter chunk: filter `i`'s nonzero taps are
+/// `nnz[offs[i]..offs[i + 1]]`, and its [`NC`] sums land in
+/// `acc[i * cols + c0..]`, clipped to the `cols` real pixels. Kept out of
+/// line so every caller shares one compiled copy of the tap loop.
+#[inline(never)]
+fn sweep_block(
+    nnz: &[(u32, i32)],
+    offs: &[usize],
+    blk: &[i32],
+    stride: usize,
+    acc: &mut [i64],
+    cols: usize,
+    c0: usize,
+) {
+    let bw = NC.min(cols - c0);
+    for (i, span) in offs.windows(2).enumerate() {
+        let mut a = [0i64; NC];
+        for &(r, wv) in &nnz[span[0]..span[1]] {
+            let x = &blk[r as usize * stride..][..NC];
+            for j in 0..NC {
+                a[j] += wv as i64 * x[j] as i64;
             }
+        }
+        for (d, &av) in acc[i * cols + c0..][..bw].iter_mut().zip(a.iter()) {
+            *d += av;
         }
     }
 }
@@ -274,10 +337,23 @@ pub fn conv2d_gemm_jobs(
     let rows = cg * kh * kw;
     let cols = out_shape.plane();
     let jobs = effective_jobs(jobs, (spec.out_channels * rows * cols) as u64);
+    // A 1x1, stride-1, unpadded layer's patch matrix is its input: tap `c`
+    // of full column block `b` is `input[c][b * NC..][..NC]`, read in place
+    // with the plane as tap stride. Only the partial last block is packed.
+    let in_place = (kh, kw, spec.stride, spec.pad_h, spec.pad_w) == (1, 1, 1, 0, 0);
+    let full = if in_place { cols / NC } else { 0 };
 
     let mut data = Vec::with_capacity(out_shape.elements());
     for group in 0..spec.groups {
-        let patches = pack_patches(input, spec, group, out_shape);
+        let src = &input.as_slice()[group * cg * input.shape().plane()..];
+        let packed = pack_blocks(input, spec, group, out_shape, full);
+        let block = |b: usize| {
+            if b < full {
+                (&src[b * NC..], cols)
+            } else {
+                (&packed[(b - full) * rows * NC..], NC)
+            }
+        };
         let chunks = kg.div_ceil(PAR_FILTER_CHUNK);
         let blocks = codesign_parallel::par_map_range(jobs, chunks, |chunk| {
             let k0 = chunk * PAR_FILTER_CHUNK;
@@ -285,7 +361,7 @@ pub fn conv2d_gemm_jobs(
             let wrows: Vec<&[i32]> =
                 (k0..k0 + klen).map(|kk| filters.filter_taps(group * kg + kk)).collect();
             let mut acc = vec![0i64; klen * cols];
-            gemm_accumulate(&wrows, &patches, rows, cols, &mut acc);
+            accumulate(&wrows, rows, cols, &mut acc, block);
             acc.into_iter().map(clamp_acc).collect::<Vec<i32>>()
         });
         for b in &blocks {
@@ -416,6 +492,7 @@ mod tests {
     use crate::im2col::conv2d_im2col;
     use crate::ops::{conv2d, fully_connected};
     use codesign_dnn::Kernel;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -519,6 +596,63 @@ mod tests {
             // Tail lanes past the last real column stay zero.
             for lane in cols % NC..NC {
                 assert_eq!(packed[(cols / NC) * rows * NC + r * NC + lane], 0);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
+
+        /// The row-run packer against the row-major im2col spec, group by
+        /// group: kernels up to 7x7 (rectangular too), strides 1-3, unequal
+        /// pads, and output planes with a partial last block or (with
+        /// `whole_blocks`) a width of exactly `NC`.
+        #[test]
+        fn pack_patches_is_lane_interleaved_im2col_on_random_layouts(
+            (kh, kw) in (1usize..=7, 1usize..=7),
+            stride in 1usize..=3,
+            (pad_h, pad_w) in (0usize..=3, 0usize..=3),
+            (groups, cg) in (1usize..=3, 1usize..=3),
+            (h, w) in (1usize..=20, 1usize..=20),
+            whole_blocks in any::<bool>(),
+        ) {
+            let w = if whole_blocks { (NC - 1) * stride + kw - 2 * pad_w } else { w.max(kw) };
+            let in_shape = Shape::new(groups * cg, h.max(kh), w);
+            let input = Tensor::from_fn(in_shape, |c, y, x| {
+                ((c * in_shape.height + y) * in_shape.width + x) as i32 + 1
+            });
+            let spec = ConvSpec {
+                out_channels: groups,
+                kernel: Kernel::new(kh, kw),
+                stride,
+                pad_h,
+                pad_w,
+                groups,
+            };
+            let out_shape =
+                codesign_dnn::layer::infer_output(&codesign_dnn::LayerOp::Conv(spec), in_shape)
+                    .expect("the input covers the kernel");
+            let (rows, cols) = (cg * kh * kw, out_shape.plane());
+            prop_assert!(!whole_blocks || cols % NC == 0);
+            for group in 0..groups {
+                let rowmajor = crate::im2col::im2col(&input, &spec, group, out_shape);
+                let packed = pack_patches(&input, &spec, group, out_shape);
+                prop_assert_eq!(packed.len(), cols.div_ceil(NC) * rows * NC);
+                for r in 0..rows {
+                    for col in 0..cols {
+                        prop_assert_eq!(
+                            packed[(col / NC) * rows * NC + r * NC + col % NC],
+                            rowmajor[r * cols + col]
+                        );
+                    }
+                    // Lanes past the last pixel of a partial block stay zero.
+                    for lane in (cols - 1) % NC + 1..NC {
+                        prop_assert_eq!(
+                            packed[(cols / NC) * rows * NC + r * NC + lane],
+                            0
+                        );
+                    }
+                }
             }
         }
     }

@@ -5,10 +5,14 @@
 //! fully-connected GEMM must agree with `ops::fully_connected`. Pinned
 //! regressions cover the shapes that route through special paths:
 //! depthwise (skips the im2col blowup), grouped, pointwise 1x1,
-//! single-pixel outputs, and zero-padding-dominant patches.
+//! single-pixel outputs, and zero-padding-dominant patches. Fixed cases
+//! above the parallel gate hold every path (pointwise in place, packed,
+//! depthwise, fully connected) to the same bits at 1, 2, 3 and 8 workers.
 
 use codesign_dnn::{ConvSpec, Kernel, Shape};
-use codesign_tensor::gemm::{conv2d_gemm, conv2d_gemm_jobs, fully_connected_gemm};
+use codesign_tensor::gemm::{
+    conv2d_gemm, conv2d_gemm_jobs, fully_connected_gemm, fully_connected_gemm_jobs,
+};
 use codesign_tensor::{conv2d_im2col, Filters, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -202,4 +206,116 @@ fn pinned_zero_padding_dominant() {
         groups: 1,
     };
     assert_triple_equal(&input, &filters, &spec);
+}
+
+/// `gemm.rs`'s `MIN_PAR_MACS`: layers below it run on one worker
+/// whatever `jobs` asks for, so the cases below all sit above it.
+const PAR_GATE_MACS: usize = 1 << 22;
+
+/// Asserts that a convolution above the parallel gate gives the
+/// reference output at one worker and at 2, 3 and 8.
+fn assert_parallel_conv_matches(input: &Tensor, filters: &Filters, spec: &ConvSpec) {
+    let s = input.shape();
+    let out = codesign_tensor::ops::conv2d(input, filters, spec).unwrap();
+    // Depthwise layers included: they have one input channel per group.
+    let macs = spec.out_channels
+        * (s.channels / spec.groups)
+        * spec.kernel.height
+        * spec.kernel.width
+        * out.shape().plane();
+    assert!(macs >= PAR_GATE_MACS, "{macs} MACs run serially: {spec:?}");
+    let serial = conv2d_gemm_jobs(input, filters, spec, 1).unwrap();
+    assert_eq!(serial, out, "one worker diverged from the loop nest: {spec:?}");
+    for jobs in [2, 3, 8] {
+        assert_eq!(conv2d_gemm_jobs(input, filters, spec, jobs).unwrap(), serial, "jobs {jobs}");
+    }
+}
+
+/// Pointwise read in place, over a 13x13 plane whose last column block
+/// holds 9 of 16 pixels.
+#[test]
+fn parallel_pointwise_with_tail_block() {
+    let mut rng = StdRng::seed_from_u64(201);
+    let input = Tensor::random(Shape::new(128, 13, 13), 64, &mut rng);
+    let filters = Filters::random(200, 128, 1, 1, 16, 0.4, &mut rng);
+    let spec = ConvSpec {
+        out_channels: 200,
+        kernel: Kernel::square(1),
+        stride: 1,
+        pad_h: 0,
+        pad_w: 0,
+        groups: 1,
+    };
+    assert_parallel_conv_matches(&input, &filters, &spec);
+}
+
+/// Grouped pointwise: each group reads its own channel range in place.
+#[test]
+fn parallel_grouped_pointwise() {
+    let mut rng = StdRng::seed_from_u64(202);
+    let input = Tensor::random(Shape::new(256, 14, 14), 64, &mut rng);
+    let filters = Filters::random(256, 128, 1, 1, 16, 0.4, &mut rng);
+    let spec = ConvSpec {
+        out_channels: 256,
+        kernel: Kernel::square(1),
+        stride: 1,
+        pad_h: 0,
+        pad_w: 0,
+        groups: 2,
+    };
+    assert_parallel_conv_matches(&input, &filters, &spec);
+}
+
+/// Strided, padded 3x3 through the packed path, with a filter count
+/// that leaves a partial last filter chunk.
+#[test]
+fn parallel_strided_padded_3x3() {
+    let mut rng = StdRng::seed_from_u64(203);
+    let input = Tensor::random(Shape::new(32, 29, 29), 64, &mut rng);
+    let filters = Filters::random(100, 32, 3, 3, 16, 0.4, &mut rng);
+    let spec = ConvSpec {
+        out_channels: 100,
+        kernel: Kernel::square(3),
+        stride: 2,
+        pad_h: 1,
+        pad_w: 1,
+        groups: 1,
+    };
+    assert_parallel_conv_matches(&input, &filters, &spec);
+}
+
+/// Depthwise, parallel over channels.
+#[test]
+fn parallel_depthwise() {
+    let mut rng = StdRng::seed_from_u64(204);
+    let input = Tensor::random(Shape::new(64, 96, 96), 64, &mut rng);
+    let filters = Filters::random(64, 1, 3, 3, 16, 0.4, &mut rng);
+    let spec = ConvSpec {
+        out_channels: 64,
+        kernel: Kernel::square(3),
+        stride: 1,
+        pad_h: 1,
+        pad_w: 1,
+        groups: 64,
+    };
+    assert_parallel_conv_matches(&input, &filters, &spec);
+}
+
+/// Fully connected, AlexNet fc6's input width into 512 features.
+#[test]
+fn parallel_fully_connected() {
+    let mut rng = StdRng::seed_from_u64(205);
+    let input = Tensor::random(Shape::new(9216, 1, 1), 64, &mut rng);
+    let weights = Filters::random(512, 9216, 1, 1, 16, 0.4, &mut rng);
+    const { assert!(512 * 9216 >= PAR_GATE_MACS) };
+    let want = codesign_tensor::ops::fully_connected(&input, &weights).unwrap();
+    let serial = fully_connected_gemm_jobs(&input, &weights, 1).unwrap();
+    assert_eq!(serial, want);
+    for jobs in [2, 3, 8] {
+        assert_eq!(
+            fully_connected_gemm_jobs(&input, &weights, jobs).unwrap(),
+            serial,
+            "jobs {jobs}"
+        );
+    }
 }
