@@ -26,7 +26,7 @@ use crate::workload::ConvWork;
 const SCALE_CTX: &str = "batched scaling";
 
 fn mul(a: u64, b: u64) -> SimResult<u64> {
-    a.checked_mul(b).ok_or(SimError::overflow(SCALE_CTX))
+    a.checked_mul(b).ok_or_else(|| SimError::overflow(SCALE_CTX))
 }
 
 fn scale_counts(
@@ -115,7 +115,7 @@ fn try_layer_batched_memo(
                 .checked_add(traffic.output)
                 .and_then(|act| act.checked_mul(batch))
                 .and_then(|act| act.checked_add(traffic.weights))
-                .ok_or(SimError::overflow(SCALE_CTX))?;
+                .ok_or_else(|| SimError::overflow(SCALE_CTX))?;
             let dram_cycles = cfg.dram().transfer_cycles(dram_bytes);
             let total_cycles = combine_cycles(compute.cycles(), dram_cycles, cfg);
             compute.accesses.dram = dram_bytes / cfg.bytes_per_element() as u64;
@@ -147,7 +147,7 @@ fn try_layer_batched_memo(
             };
             let act = (layer.input.elements() as u64)
                 .checked_add(layer.output.elements() as u64)
-                .ok_or(SimError::overflow(SCALE_CTX))?;
+                .ok_or_else(|| SimError::overflow(SCALE_CTX))?;
             let dram_bytes = mul(mul(act, cfg.bytes_per_element() as u64)?, batch)?;
             let dram_cycles = cfg.dram().transfer_cycles(dram_bytes);
             let total_cycles = combine_cycles(compute.cycles(), dram_cycles, cfg);

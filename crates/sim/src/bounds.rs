@@ -51,8 +51,9 @@ pub fn network_traffic_floor(network: &Network, cfg: &AcceleratorConfig) -> SimR
     for layer in network.layers() {
         if let Some(work) = ConvWork::from_layer(layer) {
             let floor = layer_traffic_floor(&work, cfg).map_err(|e| e.for_layer(&layer.name))?;
-            total =
-                total.checked_add(floor).ok_or(SimError::overflow("network DRAM traffic floor"))?;
+            total = total
+                .checked_add(floor)
+                .ok_or_else(|| SimError::overflow("network DRAM traffic floor"))?;
         }
     }
     Ok(total)

@@ -176,7 +176,7 @@ pub(crate) fn checked_product(factors: &[usize], context: &'static str) -> SimRe
     factors
         .iter()
         .try_fold(1u64, |acc, &f| acc.checked_mul(f as u64))
-        .ok_or(SimError::overflow(context))
+        .ok_or_else(|| SimError::overflow(context))
 }
 
 /// Headroom divisor: validated quantities must stay below

@@ -88,7 +88,7 @@ fn working_set(work: &ConvWork, t: &Tiling, bytes: usize) -> SimResult<u64> {
         .checked_add(weights)
         .and_then(|s| s.checked_add(output))
         .and_then(|s| s.checked_mul(bytes as u64))
-        .ok_or(SimError::overflow("tile working set"))
+        .ok_or_else(|| SimError::overflow("tile working set"))
 }
 
 /// DRAM traffic of the tiling over the whole layer (one group; groups
@@ -220,10 +220,11 @@ fn lower_bound_rows_channels(
 /// Searches tile sizes and loop orders for the DRAM-minimal plan that
 /// fits the working buffer.
 ///
-/// This is the branch-and-bound search on the sweep hot path. It visits
+/// This is the branch-and-bound search on the sweep hot path. It walks
 /// the same candidate grid as [`optimize_tiling_exhaustive`] in the same
-/// order and applies the same selection rule, but prunes sub-grids that
-/// provably cannot win using two monotonicity facts:
+/// order and applies the same selection rule, but skips candidates that
+/// provably cannot win using two monotonicity facts and one dominance
+/// fact:
 ///
 /// * the working set is non-decreasing in every tile dimension, so a
 ///   sub-grid whose smallest tile already overflows the buffer is
@@ -231,13 +232,21 @@ fn lower_bound_rows_channels(
 /// * total traffic is non-increasing in both channel-tile dimensions
 ///   (shrinking them only adds re-fetches and spills), so the
 ///   full-channel tile bounds every candidate sharing its strip height
-///   from below.
+///   from below;
+/// * for one strip height and output-channel tile, the largest
+///   input-channel tile that fits dominates every smaller one. Over the
+///   candidates `1, 2, 4, …, C` a larger tile means strictly fewer
+///   reduction tiles, hence strictly less partial-sum spill traffic
+///   (dense, grouped and FC work) or equal traffic and fewer tiles
+///   (depthwise), so a smaller tile can neither win nor tie. Only the
+///   largest is evaluated, in both loop orders.
 ///
 /// Pruning compares with *strict* inequality against the best total seen
 /// so far, so equal-traffic candidates still reach the tile-count
 /// tie-break and the chosen plan is bit-identical to the exhaustive
-/// search (the equivalence property test in `tests/properties.rs` pins
-/// this).
+/// search. `crates/sim/tests/tiling_equivalence.rs` property-tests this
+/// over arbitrary shapes and configurations, and the unit test
+/// `pruned_matches_exhaustive_on_every_zoo_layer` over every zoo layer.
 ///
 /// # Errors
 ///
@@ -313,7 +322,8 @@ pub fn optimize_tiling(work: &ConvWork, cfg: &AcceleratorConfig) -> SimResult<Ti
         for &out_channels in &k_cands {
             let t1 =
                 Tiling { out_rows, out_channels, in_channels: 1, order: LoopOrder::WeightsOuter };
-            if working_set(work, &t1, bytes)? > budget {
+            let ws1 = working_set(work, &t1, bytes)?;
+            if ws1 > budget {
                 break; // monotone in the output-channel tile; candidates ascend
             }
             let cap = match (bound, best.as_ref().map(|b| b.traffic.total())) {
@@ -327,25 +337,22 @@ pub fn optimize_tiling(work: &ConvWork, cfg: &AcceleratorConfig) -> SimResult<Ti
                     continue;
                 }
             }
-            for &in_channels in &c_cands {
-                let t =
-                    Tiling { out_rows, out_channels, in_channels, order: LoopOrder::WeightsOuter };
-                let ws = working_set(work, &t, bytes)?;
-                if ws > budget {
+            // The largest fitting input-channel tile dominates every
+            // smaller one (third fact above), so only it is considered.
+            let (mut t, mut ws) = (t1, ws1);
+            for &in_channels in &c_cands[1..] {
+                let next = Tiling { in_channels, ..t1 };
+                let next_ws = working_set(work, &next, bytes)?;
+                if next_ws > budget {
                     break; // monotone in the input-channel tile
                 }
-                consider(work, t, ws, bytes, &mut best)?;
-                consider(
-                    work,
-                    Tiling { order: LoopOrder::SpatialOuter, ..t },
-                    ws,
-                    bytes,
-                    &mut best,
-                )?;
+                (t, ws) = (next, next_ws);
             }
+            consider(work, t, ws, bytes, &mut best)?;
+            consider(work, Tiling { order: LoopOrder::SpatialOuter, ..t }, ws, bytes, &mut best)?;
         }
     }
-    best.ok_or(SimError::InfeasibleTiling {
+    best.ok_or_else(|| SimError::InfeasibleTiling {
         layer: None,
         working_set: smallest_ws.unwrap_or(0),
         buffer: budget,
@@ -388,7 +395,7 @@ pub fn optimize_tiling_exhaustive(
             }
         }
     }
-    best.ok_or(SimError::InfeasibleTiling {
+    best.ok_or_else(|| SimError::InfeasibleTiling {
         layer: None,
         working_set: smallest_ws.unwrap_or(0),
         buffer: budget,
@@ -611,6 +618,43 @@ mod tests {
                         assert_eq!(format!("{p:?}"), format!("{e:?}"), "error mismatch for {w:?}");
                     }
                     _ => panic!("feasibility mismatch for {w:?}: {pruned:?} vs {exhaustive:?}"),
+                }
+            }
+        }
+    }
+
+    /// The searches agree on every distinct compute layer of the table
+    /// networks, on buffers from 16 KiB to 8 MiB (covering the sweep's
+    /// 64–256 KiB and the fusion study's 128–8192 KiB) at every element
+    /// width, with and without double buffering.
+    #[test]
+    fn pruned_matches_exhaustive_on_every_zoo_layer() {
+        let mut works: Vec<ConvWork> = Vec::new();
+        for net in codesign_dnn::zoo::table_networks() {
+            for w in net.layers().iter().filter_map(ConvWork::from_layer) {
+                if !works.contains(&w) {
+                    works.push(w);
+                }
+            }
+        }
+        assert_eq!(works.len(), 105);
+        for kib in (4..=13).map(|p| 1usize << p) {
+            for bytes in [1, 2, 4] {
+                for double_buffering in [true, false] {
+                    let cfg = AcceleratorConfig::builder()
+                        .global_buffer_bytes(kib * 1024)
+                        .bytes_per_element(bytes)
+                        .double_buffering(double_buffering)
+                        .build()
+                        .unwrap();
+                    for w in &works {
+                        assert_eq!(
+                            optimize_tiling(w, &cfg),
+                            optimize_tiling_exhaustive(w, &cfg),
+                            "for {w:?} on {cfg}, {bytes} B/element, double buffering \
+                             {double_buffering}"
+                        );
+                    }
                 }
             }
         }

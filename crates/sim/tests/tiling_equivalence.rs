@@ -1,12 +1,13 @@
 //! Property test: the pruned (branch-and-bound) tiling search is
 //! observationally identical to the exhaustive search it replaced.
 //!
-//! For arbitrary `ConvWork` shapes and working-buffer sizes, both
-//! searches must return the same `TilingPlan` (tiling, traffic,
-//! working set) — or fail with the same error. Pinned regressions
-//! cover the depthwise and single-strip shapes called out in the
-//! issue, which exercise the bound's edge cases (diagonal-only reuse
-//! and an r-candidate list of length one).
+//! For arbitrary `ConvWork` shapes, buffer sizes, element widths and
+//! double-buffering settings, both searches must return the same
+//! `TilingPlan` (tiling, traffic, working set) — or fail with the same
+//! error. Pinned regressions cover the bound's edge cases (depthwise
+//! diagonal-only reuse and an r-candidate list of length one) and the
+//! input-channel boundary where only the largest fitting tile is
+//! evaluated.
 
 use codesign_arch::AcceleratorConfig;
 use codesign_sim::{optimize_tiling, optimize_tiling_exhaustive, ConvWork, WorkKind};
@@ -59,7 +60,18 @@ fn conv_work() -> impl Strategy<Value = ConvWork> {
 }
 
 fn buffer_kib() -> impl Strategy<Value = usize> {
-    prop_oneof![Just(8usize), Just(16), Just(32), Just(64), Just(128), Just(256), Just(1024),]
+    prop_oneof![
+        Just(1usize),
+        Just(4),
+        Just(8),
+        Just(16),
+        Just(32),
+        Just(64),
+        Just(128),
+        Just(256),
+        Just(1024),
+        Just(4096),
+    ]
 }
 
 fn assert_equivalent(work: &ConvWork, cfg: &AcceleratorConfig) -> Result<(), TestCaseError> {
@@ -86,15 +98,25 @@ fn assert_equivalent(work: &ConvWork, cfg: &AcceleratorConfig) -> Result<(), Tes
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(ProptestConfig::with_cases(1024))]
 
+    /// The search reads only the working buffer (global buffer, halved
+    /// under double buffering) and the element width, so those are the
+    /// axes drawn here. An 8×8 array keeps 1 KiB buffers legal.
     #[test]
-    fn pruned_search_matches_exhaustive(work in conv_work(), buf_kib in buffer_kib()) {
-        let cfg = match AcceleratorConfig::builder().global_buffer_bytes(buf_kib * 1024).build() {
-            Ok(cfg) => cfg,
-            // Buffer too small for this PE array: nothing to compare.
-            Err(_) => return Ok(()),
-        };
+    fn pruned_search_matches_exhaustive(
+        work in conv_work(),
+        buf_kib in buffer_kib(),
+        bytes in prop_oneof![Just(1usize), Just(2), Just(4)],
+        double_buffering in any::<bool>(),
+    ) {
+        let cfg = AcceleratorConfig::builder()
+            .array_size(8)
+            .global_buffer_bytes(buf_kib * 1024)
+            .bytes_per_element(bytes)
+            .double_buffering(double_buffering)
+            .build()
+            .map_err(|e| TestCaseError::fail(e.to_string()))?;
         assert_equivalent(&work, &cfg)?;
     }
 
@@ -153,6 +175,62 @@ mod pinned {
             if let Ok(cfg) = AcceleratorConfig::builder().global_buffer_bytes(buf).build() {
                 check(&work, &cfg);
             }
+        }
+    }
+
+    fn work(
+        kind: WorkKind,
+        groups: usize,
+        c: usize,
+        k: usize,
+        kernel: usize,
+        out: usize,
+    ) -> ConvWork {
+        ConvWork {
+            kind,
+            groups,
+            in_channels: c,
+            out_channels: k,
+            kernel_h: kernel,
+            kernel_w: kernel,
+            stride: 1,
+            in_h: out + kernel - 1,
+            in_w: out + kernel - 1,
+            out_h: out,
+            out_w: out,
+        }
+    }
+
+    /// The pruned search evaluates only the largest input-channel tile
+    /// that fits for each (strip, filter tile) pair. Pin every work kind
+    /// where the winner is a proper input-channel tile: once with C a
+    /// power of two whose full tile overflows, and once with C = 96,
+    /// where 64 is the largest candidate that fits.
+    #[test]
+    fn largest_fitting_input_channel_tile_regression() {
+        use WorkKind::{Dense, Depthwise, FullyConnected};
+        // (work, array size, global buffer bytes, winning input-channel tile)
+        let cases = [
+            (work(Dense, 1, 256, 64, 1, 7), 32, 32 * 1024, 128),
+            (work(Dense, 1, 96, 16, 1, 28), 32, 16 * 1024, 64),
+            (work(Dense, 4, 256, 64, 1, 7), 32, 32 * 1024, 128),
+            (work(Dense, 4, 96, 16, 1, 28), 32, 16 * 1024, 64),
+            (work(FullyConnected, 1, 4096, 1000, 1, 1), 32, 16 * 1024, 1024),
+            // 64 + 64 + 1 elements fit the 160-element working half;
+            // 96 + 96 + 1 do not.
+            (work(FullyConnected, 1, 96, 10, 1, 1), 2, 640, 64),
+            (work(Depthwise, 1, 256, 256, 3, 7), 32, 64 * 1024, 128),
+            (work(Depthwise, 1, 96, 96, 5, 7), 32, 64 * 1024, 64),
+        ];
+        for (work, array, buffer, in_channels) in cases {
+            let cfg = AcceleratorConfig::builder()
+                .array_size(array)
+                .global_buffer_bytes(buffer)
+                .build()
+                .expect("valid pinned config");
+            check(&work, &cfg);
+            let plan = optimize_tiling(&work, &cfg).expect("pinned case is feasible");
+            assert_eq!(plan.tiling.in_channels, in_channels, "for {work:?} on {cfg}");
         }
     }
 
