@@ -16,8 +16,7 @@
 use codesign_arch::{AcceleratorConfig, Dataflow, DataflowPolicy};
 use codesign_dnn::{Layer, Network};
 
-use crate::dram::combine_cycles;
-use crate::engine::{try_simulate_conv, SimOptions};
+use crate::engine::{choose_dataflow, finish_layer, try_simulate_conv, SimOptions};
 use crate::error::{SimError, SimResult};
 use crate::perf::{LayerPerf, NetworkPerf, PhaseCycles};
 use crate::simd::simulate_simd;
@@ -27,19 +26,6 @@ const SCALE_CTX: &str = "batched scaling";
 
 fn mul(a: u64, b: u64) -> SimResult<u64> {
     a.checked_mul(b).ok_or_else(|| SimError::overflow(SCALE_CTX))
-}
-
-fn scale_counts(
-    acc: codesign_arch::AccessCounts,
-    batch: u64,
-) -> SimResult<codesign_arch::AccessCounts> {
-    Ok(codesign_arch::AccessCounts {
-        macs: mul(acc.macs, batch)?,
-        register_file: mul(acc.register_file, batch)?,
-        inter_pe: mul(acc.inter_pe, batch)?,
-        global_buffer: mul(acc.global_buffer, batch)?,
-        dram: 0, // folded in separately (weights amortize)
-    })
 }
 
 /// Simulates one layer over a batch of `batch` images under the given
@@ -78,29 +64,25 @@ fn try_layer_batched_memo(
     if batch == 0 {
         return Err(SimError::invalid("batch size must be positive").for_layer(&layer.name));
     }
-    let result = match ConvWork::from_layer(layer) {
+    let work = ConvWork::from_layer(layer);
+    let single = match &work {
+        Some(work) => try_simulate_conv(work, cfg, opts, dataflow)?,
+        None => simulate_simd(layer, cfg)?,
+    };
+    let mut compute = single.repeated(batch, SCALE_CTX)?;
+    compute.phases = PhaseCycles {
+        // Weights stay resident across the batch under WS: loads once,
+        // streaming scales. Output-stationary state is per image:
+        // everything scales. (The SIMD path has no load phase.)
+        load: match dataflow {
+            Dataflow::WeightStationary => single.phases.load,
+            Dataflow::OutputStationary => mul(single.phases.load, batch)?,
+        },
+        compute: mul(single.phases.compute, batch)?,
+        drain: mul(single.phases.drain, batch)?,
+    };
+    let (dataflow, activations, weights) = match work {
         Some(work) => {
-            let single = try_simulate_conv(&work, cfg, opts, dataflow)?;
-            let phases = match dataflow {
-                // Weights stay resident across the batch: loads once,
-                // streaming scales.
-                Dataflow::WeightStationary => PhaseCycles {
-                    load: single.phases.load,
-                    compute: mul(single.phases.compute, batch)?,
-                    drain: mul(single.phases.drain, batch)?,
-                },
-                // Output-stationary state is per image: everything scales.
-                Dataflow::OutputStationary => PhaseCycles {
-                    load: mul(single.phases.load, batch)?,
-                    compute: mul(single.phases.compute, batch)?,
-                    drain: mul(single.phases.drain, batch)?,
-                },
-            };
-            let mut compute = crate::perf::ComputePerf {
-                phases,
-                executed_macs: mul(single.executed_macs, batch)?,
-                accesses: scale_counts(single.accesses, batch)?,
-            };
             let traffic = match traffic_memo.get(&work) {
                 Some(&t) => t,
                 None => {
@@ -109,61 +91,21 @@ fn try_layer_batched_memo(
                     t
                 }
             };
-            // Weights once per batch; activations per image.
-            let dram_bytes = traffic
-                .input
-                .checked_add(traffic.output)
-                .and_then(|act| act.checked_mul(batch))
-                .and_then(|act| act.checked_add(traffic.weights))
-                .ok_or_else(|| SimError::overflow(SCALE_CTX))?;
-            let dram_cycles = cfg.dram().transfer_cycles(dram_bytes);
-            let total_cycles = combine_cycles(compute.cycles(), dram_cycles, cfg);
-            compute.accesses.dram = dram_bytes / cfg.bytes_per_element() as u64;
-            let utilization = if total_cycles == 0 {
-                0.0
-            } else {
-                compute.executed_macs as f64 / (total_cycles as f64 * cfg.pe_count() as f64)
-            };
-            Ok(LayerPerf {
-                name: layer.name.clone(),
-                dataflow: Some(dataflow),
-                compute,
-                dram_bytes,
-                dram_cycles,
-                total_cycles,
-                utilization,
-            })
+            (Some(dataflow), traffic.input.checked_add(traffic.output), traffic.weights)
         }
         None => {
-            let single = simulate_simd(layer, cfg)?;
-            let mut compute = crate::perf::ComputePerf {
-                phases: PhaseCycles {
-                    load: 0,
-                    compute: mul(single.phases.compute, batch)?,
-                    drain: 0,
-                },
-                executed_macs: 0,
-                accesses: scale_counts(single.accesses, batch)?,
-            };
-            let act = (layer.input.elements() as u64)
+            let elements = (layer.input.elements() as u64)
                 .checked_add(layer.output.elements() as u64)
-                .ok_or_else(|| SimError::overflow(SCALE_CTX))?;
-            let dram_bytes = mul(mul(act, cfg.bytes_per_element() as u64)?, batch)?;
-            let dram_cycles = cfg.dram().transfer_cycles(dram_bytes);
-            let total_cycles = combine_cycles(compute.cycles(), dram_cycles, cfg);
-            compute.accesses.dram = dram_bytes / cfg.bytes_per_element() as u64;
-            Ok(LayerPerf {
-                name: layer.name.clone(),
-                dataflow: None,
-                compute,
-                dram_bytes,
-                dram_cycles,
-                total_cycles,
-                utilization: 0.0,
-            })
+                .and_then(|n| n.checked_mul(cfg.bytes_per_element() as u64));
+            (None, elements, 0)
         }
     };
-    result.map_err(|e: SimError| e.for_layer(&layer.name))
+    // Weights once per batch; activations per image.
+    let dram_bytes = activations
+        .and_then(|act| act.checked_mul(batch))
+        .and_then(|act| act.checked_add(weights))
+        .ok_or_else(|| SimError::overflow(SCALE_CTX))?;
+    Ok(finish_layer(layer, dataflow, compute, dram_bytes, cfg, cfg.pe_count()))
 }
 
 /// Simulates one layer over a batch of `batch` images. Infallible
@@ -195,39 +137,17 @@ pub fn try_simulate_network_batched(
     opts: SimOptions,
     batch: u64,
 ) -> SimResult<NetworkPerf> {
-    let mut layers = Vec::with_capacity(network.layers().len());
     let mut memo = TrafficMemo::new();
-    for layer in network.layers() {
-        let perf = match policy {
-            DataflowPolicy::Fixed(d) => {
-                try_layer_batched_memo(layer, cfg, opts, d, batch, &mut memo)?
-            }
-            DataflowPolicy::PerLayer => {
-                let ws = try_layer_batched_memo(
-                    layer,
-                    cfg,
-                    opts,
-                    Dataflow::WeightStationary,
-                    batch,
-                    &mut memo,
-                )?;
-                let os = try_layer_batched_memo(
-                    layer,
-                    cfg,
-                    opts,
-                    Dataflow::OutputStationary,
-                    batch,
-                    &mut memo,
-                )?;
-                if os.total_cycles < ws.total_cycles {
-                    os
-                } else {
-                    ws
-                }
-            }
-        };
-        layers.push(perf);
-    }
+    let layers = network
+        .layers()
+        .iter()
+        .map(|layer| {
+            let simulate = |d| try_layer_batched_memo(layer, cfg, opts, d, batch, &mut memo);
+            choose_dataflow(policy, simulate, |p| p.total_cycles)
+                .map(|(_, perf)| perf)
+                .map_err(|e| e.for_layer(&layer.name))
+        })
+        .collect::<SimResult<_>>()?;
     Ok(NetworkPerf { name: network.name().to_owned(), layers })
 }
 
@@ -334,5 +254,6 @@ mod tests {
             try_simulate_network_batched(&net, &cfg, DataflowPolicy::PerLayer, opts, u64::MAX / 2)
                 .unwrap_err();
         assert!(matches!(err, SimError::ArithmeticOverflow { .. }), "{err}");
+        assert_eq!(err.layer(), Some("conv1"), "the error names the layer");
     }
 }

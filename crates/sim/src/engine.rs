@@ -139,12 +139,17 @@ pub fn simulate_conv(
     try_simulate_conv(work, cfg, opts, dataflow).unwrap_or_else(|e| e.raise())
 }
 
-fn finish_layer(
+/// Assembles a [`LayerPerf`] from the array's work and the layer's DRAM
+/// bytes: DMA cycles, the double-buffering combine, DRAM access counts
+/// and utilization over `pes` processing elements. Every network model
+/// (engine, batch, multi-core) builds its per-layer results here.
+pub(crate) fn finish_layer(
     layer: &Layer,
     dataflow: Option<Dataflow>,
     mut compute: ComputePerf,
     dram_bytes: u64,
     cfg: &AcceleratorConfig,
+    pes: usize,
 ) -> LayerPerf {
     let dram_cycles = cfg.dram().transfer_cycles(dram_bytes);
     let total_cycles = combine_cycles(compute.cycles(), dram_cycles, cfg);
@@ -152,7 +157,7 @@ fn finish_layer(
     let utilization = if total_cycles == 0 {
         0.0
     } else {
-        compute.executed_macs as f64 / (total_cycles as f64 * cfg.pe_count() as f64)
+        compute.executed_macs as f64 / (total_cycles as f64 * pes as f64)
     };
     LayerPerf {
         name: layer.name.clone(),
@@ -162,6 +167,31 @@ fn finish_layer(
         dram_cycles,
         total_cycles,
         utilization,
+    }
+}
+
+/// The per-layer dataflow rule every network model shares: a
+/// [`DataflowPolicy::Fixed`] dataflow as is; under
+/// [`DataflowPolicy::PerLayer`], OS only when it takes strictly fewer
+/// cycles than WS (WS wins ties). `simulate` runs the layer under one
+/// dataflow and `cycles` reads the total the choice compares. Returns
+/// the chosen dataflow with its result.
+pub(crate) fn choose_dataflow<T>(
+    policy: DataflowPolicy,
+    mut simulate: impl FnMut(Dataflow) -> SimResult<T>,
+    cycles: impl Fn(&T) -> u64,
+) -> SimResult<(Dataflow, T)> {
+    match policy {
+        DataflowPolicy::Fixed(d) => Ok((d, simulate(d)?)),
+        DataflowPolicy::PerLayer => {
+            let ws = simulate(Dataflow::WeightStationary)?;
+            let os = simulate(Dataflow::OutputStationary)?;
+            Ok(if cycles(&os) < cycles(&ws) {
+                (Dataflow::OutputStationary, os)
+            } else {
+                (Dataflow::WeightStationary, ws)
+            })
+        }
     }
 }
 
@@ -473,8 +503,9 @@ impl Simulator {
                     if let Some(m) = memo {
                         m.insert((work, dataflow), (compute, dram_bytes));
                     }
-                    let dedup_hit = memoized.is_some();
-                    (finish_layer(layer, Some(dataflow), compute, dram_bytes, cfg), dedup_hit)
+                    let pes = cfg.pe_count();
+                    let perf = finish_layer(layer, Some(dataflow), compute, dram_bytes, cfg, pes);
+                    (perf, memoized.is_some())
                 })
             }
             None => simulate_simd(layer, cfg).map(|compute| {
@@ -483,7 +514,7 @@ impl Simulator {
                     layer.output.elements() as u64,
                     cfg,
                 );
-                (finish_layer(layer, None, compute, traffic.total(), cfg), false)
+                (finish_layer(layer, None, compute, traffic.total(), cfg, cfg.pe_count()), false)
             }),
         };
         let (perf, answered) = result.map_err(|e| self.note_error(e.for_layer(&layer.name)))?;
@@ -514,11 +545,11 @@ impl Simulator {
     ) -> SimResult<(LayerPerf, LayerPerf, Dataflow)> {
         let ws = self.try_simulate_layer(layer, cfg, opts, Dataflow::WeightStationary)?;
         let os = self.try_simulate_layer(layer, cfg, opts, Dataflow::OutputStationary)?;
-        let best = if os.total_cycles < ws.total_cycles {
-            Dataflow::OutputStationary
-        } else {
-            Dataflow::WeightStationary
+        let by_dataflow = |d| match d {
+            Dataflow::WeightStationary => Ok(&ws),
+            Dataflow::OutputStationary => Ok(&os),
         };
+        let (best, _) = choose_dataflow(DataflowPolicy::PerLayer, by_dataflow, |p| p.total_cycles)?;
         Ok((ws, os, best))
     }
 
@@ -578,34 +609,11 @@ impl Simulator {
         // cache again.
         let mut memo = LayerMemo::new();
         for layer in network.layers() {
-            let (perf, hit) = match policy {
-                DataflowPolicy::Fixed(d) => {
-                    self.try_simulate_layer_flagged(layer, cfg, opts, d, Some(&mut memo), tally)?
-                }
-                DataflowPolicy::PerLayer => {
-                    let (ws, hit_ws) = self.try_simulate_layer_flagged(
-                        layer,
-                        cfg,
-                        opts,
-                        Dataflow::WeightStationary,
-                        Some(&mut memo),
-                        tally,
-                    )?;
-                    let (os, hit_os) = self.try_simulate_layer_flagged(
-                        layer,
-                        cfg,
-                        opts,
-                        Dataflow::OutputStationary,
-                        Some(&mut memo),
-                        tally,
-                    )?;
-                    if os.total_cycles < ws.total_cycles {
-                        (os, hit_os)
-                    } else {
-                        (ws, hit_ws)
-                    }
-                }
-            };
+            let (_, (perf, hit)) = choose_dataflow(
+                policy,
+                |d| self.try_simulate_layer_flagged(layer, cfg, opts, d, Some(&mut memo), tally),
+                |(perf, _)| perf.total_cycles,
+            )?;
             dedup_hits.push(hit);
             layers.push(perf);
         }

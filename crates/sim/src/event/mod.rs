@@ -2,32 +2,36 @@
 //!
 //! The analytic model folds DRAM behind compute with
 //! `max(compute, dram) + latency` (one number per layer). This module
-//! checks that shortcut from below: it builds each layer's actual tile
-//! sequence from the tiling plan, then plays the tiles through explicit
-//! [`units::DmaUnit`] and [`units::ArrayUnit`] resources — the DMA
-//! prefetches tile *i+1* into one half of the double buffer while the
-//! array computes tile *i* from the other half, exactly the §4.1.3
-//! scheme, and the next layer's weights (which have no data dependency)
-//! stream during the current layer's compute. Pipeline bubbles — the
-//! array waiting on data, single-tile layers that cannot hide their own
-//! input load — fall out of the event order instead of being assumed
-//! away, so the event totals run a documented few tens of percent above
-//! the analytic estimate on networks dominated by small layers.
+//! checks that shortcut from below: it lowers each layer to a run-length
+//! tile description from the tiling plan — a body tile repeated
+//! `count − 1` times and one last tile carrying the remainders — then
+//! plays the tiles through explicit [`units::DmaUnit`] and
+//! [`units::ArrayUnit`] resources. With double buffering, the DMA
+//! prefetches tile *i+1* into one half of the buffer while the array
+//! computes tile *i* from the other half, exactly the §4.1.3 scheme, and
+//! the next layer's weights (which have no data dependency) stream during
+//! the current layer's compute; without it, every load waits for the
+//! previous tile to finish. Pipeline bubbles — the array waiting on data,
+//! single-tile layers that cannot hide their own input load — fall out of
+//! the event order instead of being assumed away, so the event totals run
+//! a documented few tens of percent above the analytic estimate on
+//! networks dominated by small layers.
 //!
 //! # Time skipping
 //!
 //! The scheduler is a next-event queue over the two units: each step
 //! jumps straight to the earliest completion time instead of advancing
-//! cycle by cycle. On top of that, steady-state runs of identical tiles
-//! are advanced in one arithmetic step: once two consecutive identical
-//! tiles finish with the same uniform clock advance Δ (every unit clock
-//! moved by exactly Δ and no constant clamp — layer start, pending
-//! weights — was active), every following identical tile must repeat the
-//! same pattern shifted by Δ, because the unit update rules only compare
-//! clocks against each other. The remaining run then collapses to
-//! `k · Δ` ([`units::DmaUnit::fast_forward`]). [`TimeSkip::Disabled`]
+//! cycle by cycle. On top of that, the run of identical body tiles is
+//! advanced in one arithmetic step: once two consecutive periods of one
+//! or two body tiles finish with the same uniform clock advance Δ (every
+//! unit clock moved by exactly Δ and no constant clamp — layer start,
+//! pending weights — was active), every following period must repeat
+//! the same pattern shifted by Δ, because the unit update rules only
+//! compare clocks against each other. The rest of the run then collapses
+//! to `k · Δ` ([`units::DmaUnit::fast_forward`]), so a layer costs O(1)
+//! in time and memory however many tiles it has. [`TimeSkip::Disabled`]
 //! keeps the tile-by-tile walk as the executable baseline; the test
-//! suite holds the two bit-identical across the zoo.
+//! suite holds the two bit-identical.
 
 pub mod units;
 
@@ -37,8 +41,8 @@ use codesign_arch::{AcceleratorConfig, Dataflow, DataflowPolicy};
 use codesign_dnn::{Layer, Network};
 
 use crate::dram::conv_traffic;
-use crate::engine::{try_simulate_conv, SimOptions, Simulator, TrafficModel};
-use crate::error::{SimError, SimResult};
+use crate::engine::{choose_dataflow, SimOptions, Simulator, TrafficModel};
+use crate::error::{checked_product, SimResult};
 use crate::simd::simulate_simd;
 use crate::tiling::optimize_tiling;
 use crate::workload::ConvWork;
@@ -64,7 +68,11 @@ pub struct EventLayerResult {
     pub name: String,
     /// End-to-end cycles of this layer (its tiles' span).
     pub cycles: Cycle,
-    /// Cycles the array sat idle waiting for data within the layer.
+    /// Cycles the array sat idle waiting for data within the layer: for
+    /// every tile, the gap from the later of the array's last completion
+    /// and the layer's start to the moment the tile's data (and weights)
+    /// arrived. One rule with and without double buffering, so stalls
+    /// plus the layer's compute cycles never exceed `cycles`.
     pub array_stall_cycles: Cycle,
     /// Number of tiles executed.
     pub tiles: u64,
@@ -102,62 +110,84 @@ struct TileTxn {
 /// A layer lowered to the event model: a weight prefetch (no data
 /// dependency — it may stream during the *previous* layer's compute,
 /// the inter-layer half of the double-buffering scheme) plus the
-/// dependent tile pipeline.
-#[derive(Debug, Clone, PartialEq)]
+/// dependent tile pipeline in run-length form — `body` repeated
+/// `count − 1` times, then `last`, which carries the remainders of every
+/// total (and equals `body` when every total divides evenly).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct LayerTxns {
     weight_bytes: u64,
-    tiles: Vec<TileTxn>,
+    body: TileTxn,
+    last: TileTxn,
+    count: u64,
 }
 
-/// Builds a layer's tile sequence: the tiling plan fixes the tile count
-/// and total traffic; the analytic model fixes total compute. Both are
-/// spread evenly across tiles (remainders on the last tile). The single
-/// `optimize_tiling` search serves both the tile count and the traffic
-/// totals — the lowering never runs the §4.1.3 search twice.
+impl LayerTxns {
+    /// Tile `i` of the sequence.
+    fn tile(&self, i: u64) -> TileTxn {
+        if i + 1 == self.count {
+            self.last
+        } else {
+            self.body
+        }
+    }
+
+    /// The last iteration a steady-state jump may land on. Iteration `i`
+    /// consumes tile `i` and, when double buffering, prefetches tile
+    /// `i + 1`; it repeats its predecessors only if tile `i + 1` exists
+    /// and is a body tile too, so `i + 1` must stay inside the leading
+    /// run of body tiles (the final iteration prefetches nothing and
+    /// never repeats, even when `last == body`). `None` for runs too
+    /// short to hold the three iterations the detection needs.
+    fn steady_window_end(&self) -> Option<u64> {
+        let body_run = if self.last == self.body { self.count } else { self.count - 1 };
+        (body_run >= 3).then(|| body_run - 2)
+    }
+}
+
+/// Builds a layer's run-length tile sequence: the tiling plan fixes the
+/// tile count and total traffic, `compute` is the analytic model's total
+/// for the chosen dataflow, and every total is spread evenly across the
+/// tiles with the remainders on the last. The single `optimize_tiling`
+/// search serves both the tile count and the traffic totals — the
+/// lowering never runs the §4.1.3 search twice.
 fn tile_sequence(
     work: &ConvWork,
     cfg: &AcceleratorConfig,
     opts: SimOptions,
-    dataflow: Dataflow,
+    compute: Cycle,
 ) -> SimResult<LayerTxns> {
     let plan = optimize_tiling(work, cfg)?;
-    let compute = try_simulate_conv(work, cfg, opts, dataflow)?.cycles();
-    let tiles = (work.out_h.div_ceil(plan.tiling.out_rows)
-        * work.out_channels.div_ceil(plan.tiling.out_channels)
-        * work.in_channels.div_ceil(plan.tiling.in_channels)
-        * work.groups) as u64;
-    let tiles = tiles.max(1);
+    let count = checked_product(
+        &[
+            work.out_h.div_ceil(plan.tiling.out_rows),
+            work.out_channels.div_ceil(plan.tiling.out_channels),
+            work.in_channels.div_ceil(plan.tiling.in_channels),
+            work.groups,
+        ],
+        "event tile count",
+    )?
+    .max(1);
     let raw = match opts.traffic {
-        TrafficModel::ClosedForm => {
-            work.validate()?;
-            conv_traffic(work, cfg)
-        }
+        TrafficModel::ClosedForm => conv_traffic(work, cfg),
         TrafficModel::TilingSearch => plan.traffic,
     };
     let traffic = opts.finish_traffic(raw, work, cfg);
-    let spread = |total: u64, i: u64| {
-        let base = total / tiles;
-        if i == tiles - 1 {
-            base + total % tiles
-        } else {
-            base
-        }
-    };
     // Weights that fit a buffer half are prefetched whole across the
     // layer boundary; larger weight sets (FC layers, late convs) stream
     // tile by tile and pipeline with compute like inputs do.
     let weights_fit = traffic.weights <= cfg.working_buffer_bytes() as u64 / 2;
     let (prefetch_weights, streamed_weights) =
         if weights_fit { (traffic.weights, 0) } else { (0, traffic.weights) };
+    let tile = |share: &dyn Fn(u64) -> u64| TileTxn {
+        input_bytes: share(traffic.input) + share(streamed_weights),
+        compute_cycles: share(compute),
+        store_bytes: share(traffic.output),
+    };
     Ok(LayerTxns {
         weight_bytes: prefetch_weights,
-        tiles: (0..tiles)
-            .map(|i| TileTxn {
-                input_bytes: spread(traffic.input, i) + spread(streamed_weights, i),
-                compute_cycles: spread(compute, i),
-                store_bytes: spread(traffic.output, i),
-            })
-            .collect(),
+        body: tile(&|total| total / count),
+        last: tile(&|total| total / count + total % count),
+        count,
     })
 }
 
@@ -187,7 +217,7 @@ struct IterSnap {
     weights_pending: bool,
 }
 
-/// Per-iteration advance once the pipeline is periodic.
+/// Per-period advance once the pipeline is periodic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct IterDelta {
     dt: Cycle,
@@ -197,12 +227,13 @@ struct IterDelta {
     array_busy: Cycle,
 }
 
-/// Detects the steady state from three consecutive snapshots: the two
-/// iteration deltas must match field for field, every clock must have
+/// Detects the steady state from three snapshots one period apart: the
+/// two period deltas must match field for field, every clock must have
 /// advanced by the same Δ (a uniform time translation), and no constant
 /// clamp may have been active. Under those conditions the unit update
 /// rules — which only compare clocks against each other — commute with
-/// the translation, so every later identical tile repeats the pattern.
+/// the translation, so every later period of body tiles repeats the
+/// pattern.
 fn steady_delta(a: &IterSnap, b: &IterSnap, c: &IterSnap) -> Option<IterDelta> {
     if b.weights_pending || c.weights_pending {
         return None;
@@ -227,21 +258,8 @@ fn steady_delta(a: &IterSnap, b: &IterSnap, c: &IterSnap) -> Option<IterDelta> {
     (d1 == d2 && uniform).then_some(d2)
 }
 
-/// The longest run of leading identical tiles that a steady-state jump
-/// may cover: iteration `i` both consumes `tiles[i]` and (when double
-/// buffering) prefetches `tiles[i + 1]`, so both must equal the base
-/// tile for the iteration to be periodic.
-fn steady_window_end(tiles: &[TileTxn]) -> Option<usize> {
-    let base = tiles.first()?;
-    let prefix = tiles.iter().take_while(|t| *t == base).count();
-    if prefix < 3 {
-        return None; // nothing beyond the detection iterations
-    }
-    Some((prefix - 2).min(tiles.len() - 2))
-}
-
 /// Plays one layer's transactions through the units; returns the updated
-/// pipeline state plus `(stall cycles, tile count)`.
+/// pipeline state plus the layer's stall cycles.
 fn play_layer(
     txns: &LayerTxns,
     dma: &mut DmaUnit,
@@ -249,136 +267,97 @@ fn play_layer(
     state: PipelineState,
     double_buffering: bool,
     skip: TimeSkip,
-) -> (PipelineState, Cycle, u64) {
+) -> (PipelineState, Cycle) {
     let now = state.finished;
-    let mut stalls = 0;
-    let mut finish = now;
-    let mut first_compute_start = now;
-    let n = txns.tiles.len();
     let window_end = match skip {
-        TimeSkip::Enabled => steady_window_end(&txns.tiles),
+        TimeSkip::Enabled => txns.steady_window_end(),
         TimeSkip::Disabled => None,
     };
-    let mut prev_snaps: (Option<IterSnap>, Option<IterSnap>) = (None, None);
-    if double_buffering {
-        // Weights have no data dependency: stream them as soon as the
-        // previous layer's compute frees a buffer half.
-        let weights_done = dma.transfer(state.prev_compute_start, txns.weight_bytes);
-        // Prefetch pipeline over the dependent input tiles: tile i+1's
-        // load is issued the moment tile i's compute begins (one buffer
-        // half frees), so it runs under that compute; stores ride the
-        // DMA afterwards and may themselves overlap later tiles.
-        let mut loaded = dma.transfer(now, txns.tiles[0].input_bytes);
-        let mut i = 0usize;
-        while i < n {
-            let t = txns.tiles[i];
-            let ready = loaded.max(weights_done);
-            let start = ready.max(array.free_at()).max(now);
-            stalls += start.saturating_sub(array.free_at().max(now));
-            if i == 0 {
-                first_compute_start = start;
-            }
-            if let Some(next) = txns.tiles.get(i + 1) {
-                loaded = dma.transfer(start, next.input_bytes);
-            }
-            let done = array.run(start, t.compute_cycles);
-            finish = dma.transfer(done, t.store_bytes).max(done);
-
-            if let Some(we) = window_end.filter(|&we| i <= we) {
-                let cur = IterSnap {
-                    loaded,
-                    dma_free: dma.free_at(),
-                    array_free: array.free_at(),
-                    finish,
-                    stalls,
-                    dma_busy: dma.busy_cycles(),
-                    dma_bursts: dma.bursts(),
-                    array_busy: array.busy_cycles(),
-                    weights_pending: weights_done > loaded,
-                };
-                if let (Some(a), Some(b)) = (prev_snaps.0, prev_snaps.1) {
-                    if let Some(d) = steady_delta(&a, &b, &cur) {
-                        let k = (we - i) as u64;
-                        if k > 0 {
-                            loaded += k * d.dt;
-                            finish += k * d.dt;
-                            stalls += k * d.stalls;
-                            dma.fast_forward(k * d.dt, k * d.dma_busy, k * d.dma_bursts);
-                            array.fast_forward(k * d.dt, k * d.array_busy);
-                            prev_snaps = (None, None);
-                            i = we + 1;
-                            continue;
-                        }
-                    }
-                }
-                prev_snaps = (prev_snaps.1, Some(cur));
-            }
-            i += 1;
+    // Weights have no data dependency: with double buffering they stream
+    // as soon as the previous layer's compute frees a buffer half.
+    let weights_at = if double_buffering { state.prev_compute_start } else { now };
+    let weights_done = dma.transfer(weights_at, txns.weight_bytes);
+    // With double buffering, tile i+1's load is issued the moment tile
+    // i's compute begins (one buffer half frees), so it runs under that
+    // compute; without, each load waits for the previous tile to finish.
+    // Stores ride the DMA after the compute either way.
+    let mut loaded =
+        if double_buffering { dma.transfer(now, txns.tile(0).input_bytes) } else { now };
+    let mut finish = now;
+    let mut first_compute_start = now;
+    let mut stalls = 0;
+    // Snapshots after the last four iterations, oldest first.
+    let mut snaps: [Option<IterSnap>; 4] = [None; 4];
+    let mut i = 0;
+    while i < txns.count {
+        let t = txns.tile(i);
+        if !double_buffering {
+            loaded = dma.transfer(finish, t.input_bytes);
         }
-    } else {
-        let weights_done = dma.transfer(now, txns.weight_bytes);
-        finish = finish.max(weights_done);
-        let mut i = 0usize;
-        while i < n {
-            let t = txns.tiles[i];
-            let loaded = dma.transfer(finish, t.input_bytes);
-            let start = loaded.max(array.free_at());
-            if i == 0 {
-                first_compute_start = start;
-            }
-            let done = array.run(start, t.compute_cycles);
-            finish = dma.transfer(done, t.store_bytes).max(done);
-
-            if let Some(we) = window_end.filter(|&we| i <= we) {
-                let cur = IterSnap {
-                    loaded,
-                    dma_free: dma.free_at(),
-                    array_free: array.free_at(),
-                    finish,
-                    stalls,
-                    dma_busy: dma.busy_cycles(),
-                    dma_bursts: dma.bursts(),
-                    array_busy: array.busy_cycles(),
-                    weights_pending: false,
-                };
-                if let (Some(a), Some(b)) = (prev_snaps.0, prev_snaps.1) {
-                    if let Some(d) = steady_delta(&a, &b, &cur) {
-                        let k = (we - i) as u64;
-                        if k > 0 {
-                            finish += k * d.dt;
-                            dma.fast_forward(k * d.dt, k * d.dma_busy, k * d.dma_bursts);
-                            array.fast_forward(k * d.dt, k * d.array_busy);
-                            prev_snaps = (None, None);
-                            i = we + 1;
-                            continue;
-                        }
-                    }
-                }
-                prev_snaps = (prev_snaps.1, Some(cur));
-            }
-            i += 1;
+        let idle_from = array.free_at().max(now);
+        let start = loaded.max(weights_done).max(idle_from);
+        stalls += start - idle_from;
+        if i == 0 {
+            first_compute_start = start;
         }
+        if double_buffering && i + 1 < txns.count {
+            loaded = dma.transfer(start, txns.tile(i + 1).input_bytes);
+        }
+        let done = array.run(start, t.compute_cycles);
+        finish = dma.transfer(done, t.store_bytes).max(done);
+
+        if let Some(we) = window_end.filter(|&we| i <= we) {
+            let cur = IterSnap {
+                loaded,
+                dma_free: dma.free_at(),
+                array_free: array.free_at(),
+                finish,
+                stalls,
+                dma_busy: dma.busy_cycles(),
+                dma_bursts: dma.bursts(),
+                array_busy: array.busy_cycles(),
+                weights_pending: weights_done > loaded,
+            };
+            // The pattern may repeat every iteration, or every other one
+            // when the DMA's access latency lands on alternate bursts.
+            let jump = [1, 2].into_iter().find_map(|period: u64| {
+                let a = snaps[4 - 2 * period as usize]?;
+                let b = snaps[4 - period as usize]?;
+                let d = steady_delta(&a, &b, &cur)?;
+                let k = (we - i) / period;
+                (k > 0).then_some((period, k, d))
+            });
+            if let Some((period, k, d)) = jump {
+                loaded += k * d.dt;
+                finish += k * d.dt;
+                stalls += k * d.stalls;
+                dma.fast_forward(k * d.dt, k * d.dma_busy, k * d.dma_bursts);
+                array.fast_forward(k * d.dt, k * d.array_busy);
+                snaps = [None; 4];
+                i += k * period + 1;
+                continue;
+            }
+            snaps.rotate_left(1);
+            snaps[3] = Some(cur);
+        }
+        i += 1;
     }
-    (
-        PipelineState { prev_compute_start: first_compute_start, finished: finish },
-        stalls,
-        txns.tiles.len() as u64,
-    )
+    (PipelineState { prev_compute_start: first_compute_start, finished: finish }, stalls)
 }
 
 /// Per-network lowering context: a memoizing [`Simulator`] for the
-/// dataflow decision plus a shape-keyed cache of lowered tile sequences,
-/// so repeated layer shapes (fire modules, depthwise ladders) lower
-/// once.
+/// dataflow decision plus a shape-keyed memo of lowered layers, so
+/// repeated layer shapes (fire modules, depthwise ladders) lower once.
+/// One context serves one network run, whose configuration, options and
+/// policy are fixed, so the shape alone keys the memo.
 struct Lowering {
     sim: Simulator,
-    txns: HashMap<(ConvWork, Dataflow), LayerTxns>,
-    best: HashMap<ConvWork, Dataflow>,
+    txns: HashMap<ConvWork, LayerTxns>,
 }
 
 impl Lowering {
     fn new() -> Self {
-        Self { sim: Simulator::new(), txns: HashMap::new(), best: HashMap::new() }
+        Self { sim: Simulator::new(), txns: HashMap::new() }
     }
 
     fn lower_layer(
@@ -388,41 +367,25 @@ impl Lowering {
         opts: SimOptions,
         policy: DataflowPolicy,
     ) -> SimResult<LayerTxns> {
-        let lowered = match ConvWork::from_layer(layer) {
-            Some(work) => {
-                let dataflow = match policy {
-                    DataflowPolicy::Fixed(d) => d,
-                    DataflowPolicy::PerLayer => match self.best.get(&work) {
-                        Some(&d) => d,
-                        None => {
-                            let d = self.sim.try_compare_dataflows(layer, cfg, opts)?.2;
-                            self.best.insert(work, d);
-                            d
-                        }
-                    },
-                };
-                match self.txns.get(&(work, dataflow)) {
-                    Some(t) => Ok(t.clone()),
-                    None => {
-                        let t = tile_sequence(&work, cfg, opts, dataflow)?;
-                        self.txns.insert((work, dataflow), t.clone());
-                        Ok(t)
-                    }
-                }
-            }
-            None => simulate_simd(layer, cfg).map(|perf| {
-                let e = cfg.bytes_per_element() as u64;
-                LayerTxns {
-                    weight_bytes: 0,
-                    tiles: vec![TileTxn {
-                        input_bytes: layer.input.elements() as u64 * e,
-                        compute_cycles: perf.cycles(),
-                        store_bytes: layer.output.elements() as u64 * e,
-                    }],
-                }
-            }),
+        let Some(work) = ConvWork::from_layer(layer) else {
+            let perf = simulate_simd(layer, cfg).map_err(|e| e.for_layer(&layer.name))?;
+            let e = cfg.bytes_per_element() as u64;
+            let tile = TileTxn {
+                input_bytes: layer.input.elements() as u64 * e,
+                compute_cycles: perf.cycles(),
+                store_bytes: layer.output.elements() as u64 * e,
+            };
+            return Ok(LayerTxns { weight_bytes: 0, body: tile, last: tile, count: 1 });
         };
-        lowered.map_err(|e: SimError| e.for_layer(&layer.name))
+        if let Some(&txns) = self.txns.get(&work) {
+            return Ok(txns);
+        }
+        let simulate = |d| self.sim.try_simulate_layer(layer, cfg, opts, d);
+        let (_, perf) = choose_dataflow(policy, simulate, |p| p.total_cycles)?;
+        let txns = tile_sequence(&work, cfg, opts, perf.compute.cycles())
+            .map_err(|e| e.for_layer(&layer.name))?;
+        self.txns.insert(work, txns);
+        Ok(txns)
     }
 }
 
@@ -432,7 +395,8 @@ impl Lowering {
 ///
 /// # Errors
 ///
-/// The first [`SimError`] any layer surfaces, attributed to that layer.
+/// The first [`SimError`](crate::SimError) any layer surfaces, attributed
+/// to that layer.
 pub fn try_simulate_network_event_mode(
     network: &Network,
     cfg: &AcceleratorConfig,
@@ -448,13 +412,13 @@ pub fn try_simulate_network_event_mode(
     for layer in network.layers() {
         let start = state.finished;
         let txns = lowering.lower_layer(layer, cfg, opts, policy)?;
-        let (next, stalls, tiles) =
+        let (next, stalls) =
             play_layer(&txns, &mut dma, &mut array, state, cfg.double_buffering(), skip);
         layers.push(EventLayerResult {
             name: layer.name.clone(),
             cycles: next.finished - start,
             array_stall_cycles: stalls,
-            tiles,
+            tiles: txns.count,
         });
         state = next;
     }
@@ -465,7 +429,8 @@ pub fn try_simulate_network_event_mode(
 ///
 /// # Errors
 ///
-/// The first [`SimError`] any layer surfaces, attributed to that layer.
+/// The first [`SimError`](crate::SimError) any layer surfaces, attributed
+/// to that layer.
 pub fn try_simulate_network_event(
     network: &Network,
     cfg: &AcceleratorConfig,
@@ -490,7 +455,7 @@ pub fn simulate_network_event(
 ///
 /// # Errors
 ///
-/// Any [`SimError`] the layer surfaces.
+/// Any [`SimError`](crate::SimError) the layer surfaces.
 pub fn try_simulate_layer_event(
     layer: &Layer,
     cfg: &AcceleratorConfig,
@@ -501,13 +466,13 @@ pub fn try_simulate_layer_event(
     let mut array = ArrayUnit::new();
     let txns = Lowering::new().lower_layer(layer, cfg, opts, DataflowPolicy::Fixed(dataflow))?;
     let state = PipelineState { prev_compute_start: 0, finished: 0 };
-    let (next, stalls, tiles) =
+    let (next, stalls) =
         play_layer(&txns, &mut dma, &mut array, state, cfg.double_buffering(), TimeSkip::Enabled);
     Ok(EventLayerResult {
         name: layer.name.clone(),
         cycles: next.finished,
         array_stall_cycles: stalls,
-        tiles,
+        tiles: txns.count,
     })
 }
 
@@ -530,6 +495,14 @@ mod tests {
 
     fn setup() -> (AcceleratorConfig, SimOptions) {
         (AcceleratorConfig::paper_default(), SimOptions::paper_default())
+    }
+
+    fn single_buffered() -> AcceleratorConfig {
+        AcceleratorConfig::builder()
+            .double_buffering(false)
+            .global_buffer_bytes(64 * 1024)
+            .build()
+            .expect("valid single-buffered config")
     }
 
     #[test]
@@ -577,11 +550,7 @@ mod tests {
     #[test]
     fn time_skip_matches_baseline_without_double_buffering() {
         let opts = SimOptions::paper_default();
-        let cfg = AcceleratorConfig::builder()
-            .double_buffering(false)
-            .global_buffer_bytes(64 * 1024)
-            .build()
-            .unwrap();
+        let cfg = single_buffered();
         for net in [zoo::squeezenet_v1_1(), zoo::alexnet()] {
             let fast = try_simulate_network_event_mode(
                 &net,
@@ -605,29 +574,143 @@ mod tests {
 
     #[test]
     fn event_is_never_faster_than_the_compute_floor() {
-        let (cfg, opts) = setup();
-        let net = zoo::squeezenet_v1_0();
-        let event = simulate_network_event(&net, &cfg, DataflowPolicy::PerLayer, opts);
-        let analytic = simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts);
-        for (e, a) in event.layers.iter().zip(&analytic.layers) {
-            assert!(
-                e.cycles + 1 >= a.compute.cycles(),
-                "{}: event {} below compute floor {}",
-                e.name,
-                e.cycles,
-                a.compute.cycles()
-            );
+        // One stall rule in both buffering modes: the array idles from
+        // the later of its last completion and the layer's start until a
+        // tile's data arrives. Stalls and compute then both fit inside
+        // the layer's span, exactly.
+        let opts = SimOptions::paper_default();
+        for cfg in [AcceleratorConfig::paper_default(), single_buffered()] {
+            for net in zoo::table_networks() {
+                let event = simulate_network_event(&net, &cfg, DataflowPolicy::PerLayer, opts);
+                let analytic = simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts);
+                for (e, a) in event.layers.iter().zip(&analytic.layers) {
+                    assert!(
+                        e.array_stall_cycles + a.compute.cycles() <= e.cycles,
+                        "{} {} on {cfg}: {} stalls + {} compute > {} event cycles",
+                        net.name(),
+                        e.name,
+                        e.array_stall_cycles,
+                        a.compute.cycles(),
+                        e.cycles
+                    );
+                }
+            }
+        }
+        // Without double buffering the array waits for every load.
+        let r = simulate_network_event(
+            &zoo::alexnet(),
+            &single_buffered(),
+            DataflowPolicy::PerLayer,
+            opts,
+        );
+        for name in ["conv1", "fc6"] {
+            let layer = r.layers.iter().find(|l| l.name == name).expect("AlexNet layer");
+            assert!(layer.array_stall_cycles > 0, "{name}: {layer:?}");
+        }
+    }
+
+    #[test]
+    fn lowered_tiles_sum_to_the_plan_traffic_and_the_compute() {
+        // The run-length lowering spreads every total over the tiles
+        // without losing a byte or a cycle: `body` times `count - 1`
+        // plus `last` gives back the plan's traffic (weights either
+        // prefetched whole or streamed with the inputs) and the compute.
+        let opts = SimOptions::paper_default();
+        for cfg in [AcceleratorConfig::paper_default(), single_buffered()] {
+            for net in zoo::table_networks() {
+                for work in net.layers().iter().filter_map(ConvWork::from_layer) {
+                    let plan = optimize_tiling(&work, &cfg).expect("zoo layers tile");
+                    let compute =
+                        crate::engine::simulate_conv(&work, &cfg, opts, Dataflow::OutputStationary)
+                            .cycles();
+                    let t = tile_sequence(&work, &cfg, opts, compute).expect("zoo layers lower");
+                    let sum = |f: fn(&TileTxn) -> u64| f(&t.body) * (t.count - 1) + f(&t.last);
+                    let what = format!("{work:?} on {cfg}");
+                    let tiles = work.out_h.div_ceil(plan.tiling.out_rows)
+                        * work.out_channels.div_ceil(plan.tiling.out_channels)
+                        * work.in_channels.div_ceil(plan.tiling.in_channels)
+                        * work.groups;
+                    assert_eq!(t.count, tiles as u64, "{what}");
+                    let streamed = match t.weight_bytes {
+                        0 => plan.traffic.weights,
+                        prefetched => {
+                            assert_eq!(prefetched, plan.traffic.weights, "{what}");
+                            0
+                        }
+                    };
+                    assert_eq!(sum(|x| x.input_bytes), plan.traffic.input + streamed, "{what}");
+                    assert_eq!(sum(|x| x.store_bytes), plan.traffic.output, "{what}");
+                    assert_eq!(sum(|x| x.compute_cycles), compute, "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn time_skip_matches_the_tile_walk_at_every_run_length() {
+        // A jump may land no later than the iteration that prefetches
+        // the last body tile; an off-by-one would jump over an iteration
+        // that is not a time translation of the ones before it. Play
+        // hand-built runs of 1 to 12 tiles (periods of one and two
+        // tiles), with and without a distinct last tile, through both
+        // buffering modes and compare the fast path with the
+        // tile-by-tile walk on every observable, unit state included.
+        let dram = codesign_arch::DramModel { latency_cycles: 100, bytes_per_cycle: 8.0 };
+        let tile = |input_bytes, compute_cycles, store_bytes| TileTxn {
+            input_bytes,
+            compute_cycles,
+            store_bytes,
+        };
+        // DMA-bound, compute-bound, transfer-free, store-free, and one
+        // whose DMA latency lands on alternate bursts (a two-tile rhythm).
+        let bodies = [
+            tile(800, 40, 80),
+            tile(80, 400, 80),
+            tile(0, 50, 0),
+            tile(160, 20, 0),
+            tile(48, 26, 72),
+        ];
+        for body in bodies {
+            for last in [body, tile(body.input_bytes + 8, body.compute_cycles + 3, 0)] {
+                for count in 1..=12 {
+                    for weight_bytes in [0, 4000] {
+                        let txns = LayerTxns { weight_bytes, body, last, count };
+                        for double_buffering in [true, false] {
+                            let play = |skip| {
+                                let mut dma = DmaUnit::new(dram);
+                                let mut array = ArrayUnit::new();
+                                // A previous layer that finished at 500
+                                // after computing from 300 on.
+                                let state =
+                                    PipelineState { prev_compute_start: 300, finished: 500 };
+                                dma.transfer(0, 400);
+                                array.run(300, 150);
+                                let out = play_layer(
+                                    &txns,
+                                    &mut dma,
+                                    &mut array,
+                                    state,
+                                    double_buffering,
+                                    skip,
+                                );
+                                (out, dma, array)
+                            };
+                            assert_eq!(
+                                play(TimeSkip::Enabled),
+                                play(TimeSkip::Disabled),
+                                "{txns:?}, double buffering {double_buffering}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 
     #[test]
     fn double_buffering_hides_loads_in_the_event_model_too() {
         let (cfg, opts) = setup();
-        let no_db = AcceleratorConfig::builder()
-            .double_buffering(false)
-            .global_buffer_bytes(64 * 1024)
-            .build()
-            .unwrap();
+        let no_db = single_buffered();
         let net = zoo::squeezenet_v1_1();
         let with_db =
             simulate_network_event(&net, &cfg, DataflowPolicy::PerLayer, opts).total_cycles();

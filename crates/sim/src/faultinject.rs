@@ -23,7 +23,9 @@ use codesign_trace::Tracer;
 use crate::engine::{try_simulate_layer, try_simulate_network, SimOptions};
 use crate::error::{SimError, SimResult};
 use crate::multicore::{try_simulate_network_multicore, MultiCoreConfig};
+use crate::tiling::optimize_tiling;
 use crate::validate::validate_network;
+use crate::workload::{ConvWork, WorkKind};
 
 /// What happened when one fault case ran.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -358,6 +360,33 @@ fn corpus_overflow_shapes() -> Vec<FaultCase> {
             let net = codesign_dnn::zoo::tiny_darknet();
             let mc = MultiCoreConfig { core, cores: usize::MAX / 2 };
             try_simulate_network_multicore(&net, &mc, DataflowPolicy::PerLayer, opts)?;
+            Ok(())
+        }),
+        // A dense 1×1 work that validates, yet whose weights-outer input
+        // traffic at filter tile 1 is exactly 2^64 − 1 bytes
+        // (641 · 65537 · 6700417 · 65535): the plan's total must be
+        // rejected, not wrapped to a small sum that makes it look best.
+        FaultCase::hostile("overflow/tiling-traffic-sum", || {
+            let cfg = AcceleratorConfig::builder()
+                .bytes_per_element(1)
+                .global_buffer_bytes(16 << 20)
+                .double_buffering(false)
+                .build()
+                .unwrap_or_else(|e| unreachable!("16 MiB satisfies the builder ranges: {e}"));
+            let work = ConvWork {
+                kind: WorkKind::Dense,
+                groups: 1,
+                in_channels: 1,
+                out_channels: 65_535,
+                kernel_h: 1,
+                kernel_w: 1,
+                stride: 1,
+                in_h: 42_009_217,
+                in_w: 6_700_417,
+                out_h: 1,
+                out_w: 1,
+            };
+            optimize_tiling(&work, &cfg)?;
             Ok(())
         }),
     ]

@@ -11,10 +11,10 @@
 use codesign_arch::{AcceleratorConfig, Dataflow, DataflowPolicy};
 use codesign_dnn::{Layer, Network};
 
-use crate::dram::{combine_cycles, simd_traffic};
-use crate::engine::{try_simulate_conv, SimOptions};
+use crate::dram::simd_traffic;
+use crate::engine::{choose_dataflow, finish_layer, try_simulate_conv, SimOptions};
 use crate::error::{SimError, SimResult};
-use crate::perf::{ComputePerf, LayerPerf, NetworkPerf};
+use crate::perf::{LayerPerf, NetworkPerf};
 use crate::simd::simulate_simd;
 use crate::workload::ConvWork;
 
@@ -38,9 +38,8 @@ impl MultiCoreConfig {
 /// Splits a layer's workload into the slice one core processes.
 ///
 /// Spatial layers split output rows; vector layers (`out_h == 1`) split
-/// output channels. Returns `None` when there are more cores than units
-/// of work (the extra cores idle and the largest slice is returned by
-/// [`core_slice`]'s caller anyway).
+/// output channels. With more cores than units of work, each slice is
+/// one unit and the extra cores idle.
 fn core_slice(work: &ConvWork, cores: usize) -> ConvWork {
     let mut slice = *work;
     if work.out_h > 1 {
@@ -61,84 +60,28 @@ fn simulate_layer_multicore(
     dataflow: Dataflow,
 ) -> SimResult<LayerPerf> {
     const CTX: &str = "multi-core scaling";
-    if mc.cores == 0 {
-        return Err(SimError::invalid("core count must be positive"));
-    }
     let cfg = &mc.core;
     let cores = mc.cores as u64;
-    let of = || SimError::overflow(CTX);
-    let result = match ConvWork::from_layer(layer) {
+    let (dataflow, compute, traffic) = match ConvWork::from_layer(layer) {
         Some(work) => {
-            // The slowest (largest) slice gates the layer.
-            let slice = core_slice(&work, mc.cores);
-            let slice_perf = try_simulate_conv(&slice, cfg, opts, dataflow)?;
-            // Aggregate access counts: every core does its share; scale
-            // the slice's counts by the core count (upper bound — the
-            // last core's slice may be smaller).
-            let mut compute = ComputePerf {
-                phases: slice_perf.phases,
-                executed_macs: slice_perf.executed_macs.checked_mul(cores).ok_or_else(of)?,
-                accesses: codesign_arch::AccessCounts {
-                    macs: slice_perf.accesses.macs.checked_mul(cores).ok_or_else(of)?,
-                    register_file: slice_perf
-                        .accesses
-                        .register_file
-                        .checked_mul(cores)
-                        .ok_or_else(of)?,
-                    inter_pe: slice_perf.accesses.inter_pe.checked_mul(cores).ok_or_else(of)?,
-                    global_buffer: slice_perf
-                        .accesses
-                        .global_buffer
-                        .checked_mul(cores)
-                        .ok_or_else(of)?,
-                    dram: 0,
-                },
-            };
+            // The slowest (largest) slice gates the layer. Every core does
+            // its share, so the slice's counts scale by the core count
+            // (upper bound — the last core's slice may be smaller).
+            let slice = try_simulate_conv(&core_slice(&work, mc.cores), cfg, opts, dataflow)?;
+            let compute = slice.repeated(cores, CTX)?;
             // Shared DRAM: weights once (multicast), activations split.
-            let traffic = opts.layer_traffic(&work, cfg)?;
-            let dram_bytes = traffic.total();
-            let dram_cycles = cfg.dram().transfer_cycles(dram_bytes);
-            let total_cycles = combine_cycles(compute.cycles(), dram_cycles, cfg);
-            compute.accesses.dram = dram_bytes / cfg.bytes_per_element() as u64;
-            let pes = cfg.pe_count() * mc.cores;
-            let utilization = if total_cycles == 0 {
-                0.0
-            } else {
-                compute.executed_macs as f64 / (total_cycles as f64 * pes as f64)
-            };
-            Ok(LayerPerf {
-                name: layer.name.clone(),
-                dataflow: Some(dataflow),
-                compute,
-                dram_bytes,
-                dram_cycles,
-                total_cycles,
-                utilization,
-            })
+            (Some(dataflow), compute, opts.layer_traffic(&work, cfg)?)
         }
         None => {
             // SIMD path: split evenly too.
-            let compute = simulate_simd(layer, cfg)?;
-            let traffic =
-                simd_traffic(layer.input.elements() as u64, layer.output.elements() as u64, cfg);
-            let mut compute = compute;
+            let mut compute = simulate_simd(layer, cfg)?;
             compute.phases.compute = compute.phases.compute.div_ceil(cores);
-            let dram_bytes = traffic.total();
-            let dram_cycles = cfg.dram().transfer_cycles(dram_bytes);
-            let total_cycles = combine_cycles(compute.cycles(), dram_cycles, cfg);
-            compute.accesses.dram = dram_bytes / cfg.bytes_per_element() as u64;
-            Ok(LayerPerf {
-                name: layer.name.clone(),
-                dataflow: None,
-                compute,
-                dram_bytes,
-                dram_cycles,
-                total_cycles,
-                utilization: 0.0,
-            })
+            let (input, output) = (layer.input.elements() as u64, layer.output.elements() as u64);
+            (None, compute, simd_traffic(input, output, cfg))
         }
     };
-    result.map_err(|e: SimError| e.for_layer(&layer.name))
+    let pes = cfg.pe_count().checked_mul(mc.cores).ok_or_else(|| SimError::overflow(CTX))?;
+    Ok(finish_layer(layer, dataflow, compute, traffic.total(), cfg, pes))
 }
 
 /// Simulates a network on a multi-core accelerator.
@@ -153,22 +96,19 @@ pub fn try_simulate_network_multicore(
     policy: DataflowPolicy,
     opts: SimOptions,
 ) -> SimResult<NetworkPerf> {
-    let mut layers = Vec::with_capacity(network.layers().len());
-    for layer in network.layers() {
-        let perf = match policy {
-            DataflowPolicy::Fixed(d) => simulate_layer_multicore(layer, mc, opts, d)?,
-            DataflowPolicy::PerLayer => {
-                let ws = simulate_layer_multicore(layer, mc, opts, Dataflow::WeightStationary)?;
-                let os = simulate_layer_multicore(layer, mc, opts, Dataflow::OutputStationary)?;
-                if os.total_cycles < ws.total_cycles {
-                    os
-                } else {
-                    ws
-                }
-            }
-        };
-        layers.push(perf);
+    if mc.cores == 0 {
+        return Err(SimError::invalid("core count must be positive"));
     }
+    let layers = network
+        .layers()
+        .iter()
+        .map(|layer| {
+            let simulate = |d| simulate_layer_multicore(layer, mc, opts, d);
+            choose_dataflow(policy, simulate, |p| p.total_cycles)
+                .map(|(_, perf)| perf)
+                .map_err(|e| e.for_layer(&layer.name))
+        })
+        .collect::<SimResult<_>>()?;
     Ok(NetworkPerf { name: network.name().to_owned(), layers })
 }
 
@@ -218,17 +158,9 @@ pub fn schedule_branch_parallel(
 ) -> BranchParallelResult {
     use std::collections::HashMap;
 
-    let cfg = &mc.core;
-    // Single-core duration and ready-time bookkeeping per layer.
-    let durations: Vec<u64> = network
-        .layers()
-        .iter()
-        .map(|layer| {
-            let ws = crate::engine::simulate_layer(layer, cfg, opts, Dataflow::WeightStationary);
-            let os = crate::engine::simulate_layer(layer, cfg, opts, Dataflow::OutputStationary);
-            ws.total_cycles.min(os.total_cycles)
-        })
-        .collect();
+    // Single-core duration per layer: its faster dataflow's cycles.
+    let single = crate::engine::simulate_network(network, &mc.core, DataflowPolicy::PerLayer, opts);
+    let durations: Vec<u64> = single.layers.iter().map(|l| l.total_cycles).collect();
 
     let mut finish: HashMap<&str, u64> = HashMap::new();
     let mut cores = vec![0u64; mc.cores.max(1)];
@@ -279,6 +211,17 @@ mod tests {
         let plain = simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts());
         let multi = simulate_network_multicore(&net, &mc, DataflowPolicy::PerLayer, opts());
         assert_eq!(plain.total_cycles(), multi.total_cycles());
+    }
+
+    #[test]
+    fn overflow_scale_core_count_is_a_typed_error_naming_the_layer() {
+        let cfg = AcceleratorConfig::paper_default();
+        let mc = MultiCoreConfig { core: cfg, cores: usize::MAX / 2 };
+        let net = zoo::tiny_darknet();
+        let err = try_simulate_network_multicore(&net, &mc, DataflowPolicy::PerLayer, opts())
+            .unwrap_err();
+        assert!(matches!(err, SimError::ArithmeticOverflow { .. }), "{err}");
+        assert_eq!(err.layer(), Some(net.layers()[0].name.as_str()));
     }
 
     #[test]

@@ -4,6 +4,8 @@ use std::fmt;
 
 use codesign_arch::{AccessCounts, Dataflow, EnergyModel};
 
+use crate::error::{SimError, SimResult};
+
 /// Cycle breakdown of one PE-array execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PhaseCycles {
@@ -52,6 +54,27 @@ impl ComputePerf {
         } else {
             self.executed_macs as f64 / denom
         }
+    }
+
+    /// This work done `n` times over (a batch of images, or one slice on
+    /// each of `n` cores): MAC and on-chip access counts multiply by `n`,
+    /// phases are left to the caller, and DRAM accesses stay zero for the
+    /// layer's traffic to fill in. An overflowing count is an
+    /// [`SimError::ArithmeticOverflow`] naming `context`.
+    pub(crate) fn repeated(self, n: u64, context: &'static str) -> SimResult<Self> {
+        let times = |count: u64| count.checked_mul(n).ok_or_else(|| SimError::overflow(context));
+        let a = self.accesses;
+        Ok(Self {
+            phases: self.phases,
+            executed_macs: times(self.executed_macs)?,
+            accesses: AccessCounts {
+                macs: times(a.macs)?,
+                register_file: times(a.register_file)?,
+                inter_pe: times(a.inter_pe)?,
+                global_buffer: times(a.global_buffer)?,
+                dram: 0,
+            },
+        })
     }
 }
 

@@ -7,11 +7,12 @@
 
 use std::collections::HashMap;
 
-use codesign_arch::{AcceleratorConfig, Dataflow, DataflowPolicy};
+use codesign_arch::{AcceleratorConfig, DataflowPolicy};
 use codesign_dnn::Network;
 use codesign_tensor::WeightStore;
 
-use crate::engine::{compare_dataflows, simulate_layer, SimOptions};
+use crate::engine::{choose_dataflow, SimOptions, Simulator};
+use crate::error::SimResult;
 use crate::os::SparsityModel;
 use crate::perf::NetworkPerf;
 
@@ -50,23 +51,17 @@ pub fn simulate_network_measured(
     opts: SimOptions,
     sparsity: &SparsityMap,
 ) -> NetworkPerf {
+    let sim = Simulator::new();
     let layers = network
         .layers()
         .iter()
         .map(|layer| {
             let opts = layer_options(opts, sparsity.get(&layer.name).copied());
-            match policy {
-                DataflowPolicy::Fixed(d) => simulate_layer(layer, cfg, opts, d),
-                DataflowPolicy::PerLayer => {
-                    let (ws, os, best) = compare_dataflows(layer, cfg, opts);
-                    match best {
-                        Dataflow::WeightStationary => ws,
-                        Dataflow::OutputStationary => os,
-                    }
-                }
-            }
+            let simulate = |d| sim.try_simulate_layer(layer, cfg, opts, d);
+            choose_dataflow(policy, simulate, |p| p.total_cycles).map(|(_, perf)| perf)
         })
-        .collect();
+        .collect::<SimResult<_>>()
+        .unwrap_or_else(|e| e.raise());
     NetworkPerf { name: network.name().to_owned(), layers }
 }
 
@@ -74,6 +69,7 @@ pub fn simulate_network_measured(
 mod tests {
     use super::*;
     use crate::engine::simulate_network;
+    use codesign_arch::Dataflow;
     use codesign_dnn::{NetworkBuilder, Shape};
     use rand::rngs::StdRng;
     use rand::SeedableRng;

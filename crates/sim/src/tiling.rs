@@ -91,9 +91,9 @@ fn working_set(work: &ConvWork, t: &Tiling, bytes: usize) -> SimResult<u64> {
         .ok_or_else(|| SimError::overflow("tile working set"))
 }
 
-/// DRAM traffic of the tiling over the whole layer (one group; groups
-/// scale all operands linearly so they cancel in the comparison and are
-/// re-applied by the caller). Overflow-checked.
+/// DRAM traffic of the tiling over the whole layer, every group
+/// included. Overflow-checked down to the total, so
+/// [`DramTraffic::total`] cannot wrap on any plan a search returns.
 fn traffic(work: &ConvWork, t: &Tiling, bytes: u64) -> SimResult<DramTraffic> {
     const CTX: &str = "tiling DRAM traffic";
     let of = || SimError::overflow(CTX);
@@ -117,29 +117,40 @@ fn traffic(work: &ConvWork, t: &Tiling, bytes: u64) -> SimResult<DramTraffic> {
     };
     let output_once = work.output_elements() / work.groups as u64;
 
-    // Depthwise layers have no cross-channel reduction and one filter
-    // per channel: each operand moves exactly once however the channel
-    // and spatial loops nest (only the strip halo costs extra).
-    if work.kind == WorkKind::Depthwise {
-        return Ok(DramTraffic {
-            input: input_once.checked_mul(bytes).ok_or_else(of)?,
-            weights: weights_once.checked_mul(bytes).ok_or_else(of)?,
-            output: output_once.checked_mul(bytes).ok_or_else(of)?,
-        });
-    }
-
-    let (input, weights) = match t.order {
-        LoopOrder::WeightsOuter => (input_once.checked_mul(k_tiles).ok_or_else(of)?, weights_once),
-        LoopOrder::SpatialOuter => (input_once, weights_once.checked_mul(strips).ok_or_else(of)?),
+    // Elements one group moves. Depthwise layers have no cross-channel
+    // reduction and one filter per channel: each operand moves exactly
+    // once however the channel and spatial loops nest (only the strip
+    // halo costs extra).
+    let (input, weights, output) = if work.kind == WorkKind::Depthwise {
+        (input_once, weights_once, output_once)
+    } else {
+        let (input, weights) = match t.order {
+            LoopOrder::WeightsOuter => {
+                (input_once.checked_mul(k_tiles).ok_or_else(of)?, weights_once)
+            }
+            LoopOrder::SpatialOuter => {
+                (input_once, weights_once.checked_mul(strips).ok_or_else(of)?)
+            }
+        };
+        // Partial-sum spills for a tiled reduction loop.
+        let spill = output_once.checked_mul(2 * (c_tiles - 1)).ok_or_else(of)?;
+        (input, weights, output_once.checked_add(spill).ok_or_else(of)?)
     };
-    // Partial-sum spills for a tiled reduction loop.
-    let spill = output_once.checked_mul(2 * (c_tiles - 1)).ok_or_else(of)?;
-
-    Ok(DramTraffic {
-        input: input.checked_mul(bytes).ok_or_else(of)?,
-        weights: weights.checked_mul(bytes).ok_or_else(of)?,
-        output: output_once.checked_add(spill).and_then(|o| o.checked_mul(bytes)).ok_or_else(of)?,
-    })
+    // Groups scale every operand linearly.
+    let bytes_of = |elements: u64| {
+        elements.checked_mul(bytes).and_then(|b| b.checked_mul(work.groups as u64)).ok_or_else(of)
+    };
+    let traffic = DramTraffic {
+        input: bytes_of(input)?,
+        weights: bytes_of(weights)?,
+        output: bytes_of(output)?,
+    };
+    traffic
+        .input
+        .checked_add(traffic.weights)
+        .and_then(|s| s.checked_add(traffic.output))
+        .ok_or_else(of)?;
+    Ok(traffic)
 }
 
 /// Number of tile iterations a tiling induces (tie-break metric: fewer,
@@ -148,16 +159,6 @@ fn tile_count(work: &ConvWork, t: &Tiling) -> u64 {
     (work.out_h.div_ceil(t.out_rows)
         * work.out_channels.div_ceil(t.out_channels)
         * work.in_channels.div_ceil(t.in_channels)) as u64
-}
-
-/// Scales one group's traffic by the group count (overflow-checked).
-fn grouped(tr: DramTraffic, groups: u64) -> SimResult<DramTraffic> {
-    let of = || SimError::overflow("tiling DRAM traffic");
-    Ok(DramTraffic {
-        input: tr.input.checked_mul(groups).ok_or_else(of)?,
-        weights: tr.weights.checked_mul(groups).ok_or_else(of)?,
-        output: tr.output.checked_mul(groups).ok_or_else(of)?,
-    })
 }
 
 /// Builds the full [`TilingPlan`] for one candidate and folds it into the
@@ -171,8 +172,7 @@ fn consider(
     bytes: usize,
     best: &mut Option<TilingPlan>,
 ) -> SimResult<()> {
-    let tr = traffic(work, &t, bytes as u64)?;
-    let plan = TilingPlan { tiling: t, traffic: grouped(tr, work.groups as u64)?, working_set: ws };
+    let plan = TilingPlan { tiling: t, traffic: traffic(work, &t, bytes as u64)?, working_set: ws };
     let better = |b: &TilingPlan| {
         plan.traffic.total() < b.traffic.total()
             || (plan.traffic.total() == b.traffic.total()
@@ -196,7 +196,7 @@ fn lower_bound_rows(work: &ConvWork, out_rows: usize, bytes: usize) -> SimResult
         in_channels: work.in_channels,
         order: LoopOrder::WeightsOuter,
     };
-    Ok(grouped(traffic(work, &t, bytes as u64)?, work.groups as u64)?.total())
+    Ok(traffic(work, &t, bytes as u64)?.total())
 }
 
 /// Lower bound on the total traffic of any candidate with this strip
@@ -210,10 +210,8 @@ fn lower_bound_rows_channels(
     bytes: usize,
 ) -> SimResult<u64> {
     let t = |order| Tiling { out_rows, out_channels, in_channels: work.in_channels, order };
-    let wo =
-        grouped(traffic(work, &t(LoopOrder::WeightsOuter), bytes as u64)?, work.groups as u64)?;
-    let so =
-        grouped(traffic(work, &t(LoopOrder::SpatialOuter), bytes as u64)?, work.groups as u64)?;
+    let wo = traffic(work, &t(LoopOrder::WeightsOuter), bytes as u64)?;
+    let so = traffic(work, &t(LoopOrder::SpatialOuter), bytes as u64)?;
     Ok(wo.total().min(so.total()))
 }
 

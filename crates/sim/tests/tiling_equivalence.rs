@@ -5,9 +5,9 @@
 //! double-buffering settings, both searches must return the same
 //! `TilingPlan` (tiling, traffic, working set) — or fail with the same
 //! error. Pinned regressions cover the bound's edge cases (depthwise
-//! diagonal-only reuse and an r-candidate list of length one) and the
+//! diagonal-only reuse and an r-candidate list of length one), the
 //! input-channel boundary where only the largest fitting tile is
-//! evaluated.
+//! evaluated, and a plan whose traffic total overflows 64 bits.
 
 use codesign_arch::AcceleratorConfig;
 use codesign_sim::{optimize_tiling, optimize_tiling_exhaustive, ConvWork, WorkKind};
@@ -232,6 +232,39 @@ mod pinned {
             let plan = optimize_tiling(&work, &cfg).expect("pinned case is feasible");
             assert_eq!(plan.tiling.in_channels, in_channels, "for {work:?} on {cfg}");
         }
+    }
+
+    /// A dense 1×1 work that validates, yet whose weights-outer input
+    /// traffic at filter tile 1 is exactly 2^64 − 1 bytes
+    /// (641 · 65537 · 6700417 · 65535). The plan's operand sum overflows
+    /// 64 bits: unchecked, it panics in debug builds and in release
+    /// wraps to 131,069 bytes, which makes the plan look cheapest. Both
+    /// searches must fail with the same typed error instead.
+    #[test]
+    fn traffic_total_overflow_regression() {
+        let work = ConvWork {
+            kind: WorkKind::Dense,
+            groups: 1,
+            in_channels: 1,
+            out_channels: 65_535,
+            kernel_h: 1,
+            kernel_w: 1,
+            stride: 1,
+            in_h: 42_009_217,
+            in_w: 6_700_417,
+            out_h: 1,
+            out_w: 1,
+        };
+        work.validate().expect("the work is within the modeling range");
+        let cfg = AcceleratorConfig::builder()
+            .bytes_per_element(1)
+            .global_buffer_bytes(16 << 20)
+            .double_buffering(false)
+            .build()
+            .expect("valid pinned config");
+        check(&work, &cfg);
+        let err = optimize_tiling(&work, &cfg).expect_err("the traffic total overflows");
+        assert_eq!(err.kind(), "arithmetic_overflow", "{err}");
     }
 
     /// A classifier-head layer with a 1×1 output plane admits exactly

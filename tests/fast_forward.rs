@@ -14,7 +14,7 @@
 mod loopnest;
 
 use codesign::arch::{AcceleratorConfig, DataflowPolicy};
-use codesign::dnn::zoo;
+use codesign::dnn::{zoo, Network, NetworkBuilder, Shape};
 use codesign::sim::cycle::{self, MachineTrace};
 use codesign::sim::{
     simulate_os, simulate_rs, simulate_ws, try_simulate_network_event_mode, ComputePerf, ConvWork,
@@ -217,5 +217,62 @@ fn event_time_skip_matches_the_interleaved_baseline_on_the_zoo() {
         )
         .expect("zoo networks simulate");
         assert_eq!(fast, baseline, "{}", net.name());
+    }
+}
+
+/// A one-convolution network on a configuration whose buffer ranges from
+/// a few tiles' worth to the whole layer. The event lowering's tile count
+/// then runs from 1 (untiled, one group) through the group count
+/// (untiled, two to four groups) to hundreds, with and without remainders
+/// on the last tile; the 512 cases below draw every such combination in
+/// both buffering modes. On a 16×16 array the tiles compute quickly
+/// enough that the DMA's access latency shapes the steady state, so a
+/// jump that lands on the wrong tile changes the layer's cycles.
+fn one_conv_case() -> impl Strategy<Value = (Network, AcceleratorConfig)> {
+    (
+        1usize..=4,  // groups
+        1usize..=12, // channels per group
+        1usize..=12, // filters per group
+        prop_oneof![Just(1usize), Just(3)],
+        1usize..=2,  // stride
+        1usize..=20, // output extent
+        prop_oneof![Just(1usize), Just(2), Just(4), Just(8), Just(16), Just(32), Just(64)],
+        prop_oneof![Just(1usize), Just(2)],
+        any::<bool>(),
+    )
+        .prop_map(|(g, c, k, f, stride, out, kib, bytes, double_buffering)| {
+            let side = (out - 1) * stride + f;
+            let net = NetworkBuilder::new("one-conv", Shape::new(c * g, side, side))
+                .grouped_conv("conv", k * g, f, stride, 0, g)
+                .finish()
+                .expect("generated networks are well-formed");
+            let cfg = AcceleratorConfig::builder()
+                .array_size(16)
+                .global_buffer_bytes(kib * 1024)
+                .bytes_per_element(bytes)
+                .double_buffering(double_buffering)
+                .build()
+                .expect("generated configurations are valid");
+            (net, cfg)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The jump over a run-length layer's body tiles must land exactly
+    /// where the tile-by-tile walk does, at every tile count and in both
+    /// buffering modes: the steady window's `- 2` is where an off-by-one
+    /// would hide.
+    #[test]
+    fn event_time_skip_matches_the_tile_walk_on_one_conv_layers(
+        (net, cfg) in one_conv_case(),
+    ) {
+        let opts = SimOptions::paper_default();
+        let run = |skip| {
+            try_simulate_network_event_mode(&net, &cfg, DataflowPolicy::PerLayer, opts, skip)
+        };
+        let (fast, walk) = (run(TimeSkip::Enabled), run(TimeSkip::Disabled));
+        prop_assert_eq!(format!("{fast:?}"), format!("{walk:?}"), "{} on {}", net, cfg);
     }
 }

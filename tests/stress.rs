@@ -176,8 +176,9 @@ fn sixty_four_cores_saturate_not_crash() {
 fn hostile_channel_counts_simulate_in_closed_form() {
     // AlexNet with conv1 widened to 2^32 filters passes validation: every
     // MAC and element count fits the overflow headroom. Its schedules have
-    // 2^27 weight-column tiles and 2^28 OS filter passes, so the models
-    // must count them in closed form, not one tile at a time.
+    // 2^27 weight-column tiles and 2^28 OS filter passes, and its event
+    // lowering 7,516,192,768 DMA tiles, so the models must count them in
+    // closed form, not one tile at a time.
     let net = NetworkBuilder::new("AlexNet-wide", Shape::new(3, 227, 227))
         .conv("conv1", 1 << 32, 11, 4, 0)
         .max_pool("pool1", 3, 2)
@@ -200,4 +201,13 @@ fn hostile_channel_counts_simulate_in_closed_form() {
     assert_eq!(program.estimate(&cfg), perf.total_cycles());
     let taxonomy = try_compare_taxonomy(&net, &cfg, opts()).unwrap();
     assert!(taxonomy.hybrid4 <= taxonomy.hybrid2);
+    let event = simulate_network_event(&net, &cfg, DataflowPolicy::PerLayer, opts());
+    assert_eq!(event.layers[0].tiles, 7_516_192_768);
+    assert!(event.layers[0].cycles >= perf.layers[0].compute.cycles());
+    // On a 16 KiB buffer conv1's tiles settle into a two-tile rhythm (the
+    // DMA latency lands on alternate bursts); the time skip covers that
+    // period too.
+    let small = AcceleratorConfig::builder().global_buffer_bytes(16 * 1024).build().unwrap();
+    let event = simulate_network_event(&net, &small, DataflowPolicy::PerLayer, opts());
+    assert_eq!(event.layers[0].tiles, 180_388_626_432);
 }
