@@ -8,7 +8,7 @@
 //! `results/BENCH_report.json` is checked byte for byte like the golden
 //! CSVs. Wall-clock measurement belongs to `perfbench`.
 
-use codesign_core::ArchitectureComparison;
+use codesign_core::compare_all;
 use codesign_dnn::zoo;
 use codesign_trace::json::{number, quote};
 
@@ -70,15 +70,14 @@ impl BenchReport {
     /// are answered almost entirely from memo entries) and runs the
     /// streaming-DSE space on `ctx.jobs` workers.
     pub fn collect(ctx: &Context, generated: &[Generated]) -> Self {
-        let networks = zoo::table_networks()
+        let rows = compare_all(&ctx.sim, &zoo::table_networks(), &ctx.cfg, ctx.opts, ctx.energy, 1)
+            .expect("the table networks simulate on the report hardware");
+        let networks = rows
             .iter()
-            .map(|net| {
-                let c = ArchitectureComparison::evaluate_with(
-                    &ctx.sim, net, &ctx.cfg, ctx.opts, ctx.energy,
-                );
+            .map(|c| {
                 let hybrid_cycles = c.hybrid.total_cycles();
                 NetworkHeadline {
-                    name: net.name().to_owned(),
+                    name: c.network.clone(),
                     hybrid_cycles,
                     ws_cycles: c.ws.total_cycles(),
                     os_cycles: c.os.total_cycles(),

@@ -24,8 +24,7 @@ use codesign_core::{
 };
 use codesign_dnn::{parse_network, zoo, Network};
 use codesign_sim::{
-    atomic_write, cycle, record_network, recover, run_corpus, try_compare_dataflows,
-    try_simulate_network_batched, try_simulate_network_multicore, validate_network, ConvWork,
+    atomic_write, cycle, recover, run_corpus, validate_network, CancelToken, ConvWork,
     MultiCoreConfig, Program, SimOptions, Simulator,
 };
 use codesign_trace::{chrome_trace, MetricsSnapshot, Tracer};
@@ -334,14 +333,11 @@ fn verify_functional(
         for (i, flow) in
             [Dataflow::WeightStationary, Dataflow::OutputStationary].into_iter().enumerate()
         {
+            let schedule = Simulator::new()
+                .try_simulate_network(net, cfg, DataflowPolicy::Fixed(flow), opts)
+                .map_err(RunError::rejected)?;
             let acts = codesign_sim::run_network_on_accelerator_jobs(
-                net,
-                &image,
-                &weights,
-                cfg,
-                DataflowPolicy::Fixed(flow),
-                opts,
-                jobs,
+                net, &image, &weights, cfg, &schedule, jobs,
             )
             .map_err(RunError::rejected)?;
             if let Some(layer) = first_mismatch(&reference, &acts) {
@@ -454,17 +450,16 @@ fn run(inv: &Invocation) -> Result<(), RunError> {
 
     match inv.action {
         Action::Simulate => {
+            // Both models publish their per-layer spans through the
+            // handle's tracer.
+            let sim = Simulator::new().with_tracer(tracer.clone());
             let mc = MultiCoreConfig { core: cfg.clone(), cores: inv.cores };
             let perf = if inv.cores > 1 {
-                try_simulate_network_multicore(&net, &mc, inv.policy, opts)
-                    .map_err(RunError::rejected)?
+                sim.try_simulate_network_multicore(&net, &mc, inv.policy, opts)
             } else {
-                try_simulate_network_batched(&net, &cfg, inv.policy, opts, inv.batch)
-                    .map_err(RunError::rejected)?
-            };
-            // Batched/multi-core runs bypass the Simulator handle, so the
-            // per-layer spans are recorded post hoc.
-            record_network(&tracer, &net, &perf, &cfg, inv.policy);
+                sim.try_simulate_network_batched(&net, &cfg, inv.policy, opts, inv.batch)
+            }
+            .map_err(RunError::rejected)?;
             let per_image = perf.total_cycles() as f64 / inv.batch as f64;
             println!("{net}");
             println!("hardware: {cfg} x{} core(s), {} policy", inv.cores, inv.policy);
@@ -477,7 +472,8 @@ fn run(inv: &Invocation) -> Result<(), RunError> {
             );
         }
         Action::Schedule => {
-            let schedule = NetworkSchedule::build(&net, &cfg, opts);
+            let schedule = NetworkSchedule::build_with(&Simulator::new(), &net, &cfg, opts)
+                .map_err(RunError::rejected)?;
             println!(
                 "{:<26} {:>6} {:>12} {:>12} {:>8} {:>7}",
                 "layer", "class", "WS cycles", "OS cycles", "chosen", "util"
@@ -496,15 +492,22 @@ fn run(inv: &Invocation) -> Result<(), RunError> {
             println!("total: {} cycles", schedule.total_cycles());
         }
         Action::Compile => {
-            let program =
-                Program::try_compile(&net, &cfg, inv.policy, opts).map_err(RunError::rejected)?;
+            let program = Program::try_compile(&Simulator::new(), &net, &cfg, inv.policy, opts)
+                .map_err(RunError::rejected)?;
             print!("{}", program.listing());
             println!("; {} commands, {} cycles replayed", program.len(), program.estimate(&cfg));
         }
         Action::Compare => {
             let sim = Simulator::new().with_tracer(tracer.clone());
             load_cache(&sim, inv.cache_load.as_deref(), false)?;
-            let c = ArchitectureComparison::evaluate_with(&sim, &net, &cfg, opts, energy);
+            let never = CancelToken::never();
+            let Some(c) = ArchitectureComparison::evaluate_cancellable_with(
+                &sim, &net, &cfg, opts, energy, &never,
+            )
+            .map_err(RunError::rejected)?
+            else {
+                unreachable!("a never-cancelled token cannot cancel")
+            };
             println!("{c}");
             save_cache(&sim, inv.cache_save.as_deref(), false)?;
         }
@@ -569,8 +572,9 @@ fn run(inv: &Invocation) -> Result<(), RunError> {
             let work = ConvWork::from_layer(layer).ok_or_else(|| {
                 RunError::Usage(format!("`{layer_name}` is not a PE-array layer"))
             })?;
-            let (_, _, best) =
-                try_compare_dataflows(layer, &cfg, opts).map_err(RunError::rejected)?;
+            let (_, _, best) = Simulator::new()
+                .try_compare_dataflows(layer, &cfg, opts)
+                .map_err(RunError::rejected)?;
             let (trace, track) = match best {
                 codesign_arch::Dataflow::WeightStationary => {
                     (cycle::trace_ws(&work, &cfg), "cycle:ws")

@@ -880,7 +880,7 @@ fn compute_and_publish(
             match ArchitectureComparison::evaluate_cancellable_with(
                 &worker, network, cfg, opts, energy, &cancel,
             ) {
-                Some(c) => emit(format!(
+                Ok(Some(c)) => emit(format!(
                     "\"event\":\"done\",\"cmd\":\"codesign\",\"network\":{},\"hybrid_cycles\":{},\"ws_cycles\":{},\"os_cycles\":{},\"speedup_vs_ws\":{},\"speedup_vs_os\":{},\"energy_reduction_vs_ws\":{},\"energy_reduction_vs_os\":{}",
                     quote(&c.network),
                     c.hybrid.total_cycles(),
@@ -891,10 +891,11 @@ fn compute_and_publish(
                     c.energy_reduction_vs_ws(),
                     c.energy_reduction_vs_os()
                 )),
-                None => {
+                Ok(None) => {
                     deadline_hit = true;
                     emit(deadline_error(" between architecture evaluations"));
                 }
+                Err(e) => emit(error_body("rejected", &e.to_string())),
             }
         }
     }

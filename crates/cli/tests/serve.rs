@@ -386,7 +386,9 @@ fn cache_load_recovers_generations_and_refuses_version_1_in_every_command() {
     assert!(warm.status.success(), "{}", String::from_utf8_lossy(&warm.stderr));
     assert_eq!(warm.stdout, cold.stdout);
     let notes = String::from_utf8_lossy(&warm.stderr);
-    assert!(notes.contains("schema version 1 is not the supported 2"), "{notes}");
+    let refusal =
+        format!("schema version 1 is not the supported {}", codesign_sim::SNAPSHOT_VERSION);
+    assert!(notes.contains(&refusal), "{notes}");
     let server = spawn_server(&["--cache-load", snap_str]);
     let stats = Client::connect(server.port).request(r#"{"id":1,"cmd":"stats"}"#).pop().unwrap();
     assert!(stats.contains(r#""serve.snapshot.refused":1"#), "{stats}");

@@ -7,7 +7,7 @@ use std::fmt;
 use codesign_arch::{AcceleratorConfig, DataflowPolicy, EnergyModel};
 use codesign_dnn::zoo::SqueezeNextConfig;
 use codesign_dnn::Network;
-use codesign_sim::{par_map, SimOptions, Simulator};
+use codesign_sim::{par_map, SimOptions, SimResult, Simulator};
 
 /// A hardware-aware model transformation, as applied between the Figure-3
 /// variants.
@@ -70,26 +70,19 @@ pub struct VariantResult {
     pub accuracy: Option<f64>,
 }
 
-/// Evaluates a network variant on the hybrid architecture with a fresh
-/// memoizing [`Simulator`].
-pub fn evaluate_variant(
-    network: &Network,
-    cfg: &AcceleratorConfig,
-    opts: SimOptions,
-    energy_model: &EnergyModel,
-) -> VariantResult {
-    evaluate_variant_with(&Simulator::new(), network, cfg, opts, energy_model)
-}
-
 /// Evaluates a network variant on the hybrid architecture through `sim`.
+///
+/// # Errors
+///
+/// The first [`SimError`](codesign_sim::SimError) the run surfaces.
 pub fn evaluate_variant_with(
     sim: &Simulator,
     network: &Network,
     cfg: &AcceleratorConfig,
     opts: SimOptions,
     energy_model: &EnergyModel,
-) -> VariantResult {
-    let perf = sim.simulate_network(network, cfg, DataflowPolicy::PerLayer, opts);
+) -> SimResult<VariantResult> {
+    let perf = sim.try_simulate_network(network, cfg, DataflowPolicy::PerLayer, opts)?;
     if sim.tracer().records_spans() {
         let mut track =
             sim.tracer().track(format!("codesign:{}:rf{}", network.name(), cfg.rf_depth()));
@@ -100,14 +93,14 @@ pub fn evaluate_variant_with(
             &[("cycles", perf.total_cycles()), ("macs", perf.total_macs())],
         );
     }
-    VariantResult {
+    Ok(VariantResult {
         name: network.name().to_owned(),
         cycles: perf.total_cycles(),
         energy: perf.total_energy(energy_model),
         utilization: perf.average_utilization(cfg.pe_count()),
         macs: network.total_macs(),
         accuracy: network.top1_accuracy(),
-    }
+    })
 }
 
 /// The full co-design study: the v1..v5 model-transformation ladder of
@@ -121,23 +114,22 @@ pub struct CodesignStudy {
 }
 
 impl CodesignStudy {
-    /// Runs the study with a fresh memoizing [`Simulator`] and one worker
-    /// per core. See [`Self::run_with`].
-    pub fn run(opts: SimOptions, energy_model: &EnergyModel) -> Self {
-        Self::run_with(&Simulator::new(), opts, energy_model, 0)
-    }
-
     /// Runs the study: builds the five variants by applying the paper's
     /// transformations to the baseline configuration and simulates each
     /// on both hardware points — the ten (variant × RF depth)
     /// evaluations fan out across `jobs` worker threads (`0` = one per
     /// core) through the shared `sim` handle, in deterministic order.
+    ///
+    /// # Errors
+    ///
+    /// The first [`SimError`](codesign_sim::SimError) any evaluation
+    /// surfaces, in work-list order.
     pub fn run_with(
         sim: &Simulator,
         opts: SimOptions,
         energy_model: &EnergyModel,
         jobs: usize,
-    ) -> Self {
+    ) -> SimResult<Self> {
         let baseline = SqueezeNextConfig::baseline();
         let transforms: [&[ModelTransform]; 5] = [
             &[],
@@ -185,9 +177,11 @@ impl CodesignStudy {
             .collect();
         let mut results = par_map(jobs, &work, |_, &(cfg, net)| {
             evaluate_variant_with(sim, net, cfg, opts, energy_model)
-        });
+        })
+        .into_iter()
+        .collect::<SimResult<Vec<_>>>()?;
         let after_tuneup = results.split_off(variants.len());
-        Self { before_tuneup: results, after_tuneup }
+        Ok(Self { before_tuneup: results, after_tuneup })
     }
 
     /// End-to-end gain of the co-design loop: v1 on untuned hardware vs
@@ -208,7 +202,13 @@ mod tests {
     use super::*;
 
     fn study() -> CodesignStudy {
-        CodesignStudy::run(SimOptions::default(), &EnergyModel::default())
+        CodesignStudy::run_with(
+            &Simulator::new(),
+            SimOptions::default(),
+            &EnergyModel::default(),
+            0,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -267,8 +267,8 @@ mod tests {
     fn parallel_cached_run_matches_serial_uncached() {
         let opts = SimOptions::default();
         let em = EnergyModel::default();
-        let serial = CodesignStudy::run_with(&Simulator::uncached(), opts, &em, 1);
-        let parallel = CodesignStudy::run_with(&Simulator::new(), opts, &em, 4);
+        let serial = CodesignStudy::run_with(&Simulator::uncached(), opts, &em, 1).unwrap();
+        let parallel = CodesignStudy::run_with(&Simulator::new(), opts, &em, 4).unwrap();
         assert_eq!(serial, parallel);
     }
 

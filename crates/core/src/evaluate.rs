@@ -4,7 +4,7 @@ use std::fmt;
 
 use codesign_arch::{AcceleratorConfig, Dataflow, DataflowPolicy, EnergyModel};
 use codesign_dnn::Network;
-use codesign_sim::{par_map, CancelToken, NetworkPerf, SimOptions, Simulator};
+use codesign_sim::{par_map, CancelToken, NetworkPerf, SimOptions, SimResult, Simulator};
 
 /// Simulation of one network on the hybrid (Squeezelerator) architecture
 /// and on the two fixed-dataflow references.
@@ -22,23 +22,16 @@ pub struct ArchitectureComparison {
 }
 
 impl ArchitectureComparison {
-    /// Simulates `network` on all three architectures with a fresh
-    /// memoizing [`Simulator`]. See [`Self::evaluate_with`].
-    pub fn evaluate(
-        network: &Network,
-        cfg: &AcceleratorConfig,
-        opts: SimOptions,
-        energy_model: EnergyModel,
-    ) -> Self {
-        Self::evaluate_with(&Simulator::new(), network, cfg, opts, energy_model)
-    }
-
     /// Simulates `network` on all three architectures through `sim`.
+    /// Infallible form of [`Self::evaluate_cancellable_with`], kept for
+    /// the out-of-tree benchmark harness; everything in the workspace
+    /// calls the fallible form.
     ///
-    /// The three runs share the handle's cache: the fixed WS and OS
-    /// reference runs replay exactly the per-layer simulations the hybrid
-    /// run already performed, so with a caching `sim` they are answered
-    /// almost entirely from memo entries.
+    /// # Panics
+    ///
+    /// When `network` cannot be simulated on `cfg` (a degenerate layer
+    /// or an infeasible buffer).
+    #[allow(clippy::panic)]
     pub fn evaluate_with(
         sim: &Simulator,
         network: &Network,
@@ -46,22 +39,38 @@ impl ArchitectureComparison {
         opts: SimOptions,
         energy_model: EnergyModel,
     ) -> Self {
-        Self::evaluate_cancellable_with(
-            sim,
-            network,
-            cfg,
-            opts,
-            energy_model,
-            &CancelToken::never(),
-        )
-        .unwrap_or_else(|| unreachable!("a never-cancelled token cannot cancel"))
+        Self::evaluate_uncancelled(sim, network, cfg, opts, energy_model)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`Self::evaluate_with`] with cooperative cancellation: `cancel`
-    /// is polled before each of the three whole-network simulations, so
-    /// a simulation that starts also finishes. Returns `None` when the
-    /// token fired before all three ran — a cancelled comparison has no
-    /// partial value (every Table-2 column needs all three runs).
+    /// [`Self::evaluate_cancellable_with`] on a token that never fires.
+    fn evaluate_uncancelled(
+        sim: &Simulator,
+        network: &Network,
+        cfg: &AcceleratorConfig,
+        opts: SimOptions,
+        energy_model: EnergyModel,
+    ) -> SimResult<Self> {
+        let cancel = CancelToken::never();
+        Self::evaluate_cancellable_with(sim, network, cfg, opts, energy_model, &cancel)
+            .map(|c| c.unwrap_or_else(|| unreachable!("a never-cancelled token cannot cancel")))
+    }
+
+    /// Simulates `network` on all three architectures through `sim`,
+    /// with cooperative cancellation: `cancel` is polled before each of
+    /// the three whole-network simulations, so a simulation that starts
+    /// also finishes. `Ok(None)` when the token fired before all three
+    /// ran — a cancelled comparison has no partial value (every Table-2
+    /// column needs all three runs).
+    ///
+    /// The three runs share the handle's cache: the fixed WS and OS
+    /// reference runs replay exactly the per-layer simulations the hybrid
+    /// run already performed, so with a caching `sim` they are answered
+    /// almost entirely from memo entries.
+    ///
+    /// # Errors
+    ///
+    /// The first [`SimError`](codesign_sim::SimError) a run surfaces.
     pub fn evaluate_cancellable_with(
         sim: &Simulator,
         network: &Network,
@@ -69,16 +78,20 @@ impl ArchitectureComparison {
         opts: SimOptions,
         energy_model: EnergyModel,
         cancel: &CancelToken,
-    ) -> Option<Self> {
+    ) -> SimResult<Option<Self>> {
         let run = |policy| {
             if cancel.is_cancelled() {
-                return None;
+                return Ok(None);
             }
-            Some(sim.simulate_network(network, cfg, policy, opts))
+            sim.try_simulate_network(network, cfg, policy, opts).map(Some)
         };
-        let hybrid = run(DataflowPolicy::PerLayer)?;
-        let ws = run(DataflowPolicy::Fixed(Dataflow::WeightStationary))?;
-        let os = run(DataflowPolicy::Fixed(Dataflow::OutputStationary))?;
+        let Some(hybrid) = run(DataflowPolicy::PerLayer)? else { return Ok(None) };
+        let Some(ws) = run(DataflowPolicy::Fixed(Dataflow::WeightStationary))? else {
+            return Ok(None);
+        };
+        let Some(os) = run(DataflowPolicy::Fixed(Dataflow::OutputStationary))? else {
+            return Ok(None);
+        };
         let cmp = Self { network: network.name().to_owned(), hybrid, ws, os, energy_model };
         if sim.tracer().records_spans() {
             let mut track = sim.tracer().track(format!("cmp:{}", network.name()));
@@ -93,7 +106,7 @@ impl ArchitectureComparison {
                 ],
             );
         }
-        Some(cmp)
+        Ok(Some(cmp))
     }
 
     /// Hybrid speedup over the fixed-OS reference (Table 2, "Speedup vs
@@ -155,19 +168,11 @@ pub struct RelativeResult {
 }
 
 /// Compares a subject network against a baseline, both on the hybrid
-/// architecture, with a fresh memoizing [`Simulator`].
-pub fn compare_networks(
-    subject: &Network,
-    baseline: &Network,
-    cfg: &AcceleratorConfig,
-    opts: SimOptions,
-    energy_model: &EnergyModel,
-) -> RelativeResult {
-    compare_networks_with(&Simulator::new(), subject, baseline, cfg, opts, energy_model)
-}
-
-/// Compares a subject network against a baseline, both on the hybrid
 /// architecture, through `sim`.
+///
+/// # Errors
+///
+/// The first [`SimError`](codesign_sim::SimError) either run surfaces.
 pub fn compare_networks_with(
     sim: &Simulator,
     subject: &Network,
@@ -175,19 +180,23 @@ pub fn compare_networks_with(
     cfg: &AcceleratorConfig,
     opts: SimOptions,
     energy_model: &EnergyModel,
-) -> RelativeResult {
-    let s = sim.simulate_network(subject, cfg, DataflowPolicy::PerLayer, opts);
-    let b = sim.simulate_network(baseline, cfg, DataflowPolicy::PerLayer, opts);
-    RelativeResult {
+) -> SimResult<RelativeResult> {
+    let s = sim.try_simulate_network(subject, cfg, DataflowPolicy::PerLayer, opts)?;
+    let b = sim.try_simulate_network(baseline, cfg, DataflowPolicy::PerLayer, opts)?;
+    Ok(RelativeResult {
         speedup: b.total_cycles() as f64 / s.total_cycles() as f64,
         energy_gain: b.total_energy(energy_model) / s.total_energy(energy_model),
-    }
+    })
 }
 
 /// Evaluates every network in `networks` on all three architectures,
 /// fanning the networks out across `jobs` worker threads (`0` = one per
 /// core) through the shared `sim` handle. Results come back in input
 /// order — this is the Table 2 generator.
+///
+/// # Errors
+///
+/// The first [`SimError`](codesign_sim::SimError), in input order.
 pub fn compare_all(
     sim: &Simulator,
     networks: &[Network],
@@ -195,10 +204,12 @@ pub fn compare_all(
     opts: SimOptions,
     energy_model: EnergyModel,
     jobs: usize,
-) -> Vec<ArchitectureComparison> {
+) -> SimResult<Vec<ArchitectureComparison>> {
     par_map(jobs, networks, |_, net| {
-        ArchitectureComparison::evaluate_with(sim, net, cfg, opts, energy_model)
+        ArchitectureComparison::evaluate_uncancelled(sim, net, cfg, opts, energy_model)
     })
+    .into_iter()
+    .collect()
 }
 
 #[cfg(test)]
@@ -210,11 +221,30 @@ mod tests {
         (AcceleratorConfig::paper_default(), SimOptions::paper_default(), EnergyModel::default())
     }
 
+    fn evaluate(
+        net: &Network,
+        cfg: &AcceleratorConfig,
+        opts: SimOptions,
+        em: EnergyModel,
+    ) -> ArchitectureComparison {
+        ArchitectureComparison::evaluate_uncancelled(&Simulator::new(), net, cfg, opts, em).unwrap()
+    }
+
+    fn compare_networks(
+        subject: &Network,
+        baseline: &Network,
+        cfg: &AcceleratorConfig,
+        opts: SimOptions,
+        em: &EnergyModel,
+    ) -> RelativeResult {
+        compare_networks_with(&Simulator::new(), subject, baseline, cfg, opts, em).unwrap()
+    }
+
     #[test]
     fn hybrid_dominates_both_references() {
         let (cfg, opts, em) = setup();
         for net in [zoo::squeezenet_v1_1(), zoo::tiny_darknet()] {
-            let c = ArchitectureComparison::evaluate(&net, &cfg, opts, em);
+            let c = evaluate(&net, &cfg, opts, em);
             assert!(c.speedup_vs_os() >= 1.0, "{}", net.name());
             assert!(c.speedup_vs_ws() >= 1.0, "{}", net.name());
         }
@@ -224,7 +254,7 @@ mod tests {
     fn mobilenet_gains_most_vs_ws() {
         // Table 2's strongest row: MobileNet vs WS is 6.35x in the paper.
         let (cfg, opts, em) = setup();
-        let c = ArchitectureComparison::evaluate(&zoo::mobilenet_v1(), &cfg, opts, em);
+        let c = evaluate(&zoo::mobilenet_v1(), &cfg, opts, em);
         assert!(c.speedup_vs_ws() > 4.0, "got {:.2}", c.speedup_vs_ws());
         assert!(c.speedup_vs_os() > 1.5, "got {:.2}", c.speedup_vs_os());
     }
@@ -233,8 +263,8 @@ mod tests {
     fn alexnet_gains_least() {
         // FC-dominated AlexNet benefits least from dataflow flexibility.
         let (cfg, opts, em) = setup();
-        let alex = ArchitectureComparison::evaluate(&zoo::alexnet(), &cfg, opts, em);
-        let mobile = ArchitectureComparison::evaluate(&zoo::mobilenet_v1(), &cfg, opts, em);
+        let alex = evaluate(&zoo::alexnet(), &cfg, opts, em);
+        let mobile = evaluate(&zoo::mobilenet_v1(), &cfg, opts, em);
         assert!(alex.speedup_vs_ws() < mobile.speedup_vs_ws());
         assert!(alex.speedup_vs_os() < mobile.speedup_vs_os());
         assert!(alex.speedup_vs_os() < 1.5);
@@ -264,11 +294,11 @@ mod tests {
         let (cfg, opts, em) = setup();
         let nets = vec![zoo::squeezenet_v1_1(), zoo::tiny_darknet()];
         let sim = Simulator::new();
-        let rows = compare_all(&sim, &nets, &cfg, opts, em, 2);
+        let rows = compare_all(&sim, &nets, &cfg, opts, em, 2).unwrap();
         assert_eq!(rows.len(), nets.len());
         for (row, net) in rows.iter().zip(&nets) {
             assert_eq!(row.network, net.name());
-            let solo = ArchitectureComparison::evaluate(net, &cfg, opts, em);
+            let solo = evaluate(net, &cfg, opts, em);
             assert_eq!(row.hybrid, solo.hybrid);
             assert_eq!(row.ws, solo.ws);
             assert_eq!(row.os, solo.os);
@@ -283,7 +313,14 @@ mod tests {
         let (cfg, opts, em) = setup();
         let tracer = codesign_trace::Tracer::enabled();
         let sim = Simulator::new().with_tracer(tracer.clone());
-        let c = ArchitectureComparison::evaluate_with(&sim, &zoo::tiny_darknet(), &cfg, opts, em);
+        let c = ArchitectureComparison::evaluate_uncancelled(
+            &sim,
+            &zoo::tiny_darknet(),
+            &cfg,
+            opts,
+            em,
+        )
+        .unwrap();
         let data = tracer.snapshot();
         let cmp = data.tracks.iter().find(|t| t.name.starts_with("cmp:")).expect("compare track");
         assert_eq!(cmp.spans[0].counter("hybrid.cycles"), Some(c.hybrid.total_cycles()));
@@ -307,6 +344,7 @@ mod tests {
             em,
             &cancelled
         )
+        .unwrap()
         .is_none());
         let live = ArchitectureComparison::evaluate_cancellable_with(
             &Simulator::new(),
@@ -316,8 +354,9 @@ mod tests {
             em,
             &CancelToken::never(),
         )
+        .unwrap()
         .expect("never-cancelled token completes");
-        let plain = ArchitectureComparison::evaluate(&net, &cfg, opts, em);
+        let plain = evaluate(&net, &cfg, opts, em);
         assert_eq!(live.hybrid, plain.hybrid);
         assert_eq!(live.ws, plain.ws);
         assert_eq!(live.os, plain.os);
@@ -326,7 +365,7 @@ mod tests {
     #[test]
     fn display_row_mentions_both_ratios() {
         let (cfg, opts, em) = setup();
-        let c = ArchitectureComparison::evaluate(&zoo::squeezenet_v1_1(), &cfg, opts, em);
+        let c = evaluate(&zoo::squeezenet_v1_1(), &cfg, opts, em);
         let s = c.to_string();
         assert!(s.contains("vs OS") && s.contains("vs WS"));
     }

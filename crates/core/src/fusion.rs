@@ -16,7 +16,7 @@
 
 use codesign_arch::{AcceleratorConfig, DataflowPolicy, EnergyModel};
 use codesign_dnn::Network;
-use codesign_sim::{NetworkPerf, SimOptions, Simulator};
+use codesign_sim::{NetworkPerf, SimOptions, SimResult, Simulator};
 
 /// A run of consecutive layers whose intermediates stay on chip.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -119,28 +119,24 @@ impl FusionSavings {
     }
 }
 
-/// Quantifies what a fusion plan saves: every fused intermediate tensor
-/// skips one DRAM write (producer) and one DRAM read (consumer).
-pub fn fusion_savings(
-    network: &Network,
-    cfg: &AcceleratorConfig,
-    opts: SimOptions,
-    energy_model: &EnergyModel,
-) -> FusionSavings {
-    fusion_savings_with(&Simulator::new(), network, cfg, opts, energy_model)
-}
-
-/// [`fusion_savings`] against a caller-provided simulator. The compute
-/// walks do not depend on the buffer size, so a buffer sweep sharing one
-/// simulator re-runs only the per-buffer tiling searches.
+/// Quantifies what a fusion plan saves, simulating the unfused baseline
+/// through `sim`: every fused intermediate tensor skips one DRAM write
+/// (producer) and one DRAM read (consumer). The compute walks do not
+/// depend on the buffer size, so a buffer sweep sharing one simulator
+/// re-runs only the per-buffer tiling searches.
+///
+/// # Errors
+///
+/// The first [`SimError`](codesign_sim::SimError) the baseline run
+/// surfaces.
 pub fn fusion_savings_with(
     sim: &Simulator,
     network: &Network,
     cfg: &AcceleratorConfig,
     opts: SimOptions,
     energy_model: &EnergyModel,
-) -> FusionSavings {
-    let baseline = sim.simulate_network(network, cfg, DataflowPolicy::PerLayer, opts);
+) -> SimResult<FusionSavings> {
+    let baseline = sim.try_simulate_network(network, cfg, DataflowPolicy::PerLayer, opts)?;
     let groups = plan_fusion(network, cfg);
     let bytes = cfg.bytes_per_element() as u64;
     let mut elided_dram_bytes = 0u64;
@@ -157,7 +153,7 @@ pub fn fusion_savings_with(
         }
     }
     let energy_saved = (elided_dram_bytes / bytes) as f64 * energy_model.dram;
-    FusionSavings { baseline, elided_dram_bytes, elided_tensors, energy_saved }
+    Ok(FusionSavings { baseline, elided_dram_bytes, elided_tensors, energy_saved })
 }
 
 #[cfg(test)]
@@ -200,7 +196,8 @@ mod tests {
         // At 128 KB the intermediate maps are too large to forward —
         // the headline finding of this study.
         let (cfg, opts, em) = setup();
-        let s = fusion_savings(&zoo::squeezenet_v1_0(), &cfg, opts, &em);
+        let s = fusion_savings_with(&Simulator::new(), &zoo::squeezenet_v1_0(), &cfg, opts, &em)
+            .unwrap();
         assert!(s.dram_fraction_saved() < 0.05, "saved {:.3}", s.dram_fraction_saved());
     }
 
@@ -209,7 +206,7 @@ mod tests {
         let cfg = big_buffer(2 * 1024);
         let (_, opts, em) = setup();
         for net in [zoo::squeezenet_v1_0(), zoo::mobilenet_v1()] {
-            let s = fusion_savings(&net, &cfg, opts, &em);
+            let s = fusion_savings_with(&Simulator::new(), &net, &cfg, opts, &em).unwrap();
             assert!(s.elided_tensors > 5, "{}: {} tensors", net.name(), s.elided_tensors);
             let dram = s.dram_fraction_saved();
             assert!((0.05..0.9).contains(&dram), "{}: {dram:.3}", net.name());
@@ -240,7 +237,8 @@ mod tests {
         let net = zoo::mobilenet_v1();
         let mut last = -1.0f64;
         for kib in [128, 512, 2048, 8192] {
-            let s = fusion_savings(&net, &big_buffer(kib), opts, &em);
+            let s =
+                fusion_savings_with(&Simulator::new(), &net, &big_buffer(kib), opts, &em).unwrap();
             let frac = s.dram_fraction_saved();
             assert!(frac >= last, "{kib} KiB: {frac:.3} < {last:.3}");
             last = frac;

@@ -12,19 +12,22 @@
 //!
 //! ```
 //! use codesign_arch::{AcceleratorConfig, EnergyModel};
-//! use codesign_core::ArchitectureComparison;
+//! use codesign_core::compare_all;
 //! use codesign_dnn::zoo;
-//! use codesign_sim::SimOptions;
+//! use codesign_sim::{SimOptions, Simulator};
 //!
 //! let cfg = AcceleratorConfig::paper_default();
-//! let row = ArchitectureComparison::evaluate(
-//!     &zoo::squeezenet_v1_1(),
+//! let rows = compare_all(
+//!     &Simulator::new(),
+//!     &[zoo::squeezenet_v1_1()],
 //!     &cfg,
 //!     SimOptions::paper_default(),
 //!     EnergyModel::default(),
-//! );
+//!     1,
+//! )?;
 //! // The Squeezelerator is never slower than either fixed reference.
-//! assert!(row.speedup_vs_os() >= 1.0 && row.speedup_vs_ws() >= 1.0);
+//! assert!(rows[0].speedup_vs_os() >= 1.0 && rows[0].speedup_vs_ws() >= 1.0);
+//! # Ok::<(), codesign_sim::SimError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -43,24 +46,17 @@ pub mod select;
 pub mod stream;
 
 pub use checkpoint::CheckpointError;
-pub use codesign::{
-    evaluate_variant, evaluate_variant_with, CodesignStudy, ModelTransform, VariantResult,
-};
+pub use codesign::{evaluate_variant_with, CodesignStudy, ModelTransform, VariantResult};
 pub use dse::{
     best_by_energy_delay, pareto_designs, rf_tuneup_effect, sweep_full_with, DesignParams,
     DesignPoint, OnlineFrontier, PointFailure, SweepError, SweepOutcome, SweepSpace,
 };
-pub use evaluate::{
-    compare_all, compare_networks, compare_networks_with, ArchitectureComparison, RelativeResult,
-};
-pub use fusion::{fusion_savings, fusion_savings_with, plan_fusion, FusionGroup, FusionSavings};
-pub use pareto::{pareto_front, spectrum, spectrum_with, CostAxis, ModelPoint};
-pub use ranges::{advantage_range, advantage_range_with, AdvantageRange};
+pub use evaluate::{compare_all, compare_networks_with, ArchitectureComparison, RelativeResult};
+pub use fusion::{fusion_savings_with, plan_fusion, FusionGroup, FusionSavings};
+pub use pareto::{pareto_front, spectrum_with, CostAxis, ModelPoint};
+pub use ranges::{advantage_range_with, AdvantageRange};
 pub use roofline::{machine_balance, roofline, Bound, LayerRoofline, NetworkRoofline};
-pub use schedule::{
-    schedule_sparsity_robustness, schedule_sparsity_robustness_with, LayerScheduleEntry,
-    NetworkSchedule,
-};
+pub use schedule::{schedule_sparsity_robustness_with, LayerScheduleEntry, NetworkSchedule};
 pub use select::{select_model, Constraints};
 pub use stream::{
     sweep_frontier_with, CheckpointConfig, FrontierConfig, FrontierEvent, FrontierOutcome,

@@ -4,7 +4,7 @@ use std::fmt;
 
 use codesign_arch::{AcceleratorConfig, DataflowPolicy, EnergyModel};
 use codesign_dnn::Network;
-use codesign_sim::{SimOptions, Simulator};
+use codesign_sim::{SimOptions, SimResult, Simulator};
 
 /// One model's position in the accuracy-vs-cost space.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,40 +32,32 @@ impl fmt::Display for ModelPoint {
     }
 }
 
-/// Simulates each network and returns its spectrum point. Networks with
-/// no accuracy metadata are skipped (they cannot be placed in Figure 4).
-/// Routes through a transient memoizing simulator; use
-/// [`spectrum_with`] to share an engine handle across experiments.
-pub fn spectrum(
-    networks: &[Network],
-    cfg: &AcceleratorConfig,
-    opts: SimOptions,
-    energy_model: &EnergyModel,
-) -> Vec<ModelPoint> {
-    spectrum_with(&Simulator::new(), networks, cfg, opts, energy_model)
-}
-
-/// [`spectrum`] through a caller-supplied engine handle, so repeated
-/// layer shapes across the model families (and across experiments
-/// sharing `sim`) are memoized once.
+/// Simulates each network through `sim` and returns its spectrum point,
+/// so repeated layer shapes across the model families (and across
+/// experiments sharing `sim`) are memoized once. Networks with no
+/// accuracy metadata are skipped (they cannot be placed in Figure 4).
+///
+/// # Errors
+///
+/// The first [`SimError`](codesign_sim::SimError) any run surfaces.
 pub fn spectrum_with(
     sim: &Simulator,
     networks: &[Network],
     cfg: &AcceleratorConfig,
     opts: SimOptions,
     energy_model: &EnergyModel,
-) -> Vec<ModelPoint> {
+) -> SimResult<Vec<ModelPoint>> {
     networks
         .iter()
         .filter_map(|net| {
             let accuracy = net.top1_accuracy()?;
-            let perf = sim.simulate_network(net, cfg, DataflowPolicy::PerLayer, opts);
-            Some(ModelPoint {
+            let perf = sim.try_simulate_network(net, cfg, DataflowPolicy::PerLayer, opts);
+            Some(perf.map(|perf| ModelPoint {
                 name: net.name().to_owned(),
                 accuracy,
                 time_ms: cfg.cycles_to_ms(perf.total_cycles()),
                 energy: perf.total_energy(energy_model),
-            })
+            }))
         })
         .collect()
 }
@@ -199,7 +191,14 @@ mod tests {
         let mut nets = zoo::squeezenext_family();
         nets.push(zoo::squeezenet_v1_0());
         nets.push(zoo::squeezenet_v1_1());
-        let pts = spectrum(&nets, &cfg, SimOptions::default(), &EnergyModel::default());
+        let pts = spectrum_with(
+            &Simulator::new(),
+            &nets,
+            &cfg,
+            SimOptions::default(),
+            &EnergyModel::default(),
+        )
+        .unwrap();
         for axis in [CostAxis::Time, CostAxis::Energy] {
             let front = pareto_front(&pts, axis);
             assert!(
@@ -221,7 +220,14 @@ mod tests {
                 .conv("c", 8, 3, 1, 1)
                 .finish()
                 .unwrap();
-        let pts = spectrum(&[unnamed], &cfg, SimOptions::default(), &EnergyModel::default());
+        let pts = spectrum_with(
+            &Simulator::new(),
+            &[unnamed],
+            &cfg,
+            SimOptions::default(),
+            &EnergyModel::default(),
+        )
+        .unwrap();
         assert!(pts.is_empty());
     }
 

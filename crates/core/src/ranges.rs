@@ -10,7 +10,7 @@
 
 use codesign_arch::{AcceleratorConfig, Dataflow};
 use codesign_dnn::{LayerClass, Network};
-use codesign_sim::{SimOptions, Simulator};
+use codesign_sim::{SimOptions, SimResult, Simulator};
 
 /// Observed WS-vs-OS advantage range for one layer class.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,21 +28,13 @@ pub struct AdvantageRange {
 }
 
 /// Measures the `winner`-over-loser cycle ratio for every layer of
-/// `class` across `networks`, returning the observed range (or `None` if
-/// no such layer exists). Routes through a transient memoizing
-/// simulator; use [`advantage_range_with`] to share an engine handle.
-pub fn advantage_range(
-    networks: &[Network],
-    class: LayerClass,
-    winner: Dataflow,
-    cfg: &AcceleratorConfig,
-    opts: SimOptions,
-) -> Option<AdvantageRange> {
-    advantage_range_with(&Simulator::new(), networks, class, winner, cfg, opts)
-}
-
-/// [`advantage_range`] through a caller-supplied engine handle, so the
-/// repeated layer shapes across the zoo resolve from the memo.
+/// `class` across `networks` through `sim` (so the repeated layer shapes
+/// across the zoo resolve from the memo), returning the observed range
+/// (or `None` if no such layer exists).
+///
+/// # Errors
+///
+/// The first [`SimError`](codesign_sim::SimError) any layer surfaces.
 pub fn advantage_range_with(
     sim: &Simulator,
     networks: &[Network],
@@ -50,7 +42,7 @@ pub fn advantage_range_with(
     winner: Dataflow,
     cfg: &AcceleratorConfig,
     opts: SimOptions,
-) -> Option<AdvantageRange> {
+) -> SimResult<Option<AdvantageRange>> {
     let mut min = f64::INFINITY;
     let mut max = f64::NEG_INFINITY;
     let mut samples = 0;
@@ -59,7 +51,7 @@ pub fn advantage_range_with(
             if layer.class() != class || !layer.is_compute() {
                 continue;
             }
-            let (ws, os, _) = sim.compare_dataflows(layer, cfg, opts);
+            let (ws, os, _) = sim.try_compare_dataflows(layer, cfg, opts)?;
             let ratio = match winner {
                 Dataflow::WeightStationary => os.total_cycles as f64 / ws.total_cycles as f64,
                 Dataflow::OutputStationary => ws.total_cycles as f64 / os.total_cycles as f64,
@@ -69,7 +61,7 @@ pub fn advantage_range_with(
             samples += 1;
         }
     }
-    (samples > 0).then_some(AdvantageRange { class, winner, min, max, samples })
+    Ok((samples > 0).then_some(AdvantageRange { class, winner, min, max, samples }))
 }
 
 #[cfg(test)]
@@ -87,9 +79,16 @@ mod tests {
         // WS advantage at the top end; the low end may dip below 1 for a
         // few early layers (documented deviation).
         let (nets, cfg, opts) = setup();
-        let r =
-            advantage_range(&nets, LayerClass::Pointwise, Dataflow::WeightStationary, &cfg, opts)
-                .unwrap();
+        let r = advantage_range_with(
+            &Simulator::new(),
+            &nets,
+            LayerClass::Pointwise,
+            Dataflow::WeightStationary,
+            &cfg,
+            opts,
+        )
+        .unwrap()
+        .unwrap();
         assert!(r.samples > 20);
         assert!(r.max > 2.0, "max = {:.2}", r.max);
         assert!(r.min > 0.5, "min = {:.2}", r.min);
@@ -99,9 +98,16 @@ mod tests {
     fn first_conv_favors_os() {
         // Paper: 1.6x to 6.3x faster on OS.
         let (nets, cfg, opts) = setup();
-        let r =
-            advantage_range(&nets, LayerClass::FirstConv, Dataflow::OutputStationary, &cfg, opts)
-                .unwrap();
+        let r = advantage_range_with(
+            &Simulator::new(),
+            &nets,
+            LayerClass::FirstConv,
+            Dataflow::OutputStationary,
+            &cfg,
+            opts,
+        )
+        .unwrap()
+        .unwrap();
         assert_eq!(r.samples, nets.len());
         assert!(r.min > 1.0, "min = {:.2}", r.min);
         assert!(r.max > 3.0, "max = {:.2}", r.max);
@@ -111,9 +117,16 @@ mod tests {
     fn depthwise_overwhelmingly_favors_os() {
         // Paper: 19x to 96x faster on OS.
         let (nets, cfg, opts) = setup();
-        let r =
-            advantage_range(&nets, LayerClass::Depthwise, Dataflow::OutputStationary, &cfg, opts)
-                .unwrap();
+        let r = advantage_range_with(
+            &Simulator::new(),
+            &nets,
+            LayerClass::Depthwise,
+            Dataflow::OutputStationary,
+            &cfg,
+            opts,
+        )
+        .unwrap()
+        .unwrap();
         assert!(r.samples >= 13, "MobileNet has 13 depthwise layers");
         assert!(r.max > 10.0, "max = {:.1}", r.max);
         assert!(r.min > 1.0, "min = {:.2}", r.min);
@@ -123,13 +136,15 @@ mod tests {
     fn missing_class_returns_none() {
         let (_, cfg, opts) = setup();
         let nets = vec![zoo::alexnet()];
-        assert!(advantage_range(
+        assert!(advantage_range_with(
+            &Simulator::new(),
             &nets,
             LayerClass::Depthwise,
             Dataflow::OutputStationary,
             &cfg,
             opts
         )
+        .unwrap()
         .is_none());
     }
 }

@@ -8,7 +8,7 @@
 
 use codesign_arch::{AcceleratorConfig, Dataflow, DataflowPolicy};
 use codesign_dnn::{LayerClass, Network};
-use codesign_sim::{simulate_network, NetworkPerf, SimOptions};
+use codesign_sim::{NetworkPerf, SimOptions, SimResult, Simulator};
 
 /// Whether a layer sits left or right of the machine's balance point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -114,23 +114,38 @@ fn from_perf(network: &Network, perf: &NetworkPerf, balance: f64) -> NetworkRoof
     NetworkRoofline { network: network.name().to_owned(), balance, layers }
 }
 
-/// Computes the roofline profile of a network on the hybrid architecture.
-pub fn roofline(network: &Network, cfg: &AcceleratorConfig, opts: SimOptions) -> NetworkRoofline {
-    let perf = simulate_network(network, cfg, DataflowPolicy::PerLayer, opts);
-    from_perf(network, &perf, machine_balance(cfg))
+/// Computes the roofline profile of a network on the hybrid
+/// architecture, simulated through `sim`.
+///
+/// # Errors
+///
+/// The first [`SimError`](codesign_sim::SimError) the run surfaces.
+pub fn roofline(
+    sim: &Simulator,
+    network: &Network,
+    cfg: &AcceleratorConfig,
+    opts: SimOptions,
+) -> SimResult<NetworkRoofline> {
+    let perf = sim.try_simulate_network(network, cfg, DataflowPolicy::PerLayer, opts)?;
+    Ok(from_perf(network, &perf, machine_balance(cfg)))
 }
 
 /// Computes the roofline profile under a forced dataflow (the traffic is
 /// dataflow independent in this model, but the perf context matters for
 /// callers correlating with cycle results).
+///
+/// # Errors
+///
+/// The first [`SimError`](codesign_sim::SimError) the run surfaces.
 pub fn roofline_fixed(
+    sim: &Simulator,
     network: &Network,
     cfg: &AcceleratorConfig,
     opts: SimOptions,
     dataflow: Dataflow,
-) -> NetworkRoofline {
-    let perf = simulate_network(network, cfg, DataflowPolicy::Fixed(dataflow), opts);
-    from_perf(network, &perf, machine_balance(cfg))
+) -> SimResult<NetworkRoofline> {
+    let perf = sim.try_simulate_network(network, cfg, DataflowPolicy::Fixed(dataflow), opts)?;
+    Ok(from_perf(network, &perf, machine_balance(cfg)))
 }
 
 #[cfg(test)]
@@ -154,11 +169,11 @@ mod tests {
         // The paper's §4.2 claim: depthwise (and pointwise) layers have
         // poor arithmetic intensity compared to dense 3x3 layers.
         let (cfg, opts) = ctx();
-        let r = roofline(&zoo::mobilenet_v1(), &cfg, opts);
+        let r = roofline(&Simulator::new(), &zoo::mobilenet_v1(), &cfg, opts).unwrap();
         let dw = r.class_intensity(LayerClass::Depthwise).unwrap();
         let pw = r.class_intensity(LayerClass::Pointwise).unwrap();
         assert!(dw < pw, "dw {dw:.2} should be below 1x1 {pw:.2}");
-        let r_sq = roofline(&zoo::squeezenet_v1_0(), &cfg, opts);
+        let r_sq = roofline(&Simulator::new(), &zoo::squeezenet_v1_0(), &cfg, opts).unwrap();
         let fxf = r_sq.class_intensity(LayerClass::Spatial).unwrap();
         assert!(dw < fxf, "dw {dw:.2} should be far below 3x3 {fxf:.2}");
     }
@@ -166,7 +181,7 @@ mod tests {
     #[test]
     fn fc_layers_are_memory_bound() {
         let (cfg, opts) = ctx();
-        let r = roofline(&zoo::alexnet(), &cfg, opts);
+        let r = roofline(&Simulator::new(), &zoo::alexnet(), &cfg, opts).unwrap();
         for l in r.layers.iter().filter(|l| l.class == LayerClass::FullyConnected) {
             assert_eq!(l.bound, Bound::MemoryBound, "{}", l.name);
             assert!(l.intensity < 1.0, "{}: {:.3}", l.name, l.intensity);
@@ -177,9 +192,12 @@ mod tests {
     fn mobilenet_has_lower_intensity_than_squeezenext() {
         // Why SqueezeNext avoids depthwise separable convolutions.
         let (cfg, opts) = ctx();
-        let mobile = roofline(&zoo::mobilenet_v1(), &cfg, opts).intensity();
-        let sqnxt = roofline(&zoo::squeezenext(), &cfg, opts).intensity();
-        let squeeze = roofline(&zoo::squeezenet_v1_0(), &cfg, opts).intensity();
+        let mobile =
+            roofline(&Simulator::new(), &zoo::mobilenet_v1(), &cfg, opts).unwrap().intensity();
+        let sqnxt =
+            roofline(&Simulator::new(), &zoo::squeezenext(), &cfg, opts).unwrap().intensity();
+        let squeeze =
+            roofline(&Simulator::new(), &zoo::squeezenet_v1_0(), &cfg, opts).unwrap().intensity();
         assert!(squeeze > mobile, "SqueezeNet {squeeze:.1} vs MobileNet {mobile:.1}");
         let _ = sqnxt; // SqueezeNext's bottleneck 1x1s keep it lower than
                        // SqueezeNet but its spatial convs beat depthwise.
@@ -189,7 +207,7 @@ mod tests {
     fn memory_bound_fraction_is_a_fraction() {
         let (cfg, opts) = ctx();
         for net in zoo::table_networks() {
-            let r = roofline(&net, &cfg, opts);
+            let r = roofline(&Simulator::new(), &net, &cfg, opts).unwrap();
             let f = r.memory_bound_mac_fraction();
             assert!((0.0..=1.0).contains(&f), "{}: {f}", net.name());
         }
@@ -198,7 +216,7 @@ mod tests {
     #[test]
     fn missing_class_yields_none() {
         let (cfg, opts) = ctx();
-        let r = roofline(&zoo::alexnet(), &cfg, opts);
+        let r = roofline(&Simulator::new(), &zoo::alexnet(), &cfg, opts).unwrap();
         assert!(r.class_intensity(LayerClass::Depthwise).is_none());
     }
 }

@@ -8,7 +8,7 @@ use std::fmt;
 
 use codesign_arch::{AcceleratorConfig, Dataflow};
 use codesign_dnn::{LayerClass, Network};
-use codesign_sim::{SimOptions, Simulator};
+use codesign_sim::{SimOptions, SimResult, Simulator};
 
 /// One row of a per-layer schedule: both dataflows' costs plus the static
 /// choice.
@@ -56,34 +56,32 @@ pub struct NetworkSchedule {
 }
 
 impl NetworkSchedule {
-    /// Builds the schedule by simulating every layer under both dataflows.
-    pub fn build(network: &Network, cfg: &AcceleratorConfig, opts: SimOptions) -> Self {
-        // A per-call memoizing simulator: repeated layer shapes (fire
-        // modules, depthwise ladders) simulate once. Cached and uncached
-        // runs are bit-identical, so the schedule is unchanged.
-        Self::build_with(&Simulator::new(), network, cfg, opts)
-    }
-
-    /// [`NetworkSchedule::build`] against a caller-provided simulator, so
-    /// sweeps over many option sets (e.g. the sparsity-robustness probes)
-    /// share one result cache.
+    /// Builds the schedule by simulating every layer under both dataflows
+    /// through `sim`, so repeated layer shapes (fire modules, depthwise
+    /// ladders) simulate once and sweeps over many option sets (e.g. the
+    /// sparsity-robustness probes) share one result cache.
+    ///
+    /// # Errors
+    ///
+    /// The first [`SimError`](codesign_sim::SimError) any layer
+    /// surfaces.
     pub fn build_with(
         sim: &Simulator,
         network: &Network,
         cfg: &AcceleratorConfig,
         opts: SimOptions,
-    ) -> Self {
+    ) -> SimResult<Self> {
         let entries = network
             .layers()
             .iter()
             .map(|layer| {
-                let (ws, os, best) = sim.compare_dataflows(layer, cfg, opts);
+                let (ws, os, best) = sim.try_compare_dataflows(layer, cfg, opts)?;
                 let chosen = if layer.is_compute() { Some(best) } else { None };
                 let (hybrid_cycles, utilization) = match best {
                     Dataflow::WeightStationary => (ws.total_cycles, ws.utilization),
                     Dataflow::OutputStationary => (os.total_cycles, os.utilization),
                 };
-                LayerScheduleEntry {
+                Ok(LayerScheduleEntry {
                     name: layer.name.clone(),
                     class: layer.class(),
                     ws_cycles: ws.total_cycles,
@@ -91,10 +89,10 @@ impl NetworkSchedule {
                     chosen,
                     hybrid_cycles,
                     utilization,
-                }
+                })
             })
-            .collect();
-        Self { network: network.name().to_owned(), entries }
+            .collect::<SimResult<_>>()?;
+        Ok(Self { network: network.name().to_owned(), entries })
     }
 
     /// Entries for layers of a given class.
@@ -128,33 +126,25 @@ impl NetworkSchedule {
 ///
 /// Returns, for each probe sparsity, the number of compute layers whose
 /// best dataflow differs from the schedule chosen at `baseline` sparsity.
-pub fn schedule_sparsity_robustness(
-    network: &Network,
-    cfg: &AcceleratorConfig,
-    baseline: codesign_sim::SparsityModel,
-    probes: &[f64],
-) -> Vec<(f64, usize)> {
-    // One simulator across the baseline and every probe: the WS walk and
-    // the tiling-search traffic are sparsity independent, so all probes
-    // hit their cache entries and only the OS walks re-run.
-    schedule_sparsity_robustness_with(&Simulator::new(), network, cfg, baseline, probes)
-}
-
-/// [`schedule_sparsity_robustness`] against a caller-provided simulator,
-/// so the probe schedules also share entries with any other work the
-/// caller has already simulated on it.
+/// The baseline and every probe simulate through `sim`: the WS walk and
+/// the tiling plans are sparsity independent, so all probes hit their
+/// cache entries and only the OS walks re-run.
+///
+/// # Errors
+///
+/// The first [`SimError`](codesign_sim::SimError) any schedule surfaces.
 pub fn schedule_sparsity_robustness_with(
     sim: &Simulator,
     network: &Network,
     cfg: &AcceleratorConfig,
     baseline: codesign_sim::SparsityModel,
     probes: &[f64],
-) -> Vec<(f64, usize)> {
+) -> SimResult<Vec<(f64, usize)>> {
     let base_opts = SimOptions {
         os: codesign_sim::OsModelOptions::paper_default().with_sparsity(baseline),
         ..SimOptions::paper_default()
     };
-    let base = NetworkSchedule::build_with(sim, network, cfg, base_opts);
+    let base = NetworkSchedule::build_with(sim, network, cfg, base_opts)?;
     probes
         .iter()
         .map(|&z| {
@@ -163,14 +153,14 @@ pub fn schedule_sparsity_robustness_with(
                     .with_sparsity(codesign_sim::SparsityModel { zero_fraction: z, exploit: true }),
                 ..SimOptions::paper_default()
             };
-            let probe = NetworkSchedule::build_with(sim, network, cfg, opts);
+            let probe = NetworkSchedule::build_with(sim, network, cfg, opts)?;
             let flips = base
                 .entries
                 .iter()
                 .zip(&probe.entries)
                 .filter(|(a, b)| a.chosen.is_some() && a.chosen != b.chosen)
                 .count();
-            (z, flips)
+            Ok((z, flips))
         })
         .collect()
 }
@@ -181,7 +171,13 @@ mod tests {
     use codesign_dnn::zoo;
 
     fn schedule(net: &Network) -> NetworkSchedule {
-        NetworkSchedule::build(net, &AcceleratorConfig::paper_default(), SimOptions::default())
+        NetworkSchedule::build_with(
+            &Simulator::new(),
+            net,
+            &AcceleratorConfig::paper_default(),
+            SimOptions::default(),
+        )
+        .unwrap()
     }
 
     #[test]
@@ -241,12 +237,14 @@ mod tests {
         // and flip more as the assumption degrades to fully dense.
         let net = zoo::squeezenet_v1_0();
         let cfg = AcceleratorConfig::paper_default();
-        let rows = schedule_sparsity_robustness(
+        let rows = schedule_sparsity_robustness_with(
+            &Simulator::new(),
             &net,
             &cfg,
             codesign_sim::SparsityModel::paper_default(),
             &[0.4, 0.3, 0.0],
-        );
+        )
+        .unwrap();
         assert_eq!(rows[0], (0.4, 0));
         let compute_layers = net.compute_layers().count();
         assert!(rows[1].1 <= compute_layers / 4, "0.3 flips {} layers", rows[1].1);

@@ -1,8 +1,9 @@
 use codesign_arch::{AcceleratorConfig, Dataflow, DataflowPolicy, EnergyModel};
 use codesign_dnn::zoo;
-use codesign_sim::{simulate_network, SimOptions};
+use codesign_sim::{SimError, SimOptions, Simulator};
 
-fn main() {
+fn main() -> Result<(), SimError> {
+    let sim = Simulator::new();
     let cfg = AcceleratorConfig::paper_default();
     let opts = SimOptions::paper_default();
     let em = EnergyModel::default();
@@ -11,11 +12,19 @@ fn main() {
         "network", "hyb_cyc", "vsOS", "vsWS", "E_vsOS", "E_vsWS", "dramE%", "fc_cyc%"
     );
     for net in zoo::table_networks() {
-        let hyb = simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts);
-        let ws =
-            simulate_network(&net, &cfg, DataflowPolicy::Fixed(Dataflow::WeightStationary), opts);
-        let os =
-            simulate_network(&net, &cfg, DataflowPolicy::Fixed(Dataflow::OutputStationary), opts);
+        let hyb = sim.try_simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts)?;
+        let ws = sim.try_simulate_network(
+            &net,
+            &cfg,
+            DataflowPolicy::Fixed(Dataflow::WeightStationary),
+            opts,
+        )?;
+        let os = sim.try_simulate_network(
+            &net,
+            &cfg,
+            DataflowPolicy::Fixed(Dataflow::OutputStationary),
+            opts,
+        )?;
         let e_h = hyb.total_energy(&em);
         let e_w = ws.total_energy(&em);
         let e_o = os.total_energy(&em);
@@ -33,9 +42,10 @@ fn main() {
         );
     }
     // headline: SqueezeNext vs SqueezeNet v1.0 and AlexNet on hybrid
-    let sq = simulate_network(&zoo::squeezenet_v1_0(), &cfg, DataflowPolicy::PerLayer, opts);
-    let sx = simulate_network(&zoo::squeezenext(), &cfg, DataflowPolicy::PerLayer, opts);
-    let ax = simulate_network(&zoo::alexnet(), &cfg, DataflowPolicy::PerLayer, opts);
+    let sq =
+        sim.try_simulate_network(&zoo::squeezenet_v1_0(), &cfg, DataflowPolicy::PerLayer, opts)?;
+    let sx = sim.try_simulate_network(&zoo::squeezenext(), &cfg, DataflowPolicy::PerLayer, opts)?;
+    let ax = sim.try_simulate_network(&zoo::alexnet(), &cfg, DataflowPolicy::PerLayer, opts)?;
     println!(
         "\nSqNxt vs SqNet1.0: speed {:.2}x energy {:.2}x",
         sq.total_cycles() as f64 / sx.total_cycles() as f64,
@@ -46,4 +56,5 @@ fn main() {
         ax.total_cycles() as f64 / sx.total_cycles() as f64,
         ax.total_energy(&em) / sx.total_energy(&em)
     );
+    Ok(())
 }

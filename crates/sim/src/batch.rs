@@ -16,7 +16,8 @@
 use codesign_arch::{AcceleratorConfig, Dataflow, DataflowPolicy};
 use codesign_dnn::{Layer, Network};
 
-use crate::engine::{choose_dataflow, finish_layer, try_simulate_conv, SimOptions};
+use crate::cache::Lookups;
+use crate::engine::{choose_dataflow, finish_layer, SimOptions, Simulator};
 use crate::error::{SimError, SimResult};
 use crate::perf::{LayerPerf, NetworkPerf, PhaseCycles};
 use crate::simd::simulate_simd;
@@ -28,162 +29,132 @@ fn mul(a: u64, b: u64) -> SimResult<u64> {
     a.checked_mul(b).ok_or_else(|| SimError::overflow(SCALE_CTX))
 }
 
-/// Simulates one layer over a batch of `batch` images under the given
-/// dataflow, returning the **whole-batch** result (divide cycles by
-/// `batch` for per-image numbers).
-///
-/// # Errors
-///
-/// [`SimError::InvalidWorkload`] when `batch == 0` or the layer itself
-/// is degenerate; [`SimError::ArithmeticOverflow`] when the batch
-/// multiplies any count past the 64-bit modeling range.
-pub fn try_simulate_layer_batched(
-    layer: &Layer,
-    cfg: &AcceleratorConfig,
-    opts: SimOptions,
-    dataflow: Dataflow,
-    batch: u64,
-) -> SimResult<LayerPerf> {
-    try_layer_batched_memo(layer, cfg, opts, dataflow, batch, &mut TrafficMemo::new())
-}
-
-/// Per-run cache of the (dataflow-independent) tiling-search traffic:
-/// one search serves both dataflows of a layer and every repeat of its
-/// shape across the network. Purely an accelerator — hits return the
-/// exact bytes a fresh search would.
-type TrafficMemo = std::collections::HashMap<ConvWork, crate::dram::DramTraffic>;
-
-fn try_layer_batched_memo(
-    layer: &Layer,
-    cfg: &AcceleratorConfig,
-    opts: SimOptions,
-    dataflow: Dataflow,
-    batch: u64,
-    traffic_memo: &mut TrafficMemo,
-) -> SimResult<LayerPerf> {
-    if batch == 0 {
-        return Err(SimError::invalid("batch size must be positive").for_layer(&layer.name));
+impl Simulator {
+    /// Simulates a network over a batch of `batch` images; per-layer
+    /// results are **whole-batch** (divide cycles by `batch` for
+    /// per-image numbers). Each layer's single-image compute and its
+    /// traffic come from the handle's cache, so batch 1 takes
+    /// [`Simulator::try_simulate_network`]'s cycles. With a span-recording
+    /// tracer the run publishes one track of per-layer spans.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidWorkload`] when `batch == 0` or a layer is
+    /// degenerate; [`SimError::ArithmeticOverflow`] when the batch
+    /// multiplies any count past the 64-bit modeling range. The first
+    /// error any layer surfaces is attributed to that layer.
+    pub fn try_simulate_network_batched(
+        &self,
+        network: &Network,
+        cfg: &AcceleratorConfig,
+        policy: DataflowPolicy,
+        opts: SimOptions,
+        batch: u64,
+    ) -> SimResult<NetworkPerf> {
+        let layers = network
+            .layers()
+            .iter()
+            .map(|layer| {
+                let simulate = |d| self.layer_batched(layer, cfg, opts, d, batch);
+                choose_dataflow(policy, simulate, |p| p.total_cycles)
+                    .map(|(_, perf)| perf)
+                    .map_err(|e| e.for_layer(&layer.name))
+            })
+            .collect::<SimResult<_>>()?;
+        let perf = NetworkPerf { name: network.name().to_owned(), layers };
+        self.record_network(network, &perf, cfg, policy, None);
+        Ok(perf)
     }
-    let work = ConvWork::from_layer(layer);
-    let single = match &work {
-        Some(work) => try_simulate_conv(work, cfg, opts, dataflow)?,
-        None => simulate_simd(layer, cfg)?,
-    };
-    let mut compute = single.repeated(batch, SCALE_CTX)?;
-    compute.phases = PhaseCycles {
-        // Weights stay resident across the batch under WS: loads once,
-        // streaming scales. Output-stationary state is per image:
-        // everything scales. (The SIMD path has no load phase.)
-        load: match dataflow {
-            Dataflow::WeightStationary => single.phases.load,
-            Dataflow::OutputStationary => mul(single.phases.load, batch)?,
-        },
-        compute: mul(single.phases.compute, batch)?,
-        drain: mul(single.phases.drain, batch)?,
-    };
-    let (dataflow, activations, weights) = match work {
-        Some(work) => {
-            let traffic = match traffic_memo.get(&work) {
-                Some(&t) => t,
-                None => {
-                    let t = opts.layer_traffic(&work, cfg)?;
-                    traffic_memo.insert(work, t);
-                    t
-                }
-            };
-            (Some(dataflow), traffic.input.checked_add(traffic.output), traffic.weights)
+
+    /// One layer over the batch under `dataflow`, whole-batch.
+    fn layer_batched(
+        &self,
+        layer: &Layer,
+        cfg: &AcceleratorConfig,
+        opts: SimOptions,
+        dataflow: Dataflow,
+        batch: u64,
+    ) -> SimResult<LayerPerf> {
+        if batch == 0 {
+            return Err(SimError::invalid("batch size must be positive").for_layer(&layer.name));
         }
-        None => {
-            let elements = (layer.input.elements() as u64)
-                .checked_add(layer.output.elements() as u64)
-                .and_then(|n| n.checked_mul(cfg.bytes_per_element() as u64));
-            (None, elements, 0)
-        }
-    };
-    // Weights once per batch; activations per image.
-    let dram_bytes = activations
-        .and_then(|act| act.checked_mul(batch))
-        .and_then(|act| act.checked_add(weights))
-        .ok_or_else(|| SimError::overflow(SCALE_CTX))?;
-    Ok(finish_layer(layer, dataflow, compute, dram_bytes, cfg, cfg.pe_count()))
-}
-
-/// Simulates one layer over a batch of `batch` images. Infallible
-/// wrapper over [`try_simulate_layer_batched`].
-///
-/// # Panics
-///
-/// Panics (through the crate's single panic site) if `batch == 0` or
-/// the layer is degenerate.
-pub fn simulate_layer_batched(
-    layer: &Layer,
-    cfg: &AcceleratorConfig,
-    opts: SimOptions,
-    dataflow: Dataflow,
-    batch: u64,
-) -> LayerPerf {
-    try_simulate_layer_batched(layer, cfg, opts, dataflow, batch).unwrap_or_else(|e| e.raise())
-}
-
-/// Simulates a network over a batch; per-layer results are whole-batch.
-///
-/// # Errors
-///
-/// The first [`SimError`] any layer surfaces, attributed to that layer.
-pub fn try_simulate_network_batched(
-    network: &Network,
-    cfg: &AcceleratorConfig,
-    policy: DataflowPolicy,
-    opts: SimOptions,
-    batch: u64,
-) -> SimResult<NetworkPerf> {
-    let mut memo = TrafficMemo::new();
-    let layers = network
-        .layers()
-        .iter()
-        .map(|layer| {
-            let simulate = |d| try_layer_batched_memo(layer, cfg, opts, d, batch, &mut memo);
-            choose_dataflow(policy, simulate, |p| p.total_cycles)
-                .map(|(_, perf)| perf)
-                .map_err(|e| e.for_layer(&layer.name))
-        })
-        .collect::<SimResult<_>>()?;
-    Ok(NetworkPerf { name: network.name().to_owned(), layers })
-}
-
-/// Simulates a network over a batch. Infallible wrapper over
-/// [`try_simulate_network_batched`].
-///
-/// # Panics
-///
-/// Panics (through the crate's single panic site) if `batch == 0` or
-/// any layer is degenerate.
-pub fn simulate_network_batched(
-    network: &Network,
-    cfg: &AcceleratorConfig,
-    policy: DataflowPolicy,
-    opts: SimOptions,
-    batch: u64,
-) -> NetworkPerf {
-    try_simulate_network_batched(network, cfg, policy, opts, batch).unwrap_or_else(|e| e.raise())
+        let seen = &mut Lookups::default();
+        let work = ConvWork::from_layer(layer);
+        let single = match &work {
+            Some(work) => self.compute(work, cfg, &opts, dataflow, seen)?,
+            None => simulate_simd(layer, cfg)?,
+        };
+        let mut compute = single.repeated(batch, SCALE_CTX)?;
+        compute.phases = PhaseCycles {
+            // Weights stay resident across the batch under WS: loads once,
+            // streaming scales. Output-stationary state is per image:
+            // everything scales. (The SIMD path has no load phase.)
+            load: match dataflow {
+                Dataflow::WeightStationary => single.phases.load,
+                Dataflow::OutputStationary => mul(single.phases.load, batch)?,
+            },
+            compute: mul(single.phases.compute, batch)?,
+            drain: mul(single.phases.drain, batch)?,
+        };
+        let (dataflow, activations, weights) = match work {
+            Some(work) => {
+                let traffic = self.traffic(&work, cfg, &opts, seen)?;
+                (Some(dataflow), traffic.input.checked_add(traffic.output), traffic.weights)
+            }
+            None => {
+                let elements = (layer.input.elements() as u64)
+                    .checked_add(layer.output.elements() as u64)
+                    .and_then(|n| n.checked_mul(cfg.bytes_per_element() as u64));
+                (None, elements, 0)
+            }
+        };
+        // Weights once per batch; activations per image.
+        let dram_bytes = activations
+            .and_then(|act| act.checked_mul(batch))
+            .and_then(|act| act.checked_add(weights))
+            .ok_or_else(|| SimError::overflow(SCALE_CTX))?;
+        Ok(finish_layer(layer, dataflow, compute, dram_bytes, cfg, cfg.pe_count()))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::simulate_network;
     use codesign_dnn::zoo;
 
     fn setup() -> (AcceleratorConfig, SimOptions) {
         (AcceleratorConfig::paper_default(), SimOptions::paper_default())
     }
 
+    fn try_simulate_network_batched(
+        net: &Network,
+        cfg: &AcceleratorConfig,
+        policy: DataflowPolicy,
+        opts: SimOptions,
+        batch: u64,
+    ) -> SimResult<NetworkPerf> {
+        Simulator::new().try_simulate_network_batched(net, cfg, policy, opts, batch)
+    }
+
+    fn simulate_network_batched(
+        net: &Network,
+        cfg: &AcceleratorConfig,
+        policy: DataflowPolicy,
+        opts: SimOptions,
+        batch: u64,
+    ) -> NetworkPerf {
+        try_simulate_network_batched(net, cfg, policy, opts, batch).unwrap()
+    }
+
     #[test]
     fn batch_one_matches_the_plain_simulator() {
         let (cfg, opts) = setup();
         let net = zoo::squeezenet_v1_1();
-        let plain = simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts);
-        let batched = simulate_network_batched(&net, &cfg, DataflowPolicy::PerLayer, opts, 1);
+        let sim = Simulator::new();
+        let plain = sim.try_simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts).unwrap();
+        let batched = sim
+            .try_simulate_network_batched(&net, &cfg, DataflowPolicy::PerLayer, opts, 1)
+            .unwrap();
         assert_eq!(plain.total_cycles(), batched.total_cycles());
     }
 
@@ -230,20 +201,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "batch size must be positive")]
-    fn zero_batch_rejected() {
-        let (cfg, opts) = setup();
-        let net = zoo::tiny_darknet();
-        let _ = simulate_network_batched(&net, &cfg, DataflowPolicy::PerLayer, opts, 0);
-    }
-
-    #[test]
-    fn zero_batch_is_a_typed_error_on_the_fallible_path() {
+    fn zero_batch_is_a_typed_error() {
         let (cfg, opts) = setup();
         let net = zoo::tiny_darknet();
         let err = try_simulate_network_batched(&net, &cfg, DataflowPolicy::PerLayer, opts, 0)
             .unwrap_err();
         assert!(matches!(err, SimError::InvalidWorkload { .. }), "{err}");
+        assert!(err.to_string().contains("batch size must be positive"), "{err}");
     }
 
     #[test]

@@ -13,13 +13,15 @@
 //!   by `(ConvWork, Dataflow, array size, RF depth, OS options)`. The WS
 //!   model ignores both the RF depth and the OS datapath options, so WS
 //!   keys canonicalize them away and one WS entry serves every RF depth.
-//! * **traffic** — the total DRAM bytes from the tiling search (or the
-//!   closed form), keyed by `(ConvWork, traffic model, element width,
-//!   working-buffer bytes, compression)`. Traffic is independent of the
-//!   dataflow, the array size, and the RF depth, so one search serves
-//!   both dataflows and every configuration sharing a buffer size —
-//!   in the paper-default sweep that collapses 54 `(config, dataflow)`
-//!   pairs per layer shape into 3 tiling searches.
+//! * **plan** — the raw [`TilingPlan`] from the §4.1.3 tiling search,
+//!   keyed by `(ConvWork, element width, working-buffer bytes)`. The
+//!   search reads nothing else: not the dataflow, the array size, the RF
+//!   depth, the traffic model or the weight compression. The closed-form
+//!   traffic and the compression are applied after the lookup, so one
+//!   search serves both dataflows, every configuration sharing a buffer
+//!   size and every model (engine, batch, multi-core, event, taxonomy,
+//!   command stream) — in the paper-default sweep that collapses 54
+//!   `(config, dataflow)` pairs per layer shape into 3 tiling searches.
 //!
 //! Each sub-cache is way-partitioned into `SHARD_COUNT` shards by key
 //! hash with a lock per shard, so parallel sweep workers rarely touch
@@ -35,8 +37,9 @@ use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
 
 use codesign_arch::{AcceleratorConfig, Dataflow};
 
-use crate::engine::{SimOptions, TrafficModel};
+use crate::engine::SimOptions;
 use crate::perf::ComputePerf;
+use crate::tiling::TilingPlan;
 use crate::workload::ConvWork;
 
 /// Number of lock-partitioned shards per sub-cache (a power of two so
@@ -106,32 +109,23 @@ impl ComputeKey {
     }
 }
 
-/// Cache key for per-layer DRAM traffic: exactly the inputs the tiling
-/// search (or the closed form) and the optional weight compression read.
-/// Deliberately *not* keyed by dataflow, array size, or RF depth — the
-/// traffic derivation reads none of them.
+/// Cache key for the tiling search: exactly the inputs
+/// [`crate::tiling::optimize_tiling`] reads. Deliberately *not* keyed by
+/// dataflow, array size, RF depth, traffic model or weight compression —
+/// the search reads none of them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct TrafficKey {
+pub(crate) struct PlanKey {
     pub(crate) work: ConvWork,
-    pub(crate) model: TrafficModel,
     pub(crate) bytes_per_element: usize,
     pub(crate) working_buffer_bytes: usize,
-    /// `(data_bits, index_bits, zero_fraction)` — the zero fraction only
-    /// affects traffic through compression, so it is folded in here and
-    /// uncompressed runs share entries across sparsity settings.
-    pub(crate) compression: Option<(u32, u32, Bits)>,
 }
 
-impl TrafficKey {
-    pub(crate) fn new(work: &ConvWork, cfg: &AcceleratorConfig, opts: &SimOptions) -> Self {
+impl PlanKey {
+    pub(crate) fn new(work: &ConvWork, cfg: &AcceleratorConfig) -> Self {
         Self {
             work: *work,
-            model: opts.traffic,
             bytes_per_element: cfg.bytes_per_element(),
             working_buffer_bytes: cfg.working_buffer_bytes(),
-            compression: opts
-                .weight_compression
-                .map(|c| (c.data_bits, c.index_bits, opts.os.sparsity.zero_fraction.into())),
         }
     }
 }
@@ -145,6 +139,25 @@ pub(crate) struct Lookup<V> {
     pub(crate) contended: u64,
 }
 
+/// The hit, miss and contention counts of the lookups behind one
+/// simulation call, which the engine reports to its tracer.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Lookups {
+    pub(crate) hits: u64,
+    pub(crate) misses: u64,
+    pub(crate) contended: u64,
+}
+
+impl Lookups {
+    /// Counts one consultation and returns its value.
+    pub(crate) fn note<V>(&mut self, lookup: Lookup<V>) -> V {
+        self.hits += lookup.hit as u64;
+        self.misses += !lookup.hit as u64;
+        self.contended += lookup.contended;
+        lookup.value
+    }
+}
+
 /// Cache observability counters, aggregated across both sub-caches and
 /// all shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -153,7 +166,7 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that had to simulate.
     pub misses: u64,
-    /// Resident entries (compute + traffic).
+    /// Resident entries (compute + plan).
     pub entries: usize,
     /// Shard-lock acquisitions that found the lock held by another
     /// thread and had to block.
@@ -286,13 +299,13 @@ impl<K: Eq + Hash + Copy, V: Copy> ShardedMap<K, V> {
 /// Thread-safe, sharded memo table for per-layer simulation results.
 ///
 /// Holds two independent sub-caches — the PE-array cycle model keyed by
-/// `ComputeKey` and the DRAM traffic derivation keyed by
-/// `TrafficKey` — so each result is shared across every configuration
-/// that cannot change it (see the module docs for the exact keying).
+/// `ComputeKey` and the tiling search keyed by `PlanKey` — so each
+/// result is shared across every configuration that cannot change it
+/// (see the module docs for the exact keying).
 #[derive(Debug, Default)]
 pub struct SimCache {
     compute: ShardedMap<ComputeKey, ComputePerf>,
-    traffic: ShardedMap<TrafficKey, u64>,
+    plans: ShardedMap<PlanKey, TilingPlan>,
     hits: AtomicU64,
     misses: AtomicU64,
     contended: AtomicU64,
@@ -330,18 +343,18 @@ impl SimCache {
         Ok(lookup)
     }
 
-    /// Memoized DRAM traffic derivation: returns the cached total byte
-    /// count for `key` or computes and inserts it.
+    /// Memoized tiling search: returns the cached [`TilingPlan`] for
+    /// `key` or searches and inserts it.
     ///
     /// # Errors
     ///
-    /// Whatever `compute` returns; errors are never cached.
-    pub(crate) fn traffic_or<E>(
+    /// Whatever `search` returns; errors are never cached.
+    pub(crate) fn plan_or<E>(
         &self,
-        key: TrafficKey,
-        compute: impl FnOnce() -> Result<u64, E>,
-    ) -> Result<Lookup<u64>, E> {
-        let lookup = self.traffic.get_or_compute(key, compute)?;
+        key: PlanKey,
+        search: impl FnOnce() -> Result<TilingPlan, E>,
+    ) -> Result<Lookup<TilingPlan>, E> {
+        let lookup = self.plans.get_or_compute(key, search)?;
         self.account(&lookup);
         Ok(lookup)
     }
@@ -357,7 +370,7 @@ impl SimCache {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: self.compute.len() + self.traffic.len(),
+            entries: self.compute.len() + self.plans.len(),
             contended: self.contended.load(Ordering::Relaxed),
         }
     }
@@ -367,9 +380,9 @@ impl SimCache {
         self.compute.entries()
     }
 
-    /// Copies out every resident traffic entry (snapshot export).
-    pub(crate) fn export_traffic(&self) -> Vec<(TrafficKey, u64)> {
-        self.traffic.entries()
+    /// Copies out every resident plan entry (snapshot export).
+    pub(crate) fn export_plans(&self) -> Vec<(PlanKey, TilingPlan)> {
+        self.plans.entries()
     }
 
     /// Inserts a compute entry without touching the hit/miss counters
@@ -378,16 +391,16 @@ impl SimCache {
         self.compute.insert(key, value);
     }
 
-    /// Inserts a traffic entry without touching the hit/miss counters
+    /// Inserts a plan entry without touching the hit/miss counters
     /// (snapshot preload).
-    pub(crate) fn preload_traffic(&self, key: TrafficKey, value: u64) {
-        self.traffic.insert(key, value);
+    pub(crate) fn preload_plan(&self, key: PlanKey, value: TilingPlan) {
+        self.plans.insert(key, value);
     }
 
     /// Drops all entries and resets the counters.
     pub fn clear(&self) {
         self.compute.clear();
-        self.traffic.clear();
+        self.plans.clear();
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
         self.contended.store(0, Ordering::Relaxed);
@@ -423,9 +436,23 @@ mod tests {
         ComputeKey::new(&work(), &cfg, &SimOptions::paper_default(), Dataflow::OutputStationary)
     }
 
-    fn traffic_key(buffer: usize) -> TrafficKey {
+    fn plan_key(buffer: usize) -> PlanKey {
         let cfg = AcceleratorConfig::builder().global_buffer_bytes(buffer).build().unwrap();
-        TrafficKey::new(&work(), &cfg, &SimOptions::paper_default())
+        PlanKey::new(&work(), &cfg)
+    }
+
+    /// A plan whose traffic totals `bytes`, standing in for a search.
+    fn plan(bytes: u64) -> TilingPlan {
+        TilingPlan {
+            tiling: crate::tiling::Tiling {
+                out_rows: 1,
+                out_channels: 1,
+                in_channels: 1,
+                order: crate::tiling::LoopOrder::WeightsOuter,
+            },
+            traffic: crate::dram::DramTraffic { input: bytes, weights: 0, output: 0 },
+            working_set: 0,
+        }
     }
 
     type Infallible<T> = Result<T, std::convert::Infallible>;
@@ -455,10 +482,10 @@ mod tests {
         let other =
             cache.compute_or(compute_key(16), || Infallible::Ok(ComputePerf::default())).unwrap();
         assert!(!other.hit, "a different RF depth is a different OS compute key");
-        cache.traffic_or(traffic_key(64 * 1024), || Infallible::Ok(1)).unwrap();
-        let t = cache.traffic_or(traffic_key(128 * 1024), || Infallible::Ok(2)).unwrap();
-        assert_eq!(t.value, 2);
-        assert!(!t.hit, "a different buffer size is a different traffic key");
+        cache.plan_or(plan_key(64 * 1024), || Infallible::Ok(plan(1))).unwrap();
+        let t = cache.plan_or(plan_key(128 * 1024), || Infallible::Ok(plan(2))).unwrap();
+        assert_eq!(t.value, plan(2));
+        assert!(!t.hit, "a different buffer size is a different plan key");
         assert_eq!(cache.stats().entries, 4);
     }
 
@@ -478,15 +505,16 @@ mod tests {
     }
 
     #[test]
-    fn traffic_key_is_dataflow_and_array_independent() {
-        let opts = SimOptions::paper_default();
+    fn plan_key_reads_only_the_work_and_the_buffer() {
         let small = AcceleratorConfig::builder().array_size(8).rf_depth(8).build().unwrap();
         let large = AcceleratorConfig::builder().array_size(32).rf_depth(32).build().unwrap();
         assert_eq!(
-            TrafficKey::new(&work(), &small, &opts),
-            TrafficKey::new(&work(), &large, &opts),
+            PlanKey::new(&work(), &small),
+            PlanKey::new(&work(), &large),
             "same buffer ⇒ same tiling search, whatever the array/RF"
         );
+        let narrow = AcceleratorConfig::builder().bytes_per_element(1).build().unwrap();
+        assert_ne!(PlanKey::new(&work(), &narrow), PlanKey::new(&work(), &small));
     }
 
     #[test]
@@ -505,7 +533,7 @@ mod tests {
     fn clear_resets_everything() {
         let cache = SimCache::new();
         cache.compute_or(compute_key(8), || Infallible::Ok(ComputePerf::default())).unwrap();
-        cache.traffic_or(traffic_key(64 * 1024), || Infallible::Ok(1)).unwrap();
+        cache.plan_or(plan_key(64 * 1024), || Infallible::Ok(plan(1))).unwrap();
         cache.clear();
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries, s.contended), (0, 0, 0, 0));
@@ -517,19 +545,19 @@ mod tests {
         // Many distinct keys must all remain retrievable — shard routing
         // is stable per key and no shard swallows another's entries.
         let cache = SimCache::new();
-        for buffer_kb in 64..128 {
+        for buffer_kb in 64..128u64 {
             cache
-                .traffic_or(traffic_key(buffer_kb * 1024), || Infallible::Ok(buffer_kb as u64))
+                .plan_or(plan_key(buffer_kb as usize * 1024), || Infallible::Ok(plan(buffer_kb)))
                 .unwrap();
         }
-        for buffer_kb in 64..128 {
+        for buffer_kb in 64..128u64 {
             let l = cache
-                .traffic_or(traffic_key(buffer_kb * 1024), || -> Infallible<u64> {
+                .plan_or(plan_key(buffer_kb as usize * 1024), || -> Infallible<TilingPlan> {
                     panic!("must hit")
                 })
                 .unwrap();
             assert!(l.hit);
-            assert_eq!(l.value, buffer_kb as u64);
+            assert_eq!(l.value, plan(buffer_kb));
         }
         let s = cache.stats();
         assert_eq!(s.entries, 64);
@@ -540,8 +568,8 @@ mod tests {
     fn repeated_layer_shapes_share_cache_entries() {
         // Two identically-shaped conv layers: network-level dedup answers
         // layer b without consulting the shared cache at all, and layer
-        // a's OS traffic lookup hits the entry its WS lookup created
-        // (traffic is dataflow-independent).
+        // a's OS plan lookup hits the entry its WS lookup created (the
+        // tiling search is dataflow-independent).
         let net = NetworkBuilder::new("twins", Shape::new(16, 16, 16))
             .conv("a", 16, 3, 1, 1)
             .conv("b", 16, 3, 1, 1)
@@ -549,11 +577,58 @@ mod tests {
             .unwrap();
         let sim = Simulator::new();
         let cfg = AcceleratorConfig::paper_default();
-        sim.simulate_network(&net, &cfg, DataflowPolicy::PerLayer, SimOptions::paper_default());
+        sim.try_simulate_network(&net, &cfg, DataflowPolicy::PerLayer, SimOptions::paper_default())
+            .unwrap();
         let s = sim.stats();
-        assert_eq!(s.hits, 1, "the OS traffic lookup hits the WS-created entry: {s}");
+        assert_eq!(s.hits, 1, "the OS plan lookup hits the WS-created entry: {s}");
         assert_eq!(s.misses, 3, "WS compute, OS compute, one tiling search: {s}");
         assert_eq!(s.entries, 3, "{s}");
+    }
+
+    #[test]
+    fn every_model_searches_each_plan_key_once() {
+        // One handle answers every simulation question over SqueezeNet
+        // v1.1; the tiling search must run exactly once per distinct
+        // (shape, element width, buffer) key, whichever model asks.
+        use crate::{MultiCoreConfig, Program, SparsityMap, TimeSkip};
+        let net = zoo::squeezenet_v1_1();
+        let opts = SimOptions::paper_default();
+        let cfgs = [
+            AcceleratorConfig::paper_default(),
+            AcceleratorConfig::builder().global_buffer_bytes(64 * 1024).build().unwrap(),
+        ];
+        let mut keys = std::collections::HashSet::new();
+        for cfg in &cfgs {
+            keys.extend(
+                net.layers().iter().filter_map(ConvWork::from_layer).map(|w| PlanKey::new(&w, cfg)),
+            );
+        }
+        let sparsity: SparsityMap = net.compute_layers().map(|l| (l.name.clone(), 0.25)).collect();
+        let searches = || crate::tiling::SEARCHES.with(std::cell::Cell::get);
+        let before = searches();
+        let sim = Simulator::new();
+        for cfg in &cfgs {
+            for policy in
+                [DataflowPolicy::PerLayer, DataflowPolicy::Fixed(Dataflow::OutputStationary)]
+            {
+                sim.try_simulate_network(&net, cfg, policy, opts).unwrap();
+                sim.try_simulate_network_batched(&net, cfg, policy, opts, 4).unwrap();
+                let mc = MultiCoreConfig { core: cfg.clone(), cores: 4 };
+                sim.try_simulate_network_multicore(&net, &mc, policy, opts).unwrap();
+                sim.try_simulate_network_event(&net, cfg, policy, opts, TimeSkip::Enabled).unwrap();
+                sim.try_simulate_network_measured(&net, cfg, policy, opts, &sparsity).unwrap();
+                Program::try_compile(&sim, &net, cfg, policy, opts).unwrap();
+            }
+            sim.try_compare_taxonomy(&net, cfg, opts).unwrap();
+            let compressed = SimOptions {
+                weight_compression: Some(crate::WeightCompression::eie_default()),
+                ..opts
+            };
+            sim.try_simulate_network(&net, cfg, DataflowPolicy::PerLayer, compressed).unwrap();
+            let conv = net.layers().iter().find(|l| l.is_compute()).unwrap();
+            sim.try_simulate_layer_event(conv, cfg, opts, Dataflow::WeightStationary).unwrap();
+        }
+        assert_eq!(searches() - before, keys.len() as u64, "one search per plan key");
     }
 
     #[test]
@@ -565,9 +640,21 @@ mod tests {
         let cfg = AcceleratorConfig::paper_default();
         let opts = SimOptions::paper_default();
         let net = zoo::squeezenet_v1_1();
-        sim.simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts);
-        sim.simulate_network(&net, &cfg, DataflowPolicy::Fixed(Dataflow::WeightStationary), opts);
-        sim.simulate_network(&net, &cfg, DataflowPolicy::Fixed(Dataflow::OutputStationary), opts);
+        sim.try_simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts).unwrap();
+        sim.try_simulate_network(
+            &net,
+            &cfg,
+            DataflowPolicy::Fixed(Dataflow::WeightStationary),
+            opts,
+        )
+        .unwrap();
+        sim.try_simulate_network(
+            &net,
+            &cfg,
+            DataflowPolicy::Fixed(Dataflow::OutputStationary),
+            opts,
+        )
+        .unwrap();
         let s = sim.stats();
         assert!(s.hit_rate() > 0.5, "expected > 50% hit rate, got {s}");
     }
@@ -578,7 +665,7 @@ mod tests {
         let cfg = AcceleratorConfig::paper_default();
         let opts = SimOptions::paper_default();
         let net = zoo::squeezenet_v1_1();
-        let cold = sim.simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts);
+        let cold = sim.try_simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts).unwrap();
         let cold_stats = sim.stats();
         assert!(cold_stats.misses > 0 && cold_stats.entries > 0);
 
@@ -587,7 +674,7 @@ mod tests {
 
         // A post-clear run must rebuild exactly the cold-run picture:
         // same misses, same entries, bit-identical results.
-        let rebuilt = sim.simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts);
+        let rebuilt = sim.try_simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts).unwrap();
         assert_eq!(rebuilt, cold);
         let s = sim.stats();
         assert_eq!(s.misses, cold_stats.misses, "{s}");
@@ -604,7 +691,8 @@ mod tests {
         // Reference: one serial run tells us lookups-per-run and the final
         // entry count for this workload.
         let serial = Simulator::new();
-        let baseline = serial.simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts);
+        let baseline =
+            serial.try_simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts).unwrap();
         let per_run = serial.stats().lookups();
         let entries = serial.stats().entries;
 
@@ -619,7 +707,9 @@ mod tests {
                 let worker = sim.clone();
                 let (net, cfg, baseline) = (&net, &cfg, &baseline);
                 scope.spawn(move || {
-                    let perf = worker.simulate_network(net, cfg, DataflowPolicy::PerLayer, opts);
+                    let perf = worker
+                        .try_simulate_network(net, cfg, DataflowPolicy::PerLayer, opts)
+                        .unwrap();
                     assert_eq!(&perf, baseline);
                 });
             }
@@ -639,10 +729,10 @@ mod tests {
         let net = zoo::squeezenet_v1_1();
         let cached = Simulator::new();
         let uncached = Simulator::uncached();
-        let a = cached.simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts);
-        let b = uncached.simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts);
+        let a = cached.try_simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts).unwrap();
+        let b = uncached.try_simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts).unwrap();
         // Run the cached simulator twice so the second pass is all hits.
-        let c = cached.simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts);
+        let c = cached.try_simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts).unwrap();
         assert_eq!(a, b);
         assert_eq!(a, c);
         assert_eq!(uncached.stats(), CacheStats::default());

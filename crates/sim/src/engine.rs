@@ -10,15 +10,15 @@ use codesign_arch::{AcceleratorConfig, Dataflow, DataflowPolicy};
 use codesign_dnn::{Layer, Network};
 use codesign_trace::{Category, Tracer};
 
-use crate::cache::{CacheStats, ComputeKey, SimCache, TrafficKey};
+use crate::cache::{CacheStats, ComputeKey, Lookups, PlanKey, SimCache};
 use crate::compression::WeightCompression;
-use crate::dram::{combine_cycles, conv_traffic, simd_traffic};
+use crate::dram::{combine_cycles, conv_traffic, simd_traffic, DramTraffic};
 use crate::error::{SimError, SimResult};
 use crate::os::{simulate_os, OsModelOptions};
 use crate::perf::{ComputePerf, LayerPerf, NetworkPerf};
 use crate::simd::simulate_simd;
 use crate::snapshot::{SnapshotError, SnapshotStats};
-use crate::tiling::optimize_tiling;
+use crate::tiling::{optimize_tiling, TilingPlan};
 use crate::workload::ConvWork;
 use crate::ws::simulate_ws;
 
@@ -57,86 +57,12 @@ impl SimOptions {
             weight_compression: None,
         }
     }
-
-    /// The layer's DRAM traffic under these options.
-    ///
-    /// Fallible: the workload is validated first ([`ConvWork::validate`])
-    /// and the tiling search reports infeasible buffers as
-    /// [`SimError::InfeasibleTiling`] rather than guessing.
-    pub(crate) fn layer_traffic(
-        &self,
-        work: &ConvWork,
-        cfg: &AcceleratorConfig,
-    ) -> SimResult<crate::dram::DramTraffic> {
-        let raw = match self.traffic {
-            TrafficModel::ClosedForm => {
-                work.validate()?;
-                conv_traffic(work, cfg)
-            }
-            TrafficModel::TilingSearch => optimize_tiling(work, cfg)?.traffic,
-        };
-        Ok(self.finish_traffic(raw, work, cfg))
-    }
-
-    /// Applies the optional weight compression to already-derived raw
-    /// traffic. Lets consumers that have run the tiling search themselves
-    /// (e.g. the event model's tile lowering) reuse its traffic without a
-    /// second search.
-    pub(crate) fn finish_traffic(
-        &self,
-        raw: crate::dram::DramTraffic,
-        work: &ConvWork,
-        cfg: &AcceleratorConfig,
-    ) -> crate::dram::DramTraffic {
-        match self.weight_compression {
-            Some(c) => c.apply(
-                raw,
-                work.weight_elements(),
-                self.os.sparsity.zero_fraction,
-                cfg.bytes_per_element() as u64,
-            ),
-            None => raw,
-        }
-    }
 }
 
 impl Default for SimOptions {
     fn default() -> Self {
         Self::paper_default()
     }
-}
-
-/// Runs one convolution-shaped workload under a specific dataflow,
-/// validating it first.
-///
-/// # Errors
-///
-/// [`SimError::InvalidWorkload`] / [`SimError::ArithmeticOverflow`] when
-/// the workload fails [`ConvWork::validate`] — the gate that makes the
-/// unchecked arithmetic inside the WS/OS cycle models safe.
-pub fn try_simulate_conv(
-    work: &ConvWork,
-    cfg: &AcceleratorConfig,
-    opts: SimOptions,
-    dataflow: Dataflow,
-) -> SimResult<ComputePerf> {
-    work.validate()?;
-    Ok(match dataflow {
-        Dataflow::WeightStationary => simulate_ws(work, cfg),
-        Dataflow::OutputStationary => simulate_os(work, cfg, opts.os),
-    })
-}
-
-/// Runs one convolution-shaped workload under a specific dataflow.
-/// Infallible wrapper over [`try_simulate_conv`]; panics (through the
-/// crate's single panic site) on a degenerate workload.
-pub fn simulate_conv(
-    work: &ConvWork,
-    cfg: &AcceleratorConfig,
-    opts: SimOptions,
-    dataflow: Dataflow,
-) -> ComputePerf {
-    try_simulate_conv(work, cfg, opts, dataflow).unwrap_or_else(|e| e.raise())
 }
 
 /// Assembles a [`LayerPerf`] from the array's work and the layer's DRAM
@@ -210,9 +136,7 @@ struct LayerTally {
     layer_sims: u64,
     dram_bytes: u64,
     macs: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    cache_contended: u64,
+    cache: Lookups,
 }
 
 impl LayerTally {
@@ -229,9 +153,9 @@ impl LayerTally {
         tracer.add_counter("sim.dram.bytes", self.dram_bytes);
         tracer.add_counter("sim.macs", self.macs);
         for (name, value) in [
-            ("sim.cache.hits", self.cache_hits),
-            ("sim.cache.misses", self.cache_misses),
-            ("sim.cache.contended", self.cache_contended),
+            ("sim.cache.hits", self.cache.hits),
+            ("sim.cache.misses", self.cache.misses),
+            ("sim.cache.contended", self.cache.contended),
         ] {
             if value > 0 {
                 tracer.add_counter(name, value);
@@ -240,35 +164,27 @@ impl LayerTally {
     }
 }
 
-/// The memoizable part of one conv-shaped layer simulation: PE-array
-/// work plus the DRAM traffic byte count (the layer name is re-attached
-/// by the caller).
-fn conv_layer_parts(
-    work: &ConvWork,
-    cfg: &AcceleratorConfig,
-    opts: SimOptions,
-    dataflow: Dataflow,
-) -> SimResult<(ComputePerf, u64)> {
-    let compute = try_simulate_conv(work, cfg, opts, dataflow)?;
-    let traffic = opts.layer_traffic(work, cfg)?;
-    Ok((compute, traffic.total()))
-}
-
-/// A simulation engine handle: the entry point every higher layer
+/// A simulation engine handle: the one entry point every higher layer
 /// (`codesign-core`'s DSE/co-design loops, the bench report, the CLI)
-/// routes per-layer simulation through.
+/// asks simulation questions through. Each question — a layer, a
+/// network, a dataflow comparison, a batched, multi-core or event-driven
+/// network, an event-driven layer, the dataflow taxonomy, measured
+/// sparsity — is one fallible `try_*` method; [`crate::Program`] compiles
+/// through the handle too.
 ///
 /// A `Simulator` optionally carries a shared, thread-safe, sharded
-/// [`SimCache`] memoizing the cycle model and the DRAM traffic
-/// derivation separately, each keyed by exactly the inputs that
-/// influence it (see [`crate::cache`] for the keying) — one tiling
-/// search serves both dataflows and every configuration sharing a
-/// buffer size. On top of that, every network simulation deduplicates
-/// structurally identical layers up front, so repeated fire/bottleneck
-/// blocks resolve once per run. Cloning is cheap and shares the cache,
-/// so one handle can fan out across the parallel sweep workers in
-/// `codesign-core::dse`. Cached and uncached runs are bit-identical —
-/// the cache only skips recomputation of deterministic functions.
+/// [`SimCache`] memoizing the cycle model and the tiling search
+/// separately, each keyed by exactly the inputs that influence it (see
+/// [`crate::cache`] for the keying). Every model reads its compute, its
+/// traffic and its tile counts through these two lookups, so one tiling
+/// search serves both dataflows, every configuration sharing a buffer
+/// size and every model. On top of that, every network simulation
+/// deduplicates structurally identical layers up front, so repeated
+/// fire/bottleneck blocks resolve once per run. Cloning is cheap and
+/// shares the cache, so one handle can fan out across the parallel sweep
+/// workers in `codesign-core::dse`. Cached and uncached runs are
+/// bit-identical — the cache only skips recomputation of deterministic
+/// functions.
 ///
 /// # Examples
 ///
@@ -281,27 +197,35 @@ fn conv_layer_parts(
 /// let cfg = AcceleratorConfig::paper_default();
 /// let opts = SimOptions::paper_default();
 /// let net = zoo::squeezenet_v1_1();
-/// let perf = sim.simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts);
+/// let perf = sim.try_simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts)?;
 /// assert!(perf.total_cycles() > 0);
-/// // Traffic entries are dataflow-independent, so each unique layer's
-/// // OS pass hit the entry its WS pass created.
+/// // Tiling plans are dataflow-independent, so each unique layer's OS
+/// // pass hit the plan its WS pass searched.
 /// assert!(sim.stats().hits > 0);
+/// # Ok::<(), codesign_sim::SimError>(())
 /// ```
 ///
 /// A `Simulator` also carries a [`Tracer`] (disabled by default, so
 /// tracing costs nothing unless requested). With an enabled tracer every
-/// [`Simulator::simulate_network`] call publishes one track of per-layer
-/// spans — duration in simulated cycles, with MACs, DRAM bytes/cycles,
-/// phase breakdown, buffer occupancy, and cache-hit counters attached —
-/// plus global `sim.*` counters, added once per call. A
-/// [`Tracer::counters_only`] tracer keeps the counters and skips the
-/// spans. Tracing never changes simulation results: the instrumented
-/// paths only *observe* values that are computed anyway.
-#[derive(Debug, Clone, Default)]
+/// network simulation publishes one track of per-layer spans — duration
+/// in simulated cycles, with MACs, DRAM bytes/cycles, phase breakdown,
+/// buffer occupancy, and cache-hit counters attached — and
+/// [`Simulator::try_simulate_network`] adds global `sim.*` counters once
+/// per call. A [`Tracer::counters_only`] tracer keeps the counters and
+/// skips the spans. Tracing never changes simulation results: the
+/// instrumented paths only *observe* values that are computed anyway.
+#[derive(Debug, Clone)]
 pub struct Simulator {
     cache: Option<Arc<SimCache>>,
     tracer: Tracer,
     cycles: Arc<AtomicU64>,
+}
+
+impl Default for Simulator {
+    /// A simulator with memoization enabled, like [`Simulator::new`].
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Simulator {
@@ -416,6 +340,80 @@ impl Simulator {
         e
     }
 
+    /// The PE-array cycle model for one conv-shaped work under
+    /// `dataflow`, validated first ([`ConvWork::validate`] is the gate
+    /// that makes the unchecked arithmetic inside the WS/OS cycle models
+    /// safe) and memoized by the compute key.
+    pub(crate) fn compute(
+        &self,
+        work: &ConvWork,
+        cfg: &AcceleratorConfig,
+        opts: &SimOptions,
+        dataflow: Dataflow,
+        seen: &mut Lookups,
+    ) -> SimResult<ComputePerf> {
+        let model = || {
+            work.validate()?;
+            Ok(match dataflow {
+                Dataflow::WeightStationary => simulate_ws(work, cfg),
+                Dataflow::OutputStationary => simulate_os(work, cfg, opts.os),
+            })
+        };
+        match self.cache.as_deref() {
+            Some(cache) => cache
+                .compute_or(ComputeKey::new(work, cfg, opts, dataflow), model)
+                .map(|l| seen.note(l)),
+            None => model(),
+        }
+    }
+
+    /// The DRAM-minimal tiling plan (§4.1.3) of one conv-shaped work on
+    /// `cfg`'s working buffer, memoized by the plan key: the one place the
+    /// simulator runs the tiling search.
+    pub(crate) fn plan(
+        &self,
+        work: &ConvWork,
+        cfg: &AcceleratorConfig,
+        seen: &mut Lookups,
+    ) -> SimResult<TilingPlan> {
+        let search = || optimize_tiling(work, cfg);
+        match self.cache.as_deref() {
+            Some(cache) => cache.plan_or(PlanKey::new(work, cfg), search).map(|l| seen.note(l)),
+            None => search(),
+        }
+    }
+
+    /// One conv-shaped work's DRAM traffic under `opts`: the searched
+    /// plan's (or the closed form), then the optional weight compression.
+    ///
+    /// Fallible: the workload is validated first and the tiling search
+    /// reports infeasible buffers as [`SimError::InfeasibleTiling`]
+    /// rather than guessing.
+    pub(crate) fn traffic(
+        &self,
+        work: &ConvWork,
+        cfg: &AcceleratorConfig,
+        opts: &SimOptions,
+        seen: &mut Lookups,
+    ) -> SimResult<DramTraffic> {
+        let raw = match opts.traffic {
+            TrafficModel::ClosedForm => {
+                work.validate()?;
+                conv_traffic(work, cfg)
+            }
+            TrafficModel::TilingSearch => self.plan(work, cfg, seen)?.traffic,
+        };
+        Ok(match opts.weight_compression {
+            Some(c) => c.apply(
+                raw,
+                work.weight_elements(),
+                opts.os.sparsity.zero_fraction,
+                cfg.bytes_per_element() as u64,
+            ),
+            None => raw,
+        })
+    }
+
     /// Simulates one layer under a forced dataflow (non-PE layers always
     /// take the SIMD path, regardless of `dataflow`).
     ///
@@ -437,19 +435,6 @@ impl Simulator {
         Ok(result?.0)
     }
 
-    /// Simulates one layer under a forced dataflow (non-PE layers always
-    /// take the SIMD path, regardless of `dataflow`). Infallible wrapper
-    /// over [`Simulator::try_simulate_layer`].
-    pub fn simulate_layer(
-        &self,
-        layer: &Layer,
-        cfg: &AcceleratorConfig,
-        opts: SimOptions,
-        dataflow: Dataflow,
-    ) -> LayerPerf {
-        self.try_simulate_layer(layer, cfg, opts, dataflow).unwrap_or_else(|e| e.raise())
-    }
-
     /// [`Simulator::try_simulate_layer`] plus a flag telling whether the
     /// result was answered from the per-network dedup memo, and an
     /// optional [`LayerMemo`] consulted *before* the shared cache so
@@ -458,7 +443,8 @@ impl Simulator {
     /// point already populated a shared entry is a race, while the dedup
     /// outcome is a pure function of the layer sequence — so the
     /// per-layer trace stays schedule-independent. A successful layer
-    /// adds itself to `tally`, which the caller flushes.
+    /// adds itself to `tally`, which the caller flushes; every cache
+    /// lookup is added either way.
     fn try_simulate_layer_flagged(
         &self,
         layer: &Layer,
@@ -468,36 +454,17 @@ impl Simulator {
         memo: Option<&mut LayerMemo>,
         tally: &mut LayerTally,
     ) -> SimResult<(LayerPerf, bool)> {
-        // Shared-cache consultation outcomes: memo answers and uncached
-        // recomputes consult nothing and report (0, 0, 0).
-        let mut sub_hits = 0u64;
-        let mut sub_misses = 0u64;
-        let mut sub_contended = 0u64;
         let result = match ConvWork::from_layer(layer) {
             Some(work) => {
                 let memoized = memo.as_ref().and_then(|m| m.get(&(work, dataflow)).copied());
-                let parts: SimResult<(ComputePerf, u64)> = match memoized {
+                let parts = match memoized {
                     Some(parts) => Ok(parts),
-                    None => match self.cache.as_deref() {
-                        Some(cache) => cache
-                            .compute_or(ComputeKey::new(&work, cfg, &opts, dataflow), || {
-                                try_simulate_conv(&work, cfg, opts, dataflow)
-                            })
-                            .and_then(|compute| {
-                                sub_hits += compute.hit as u64;
-                                sub_misses += !compute.hit as u64;
-                                sub_contended += compute.contended;
-                                let traffic = cache
-                                    .traffic_or(TrafficKey::new(&work, cfg, &opts), || {
-                                        opts.layer_traffic(&work, cfg).map(|t| t.total())
-                                    })?;
-                                sub_hits += traffic.hit as u64;
-                                sub_misses += !traffic.hit as u64;
-                                sub_contended += traffic.contended;
-                                Ok((compute.value, traffic.value))
-                            }),
-                        None => conv_layer_parts(&work, cfg, opts, dataflow),
-                    },
+                    None => self.compute(&work, cfg, &opts, dataflow, &mut tally.cache).and_then(
+                        |compute| {
+                            let traffic = self.traffic(&work, cfg, &opts, &mut tally.cache)?;
+                            Ok((compute, traffic.total()))
+                        },
+                    ),
                 };
                 parts.map(|(compute, dram_bytes)| {
                     if let Some(m) = memo {
@@ -522,9 +489,6 @@ impl Simulator {
         tally.layer_sims += 1;
         tally.dram_bytes += perf.dram_bytes;
         tally.macs += perf.compute.executed_macs;
-        tally.cache_hits += sub_hits;
-        tally.cache_misses += sub_misses;
-        tally.cache_contended += sub_contended;
         Ok((perf, answered))
     }
 
@@ -551,18 +515,6 @@ impl Simulator {
         };
         let (best, _) = choose_dataflow(DataflowPolicy::PerLayer, by_dataflow, |p| p.total_cycles)?;
         Ok((ws, os, best))
-    }
-
-    /// Simulates one layer under both dataflows and returns
-    /// `(ws, os, best)`. Infallible wrapper over
-    /// [`Simulator::try_compare_dataflows`].
-    pub fn compare_dataflows(
-        &self,
-        layer: &Layer,
-        cfg: &AcceleratorConfig,
-        opts: SimOptions,
-    ) -> (LayerPerf, LayerPerf, Dataflow) {
-        self.try_compare_dataflows(layer, cfg, opts).unwrap_or_else(|e| e.raise())
     }
 
     /// Simulates a whole network under the given dataflow policy.
@@ -618,22 +570,44 @@ impl Simulator {
             layers.push(perf);
         }
         let perf = NetworkPerf { name: network.name().to_owned(), layers };
-        if self.tracer.records_spans() {
-            record_network_impl(&self.tracer, network, &perf, cfg, policy, Some(&dedup_hits));
-        }
+        self.record_network(network, &perf, cfg, policy, Some(&dedup_hits));
         Ok(perf)
     }
 
-    /// Simulates a whole network under the given dataflow policy.
-    /// Infallible wrapper over [`Simulator::try_simulate_network`].
-    pub fn simulate_network(
+    /// Publishes one track of per-layer spans for a network result —
+    /// the engine's inline recording, and the post-hoc recording of the
+    /// batched and multi-core models (which pass no dedup flags). No-op
+    /// unless the tracer records spans.
+    pub(crate) fn record_network(
         &self,
         network: &Network,
+        perf: &NetworkPerf,
         cfg: &AcceleratorConfig,
         policy: DataflowPolicy,
-        opts: SimOptions,
-    ) -> NetworkPerf {
-        self.try_simulate_network(network, cfg, policy, opts).unwrap_or_else(|e| e.raise())
+        dedup_hits: Option<&[bool]>,
+    ) {
+        let tracer = &self.tracer;
+        if !tracer.records_spans() {
+            return;
+        }
+        let mut track = tracer.track(format!("sim:{}:{}", network.name(), policy_tag(policy)));
+        track.open(network.name(), Category::Network);
+        for (i, (layer, l)) in network.layers().iter().zip(&perf.layers).enumerate() {
+            let mut counters = vec![
+                ("macs", l.compute.executed_macs),
+                ("cycles.load", l.compute.phases.load),
+                ("cycles.compute", l.compute.phases.compute),
+                ("cycles.drain", l.compute.phases.drain),
+                ("dram.bytes", l.dram_bytes),
+                ("dram.cycles", l.dram_cycles),
+                ("buffer.bytes", layer_buffer_occupancy(layer, cfg)),
+            ];
+            if let Some(&hit) = dedup_hits.and_then(|h| h.get(i)) {
+                counters.push(("dedup.hit", hit as u64));
+            }
+            track.leaf(&l.name, Category::Layer, l.total_cycles, &counters);
+        }
+        track.close_with(&[("total_cycles", perf.total_cycles())]);
     }
 }
 
@@ -683,127 +657,6 @@ fn layer_buffer_occupancy(layer: &Layer, cfg: &AcceleratorConfig) -> u64 {
     (elements * cfg.bytes_per_element() as u64).min(cfg.global_buffer_bytes() as u64)
 }
 
-fn record_network_impl(
-    tracer: &Tracer,
-    network: &Network,
-    perf: &NetworkPerf,
-    cfg: &AcceleratorConfig,
-    policy: DataflowPolicy,
-    dedup_hits: Option<&[bool]>,
-) {
-    if !tracer.records_spans() {
-        return;
-    }
-    let mut track = tracer.track(format!("sim:{}:{}", network.name(), policy_tag(policy)));
-    track.open(network.name(), Category::Network);
-    for (i, (layer, l)) in network.layers().iter().zip(&perf.layers).enumerate() {
-        let mut counters = vec![
-            ("macs", l.compute.executed_macs),
-            ("cycles.load", l.compute.phases.load),
-            ("cycles.compute", l.compute.phases.compute),
-            ("cycles.drain", l.compute.phases.drain),
-            ("dram.bytes", l.dram_bytes),
-            ("dram.cycles", l.dram_cycles),
-            ("buffer.bytes", layer_buffer_occupancy(layer, cfg)),
-        ];
-        if let Some(&hit) = dedup_hits.and_then(|h| h.get(i)) {
-            counters.push(("dedup.hit", hit as u64));
-        }
-        track.leaf(&l.name, Category::Layer, l.total_cycles, &counters);
-    }
-    track.close_with(&[("total_cycles", perf.total_cycles())]);
-}
-
-/// Publishes one track of per-layer spans for an already-computed
-/// network result — the post-hoc twin of the recording
-/// [`Simulator::simulate_network`] does inline, for callers that obtained
-/// a [`NetworkPerf`] through another path (batched or multi-core runs).
-/// No-op on a disabled tracer.
-pub fn record_network(
-    tracer: &Tracer,
-    network: &Network,
-    perf: &NetworkPerf,
-    cfg: &AcceleratorConfig,
-    policy: DataflowPolicy,
-) {
-    record_network_impl(tracer, network, perf, cfg, policy, None);
-}
-
-/// Simulates one layer under a forced dataflow (non-PE layers always take
-/// the SIMD path, regardless of `dataflow`). Uncached convenience wrapper
-/// over [`Simulator::simulate_layer`].
-pub fn simulate_layer(
-    layer: &Layer,
-    cfg: &AcceleratorConfig,
-    opts: SimOptions,
-    dataflow: Dataflow,
-) -> LayerPerf {
-    Simulator::uncached().simulate_layer(layer, cfg, opts, dataflow)
-}
-
-/// Fallible twin of [`simulate_layer`].
-///
-/// # Errors
-///
-/// Any [`SimError`], attributed to the layer by name.
-pub fn try_simulate_layer(
-    layer: &Layer,
-    cfg: &AcceleratorConfig,
-    opts: SimOptions,
-    dataflow: Dataflow,
-) -> SimResult<LayerPerf> {
-    Simulator::uncached().try_simulate_layer(layer, cfg, opts, dataflow)
-}
-
-/// Simulates one layer under both dataflows and returns `(ws, os, best)`.
-/// Uncached convenience wrapper over [`Simulator::compare_dataflows`].
-pub fn compare_dataflows(
-    layer: &Layer,
-    cfg: &AcceleratorConfig,
-    opts: SimOptions,
-) -> (LayerPerf, LayerPerf, Dataflow) {
-    Simulator::uncached().compare_dataflows(layer, cfg, opts)
-}
-
-/// Fallible twin of [`compare_dataflows`].
-///
-/// # Errors
-///
-/// Any [`SimError`], attributed to the layer by name.
-pub fn try_compare_dataflows(
-    layer: &Layer,
-    cfg: &AcceleratorConfig,
-    opts: SimOptions,
-) -> SimResult<(LayerPerf, LayerPerf, Dataflow)> {
-    Simulator::uncached().try_compare_dataflows(layer, cfg, opts)
-}
-
-/// Simulates a whole network under the given dataflow policy, routing
-/// through a transient memoizing [`Simulator`] so repeated layer shapes
-/// (e.g. SqueezeNet's fire modules) simulate once per dataflow.
-pub fn simulate_network(
-    network: &Network,
-    cfg: &AcceleratorConfig,
-    policy: DataflowPolicy,
-    opts: SimOptions,
-) -> NetworkPerf {
-    Simulator::new().simulate_network(network, cfg, policy, opts)
-}
-
-/// Fallible twin of [`simulate_network`].
-///
-/// # Errors
-///
-/// The first [`SimError`] any layer surfaces, attributed to that layer.
-pub fn try_simulate_network(
-    network: &Network,
-    cfg: &AcceleratorConfig,
-    policy: DataflowPolicy,
-    opts: SimOptions,
-) -> SimResult<NetworkPerf> {
-    Simulator::new().try_simulate_network(network, cfg, policy, opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -811,6 +664,30 @@ mod tests {
 
     fn cfg() -> AcceleratorConfig {
         AcceleratorConfig::paper_default()
+    }
+
+    fn simulate_network(
+        net: &Network,
+        cfg: &AcceleratorConfig,
+        policy: DataflowPolicy,
+        opts: SimOptions,
+    ) -> NetworkPerf {
+        Simulator::new().try_simulate_network(net, cfg, policy, opts).unwrap()
+    }
+
+    fn compare_dataflows(
+        layer: &Layer,
+        cfg: &AcceleratorConfig,
+        opts: SimOptions,
+    ) -> (LayerPerf, LayerPerf, Dataflow) {
+        Simulator::new().try_compare_dataflows(layer, cfg, opts).unwrap()
+    }
+
+    #[test]
+    fn default_is_the_cached_handle() {
+        assert!(Simulator::default().is_cached());
+        assert!(Simulator::new().is_cached());
+        assert!(!Simulator::uncached().is_cached());
     }
 
     #[test]
@@ -887,8 +764,8 @@ mod tests {
         let opts = SimOptions::paper_default();
         let tracer = Tracer::enabled();
         let traced = Simulator::new().with_tracer(tracer.clone());
-        let a = traced.simulate_network(&net, &cfg(), DataflowPolicy::PerLayer, opts);
-        let b = Simulator::new().simulate_network(&net, &cfg(), DataflowPolicy::PerLayer, opts);
+        let a = traced.try_simulate_network(&net, &cfg(), DataflowPolicy::PerLayer, opts).unwrap();
+        let b = simulate_network(&net, &cfg(), DataflowPolicy::PerLayer, opts);
         assert_eq!(a, b, "tracing must not perturb simulation results");
 
         let data = tracer.snapshot();
@@ -954,7 +831,13 @@ mod tests {
         let net = zoo::squeezenet_v1_1();
         let sim = Simulator::new();
         assert!(!sim.tracer().is_enabled());
-        sim.simulate_network(&net, &cfg(), DataflowPolicy::PerLayer, SimOptions::paper_default());
+        sim.try_simulate_network(
+            &net,
+            &cfg(),
+            DataflowPolicy::PerLayer,
+            SimOptions::paper_default(),
+        )
+        .unwrap();
         assert!(sim.tracer().snapshot().tracks.is_empty());
     }
 
@@ -969,12 +852,14 @@ mod tests {
             .fully_connected("fc", 4096)
             .finish()
             .unwrap();
-        let l = simulate_layer(
-            net.layer("fc").unwrap(),
-            &cfg(),
-            SimOptions::default(),
-            Dataflow::WeightStationary,
-        );
+        let l = Simulator::new()
+            .try_simulate_layer(
+                net.layer("fc").unwrap(),
+                &cfg(),
+                SimOptions::default(),
+                Dataflow::WeightStationary,
+            )
+            .unwrap();
         // Preload (weight loading) dominates streaming by far.
         assert!(l.compute.phases.load > 10 * l.compute.phases.compute);
         // DRAM traffic is the full weight matrix.
@@ -1018,13 +903,15 @@ mod tests {
         let base = Simulator::new();
         let fork_a = base.fork_counter();
         let fork_b = base.fork_counter();
-        fork_a.simulate_network(&net, &cfg(), DataflowPolicy::PerLayer, opts);
-        fork_b.simulate_network(
-            &net,
-            &cfg(),
-            DataflowPolicy::Fixed(Dataflow::WeightStationary),
-            opts,
-        );
+        fork_a.try_simulate_network(&net, &cfg(), DataflowPolicy::PerLayer, opts).unwrap();
+        fork_b
+            .try_simulate_network(
+                &net,
+                &cfg(),
+                DataflowPolicy::Fixed(Dataflow::WeightStationary),
+                opts,
+            )
+            .unwrap();
 
         let shared = base.stats();
         assert!(shared.hits > 0 && shared.misses > 0, "{shared}");
@@ -1041,7 +928,7 @@ mod tests {
 
         // Distinct caches do sum.
         let other = Simulator::new();
-        other.simulate_network(&net, &cfg(), DataflowPolicy::PerLayer, opts);
+        other.try_simulate_network(&net, &cfg(), DataflowPolicy::PerLayer, opts).unwrap();
         let two = aggregate_cache_stats([&fork_a, &other]);
         assert_eq!(two.lookups(), shared.lookups() + other.stats().lookups());
         assert_eq!(two.entries, shared.entries + other.stats().entries);

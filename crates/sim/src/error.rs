@@ -2,11 +2,9 @@
 //!
 //! Analytical estimators must reject infeasible (layer, configuration)
 //! pairs deterministically rather than crash mid-sweep: one degenerate
-//! point must not abort a whole parallel DSE run. Every fallible entry
-//! point in this crate (`try_*` APIs) returns a typed [`SimError`];
-//! the infallible convenience wrappers keep their historical signatures
-//! and funnel through the single `SimError::raise` choke point so the
-//! crate carries exactly one deliberate panic site.
+//! point must not abort a whole parallel DSE run. Every simulation
+//! question ([`crate::Simulator`]'s `try_*` methods) returns a typed
+//! [`SimError`]; callers propagate it with `?`.
 //!
 //! Error kinds map one-to-one onto the `sim.error.<kind>` trace
 //! counters; [`SimError::kind`] returns the counter suffix.
@@ -115,16 +113,6 @@ impl SimError {
     /// Shorthand for an anonymous [`SimError::ArithmeticOverflow`].
     pub(crate) fn overflow(context: &'static str) -> Self {
         SimError::ArithmeticOverflow { layer: None, context }
-    }
-
-    /// The crate's single deliberate panic site: the infallible
-    /// convenience wrappers (kept for the paper-reproduction call sites,
-    /// which only ever feed known-good workloads) delegate here when the
-    /// underlying `try_*` API reports an error.
-    #[allow(clippy::panic)]
-    #[track_caller]
-    pub(crate) fn raise(self) -> ! {
-        panic!("{self}");
     }
 }
 

@@ -35,16 +35,15 @@
 
 pub mod units;
 
-use std::collections::HashMap;
-
 use codesign_arch::{AcceleratorConfig, Dataflow, DataflowPolicy};
 use codesign_dnn::{Layer, Network};
 
-use crate::dram::conv_traffic;
-use crate::engine::{choose_dataflow, SimOptions, Simulator, TrafficModel};
+use crate::cache::Lookups;
+use crate::dram::DramTraffic;
+use crate::engine::{SimOptions, Simulator};
 use crate::error::{checked_product, SimResult};
-use crate::simd::simulate_simd;
-use crate::tiling::optimize_tiling;
+use crate::perf::LayerPerf;
+use crate::tiling::TilingPlan;
 use crate::workload::ConvWork;
 
 use units::{ArrayUnit, Cycle, DmaUnit};
@@ -145,18 +144,17 @@ impl LayerTxns {
 }
 
 /// Builds a layer's run-length tile sequence: the tiling plan fixes the
-/// tile count and total traffic, `compute` is the analytic model's total
-/// for the chosen dataflow, and every total is spread evenly across the
-/// tiles with the remainders on the last. The single `optimize_tiling`
-/// search serves both the tile count and the traffic totals — the
-/// lowering never runs the §4.1.3 search twice.
+/// tile count, `traffic` (the plan's, or the closed form, after weight
+/// compression) the bytes, `compute` is the analytic model's total for
+/// the chosen dataflow, and every total is spread evenly across the
+/// tiles with the remainders on the last.
 fn tile_sequence(
     work: &ConvWork,
+    plan: &TilingPlan,
+    traffic: DramTraffic,
     cfg: &AcceleratorConfig,
-    opts: SimOptions,
     compute: Cycle,
 ) -> SimResult<LayerTxns> {
-    let plan = optimize_tiling(work, cfg)?;
     let count = checked_product(
         &[
             work.out_h.div_ceil(plan.tiling.out_rows),
@@ -167,11 +165,6 @@ fn tile_sequence(
         "event tile count",
     )?
     .max(1);
-    let raw = match opts.traffic {
-        TrafficModel::ClosedForm => conv_traffic(work, cfg),
-        TrafficModel::TilingSearch => plan.traffic,
-    };
-    let traffic = opts.finish_traffic(raw, work, cfg);
     // Weights that fit a buffer half are prefetched whole across the
     // layer boundary; larger weight sets (FC layers, late convs) stream
     // tile by tile and pipeline with compute like inputs do.
@@ -345,156 +338,169 @@ fn play_layer(
     (PipelineState { prev_compute_start: first_compute_start, finished: finish }, stalls)
 }
 
-/// Per-network lowering context: a memoizing [`Simulator`] for the
-/// dataflow decision plus a shape-keyed memo of lowered layers, so
-/// repeated layer shapes (fire modules, depthwise ladders) lower once.
-/// One context serves one network run, whose configuration, options and
-/// policy are fixed, so the shape alone keys the memo.
-struct Lowering {
-    sim: Simulator,
-    txns: HashMap<ConvWork, LayerTxns>,
-}
-
-impl Lowering {
-    fn new() -> Self {
-        Self { sim: Simulator::new(), txns: HashMap::new() }
-    }
-
+impl Simulator {
+    /// Lowers one simulated layer to its tile transactions: the layer's
+    /// analytic compute, spread over the tiles of its cached tiling plan
+    /// with its traffic. Non-PE layers are one SIMD tile.
     fn lower_layer(
-        &mut self,
+        &self,
         layer: &Layer,
+        perf: &LayerPerf,
         cfg: &AcceleratorConfig,
-        opts: SimOptions,
-        policy: DataflowPolicy,
+        opts: &SimOptions,
     ) -> SimResult<LayerTxns> {
+        let compute = perf.compute.cycles();
         let Some(work) = ConvWork::from_layer(layer) else {
-            let perf = simulate_simd(layer, cfg).map_err(|e| e.for_layer(&layer.name))?;
             let e = cfg.bytes_per_element() as u64;
             let tile = TileTxn {
                 input_bytes: layer.input.elements() as u64 * e,
-                compute_cycles: perf.cycles(),
+                compute_cycles: compute,
                 store_bytes: layer.output.elements() as u64 * e,
             };
             return Ok(LayerTxns { weight_bytes: 0, body: tile, last: tile, count: 1 });
         };
-        if let Some(&txns) = self.txns.get(&work) {
-            return Ok(txns);
-        }
-        let simulate = |d| self.sim.try_simulate_layer(layer, cfg, opts, d);
-        let (_, perf) = choose_dataflow(policy, simulate, |p| p.total_cycles)?;
-        let txns = tile_sequence(&work, cfg, opts, perf.compute.cycles())
-            .map_err(|e| e.for_layer(&layer.name))?;
-        self.txns.insert(work, txns);
-        Ok(txns)
+        let seen = &mut Lookups::default();
+        let lowered = self.plan(&work, cfg, seen).and_then(|plan| {
+            let traffic = self.traffic(&work, cfg, opts, seen)?;
+            tile_sequence(&work, &plan, traffic, cfg, compute)
+        });
+        lowered.map_err(|e| e.for_layer(&layer.name))
     }
-}
 
-/// Runs a whole network through the event model with an explicit
-/// [`TimeSkip`] mode. Layers execute back to back (the paper's
-/// layer-by-layer operation), each with its own tile pipeline.
-///
-/// # Errors
-///
-/// The first [`SimError`](crate::SimError) any layer surfaces, attributed
-/// to that layer.
-pub fn try_simulate_network_event_mode(
-    network: &Network,
-    cfg: &AcceleratorConfig,
-    policy: DataflowPolicy,
-    opts: SimOptions,
-    skip: TimeSkip,
-) -> SimResult<EventResult> {
-    let mut lowering = Lowering::new();
-    let mut dma = DmaUnit::new(cfg.dram());
-    let mut array = ArrayUnit::new();
-    let mut state = PipelineState { prev_compute_start: 0, finished: 0 };
-    let mut layers = Vec::with_capacity(network.layers().len());
-    for layer in network.layers() {
-        let start = state.finished;
-        let txns = lowering.lower_layer(layer, cfg, opts, policy)?;
-        let (next, stalls) =
-            play_layer(&txns, &mut dma, &mut array, state, cfg.double_buffering(), skip);
-        layers.push(EventLayerResult {
+    /// Runs a whole network through the event model. The analytic run
+    /// ([`Simulator::try_simulate_network`]) picks each layer's dataflow
+    /// and compute; the layers then execute back to back (the paper's
+    /// layer-by-layer operation), each with its own tile pipeline.
+    /// `skip` chooses between the time-skipping fast path and the
+    /// tile-by-tile walk.
+    ///
+    /// # Errors
+    ///
+    /// The first [`SimError`](crate::SimError) any layer surfaces,
+    /// attributed to that layer.
+    pub fn try_simulate_network_event(
+        &self,
+        network: &Network,
+        cfg: &AcceleratorConfig,
+        policy: DataflowPolicy,
+        opts: SimOptions,
+        skip: TimeSkip,
+    ) -> SimResult<EventResult> {
+        let perf = self.try_simulate_network(network, cfg, policy, opts)?;
+        let mut dma = DmaUnit::new(cfg.dram());
+        let mut array = ArrayUnit::new();
+        let mut state = PipelineState { prev_compute_start: 0, finished: 0 };
+        let mut layers = Vec::with_capacity(network.layers().len());
+        for (layer, lp) in network.layers().iter().zip(&perf.layers) {
+            let start = state.finished;
+            let txns = self.lower_layer(layer, lp, cfg, &opts)?;
+            let (next, stalls) =
+                play_layer(&txns, &mut dma, &mut array, state, cfg.double_buffering(), skip);
+            layers.push(EventLayerResult {
+                name: layer.name.clone(),
+                cycles: next.finished - start,
+                array_stall_cycles: stalls,
+                tiles: txns.count,
+            });
+            state = next;
+        }
+        Ok(EventResult { network: network.name().to_owned(), layers })
+    }
+
+    /// Runs one standalone layer through the event model under a forced
+    /// dataflow, time skipping on (unit tests, calibration, and the
+    /// no-panic fuzz target).
+    ///
+    /// # Errors
+    ///
+    /// Any [`SimError`](crate::SimError) the layer surfaces.
+    pub fn try_simulate_layer_event(
+        &self,
+        layer: &Layer,
+        cfg: &AcceleratorConfig,
+        opts: SimOptions,
+        dataflow: Dataflow,
+    ) -> SimResult<EventLayerResult> {
+        let perf = self.try_simulate_layer(layer, cfg, opts, dataflow)?;
+        let txns = self.lower_layer(layer, &perf, cfg, &opts)?;
+        let mut dma = DmaUnit::new(cfg.dram());
+        let mut array = ArrayUnit::new();
+        let state = PipelineState { prev_compute_start: 0, finished: 0 };
+        let (next, stalls) = play_layer(
+            &txns,
+            &mut dma,
+            &mut array,
+            state,
+            cfg.double_buffering(),
+            TimeSkip::Enabled,
+        );
+        Ok(EventLayerResult {
             name: layer.name.clone(),
-            cycles: next.finished - start,
+            cycles: next.finished,
             array_stall_cycles: stalls,
             tiles: txns.count,
-        });
-        state = next;
+        })
     }
-    Ok(EventResult { network: network.name().to_owned(), layers })
 }
 
-/// Runs a whole network through the event model (time skipping on).
+/// Runs a whole network through the event model (time skipping on) on a
+/// fresh memoizing [`Simulator`]. Infallible form of
+/// [`Simulator::try_simulate_network_event`], kept for the out-of-tree
+/// benchmark harness; everything in the workspace calls the method.
 ///
-/// # Errors
+/// # Panics
 ///
-/// The first [`SimError`](crate::SimError) any layer surfaces, attributed
-/// to that layer.
-pub fn try_simulate_network_event(
-    network: &Network,
-    cfg: &AcceleratorConfig,
-    policy: DataflowPolicy,
-    opts: SimOptions,
-) -> SimResult<EventResult> {
-    try_simulate_network_event_mode(network, cfg, policy, opts, TimeSkip::Enabled)
-}
-
-/// Runs a whole network through the event model. Infallible wrapper
-/// over [`try_simulate_network_event`].
+/// When the network cannot be simulated on `cfg` (a degenerate layer or
+/// an infeasible buffer).
+#[allow(clippy::panic)]
 pub fn simulate_network_event(
     network: &Network,
     cfg: &AcceleratorConfig,
     policy: DataflowPolicy,
     opts: SimOptions,
 ) -> EventResult {
-    try_simulate_network_event(network, cfg, policy, opts).unwrap_or_else(|e| e.raise())
-}
-
-/// Helper for one standalone layer (unit tests, calibration).
-///
-/// # Errors
-///
-/// Any [`SimError`](crate::SimError) the layer surfaces.
-pub fn try_simulate_layer_event(
-    layer: &Layer,
-    cfg: &AcceleratorConfig,
-    opts: SimOptions,
-    dataflow: Dataflow,
-) -> SimResult<EventLayerResult> {
-    let mut dma = DmaUnit::new(cfg.dram());
-    let mut array = ArrayUnit::new();
-    let txns = Lowering::new().lower_layer(layer, cfg, opts, DataflowPolicy::Fixed(dataflow))?;
-    let state = PipelineState { prev_compute_start: 0, finished: 0 };
-    let (next, stalls) =
-        play_layer(&txns, &mut dma, &mut array, state, cfg.double_buffering(), TimeSkip::Enabled);
-    Ok(EventLayerResult {
-        name: layer.name.clone(),
-        cycles: next.finished,
-        array_stall_cycles: stalls,
-        tiles: txns.count,
-    })
-}
-
-/// Helper for one standalone layer (unit tests, calibration).
-/// Infallible wrapper over [`try_simulate_layer_event`].
-pub fn simulate_layer_event(
-    layer: &Layer,
-    cfg: &AcceleratorConfig,
-    opts: SimOptions,
-    dataflow: Dataflow,
-) -> EventLayerResult {
-    try_simulate_layer_event(layer, cfg, opts, dataflow).unwrap_or_else(|e| e.raise())
+    Simulator::new()
+        .try_simulate_network_event(network, cfg, policy, opts, TimeSkip::Enabled)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::simulate_network;
+    use crate::perf::NetworkPerf;
+    use crate::tiling::optimize_tiling;
     use codesign_dnn::zoo;
 
     fn setup() -> (AcceleratorConfig, SimOptions) {
         (AcceleratorConfig::paper_default(), SimOptions::paper_default())
+    }
+
+    fn simulate_network(
+        net: &Network,
+        cfg: &AcceleratorConfig,
+        policy: DataflowPolicy,
+        opts: SimOptions,
+    ) -> NetworkPerf {
+        Simulator::new().try_simulate_network(net, cfg, policy, opts).unwrap()
+    }
+
+    fn try_simulate_network_event_mode(
+        net: &Network,
+        cfg: &AcceleratorConfig,
+        policy: DataflowPolicy,
+        opts: SimOptions,
+        skip: TimeSkip,
+    ) -> SimResult<EventResult> {
+        Simulator::new().try_simulate_network_event(net, cfg, policy, opts, skip)
+    }
+
+    fn simulate_network_event(
+        net: &Network,
+        cfg: &AcceleratorConfig,
+        policy: DataflowPolicy,
+        opts: SimOptions,
+    ) -> EventResult {
+        try_simulate_network_event_mode(net, cfg, policy, opts, TimeSkip::Enabled).unwrap()
     }
 
     fn single_buffered() -> AcceleratorConfig {
@@ -620,10 +626,9 @@ mod tests {
             for net in zoo::table_networks() {
                 for work in net.layers().iter().filter_map(ConvWork::from_layer) {
                     let plan = optimize_tiling(&work, &cfg).expect("zoo layers tile");
-                    let compute =
-                        crate::engine::simulate_conv(&work, &cfg, opts, Dataflow::OutputStationary)
-                            .cycles();
-                    let t = tile_sequence(&work, &cfg, opts, compute).expect("zoo layers lower");
+                    let compute = crate::os::simulate_os(&work, &cfg, opts.os).cycles();
+                    let t = tile_sequence(&work, &plan, plan.traffic, &cfg, compute)
+                        .expect("zoo layers lower");
                     let sum = |f: fn(&TileTxn) -> u64| f(&t.body) * (t.count - 1) + f(&t.last);
                     let what = format!("{work:?} on {cfg}");
                     let tiles = work.out_h.div_ceil(plan.tiling.out_rows)

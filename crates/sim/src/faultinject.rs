@@ -2,8 +2,8 @@
 //!
 //! Runs a fixed corpus of deliberately hostile inputs — degenerate
 //! layers, overflow-scale shapes, infeasible buffer configurations,
-//! truncated `.net` files — through the fallible `try_*` simulation
-//! APIs and records, per case, whether the simulator **completed**,
+//! truncated `.net` files — through the fallible [`Simulator`] methods
+//! and records, per case, whether the simulator **completed**,
 //! **rejected** the input with a typed [`SimError`], or **panicked**.
 //! The contract under test: hostile inputs are *rejected, never
 //! panicked on*, and well-formed control inputs still complete.
@@ -20,9 +20,9 @@ use codesign_arch::{AcceleratorConfig, Dataflow, DataflowPolicy};
 use codesign_dnn::{parse_network, ConvSpec, Kernel, Layer, LayerOp, Shape};
 use codesign_trace::Tracer;
 
-use crate::engine::{try_simulate_layer, try_simulate_network, SimOptions};
+use crate::engine::{SimOptions, Simulator};
 use crate::error::{SimError, SimResult};
-use crate::multicore::{try_simulate_network_multicore, MultiCoreConfig};
+use crate::multicore::MultiCoreConfig;
 use crate::tiling::optimize_tiling;
 use crate::validate::validate_network;
 use crate::workload::{ConvWork, WorkKind};
@@ -40,7 +40,7 @@ pub enum CaseOutcome {
         /// Human-readable error message.
         message: String,
     },
-    /// A panic escaped the `try_*` API — always a harness failure.
+    /// A panic escaped a fallible method — always a harness failure.
     Panicked {
         /// The panic payload, when it was a string.
         message: String,
@@ -239,8 +239,9 @@ fn run_layer(layer: Layer) -> impl Fn() -> SimResult<()> + Send + Sync {
     move || {
         let cfg = AcceleratorConfig::paper_default();
         let opts = SimOptions::paper_default();
-        try_simulate_layer(&layer, &cfg, opts, Dataflow::WeightStationary)?;
-        try_simulate_layer(&layer, &cfg, opts, Dataflow::OutputStationary)?;
+        let sim = Simulator::new();
+        sim.try_simulate_layer(&layer, &cfg, opts, Dataflow::WeightStationary)?;
+        sim.try_simulate_layer(&layer, &cfg, opts, Dataflow::OutputStationary)?;
         Ok(())
     }
 }
@@ -324,7 +325,7 @@ fn corpus_overflow_shapes() -> Vec<FaultCase> {
             let cfg = AcceleratorConfig::paper_default();
             let opts = SimOptions::paper_default();
             let net = codesign_dnn::zoo::alexnet();
-            crate::batch::try_simulate_network_batched(
+            Simulator::new().try_simulate_network_batched(
                 &net,
                 &cfg,
                 DataflowPolicy::PerLayer,
@@ -337,7 +338,7 @@ fn corpus_overflow_shapes() -> Vec<FaultCase> {
             let cfg = AcceleratorConfig::paper_default();
             let opts = SimOptions::paper_default();
             let net = codesign_dnn::zoo::tiny_darknet();
-            crate::batch::try_simulate_network_batched(
+            Simulator::new().try_simulate_network_batched(
                 &net,
                 &cfg,
                 DataflowPolicy::PerLayer,
@@ -351,7 +352,12 @@ fn corpus_overflow_shapes() -> Vec<FaultCase> {
             let opts = SimOptions::paper_default();
             let net = codesign_dnn::zoo::tiny_darknet();
             let mc = MultiCoreConfig { core, cores: 0 };
-            try_simulate_network_multicore(&net, &mc, DataflowPolicy::PerLayer, opts)?;
+            Simulator::new().try_simulate_network_multicore(
+                &net,
+                &mc,
+                DataflowPolicy::PerLayer,
+                opts,
+            )?;
             Ok(())
         }),
         FaultCase::hostile("overflow/core-scale", || {
@@ -359,7 +365,12 @@ fn corpus_overflow_shapes() -> Vec<FaultCase> {
             let opts = SimOptions::paper_default();
             let net = codesign_dnn::zoo::tiny_darknet();
             let mc = MultiCoreConfig { core, cores: usize::MAX / 2 };
-            try_simulate_network_multicore(&net, &mc, DataflowPolicy::PerLayer, opts)?;
+            Simulator::new().try_simulate_network_multicore(
+                &net,
+                &mc,
+                DataflowPolicy::PerLayer,
+                opts,
+            )?;
             Ok(())
         }),
         // A dense 1×1 work that validates, yet whose weights-outer input
@@ -409,14 +420,14 @@ fn corpus_infeasible_buffers() -> Vec<FaultCase> {
             let cfg = tiny_buffer_config();
             let opts = SimOptions::paper_default();
             let net = codesign_dnn::zoo::squeezenet_v1_0();
-            try_simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts)?;
+            Simulator::new().try_simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts)?;
             Ok(())
         }),
         FaultCase::hostile("buffer/mobilenet-on-8-bytes", || {
             let cfg = tiny_buffer_config();
             let opts = SimOptions::paper_default();
             let net = codesign_dnn::zoo::mobilenet_v1();
-            try_simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts)?;
+            Simulator::new().try_simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts)?;
             Ok(())
         }),
         FaultCase::hostile("buffer/preflight-catches-it", || {
@@ -434,7 +445,7 @@ fn corpus_infeasible_buffers() -> Vec<FaultCase> {
                 Shape::new(128, 56, 56),
                 spec(128, 3, 1, 1),
             );
-            try_simulate_layer(&layer, &cfg, opts, Dataflow::WeightStationary)?;
+            Simulator::new().try_simulate_layer(&layer, &cfg, opts, Dataflow::WeightStationary)?;
             Ok(())
         }),
     ]
@@ -447,7 +458,12 @@ fn corpus_malformed_netfiles() -> Vec<FaultCase> {
         move || match parse_network(text) {
             Ok(net) => {
                 let cfg = AcceleratorConfig::paper_default();
-                try_simulate_network(&net, &cfg, DataflowPolicy::PerLayer, SimOptions::default())?;
+                Simulator::new().try_simulate_network(
+                    &net,
+                    &cfg,
+                    DataflowPolicy::PerLayer,
+                    SimOptions::default(),
+                )?;
                 Ok(())
             }
             Err(e) => Err(SimError::invalid(format!("unparseable network: {e}"))),
@@ -486,7 +502,12 @@ fn corpus_controls() -> Vec<FaultCase> {
         move || {
             let cfg = AcceleratorConfig::paper_default();
             let opts = SimOptions::paper_default();
-            try_simulate_network(&build(), &cfg, DataflowPolicy::PerLayer, opts)?;
+            Simulator::new().try_simulate_network(
+                &build(),
+                &cfg,
+                DataflowPolicy::PerLayer,
+                opts,
+            )?;
             Ok(())
         }
     }
@@ -500,7 +521,7 @@ fn corpus_controls() -> Vec<FaultCase> {
             let cfg = AcceleratorConfig::paper_default();
             let opts = SimOptions::paper_default();
             let net = codesign_dnn::zoo::tiny_darknet();
-            crate::batch::try_simulate_network_batched(
+            Simulator::new().try_simulate_network_batched(
                 &net,
                 &cfg,
                 DataflowPolicy::PerLayer,
@@ -514,7 +535,12 @@ fn corpus_controls() -> Vec<FaultCase> {
             let opts = SimOptions::paper_default();
             let net = codesign_dnn::zoo::tiny_darknet();
             let mc = MultiCoreConfig { core, cores: 4 };
-            try_simulate_network_multicore(&net, &mc, DataflowPolicy::PerLayer, opts)?;
+            Simulator::new().try_simulate_network_multicore(
+                &net,
+                &mc,
+                DataflowPolicy::PerLayer,
+                opts,
+            )?;
             Ok(())
         }),
         FaultCase::control("control/preflight-paper-default", || {

@@ -24,6 +24,7 @@ use codesign_tensor::gemm::{gemm_accumulate, is_depthwise, pack_patches, valid_r
 use codesign_tensor::ops::check_conv_args;
 use codesign_tensor::{Filters, ShapeMismatchError, Tensor};
 
+use crate::perf::NetworkPerf;
 use crate::steps::{os_pass, OutputTile, Tiles};
 
 /// Layers below this many multiply-accumulates run serially — worker-pool
@@ -304,42 +305,42 @@ pub fn fc_ws_jobs(
 /// # Errors
 ///
 /// Returns [`codesign_tensor::RunNetworkError`] under the same conditions
-/// as the reference executor.
+/// as [`run_network_on_accelerator_jobs`].
 pub fn run_network_on_accelerator(
     network: &codesign_dnn::Network,
     image: &Tensor,
     weights: &codesign_tensor::WeightStore,
     cfg: &AcceleratorConfig,
-    policy: codesign_arch::DataflowPolicy,
-    opts: crate::engine::SimOptions,
+    schedule: &NetworkPerf,
 ) -> Result<codesign_tensor::NetworkActivations, codesign_tensor::RunNetworkError> {
-    run_network_on_accelerator_jobs(network, image, weights, cfg, policy, opts, 1)
+    run_network_on_accelerator_jobs(network, image, weights, cfg, schedule, 1)
 }
 
 /// Executes a whole network functionally, running every convolution with
-/// the dataflow the given policy selects (WS/OS executors,
-/// parallelised with `jobs` workers) and every FC layer with the
-/// degenerate-WS schedule ([`fc_ws_jobs`]); non-compute layers use the
-/// reference operators. Activations are resolved by reference through
-/// [`codesign_tensor::ActivationBuilder`] — nothing is cloned between
-/// layers. The result must be bit-identical to
+/// the dataflow `schedule` — the caller's simulation of this network on
+/// `cfg`, e.g. from [`crate::Simulator::try_simulate_network`] — chose
+/// for it (WS/OS executors, parallelised with `jobs` workers) and every
+/// FC layer with the degenerate-WS schedule ([`fc_ws_jobs`]); non-compute
+/// layers use the reference operators. Activations are resolved by
+/// reference through [`codesign_tensor::ActivationBuilder`] — nothing is
+/// cloned between layers. The result must be bit-identical to
 /// [`codesign_tensor::run_network`] for every `jobs` value; the
 /// integration tests and the zoo-wide CI suite assert it.
 ///
 /// # Errors
 ///
 /// Returns [`codesign_tensor::RunNetworkError`] under the same conditions
-/// as the reference executor.
+/// as the reference executor, and an operator error when `schedule`
+/// places no dataflow on one of the network's convolutions.
 pub fn run_network_on_accelerator_jobs(
     network: &codesign_dnn::Network,
     image: &Tensor,
     weights: &codesign_tensor::WeightStore,
     cfg: &AcceleratorConfig,
-    policy: codesign_arch::DataflowPolicy,
-    opts: crate::engine::SimOptions,
+    schedule: &NetworkPerf,
     jobs: usize,
 ) -> Result<codesign_tensor::NetworkActivations, codesign_tensor::RunNetworkError> {
-    use codesign_arch::{Dataflow, DataflowPolicy};
+    use codesign_arch::Dataflow;
     use codesign_dnn::LayerOp;
     use codesign_tensor::RunNetworkError;
 
@@ -351,12 +352,13 @@ pub fn run_network_on_accelerator_jobs(
                 let filters = weights
                     .get(&layer.name)
                     .ok_or_else(|| RunNetworkError::MissingWeights(layer.name.clone()))?;
-                let dataflow = match policy {
-                    DataflowPolicy::Fixed(d) => d,
-                    DataflowPolicy::PerLayer => {
-                        crate::engine::compare_dataflows(layer, cfg, opts).2
-                    }
-                };
+                let dataflow =
+                    schedule.layer(&layer.name).and_then(|l| l.dataflow).ok_or_else(|| {
+                        ShapeMismatchError::new(
+                            "run_network_on_accelerator",
+                            format!("the schedule places no dataflow on `{}`", layer.name),
+                        )
+                    })?;
                 match dataflow {
                     Dataflow::WeightStationary => conv2d_ws_jobs(input, filters, spec, cfg, jobs)?,
                     Dataflow::OutputStationary => conv2d_os_jobs(input, filters, spec, cfg, jobs)?,

@@ -25,17 +25,29 @@
 //! equal its counts, and its WS/OS walks must compute the reference
 //! convolution.
 //!
+//! Every simulation question — a layer, a network, a dataflow
+//! comparison, a batched, multi-core or event-driven network, an
+//! event-driven layer, the dataflow taxonomy, measured sparsity — is one
+//! fallible method on a [`Simulator`] handle, which memoizes the cycle
+//! model and the tiling search for all of them.
+//!
 //! # Examples
 //!
 //! ```
 //! use codesign_arch::{AcceleratorConfig, DataflowPolicy};
 //! use codesign_dnn::zoo;
-//! use codesign_sim::{simulate_network, SimOptions};
+//! use codesign_sim::{SimOptions, Simulator};
 //!
 //! let cfg = AcceleratorConfig::paper_default();
 //! let net = zoo::squeezenet_v1_0();
-//! let perf = simulate_network(&net, &cfg, DataflowPolicy::PerLayer, SimOptions::default());
+//! let perf = Simulator::new().try_simulate_network(
+//!     &net,
+//!     &cfg,
+//!     DataflowPolicy::PerLayer,
+//!     SimOptions::default(),
+//! )?;
 //! assert!(perf.total_cycles() > 0);
+//! # Ok::<(), codesign_sim::SimError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -73,25 +85,13 @@ pub mod validate;
 pub mod workload;
 pub mod ws;
 
-pub use batch::{
-    simulate_layer_batched, simulate_network_batched, try_simulate_layer_batched,
-    try_simulate_network_batched,
-};
 pub use bounds::{layer_traffic_floor, network_traffic_floor};
 pub use cache::{CacheStats, SimCache};
 pub use cancel::CancelToken;
 pub use compression::WeightCompression;
-pub use engine::{
-    aggregate_cache_stats, compare_dataflows, record_network, simulate_conv, simulate_layer,
-    simulate_network, try_compare_dataflows, try_simulate_conv, try_simulate_layer,
-    try_simulate_network, SimOptions, Simulator, TrafficModel,
-};
+pub use engine::{aggregate_cache_stats, SimOptions, Simulator, TrafficModel};
 pub use error::{SimError, SimResult};
-pub use event::{
-    simulate_layer_event, simulate_network_event, try_simulate_layer_event,
-    try_simulate_network_event, try_simulate_network_event_mode, EventLayerResult, EventResult,
-    TimeSkip,
-};
+pub use event::{simulate_network_event, EventLayerResult, EventResult, TimeSkip};
 pub use faultinject::{run_corpus, CaseOutcome, FaultCase, FaultReport};
 pub use fsio::{
     atomic_write, fnv1a, generation_path, recover, scan_generations, seal, unseal,
@@ -102,10 +102,7 @@ pub use functional::{
     conv2d_os, conv2d_os_jobs, conv2d_ws, conv2d_ws_jobs, fc_ws, fc_ws_jobs,
     run_network_on_accelerator, run_network_on_accelerator_jobs,
 };
-pub use multicore::{
-    schedule_branch_parallel, simulate_network_multicore, try_simulate_network_multicore,
-    BranchParallelResult, MultiCoreConfig,
-};
+pub use multicore::{schedule_branch_parallel, BranchParallelResult, MultiCoreConfig};
 pub use nlr::simulate_nlr;
 pub use os::{simulate_os, OsModelOptions, SparsityModel};
 pub use parallel::{
@@ -116,8 +113,8 @@ pub use perf::{ComputePerf, LayerPerf, NetworkPerf, PhaseCycles};
 pub use program::{Command, LayerProgram, Program};
 pub use rs::simulate_rs;
 pub use snapshot::{SnapshotError, SnapshotStats, SNAPSHOT_VERSION};
-pub use sparsity::{measure_sparsity, simulate_network_measured, SparsityMap};
-pub use taxonomy::{compare_taxonomy, try_compare_taxonomy, TaxonomyComparison, TaxonomyDataflow};
+pub use sparsity::{measure_sparsity, SparsityMap};
+pub use taxonomy::{TaxonomyComparison, TaxonomyDataflow};
 pub use tiling::{
     optimize_tiling, optimize_tiling_exhaustive, traffic_lower_bound, LoopOrder, Tiling, TilingPlan,
 };

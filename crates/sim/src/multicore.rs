@@ -11,8 +11,9 @@
 use codesign_arch::{AcceleratorConfig, Dataflow, DataflowPolicy};
 use codesign_dnn::{Layer, Network};
 
+use crate::cache::Lookups;
 use crate::dram::simd_traffic;
-use crate::engine::{choose_dataflow, finish_layer, try_simulate_conv, SimOptions};
+use crate::engine::{choose_dataflow, finish_layer, SimOptions, Simulator};
 use crate::error::{SimError, SimResult};
 use crate::perf::{LayerPerf, NetworkPerf};
 use crate::simd::simulate_simd;
@@ -53,74 +54,76 @@ fn core_slice(work: &ConvWork, cores: usize) -> ConvWork {
     slice
 }
 
-fn simulate_layer_multicore(
-    layer: &Layer,
-    mc: &MultiCoreConfig,
-    opts: SimOptions,
-    dataflow: Dataflow,
-) -> SimResult<LayerPerf> {
-    const CTX: &str = "multi-core scaling";
-    let cfg = &mc.core;
-    let cores = mc.cores as u64;
-    let (dataflow, compute, traffic) = match ConvWork::from_layer(layer) {
-        Some(work) => {
-            // The slowest (largest) slice gates the layer. Every core does
-            // its share, so the slice's counts scale by the core count
-            // (upper bound — the last core's slice may be smaller).
-            let slice = try_simulate_conv(&core_slice(&work, mc.cores), cfg, opts, dataflow)?;
-            let compute = slice.repeated(cores, CTX)?;
-            // Shared DRAM: weights once (multicast), activations split.
-            (Some(dataflow), compute, opts.layer_traffic(&work, cfg)?)
+impl Simulator {
+    /// Simulates a network on a multi-core accelerator. Each core's
+    /// slice and the layer's traffic come from the handle's cache. With a
+    /// span-recording tracer the run publishes one track of per-layer
+    /// spans.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidWorkload`] for a zero core count; otherwise the
+    /// first error any layer surfaces, attributed to that layer.
+    pub fn try_simulate_network_multicore(
+        &self,
+        network: &Network,
+        mc: &MultiCoreConfig,
+        policy: DataflowPolicy,
+        opts: SimOptions,
+    ) -> SimResult<NetworkPerf> {
+        if mc.cores == 0 {
+            return Err(SimError::invalid("core count must be positive"));
         }
-        None => {
-            // SIMD path: split evenly too.
-            let mut compute = simulate_simd(layer, cfg)?;
-            compute.phases.compute = compute.phases.compute.div_ceil(cores);
-            let (input, output) = (layer.input.elements() as u64, layer.output.elements() as u64);
-            (None, compute, simd_traffic(input, output, cfg))
-        }
-    };
-    let pes = cfg.pe_count().checked_mul(mc.cores).ok_or_else(|| SimError::overflow(CTX))?;
-    Ok(finish_layer(layer, dataflow, compute, traffic.total(), cfg, pes))
-}
-
-/// Simulates a network on a multi-core accelerator.
-///
-/// # Errors
-///
-/// [`SimError::InvalidWorkload`] for a zero core count; otherwise the
-/// first error any layer surfaces, attributed to that layer.
-pub fn try_simulate_network_multicore(
-    network: &Network,
-    mc: &MultiCoreConfig,
-    policy: DataflowPolicy,
-    opts: SimOptions,
-) -> SimResult<NetworkPerf> {
-    if mc.cores == 0 {
-        return Err(SimError::invalid("core count must be positive"));
+        let layers = network
+            .layers()
+            .iter()
+            .map(|layer| {
+                let simulate = |d| self.layer_multicore(layer, mc, opts, d);
+                choose_dataflow(policy, simulate, |p| p.total_cycles)
+                    .map(|(_, perf)| perf)
+                    .map_err(|e| e.for_layer(&layer.name))
+            })
+            .collect::<SimResult<_>>()?;
+        let perf = NetworkPerf { name: network.name().to_owned(), layers };
+        self.record_network(network, &perf, &mc.core, policy, None);
+        Ok(perf)
     }
-    let layers = network
-        .layers()
-        .iter()
-        .map(|layer| {
-            let simulate = |d| simulate_layer_multicore(layer, mc, opts, d);
-            choose_dataflow(policy, simulate, |p| p.total_cycles)
-                .map(|(_, perf)| perf)
-                .map_err(|e| e.for_layer(&layer.name))
-        })
-        .collect::<SimResult<_>>()?;
-    Ok(NetworkPerf { name: network.name().to_owned(), layers })
-}
 
-/// Simulates a network on a multi-core accelerator. Infallible wrapper
-/// over [`try_simulate_network_multicore`].
-pub fn simulate_network_multicore(
-    network: &Network,
-    mc: &MultiCoreConfig,
-    policy: DataflowPolicy,
-    opts: SimOptions,
-) -> NetworkPerf {
-    try_simulate_network_multicore(network, mc, policy, opts).unwrap_or_else(|e| e.raise())
+    fn layer_multicore(
+        &self,
+        layer: &Layer,
+        mc: &MultiCoreConfig,
+        opts: SimOptions,
+        dataflow: Dataflow,
+    ) -> SimResult<LayerPerf> {
+        const CTX: &str = "multi-core scaling";
+        let cfg = &mc.core;
+        let cores = mc.cores as u64;
+        let seen = &mut Lookups::default();
+        let (dataflow, compute, traffic) = match ConvWork::from_layer(layer) {
+            Some(work) => {
+                // The slowest (largest) slice gates the layer. Every core
+                // does its share, so the slice's counts scale by the core
+                // count (upper bound — the last core's slice may be
+                // smaller).
+                let slice =
+                    self.compute(&core_slice(&work, mc.cores), cfg, &opts, dataflow, seen)?;
+                let compute = slice.repeated(cores, CTX)?;
+                // Shared DRAM: weights once (multicast), activations split.
+                (Some(dataflow), compute, self.traffic(&work, cfg, &opts, seen)?)
+            }
+            None => {
+                // SIMD path: split evenly too.
+                let mut compute = simulate_simd(layer, cfg)?;
+                compute.phases.compute = compute.phases.compute.div_ceil(cores);
+                let (input, output) =
+                    (layer.input.elements() as u64, layer.output.elements() as u64);
+                (None, compute, simd_traffic(input, output, cfg))
+            }
+        };
+        let pes = cfg.pe_count().checked_mul(mc.cores).ok_or_else(|| SimError::overflow(CTX))?;
+        Ok(finish_layer(layer, dataflow, compute, traffic.total(), cfg, pes))
+    }
 }
 
 /// Result of the branch-parallel schedule.
@@ -143,27 +146,26 @@ impl BranchParallelResult {
     }
 }
 
-/// Schedules whole layers across cores, exploiting **inter-layer**
-/// parallelism: independent branches (fire expands, residual shortcuts)
-/// run on different cores concurrently. Each layer runs on one core with
-/// its single-core duration; dependencies follow the IR's
+/// Schedules whole layers across `cores` cores, exploiting
+/// **inter-layer** parallelism: independent branches (fire expands,
+/// residual shortcuts) run on different cores concurrently. Each layer
+/// runs on one core for its duration in `single`, the network's
+/// single-core result (normally the per-layer hybrid from
+/// [`Simulator::try_simulate_network`]); dependencies follow the IR's
 /// `primary_input`/`extra_input` edges; DRAM contention between
 /// concurrent layers is not modeled (documented optimism — the
-/// data-parallel split in [`simulate_network_multicore`] is the
-/// conservative counterpart).
+/// data-parallel split in [`Simulator::try_simulate_network_multicore`]
+/// is the conservative counterpart).
 pub fn schedule_branch_parallel(
     network: &Network,
-    mc: &MultiCoreConfig,
-    opts: SimOptions,
+    single: &NetworkPerf,
+    cores: usize,
 ) -> BranchParallelResult {
     use std::collections::HashMap;
 
-    // Single-core duration per layer: its faster dataflow's cycles.
-    let single = crate::engine::simulate_network(network, &mc.core, DataflowPolicy::PerLayer, opts);
     let durations: Vec<u64> = single.layers.iter().map(|l| l.total_cycles).collect();
-
     let mut finish: HashMap<&str, u64> = HashMap::new();
-    let mut cores = vec![0u64; mc.cores.max(1)];
+    let mut cores = vec![0u64; cores.max(1)];
     let mut overlapped = 0usize;
     let mut makespan = 0u64;
     let mut intervals: Vec<(u64, u64)> = Vec::new();
@@ -173,7 +175,7 @@ pub fn schedule_branch_parallel(
         };
         let ready = dep(&layer.primary_input).max(dep(&layer.extra_input));
         // Earliest-available core (`cores` is non-empty by construction:
-        // `mc.cores.max(1)` above).
+        // `cores.max(1)` above).
         let core = cores.iter().enumerate().min_by_key(|(_, &t)| t).map(|(i, _)| i).unwrap_or(0);
         let start = ready.max(cores[core]);
         let end = start + dur;
@@ -196,11 +198,29 @@ pub fn schedule_branch_parallel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::simulate_network;
     use codesign_dnn::zoo;
 
     fn opts() -> SimOptions {
         SimOptions::paper_default()
+    }
+
+    fn simulate_network(net: &Network, cfg: &AcceleratorConfig) -> NetworkPerf {
+        Simulator::new().try_simulate_network(net, cfg, DataflowPolicy::PerLayer, opts()).unwrap()
+    }
+
+    fn try_simulate_network_multicore(
+        net: &Network,
+        mc: &MultiCoreConfig,
+    ) -> SimResult<NetworkPerf> {
+        Simulator::new().try_simulate_network_multicore(net, mc, DataflowPolicy::PerLayer, opts())
+    }
+
+    fn multicore_cycles(net: &Network, mc: &MultiCoreConfig) -> u64 {
+        try_simulate_network_multicore(net, mc).unwrap().total_cycles()
+    }
+
+    fn schedule_branch_parallel(net: &Network, mc: &MultiCoreConfig) -> BranchParallelResult {
+        super::schedule_branch_parallel(net, &simulate_network(net, &mc.core), mc.cores)
     }
 
     #[test]
@@ -208,9 +228,7 @@ mod tests {
         let cfg = AcceleratorConfig::paper_default();
         let mc = MultiCoreConfig::single(cfg.clone());
         let net = zoo::squeezenet_v1_1();
-        let plain = simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts());
-        let multi = simulate_network_multicore(&net, &mc, DataflowPolicy::PerLayer, opts());
-        assert_eq!(plain.total_cycles(), multi.total_cycles());
+        assert_eq!(simulate_network(&net, &cfg).total_cycles(), multicore_cycles(&net, &mc));
     }
 
     #[test]
@@ -218,8 +236,7 @@ mod tests {
         let cfg = AcceleratorConfig::paper_default();
         let mc = MultiCoreConfig { core: cfg, cores: usize::MAX / 2 };
         let net = zoo::tiny_darknet();
-        let err = try_simulate_network_multicore(&net, &mc, DataflowPolicy::PerLayer, opts())
-            .unwrap_err();
+        let err = try_simulate_network_multicore(&net, &mc).unwrap_err();
         assert!(matches!(err, SimError::ArithmeticOverflow { .. }), "{err}");
         assert_eq!(err.layer(), Some(net.layers()[0].name.as_str()));
     }
@@ -231,8 +248,7 @@ mod tests {
         let mut last = u64::MAX;
         for cores in [1, 2, 4] {
             let mc = MultiCoreConfig { core: cfg.clone(), cores };
-            let cycles = simulate_network_multicore(&net, &mc, DataflowPolicy::PerLayer, opts())
-                .total_cycles();
+            let cycles = multicore_cycles(&net, &mc);
             assert!(cycles <= last, "{cores} cores: {cycles} > {last}");
             last = cycles;
         }
@@ -245,9 +261,8 @@ mod tests {
         let cfg = AcceleratorConfig::paper_default();
         let mc4 = MultiCoreConfig { core: cfg.clone(), cores: 4 };
         let speedup = |net: &codesign_dnn::Network| {
-            let one = simulate_network(net, &cfg, DataflowPolicy::PerLayer, opts()).total_cycles();
-            let four = simulate_network_multicore(net, &mc4, DataflowPolicy::PerLayer, opts())
-                .total_cycles();
+            let one = simulate_network(net, &cfg).total_cycles();
+            let four = multicore_cycles(net, &mc4);
             one as f64 / four as f64
         };
         let alex = speedup(&zoo::alexnet());
@@ -261,7 +276,7 @@ mod tests {
         let cfg = AcceleratorConfig::paper_default();
         let mc = MultiCoreConfig::single(cfg.clone());
         let net = zoo::squeezenet_v1_1();
-        let r = schedule_branch_parallel(&net, &mc, opts());
+        let r = schedule_branch_parallel(&net, &mc);
         assert_eq!(r.makespan, r.serial_cycles);
         assert!((r.speedup() - 1.0).abs() < 1e-12);
     }
@@ -271,7 +286,7 @@ mod tests {
         let cfg = AcceleratorConfig::paper_default();
         let mc = MultiCoreConfig { core: cfg.clone(), cores: 2 };
         let net = zoo::squeezenet_v1_0();
-        let r = schedule_branch_parallel(&net, &mc, opts());
+        let r = schedule_branch_parallel(&net, &mc);
         // expand1x1 runs beside expand3x3 / shortcut work.
         assert!(r.overlapped_layers > 4, "overlapped = {}", r.overlapped_layers);
         assert!(r.makespan < r.serial_cycles);
@@ -284,7 +299,7 @@ mod tests {
         // layer granularity.
         let cfg = AcceleratorConfig::paper_default();
         let mc = MultiCoreConfig { core: cfg.clone(), cores: 4 };
-        let r = schedule_branch_parallel(&zoo::tiny_darknet(), &mc, opts());
+        let r = schedule_branch_parallel(&zoo::tiny_darknet(), &mc);
         assert_eq!(r.overlapped_layers, 0);
         assert_eq!(r.makespan, r.serial_cycles);
     }
@@ -296,9 +311,8 @@ mod tests {
         let cfg = AcceleratorConfig::paper_default();
         let mc = MultiCoreConfig { core: cfg.clone(), cores: 2 };
         let net = zoo::squeezenet_v1_0();
-        let branch = schedule_branch_parallel(&net, &mc, opts()).makespan;
-        let data =
-            simulate_network_multicore(&net, &mc, DataflowPolicy::PerLayer, opts()).total_cycles();
+        let branch = schedule_branch_parallel(&net, &mc).makespan;
+        let data = multicore_cycles(&net, &mc);
         assert!(data < branch, "data-parallel {data} should beat branch-parallel {branch}");
     }
 

@@ -16,11 +16,12 @@ use std::fmt;
 use codesign_arch::{AcceleratorConfig, Dataflow, DataflowPolicy};
 use codesign_dnn::Network;
 
+use crate::cache::Lookups;
 use crate::cycle::{trace_os, trace_ws, Phase};
 use crate::dram::combine_cycles;
-use crate::engine::{try_compare_dataflows, SimOptions};
+use crate::engine::{SimOptions, Simulator};
 use crate::error::SimResult;
-use crate::simd::simulate_simd;
+use crate::perf::LayerPerf;
 use crate::workload::ConvWork;
 
 /// One controller command.
@@ -135,48 +136,50 @@ pub struct Program {
 }
 
 impl Program {
-    /// Compiles a network under the given policy: per layer, picks the
-    /// dataflow the scheduler would pick, walks its machine trace, and
-    /// emits the merged command stream.
+    /// Compiles a network under the given policy: simulates it through
+    /// `sim` for the dataflow the scheduler picks per layer, walks that
+    /// dataflow's machine trace, and emits the merged command stream with
+    /// the layer's (cached) DRAM traffic.
     ///
     /// # Errors
     ///
-    /// The first [`SimError`](crate::SimError) any layer surfaces, attributed to that
-    /// layer.
+    /// The first [`SimError`](crate::SimError) any layer surfaces,
+    /// attributed to that layer.
     pub fn try_compile(
+        sim: &Simulator,
         network: &Network,
         cfg: &AcceleratorConfig,
         policy: DataflowPolicy,
         opts: SimOptions,
     ) -> SimResult<Program> {
-        let mut layers = Vec::with_capacity(network.layers().len());
-        for layer in network.layers() {
-            let compiled = Self::compile_layer(layer, cfg, policy, opts)
-                .map_err(|e| e.for_layer(&layer.name))?;
-            layers.push(compiled);
-        }
+        let perf = sim.try_simulate_network(network, cfg, policy, opts)?;
+        let layers = network
+            .layers()
+            .iter()
+            .zip(&perf.layers)
+            .map(|(layer, lp)| {
+                Self::compile_layer(sim, layer, lp, cfg, &opts)
+                    .map_err(|e| e.for_layer(&layer.name))
+            })
+            .collect::<SimResult<_>>()?;
         Ok(Program { network: network.name().to_owned(), layers })
     }
 
     fn compile_layer(
+        sim: &Simulator,
         layer: &codesign_dnn::Layer,
+        perf: &LayerPerf,
         cfg: &AcceleratorConfig,
-        policy: DataflowPolicy,
-        opts: SimOptions,
+        opts: &SimOptions,
     ) -> SimResult<LayerProgram> {
         let mut commands = Vec::new();
-        match ConvWork::from_layer(layer) {
-            Some(work) => {
-                let dataflow = match policy {
-                    DataflowPolicy::Fixed(d) => d,
-                    DataflowPolicy::PerLayer => try_compare_dataflows(layer, cfg, opts)?.2,
-                };
-                // Validation precedes the machine traces: trace_ws/trace_os
-                // assume well-formed work, just like simulate_ws/simulate_os.
-                work.validate()?;
+        match (ConvWork::from_layer(layer), perf.dataflow) {
+            (Some(work), Some(dataflow)) => {
                 commands.push(Command::SetDataflow(dataflow));
-                let traffic = opts.layer_traffic(&work, cfg)?;
+                let traffic = sim.traffic(&work, cfg, opts, &mut Lookups::default())?;
                 commands.push(Command::DmaLoad { bytes: traffic.input + traffic.weights });
+                // The simulation validated the work: trace_ws/trace_os
+                // assume well-formed work, just like simulate_ws/simulate_os.
                 let trace = match dataflow {
                     Dataflow::WeightStationary => trace_ws(&work, cfg),
                     Dataflow::OutputStationary => trace_os(&work, cfg, opts.os),
@@ -204,37 +207,20 @@ impl Program {
                 }
                 commands.push(Command::DmaStore { bytes: traffic.output });
             }
-            None => {
+            _ => {
                 let e = cfg.bytes_per_element() as u64;
-                let perf = simulate_simd(layer, cfg)?;
                 commands.push(Command::DmaLoad { bytes: layer.input.elements() as u64 * e });
-                commands.push(Command::Simd { cycles: perf.cycles() });
+                commands.push(Command::Simd { cycles: perf.compute.cycles() });
                 commands.push(Command::DmaStore { bytes: layer.output.elements() as u64 * e });
             }
         }
         Ok(LayerProgram { layer: layer.name.clone(), commands })
     }
 
-    /// Compiles a network under the given policy. Infallible wrapper
-    /// over [`Program::try_compile`].
-    ///
-    /// # Panics
-    ///
-    /// Panics (through the crate's single panic site) if any layer is
-    /// degenerate or infeasible on this configuration.
-    pub fn compile(
-        network: &Network,
-        cfg: &AcceleratorConfig,
-        policy: DataflowPolicy,
-        opts: SimOptions,
-    ) -> Program {
-        Self::try_compile(network, cfg, policy, opts).unwrap_or_else(|e| e.raise())
-    }
-
     /// Replays the program against a hardware configuration and returns
     /// the end-to-end cycle estimate. Matches
-    /// [`crate::simulate_network`]'s totals exactly — asserted by the
-    /// integration tests.
+    /// [`Simulator::try_simulate_network`]'s totals exactly — asserted by
+    /// the integration tests.
     pub fn estimate(&self, cfg: &AcceleratorConfig) -> u64 {
         self.layers
             .iter()
@@ -273,11 +259,19 @@ impl Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::simulate_network;
     use codesign_dnn::zoo;
 
     fn setup() -> (AcceleratorConfig, SimOptions) {
         (AcceleratorConfig::paper_default(), SimOptions::paper_default())
+    }
+
+    fn compile(
+        net: &Network,
+        cfg: &AcceleratorConfig,
+        policy: DataflowPolicy,
+        opts: SimOptions,
+    ) -> Program {
+        Program::try_compile(&Simulator::new(), net, cfg, policy, opts).unwrap()
     }
 
     #[test]
@@ -289,8 +283,9 @@ mod tests {
                 DataflowPolicy::Fixed(Dataflow::WeightStationary),
                 DataflowPolicy::Fixed(Dataflow::OutputStationary),
             ] {
-                let program = Program::compile(&net, &cfg, policy, opts);
-                let simulated = simulate_network(&net, &cfg, policy, opts);
+                let program = compile(&net, &cfg, policy, opts);
+                let simulated =
+                    Simulator::new().try_simulate_network(&net, &cfg, policy, opts).unwrap();
                 assert_eq!(
                     program.estimate(&cfg),
                     simulated.total_cycles(),
@@ -305,8 +300,7 @@ mod tests {
     fn per_layer_macs_match_the_model() {
         let (cfg, opts) = setup();
         let net = zoo::squeezenet_v1_1();
-        let program =
-            Program::compile(&net, &cfg, DataflowPolicy::Fixed(Dataflow::WeightStationary), opts);
+        let program = compile(&net, &cfg, DataflowPolicy::Fixed(Dataflow::WeightStationary), opts);
         for (lp, layer) in program.layers.iter().zip(net.layers()) {
             if layer.is_compute() {
                 assert_eq!(lp.macs(), layer.macs(), "{}", layer.name);
@@ -318,7 +312,7 @@ mod tests {
     fn streams_begin_with_mode_and_dma() {
         let (cfg, opts) = setup();
         let net = zoo::tiny_darknet();
-        let program = Program::compile(&net, &cfg, DataflowPolicy::PerLayer, opts);
+        let program = compile(&net, &cfg, DataflowPolicy::PerLayer, opts);
         let first = &program.layers[0];
         assert!(matches!(first.commands[0], Command::SetDataflow(_)));
         assert!(matches!(first.commands[1], Command::DmaLoad { .. }));
@@ -329,7 +323,7 @@ mod tests {
     fn listing_is_assembly_like() {
         let (cfg, opts) = setup();
         let net = zoo::squeezenet_v1_1();
-        let program = Program::compile(&net, &cfg, DataflowPolicy::PerLayer, opts);
+        let program = compile(&net, &cfg, DataflowPolicy::PerLayer, opts);
         let listing = program.listing();
         assert!(listing.contains("conv1:"));
         assert!(listing.contains("mode    OS"));
@@ -344,7 +338,7 @@ mod tests {
         // streams stay in the tens.
         let (cfg, opts) = setup();
         let net = zoo::squeezenet_v1_0();
-        let program = Program::compile(&net, &cfg, DataflowPolicy::PerLayer, opts);
+        let program = compile(&net, &cfg, DataflowPolicy::PerLayer, opts);
         let avg = program.len() as f64 / program.layers.len() as f64;
         assert!(avg < 600.0, "average commands per layer = {avg:.0}");
     }

@@ -5,9 +5,18 @@
 //!
 //! ```text
 //! n_compute u64 LE    compute-record count
-//! n_traffic u64 LE    traffic-record count
-//! records   n_compute × 27 u64-LE words, then n_traffic × 19 words
+//! n_plan    u64 LE    plan-record count
+//! records   n_compute × 27 u64-LE words, then n_plan × 21 words
 //! ```
+//!
+//! A compute record is the cycle model's key (work, dataflow, array
+//! size, RF depth, OS options) and its [`ComputePerf`]. A plan record is
+//! the tiling search's key — the work's 11 words, the element width and
+//! the working-buffer bytes — and the raw plan it found: output rows,
+//! output channels and input channels per tile, the loop order, the
+//! input, weight and output DRAM bytes, and the working set. The traffic
+//! model and the weight compression are not part of it: they are applied
+//! to the plan after every lookup.
 //!
 //! Every field is a `u64` little-endian word: dimensions directly,
 //! enums as documented tags, booleans as 0/1, and `f64` option fields
@@ -23,31 +32,33 @@
 //! bump [`SNAPSHOT_VERSION`]; there is no migration path by design — a
 //! refused snapshot is merely a cold start, never a wrong answer,
 //! because loading only ever preloads entries the simulator would have
-//! recomputed identically. Version-1 files (the same records without
-//! the container's length word) are refused as
+//! recomputed identically. Older files — version 1 (no length word in
+//! the container) and version 2 (traffic byte counts keyed by traffic
+//! model and compression instead of plans) — are refused as
 //! [`FramingError::WrongVersion`].
 
 use std::fmt;
 
 use codesign_arch::{AccessCounts, Dataflow};
 
-use crate::cache::{Bits, ComputeKey, OsOptsKey, SimCache, TrafficKey};
-use crate::engine::TrafficModel;
+use crate::cache::{Bits, ComputeKey, OsOptsKey, PlanKey, SimCache};
+use crate::dram::DramTraffic;
 use crate::fsio::{seal, unseal, Corrupt, Decoder, FramingError};
 use crate::perf::{ComputePerf, PhaseCycles};
+use crate::tiling::{LoopOrder, Tiling, TilingPlan};
 use crate::workload::{ConvWork, WorkKind};
 
 /// Schema version written into (and demanded from) every snapshot.
 /// Bump on any change to the record layout or the enum tag assignments.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Leading magic bytes identifying a codesign cache snapshot.
 const MAGIC: &[u8; 8] = b"CDSIMCS\0";
 
 /// Bytes per encoded [`ComputeKey`] + [`ComputePerf`] record.
 const COMPUTE_BYTES: usize = 27 * 8;
-/// Bytes per encoded [`TrafficKey`] + byte-count record.
-const TRAFFIC_BYTES: usize = 19 * 8;
+/// Bytes per encoded [`PlanKey`] + [`TilingPlan`] record.
+const PLAN_BYTES: usize = 21 * 8;
 
 /// Why a snapshot was refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,8 +104,8 @@ impl From<Corrupt> for SnapshotError {
 pub struct SnapshotStats {
     /// Compute (cycle-model) entries preloaded.
     pub compute_entries: usize,
-    /// Traffic (tiling/closed-form) entries preloaded.
-    pub traffic_entries: usize,
+    /// Tiling-plan entries preloaded.
+    pub plan_entries: usize,
     /// Size of the snapshot consumed, in bytes.
     pub bytes: usize,
 }
@@ -102,7 +113,7 @@ pub struct SnapshotStats {
 impl SnapshotStats {
     /// Total entries preloaded.
     pub fn entries(&self) -> usize {
-        self.compute_entries + self.traffic_entries
+        self.compute_entries + self.plan_entries
     }
 }
 
@@ -205,50 +216,51 @@ fn decode_compute_record(d: &mut Decoder<'_>) -> Result<(ComputeKey, ComputePerf
     Ok((key, perf))
 }
 
-fn encode_traffic_record(out: &mut Vec<u8>, key: &TrafficKey, bytes: u64) {
+fn encode_plan_record(out: &mut Vec<u8>, key: &PlanKey, plan: &TilingPlan) {
     encode_work(out, &key.work);
-    push_u64(out, matches!(key.model, TrafficModel::TilingSearch) as u64);
     push_u64(out, key.bytes_per_element as u64);
     push_u64(out, key.working_buffer_bytes as u64);
-    match key.compression {
-        Some((data_bits, index_bits, zero_fraction)) => {
-            push_u64(out, 1);
-            push_u64(out, u64::from(data_bits));
-            push_u64(out, u64::from(index_bits));
-            push_u64(out, zero_fraction.0);
-        }
-        None => {
-            push_u64(out, 0);
-            push_u64(out, 0);
-            push_u64(out, 0);
-            push_u64(out, 0);
+    let t = &plan.tiling;
+    push_u64(out, t.out_rows as u64);
+    push_u64(out, t.out_channels as u64);
+    push_u64(out, t.in_channels as u64);
+    push_u64(out, matches!(t.order, LoopOrder::SpatialOuter) as u64);
+    push_u64(out, plan.traffic.input);
+    push_u64(out, plan.traffic.weights);
+    push_u64(out, plan.traffic.output);
+    push_u64(out, plan.working_set);
+}
+
+fn decode_plan_record(d: &mut Decoder<'_>) -> Result<(PlanKey, TilingPlan), Corrupt> {
+    let key = PlanKey {
+        work: decode_work(d)?,
+        bytes_per_element: d.usize("bytes_per_element")?,
+        working_buffer_bytes: d.usize("working_buffer_bytes")?,
+    };
+    let tiling = Tiling {
+        out_rows: d.usize("tile out_rows")?,
+        out_channels: d.usize("tile out_channels")?,
+        in_channels: d.usize("tile in_channels")?,
+        order: if d.flag("loop order")? {
+            LoopOrder::SpatialOuter
+        } else {
+            LoopOrder::WeightsOuter
+        },
+    };
+    // Tile counts divide by these: a tile outside its loop's extent is
+    // no plan the search could have found.
+    let w = &key.work;
+    for (what, tile, extent) in [
+        ("out_rows", tiling.out_rows, w.out_h),
+        ("out_channels", tiling.out_channels, w.out_channels),
+        ("in_channels", tiling.in_channels, w.in_channels),
+    ] {
+        if tile == 0 || tile > extent {
+            return Err(Corrupt(format!("tile {what} {tile} outside 1..={extent}")));
         }
     }
-    push_u64(out, bytes);
-}
-
-/// A `u64` word holding a `u32` field.
-fn word_u32(d: &mut Decoder<'_>, what: &str) -> Result<u32, Corrupt> {
-    let v = d.u64()?;
-    u32::try_from(v).map_err(|_| Corrupt(format!("{what} out of range: {v}")))
-}
-
-fn decode_traffic_record(d: &mut Decoder<'_>) -> Result<(TrafficKey, u64), Corrupt> {
-    let work = decode_work(d)?;
-    let model = if d.flag("traffic model")? {
-        TrafficModel::TilingSearch
-    } else {
-        TrafficModel::ClosedForm
-    };
-    let bytes_per_element = d.usize("bytes_per_element")?;
-    let working_buffer_bytes = d.usize("working_buffer_bytes")?;
-    let present = d.flag("compression present")?;
-    let data_bits = word_u32(d, "compression data_bits")?;
-    let index_bits = word_u32(d, "compression index_bits")?;
-    let zero_fraction = Bits(d.u64()?);
-    let compression = present.then_some((data_bits, index_bits, zero_fraction));
-    let bytes = d.u64()?;
-    Ok((TrafficKey { work, model, bytes_per_element, working_buffer_bytes, compression }, bytes))
+    let traffic = DramTraffic { input: d.u64()?, weights: d.u64()?, output: d.u64()? };
+    Ok((key, TilingPlan { tiling, traffic, working_set: d.u64()? }))
 }
 
 impl SimCache {
@@ -268,23 +280,23 @@ impl SimCache {
                 rec
             })
             .collect();
-        let mut traffic_records: Vec<Vec<u8>> = self
-            .export_traffic()
+        let mut plan_records: Vec<Vec<u8>> = self
+            .export_plans()
             .iter()
-            .map(|(key, bytes)| {
-                let mut rec = Vec::with_capacity(TRAFFIC_BYTES);
-                encode_traffic_record(&mut rec, key, *bytes);
+            .map(|(key, plan)| {
+                let mut rec = Vec::with_capacity(PLAN_BYTES);
+                encode_plan_record(&mut rec, key, plan);
                 rec
             })
             .collect();
         compute_records.sort_unstable();
-        traffic_records.sort_unstable();
+        plan_records.sort_unstable();
 
-        let body = compute_records.len() * COMPUTE_BYTES + traffic_records.len() * TRAFFIC_BYTES;
+        let body = compute_records.len() * COMPUTE_BYTES + plan_records.len() * PLAN_BYTES;
         let mut payload = Vec::with_capacity(16 + body);
         push_u64(&mut payload, compute_records.len() as u64);
-        push_u64(&mut payload, traffic_records.len() as u64);
-        for rec in compute_records.iter().chain(&traffic_records) {
+        push_u64(&mut payload, plan_records.len() as u64);
+        for rec in compute_records.iter().chain(&plan_records) {
             payload.extend_from_slice(rec);
         }
         seal(MAGIC, SNAPSHOT_VERSION, &payload)
@@ -305,9 +317,9 @@ impl SimCache {
     /// first entry is inserted.
     pub fn load_snapshot(&self, bytes: &[u8]) -> Result<SnapshotStats, SnapshotError> {
         let mut d = unseal(MAGIC, SNAPSHOT_VERSION, bytes)?;
-        let (n_compute, n_traffic) = (d.u64()?, d.u64()?);
+        let (n_compute, n_plan) = (d.u64()?, d.u64()?);
         let n_compute = d.count(n_compute, COMPUTE_BYTES, "compute record")?;
-        let n_traffic = d.count(n_traffic, TRAFFIC_BYTES, "traffic record")?;
+        let n_plan = d.count(n_plan, PLAN_BYTES, "plan record")?;
 
         // Decode everything before inserting anything, so a corrupted
         // record never leaves a half-loaded cache.
@@ -315,21 +327,21 @@ impl SimCache {
         for _ in 0..n_compute {
             compute_entries.push(decode_compute_record(&mut d)?);
         }
-        let mut traffic_entries = Vec::with_capacity(n_traffic);
-        for _ in 0..n_traffic {
-            traffic_entries.push(decode_traffic_record(&mut d)?);
+        let mut plan_entries = Vec::with_capacity(n_plan);
+        for _ in 0..n_plan {
+            plan_entries.push(decode_plan_record(&mut d)?);
         }
         d.finish()?;
 
         for (key, perf) in &compute_entries {
             self.preload_compute(*key, *perf);
         }
-        for (key, traffic_bytes) in &traffic_entries {
-            self.preload_traffic(*key, *traffic_bytes);
+        for (key, plan) in &plan_entries {
+            self.preload_plan(*key, *plan);
         }
         Ok(SnapshotStats {
             compute_entries: compute_entries.len(),
-            traffic_entries: traffic_entries.len(),
+            plan_entries: plan_entries.len(),
             bytes: bytes.len(),
         })
     }
@@ -347,10 +359,7 @@ mod tests {
         assert_eq!(snap.len(), 20 + 16 + 8);
         let fresh = SimCache::new();
         let stats = fresh.load_snapshot(&snap).unwrap();
-        assert_eq!(
-            stats,
-            SnapshotStats { compute_entries: 0, traffic_entries: 0, bytes: snap.len() }
-        );
+        assert_eq!(stats, SnapshotStats { compute_entries: 0, plan_entries: 0, bytes: snap.len() });
         assert_eq!(fresh.stats().entries, 0);
     }
 
@@ -359,7 +368,43 @@ mod tests {
         // The count check bounds a reservation by the payload only if
         // each reserved element is no larger than its encoding.
         assert!(std::mem::size_of::<(ComputeKey, ComputePerf)>() <= COMPUTE_BYTES);
-        assert!(std::mem::size_of::<(TrafficKey, u64)>() <= TRAFFIC_BYTES);
+        assert!(std::mem::size_of::<(PlanKey, TilingPlan)>() <= PLAN_BYTES);
+    }
+
+    #[test]
+    fn plan_tiles_outside_their_loops_are_refused() {
+        // The event model divides by the tile sizes, so a plan record
+        // whose tile is zero or wider than its loop is corruption, not a
+        // plan the search could have found.
+        let cfg = codesign_arch::AcceleratorConfig::paper_default();
+        let work = ConvWork {
+            kind: WorkKind::Dense,
+            groups: 1,
+            in_channels: 8,
+            out_channels: 16,
+            kernel_h: 3,
+            kernel_w: 3,
+            stride: 1,
+            in_h: 18,
+            in_w: 18,
+            out_h: 16,
+            out_w: 16,
+        };
+        let plan = crate::tiling::optimize_tiling(&work, &cfg).unwrap();
+        let round_trip = |plan: TilingPlan| {
+            let cache = SimCache::new();
+            cache.preload_plan(PlanKey::new(&work, &cfg), plan);
+            SimCache::new().load_snapshot(&cache.to_snapshot())
+        };
+        assert_eq!(round_trip(plan).map(|s| s.plan_entries), Ok(1));
+        for bad in [
+            Tiling { out_rows: 0, ..plan.tiling },
+            Tiling { out_channels: 17, ..plan.tiling },
+            Tiling { in_channels: 0, ..plan.tiling },
+        ] {
+            let err = round_trip(TilingPlan { tiling: bad, ..plan }).unwrap_err();
+            assert!(matches!(err, SnapshotError::Corrupted(_)), "{bad:?}: {err}");
+        }
     }
 
     #[test]

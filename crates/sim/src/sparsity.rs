@@ -42,37 +42,61 @@ fn layer_options(base: SimOptions, zero_fraction: Option<f64>) -> SimOptions {
     }
 }
 
-/// Simulates a network with per-layer measured sparsity instead of the
-/// uniform 40 % assumption.
-pub fn simulate_network_measured(
-    network: &Network,
-    cfg: &AcceleratorConfig,
-    policy: DataflowPolicy,
-    opts: SimOptions,
-    sparsity: &SparsityMap,
-) -> NetworkPerf {
-    let sim = Simulator::new();
-    let layers = network
-        .layers()
-        .iter()
-        .map(|layer| {
-            let opts = layer_options(opts, sparsity.get(&layer.name).copied());
-            let simulate = |d| sim.try_simulate_layer(layer, cfg, opts, d);
-            choose_dataflow(policy, simulate, |p| p.total_cycles).map(|(_, perf)| perf)
-        })
-        .collect::<SimResult<_>>()
-        .unwrap_or_else(|e| e.raise());
-    NetworkPerf { name: network.name().to_owned(), layers }
+impl Simulator {
+    /// Simulates a network with per-layer measured sparsity instead of
+    /// the uniform 40 % assumption: each layer in `sparsity` runs with
+    /// its own zero fraction, the rest with `opts`' uniform model.
+    ///
+    /// # Errors
+    ///
+    /// The first [`SimError`](crate::SimError) any layer surfaces,
+    /// attributed to that layer.
+    pub fn try_simulate_network_measured(
+        &self,
+        network: &Network,
+        cfg: &AcceleratorConfig,
+        policy: DataflowPolicy,
+        opts: SimOptions,
+        sparsity: &SparsityMap,
+    ) -> SimResult<NetworkPerf> {
+        let layers = network
+            .layers()
+            .iter()
+            .map(|layer| {
+                let opts = layer_options(opts, sparsity.get(&layer.name).copied());
+                let simulate = |d| self.try_simulate_layer(layer, cfg, opts, d);
+                choose_dataflow(policy, simulate, |p| p.total_cycles).map(|(_, perf)| perf)
+            })
+            .collect::<SimResult<_>>()?;
+        Ok(NetworkPerf { name: network.name().to_owned(), layers })
+    }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::simulate_network;
     use codesign_arch::Dataflow;
     use codesign_dnn::{NetworkBuilder, Shape};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    fn simulate_network(
+        net: &Network,
+        cfg: &AcceleratorConfig,
+        policy: DataflowPolicy,
+        opts: SimOptions,
+    ) -> NetworkPerf {
+        Simulator::new().try_simulate_network(net, cfg, policy, opts).unwrap()
+    }
+
+    fn simulate_network_measured(
+        net: &Network,
+        cfg: &AcceleratorConfig,
+        policy: DataflowPolicy,
+        opts: SimOptions,
+        sparsity: &SparsityMap,
+    ) -> NetworkPerf {
+        Simulator::new().try_simulate_network_measured(net, cfg, policy, opts, sparsity).unwrap()
+    }
 
     fn small_net() -> Network {
         NetworkBuilder::new("t", Shape::new(16, 28, 28))

@@ -13,19 +13,17 @@
 
 use std::fmt;
 
-use codesign_arch::AcceleratorConfig;
+use codesign_arch::{AcceleratorConfig, Dataflow};
 use codesign_dnn::{Layer, Network};
 
+use crate::cache::Lookups;
 use crate::dram::combine_cycles;
-use crate::engine::SimOptions;
-use crate::error::{SimError, SimResult};
+use crate::engine::{SimOptions, Simulator};
+use crate::error::SimResult;
 use crate::nlr::simulate_nlr;
-use crate::os::simulate_os;
-use crate::perf::ComputePerf;
 use crate::rs::simulate_rs;
 use crate::simd::simulate_simd;
 use crate::workload::ConvWork;
-use crate::ws::simulate_ws;
 
 /// All four taxonomy dataflows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -59,48 +57,6 @@ impl TaxonomyDataflow {
 impl fmt::Display for TaxonomyDataflow {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.tag())
-    }
-}
-
-/// Cycles for one layer under all four dataflows at once. Traffic is
-/// dataflow independent, so the (expensive) tiling search runs once per
-/// distinct [`ConvWork`] shape and its DRAM cycles are combined with all
-/// four compute walks; repeated shapes (fire modules, depthwise ladders)
-/// hit the `memo` instead of re-deriving anything.
-fn layer_cycles_all(
-    layer: &Layer,
-    cfg: &AcceleratorConfig,
-    opts: SimOptions,
-    memo: &mut std::collections::HashMap<ConvWork, [u64; 4]>,
-) -> SimResult<[u64; 4]> {
-    match ConvWork::from_layer(layer) {
-        Some(work) => {
-            if let Some(&per) = memo.get(&work) {
-                return Ok(per);
-            }
-            // Validation precedes the cycle models (RS and NLR assume
-            // well-formed work, just like WS and OS).
-            work.validate().map_err(|e| e.for_layer(&layer.name))?;
-            let traffic = opts.layer_traffic(&work, cfg).map_err(|e| e.for_layer(&layer.name))?;
-            let dram = cfg.dram().transfer_cycles(traffic.total());
-            let per = [
-                simulate_ws(&work, cfg),
-                simulate_os(&work, cfg, opts.os),
-                simulate_rs(&work, cfg),
-                simulate_nlr(&work, cfg),
-            ]
-            .map(|perf| combine_cycles(perf.cycles(), dram, cfg));
-            memo.insert(work, per);
-            Ok(per)
-        }
-        None => {
-            let compute: ComputePerf =
-                simulate_simd(layer, cfg).map_err(|e: SimError| e.for_layer(&layer.name))?;
-            let bytes = (layer.input.elements() + layer.output.elements()) as u64
-                * cfg.bytes_per_element() as u64;
-            let cycles = combine_cycles(compute.cycles(), cfg.dram().transfer_cycles(bytes), cfg);
-            Ok([cycles; 4])
-        }
     }
 }
 
@@ -140,56 +96,72 @@ impl TaxonomyComparison {
     }
 }
 
-/// Evaluates the full taxonomy for one network.
-///
-/// # Errors
-///
-/// The first [`SimError`] any layer surfaces, attributed to that layer.
-pub fn try_compare_taxonomy(
-    network: &Network,
-    cfg: &AcceleratorConfig,
-    opts: SimOptions,
-) -> SimResult<TaxonomyComparison> {
-    let mut fixed = [0u64; 4];
-    let mut hybrid2 = 0u64;
-    let mut hybrid4 = 0u64;
-    let mut extra_choices = 0usize;
-    let mut memo = std::collections::HashMap::new();
-    for layer in network.layers() {
-        let per = layer_cycles_all(layer, cfg, opts, &mut memo)?;
-        for (f, c) in fixed.iter_mut().zip(&per) {
-            *f += c;
-        }
-        let two = per[0].min(per[1]);
-        let four = per.iter().copied().fold(u64::MAX, u64::min);
-        hybrid2 += two;
-        hybrid4 += four;
-        if layer.is_compute() && four < two {
-            extra_choices += 1;
-        }
+impl Simulator {
+    /// Cycles for one layer under all four dataflows at once. The WS and
+    /// OS walks and the traffic come from the handle's cache (traffic is
+    /// dataflow independent, so its DRAM cycles are combined with all
+    /// four compute walks); RS and NLR are folded directly.
+    fn layer_cycles_all(
+        &self,
+        layer: &Layer,
+        cfg: &AcceleratorConfig,
+        opts: &SimOptions,
+    ) -> SimResult<[u64; 4]> {
+        let Some(work) = ConvWork::from_layer(layer) else {
+            let compute = simulate_simd(layer, cfg)?;
+            let bytes = (layer.input.elements() + layer.output.elements()) as u64
+                * cfg.bytes_per_element() as u64;
+            let cycles = combine_cycles(compute.cycles(), cfg.dram().transfer_cycles(bytes), cfg);
+            return Ok([cycles; 4]);
+        };
+        let seen = &mut Lookups::default();
+        // The WS lookup validates the work first: RS and NLR assume
+        // well-formed work, just like WS and OS.
+        let ws = self.compute(&work, cfg, opts, Dataflow::WeightStationary, seen)?;
+        let os = self.compute(&work, cfg, opts, Dataflow::OutputStationary, seen)?;
+        let dram = cfg.dram().transfer_cycles(self.traffic(&work, cfg, opts, seen)?.total());
+        Ok([ws, os, simulate_rs(&work, cfg), simulate_nlr(&work, cfg)]
+            .map(|perf| combine_cycles(perf.cycles(), dram, cfg)))
     }
-    Ok(TaxonomyComparison {
-        network: network.name().to_owned(),
-        fixed,
-        hybrid2,
-        hybrid4,
-        extra_choices,
-    })
-}
 
-/// Evaluates the full taxonomy for one network. Infallible wrapper over
-/// [`try_compare_taxonomy`].
-///
-/// # Panics
-///
-/// Panics (through the crate's single panic site) if any layer is
-/// degenerate or infeasible on this configuration.
-pub fn compare_taxonomy(
-    network: &Network,
-    cfg: &AcceleratorConfig,
-    opts: SimOptions,
-) -> TaxonomyComparison {
-    try_compare_taxonomy(network, cfg, opts).unwrap_or_else(|e| e.raise())
+    /// Evaluates the full taxonomy for one network.
+    ///
+    /// # Errors
+    ///
+    /// The first [`SimError`](crate::SimError) any layer surfaces,
+    /// attributed to that layer.
+    pub fn try_compare_taxonomy(
+        &self,
+        network: &Network,
+        cfg: &AcceleratorConfig,
+        opts: SimOptions,
+    ) -> SimResult<TaxonomyComparison> {
+        let mut fixed = [0u64; 4];
+        let mut hybrid2 = 0u64;
+        let mut hybrid4 = 0u64;
+        let mut extra_choices = 0usize;
+        for layer in network.layers() {
+            let per =
+                self.layer_cycles_all(layer, cfg, &opts).map_err(|e| e.for_layer(&layer.name))?;
+            for (f, c) in fixed.iter_mut().zip(&per) {
+                *f += c;
+            }
+            let two = per[0].min(per[1]);
+            let four = per.iter().copied().fold(u64::MAX, u64::min);
+            hybrid2 += two;
+            hybrid4 += four;
+            if layer.is_compute() && four < two {
+                extra_choices += 1;
+            }
+        }
+        Ok(TaxonomyComparison {
+            network: network.name().to_owned(),
+            fixed,
+            hybrid2,
+            hybrid4,
+            extra_choices,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -199,6 +171,14 @@ mod tests {
 
     fn setup() -> (AcceleratorConfig, SimOptions) {
         (AcceleratorConfig::paper_default(), SimOptions::paper_default())
+    }
+
+    fn compare_taxonomy(
+        net: &Network,
+        cfg: &AcceleratorConfig,
+        opts: SimOptions,
+    ) -> TaxonomyComparison {
+        Simulator::new().try_compare_taxonomy(net, cfg, opts).unwrap()
     }
 
     #[test]

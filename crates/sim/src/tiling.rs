@@ -256,6 +256,8 @@ fn lower_bound_rows_channels(
 ///   the error reports the smallest achievable working set so sweeps
 ///   can record *how far* the point missed.
 pub fn optimize_tiling(work: &ConvWork, cfg: &AcceleratorConfig) -> SimResult<TilingPlan> {
+    #[cfg(test)]
+    SEARCHES.with(|n| n.set(n.get() + 1));
     work.validate()?;
     let bytes = cfg.bytes_per_element();
     let budget = cfg.working_buffer_bytes() as u64;
@@ -355,6 +357,13 @@ pub fn optimize_tiling(work: &ConvWork, cfg: &AcceleratorConfig) -> SimResult<Ti
         working_set: smallest_ws.unwrap_or(0),
         buffer: budget,
     })
+}
+
+#[cfg(test)]
+thread_local! {
+    /// [`optimize_tiling`] calls made on this thread, so tests can count
+    /// the searches behind a simulation.
+    pub(crate) static SEARCHES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// The reference exhaustive search: every candidate tiling of every loop

@@ -7,10 +7,7 @@
 
 use codesign_arch::{AcceleratorConfig, Dataflow, DataflowPolicy};
 use codesign_dnn::{ConvSpec, Kernel, Layer, LayerOp, NetworkBuilder, PoolKind, Shape};
-use codesign_sim::{
-    try_compare_taxonomy, try_simulate_layer, try_simulate_layer_event, try_simulate_network,
-    SimOptions,
-};
+use codesign_sim::{SimOptions, Simulator};
 use proptest::prelude::*;
 
 /// A possibly-degenerate feature-map shape. Zero extents are in-range on
@@ -100,8 +97,8 @@ proptest! {
         let Some(cfg) = cfg else { return Ok(()) };
         let opts = SimOptions::paper_default();
         for dataflow in [Dataflow::WeightStationary, Dataflow::OutputStationary] {
-            let _ = try_simulate_layer(&layer, &cfg, opts, dataflow);
-            let _ = try_simulate_layer_event(&layer, &cfg, opts, dataflow);
+            let _ = Simulator::new().try_simulate_layer(&layer, &cfg, opts, dataflow);
+            let _ = Simulator::new().try_simulate_layer_event(&layer, &cfg, opts, dataflow);
         }
     }
 
@@ -110,7 +107,7 @@ proptest! {
     fn errors_are_self_describing((layer, _) in arb_layer(), cfg in arb_config()) {
         let Some(cfg) = cfg else { return Ok(()) };
         let opts = SimOptions::paper_default();
-        if let Err(e) = try_simulate_layer(&layer, &cfg, opts, Dataflow::WeightStationary) {
+        if let Err(e) = Simulator::new().try_simulate_layer(&layer, &cfg, opts, Dataflow::WeightStationary) {
             prop_assert!(!e.to_string().is_empty());
             prop_assert!([
                 "infeasible_tiling",
@@ -139,8 +136,8 @@ proptest! {
         // also a non-panic outcome.
         if let Ok(net) = net {
             let opts = SimOptions::paper_default();
-            let _ = try_simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts);
-            let _ = try_compare_taxonomy(&net, &cfg, opts);
+            let _ = Simulator::new().try_simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts);
+            let _ = Simulator::new().try_compare_taxonomy(&net, &cfg, opts);
         }
     }
 }
@@ -178,13 +175,14 @@ mod pinned {
                 groups: 1,
             },
         );
-        let err = try_simulate_layer(
-            &layer,
-            &cfg,
-            SimOptions::paper_default(),
-            Dataflow::WeightStationary,
-        )
-        .expect_err("zero input channels must be rejected");
+        let err = Simulator::new()
+            .try_simulate_layer(
+                &layer,
+                &cfg,
+                SimOptions::paper_default(),
+                Dataflow::WeightStationary,
+            )
+            .expect_err("zero input channels must be rejected");
         assert_eq!(err.kind(), "invalid_workload");
     }
 
@@ -205,7 +203,8 @@ mod pinned {
             },
         );
         for dataflow in [Dataflow::WeightStationary, Dataflow::OutputStationary] {
-            let err = try_simulate_layer(&layer, &cfg, SimOptions::paper_default(), dataflow)
+            let err = Simulator::new()
+                .try_simulate_layer(&layer, &cfg, SimOptions::paper_default(), dataflow)
                 .expect_err("7x7 kernel cannot slide over a 1x1 plane");
             assert_eq!(err.kind(), "invalid_workload");
         }

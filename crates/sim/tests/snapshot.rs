@@ -46,12 +46,13 @@ fn paper_cfg() -> AcceleratorConfig {
 /// A populated cache to corrupt: one hybrid SqueezeNet run.
 fn sample_snapshot() -> Vec<u8> {
     let sim = Simulator::new();
-    sim.simulate_network(
+    sim.try_simulate_network(
         &zoo::squeezenet_v1_1(),
         &paper_cfg(),
         DataflowPolicy::PerLayer,
         SimOptions::paper_default(),
-    );
+    )
+    .unwrap();
     sim.cache_snapshot().expect("cached simulator snapshots")
 }
 
@@ -289,7 +290,7 @@ fn concurrent_overlapping_clients_miss_less_than_serial_cold_runs() {
     for i in 0..clients {
         let cold = Simulator::new();
         for cfg in slice(i) {
-            cold.simulate_network(&net, cfg, DataflowPolicy::PerLayer, opts);
+            cold.try_simulate_network(&net, cfg, DataflowPolicy::PerLayer, opts).unwrap();
         }
         serial_misses += cold.stats().misses;
     }
@@ -302,7 +303,7 @@ fn concurrent_overlapping_clients_miss_less_than_serial_cold_runs() {
             let configs = slice(i);
             scope.spawn(move || {
                 for cfg in configs {
-                    worker.simulate_network(net, cfg, DataflowPolicy::PerLayer, opts);
+                    worker.try_simulate_network(net, cfg, DataflowPolicy::PerLayer, opts).unwrap();
                 }
             });
         }

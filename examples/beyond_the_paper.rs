@@ -13,13 +13,12 @@
 //! ```
 
 use codesign::arch::{AcceleratorConfig, DataflowPolicy, EnergyModel};
-use codesign::core::fusion_savings;
+use codesign::core::fusion_savings_with;
 use codesign::dnn::zoo;
-use codesign::sim::{
-    compare_taxonomy, simulate_network, simulate_network_event, SimOptions, TaxonomyDataflow,
-};
+use codesign::sim::{SimOptions, Simulator, TaxonomyDataflow, TimeSkip};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let sim = Simulator::new();
     let cfg = AcceleratorConfig::paper_default();
     let opts = SimOptions::paper_default();
     let energy = EnergyModel::default();
@@ -30,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "network", "RS", "NLR", "hybrid2", "hybrid4", "gain"
     );
     for net in zoo::table_networks() {
-        let t = compare_taxonomy(&net, &cfg, opts);
+        let t = sim.try_compare_taxonomy(&net, &cfg, opts)?;
         println!(
             "{:<20} {:>10} {:>10} {:>10} {:>11} {:>7.3}x",
             net.name(),
@@ -46,8 +45,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== 2. what does the analytic max(compute, dram) shortcut hide? ==");
     println!("{:<20} {:>12} {:>12} {:>8} {:>8}", "network", "analytic", "event", "ratio", "stalls");
     for net in zoo::table_networks() {
-        let a = simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts);
-        let e = simulate_network_event(&net, &cfg, DataflowPolicy::PerLayer, opts);
+        let a = sim.try_simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts)?;
+        let e = sim.try_simulate_network_event(
+            &net,
+            &cfg,
+            DataflowPolicy::PerLayer,
+            opts,
+            TimeSkip::Enabled,
+        )?;
         println!(
             "{:<20} {:>12} {:>12} {:>7.2}x {:>7.0}%",
             net.name(),
@@ -65,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut cells = Vec::new();
         for kib in [128usize, 512, 2048, 8192] {
             let buf = AcceleratorConfig::builder().global_buffer_bytes(kib * 1024).build()?;
-            let s = fusion_savings(&net, &buf, opts, &energy);
+            let s = fusion_savings_with(&sim, &net, &buf, opts, &energy)?;
             cells.push(format!("{:>8.0}%", 100.0 * s.dram_fraction_saved()));
         }
         println!("{:<20} {}", net.name(), cells.join(" "));

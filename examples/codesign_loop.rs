@@ -13,21 +13,22 @@
 
 use codesign::arch::{AcceleratorConfig, EnergyModel};
 use codesign::core::{
-    best_by_energy_delay, compare_networks, sweep_full_with, CodesignStudy, SweepSpace,
+    best_by_energy_delay, compare_networks_with, sweep_full_with, CodesignStudy, SweepSpace,
 };
 use codesign::dnn::zoo;
 use codesign::sim::{SimOptions, Simulator};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    // One handle for the whole loop: the ladder and the headlines replay
+    // layer shapes the sweep already simulated.
+    let sim = Simulator::new();
     let opts = SimOptions::paper_default();
     let energy = EnergyModel::default();
 
     println!("step 1: hardware design-space sweep on the baseline (1.0-SqNxt-23v1)");
     let baseline = zoo::squeezenext_variant(1);
     let space = SweepSpace::paper_default();
-    let points = sweep_full_with(&Simulator::new(), &baseline, &space, opts, &energy, 0)
-        .expect("the paper sweep space has no empty axis")
-        .points;
+    let points = sweep_full_with(&sim, &baseline, &space, opts, &energy, 0)?.points;
     let best = best_by_energy_delay(&points).expect("the paper sweep produces valid points");
     println!(
         "  best energy-delay point: {} ({} cycles, util {:.1}%)\n",
@@ -37,7 +38,7 @@ fn main() {
     );
 
     println!("step 2+3: model transformation ladder v1..v5, RF 8 vs RF 16");
-    let study = CodesignStudy::run(opts, &energy);
+    let study = CodesignStudy::run_with(&sim, opts, &energy, 0)?;
     println!(
         "  {:<18} {:>12} {:>12} {:>8} {:>8}",
         "variant", "cycles rf8", "cycles rf16", "util", "MMACs"
@@ -61,7 +62,7 @@ fn main() {
     for (base, paper) in
         [(zoo::squeezenet_v1_0(), "2.59x / 2.25x"), (zoo::alexnet(), "8.26x / 7.5x")]
     {
-        let r = compare_networks(&sqnxt, &base, &cfg, opts, &energy);
+        let r = compare_networks_with(&sim, &sqnxt, &base, &cfg, opts, &energy)?;
         println!(
             "  vs {:<18} {:.2}x faster, {:.2}x less energy   (paper: {})",
             base.name(),
@@ -70,4 +71,5 @@ fn main() {
             paper
         );
     }
+    Ok(())
 }

@@ -11,7 +11,7 @@ use std::process::ExitCode;
 
 use codesign::arch::{AcceleratorConfig, DataflowPolicy};
 use codesign::dnn::zoo;
-use codesign::sim::{simulate_network, Program, SimOptions};
+use codesign::sim::{Program, SimOptions, Simulator};
 
 fn main() -> ExitCode {
     let name = env::args().nth(1).unwrap_or_else(|| "squeezenet-v1.1".to_owned());
@@ -20,9 +20,24 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
 
+    let sim = Simulator::new();
     let cfg = AcceleratorConfig::paper_default();
     let opts = SimOptions::paper_default();
-    let program = Program::compile(&net, &cfg, DataflowPolicy::PerLayer, opts);
+    let simulated = match sim.try_simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts) {
+        Ok(perf) => perf.total_cycles(),
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    // Compiling replays the simulation above from the handle's cache.
+    let program = match Program::try_compile(&sim, &net, &cfg, DataflowPolicy::PerLayer, opts) {
+        Ok(program) => program,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     // Print the first few layers' streams; the full listing for a real
     // network runs to thousands of lines.
@@ -33,7 +48,6 @@ fn main() -> ExitCode {
     println!("    ... ({} commands across {} layers)", program.len(), program.layers.len());
 
     let replayed = program.estimate(&cfg);
-    let simulated = simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts).total_cycles();
     println!("\nreplayed program: {replayed} cycles");
     println!("simulator:        {simulated} cycles");
     assert_eq!(replayed, simulated, "compiled schedule must match the model");

@@ -13,7 +13,7 @@ use std::process::ExitCode;
 use codesign::arch::{AcceleratorConfig, Dataflow};
 use codesign::core::NetworkSchedule;
 use codesign::dnn::zoo;
-use codesign::sim::SimOptions;
+use codesign::sim::{SimOptions, Simulator};
 
 fn main() -> ExitCode {
     let name = env::args().nth(1).unwrap_or_else(|| "squeezenet-v1.0".to_owned());
@@ -24,7 +24,14 @@ fn main() -> ExitCode {
     };
 
     let cfg = AcceleratorConfig::paper_default();
-    let schedule = NetworkSchedule::build(&net, &cfg, SimOptions::paper_default());
+    let opts = SimOptions::paper_default();
+    let schedule = match NetworkSchedule::build_with(&Simulator::new(), &net, &cfg, opts) {
+        Ok(schedule) => schedule,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     println!("{net}");
     println!("{cfg}\n");

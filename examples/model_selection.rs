@@ -10,11 +10,11 @@
 //! ```
 
 use codesign::arch::{AcceleratorConfig, EnergyModel};
-use codesign::core::{select_model, spectrum, Constraints};
+use codesign::core::{select_model, spectrum_with, Constraints};
 use codesign::dnn::zoo;
-use codesign::sim::SimOptions;
+use codesign::sim::{SimError, SimOptions, Simulator};
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let cfg = AcceleratorConfig::paper_default();
     let opts = SimOptions::paper_default();
     let energy = EnergyModel::default();
@@ -24,7 +24,7 @@ fn main() {
     nets.push(zoo::squeezenet_v1_1());
     nets.push(zoo::tiny_darknet());
     nets.extend(zoo::mobilenet_family());
-    let points = spectrum(&nets, &cfg, opts, &energy);
+    let points = spectrum_with(&Simulator::new(), &nets, &cfg, opts, &energy)?;
 
     println!("model spectrum on {cfg}:");
     for p in &points {
@@ -61,4 +61,5 @@ fn main() {
             None => println!("  {name:<42} [{c}] -> no model qualifies"),
         }
     }
+    Ok(())
 }

@@ -9,7 +9,7 @@
 
 use codesign::arch::{AcceleratorConfig, DataflowPolicy};
 use codesign::dnn::{LayerOp, NetworkBuilder, Shape};
-use codesign::sim::{run_network_on_accelerator, SimOptions};
+use codesign::sim::{run_network_on_accelerator, SimOptions, Simulator};
 use codesign::tensor::{run_network, sqnr_db, Filters, QuantScale, Tensor, WeightStore};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -70,14 +70,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let image = Tensor::random(net.input(), 127, &mut rng);
     let reference = run_network(&net, &image, &store)?;
     let cfg = AcceleratorConfig::paper_default();
-    let accel = run_network_on_accelerator(
-        &net,
-        &image,
-        &store,
-        &cfg,
-        DataflowPolicy::PerLayer,
-        SimOptions::paper_default(),
-    )?;
+    let opts = SimOptions::paper_default();
+    let schedule =
+        Simulator::new().try_simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts)?;
+    let accel = run_network_on_accelerator(&net, &image, &store, &cfg, &schedule)?;
     for (name, want) in reference.iter() {
         assert_eq!(accel.get(name), Some(want), "{name} diverged");
     }

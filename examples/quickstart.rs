@@ -7,11 +7,11 @@
 //! ```
 
 use codesign::arch::{AcceleratorConfig, EnergyModel};
-use codesign::core::ArchitectureComparison;
+use codesign::core::compare_all;
 use codesign::dnn::zoo;
-use codesign::sim::SimOptions;
+use codesign::sim::{SimError, SimOptions, Simulator};
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let cfg = AcceleratorConfig::paper_default();
     let opts = SimOptions::paper_default();
     let energy = EnergyModel::default();
@@ -20,7 +20,8 @@ fn main() {
     println!("network: {net}");
     println!("hardware: {cfg}\n");
 
-    let cmp = ArchitectureComparison::evaluate(&net, &cfg, opts, energy);
+    let rows = compare_all(&Simulator::new(), std::slice::from_ref(&net), &cfg, opts, energy, 1)?;
+    let cmp = &rows[0];
     println!("{:<16} {:>12} {:>10} {:>14}", "architecture", "cycles", "ms", "energy (MMAC)");
     for (name, perf) in
         [("WS only", &cmp.ws), ("OS only", &cmp.os), ("Squeezelerator", &cmp.hybrid)]
@@ -45,4 +46,5 @@ fn main() {
         100.0 * cmp.energy_reduction_vs_ws()
     );
     println!("(paper Table 2:         1.26x / 2.06x speedup, 6% / 23% energy)");
+    Ok(())
 }

@@ -14,9 +14,10 @@
 
 use codesign::arch::{AcceleratorConfig, Dataflow, DataflowPolicy, EnergyModel};
 use codesign::dnn::zoo;
-use codesign::sim::{simulate_network, SimOptions};
+use codesign::sim::{SimOptions, Simulator};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let sim = Simulator::new();
     let opts = SimOptions::paper_default();
     let energy = EnergyModel::default();
 
@@ -52,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "architecture", "PEs", "ms", "util", "energy (MMAC)"
         );
         for (name, cfg, policy) in &points {
-            let perf = simulate_network(&net, cfg, *policy, opts);
+            let perf = sim.try_simulate_network(&net, cfg, *policy, opts)?;
             println!(
                 "  {:<28} {:>8} {:>10.2} {:>7.1}% {:>14.0}",
                 name,

@@ -21,16 +21,17 @@
 //! ```
 //! use codesign::arch::{AcceleratorConfig, DataflowPolicy};
 //! use codesign::dnn::zoo;
-//! use codesign::sim::{simulate_network, SimOptions};
+//! use codesign::sim::{SimOptions, Simulator};
 //!
 //! let cfg = AcceleratorConfig::paper_default();
-//! let perf = simulate_network(
+//! let perf = Simulator::new().try_simulate_network(
 //!     &zoo::squeezenet_v1_0(),
 //!     &cfg,
 //!     DataflowPolicy::PerLayer,
 //!     SimOptions::paper_default(),
-//! );
+//! )?;
 //! println!("SqueezeNet v1.0: {:.2} ms", cfg.cycles_to_ms(perf.total_cycles()));
+//! # Ok::<(), codesign::sim::SimError>(())
 //! ```
 
 #![warn(missing_docs)]

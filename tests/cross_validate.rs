@@ -9,7 +9,7 @@ mod loopnest;
 
 use codesign::arch::{AcceleratorConfig, Dataflow};
 use codesign::dnn::{LayerOp, Network, NetworkBuilder, Shape};
-use codesign::sim::{compare_dataflows, simulate_rs, ConvWork, SimOptions};
+use codesign::sim::{simulate_rs, ConvWork, SimOptions, Simulator};
 use codesign::tensor::ops::conv2d;
 use codesign::tensor::{Filters, Tensor};
 use loopnest::Data;
@@ -47,7 +47,7 @@ fn simulated_cycles_equal_the_loop_nest_spec() {
     for cfg in configs() {
         for layer in net.layers() {
             let Some(work) = ConvWork::from_layer(layer) else { continue };
-            let (ws, os, _) = compare_dataflows(layer, &cfg, opts);
+            let (ws, os, _) = Simulator::new().try_compare_dataflows(layer, &cfg, opts).unwrap();
             let ws_spec = loopnest::ws(&work, &cfg, None).perf.cycles();
             let os_spec = loopnest::os(&work, &cfg, opts.os, None).perf.cycles();
             assert_eq!(ws.compute.cycles(), ws_spec, "{} on {cfg}: WS", layer.name);
@@ -101,7 +101,7 @@ fn depthwise_layers_prefer_os_at_both_levels() {
     let net = layer_grid();
     for layer in net.layers().iter().filter(|l| l.name.starts_with("dw")) {
         let work = ConvWork::from_layer(layer).expect("dw layers map to the PE array");
-        let (ws, os, best) = compare_dataflows(layer, &cfg, opts);
+        let (ws, os, best) = Simulator::new().try_compare_dataflows(layer, &cfg, opts).unwrap();
         assert_eq!(best, Dataflow::OutputStationary, "{}", layer.name);
         assert!(os.compute.cycles() < ws.compute.cycles(), "{}", layer.name);
         let os_spec = loopnest::os(&work, &cfg, opts.os, None).perf.cycles();

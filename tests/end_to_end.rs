@@ -4,7 +4,7 @@
 
 use codesign::arch::{AcceleratorConfig, Dataflow, DataflowPolicy, EnergyModel};
 use codesign::dnn::zoo;
-use codesign::sim::{cycle, simulate_network, simulate_rs, ConvWork, NetworkPerf, SimOptions};
+use codesign::sim::{cycle, simulate_rs, ConvWork, NetworkPerf, SimOptions, Simulator};
 
 fn all_networks() -> Vec<codesign::dnn::Network> {
     let mut nets = zoo::table_networks();
@@ -29,7 +29,7 @@ fn every_network_simulates_on_every_architecture() {
     let energy = EnergyModel::default();
     for net in all_networks() {
         for policy in policies() {
-            let perf = simulate_network(&net, &cfg, policy, opts);
+            let perf = Simulator::new().try_simulate_network(&net, &cfg, policy, opts).unwrap();
             assert!(perf.total_cycles() > 0, "{} on {policy}", net.name());
             assert!(perf.total_energy(&energy) > 0.0, "{} on {policy}", net.name());
             assert_eq!(perf.layers.len(), net.layers().len());
@@ -52,8 +52,10 @@ fn hybrid_is_min_of_fixed_architectures_per_layer() {
     let cfg = AcceleratorConfig::paper_default();
     let opts = SimOptions::paper_default();
     for net in all_networks() {
-        let runs: Vec<NetworkPerf> =
-            policies().iter().map(|p| simulate_network(&net, &cfg, *p, opts)).collect();
+        let runs: Vec<NetworkPerf> = policies()
+            .iter()
+            .map(|p| Simulator::new().try_simulate_network(&net, &cfg, *p, opts).unwrap())
+            .collect();
         let (hybrid, ws, os) = (&runs[0], &runs[1], &runs[2]);
         for ((h, w), o) in hybrid.layers.iter().zip(&ws.layers).zip(&os.layers) {
             assert_eq!(h.total_cycles, w.total_cycles.min(o.total_cycles), "{}", h.name);
@@ -69,8 +71,14 @@ fn ws_executes_every_algorithmic_mac() {
     let cfg = AcceleratorConfig::paper_default();
     let opts = SimOptions::paper_default();
     for net in all_networks() {
-        let perf =
-            simulate_network(&net, &cfg, DataflowPolicy::Fixed(Dataflow::WeightStationary), opts);
+        let perf = Simulator::new()
+            .try_simulate_network(
+                &net,
+                &cfg,
+                DataflowPolicy::Fixed(Dataflow::WeightStationary),
+                opts,
+            )
+            .unwrap();
         assert_eq!(perf.total_macs(), net.total_macs(), "{}", net.name());
     }
 }
@@ -106,8 +114,9 @@ fn os_sparsity_skips_about_forty_percent_of_conv_macs() {
     let opts = SimOptions::paper_default();
     // Pick a network without FC dominance (OS FC does not skip zeros).
     let net = zoo::squeezenet_v1_0();
-    let perf =
-        simulate_network(&net, &cfg, DataflowPolicy::Fixed(Dataflow::OutputStationary), opts);
+    let perf = Simulator::new()
+        .try_simulate_network(&net, &cfg, DataflowPolicy::Fixed(Dataflow::OutputStationary), opts)
+        .unwrap();
     let ratio = perf.total_macs() as f64 / net.total_macs() as f64;
     assert!((ratio - 0.6).abs() < 0.02, "executed/dense = {ratio}");
 }
@@ -121,7 +130,10 @@ fn array_size_sweep_is_monotone_for_squeezenet() {
     let mut last = u64::MAX;
     for n in [8, 16, 32] {
         let cfg = AcceleratorConfig::builder().array_size(n).build().unwrap();
-        let cycles = simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts).total_cycles();
+        let cycles = Simulator::new()
+            .try_simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts)
+            .unwrap()
+            .total_cycles();
         assert!(cycles <= last, "array {n} got slower: {cycles} > {last}");
         last = cycles;
     }
@@ -137,8 +149,14 @@ fn disabling_double_buffering_never_helps() {
         .build()
         .unwrap();
     for net in zoo::table_networks() {
-        let a = simulate_network(&net, &with_db, DataflowPolicy::PerLayer, opts).total_cycles();
-        let b = simulate_network(&net, &without_db, DataflowPolicy::PerLayer, opts).total_cycles();
+        let a = Simulator::new()
+            .try_simulate_network(&net, &with_db, DataflowPolicy::PerLayer, opts)
+            .unwrap()
+            .total_cycles();
+        let b = Simulator::new()
+            .try_simulate_network(&net, &without_db, DataflowPolicy::PerLayer, opts)
+            .unwrap()
+            .total_cycles();
         assert!(a <= b, "{}: {a} vs {b}", net.name());
     }
 }
@@ -148,7 +166,8 @@ fn energy_model_scaling_is_linear() {
     let cfg = AcceleratorConfig::paper_default();
     let opts = SimOptions::paper_default();
     let net = zoo::tiny_darknet();
-    let perf = simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts);
+    let perf =
+        Simulator::new().try_simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts).unwrap();
     let base = EnergyModel::default();
     let doubled = EnergyModel {
         mac: 2.0 * base.mac,
@@ -190,8 +209,10 @@ fn accelerator_execution_is_bit_exact_end_to_end() {
 
     let cfg = AcceleratorConfig::paper_default();
     let opts = SimOptions::paper_default();
+    let sim = Simulator::new();
     for policy in policies() {
-        let accel = run_network_on_accelerator(&net, &image, &weights, &cfg, policy, opts).unwrap();
+        let schedule = sim.try_simulate_network(&net, &cfg, policy, opts).unwrap();
+        let accel = run_network_on_accelerator(&net, &image, &weights, &cfg, &schedule).unwrap();
         for (name, want) in reference.iter() {
             assert_eq!(accel.get(name), Some(want), "{name} under {policy}");
         }

@@ -17,8 +17,8 @@ use codesign::arch::{AcceleratorConfig, DataflowPolicy};
 use codesign::dnn::{zoo, Network, NetworkBuilder, Shape};
 use codesign::sim::cycle::{self, MachineTrace};
 use codesign::sim::{
-    simulate_os, simulate_rs, simulate_ws, try_simulate_network_event_mode, ComputePerf, ConvWork,
-    OsModelOptions, SimOptions, SparsityModel, TimeSkip, WorkKind,
+    simulate_os, simulate_rs, simulate_ws, ComputePerf, ConvWork, OsModelOptions, SimOptions,
+    Simulator, SparsityModel, TimeSkip, WorkKind,
 };
 use loopnest::Walk;
 use proptest::prelude::*;
@@ -200,22 +200,24 @@ fn event_time_skip_matches_the_interleaved_baseline_on_the_zoo() {
     let cfg = AcceleratorConfig::paper_default();
     let opts = SimOptions::paper_default();
     for net in zoo::table_networks() {
-        let fast = try_simulate_network_event_mode(
-            &net,
-            &cfg,
-            DataflowPolicy::PerLayer,
-            opts,
-            TimeSkip::Enabled,
-        )
-        .expect("zoo networks simulate");
-        let baseline = try_simulate_network_event_mode(
-            &net,
-            &cfg,
-            DataflowPolicy::PerLayer,
-            opts,
-            TimeSkip::Disabled,
-        )
-        .expect("zoo networks simulate");
+        let fast = Simulator::new()
+            .try_simulate_network_event(
+                &net,
+                &cfg,
+                DataflowPolicy::PerLayer,
+                opts,
+                TimeSkip::Enabled,
+            )
+            .expect("zoo networks simulate");
+        let baseline = Simulator::new()
+            .try_simulate_network_event(
+                &net,
+                &cfg,
+                DataflowPolicy::PerLayer,
+                opts,
+                TimeSkip::Disabled,
+            )
+            .expect("zoo networks simulate");
         assert_eq!(fast, baseline, "{}", net.name());
     }
 }
@@ -270,7 +272,7 @@ proptest! {
     ) {
         let opts = SimOptions::paper_default();
         let run = |skip| {
-            try_simulate_network_event_mode(&net, &cfg, DataflowPolicy::PerLayer, opts, skip)
+            Simulator::new().try_simulate_network_event(&net, &cfg, DataflowPolicy::PerLayer, opts, skip)
         };
         let (fast, walk) = (run(TimeSkip::Enabled), run(TimeSkip::Disabled));
         prop_assert_eq!(format!("{fast:?}"), format!("{walk:?}"), "{} on {}", net, cfg);

@@ -11,7 +11,7 @@
 
 use codesign::arch::{AcceleratorConfig, Dataflow, DataflowPolicy};
 use codesign::dnn::{zoo, Network};
-use codesign::sim::{run_network_on_accelerator_jobs, SimOptions};
+use codesign::sim::{run_network_on_accelerator_jobs, SimOptions, Simulator};
 use codesign::tensor::{
     run_network_reference, run_network_with, NetworkActivations, Tensor, WeightStore,
 };
@@ -69,20 +69,15 @@ fn gemm_executor_matches_reference_on_zoo() {
 fn accelerator_schedules_match_reference_on_zoo() {
     let cfg = AcceleratorConfig::paper_default();
     let opts = SimOptions::paper_default();
+    let sim = Simulator::new();
     for net in networks() {
         let (image, weights) = case(&net);
         let reference = run_network_reference(&net, &image, &weights).unwrap();
         for flow in [Dataflow::WeightStationary, Dataflow::OutputStationary] {
-            let acts = run_network_on_accelerator_jobs(
-                &net,
-                &image,
-                &weights,
-                &cfg,
-                DataflowPolicy::Fixed(flow),
-                opts,
-                1,
-            )
-            .unwrap();
+            let schedule =
+                sim.try_simulate_network(&net, &cfg, DataflowPolicy::Fixed(flow), opts).unwrap();
+            let acts = run_network_on_accelerator_jobs(&net, &image, &weights, &cfg, &schedule, 1)
+                .unwrap();
             assert_layers_identical(&net, flow.tag(), &reference, &acts);
         }
     }

@@ -5,13 +5,25 @@
 
 use codesign::arch::{AcceleratorConfig, Dataflow, EnergyModel};
 use codesign::core::{
-    advantage_range, compare_networks, ArchitectureComparison, CodesignStudy, NetworkSchedule,
+    advantage_range_with, compare_all, compare_networks_with, ArchitectureComparison,
+    CodesignStudy, NetworkSchedule,
 };
-use codesign::dnn::{zoo, LayerClass, MacBreakdown};
-use codesign::sim::SimOptions;
+use codesign::dnn::{zoo, LayerClass, MacBreakdown, Network};
+use codesign::sim::{SimOptions, Simulator};
 
 fn ctx() -> (AcceleratorConfig, SimOptions, EnergyModel) {
     (AcceleratorConfig::paper_default(), SimOptions::paper_default(), EnergyModel::default())
+}
+
+/// The Table-2 row of one network: hybrid, WS and OS runs.
+fn evaluate(
+    net: &Network,
+    cfg: &AcceleratorConfig,
+    opts: SimOptions,
+    em: EnergyModel,
+) -> ArchitectureComparison {
+    let rows = compare_all(&Simulator::new(), std::slice::from_ref(net), cfg, opts, em, 1);
+    rows.expect("table networks simulate").remove(0)
 }
 
 // ---------------------------------------------------------------- T1 --
@@ -40,7 +52,7 @@ fn t1_table1_mac_shares() {
 #[test]
 fn t2_speedup_orderings_match_table2() {
     let (cfg, opts, em) = ctx();
-    let row = |net: &codesign::dnn::Network| ArchitectureComparison::evaluate(net, &cfg, opts, em);
+    let row = |net: &codesign::dnn::Network| evaluate(net, &cfg, opts, em);
     let alex = row(&zoo::alexnet());
     let mobile = row(&zoo::mobilenet_v1());
     let tiny = row(&zoo::tiny_darknet());
@@ -65,7 +77,7 @@ fn t2_speedup_orderings_match_table2() {
 fn t2_energy_reductions_have_the_right_shape() {
     let (cfg, opts, em) = ctx();
     for net in zoo::table_networks() {
-        let c = ArchitectureComparison::evaluate(&net, &cfg, opts, em);
+        let c = evaluate(&net, &cfg, opts, em);
         // Energy vs WS is positive for every network in Table 2.
         assert!(
             c.energy_reduction_vs_ws() > 0.0,
@@ -89,7 +101,7 @@ fn s2_squeezenet_v1_0_improvements() {
     // reference OS and WS architectures". Shape: solid gain vs both,
     // roughly 2x larger against WS.
     let (cfg, opts, em) = ctx();
-    let c = ArchitectureComparison::evaluate(&zoo::squeezenet_v1_0(), &cfg, opts, em);
+    let c = evaluate(&zoo::squeezenet_v1_0(), &cfg, opts, em);
     assert!(c.speedup_vs_os() > 1.15, "vs OS = {:.2}", c.speedup_vs_os());
     assert!(c.speedup_vs_ws() > 1.8, "vs WS = {:.2}", c.speedup_vs_ws());
     assert!(c.speedup_vs_ws() > c.speedup_vs_os());
@@ -102,7 +114,8 @@ fn f1_squeezelerator_tracks_ws_with_a_fixed_first_layer() {
     // "The overall trend is similar to that of the WS architecture, but
     // the performance of the first layer is noticeably improved."
     let (cfg, opts, _) = ctx();
-    let s = NetworkSchedule::build(&zoo::squeezenet_v1_0(), &cfg, opts);
+    let s = NetworkSchedule::build_with(&Simulator::new(), &zoo::squeezenet_v1_0(), &cfg, opts)
+        .unwrap();
     let conv1 = s.entry("conv1").unwrap();
     assert_eq!(conv1.chosen, Some(Dataflow::OutputStationary));
     assert!(conv1.ws_cycles as f64 / conv1.os_cycles as f64 > 2.0);
@@ -121,7 +134,8 @@ fn f1_early_3x3_picks_os_late_3x3_picks_ws() {
     // array and the size of the feature map is the main cause of the
     // performance degradation."
     let (cfg, opts, _) = ctx();
-    let s = NetworkSchedule::build(&zoo::squeezenet_v1_0(), &cfg, opts);
+    let s = NetworkSchedule::build_with(&Simulator::new(), &zoo::squeezenet_v1_0(), &cfg, opts)
+        .unwrap();
     assert_eq!(s.entry("fire2/expand3x3").unwrap().chosen, Some(Dataflow::OutputStationary));
     let late = s.entry("fire9/expand3x3").unwrap();
     assert!(late.os_cycles > late.ws_cycles, "13x13 map should degrade OS");
@@ -133,14 +147,18 @@ fn f1_early_3x3_picks_os_late_3x3_picks_ws() {
 fn f3_variant_ladder_descends_and_first_layer_shrink_helps() {
     let (cfg, opts, em) = ctx();
     let variants = zoo::squeezenext_variants();
-    let cycles: Vec<u64> =
-        variants.iter().map(|v| NetworkSchedule::build(v, &cfg, opts).total_cycles()).collect();
+    let cycles: Vec<u64> = variants
+        .iter()
+        .map(|v| {
+            NetworkSchedule::build_with(&Simulator::new(), v, &cfg, opts).unwrap().total_cycles()
+        })
+        .collect();
     for w in cycles.windows(2) {
         assert!(w[1] <= w[0], "ladder must descend: {cycles:?}");
     }
     // v1 -> v2 isolates the 7x7 -> 5x5 first-filter reduction.
-    let s1 = NetworkSchedule::build(&variants[0], &cfg, opts);
-    let s2 = NetworkSchedule::build(&variants[1], &cfg, opts);
+    let s1 = NetworkSchedule::build_with(&Simulator::new(), &variants[0], &cfg, opts).unwrap();
+    let s2 = NetworkSchedule::build_with(&Simulator::new(), &variants[1], &cfg, opts).unwrap();
     assert!(s2.entry("conv1").unwrap().hybrid_cycles < s1.entry("conv1").unwrap().hybrid_cycles);
     let _ = em;
 }
@@ -150,7 +168,9 @@ fn f3_early_layers_have_low_utilization() {
     // "the initial layers have very low utilization which adversely
     // affects inference time and energy consumption".
     let (cfg, opts, _) = ctx();
-    let s = NetworkSchedule::build(&zoo::squeezenext_variant(1), &cfg, opts);
+    let s =
+        NetworkSchedule::build_with(&Simulator::new(), &zoo::squeezenext_variant(1), &cfg, opts)
+            .unwrap();
     let early: Vec<f64> = s
         .entries
         .iter()
@@ -188,7 +208,7 @@ fn f4_squeezenext_dominates_squeezenet_and_darknet() {
     nets.push(zoo::squeezenet_v1_0());
     nets.push(zoo::squeezenet_v1_1());
     nets.push(zoo::tiny_darknet());
-    let points = codesign::core::spectrum(&nets, &cfg, opts, &em);
+    let points = codesign::core::spectrum_with(&Simulator::new(), &nets, &cfg, opts, &em).unwrap();
     for axis in [codesign::core::CostAxis::Time, codesign::core::CostAxis::Energy] {
         let front = codesign::core::pareto_front(&points, axis);
         assert!(!front.is_empty());
@@ -207,19 +227,43 @@ fn s1_dataflow_advantage_ranges() {
     let nets = zoo::table_networks();
 
     // 1x1: paper 1.4x-7.0x faster on WS.
-    let pw = advantage_range(&nets, LayerClass::Pointwise, Dataflow::WeightStationary, &cfg, opts)
-        .unwrap();
+    let pw = advantage_range_with(
+        &Simulator::new(),
+        &nets,
+        LayerClass::Pointwise,
+        Dataflow::WeightStationary,
+        &cfg,
+        opts,
+    )
+    .unwrap()
+    .unwrap();
     assert!(pw.max > 2.0 && pw.max < 20.0, "1x1 max = {:.2}", pw.max);
 
     // First conv: paper 1.6x-6.3x faster on OS.
-    let c1 = advantage_range(&nets, LayerClass::FirstConv, Dataflow::OutputStationary, &cfg, opts)
-        .unwrap();
+    let c1 = advantage_range_with(
+        &Simulator::new(),
+        &nets,
+        LayerClass::FirstConv,
+        Dataflow::OutputStationary,
+        &cfg,
+        opts,
+    )
+    .unwrap()
+    .unwrap();
     assert!(c1.min > 1.0, "conv1 min = {:.2}", c1.min);
     assert!(c1.max < 30.0, "conv1 max = {:.2}", c1.max);
 
     // Depthwise: paper 19x-96x faster on OS.
-    let dw = advantage_range(&nets, LayerClass::Depthwise, Dataflow::OutputStationary, &cfg, opts)
-        .unwrap();
+    let dw = advantage_range_with(
+        &Simulator::new(),
+        &nets,
+        LayerClass::Depthwise,
+        Dataflow::OutputStationary,
+        &cfg,
+        opts,
+    )
+    .unwrap()
+    .unwrap();
     assert!(dw.max > 10.0 && dw.max < 300.0, "dw max = {:.1}", dw.max);
 }
 
@@ -229,7 +273,15 @@ fn s1_dataflow_advantage_ranges() {
 fn s3_headline_squeezenext_vs_squeezenet() {
     // "2.59x faster and 2.25x more energy efficient than SqueezeNet 1.0".
     let (cfg, opts, em) = ctx();
-    let r = compare_networks(&zoo::squeezenext(), &zoo::squeezenet_v1_0(), &cfg, opts, &em);
+    let r = compare_networks_with(
+        &Simulator::new(),
+        &zoo::squeezenext(),
+        &zoo::squeezenet_v1_0(),
+        &cfg,
+        opts,
+        &em,
+    )
+    .unwrap();
     assert!((r.speedup - 2.59).abs() < 0.7, "speedup = {:.2}", r.speedup);
     assert!((r.energy_gain - 2.25).abs() < 0.8, "energy = {:.2}", r.energy_gain);
 }
@@ -238,7 +290,15 @@ fn s3_headline_squeezenext_vs_squeezenet() {
 fn s3_headline_squeezenext_vs_alexnet() {
     // "8.26x and 7.5x when compared to AlexNet".
     let (cfg, opts, em) = ctx();
-    let r = compare_networks(&zoo::squeezenext(), &zoo::alexnet(), &cfg, opts, &em);
+    let r = compare_networks_with(
+        &Simulator::new(),
+        &zoo::squeezenext(),
+        &zoo::alexnet(),
+        &cfg,
+        opts,
+        &em,
+    )
+    .unwrap();
     assert!(r.speedup > 4.5 && r.speedup < 12.0, "speedup = {:.2}", r.speedup);
     assert!(r.energy_gain > 4.5 && r.energy_gain < 12.0, "energy = {:.2}", r.energy_gain);
 }
@@ -246,7 +306,13 @@ fn s3_headline_squeezenext_vs_alexnet() {
 #[test]
 fn s3_rf_tuneup_completes_the_codesign() {
     // "only some fine-tuning of register file size was required".
-    let study = CodesignStudy::run(SimOptions::paper_default(), &EnergyModel::default());
+    let study = CodesignStudy::run_with(
+        &Simulator::new(),
+        SimOptions::paper_default(),
+        &EnergyModel::default(),
+        0,
+    )
+    .unwrap();
     let v5_rf8 = study.before_tuneup.last().unwrap().cycles;
     let v5_rf16 = study.after_tuneup.last().unwrap().cycles;
     assert!(v5_rf16 < v5_rf8);
@@ -259,12 +325,9 @@ fn alexnet_runtime_is_fc_dominated() {
     // "AlexNet ... takes up 80% of energy and 73% of its run time in the
     // three fully-connected layers".
     let (cfg, opts, _) = ctx();
-    let perf = codesign::sim::simulate_network(
-        &zoo::alexnet(),
-        &cfg,
-        codesign::arch::DataflowPolicy::PerLayer,
-        opts,
-    );
+    let perf = Simulator::new()
+        .try_simulate_network(&zoo::alexnet(), &cfg, codesign::arch::DataflowPolicy::PerLayer, opts)
+        .unwrap();
     let fc_share = perf.cycle_fraction(|l| l.name.starts_with("fc"));
     assert!((0.55..0.90).contains(&fc_share), "fc share = {fc_share:.2}");
 }
@@ -275,12 +338,9 @@ fn mobilenet_energy_is_dram_dominated() {
     // consumption in this network than in other DNNs".
     let (cfg, opts, em) = ctx();
     let dram_share = |net: &codesign::dnn::Network| {
-        let perf = codesign::sim::simulate_network(
-            net,
-            &cfg,
-            codesign::arch::DataflowPolicy::PerLayer,
-            opts,
-        );
+        let perf = Simulator::new()
+            .try_simulate_network(net, &cfg, codesign::arch::DataflowPolicy::PerLayer, opts)
+            .unwrap();
         let acc = perf.total_accesses();
         acc.dram as f64 * em.dram / perf.total_energy(&em)
     };

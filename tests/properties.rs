@@ -6,8 +6,7 @@
 use codesign::arch::{AcceleratorConfig, Dataflow, DataflowPolicy};
 use codesign::dnn::{Network, NetworkBuilder, Shape};
 use codesign::sim::{
-    simulate_network, simulate_network_batched, ConvWork, OsModelOptions, SimOptions,
-    SparsityModel, WorkKind,
+    ConvWork, OsModelOptions, Program, SimOptions, Simulator, SparsityModel, WorkKind,
 };
 use proptest::prelude::*;
 
@@ -105,9 +104,9 @@ proptest! {
     #[test]
     fn hybrid_invariants(net in network(), cfg in config()) {
         let opts = SimOptions::paper_default();
-        let hybrid = simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts);
-        let ws = simulate_network(&net, &cfg, DataflowPolicy::Fixed(Dataflow::WeightStationary), opts);
-        let os = simulate_network(&net, &cfg, DataflowPolicy::Fixed(Dataflow::OutputStationary), opts);
+        let hybrid = Simulator::new().try_simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts).unwrap();
+        let ws = Simulator::new().try_simulate_network(&net, &cfg, DataflowPolicy::Fixed(Dataflow::WeightStationary), opts).unwrap();
+        let os = Simulator::new().try_simulate_network(&net, &cfg, DataflowPolicy::Fixed(Dataflow::OutputStationary), opts).unwrap();
         for ((h, w), o) in hybrid.layers.iter().zip(&ws.layers).zip(&os.layers) {
             prop_assert_eq!(h.total_cycles, w.total_cycles.min(o.total_cycles));
             prop_assert!((0.0..=1.0).contains(&h.utilization));
@@ -119,7 +118,7 @@ proptest! {
     #[test]
     fn ws_mac_conservation(net in network(), cfg in config()) {
         let opts = SimOptions::paper_default();
-        let ws = simulate_network(&net, &cfg, DataflowPolicy::Fixed(Dataflow::WeightStationary), opts);
+        let ws = Simulator::new().try_simulate_network(&net, &cfg, DataflowPolicy::Fixed(Dataflow::WeightStationary), opts).unwrap();
         prop_assert_eq!(ws.total_macs(), net.total_macs());
     }
 
@@ -187,9 +186,9 @@ proptest! {
     fn batching_is_monotone(net in network(), batch in 1u64..=8) {
         let cfg = AcceleratorConfig::paper_default();
         let opts = SimOptions::paper_default();
-        let b1 = simulate_network_batched(&net, &cfg, DataflowPolicy::PerLayer, opts, 1)
+        let b1 = Simulator::new().try_simulate_network_batched(&net, &cfg, DataflowPolicy::PerLayer, opts, 1).unwrap()
             .total_cycles() as f64;
-        let bn = simulate_network_batched(&net, &cfg, DataflowPolicy::PerLayer, opts, batch)
+        let bn = Simulator::new().try_simulate_network_batched(&net, &cfg, DataflowPolicy::PerLayer, opts, batch).unwrap()
             .total_cycles() as f64 / batch as f64;
         prop_assert!(bn <= b1 * 1.0001, "batch {batch}: {bn} > {b1}");
     }
@@ -218,8 +217,8 @@ proptest! {
     fn program_replay_matches(net in network()) {
         let cfg = AcceleratorConfig::paper_default();
         let opts = SimOptions::paper_default();
-        let program = codesign::sim::Program::compile(&net, &cfg, DataflowPolicy::PerLayer, opts);
-        let simulated = simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts);
+        let program = Program::try_compile(&Simulator::new(), &net, &cfg, DataflowPolicy::PerLayer, opts).unwrap();
+        let simulated = Simulator::new().try_simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts).unwrap();
         prop_assert_eq!(program.estimate(&cfg), simulated.total_cycles());
     }
 

@@ -4,10 +4,7 @@
 
 use codesign::arch::{AcceleratorConfig, Dataflow, DataflowPolicy, DramModel, EnergyModel};
 use codesign::dnn::{parse_network, zoo, NetworkBuilder, Shape};
-use codesign::sim::{
-    simulate_network, simulate_network_event, try_compare_taxonomy, try_simulate_network,
-    validate_network, Program, SimOptions,
-};
+use codesign::sim::{validate_network, Program, SimOptions, Simulator, TimeSkip};
 
 fn opts() -> SimOptions {
     SimOptions::paper_default()
@@ -30,8 +27,9 @@ fn tiny_array_tiny_buffer_rejects_with_infeasible_tiling() {
         DataflowPolicy::Fixed(Dataflow::WeightStationary),
         DataflowPolicy::Fixed(Dataflow::OutputStationary),
     ] {
-        let err =
-            try_simulate_network(&net, &cfg, policy, opts()).expect_err("64 B cannot fit any tile");
+        let err = Simulator::new()
+            .try_simulate_network(&net, &cfg, policy, opts())
+            .expect_err("64 B cannot fit any tile");
         assert_eq!(err.kind(), "infeasible_tiling");
         assert!(err.layer().is_some(), "error should name the layer: {err}");
     }
@@ -53,7 +51,7 @@ fn tiny_array_small_buffer_still_simulates() {
         DataflowPolicy::Fixed(Dataflow::WeightStationary),
         DataflowPolicy::Fixed(Dataflow::OutputStationary),
     ] {
-        let perf = simulate_network(&net, &cfg, policy, opts());
+        let perf = Simulator::new().try_simulate_network(&net, &cfg, policy, opts()).unwrap();
         assert!(perf.total_cycles() > 0);
         for l in &perf.layers {
             assert!((0.0..=1.0).contains(&l.utilization), "{}", l.name);
@@ -70,7 +68,9 @@ fn huge_array_on_tiny_network() {
         .unwrap();
     let net =
         NetworkBuilder::new("tiny", Shape::new(1, 4, 4)).conv("c", 1, 1, 1, 0).finish().unwrap();
-    let perf = simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts());
+    let perf = Simulator::new()
+        .try_simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts())
+        .unwrap();
     assert!(perf.total_cycles() > 0);
     // 16 MACs on 65536 PEs: utilization is minuscule but well-formed.
     assert!(perf.layers[0].utilization < 1e-3);
@@ -84,13 +84,17 @@ fn pathological_dram_models() {
         .dram(DramModel { latency_cycles: 100_000, bytes_per_cycle: 0.01 })
         .build()
         .unwrap();
-    let p_slow = simulate_network(&net, &slow, DataflowPolicy::PerLayer, opts());
+    let p_slow = Simulator::new()
+        .try_simulate_network(&net, &slow, DataflowPolicy::PerLayer, opts())
+        .unwrap();
     // Instant DRAM: everything is compute bound.
     let fast = AcceleratorConfig::builder()
         .dram(DramModel { latency_cycles: 0, bytes_per_cycle: 1e12 })
         .build()
         .unwrap();
-    let p_fast = simulate_network(&net, &fast, DataflowPolicy::PerLayer, opts());
+    let p_fast = Simulator::new()
+        .try_simulate_network(&net, &fast, DataflowPolicy::PerLayer, opts())
+        .unwrap();
     assert!(p_slow.total_cycles() > 100 * p_fast.total_cycles());
     for l in &p_fast.layers {
         assert_eq!(l.dram_cycles, if l.dram_bytes == 0 { 0 } else { 1 }.min(l.dram_cycles));
@@ -102,8 +106,12 @@ fn detection_scale_input_simulates_everywhere() {
     // The SqueezeDet trunk's 18 MB activations exercise every tiling path.
     let cfg = AcceleratorConfig::paper_default();
     let net = zoo::squeezedet_trunk();
-    let analytic = simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts());
-    let event = simulate_network_event(&net, &cfg, DataflowPolicy::PerLayer, opts());
+    let analytic = Simulator::new()
+        .try_simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts())
+        .unwrap();
+    let event = Simulator::new()
+        .try_simulate_network_event(&net, &cfg, DataflowPolicy::PerLayer, opts(), TimeSkip::Enabled)
+        .unwrap();
     assert!(analytic.total_cycles() > 0);
     let ratio = event.total_cycles() as f64 / analytic.total_cycles() as f64;
     assert!((0.8..1.5).contains(&ratio), "event/analytic = {ratio:.3}");
@@ -118,7 +126,9 @@ fn degenerate_networks_are_handled() {
         .finish()
         .unwrap();
     let cfg = AcceleratorConfig::paper_default();
-    let perf = simulate_network(&dot, &cfg, DataflowPolicy::PerLayer, opts());
+    let perf = Simulator::new()
+        .try_simulate_network(&dot, &cfg, DataflowPolicy::PerLayer, opts())
+        .unwrap();
     assert_eq!(perf.layers.len(), 2);
 
     // Single-channel depthwise.
@@ -126,7 +136,13 @@ fn degenerate_networks_are_handled() {
         .depthwise_conv("dw", 3, 1, 1)
         .finish()
         .unwrap();
-    assert!(simulate_network(&mono, &cfg, DataflowPolicy::PerLayer, opts()).total_cycles() > 0);
+    assert!(
+        Simulator::new()
+            .try_simulate_network(&mono, &cfg, DataflowPolicy::PerLayer, opts())
+            .unwrap()
+            .total_cycles()
+            > 0
+    );
 }
 
 #[test]
@@ -149,7 +165,9 @@ fn hostile_model_files_error_cleanly() {
 fn energy_is_finite_under_extreme_unit_costs() {
     let net = zoo::mobilenet_v1();
     let cfg = AcceleratorConfig::paper_default();
-    let perf = simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts());
+    let perf = Simulator::new()
+        .try_simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts())
+        .unwrap();
     let extreme = EnergyModel {
         mac: 1e-9,
         register_file: 1e9,
@@ -163,11 +181,15 @@ fn energy_is_finite_under_extreme_unit_costs() {
 
 #[test]
 fn sixty_four_cores_saturate_not_crash() {
-    use codesign::sim::{simulate_network_multicore, MultiCoreConfig};
+    use codesign::sim::MultiCoreConfig;
     let mc = MultiCoreConfig { core: AcceleratorConfig::paper_default(), cores: 64 };
     let net = zoo::squeezenet_v1_1();
-    let perf = simulate_network_multicore(&net, &mc, DataflowPolicy::PerLayer, opts());
-    let single = simulate_network(&net, &mc.core, DataflowPolicy::PerLayer, opts());
+    let perf = Simulator::new()
+        .try_simulate_network_multicore(&net, &mc, DataflowPolicy::PerLayer, opts())
+        .unwrap();
+    let single = Simulator::new()
+        .try_simulate_network(&net, &mc.core, DataflowPolicy::PerLayer, opts())
+        .unwrap();
     assert!(perf.total_cycles() > 0);
     assert!(perf.total_cycles() <= single.total_cycles());
 }
@@ -195,19 +217,33 @@ fn hostile_channel_counts_simulate_in_closed_form() {
         .unwrap();
     let cfg = AcceleratorConfig::paper_default();
     validate_network(&net, &cfg).expect("2^32 filters stay within the modeling range");
-    let perf = try_simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts()).unwrap();
+    let perf = Simulator::new()
+        .try_simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts())
+        .unwrap();
     assert!(perf.layers[0].compute.executed_macs > 1 << 50, "conv1's ~4.7e15 MACs are counted");
-    let program = Program::try_compile(&net, &cfg, DataflowPolicy::PerLayer, opts()).unwrap();
+    let program =
+        Program::try_compile(&Simulator::new(), &net, &cfg, DataflowPolicy::PerLayer, opts())
+            .unwrap();
     assert_eq!(program.estimate(&cfg), perf.total_cycles());
-    let taxonomy = try_compare_taxonomy(&net, &cfg, opts()).unwrap();
+    let taxonomy = Simulator::new().try_compare_taxonomy(&net, &cfg, opts()).unwrap();
     assert!(taxonomy.hybrid4 <= taxonomy.hybrid2);
-    let event = simulate_network_event(&net, &cfg, DataflowPolicy::PerLayer, opts());
+    let event = Simulator::new()
+        .try_simulate_network_event(&net, &cfg, DataflowPolicy::PerLayer, opts(), TimeSkip::Enabled)
+        .unwrap();
     assert_eq!(event.layers[0].tiles, 7_516_192_768);
     assert!(event.layers[0].cycles >= perf.layers[0].compute.cycles());
     // On a 16 KiB buffer conv1's tiles settle into a two-tile rhythm (the
     // DMA latency lands on alternate bursts); the time skip covers that
     // period too.
     let small = AcceleratorConfig::builder().global_buffer_bytes(16 * 1024).build().unwrap();
-    let event = simulate_network_event(&net, &small, DataflowPolicy::PerLayer, opts());
+    let event = Simulator::new()
+        .try_simulate_network_event(
+            &net,
+            &small,
+            DataflowPolicy::PerLayer,
+            opts(),
+            TimeSkip::Enabled,
+        )
+        .unwrap();
     assert_eq!(event.layers[0].tiles, 180_388_626_432);
 }

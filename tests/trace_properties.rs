@@ -96,10 +96,10 @@ proptest! {
         ] {
             let cfg = codesign::arch::AcceleratorConfig::paper_default();
             let opts = SimOptions::paper_default();
-            let plain = Simulator::uncached().simulate_network(&net, &cfg, policy, opts);
+            let plain = Simulator::uncached().try_simulate_network(&net, &cfg, policy, opts).unwrap();
             let traced = Simulator::uncached()
                 .with_tracer(Tracer::enabled())
-                .simulate_network(&net, &cfg, policy, opts);
+                .try_simulate_network(&net, &cfg, policy, opts).unwrap();
             // Bit-for-bit: `NetworkPerf` equality covers every per-layer
             // cycle count, f64 utilization, and access tally.
             prop_assert_eq!(&plain, &traced, "policy {:?} on {}", policy, net.name());
