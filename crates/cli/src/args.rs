@@ -161,10 +161,10 @@ commands:
   faultinject      run the hostile-input corpus against the simulator
                    (--serve adds the server/persistence corpus)
   serve            run the line-delimited-JSON co-design server
-  verify-functional [net]  run the GEMM and WS/OS functional executors
-                   and assert bit-equality against the reference ops
-                   (whole zoo when no network is given); prints a
-                   MACs/sec throughput headline
+  verify-functional [net]  run the GEMM functional executor and assert
+                   bit-equality against the reference ops (whole zoo
+                   when no network is given); prints a MACs/sec
+                   throughput headline
 
 <net> is a zoo name (try `codesign list`) or a path to a .net file.
 

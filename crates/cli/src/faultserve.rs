@@ -1,13 +1,14 @@
 //! Server and persistence fault-injection corpus (`codesign
 //! faultinject --serve`).
 //!
-//! Extends the simulator-core corpus in `codesign_sim::faultinject` to
-//! the serving and persistence layers: hostile clients (oversized and
-//! binary-garbage lines, slow-loris partial writes, mid-stream
-//! disconnects), resource-exhaustion paths (overloaded fast-reject,
-//! per-request deadlines), panic isolation, and torn/corrupt snapshot
-//! generations at every byte offset. Every case runs a real server
-//! in-process on an ephemeral port and talks to it over real TCP.
+//! Extends the simulator corpus in [`crate::faultinject`] to the serving
+//! and persistence layers, run by the same harness: hostile clients
+//! (oversized and binary-garbage lines, slow-loris partial writes,
+//! mid-stream disconnects), resource-exhaustion paths (overloaded
+//! fast-reject, per-request deadlines), panic isolation, and
+//! torn/corrupt snapshot generations at every byte offset. Every case
+//! runs a real server in-process on an ephemeral port and talks to it
+//! over real TCP.
 //!
 //! The contract under test mirrors the sim corpus: hostile inputs cost
 //! one typed error and leave the server serving; a crash at any byte
@@ -15,7 +16,6 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::mpsc;
 use std::thread::JoinHandle;
@@ -24,25 +24,23 @@ use std::time::{Duration, Instant};
 use codesign_arch::{AcceleratorConfig, DataflowPolicy};
 use codesign_dnn::{NetworkBuilder, Shape};
 use codesign_sim::{
-    atomic_write, generation_path, recover, scan_generations, write_generation, CaseOutcome,
-    FaultReport, SimOptions, Simulator,
+    atomic_write, generation_path, recover, scan_generations, write_generation, SimOptions,
+    Simulator,
 };
 
+use crate::faultinject::FaultCase;
 use crate::serve::{run_serve_opts, ServeOptions};
 use crate::RunError;
 
 /// How long any single protocol exchange may take before a case fails.
 const EXCHANGE_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Runs the server/persistence corpus and reports per-case outcomes in
-/// the same format as the sim corpus. Cases are judged as controls:
-/// each must *complete* (uphold its invariant); a violated invariant
-/// surfaces as a `violation` rejection, which mismatches the
-/// expectation and fails the report.
-pub fn run_serve_corpus() -> FaultReport {
-    type Case = (&'static str, fn() -> Result<(), String>);
-    let cases: Vec<Case> = vec![
-        ("serve/oversized-line-answers-usage", case_oversized_line),
+/// The server/persistence corpus. Every case is an invariant that must
+/// hold; a violated one is reported as a `violation` rejection, which
+/// fails the report.
+pub fn corpus() -> Vec<FaultCase> {
+    [
+        ("serve/oversized-line-answers-usage", case_oversized_line as fn() -> _),
         ("serve/binary-garbage-line", case_binary_garbage),
         ("serve/slow-loris-partial-line", case_slow_loris_partial),
         ("serve/slow-loris-disconnect", case_slow_loris_disconnect),
@@ -56,32 +54,10 @@ pub fn run_serve_corpus() -> FaultReport {
         ("snapshot/all-candidates-corrupt-is-refused", case_all_candidates_corrupt),
         ("snapshot/zero-length-generation-skipped", case_zero_length_generation),
         ("snapshot/kill-after-autosave-warm-restarts", case_autosave_rotation_and_recovery),
-    ];
-    // The corpus deliberately injects panics (and catches every one);
-    // silence the default hook so expected backtraces don't pollute the
-    // report. Payload messages still surface as `Panicked { message }`.
-    let previous_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let mut report = FaultReport { cases: Vec::new() };
-    for (name, run) in cases {
-        let outcome = match catch_unwind(AssertUnwindSafe(run)) {
-            Ok(Ok(())) => CaseOutcome::Completed,
-            Ok(Err(message)) => CaseOutcome::Rejected { kind: "violation".to_owned(), message },
-            Err(payload) => {
-                let message = if let Some(s) = payload.downcast_ref::<&str>() {
-                    (*s).to_owned()
-                } else if let Some(s) = payload.downcast_ref::<String>() {
-                    s.clone()
-                } else {
-                    "non-string panic payload".to_owned()
-                };
-                CaseOutcome::Panicked { message }
-            }
-        };
-        report.cases.push((name.to_owned(), false, outcome));
-    }
-    std::panic::set_hook(previous_hook);
-    report
+    ]
+    .into_iter()
+    .map(|(name, run)| FaultCase::invariant(name, run))
+    .collect()
 }
 
 // ---------------------------------------------------------------------

@@ -10,6 +10,7 @@
 //! ```
 
 mod args;
+mod faultinject;
 mod faultserve;
 mod jsonval;
 mod serve;
@@ -24,8 +25,8 @@ use codesign_core::{
 };
 use codesign_dnn::{parse_network, zoo, Network};
 use codesign_sim::{
-    atomic_write, cycle, recover, run_corpus, validate_network, CancelToken, ConvWork,
-    MultiCoreConfig, Program, SimOptions, Simulator,
+    atomic_write, cycle, recover, validate_network, CancelToken, ConvWork, MultiCoreConfig,
+    Program, SimOptions, Simulator,
 };
 use codesign_trace::{chrome_trace, MetricsSnapshot, Tracer};
 
@@ -290,17 +291,10 @@ fn write_sinks(inv: &Invocation, tracer: &Tracer) -> Result<(), RunError> {
 }
 
 /// `verify-functional`: runs every network once with the GEMM executor
-/// (timed, for the MACs/sec headline) and once per dataflow with the
-/// accelerator-schedule executors, asserting whole-network bit-equality
-/// against the reference operators. Any mismatch names the first
-/// differing layer and the command exits 2.
-fn verify_functional(
-    nets: &[Network],
-    cfg: &codesign_arch::AcceleratorConfig,
-    opts: SimOptions,
-    jobs: usize,
-) -> Result<(), RunError> {
-    use codesign_arch::{Dataflow, DataflowPolicy};
+/// (timed, for the MACs/sec headline), asserting whole-network
+/// bit-equality against the reference operators. Any mismatch names the
+/// first differing layer and the command exits 2.
+fn verify_functional(nets: &[Network], jobs: usize) -> Result<(), RunError> {
     use codesign_tensor::{run_network_reference, run_network_with, Tensor, WeightStore};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -308,10 +302,7 @@ fn verify_functional(
     let mut failures: Vec<String> = Vec::new();
     let mut total_macs = 0u64;
     let mut total_secs = 0f64;
-    println!(
-        "{:<22} {:>12} {:>5} {:>5} {:>5} {:>10}",
-        "network", "MACs", "gemm", "WS", "OS", "MMAC/s"
-    );
+    println!("{:<22} {:>12} {:>5} {:>10}", "network", "MACs", "gemm", "MMAC/s");
     for net in nets {
         let mut rng = StdRng::seed_from_u64(2018);
         let weights = WeightStore::random(net, 8, 0.4, &mut rng);
@@ -325,37 +316,15 @@ fn verify_functional(
         total_macs += macs;
         total_secs += secs;
 
-        let gemm_ok = first_mismatch(&reference, &gemm).is_none();
-        if let Some(layer) = first_mismatch(&reference, &gemm) {
+        let mismatch = first_mismatch(&reference, &gemm);
+        if let Some(layer) = &mismatch {
             failures.push(format!("{}: GEMM executor diverges at `{layer}`", net.name()));
         }
-        let mut flow_ok = [true; 2];
-        for (i, flow) in
-            [Dataflow::WeightStationary, Dataflow::OutputStationary].into_iter().enumerate()
-        {
-            let schedule = Simulator::new()
-                .try_simulate_network(net, cfg, DataflowPolicy::Fixed(flow), opts)
-                .map_err(RunError::rejected)?;
-            let acts = codesign_sim::run_network_on_accelerator_jobs(
-                net, &image, &weights, cfg, &schedule, jobs,
-            )
-            .map_err(RunError::rejected)?;
-            if let Some(layer) = first_mismatch(&reference, &acts) {
-                failures.push(format!(
-                    "{}: {} schedule diverges at `{layer}`",
-                    net.name(),
-                    flow.tag()
-                ));
-                flow_ok[i] = false;
-            }
-        }
         println!(
-            "{:<22} {:>12} {:>5} {:>5} {:>5} {:>10.1}",
+            "{:<22} {:>12} {:>5} {:>10.1}",
             net.name(),
             macs,
-            if gemm_ok { "ok" } else { "FAIL" },
-            if flow_ok[0] { "ok" } else { "FAIL" },
-            if flow_ok[1] { "ok" } else { "FAIL" },
+            if mismatch.is_none() { "ok" } else { "FAIL" },
             macs as f64 / secs.max(1e-9) / 1e6,
         );
     }
@@ -415,11 +384,11 @@ fn run(inv: &Invocation) -> Result<(), RunError> {
     }
 
     if inv.action == Action::Faultinject {
-        let report = run_corpus(&tracer);
+        let report = faultinject::run(&faultinject::sim_corpus(), &tracer);
         print!("{}", report.render());
         let mut passed = report.passed();
         if inv.serve_faults {
-            let serve_report = faultserve::run_serve_corpus();
+            let serve_report = faultinject::run(&faultserve::corpus(), &tracer);
             print!("{}", serve_report.render());
             passed &= serve_report.passed();
         }
@@ -430,15 +399,15 @@ fn run(inv: &Invocation) -> Result<(), RunError> {
         return Ok(());
     }
 
-    let cfg = inv.config().map_err(|e| RunError::Usage(e.to_string()))?;
-
     if inv.action == Action::VerifyFunctional {
         let nets = match inv.network.as_deref() {
             Some(spec) => vec![load_network(spec)?],
             None => zoo::table_networks(),
         };
-        return verify_functional(&nets, &cfg, opts, inv.jobs);
+        return verify_functional(&nets, inv.jobs);
     }
+
+    let cfg = inv.config().map_err(|e| RunError::Usage(e.to_string()))?;
 
     let Some(spec) = inv.network.as_deref() else {
         return Err(RunError::Usage("this command needs a network".to_owned()));

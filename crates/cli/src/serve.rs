@@ -842,7 +842,7 @@ fn compute_and_publish(
                     let best = outcome
                         .best
                         .as_ref()
-                        .map_or("null".to_owned(), |p| quote(&p.params.to_string()));
+                        .map_or_else(|| "null".to_owned(), |p| quote(&p.params.to_string()));
                     emit(format!(
                         "\"event\":\"done\",\"cmd\":\"sweep\",\"points\":{},\"failures\":{},\"pruned\":{},\"frontier\":{},\"best\":{best}",
                         outcome.counters.evaluated,

@@ -6,7 +6,7 @@
 //! quantity per layer and per network, and classifies layers against the
 //! machine balance point (peak MACs/cycle over DRAM bytes/cycle).
 
-use codesign_arch::{AcceleratorConfig, Dataflow, DataflowPolicy};
+use codesign_arch::{AcceleratorConfig, DataflowPolicy};
 use codesign_dnn::{LayerClass, Network};
 use codesign_sim::{NetworkPerf, SimOptions, SimResult, Simulator};
 
@@ -127,24 +127,6 @@ pub fn roofline(
     opts: SimOptions,
 ) -> SimResult<NetworkRoofline> {
     let perf = sim.try_simulate_network(network, cfg, DataflowPolicy::PerLayer, opts)?;
-    Ok(from_perf(network, &perf, machine_balance(cfg)))
-}
-
-/// Computes the roofline profile under a forced dataflow (the traffic is
-/// dataflow independent in this model, but the perf context matters for
-/// callers correlating with cycle results).
-///
-/// # Errors
-///
-/// The first [`SimError`](codesign_sim::SimError) the run surfaces.
-pub fn roofline_fixed(
-    sim: &Simulator,
-    network: &Network,
-    cfg: &AcceleratorConfig,
-    opts: SimOptions,
-    dataflow: Dataflow,
-) -> SimResult<NetworkRoofline> {
-    let perf = sim.try_simulate_network(network, cfg, DataflowPolicy::Fixed(dataflow), opts)?;
     Ok(from_perf(network, &perf, machine_balance(cfg)))
 }
 

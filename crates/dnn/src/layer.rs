@@ -266,7 +266,7 @@ impl fmt::Display for Layer {
 ///
 /// Returns `None` when the operation does not fit the input (e.g. kernel
 /// larger than the padded feature map, channel counts not divisible by the
-/// group count).
+/// group count) or an output dimension overflows `usize`.
 pub fn infer_output(op: &LayerOp, input: Shape) -> Option<Shape> {
     match *op {
         LayerOp::Conv(spec) => {
@@ -300,7 +300,7 @@ pub fn infer_output(op: &LayerOp, input: Shape) -> Option<Shape> {
         LayerOp::GlobalAvgPool => Some(Shape::vector(input.channels)),
         LayerOp::EltwiseAdd => Some(input),
         LayerOp::Concat { extra_channels } => {
-            Some(Shape::new(input.channels + extra_channels, input.height, input.width))
+            Some(Shape::new(input.channels.checked_add(extra_channels)?, input.height, input.width))
         }
     }
 }

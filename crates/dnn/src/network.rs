@@ -182,7 +182,9 @@ impl NetworkBuilder {
             self.error = Some(BuildNetworkError::new(name, self.current, "duplicate layer name"));
             return self;
         }
-        if self.current.elements() == 0 {
+        // Each dimension on its own: their product may not fit `usize`.
+        let Shape { channels, height, width } = self.current;
+        if channels == 0 || height == 0 || width == 0 {
             self.error = Some(BuildNetworkError::new(
                 name,
                 self.current,
@@ -553,6 +555,20 @@ mod tests {
             .finish()
             .unwrap();
         assert_eq!(net.top1_accuracy(), Some(57.1));
+    }
+
+    #[test]
+    fn overflow_scale_shapes_build_without_overflowing() {
+        // 2^96 input elements do not fit `usize`; the builder checks each
+        // dimension for zero instead of their product.
+        let huge = Shape::new(1 << 32, 1 << 32, 1 << 32);
+        let net = NetworkBuilder::new("t", huge).conv("c", 8, 1, 1, 0).finish().unwrap();
+        assert_eq!(net.output(), Shape::new(8, 1 << 32, 1 << 32));
+        let err = NetworkBuilder::new("t", huge).conv("c", 8, 1, 1, usize::MAX).finish();
+        assert!(err.is_err(), "a pad beyond usize must not fit");
+        let err =
+            NetworkBuilder::new("t", Shape::new(2, 8, 8)).fire("f", 1, usize::MAX, 1).finish();
+        assert!(err.is_err(), "concatenated channels beyond usize must not fit");
     }
 
     #[test]

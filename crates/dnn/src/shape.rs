@@ -69,7 +69,7 @@ impl fmt::Display for Shape {
 /// window: `floor((in + 2*pad - kernel) / stride) + 1`.
 ///
 /// Returns `None` when the window does not fit even once (the layer is
-/// malformed) or `stride == 0`.
+/// malformed), `stride == 0`, or the padded extent overflows `usize`.
 ///
 /// # Examples
 ///
@@ -80,14 +80,7 @@ impl fmt::Display for Shape {
 /// assert_eq!(conv_out_dim(227, 11, 4, 0), Some(55));
 /// ```
 pub fn conv_out_dim(input: usize, kernel: usize, stride: usize, pad: usize) -> Option<usize> {
-    if stride == 0 || kernel == 0 {
-        return None;
-    }
-    let padded = input + 2 * pad;
-    if padded < kernel {
-        return None;
-    }
-    Some((padded - kernel) / stride + 1)
+    Some(window_span(input, kernel, stride, pad)? / stride + 1)
 }
 
 /// Computes a pooling output dimension with ceil-mode rounding, as used by
@@ -95,14 +88,18 @@ pub fn conv_out_dim(input: usize, kernel: usize, stride: usize, pad: usize) -> O
 ///
 /// Returns `None` for malformed parameters, as [`conv_out_dim`] does.
 pub fn pool_out_dim_ceil(input: usize, kernel: usize, stride: usize, pad: usize) -> Option<usize> {
+    Some(window_span(input, kernel, stride, pad)?.div_ceil(stride) + 1)
+}
+
+/// `in + 2*pad - kernel`: how far a window slides over the padded
+/// input, or `None` for a zero stride or kernel, a window larger than the
+/// padded input, or a padded extent beyond `usize`. The callers' `+ 1`
+/// cannot overflow, since `kernel >= 1`.
+fn window_span(input: usize, kernel: usize, stride: usize, pad: usize) -> Option<usize> {
     if stride == 0 || kernel == 0 {
         return None;
     }
-    let padded = input + 2 * pad;
-    if padded < kernel {
-        return None;
-    }
-    Some((padded - kernel).div_ceil(stride) + 1)
+    pad.checked_mul(2)?.checked_add(input)?.checked_sub(kernel)
 }
 
 #[cfg(test)]
@@ -147,6 +144,11 @@ mod tests {
         assert_eq!(conv_out_dim(5, 0, 1, 0), None);
         // Padding can make a too-small input legal.
         assert_eq!(conv_out_dim(5, 7, 1, 1), Some(1));
+        // A padded extent beyond `usize` is malformed, not wrapped.
+        assert_eq!(conv_out_dim(1, 1, 1, usize::MAX / 2 + 1), None);
+        assert_eq!(conv_out_dim(usize::MAX, 1, 1, 1), None);
+        assert_eq!(pool_out_dim_ceil(usize::MAX, 3, 2, 1), None);
+        assert_eq!(conv_out_dim(usize::MAX, 1, 1, 0), Some(usize::MAX));
     }
 
     #[test]

@@ -8,22 +8,21 @@
 //! Each dataflow's schedule (WS, OS with its FC path, RS) is written
 //! once, as run-length steps: runs of identical schedule steps with
 //! repeat counts, so tile loops cost O(distinct tile shapes) whatever the
-//! channel count. Three views read those steps:
+//! channel count. Two views read those steps:
 //!
 //! * **analytic model** ([`ws`], [`os`], [`rs`], [`engine`]) — the steps
 //!   folded into cycle and access counts; drives every table/figure
 //!   reproduction;
 //! * **machine traces** ([`cycle`]) — the same steps laid out on the PE
 //!   array's phase timeline, read by the compiled command stream
-//!   ([`program`]) and the VCD writer;
-//! * **functional executors** ([`functional`]) — run the WS/OS schedules'
-//!   tiling over real tensors and must bit-match the reference
-//!   convolution from `codesign-tensor`.
+//!   ([`program`]) and the VCD writer.
 //!
-//! The independent check is a test-only loop-nest spec in the workspace's
-//! `tests/`: it walks every schedule step literally, both folds must
-//! equal its counts, and its WS/OS walks must compute the reference
-//! convolution.
+//! Like the paper's estimator, the simulator models the array from its
+//! schedule and computes no activations. The independent check is a
+//! test-only loop-nest spec in the workspace's `tests/`: it walks every
+//! schedule step literally, both folds must equal its counts, and its
+//! WS/OS walks, given tensors, must compute the reference convolution
+//! from `codesign-tensor`.
 //!
 //! Every simulation question — a layer, a network, a dataflow
 //! comparison, a batched, multi-core or event-driven network, an
@@ -65,9 +64,7 @@ pub mod dram;
 pub mod engine;
 pub mod error;
 pub mod event;
-pub mod faultinject;
 pub mod fsio;
-pub mod functional;
 pub mod multicore;
 pub mod nlr;
 pub mod os;
@@ -92,15 +89,10 @@ pub use compression::WeightCompression;
 pub use engine::{aggregate_cache_stats, SimOptions, Simulator, TrafficModel};
 pub use error::{SimError, SimResult};
 pub use event::{simulate_network_event, EventLayerResult, EventResult, TimeSkip};
-pub use faultinject::{run_corpus, CaseOutcome, FaultCase, FaultReport};
 pub use fsio::{
     atomic_write, fnv1a, generation_path, recover, scan_generations, seal, unseal,
     write_generation, Candidate, Corrupt, Decoder, FramingError, GenerationStore, Recovery,
     GENERATIONS_KEPT,
-};
-pub use functional::{
-    conv2d_os, conv2d_os_jobs, conv2d_ws, conv2d_ws_jobs, fc_ws, fc_ws_jobs,
-    run_network_on_accelerator, run_network_on_accelerator_jobs,
 };
 pub use multicore::{schedule_branch_parallel, BranchParallelResult, MultiCoreConfig};
 pub use nlr::simulate_nlr;

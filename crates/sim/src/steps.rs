@@ -13,8 +13,6 @@
 //! into the [`ComputePerf`] behind `simulate_ws`/`simulate_os`/
 //! `simulate_rs`, and [`trace`] projects them into the [`MachineTrace`]
 //! behind `cycle::trace_*`, the command stream and the VCD writer. The
-//! functional executors take their tile bounds ([`Tiles`],
-//! [`OutputTile`]) and OS pass size ([`os_pass`]) from here. The
 //! mappings themselves are described in [`crate::ws`], [`crate::os`] and
 //! [`crate::rs`].
 
@@ -47,32 +45,6 @@ impl Tiles {
         let full = (self.full > 0).then_some((self.chunk, self.full as u64, 0));
         let rem = (self.rem > 0).then_some((self.rem, 1, self.full as u64));
         full.into_iter().chain(rem)
-    }
-
-    /// `(start, len)` of every chunk, in order.
-    pub(crate) fn bounds(self) -> impl Iterator<Item = (usize, usize)> {
-        let Self { chunk, full, rem } = self;
-        (0..full).map(move |i| (i * chunk, chunk)).chain((rem > 0).then_some((full * chunk, rem)))
-    }
-}
-
-/// One output tile of the OS schedule: `th × tw` output pixels whose
-/// top-left corner is `(y0, x0)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct OutputTile {
-    pub y0: usize,
-    pub x0: usize,
-    pub th: usize,
-    pub tw: usize,
-}
-
-impl OutputTile {
-    /// The row-major grid of at most `n × n` tiles covering an
-    /// `height × width` output plane.
-    pub(crate) fn grid(height: usize, width: usize, n: usize) -> impl Iterator<Item = Self> {
-        Tiles::new(height, n).bounds().flat_map(move |(y0, th)| {
-            Tiles::new(width, n).bounds().map(move |(x0, tw)| Self { y0, x0, th, tw })
-        })
     }
 }
 
@@ -403,9 +375,8 @@ mod tests {
     fn tiles_are_full_chunks_plus_one_remainder() {
         let t = Tiles::new(70, 32);
         assert_eq!(t.runs().collect::<Vec<_>>(), [(32, 2, 0), (6, 1, 2)]);
-        assert_eq!(t.bounds().collect::<Vec<_>>(), [(0, 32), (32, 32), (64, 6)]);
         assert_eq!(Tiles::new(96, 32).runs().collect::<Vec<_>>(), [(32, 3, 0)]);
-        assert_eq!(Tiles::new(5, 32).bounds().collect::<Vec<_>>(), [(0, 5)]);
+        assert_eq!(Tiles::new(5, 32).runs().collect::<Vec<_>>(), [(5, 1, 0)]);
         assert_eq!(Tiles::new(0, 32).runs().count(), 0);
         // Closed form: a 2^40-element axis is still two runs.
         assert_eq!(Tiles::new(1 << 40, 3).runs().map(|r| r.1).sum::<u64>(), (1 << 40) / 3 + 1);
@@ -415,15 +386,6 @@ mod tests {
     #[should_panic(expected = "chunk must be positive")]
     fn tiles_reject_a_zero_chunk() {
         let _ = Tiles::new(4, 0);
-    }
-
-    #[test]
-    fn output_tiles_cover_the_plane_row_major() {
-        let tiles: Vec<_> = OutputTile::grid(5, 3, 2).collect();
-        assert_eq!(tiles.len(), 6);
-        assert_eq!(tiles[1], OutputTile { y0: 0, x0: 2, th: 2, tw: 1 });
-        assert_eq!(tiles[5], OutputTile { y0: 4, x0: 2, th: 1, tw: 1 });
-        assert_eq!(tiles.iter().map(|t| t.th * t.tw).sum::<usize>(), 15);
     }
 
     #[test]

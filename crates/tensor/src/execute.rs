@@ -1,9 +1,7 @@
 //! Functional execution of a whole [`Network`] over real tensor data.
 //!
 //! This is the end-to-end ground truth: given a weight store, it runs
-//! every layer and returns all intermediate feature maps. The dataflow
-//! executors in `codesign-sim` are verified layer-by-layer against these
-//! results.
+//! every layer and returns all intermediate feature maps.
 //!
 //! Compute layers run on the GEMM fast path ([`crate::gemm`]) by
 //! default; [`run_network_reference`] walks the same network with the
@@ -141,13 +139,12 @@ pub struct NetworkActivations {
 
 impl NetworkActivations {
     /// Assembles activations from `(layer name, output)` pairs in
-    /// execution order — for alternative executors (e.g. the dataflow
-    /// executors in `codesign-sim`) that produce the same artifact.
+    /// execution order.
     ///
     /// # Panics
     ///
     /// Panics if `outputs` is empty.
-    pub fn from_outputs(outputs: Vec<(String, Tensor)>) -> Self {
+    pub(crate) fn from_outputs(outputs: Vec<(String, Tensor)>) -> Self {
         assert!(!outputs.is_empty(), "networks have at least one layer");
         Self { outputs }
     }
@@ -171,11 +168,12 @@ impl NetworkActivations {
 
 /// Incrementally builds [`NetworkActivations`] during a network run.
 ///
-/// Both [`run_network`] and the accelerator-schedule executor in
-/// `codesign-sim` drive their layer loops through this builder: each
-/// layer's operands are resolved **by reference** out of the map (no
-/// activation tensor is cloned between layers), the layer's output is
-/// pushed, and [`ActivationBuilder::finish`] yields the final artifact.
+/// [`run_network`] and [`run_network_reference`] drive their layer loops
+/// through this builder, and so can a caller that steps a network one
+/// layer at a time (to time each layer, say): each layer's operands are
+/// resolved **by reference** out of the map (no activation tensor is
+/// cloned between layers), the layer's output is pushed, and
+/// [`ActivationBuilder::finish`] yields the final artifact.
 #[derive(Debug, Default)]
 pub struct ActivationBuilder {
     outputs: Vec<(String, Tensor)>,

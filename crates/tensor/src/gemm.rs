@@ -16,7 +16,7 @@
 //!   is a fixed-width SIMD multiply-add, and padding is resolved once
 //!   during packing, never in the reduction loop. Packing fills a block
 //!   one tap at a time by copying contiguous input-row runs, clipped
-//!   against the padding by [`valid_range`];
+//!   against the padding by `valid_range`;
 //! * **pack-free pointwise layers**: for a 1×1, stride-1, unpadded
 //!   convolution, tap `c` of column block `b` is already contiguous in
 //!   the CHW input at `input[c][b * NC..][..NC]`, so the micro-kernel
@@ -64,7 +64,7 @@ const MIN_PAR_MACS: u64 = 1 << 22;
 /// Whether `spec` over `in_shape` is a depthwise convolution (one input
 /// channel and one filter per group) — the case that takes the direct
 /// path instead of im2col.
-pub fn is_depthwise(spec: &ConvSpec, in_shape: Shape) -> bool {
+pub(crate) fn is_depthwise(spec: &ConvSpec, in_shape: Shape) -> bool {
     spec.groups > 1 && spec.groups == in_shape.channels && spec.groups == spec.out_channels
 }
 
@@ -73,7 +73,7 @@ pub fn is_depthwise(spec: &ConvSpec, in_shape: Shape) -> bool {
 /// `0..extent_in`. Outputs outside the range read the zero padding and
 /// contribute nothing, so loops over `lo..hi` can index the input
 /// directly with no per-element bounds branch.
-pub fn valid_range(
+pub(crate) fn valid_range(
     extent_out: usize,
     offset: usize,
     stride: usize,
@@ -107,7 +107,7 @@ pub fn valid_range(
 /// reduction loop reads one cache line per tap and the lane loop is a
 /// fixed-width SIMD multiply-add. A block's pixels split into output-row
 /// runs; each run is clipped against the padding once per kernel column
-/// with [`valid_range`], and every tap then copies it from one input row,
+/// with `valid_range`, and every tap then copies it from one input row,
 /// so no per-pixel padding branch remains.
 pub fn pack_patches(input: &Tensor, spec: &ConvSpec, group: usize, out_shape: Shape) -> Vec<i32> {
     pack_blocks(input, spec, group, out_shape, 0)
@@ -373,7 +373,7 @@ pub fn conv2d_gemm_jobs(
 
 /// Depthwise convolution without the im2col blowup: each channel slides
 /// its own `kh × kw` window directly over its input plane, with padding
-/// resolved per kernel row via [`valid_range`] and zero taps skipped
+/// resolved per kernel row via `valid_range` and zero taps skipped
 /// (a zero tap contributes an exact `0` to the sum, so skipping it never
 /// changes the result). Parallel over channels.
 fn depthwise_direct(

@@ -4,9 +4,10 @@
 //! every operator in the DNN IR, an independent im2col/GEMM convolution
 //! for cross-checking, and a whole-network functional executor.
 //!
-//! The Squeezelerator's dataflow executors (`codesign-sim`) must produce
-//! bit-identical results to [`ops::conv2d`]; the tests in this crate pin
-//! that ground truth down.
+//! The GEMM fast path must produce bit-identical results to the
+//! reference operators such as [`ops::conv2d`], and so must the
+//! workspace's test-only loop-nest walks of the Squeezelerator's WS and
+//! OS schedules; the tests in this crate pin that ground truth down.
 //!
 //! # Examples
 //!

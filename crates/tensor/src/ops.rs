@@ -1,8 +1,8 @@
 //! Reference (loop-nest) implementations of the network operators.
 //!
 //! These are deliberately the simplest possible implementations: they are
-//! the functional ground truth that the dataflow executors in
-//! `codesign-sim` must match bit-for-bit.
+//! the functional ground truth that the GEMM fast path ([`crate::gemm`])
+//! and the workspace's loop-nest schedule walks must match bit-for-bit.
 
 use std::error::Error;
 use std::fmt;
@@ -19,9 +19,8 @@ pub struct ShapeMismatchError {
 }
 
 impl ShapeMismatchError {
-    /// Creates an error for operator `op` (also used by the dataflow
-    /// executors in `codesign-sim`, which enforce the same contracts).
-    pub fn new(op: &'static str, detail: impl Into<String>) -> Self {
+    /// Creates an error for operator `op`.
+    pub(crate) fn new(op: &'static str, detail: impl Into<String>) -> Self {
         Self { op, detail: detail.into() }
     }
 }
@@ -37,14 +36,14 @@ impl Error for ShapeMismatchError {}
 /// Validates the shared convolution argument contract (group counts,
 /// filter-bank dimensions, spec-fits-input) and returns the inferred
 /// output shape. Every convolution implementation — the reference loop
-/// nest here, the im2col cross-check, the GEMM fast path, and the
-/// dataflow executors in `codesign-sim` — enforces exactly this contract.
+/// nest here, the im2col cross-check and the GEMM fast path — enforces
+/// exactly this contract.
 ///
 /// # Errors
 ///
 /// Returns [`ShapeMismatchError`] (attributed to operator `op`) when the
 /// filter bank does not match the spec/input or the spec does not fit.
-pub fn check_conv_args(
+pub(crate) fn check_conv_args(
     input: &Tensor,
     filters: &Filters,
     spec: &ConvSpec,

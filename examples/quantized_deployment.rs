@@ -1,16 +1,16 @@
 //! Quantized deployment: calibrate float weights into the
 //! Squeezelerator's 16-bit integer datapath, check the quantization SNR,
-//! and run the quantized model through the accelerator's dataflow
-//! schedules.
+//! and run the quantized model on the GEMM executor against the
+//! reference operators.
 //!
 //! ```text
 //! cargo run --release --example quantized_deployment
 //! ```
 
-use codesign::arch::{AcceleratorConfig, DataflowPolicy};
 use codesign::dnn::{LayerOp, NetworkBuilder, Shape};
-use codesign::sim::{run_network_on_accelerator, SimOptions, Simulator};
-use codesign::tensor::{run_network, sqnr_db, Filters, QuantScale, Tensor, WeightStore};
+use codesign::tensor::{
+    run_network, run_network_reference, sqnr_db, Filters, QuantScale, Tensor, WeightStore,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -65,19 +65,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         store.insert(layer.name.clone(), quantized);
     }
 
-    // Run the quantized model: reference executor vs the accelerator's
-    // dataflow schedules must agree bit for bit.
+    // Run the quantized model: the GEMM executor and the naive reference
+    // operators must agree bit for bit.
     let image = Tensor::random(net.input(), 127, &mut rng);
-    let reference = run_network(&net, &image, &store)?;
-    let cfg = AcceleratorConfig::paper_default();
-    let opts = SimOptions::paper_default();
-    let schedule =
-        Simulator::new().try_simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts)?;
-    let accel = run_network_on_accelerator(&net, &image, &store, &cfg, &schedule)?;
+    let reference = run_network_reference(&net, &image, &store)?;
+    let gemm = run_network(&net, &image, &store)?;
     for (name, want) in reference.iter() {
-        assert_eq!(accel.get(name), Some(want), "{name} diverged");
+        assert_eq!(gemm.get(name), Some(want), "{name} diverged");
     }
-    let logits = accel.final_output();
+    let logits = gemm.final_output();
     let class = logits
         .as_slice()
         .iter()

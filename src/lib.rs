@@ -5,12 +5,12 @@
 //! Applications"* (DAC 2018). Re-exports the full API:
 //!
 //! * [`dnn`] — model IR, Table-1 accounting, and the model zoo;
-//! * [`tensor`] — functional ground truth (reference operators, network
-//!   executor);
+//! * [`tensor`] — functional ground truth (reference operators, GEMM
+//!   network executor);
 //! * [`arch`] — accelerator hardware description and energy model;
 //! * [`sim`] — the Squeezelerator performance/energy simulator
 //!   (run-length dataflow schedules folded into analytic counts and
-//!   machine traces, functional dataflow executors);
+//!   machine traces);
 //! * [`core`] — the co-design engine (hybrid scheduling, DSE, model
 //!   transformations, Pareto analysis);
 //! * [`trace`] — the observability layer (spans, counters, Chrome-trace

@@ -180,41 +180,3 @@ fn energy_model_scaling_is_linear() {
     let e2 = perf.total_energy(&doubled);
     assert!((e2 / e1 - 2.0).abs() < 1e-9);
 }
-
-#[test]
-fn accelerator_execution_is_bit_exact_end_to_end() {
-    // The schedules the performance models count cycles for must compute
-    // the same numbers as the reference executor — whole networks, both
-    // fixed dataflows and the hybrid schedule.
-    use codesign::dnn::{NetworkBuilder, Shape};
-    use codesign::sim::run_network_on_accelerator;
-    use codesign::tensor::{run_network, Tensor, WeightStore};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    let net = NetworkBuilder::new("mini", Shape::new(3, 40, 40))
-        .conv("conv1", 16, 5, 2, 0)
-        .max_pool("pool1", 3, 2)
-        .fire("fire2", 8, 16, 16)
-        .depthwise_conv("dw3", 3, 1, 1)
-        .fire("fire4", 12, 24, 24)
-        .pointwise_conv("cls", 10)
-        .global_avg_pool("gap")
-        .finish()
-        .unwrap();
-    let mut rng = StdRng::seed_from_u64(2018);
-    let weights = WeightStore::random(&net, 8, 0.4, &mut rng);
-    let image = Tensor::random(net.input(), 64, &mut rng);
-    let reference = run_network(&net, &image, &weights).unwrap();
-
-    let cfg = AcceleratorConfig::paper_default();
-    let opts = SimOptions::paper_default();
-    let sim = Simulator::new();
-    for policy in policies() {
-        let schedule = sim.try_simulate_network(&net, &cfg, policy, opts).unwrap();
-        let accel = run_network_on_accelerator(&net, &image, &weights, &cfg, &schedule).unwrap();
-        for (name, want) in reference.iter() {
-            assert_eq!(accel.get(name), Some(want), "{name} under {policy}");
-        }
-    }
-}

@@ -3,7 +3,7 @@
 //! produce nonsense.
 
 use codesign::arch::{AcceleratorConfig, Dataflow, DataflowPolicy, DramModel, EnergyModel};
-use codesign::dnn::{parse_network, zoo, NetworkBuilder, Shape};
+use codesign::dnn::{parse_network, write_network, zoo, NetworkBuilder, Shape};
 use codesign::sim::{validate_network, Program, SimOptions, Simulator, TimeSkip};
 
 fn opts() -> SimOptions {
@@ -145,6 +145,30 @@ fn degenerate_networks_are_handled() {
     );
 }
 
+/// The seven malformed files of `codesign faultinject`'s corpus.
+const MALFORMED_NETFILES: [&str; 7] = [
+    "",
+    "network t 3x224x224\n",
+    "network t 3x224x224\nconv conv1 64 3",
+    "network t 3x224x224\nfrobnicate x 1 2 3\n",
+    "network t 3x224x224\nconv conv1 sixty-four 3 1 1\n",
+    "network t 3x224x224\nconv conv1 64 3 zz p1\n",
+    "network t 3x8x8\nconv conv1 64 11 s1\n",
+];
+
+/// A fixed-seed xorshift64 generator: the mutants are the same on every
+/// run.
+struct XorShift(u64);
+
+impl XorShift {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+}
+
 #[test]
 fn hostile_model_files_error_cleanly() {
     for text in [
@@ -155,10 +179,75 @@ fn hostile_model_files_error_cleanly() {
         &"conv c 8 3 s1\n".repeat(10_000),  // no network header, large input
         "network x 3x8x8\nfire f 0 0 0\n",
         "network x 3x8x8\nconv c 99999999999999999999 3 s1\n", // overflow
-    ] {
+    ]
+    .into_iter()
+    .chain(MALFORMED_NETFILES)
+    {
         let result = parse_network(text);
         assert!(result.is_err(), "should reject: {:.40}...", text);
     }
+
+    // Fixed-seed mutation of every zoo network the format can express and
+    // of the malformed files: every truncation, every byte flip and every
+    // huge-number splice must parse or be refused with a typed error.
+    let zoo_nets = zoo::table_networks().into_iter().chain(zoo::squeezenext_variants());
+    let mut seeds = Vec::new();
+    for net in zoo_nets.chain([zoo::squeezedet_trunk()]) {
+        let Some(text) = write_network(&net) else { continue };
+        let again = parse_network(&text).unwrap_or_else(|e| panic!("{}: {e}", net.name()));
+        assert_eq!(write_network(&again).as_deref(), Some(text.as_str()), "{}", net.name());
+        seeds.push(text);
+    }
+    assert!(seeds.len() >= 5, "only {} zoo networks serialize", seeds.len());
+    seeds.extend(MALFORMED_NETFILES.map(String::from));
+    let offer = |case: &str, bytes: &[u8]| {
+        let text = String::from_utf8_lossy(bytes);
+        if std::panic::catch_unwind(|| parse_network(&text)).is_err() {
+            panic!("{case}: the parser panicked on {text:?}");
+        }
+    };
+    let huge = ["4294967296", "9223372036854775808", "18446744073709551615"];
+    let mut rng = XorShift(0x0e75_5eed_f11e_5eed);
+    let mut cases = 0usize;
+    for (i, seed) in seeds.iter().enumerate() {
+        let bytes = seed.as_bytes();
+        for cut in 0..bytes.len() {
+            offer(&format!("seed {i} cut at {cut}"), &bytes[..cut]);
+        }
+        for at in 0..bytes.len() {
+            let mut bad = bytes.to_vec();
+            bad[at] ^= (rng.next() as u8) | 1;
+            offer(&format!("seed {i} byte {at} flipped"), &bad);
+        }
+        // Each number alone, then all of them at once, becomes huge.
+        let mut numbers = Vec::new();
+        let mut at = 0;
+        while at < bytes.len() {
+            let len = bytes[at..].iter().take_while(|b| b.is_ascii_digit()).count();
+            if len > 0 {
+                numbers.push(at..at + len);
+            }
+            at += len.max(1);
+        }
+        for value in huge {
+            for number in &numbers {
+                let mut spliced = seed.clone();
+                spliced.replace_range(number.clone(), value);
+                offer(
+                    &format!("seed {i} number at {} = {value}", number.start),
+                    spliced.as_bytes(),
+                );
+            }
+            let mut all = seed.clone();
+            for number in numbers.iter().rev() {
+                all.replace_range(number.clone(), value);
+            }
+            offer(&format!("seed {i} every number = {value}"), all.as_bytes());
+            cases += numbers.len() + 1;
+        }
+        cases += 2 * bytes.len();
+    }
+    assert!(cases > 5_000, "{cases} cases");
 }
 
 #[test]
