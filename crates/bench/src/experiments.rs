@@ -973,5 +973,16 @@ mod tests {
             after_sweep.hits > after_table2.hits,
             "fire-module repeats inside each sweep point must hit: {after_sweep}"
         );
+        // At one worker the counts are exact (DESIGN §7 quotes them): a
+        // change to how lookups are made must keep every consultation,
+        // or the `sim.cache.*` metrics move.
+        let serial = Context::with_jobs(1);
+        table2(&serial);
+        let s = serial.sim.stats();
+        assert_eq!((s.hits, s.misses), (573, 315), "Table 2 alone: {s}");
+        let serial = Context::with_jobs(1);
+        generate(&serial, &ALL);
+        let s = serial.sim.stats();
+        assert_eq!((s.hits, s.misses), (21_548, 2_224), "the 21 experiments in ALL order: {s}");
     }
 }

@@ -21,7 +21,7 @@ use codesign_arch::{AcceleratorConfig, Dataflow, DataflowPolicy};
 use codesign_dnn::{parse_network, zoo, ConvSpec, Kernel, Layer, LayerOp, Network, Shape};
 use codesign_sim::{
     optimize_tiling, validate_network, ConvWork, MultiCoreConfig, SimError, SimOptions, SimResult,
-    Simulator, WorkKind,
+    Simulator, TrafficModel, WorkKind,
 };
 use codesign_trace::Tracer;
 
@@ -369,6 +369,21 @@ fn corpus_overflow_shapes() -> Vec<FaultCase> {
                 out_w: 1,
             };
             optimize_tiling(&work, &cfg)?;
+            Ok(())
+        }),
+        // The closed-form traffic model on a dense 1×1 work that
+        // validates: a 16 KiB buffer holds neither operand, so the input
+        // is re-fetched 8,192 times and its bytes pass 64 bits.
+        FaultCase::hostile("overflow/closed-form-traffic", move || {
+            let cfg = AcceleratorConfig::builder()
+                .global_buffer_bytes(16 << 10)
+                .build()
+                .unwrap_or_else(|e| unreachable!("16 KiB satisfies the builder ranges: {e}"));
+            let opts =
+                SimOptions { traffic: TrafficModel::ClosedForm, ..SimOptions::paper_default() };
+            let wide =
+                layer("wide", conv(1, 1, 1, 1), s(1 << 24, 32_768, 29_000), s(1, 32_768, 29_000));
+            Simulator::new().try_simulate_layer(&wide, &cfg, opts, Dataflow::WeightStationary)?;
             Ok(())
         }),
     ]

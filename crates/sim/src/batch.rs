@@ -16,7 +16,7 @@
 use codesign_arch::{AcceleratorConfig, Dataflow, DataflowPolicy};
 use codesign_dnn::{Layer, Network};
 
-use crate::cache::Lookups;
+use crate::cache::{Lookups, WorkKey};
 use crate::engine::{choose_dataflow, finish_layer, SimOptions, Simulator};
 use crate::error::{SimError, SimResult};
 use crate::perf::{LayerPerf, NetworkPerf, PhaseCycles};
@@ -55,7 +55,8 @@ impl Simulator {
             .layers()
             .iter()
             .map(|layer| {
-                let simulate = |d| self.layer_batched(layer, cfg, opts, d, batch);
+                let work = ConvWork::from_layer(layer).map(WorkKey::new);
+                let simulate = |d| self.layer_batched(layer, work.as_ref(), cfg, opts, d, batch);
                 choose_dataflow(policy, simulate, |p| p.total_cycles)
                     .map(|(_, perf)| perf)
                     .map_err(|e| e.for_layer(&layer.name))
@@ -66,10 +67,12 @@ impl Simulator {
         Ok(perf)
     }
 
-    /// One layer over the batch under `dataflow`, whole-batch.
+    /// One layer (its keyed work, `None` for a SIMD layer) over the
+    /// batch under `dataflow`, whole-batch.
     fn layer_batched(
         &self,
         layer: &Layer,
+        work: Option<&WorkKey>,
         cfg: &AcceleratorConfig,
         opts: SimOptions,
         dataflow: Dataflow,
@@ -79,8 +82,7 @@ impl Simulator {
             return Err(SimError::invalid("batch size must be positive").for_layer(&layer.name));
         }
         let seen = &mut Lookups::default();
-        let work = ConvWork::from_layer(layer);
-        let single = match &work {
+        let single = match work {
             Some(work) => self.compute(work, cfg, &opts, dataflow, seen)?,
             None => simulate_simd(layer, cfg)?,
         };
@@ -98,7 +100,7 @@ impl Simulator {
         };
         let (dataflow, activations, weights) = match work {
             Some(work) => {
-                let traffic = self.traffic(&work, cfg, &opts, seen)?;
+                let traffic = self.traffic(work, cfg, &opts, seen)?;
                 (Some(dataflow), traffic.input.checked_add(traffic.output), traffic.weights)
             }
             None => {

@@ -23,6 +23,12 @@
 //!   command stream) — in the paper-default sweep that collapses 54
 //!   `(config, dataflow)` pairs per layer shape into 3 tiling searches.
 //!
+//! Both keys hold the layer shape as a `WorkKey`: the [`ConvWork`]
+//! plus its fingerprint, one keyed hash of the shape taken where the
+//! simulator extracts it. A key hashes that one word and its few small
+//! fields, once per lookup: the hash picks the shard and the shard's
+//! table reuses it. Equality still compares the whole shape.
+//!
 //! Each sub-cache is way-partitioned into `SHARD_COUNT` shards by key
 //! hash with a lock per shard, so parallel sweep workers rarely touch
 //! the same lock; cross-thread hit/miss/contention counters are cheap
@@ -31,9 +37,9 @@
 //! are deterministic in their keys.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasher, Hash};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher, RandomState};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
 
 use codesign_arch::{AcceleratorConfig, Dataflow};
 
@@ -47,6 +53,52 @@ use crate::workload::ConvWork;
 /// collision probability low for the core counts the sweep fans out to,
 /// at a memory cost of one empty `HashMap` per shard.
 const SHARD_COUNT: usize = 16;
+
+/// Where a key hash's shard bits start: just below the top seven bits,
+/// which the shard's `HashMap` keeps as a per-bucket tag while indexing
+/// buckets by the low bits. Keys that share a shard therefore still
+/// spread over all of its buckets.
+const SHARD_SHIFT: u32 = u64::BITS - 7 - SHARD_COUNT.trailing_zeros();
+
+/// The one process-wide hasher behind every fingerprint and every key
+/// hash. It stays keyed (SipHash under a per-process random key):
+/// `serve` clients choose the array sizes, RF depths and buffer sizes
+/// that land in the keys, and a fixed-key hash would let them craft
+/// keys that all collide.
+fn keyed() -> &'static RandomState {
+    static KEYED: OnceLock<RandomState> = OnceLock::new();
+    KEYED.get_or_init(RandomState::new)
+}
+
+/// A layer shape and its fingerprint, the shape's keyed hash, taken
+/// once where a model extracts the shape so that every cache and dedup
+/// key built from it hashes one word instead of the shape's eleven.
+///
+/// Equality compares the fingerprint and then the whole shape, so two
+/// shapes that share a fingerprint stay two keys. Fingerprints are per
+/// process: no snapshot, trace or output ever holds one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct WorkKey {
+    fingerprint: u64,
+    work: ConvWork,
+}
+
+impl WorkKey {
+    pub(crate) fn new(work: ConvWork) -> Self {
+        Self { fingerprint: keyed().hash_one(work), work }
+    }
+
+    /// The shape.
+    pub(crate) fn work(&self) -> &ConvWork {
+        &self.work
+    }
+}
+
+impl Hash for WorkKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.fingerprint);
+    }
+}
 
 /// An `f64` treated as its bit pattern so it can participate in a hash
 /// key (the simulator never produces NaN configuration fields, and bitwise
@@ -81,19 +133,21 @@ impl OsOptsKey {
 }
 
 /// Cache key for the PE-array cycle model: exactly the inputs
-/// [`crate::ws::simulate_ws`] / [`crate::os::simulate_os`] read.
+/// [`crate::ws::simulate_ws`] / [`crate::os::simulate_os`] read. The
+/// cache holds it over a [`WorkKey`]; a snapshot record holds the bare
+/// [`ConvWork`], fingerprinted when it is loaded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct ComputeKey {
-    pub(crate) work: ConvWork,
+pub(crate) struct ComputeKey<W = WorkKey> {
+    pub(crate) work: W,
     pub(crate) dataflow: Dataflow,
     pub(crate) array_size: usize,
     pub(crate) rf_depth: usize,
     pub(crate) os: OsOptsKey,
 }
 
-impl ComputeKey {
+impl<W: Copy> ComputeKey<W> {
     pub(crate) fn new(
-        work: &ConvWork,
+        work: &W,
         cfg: &AcceleratorConfig,
         opts: &SimOptions,
         dataflow: Dataflow,
@@ -112,16 +166,17 @@ impl ComputeKey {
 /// Cache key for the tiling search: exactly the inputs
 /// [`crate::tiling::optimize_tiling`] reads. Deliberately *not* keyed by
 /// dataflow, array size, RF depth, traffic model or weight compression —
-/// the search reads none of them.
+/// the search reads none of them. Held over a [`WorkKey`] or a bare
+/// [`ConvWork`] like [`ComputeKey`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct PlanKey {
-    pub(crate) work: ConvWork,
+pub(crate) struct PlanKey<W = WorkKey> {
+    pub(crate) work: W,
     pub(crate) bytes_per_element: usize,
     pub(crate) working_buffer_bytes: usize,
 }
 
-impl PlanKey {
-    pub(crate) fn new(work: &ConvWork, cfg: &AcceleratorConfig) -> Self {
+impl<W: Copy> PlanKey<W> {
+    pub(crate) fn new(work: &W, cfg: &AcceleratorConfig) -> Self {
         Self {
             work: *work,
             bytes_per_element: cfg.bytes_per_element(),
@@ -216,29 +271,65 @@ fn lock_counting<T>(mutex: &Mutex<T>) -> (MutexGuard<'_, T>, u64) {
     }
 }
 
+/// A key stored with its keyed hash, so that the shard's table reads
+/// the hash back instead of hashing the key a second time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Hashed<K> {
+    hash: u64,
+    key: K,
+}
+
+impl<K: Hash> Hashed<K> {
+    fn new(key: K) -> Self {
+        Self { hash: keyed().hash_one(&key), key }
+    }
+}
+
+impl<K> Hash for Hashed<K> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// The shard tables' hasher: it hands back the one word a [`Hashed`]
+/// key writes, a hash already keyed.
+#[derive(Default)]
+struct StoredHash(u64);
+
+impl Hasher for StoredHash {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("shard keys hash as their stored u64")
+    }
+}
+
+type Shard<K, V> = Mutex<HashMap<Hashed<K>, V, BuildHasherDefault<StoredHash>>>;
+
 /// A way-partitioned concurrent memo map: `SHARD_COUNT` independent
 /// `Mutex<HashMap>` shards selected by key hash.
 #[derive(Debug)]
 struct ShardedMap<K, V> {
-    hasher: std::collections::hash_map::RandomState,
-    shards: Vec<Mutex<HashMap<K, V>>>,
+    shards: Vec<Shard<K, V>>,
 }
 
 impl<K: Eq + Hash + Copy, V: Copy> Default for ShardedMap<K, V> {
     fn default() -> Self {
-        Self {
-            hasher: std::collections::hash_map::RandomState::new(),
-            shards: (0..SHARD_COUNT).map(|_| Mutex::new(HashMap::new())).collect(),
-        }
+        Self { shards: (0..SHARD_COUNT).map(|_| Mutex::default()).collect() }
     }
 }
 
 impl<K: Eq + Hash + Copy, V: Copy> ShardedMap<K, V> {
-    fn shard(&self, key: &K) -> &Mutex<HashMap<K, V>> {
-        let h = self.hasher.hash_one(key) as usize;
+    fn shard(&self, key: &Hashed<K>) -> &Shard<K, V> {
         // SHARD_COUNT is a power of two and the vec holds exactly that
         // many shards, so the mask stays in bounds.
-        &self.shards[h & (SHARD_COUNT - 1)]
+        &self.shards[(key.hash >> SHARD_SHIFT) as usize & (SHARD_COUNT - 1)]
     }
 
     /// Returns the cached value for `key` (hit) or computes, inserts, and
@@ -246,12 +337,14 @@ impl<K: Eq + Hash + Copy, V: Copy> ShardedMap<K, V> {
     /// cached. The shard lock is *not* held while computing, so parallel
     /// workers never serialize on a miss; two threads racing on the same
     /// key both compute it (deterministically identical values) and one
-    /// insert wins.
+    /// insert wins. The key is hashed once, for both the shard and its
+    /// table.
     fn get_or_compute<E>(
         &self,
         key: K,
         compute: impl FnOnce() -> Result<V, E>,
     ) -> Result<Lookup<V>, E> {
+        let key = Hashed::new(key);
         let shard = self.shard(&key);
         let mut contended = 0;
         let cached = {
@@ -278,7 +371,7 @@ impl<K: Eq + Hash + Copy, V: Copy> ShardedMap<K, V> {
     fn entries(&self) -> Vec<(K, V)> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            out.extend(lock_counting(shard).0.iter().map(|(k, v)| (*k, *v)));
+            out.extend(lock_counting(shard).0.iter().map(|(k, v)| (k.key, *v)));
         }
         out
     }
@@ -286,6 +379,7 @@ impl<K: Eq + Hash + Copy, V: Copy> ShardedMap<K, V> {
     /// Inserts an entry directly — the snapshot preload path, which must
     /// not perturb the hit/miss accounting a lookup would.
     fn insert(&self, key: K, value: V) {
+        let key = Hashed::new(key);
         lock_counting(self.shard(&key)).0.insert(key, value);
     }
 
@@ -385,15 +479,19 @@ impl SimCache {
         self.plans.entries()
     }
 
-    /// Inserts a compute entry without touching the hit/miss counters
-    /// (snapshot preload).
-    pub(crate) fn preload_compute(&self, key: ComputeKey, value: ComputePerf) {
+    /// Fingerprints a snapshot's compute entry and inserts it without
+    /// touching the hit/miss counters (snapshot preload).
+    pub(crate) fn preload_compute(&self, key: ComputeKey<ConvWork>, value: ComputePerf) {
+        let ComputeKey { work, dataflow, array_size, rf_depth, os } = key;
+        let key = ComputeKey { work: WorkKey::new(work), dataflow, array_size, rf_depth, os };
         self.compute.insert(key, value);
     }
 
-    /// Inserts a plan entry without touching the hit/miss counters
-    /// (snapshot preload).
-    pub(crate) fn preload_plan(&self, key: PlanKey, value: TilingPlan) {
+    /// Fingerprints a snapshot's plan entry and inserts it without
+    /// touching the hit/miss counters (snapshot preload).
+    pub(crate) fn preload_plan(&self, key: PlanKey<ConvWork>, value: TilingPlan) {
+        let PlanKey { work, bytes_per_element, working_buffer_bytes } = key;
+        let key = PlanKey { work: WorkKey::new(work), bytes_per_element, working_buffer_bytes };
         self.plans.insert(key, value);
     }
 
@@ -433,12 +531,13 @@ mod tests {
 
     fn compute_key(rf: usize) -> ComputeKey {
         let cfg = AcceleratorConfig::builder().rf_depth(rf).build().unwrap();
-        ComputeKey::new(&work(), &cfg, &SimOptions::paper_default(), Dataflow::OutputStationary)
+        let work = WorkKey::new(work());
+        ComputeKey::new(&work, &cfg, &SimOptions::paper_default(), Dataflow::OutputStationary)
     }
 
     fn plan_key(buffer: usize) -> PlanKey {
         let cfg = AcceleratorConfig::builder().global_buffer_bytes(buffer).build().unwrap();
-        PlanKey::new(&work(), &cfg)
+        PlanKey::new(&WorkKey::new(work()), &cfg)
     }
 
     /// A plan whose traffic totals `bytes`, standing in for a search.
@@ -515,6 +614,40 @@ mod tests {
         );
         let narrow = AcceleratorConfig::builder().bytes_per_element(1).build().unwrap();
         assert_ne!(PlanKey::new(&work(), &narrow), PlanKey::new(&work(), &small));
+    }
+
+    #[test]
+    fn equal_works_fingerprint_equally_on_every_thread() {
+        // One process-wide keyed hasher: a shape extracted on any worker
+        // gets the same fingerprint, so workers share entries.
+        let here = WorkKey::new(work());
+        let there = std::thread::spawn(|| WorkKey::new(work())).join().unwrap();
+        assert_eq!(here, there);
+        assert_eq!(here.fingerprint, there.fingerprint);
+        let wider = WorkKey::new(ConvWork { in_w: 19, ..work() });
+        assert_ne!(here, wider);
+    }
+
+    #[test]
+    fn a_shared_fingerprint_never_merges_two_works() {
+        // Two shapes forced onto one fingerprint land in one bucket of
+        // one shard; equality on the whole shape keeps them two entries,
+        // each with its own value.
+        let cfg = AcceleratorConfig::paper_default();
+        let wide = ConvWork { in_w: 20, out_w: 18, ..work() };
+        let [a, b] =
+            [work(), wide].map(|work| PlanKey::new(&WorkKey { fingerprint: 7, work }, &cfg));
+        let cache = SimCache::new();
+        assert!(!cache.plan_or(a, || Infallible::Ok(plan(1))).unwrap().hit);
+        let second = cache.plan_or(b, || Infallible::Ok(plan(2))).unwrap();
+        assert!(!second.hit, "a fingerprint match alone is no hit");
+        assert_eq!(second.value, plan(2));
+        for (key, bytes) in [(a, 1), (b, 2)] {
+            let l =
+                cache.plan_or(key, || -> Infallible<TilingPlan> { panic!("must hit") }).unwrap();
+            assert_eq!((l.hit, l.value), (true, plan(bytes)));
+        }
+        assert_eq!(cache.stats().entries, 2);
     }
 
     #[test]

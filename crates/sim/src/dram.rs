@@ -11,6 +11,7 @@
 
 use codesign_arch::AcceleratorConfig;
 
+use crate::error::{SimError, SimResult};
 use crate::workload::ConvWork;
 
 /// DRAM traffic of one layer in bytes, split by operand.
@@ -46,11 +47,22 @@ impl DramTraffic {
 /// Feature maps live in DRAM between layers (the 128 KB global buffer is
 /// far smaller than most activation footprints), so each layer fetches
 /// its input and writes its output once, plus any tiling re-fetches.
-pub fn conv_traffic(work: &ConvWork, cfg: &AcceleratorConfig) -> DramTraffic {
+///
+/// # Errors
+///
+/// [`SimError::ArithmeticOverflow`] when a byte count or their total
+/// passes 64 bits: [`ConvWork::validate`], which the work must have
+/// passed, bounds the element counts but not their products with the
+/// element width and the re-fetch factor.
+pub fn conv_traffic(work: &ConvWork, cfg: &AcceleratorConfig) -> SimResult<DramTraffic> {
+    let overflow = || SimError::overflow("closed-form DRAM traffic");
     let e = cfg.bytes_per_element() as u64;
-    let input = work.input_elements() * e;
-    let weights = work.weight_elements() * e;
-    let output = work.output_elements() * e;
+    let bytes = |elements: u64| elements.checked_mul(e).ok_or_else(overflow);
+    let (input, weights, output) = (
+        bytes(work.input_elements())?,
+        bytes(work.weight_elements())?,
+        bytes(work.output_elements())?,
+    );
     let buffer = cfg.working_buffer_bytes() as u64;
 
     // Reserve half the working buffer for the operand kept resident and
@@ -58,14 +70,20 @@ pub fn conv_traffic(work: &ConvWork, cfg: &AcceleratorConfig) -> DramTraffic {
     let half = (buffer / 2).max(1);
     // No re-fetch when everything fits, or when either operand fits in
     // half the buffer (it stays resident while the other streams once).
-    let refetch = if input + weights + output <= buffer || weights <= half || input <= half {
+    let total = input.checked_add(weights).and_then(|s| s.checked_add(output));
+    let fits = total.is_some_and(|total| total <= buffer);
+    let refetch = if fits || weights <= half || input <= half {
         1
     } else {
         // Neither fits: stream weights once, re-fetch the input once per
         // weight chunk.
         weights.div_ceil(half).max(1)
     };
-    DramTraffic { input: input * refetch, weights, output }
+    let traffic =
+        DramTraffic { input: input.checked_mul(refetch).ok_or_else(overflow)?, weights, output };
+    // Checked down to the total, so `DramTraffic::total` cannot wrap.
+    traffic.input.checked_add(weights).and_then(|s| s.checked_add(output)).ok_or_else(overflow)?;
+    Ok(traffic)
 }
 
 /// Traffic of a non-PE (SIMD-path) layer: input read once, output written
@@ -119,7 +137,7 @@ mod tests {
     fn small_layer_moves_each_operand_once() {
         let cfg = AcceleratorConfig::paper_default();
         let w = work(16, 16, 3, 14); // tiny: fits in 64 KB easily
-        let t = conv_traffic(&w, &cfg);
+        let t = conv_traffic(&w, &cfg).unwrap();
         assert_eq!(t.input, 16 * 14 * 14 * 2);
         assert_eq!(t.weights, 9 * 16 * 16 * 2);
         assert_eq!(t.output, 16 * 14 * 14 * 2);
@@ -131,7 +149,7 @@ mod tests {
         // Both operands exceed 32 KB: input 128x56x56x2 = 784 KB,
         // weights 9*128*128*2 = 288 KB.
         let w = work(128, 128, 3, 56);
-        let t = conv_traffic(&w, &cfg);
+        let t = conv_traffic(&w, &cfg).unwrap();
         let base_input = 128 * 56 * 56 * 2u64;
         assert!(t.input > base_input, "input should be re-fetched");
         assert_eq!(t.weights, 9 * 128 * 128 * 2);
@@ -156,7 +174,7 @@ mod tests {
             out_h: 1,
             out_w: 1,
         };
-        let t = conv_traffic(&w, &cfg);
+        let t = conv_traffic(&w, &cfg).unwrap();
         assert_eq!(t.input, 4096 * 2);
         assert_eq!(t.weights, 4096 * 4096 * 2);
         assert_eq!(t.output, 4096 * 2);

@@ -2,7 +2,7 @@
 //! a dataflow policy, folds in DRAM timing, and assembles whole-network
 //! results.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -10,7 +10,7 @@ use codesign_arch::{AcceleratorConfig, Dataflow, DataflowPolicy};
 use codesign_dnn::{Layer, Network};
 use codesign_trace::{Category, Tracer};
 
-use crate::cache::{CacheStats, ComputeKey, Lookups, PlanKey, SimCache};
+use crate::cache::{CacheStats, ComputeKey, Lookups, PlanKey, SimCache, WorkKey};
 use crate::compression::WeightCompression;
 use crate::dram::{combine_cycles, conv_traffic, simd_traffic, DramTraffic};
 use crate::error::{SimError, SimResult};
@@ -123,20 +123,23 @@ pub(crate) fn choose_dataflow<T>(
 
 /// Per-network deduplication memo: structurally identical layers (the
 /// repeated fire/bottleneck blocks of SqueezeNet, SqueezeNext, and
-/// MobileNet) map to the same `(ConvWork, Dataflow)` key, so each unique
+/// MobileNet) map to the same `(WorkKey, Dataflow)` key, so each unique
 /// layer shape is resolved once per network simulation — duplicates are
 /// answered locally without even consulting the shared cache.
-type LayerMemo = HashMap<(ConvWork, Dataflow), (ComputePerf, u64)>;
+type LayerMemo = HashMap<(WorkKey, Dataflow), (ComputePerf, u64)>;
 
-/// The global `sim.*` counters one simulation call accumulates locally
-/// and flushes to the tracer once, so a whole network costs one batch
-/// of counter updates rather than several per layer.
+/// What one simulation call accumulates across its layers: the global
+/// `sim.*` counters, flushed to the tracer once so that a whole network
+/// costs one batch of counter updates rather than several per layer,
+/// and a network call's dedup memo.
 #[derive(Default)]
 struct LayerTally {
     layer_sims: u64,
     dram_bytes: u64,
     macs: u64,
     cache: Lookups,
+    /// Consulted before the shared cache (`None` outside a network).
+    memo: Option<LayerMemo>,
 }
 
 impl LayerTally {
@@ -346,12 +349,13 @@ impl Simulator {
     /// safe) and memoized by the compute key.
     pub(crate) fn compute(
         &self,
-        work: &ConvWork,
+        key: &WorkKey,
         cfg: &AcceleratorConfig,
         opts: &SimOptions,
         dataflow: Dataflow,
         seen: &mut Lookups,
     ) -> SimResult<ComputePerf> {
+        let work = key.work();
         let model = || {
             work.validate()?;
             Ok(match dataflow {
@@ -361,7 +365,7 @@ impl Simulator {
         };
         match self.cache.as_deref() {
             Some(cache) => cache
-                .compute_or(ComputeKey::new(work, cfg, opts, dataflow), model)
+                .compute_or(ComputeKey::new(key, cfg, opts, dataflow), model)
                 .map(|l| seen.note(l)),
             None => model(),
         }
@@ -372,13 +376,13 @@ impl Simulator {
     /// simulator runs the tiling search.
     pub(crate) fn plan(
         &self,
-        work: &ConvWork,
+        key: &WorkKey,
         cfg: &AcceleratorConfig,
         seen: &mut Lookups,
     ) -> SimResult<TilingPlan> {
-        let search = || optimize_tiling(work, cfg);
+        let search = || optimize_tiling(key.work(), cfg);
         match self.cache.as_deref() {
-            Some(cache) => cache.plan_or(PlanKey::new(work, cfg), search).map(|l| seen.note(l)),
+            Some(cache) => cache.plan_or(PlanKey::new(key, cfg), search).map(|l| seen.note(l)),
             None => search(),
         }
     }
@@ -391,17 +395,18 @@ impl Simulator {
     /// rather than guessing.
     pub(crate) fn traffic(
         &self,
-        work: &ConvWork,
+        key: &WorkKey,
         cfg: &AcceleratorConfig,
         opts: &SimOptions,
         seen: &mut Lookups,
     ) -> SimResult<DramTraffic> {
+        let work = key.work();
         let raw = match opts.traffic {
             TrafficModel::ClosedForm => {
                 work.validate()?;
-                conv_traffic(work, cfg)
+                conv_traffic(work, cfg)?
             }
-            TrafficModel::TilingSearch => self.plan(work, cfg, seen)?.traffic,
+            TrafficModel::TilingSearch => self.plan(key, cfg, seen)?.traffic,
         };
         Ok(match opts.weight_compression {
             Some(c) => c.apply(
@@ -430,49 +435,49 @@ impl Simulator {
         dataflow: Dataflow,
     ) -> SimResult<LayerPerf> {
         let mut tally = LayerTally::default();
-        let result = self.try_simulate_layer_flagged(layer, cfg, opts, dataflow, None, &mut tally);
+        let work = ConvWork::from_layer(layer).map(WorkKey::new);
+        let result =
+            self.try_simulate_layer_flagged(layer, work.as_ref(), cfg, opts, dataflow, &mut tally);
         tally.flush(&self.tracer);
         Ok(result?.0)
     }
 
-    /// [`Simulator::try_simulate_layer`] plus a flag telling whether the
-    /// result was answered from the per-network dedup memo, and an
-    /// optional [`LayerMemo`] consulted *before* the shared cache so
-    /// duplicate layer shapes within one network resolve locally. The
-    /// flag deliberately ignores shared-cache hits: whether another sweep
-    /// point already populated a shared entry is a race, while the dedup
-    /// outcome is a pure function of the layer sequence — so the
-    /// per-layer trace stays schedule-independent. A successful layer
-    /// adds itself to `tally`, which the caller flushes; every cache
-    /// lookup is added either way.
+    /// [`Simulator::try_simulate_layer`] on the layer's keyed work
+    /// (`None` for a SIMD layer), plus a flag telling whether the result
+    /// was answered from the tally's per-network dedup memo, which is
+    /// consulted *before* the shared cache so duplicate layer shapes
+    /// within one network resolve locally. The flag deliberately ignores
+    /// shared-cache hits: whether another sweep point already populated
+    /// a shared entry is a race, while the dedup outcome is a pure
+    /// function of the layer sequence — so the per-layer trace stays
+    /// schedule-independent. A successful layer adds itself to `tally`,
+    /// which the caller flushes; every cache lookup is added either way.
     fn try_simulate_layer_flagged(
         &self,
         layer: &Layer,
+        work: Option<&WorkKey>,
         cfg: &AcceleratorConfig,
         opts: SimOptions,
         dataflow: Dataflow,
-        memo: Option<&mut LayerMemo>,
         tally: &mut LayerTally,
     ) -> SimResult<(LayerPerf, bool)> {
-        let result = match ConvWork::from_layer(layer) {
+        let result = match work {
             Some(work) => {
-                let memoized = memo.as_ref().and_then(|m| m.get(&(work, dataflow)).copied());
-                let parts = match memoized {
-                    Some(parts) => Ok(parts),
-                    None => self.compute(&work, cfg, &opts, dataflow, &mut tally.cache).and_then(
-                        |compute| {
-                            let traffic = self.traffic(&work, cfg, &opts, &mut tally.cache)?;
-                            Ok((compute, traffic.total()))
-                        },
-                    ),
+                let mut simulate = || {
+                    let compute = self.compute(work, cfg, &opts, dataflow, &mut tally.cache)?;
+                    let traffic = self.traffic(work, cfg, &opts, &mut tally.cache)?;
+                    Ok((compute, traffic.total()))
+                };
+                let entry = tally.memo.as_mut().map(|m| m.entry((*work, dataflow)));
+                let (parts, memoized) = match entry {
+                    Some(Entry::Occupied(e)) => (Ok(*e.get()), true),
+                    Some(Entry::Vacant(e)) => (simulate().map(|parts| *e.insert(parts)), false),
+                    None => (simulate(), false),
                 };
                 parts.map(|(compute, dram_bytes)| {
-                    if let Some(m) = memo {
-                        m.insert((work, dataflow), (compute, dram_bytes));
-                    }
                     let pes = cfg.pe_count();
                     let perf = finish_layer(layer, Some(dataflow), compute, dram_bytes, cfg, pes);
-                    (perf, memoized.is_some())
+                    (perf, memoized)
                 })
             }
             None => simulate_simd(layer, cfg).map(|compute| {
@@ -554,18 +559,25 @@ impl Simulator {
         opts: SimOptions,
         tally: &mut LayerTally,
     ) -> SimResult<NetworkPerf> {
-        let mut dedup_hits = Vec::new();
-        let mut layers = Vec::with_capacity(network.layers().len());
+        let n = network.layers().len();
+        let mut dedup_hits = Vec::with_capacity(n);
+        let mut layers = Vec::with_capacity(n);
         // Per-network dedup memo: repeated layer shapes (fire modules,
         // depthwise blocks) resolve locally without touching the shared
-        // cache again.
-        let mut memo = LayerMemo::new();
+        // cache again. It holds at most one entry per compute layer and
+        // dataflow tried.
+        let dataflows = match policy {
+            DataflowPolicy::PerLayer => 2,
+            DataflowPolicy::Fixed(_) => 1,
+        };
+        tally.memo = Some(LayerMemo::with_capacity(dataflows * network.compute_layers().count()));
         for layer in network.layers() {
-            let (_, (perf, hit)) = choose_dataflow(
-                policy,
-                |d| self.try_simulate_layer_flagged(layer, cfg, opts, d, Some(&mut memo), tally),
-                |(perf, _)| perf.total_cycles,
-            )?;
+            // One key per layer serves both dataflows.
+            let work = ConvWork::from_layer(layer).map(WorkKey::new);
+            let simulate =
+                |d| self.try_simulate_layer_flagged(layer, work.as_ref(), cfg, opts, d, tally);
+            let (_, (perf, hit)) =
+                choose_dataflow(policy, simulate, |(perf, _)| perf.total_cycles)?;
             dedup_hits.push(hit);
             layers.push(perf);
         }

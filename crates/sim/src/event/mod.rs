@@ -38,7 +38,7 @@ pub mod units;
 use codesign_arch::{AcceleratorConfig, Dataflow, DataflowPolicy};
 use codesign_dnn::{Layer, Network};
 
-use crate::cache::Lookups;
+use crate::cache::{Lookups, WorkKey};
 use crate::dram::DramTraffic;
 use crate::engine::{SimOptions, Simulator};
 use crate::error::{checked_product, SimResult};
@@ -359,9 +359,9 @@ impl Simulator {
             };
             return Ok(LayerTxns { weight_bytes: 0, body: tile, last: tile, count: 1 });
         };
-        let seen = &mut Lookups::default();
-        let lowered = self.plan(&work, cfg, seen).and_then(|plan| {
-            let traffic = self.traffic(&work, cfg, opts, seen)?;
+        let (key, seen) = (WorkKey::new(work), &mut Lookups::default());
+        let lowered = self.plan(&key, cfg, seen).and_then(|plan| {
+            let traffic = self.traffic(&key, cfg, opts, seen)?;
             tile_sequence(&work, &plan, traffic, cfg, compute)
         });
         lowered.map_err(|e| e.for_layer(&layer.name))

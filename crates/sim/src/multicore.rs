@@ -11,7 +11,7 @@
 use codesign_arch::{AcceleratorConfig, Dataflow, DataflowPolicy};
 use codesign_dnn::{Layer, Network};
 
-use crate::cache::Lookups;
+use crate::cache::{Lookups, WorkKey};
 use crate::dram::simd_traffic;
 use crate::engine::{choose_dataflow, finish_layer, SimOptions, Simulator};
 use crate::error::{SimError, SimResult};
@@ -78,7 +78,10 @@ impl Simulator {
             .layers()
             .iter()
             .map(|layer| {
-                let simulate = |d| self.layer_multicore(layer, mc, opts, d);
+                // The layer's keyed work and one core's slice of it.
+                let works = ConvWork::from_layer(layer)
+                    .map(|w| (WorkKey::new(w), WorkKey::new(core_slice(&w, mc.cores))));
+                let simulate = |d| self.layer_multicore(layer, works.as_ref(), mc, opts, d);
                 choose_dataflow(policy, simulate, |p| p.total_cycles)
                     .map(|(_, perf)| perf)
                     .map_err(|e| e.for_layer(&layer.name))
@@ -92,6 +95,7 @@ impl Simulator {
     fn layer_multicore(
         &self,
         layer: &Layer,
+        works: Option<&(WorkKey, WorkKey)>,
         mc: &MultiCoreConfig,
         opts: SimOptions,
         dataflow: Dataflow,
@@ -100,17 +104,16 @@ impl Simulator {
         let cfg = &mc.core;
         let cores = mc.cores as u64;
         let seen = &mut Lookups::default();
-        let (dataflow, compute, traffic) = match ConvWork::from_layer(layer) {
-            Some(work) => {
+        let (dataflow, compute, traffic) = match works {
+            Some((work, slice)) => {
                 // The slowest (largest) slice gates the layer. Every core
                 // does its share, so the slice's counts scale by the core
                 // count (upper bound — the last core's slice may be
                 // smaller).
-                let slice =
-                    self.compute(&core_slice(&work, mc.cores), cfg, &opts, dataflow, seen)?;
-                let compute = slice.repeated(cores, CTX)?;
+                let compute =
+                    self.compute(slice, cfg, &opts, dataflow, seen)?.repeated(cores, CTX)?;
                 // Shared DRAM: weights once (multicast), activations split.
-                (Some(dataflow), compute, self.traffic(&work, cfg, &opts, seen)?)
+                (Some(dataflow), compute, self.traffic(work, cfg, &opts, seen)?)
             }
             None => {
                 // SIMD path: split evenly too.

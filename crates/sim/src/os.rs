@@ -300,6 +300,26 @@ mod tests {
     }
 
     #[test]
+    fn fc_parts_fill_the_whole_array() {
+        // FC outputs split into parts of the full 1,024-PE array: fc8
+        // (4096 → 1000) is one part, fc6 (9216 → 4096) four. Each part
+        // broadcasts all `c` inputs once, so parts of half the array
+        // would keep every cycle count but read the global buffer more.
+        let net = codesign_dnn::zoo::alexnet();
+        for (name, compute, drain, global_buffer) in
+            [("fc8", 128_000, 32, 4_101_096), ("fc6", 1_179_648, 128, 37_789_696)]
+        {
+            let w = ConvWork::from_layer(net.layer(name).unwrap()).unwrap();
+            let p = simulate_os(&w, &cfg(), OsModelOptions::paper_default());
+            assert_eq!(
+                (p.phases.compute, p.phases.drain, p.accesses.global_buffer),
+                (compute, drain, global_buffer),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
     fn access_counts_are_consistent() {
         let w = dense(32, 32, 3, 1, 14, 14);
         let p = simulate_os(&w, &cfg(), OsModelOptions::paper_default());

@@ -16,7 +16,7 @@ use std::fmt;
 use codesign_arch::{AcceleratorConfig, Dataflow, DataflowPolicy};
 use codesign_dnn::Network;
 
-use crate::cache::Lookups;
+use crate::cache::{Lookups, WorkKey};
 use crate::cycle::{trace_os, trace_ws, Phase};
 use crate::dram::combine_cycles;
 use crate::engine::{SimOptions, Simulator};
@@ -176,7 +176,8 @@ impl Program {
         match (ConvWork::from_layer(layer), perf.dataflow) {
             (Some(work), Some(dataflow)) => {
                 commands.push(Command::SetDataflow(dataflow));
-                let traffic = sim.traffic(&work, cfg, opts, &mut Lookups::default())?;
+                let traffic =
+                    sim.traffic(&WorkKey::new(work), cfg, opts, &mut Lookups::default())?;
                 commands.push(Command::DmaLoad { bytes: traffic.input + traffic.weights });
                 // The simulation validated the work: trace_ws/trace_os
                 // assume well-formed work, just like simulate_ws/simulate_os.

@@ -167,7 +167,7 @@ fn decode_work(d: &mut Decoder<'_>) -> Result<ConvWork, Corrupt> {
 }
 
 fn encode_compute_record(out: &mut Vec<u8>, key: &ComputeKey, perf: &ComputePerf) {
-    encode_work(out, &key.work);
+    encode_work(out, key.work.work());
     push_u64(out, matches!(key.dataflow, Dataflow::OutputStationary) as u64);
     push_u64(out, key.array_size as u64);
     push_u64(out, key.rf_depth as u64);
@@ -186,7 +186,13 @@ fn encode_compute_record(out: &mut Vec<u8>, key: &ComputeKey, perf: &ComputePerf
     push_u64(out, perf.accesses.dram);
 }
 
-fn decode_compute_record(d: &mut Decoder<'_>) -> Result<(ComputeKey, ComputePerf), Corrupt> {
+/// A decoded compute record. Its key holds the bare work: fingerprints
+/// are per process, taken as the entry is loaded.
+type ComputeRecord = (ComputeKey<ConvWork>, ComputePerf);
+/// A decoded plan record, keyed by the bare work like [`ComputeRecord`].
+type PlanRecord = (PlanKey<ConvWork>, TilingPlan);
+
+fn decode_compute_record(d: &mut Decoder<'_>) -> Result<ComputeRecord, Corrupt> {
     let work = decode_work(d)?;
     let dataflow =
         if d.flag("dataflow")? { Dataflow::OutputStationary } else { Dataflow::WeightStationary };
@@ -217,7 +223,7 @@ fn decode_compute_record(d: &mut Decoder<'_>) -> Result<(ComputeKey, ComputePerf
 }
 
 fn encode_plan_record(out: &mut Vec<u8>, key: &PlanKey, plan: &TilingPlan) {
-    encode_work(out, &key.work);
+    encode_work(out, key.work.work());
     push_u64(out, key.bytes_per_element as u64);
     push_u64(out, key.working_buffer_bytes as u64);
     let t = &plan.tiling;
@@ -231,7 +237,7 @@ fn encode_plan_record(out: &mut Vec<u8>, key: &PlanKey, plan: &TilingPlan) {
     push_u64(out, plan.working_set);
 }
 
-fn decode_plan_record(d: &mut Decoder<'_>) -> Result<(PlanKey, TilingPlan), Corrupt> {
+fn decode_plan_record(d: &mut Decoder<'_>) -> Result<PlanRecord, Corrupt> {
     let key = PlanKey {
         work: decode_work(d)?,
         bytes_per_element: d.usize("bytes_per_element")?,
@@ -367,8 +373,8 @@ mod tests {
     fn a_record_decodes_into_no_more_bytes_than_it_encodes() {
         // The count check bounds a reservation by the payload only if
         // each reserved element is no larger than its encoding.
-        assert!(std::mem::size_of::<(ComputeKey, ComputePerf)>() <= COMPUTE_BYTES);
-        assert!(std::mem::size_of::<(PlanKey, TilingPlan)>() <= PLAN_BYTES);
+        assert!(std::mem::size_of::<ComputeRecord>() <= COMPUTE_BYTES);
+        assert!(std::mem::size_of::<PlanRecord>() <= PLAN_BYTES);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::fmt;
 use codesign_arch::{AcceleratorConfig, Dataflow};
 use codesign_dnn::{Layer, Network};
 
-use crate::cache::Lookups;
+use crate::cache::{Lookups, WorkKey};
 use crate::dram::combine_cycles;
 use crate::engine::{SimOptions, Simulator};
 use crate::error::SimResult;
@@ -114,12 +114,12 @@ impl Simulator {
             let cycles = combine_cycles(compute.cycles(), cfg.dram().transfer_cycles(bytes), cfg);
             return Ok([cycles; 4]);
         };
-        let seen = &mut Lookups::default();
+        let (key, seen) = (WorkKey::new(work), &mut Lookups::default());
         // The WS lookup validates the work first: RS and NLR assume
         // well-formed work, just like WS and OS.
-        let ws = self.compute(&work, cfg, opts, Dataflow::WeightStationary, seen)?;
-        let os = self.compute(&work, cfg, opts, Dataflow::OutputStationary, seen)?;
-        let dram = cfg.dram().transfer_cycles(self.traffic(&work, cfg, opts, seen)?.total());
+        let ws = self.compute(&key, cfg, opts, Dataflow::WeightStationary, seen)?;
+        let os = self.compute(&key, cfg, opts, Dataflow::OutputStationary, seen)?;
+        let dram = cfg.dram().transfer_cycles(self.traffic(&key, cfg, opts, seen)?.total());
         Ok([ws, os, simulate_rs(&work, cfg), simulate_nlr(&work, cfg)]
             .map(|perf| combine_cycles(perf.cycles(), dram, cfg)))
     }

@@ -498,7 +498,7 @@ mod tests {
         let cfg = cfg();
         for w in [work(128, 128, 3, 56), work(512, 1000, 1, 13), work(64, 192, 3, 28)] {
             let plan = optimize_tiling(&w, &cfg).unwrap();
-            let closed = crate::dram::conv_traffic(&w, &cfg);
+            let closed = crate::dram::conv_traffic(&w, &cfg).unwrap();
             assert!(
                 plan.traffic.total() <= closed.total(),
                 "search {} should beat closed form {} for {w:?}",

@@ -7,10 +7,16 @@
 //! error. Pinned regressions cover the bound's edge cases (depthwise
 //! diagonal-only reuse and an r-candidate list of length one), the
 //! input-channel boundary where only the largest fitting tile is
-//! evaluated, and a plan whose traffic total overflows 64 bits.
+//! evaluated, and a plan whose traffic total overflows 64 bits, beside
+//! the closed-form traffic model's own overflow.
 
-use codesign_arch::AcceleratorConfig;
-use codesign_sim::{optimize_tiling, optimize_tiling_exhaustive, ConvWork, WorkKind};
+use codesign_arch::{AcceleratorConfig, DataflowPolicy};
+use codesign_dnn::{NetworkBuilder, Shape};
+use codesign_sim::dram::conv_traffic;
+use codesign_sim::{
+    optimize_tiling, optimize_tiling_exhaustive, ConvWork, SimError, SimOptions, Simulator,
+    TrafficModel, WorkKind,
+};
 use proptest::prelude::*;
 
 fn kind() -> impl Strategy<Value = WorkKind> {
@@ -265,6 +271,37 @@ mod pinned {
         check(&work, &cfg);
         let err = optimize_tiling(&work, &cfg).expect_err("the traffic total overflows");
         assert_eq!(err.kind(), "arithmetic_overflow", "{err}");
+    }
+
+    /// The closed-form traffic model on a dense 1×1 work that validates
+    /// (2^24 input channels on a 32,768 × 29,000 plane, one filter): the
+    /// 16 KiB buffer holds neither operand, so the input is re-fetched
+    /// once per 4 KiB of weights, 8,192 times, and its bytes pass 64
+    /// bits. Unchecked, that panics in debug builds and in release
+    /// wraps to 2,954,361,357,489,143,808 bytes. It must fail typed,
+    /// as the tiling search (which finds no feasible tile) does.
+    #[test]
+    fn closed_form_traffic_overflow_regression() {
+        let net = NetworkBuilder::new("wide", Shape::new(1 << 24, 32_768, 29_000))
+            .conv("c", 1, 1, 1, 0)
+            .finish()
+            .expect("the shape builds");
+        let work = ConvWork::from_layer(&net.layers()[0]).expect("a conv layer");
+        work.validate().expect("the work is within the modeling range");
+        let cfg = AcceleratorConfig::builder()
+            .global_buffer_bytes(16 << 10)
+            .build()
+            .expect("valid pinned config");
+        let overflow =
+            SimError::ArithmeticOverflow { layer: None, context: "closed-form DRAM traffic" };
+        assert_eq!(conv_traffic(&work, &cfg), Err(overflow.clone()));
+        let sim = Simulator::new();
+        let policy = DataflowPolicy::PerLayer;
+        let closed_form = SimOptions { traffic: TrafficModel::ClosedForm, ..Default::default() };
+        let err = sim.try_simulate_network(&net, &cfg, policy, closed_form).unwrap_err();
+        assert_eq!(err, overflow.for_layer("c"));
+        let err = sim.try_simulate_network(&net, &cfg, policy, SimOptions::default()).unwrap_err();
+        assert_eq!(err.kind(), "infeasible_tiling", "{err}");
     }
 
     /// A classifier-head layer with a 1×1 output plane admits exactly
