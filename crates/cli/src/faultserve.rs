@@ -108,17 +108,40 @@ impl TestServer {
         }
     }
 
-    /// Requests a clean shutdown and joins the server thread.
+    /// Requests a clean shutdown and joins the server thread. A server
+    /// that never acknowledges the request is left running and reported,
+    /// since joining it would block for good.
     fn stop(self) -> Result<(), String> {
-        let mut c = Client::connect(self.addr)?;
-        c.send(r#"{"id":"stop","cmd":"shutdown"}"#)?;
-        let _ = c.recv();
-        drop(c);
+        request_shutdown(self.addr)?;
         match self.thread.join() {
             Ok(Ok(())) => Ok(()),
             Ok(Err(e)) => Err(format!("server exited with an error: {}", run_error_text(&e))),
             Err(_) => Err("server thread panicked".to_owned()),
         }
+    }
+}
+
+/// Sends `shutdown` on fresh connections until the server acknowledges
+/// it. A connection can meet an `overloaded` fast-reject instead: when a
+/// case's last client has just left, the server may not yet have freed
+/// its slot, so the request is retried after a pause, for at most
+/// [`EXCHANGE_TIMEOUT`].
+fn request_shutdown(addr: SocketAddr) -> Result<(), String> {
+    let deadline = Instant::now() + EXCHANGE_TIMEOUT;
+    loop {
+        let mut c = Client::connect(addr)?;
+        // A rejected connection may be closed before the request is
+        // written or read; either way the reply is not the acknowledgement.
+        let reply = c.send(r#"{"id":"stop","cmd":"shutdown"}"#).and_then(|()| c.recv());
+        if let Ok(Some(line)) = reply {
+            if line.contains(r#""cmd":"shutdown","ok":true"#) {
+                return Ok(());
+            }
+        }
+        if Instant::now() >= deadline {
+            return Err("server never acknowledged shutdown".to_owned());
+        }
+        std::thread::sleep(Duration::from_millis(50));
     }
 }
 
@@ -469,10 +492,7 @@ fn case_shutdown_races_sweep() -> Result<(), String> {
     let addr = server.addr;
     let mut a = Client::connect(addr)?;
     a.send(r#"{"id":"race","cmd":"sweep","network":"squeezenet-v1.1"}"#)?;
-    let mut b = Client::connect(addr)?;
-    b.send(r#"{"id":"bye","cmd":"shutdown"}"#)?;
-    let _ = b.recv();
-    drop(b);
+    request_shutdown(addr)?;
     // The in-flight sweep either completes its stream or the connection
     // closes — but A must not hang, and the server must join cleanly.
     loop {

@@ -932,6 +932,87 @@ mod tests {
         assert_eq!(frontier.peak(), 3, "both duplicates plus the trade-off were live at once");
     }
 
+    /// One valid request line per compute command, the seeds of
+    /// [`request_decoding_survives_mutated_lines`].
+    const DECODE_SEEDS: [&str; 3] = [
+        r#"{"id":1,"cmd":"simulate","network":"squeezenet-v1.1","arch":"ws","array":16,"rf":8,"buffer_kib":128}"#,
+        r#"{"id":"c","cmd":"codesign","network":"tiny-darknet","array":8,"rf":16,"buffer_kib":64}"#,
+        r#"{"id":[3],"cmd":"sweep","network":"alexnet","arrays":[8,16],"rfs":[8],"buffers_kib":[64,128],"chunk":2,"prune":true}"#,
+    ];
+
+    /// Decodes one request line as `handle_request` does, through
+    /// `Compute::parse` for the compute commands, and names the error
+    /// code the client would get, if any.
+    fn decode(line: &str) -> Option<String> {
+        let req = match Value::parse(line) {
+            Ok(v @ Value::Obj(_)) => v,
+            Ok(_) | Err(_) => return Some("usage".to_owned()),
+        };
+        let cmd = req.get("cmd").and_then(Value::as_str).unwrap_or("");
+        if !matches!(cmd, "sweep" | "simulate" | "codesign") {
+            return None;
+        }
+        Compute::parse(cmd, &req).err().map(|(code, _)| code)
+    }
+
+    /// Replaces the value of the first `"key":` in `line` with `value`.
+    fn splice(line: &str, key: &str, value: &str) -> Option<String> {
+        let start = line.find(&format!("\"{key}\":"))? + key.len() + 3;
+        let rest = &line[start..];
+        let len = if rest.starts_with('[') { rest.find(']')? + 1 } else { rest.find([',', '}'])? };
+        Some(format!("{}{value}{}", &line[..start], &rest[len..]))
+    }
+
+    #[test]
+    fn request_decoding_survives_mutated_lines() {
+        // Hostile lines reach `Compute::parse` before any simulation, so
+        // every truncation, every single-bit flip and every huge, negative
+        // or fractional number spliced into a design axis must decode to
+        // `Ok` or a typed `usage`/`rejected` error, never a panic.
+        let numbers = [
+            "4294967295",
+            "4294967296",
+            "18446744073709551615",
+            "18446744073709551616",
+            "9007199254740993",
+            "1e300",
+            "1e400",
+            "-1",
+            "0",
+            "2.5",
+        ];
+        let mut lines: Vec<String> = Vec::new();
+        for seed in DECODE_SEEDS {
+            assert_eq!(decode(seed), None, "seed must decode: {seed}");
+            lines.extend((0..seed.len()).map(|cut| seed[..cut].to_owned()));
+            for (i, bit) in (0..seed.len()).flat_map(|i| (0..8).map(move |bit| (i, bit))) {
+                let mut bytes = seed.as_bytes().to_vec();
+                bytes[i] ^= 1 << bit;
+                // The connection loop decodes lines lossily, so do the same.
+                lines.push(String::from_utf8_lossy(&bytes).into_owned());
+            }
+            for key in ["array", "rf", "buffer_kib", "arrays", "rfs", "buffers_kib"] {
+                for n in numbers {
+                    let value = if key.ends_with('s') { format!("[8,{n}]") } else { n.to_owned() };
+                    lines.extend(splice(seed, key, &value));
+                }
+            }
+        }
+        assert_eq!(lines.len(), 2_808, "every seed byte mutated and every axis spliced");
+        let mut typed = 0;
+        for line in &lines {
+            match catch_unwind(|| decode(line)) {
+                Ok(None) => {}
+                Ok(Some(code)) => {
+                    assert!(code == "usage" || code == "rejected", "`{code}` for {line}");
+                    typed += 1;
+                }
+                Err(_) => panic!("decoding panicked on {line}"),
+            }
+        }
+        assert!(typed > lines.len() / 2, "only {typed} of {} lines were refused", lines.len());
+    }
+
     /// Drains a reader through `read_bounded_line`, tagging each outcome.
     fn drain(input: &[u8], max: usize) -> Vec<String> {
         let mut reader = BufReader::with_capacity(8, input);

@@ -2,6 +2,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::layer::{infer_output, ConvSpec, Kernel, Layer, LayerOp, PoolKind};
 use crate::shape::Shape;
@@ -36,11 +37,16 @@ impl Error for BuildNetworkError {}
 /// [`LayerOp::Concat`] / [`LayerOp::EltwiseAdd`] records the merge. This is
 /// exactly the granularity the Squeezelerator schedules at — it processes
 /// the network "layer by layer".
+///
+/// A built network never changes, so its name and layers sit behind
+/// reference counts: a clone costs two counter increments and shares the
+/// layer allocation, which is what lets [`crate::zoo`] hand out one
+/// network per name for the whole process.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Network {
-    name: String,
+    name: Arc<str>,
     input: Shape,
-    layers: Vec<Layer>,
+    layers: Arc<[Layer]>,
     top1_accuracy: Option<f64>,
 }
 
@@ -451,9 +457,9 @@ impl NetworkBuilder {
             ));
         }
         Ok(Network {
-            name: std::mem::take(&mut self.name),
+            name: std::mem::take(&mut self.name).into(),
             input: self.input,
-            layers: std::mem::take(&mut self.layers),
+            layers: std::mem::take(&mut self.layers).into(),
             top1_accuracy: self.top1_accuracy,
         })
     }

@@ -6,10 +6,12 @@
 //! modern embedded vision workloads (73 % of its runtime and 80 % of its
 //! energy are FC at batch 1).
 
+use std::sync::OnceLock;
+
 use crate::network::{Network, NetworkBuilder};
 use crate::shape::Shape;
 
-/// Builds AlexNet for 227×227 ImageNet inference.
+/// AlexNet for 227×227 ImageNet inference, built once per process.
 ///
 /// # Examples
 ///
@@ -18,6 +20,12 @@ use crate::shape::Shape;
 /// assert_eq!(net.name(), "AlexNet");
 /// ```
 pub fn alexnet() -> Network {
+    static NET: OnceLock<Network> = OnceLock::new();
+    NET.get_or_init(build).clone()
+}
+
+/// Builds AlexNet from its layer table.
+pub(super) fn build() -> Network {
     NetworkBuilder::new("AlexNet", Shape::new(3, 227, 227))
         .conv("conv1", 96, 11, 4, 0)
         .max_pool("pool1", 3, 2)

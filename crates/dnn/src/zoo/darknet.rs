@@ -4,11 +4,19 @@
 //! lightweight model whose layer mix (13 % 1×1, 82 % F×F) favors the OS
 //! dataflow more than SqueezeNet's.
 
+use std::sync::OnceLock;
+
 use crate::network::{Network, NetworkBuilder};
 use crate::shape::Shape;
 
-/// Builds Tiny Darknet for 224×224 ImageNet inference.
+/// Tiny Darknet for 224×224 ImageNet inference, built once per process.
 pub fn tiny_darknet() -> Network {
+    static NET: OnceLock<Network> = OnceLock::new();
+    NET.get_or_init(build).clone()
+}
+
+/// Builds Tiny Darknet from its layer table.
+pub(super) fn build() -> Network {
     NetworkBuilder::new("Tiny Darknet", Shape::new(3, 224, 224))
         .conv("conv1", 16, 3, 1, 1)
         .max_pool("pool1", 2, 2)

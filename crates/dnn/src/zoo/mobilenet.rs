@@ -5,6 +5,8 @@
 //! convolutions (which are 19–96× faster on OS), so single-dataflow
 //! accelerators lose badly on one side or the other.
 
+use std::sync::OnceLock;
+
 use crate::network::{Network, NetworkBuilder};
 use crate::shape::Shape;
 
@@ -59,13 +61,22 @@ pub fn mobilenet(width: f64) -> Network {
     b.finish().unwrap_or_else(|e| unreachable!("MobileNet definition is shape-consistent: {e}"))
 }
 
-/// Builds 1.0-MobileNet-224, the variant in the paper's tables.
+/// 1.0-MobileNet-224, the variant in the paper's tables, built once per
+/// process.
 pub fn mobilenet_v1() -> Network {
-    mobilenet(1.0)
+    static NET: OnceLock<Network> = OnceLock::new();
+    NET.get_or_init(|| mobilenet(1.0)).clone()
 }
 
-/// All published width variants, widest first (for the Figure-4 spectrum).
+/// All published width variants, widest first (for the Figure-4
+/// spectrum), built once per process.
 pub fn mobilenet_family() -> Vec<Network> {
+    static NETS: OnceLock<Vec<Network>> = OnceLock::new();
+    NETS.get_or_init(build_family).clone()
+}
+
+/// Builds every published width variant.
+pub(super) fn build_family() -> Vec<Network> {
     WIDTH_VARIANTS.iter().map(|(w, _)| mobilenet(*w)).collect()
 }
 

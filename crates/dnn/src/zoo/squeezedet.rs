@@ -9,6 +9,8 @@
 //! paper authors' own detector: a SqueezeNet backbone on a KITTI-sized
 //! 1242×375 image plus the fully-convolutional ConvDet head.
 
+use std::sync::OnceLock;
+
 use crate::network::{Network, NetworkBuilder};
 use crate::shape::Shape;
 
@@ -17,14 +19,20 @@ const ANCHORS_PER_GRID: usize = 9;
 /// KITTI classes (car, cyclist, pedestrian).
 const CLASSES: usize = 3;
 
-/// Builds the SqueezeDet trunk for KITTI-resolution (3×375×1242) object
-/// detection.
+/// The SqueezeDet trunk for KITTI-resolution (3×375×1242) object
+/// detection, built once per process.
 ///
 /// The ConvDet head emits, per grid cell, `ANCHORS_PER_GRID` anchors ×
 /// (`CLASSES` class scores + 1 confidence + 4 box deltas). No accuracy
 /// metadata is attached (detection mAP is not comparable to the
 /// classification spectrum of Figure 4).
 pub fn squeezedet_trunk() -> Network {
+    static NET: OnceLock<Network> = OnceLock::new();
+    NET.get_or_init(build).clone()
+}
+
+/// Builds the SqueezeDet trunk from its layer table.
+pub(super) fn build() -> Network {
     let outputs = ANCHORS_PER_GRID * (CLASSES + 1 + 4);
     NetworkBuilder::new("SqueezeDet trunk", Shape::new(3, 375, 1242))
         .conv("conv1", 64, 3, 2, 0)

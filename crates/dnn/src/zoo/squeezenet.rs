@@ -1,14 +1,30 @@
 //! SqueezeNet v1.0 and v1.1 (Iandola et al., 2016), the Squeezelerator's
 //! original target DNN.
 
+use std::sync::OnceLock;
+
 use crate::network::{Network, NetworkBuilder};
 use crate::shape::Shape;
 
-/// Builds SqueezeNet v1.0 (Caffe reference model, 227×227 input).
+/// SqueezeNet v1.0 (Caffe reference model, 227×227 input), built once
+/// per process.
 ///
 /// The paper reports the Table-1 MAC split for this model as
 /// Conv1 21 % / 1×1 25 % / 3×3 54 %.
 pub fn squeezenet_v1_0() -> Network {
+    static NET: OnceLock<Network> = OnceLock::new();
+    NET.get_or_init(build_v1_0).clone()
+}
+
+/// SqueezeNet v1.1 (the 2.4×-cheaper revision: 3×3 first conv, pooling
+/// moved earlier), built once per process.
+pub fn squeezenet_v1_1() -> Network {
+    static NET: OnceLock<Network> = OnceLock::new();
+    NET.get_or_init(build_v1_1).clone()
+}
+
+/// Builds SqueezeNet v1.0 from its layer table.
+pub(super) fn build_v1_0() -> Network {
     NetworkBuilder::new("SqueezeNet v1.0", Shape::new(3, 227, 227))
         .conv("conv1", 96, 7, 2, 0)
         .max_pool("pool1", 3, 2)
@@ -29,9 +45,8 @@ pub fn squeezenet_v1_0() -> Network {
         .unwrap_or_else(|e| unreachable!("SqueezeNet v1.0 definition is shape-consistent: {e}"))
 }
 
-/// Builds SqueezeNet v1.1 (the 2.4×-cheaper revision: 3×3 first conv,
-/// pooling moved earlier).
-pub fn squeezenet_v1_1() -> Network {
+/// Builds SqueezeNet v1.1 from its layer table.
+pub(super) fn build_v1_1() -> Network {
     NetworkBuilder::new("SqueezeNet v1.1", Shape::new(3, 227, 227))
         .conv("conv1", 64, 3, 2, 0)
         .max_pool("pool1", 3, 2)

@@ -18,6 +18,8 @@
 //! * **v2 → v5**: moving blocks from the low-utilization early stages to
 //!   the high-utilization late stages, `[6,6,8,1] → [2,4,14,1]`.
 
+use std::sync::OnceLock;
+
 use crate::network::{Network, NetworkBuilder};
 use crate::shape::Shape;
 
@@ -97,22 +99,24 @@ fn append_block(b: &mut NetworkBuilder, stage: usize, block: usize, out: usize, 
     }
 }
 
-/// Builds co-design variant `v` (1..=5) of 1.0-SqNxt-23, as swept in
-/// Figure 3.
+/// Co-design variant `v` (1..=5) of 1.0-SqNxt-23, as swept in Figure 3,
+/// built once per process.
 ///
 /// # Panics
 ///
 /// Panics if `v` is not in `1..=5`.
 pub fn squeezenext_variant(v: usize) -> Network {
-    variant_config(v).build()
+    static NETS: [OnceLock<Network>; 5] = [const { OnceLock::new() }; 5];
+    assert!((1..=5).contains(&v), "SqueezeNext variant must be in 1..=5, got {v}");
+    NETS[v - 1].get_or_init(|| variant_config(v).build()).clone()
 }
 
-fn variant_config(v: usize) -> SqueezeNextConfig {
+/// The configuration of variant `v`, which callers keep in `1..=5`.
+pub(super) fn variant_config(v: usize) -> SqueezeNextConfig {
     // Depth reallocation and accuracy trajectory: the DAC paper reports the
     // optimized variants have "slightly better accuracy", ending at 59.2 %
     // top-1. Intermediate accuracies are interpolated (documented
     // assumption).
-    assert!((1..=5).contains(&v), "SqueezeNext variant must be in 1..=5, got {v}");
     let (stage_blocks, conv1_kernel, acc) = match v {
         1 => ([6, 6, 8, 1], 7, 58.2),
         2 => ([6, 6, 8, 1], 5, 58.5),
@@ -129,8 +133,8 @@ fn variant_config(v: usize) -> SqueezeNextConfig {
     }
 }
 
-/// Builds the final co-designed model (`1.0-SqNxt-23v5`) — "SqueezeNext"
-/// in the paper's Tables 1 and 2.
+/// The final co-designed model (`1.0-SqNxt-23v5`) — "SqueezeNext" in the
+/// paper's Tables 1 and 2.
 pub fn squeezenext() -> Network {
     squeezenext_variant(5)
 }
@@ -140,12 +144,18 @@ pub fn squeezenext_variants() -> Vec<Network> {
     (1..=5).map(squeezenext_variant).collect()
 }
 
-/// The width/depth family plotted in Figure 4.
+/// The width/depth family plotted in Figure 4, built once per process.
 ///
 /// Depth configurations for the 34- and 44-layer models and accuracies for
 /// the scaled models follow the SqueezeNext paper (±: reconstructed, see
 /// module docs).
 pub fn squeezenext_family() -> Vec<Network> {
+    static NETS: OnceLock<Vec<Network>> = OnceLock::new();
+    NETS.get_or_init(build_family).clone()
+}
+
+/// Builds every Figure-4 SqueezeNext model.
+pub(super) fn build_family() -> Vec<Network> {
     let points = [
         ("1.0-SqNxt-23", 1.0, [2, 4, 14, 1], 59.2),
         ("1.0-SqNxt-34", 1.0, [8, 10, 12, 2], 61.4),
