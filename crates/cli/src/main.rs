@@ -77,6 +77,15 @@ fn main() -> ExitCode {
     }
 }
 
+/// The networks `codesign list` prints, in order: the six table
+/// networks, the five SqueezeNext variants and the SqueezeDet trunk.
+fn listed_networks() -> Vec<Network> {
+    let mut nets = zoo::table_networks();
+    nets.extend(zoo::squeezenext_variants());
+    nets.push(zoo::squeezedet_trunk());
+    nets
+}
+
 fn load_network(spec: &str) -> Result<Network, RunError> {
     if let Some(net) = zoo::by_name(spec) {
         return Ok(net);
@@ -369,13 +378,9 @@ fn run(inv: &Invocation) -> Result<(), RunError> {
 
     if inv.action == Action::List {
         println!("model zoo:");
-        for net in zoo::table_networks() {
+        for net in listed_networks() {
             println!("  {net}");
         }
-        for v in 1..=5 {
-            println!("  {}", zoo::squeezenext_variant(v));
-        }
-        println!("  {}", zoo::squeezedet_trunk());
         return Ok(());
     }
 
@@ -576,4 +581,19 @@ fn run(inv: &Invocation) -> Result<(), RunError> {
         }
     }
     write_sinks(inv, &tracer)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_listed_name_resolves_to_its_network() {
+        let nets = listed_networks();
+        assert_eq!(nets.len(), 12);
+        for net in nets {
+            let found = zoo::by_name(net.name());
+            assert_eq!(found.as_ref().map(Network::name), Some(net.name()));
+        }
+    }
 }

@@ -596,9 +596,9 @@ fn stats_body(state: &ServerState) -> String {
     )
 }
 
-/// A fully-validated compute request, normalized enough that two
-/// textually different but semantically identical requests produce the
-/// same dedup key.
+/// A parsed compute request, normalized enough that two textually
+/// different but semantically identical requests produce the same dedup
+/// key.
 enum Compute {
     Sweep { spec: String, network: Network, space: SweepSpace, chunk: Option<usize>, prune: bool },
     Simulate { spec: String, network: Network, policy: DataflowPolicy, cfg: AcceleratorConfig },
@@ -606,8 +606,8 @@ enum Compute {
 }
 
 impl Compute {
-    /// Parses and validates the request. Errors are `(code, message)`
-    /// with the same usage/rejected split as the one-shot CLI.
+    /// Parses the request. Errors are `(code, message)` with the same
+    /// usage/rejected split as the one-shot CLI.
     fn parse(cmd: &str, req: &Value) -> Result<Compute, (String, String)> {
         let usage = |m: String| ("usage".to_owned(), m);
         let spec = req
@@ -680,9 +680,9 @@ impl Compute {
             b.global_buffer_bytes(kib * 1024);
         }
         let cfg = b.build().map_err(|e| usage(e.to_string()))?;
-        // Same pre-flight as the one-shot CLI: a workload the cycle
-        // models cannot represent is `rejected`, named layer and all.
-        validate_network(&network, &cfg).map_err(|e| ("rejected".to_owned(), e.to_string()))?;
+        // No pre-flight here: the simulator validates each layer as it
+        // goes, and `compute_and_publish` validates the whole network
+        // only when an answer other than `done` is about to go out.
         if cmd == "simulate" {
             Ok(Compute::Simulate { spec, network, policy, cfg })
         } else {
@@ -802,7 +802,9 @@ fn compute_and_publish(
         inflight.push(body);
     };
     let mut deadline_hit = false;
-    match compute {
+    // A query's outcome: its `done` line, `None` when the deadline
+    // stopped it, or the simulator's error.
+    let query = match compute {
         Compute::Sweep { network, space, chunk, prune, .. } => {
             let mut deltas = 0usize;
             // Default chunk = one scheduling round: each batch of
@@ -815,8 +817,15 @@ fn compute_and_publish(
                 prune: *prune,
                 ..FrontierConfig::default()
             };
-            let result =
-                sweep_frontier_with(&worker, network, space, opts, &energy, &config, &cancel, |event| {
+            let result = sweep_frontier_with(
+                &worker,
+                network,
+                space,
+                opts,
+                &energy,
+                &config,
+                &cancel,
+                |event| {
                     match event {
                         FrontierEvent::Entered { index, point } => {
                             deltas += 1;
@@ -836,7 +845,8 @@ fn compute_and_publish(
                         // before the streaming engine.
                         FrontierEvent::Failure { .. } => {}
                     }
-                });
+                },
+            );
             match result {
                 Ok(outcome) => {
                     let best = outcome
@@ -859,28 +869,29 @@ fn compute_and_publish(
                 }
                 Err(e) => emit(error_body("usage", &e.to_string())),
             }
+            None
         }
         Compute::Simulate { network, policy, cfg, .. } => {
-            if cancel.is_cancelled() {
-                deadline_hit = true;
-                emit(deadline_error(" before simulation started"));
+            let result = if cancel.is_cancelled() {
+                Ok(None)
             } else {
-                match worker.try_simulate_network(network, cfg, *policy, opts) {
-                    Ok(perf) => emit(format!(
+                worker.try_simulate_network(network, cfg, *policy, opts).map(|perf| {
+                    Some(format!(
                         "\"event\":\"done\",\"cmd\":\"simulate\",\"cycles\":{},\"energy\":{},\"utilization\":{}",
                         perf.total_cycles(),
                         perf.total_energy(&energy),
                         perf.average_utilization(cfg.pe_count())
-                    )),
-                    Err(e) => emit(error_body("rejected", &e.to_string())),
-                }
-            }
+                    ))
+                })
+            };
+            Some((network, cfg, result, " before simulation started"))
         }
         Compute::Codesign { network, cfg, .. } => {
-            match ArchitectureComparison::evaluate_cancellable_with(
+            let result = ArchitectureComparison::evaluate_cancellable_with(
                 &worker, network, cfg, opts, energy, &cancel,
-            ) {
-                Ok(Some(c)) => emit(format!(
+            )
+            .map(|c| {
+                c.map(|c| format!(
                     "\"event\":\"done\",\"cmd\":\"codesign\",\"network\":{},\"hybrid_cycles\":{},\"ws_cycles\":{},\"os_cycles\":{},\"speedup_vs_ws\":{},\"speedup_vs_os\":{},\"energy_reduction_vs_ws\":{},\"energy_reduction_vs_os\":{}",
                     quote(&c.network),
                     c.hybrid.total_cycles(),
@@ -890,12 +901,28 @@ fn compute_and_publish(
                     c.speedup_vs_os(),
                     c.energy_reduction_vs_ws(),
                     c.energy_reduction_vs_os()
-                )),
-                Ok(None) => {
+                ))
+            });
+            Some((network, cfg, result, " between architecture evaluations"))
+        }
+    };
+    if let Some((network, cfg, result, late)) = query {
+        // The simulator validates lazily, layer by layer. Any answer but
+        // `done` first validates the whole network, so an invalid query
+        // answers `rejected` for its first invalid layer whatever else
+        // stopped it, as an up-front validation would.
+        match result {
+            Ok(Some(done)) => emit(done),
+            Ok(None) => match validate_network(network, cfg) {
+                Ok(()) => {
                     deadline_hit = true;
-                    emit(deadline_error(" between architecture evaluations"));
+                    emit(deadline_error(late));
                 }
                 Err(e) => emit(error_body("rejected", &e.to_string())),
+            },
+            Err(e) => {
+                let e = validate_network(network, cfg).err().unwrap_or(e);
+                emit(error_body("rejected", &e.to_string()));
             }
         }
     }

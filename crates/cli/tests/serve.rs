@@ -441,6 +441,34 @@ fn server_wide_deadline_caps_every_request() {
 }
 
 #[test]
+fn infeasible_queries_are_rejected_whatever_their_deadline() {
+    // AlexNet's conv1 needs a 5346-B tile; a 4-KiB buffer leaves a
+    // 2048-B working half. An invalid query answers `rejected` even when
+    // its deadline has already passed; a valid one past its deadline
+    // answers `deadline`.
+    let server = spawn_server(&[]);
+    let mut c = Client::connect(server.port);
+    let rejected = r#""event":"error","code":"rejected","message":"infeasible tiling in layer `conv1`: smallest tile needs 5346 B on chip but the working buffer holds 2048 B""#;
+    for (cmd, late) in [
+        ("simulate", "before simulation started"),
+        ("codesign", "between architecture evaluations"),
+    ] {
+        for deadline in ["", r#","deadline_ms":0"#] {
+            let request = format!(
+                r#"{{"id":"{cmd}","cmd":"{cmd}","network":"alexnet","buffer_kib":4{deadline}}}"#
+            );
+            assert_eq!(c.request(&request), [format!(r#"{{"id":"{cmd}",{rejected}}}"#)]);
+        }
+        let request =
+            format!(r#"{{"id":"{cmd}","cmd":"{cmd}","network":"alexnet","deadline_ms":0}}"#);
+        let deadline = format!(
+            r#"{{"id":"{cmd}","event":"error","code":"deadline","message":"deadline of 0 ms exceeded {late}"}}"#
+        );
+        assert_eq!(c.request(&request), [deadline]);
+    }
+}
+
+#[test]
 fn oversized_lines_cost_one_typed_error_each() {
     let server = spawn_server(&["--max-line-bytes", "256"]);
     let mut c = Client::connect(server.port);

@@ -47,7 +47,7 @@ pub fn table_networks() -> Vec<Network> {
 /// Recognized names, as they read once normalized (so `"SqNxt-23v3"`
 /// and `"1.0-SqNxt-23v3"` both name variant 3):
 /// - `alexnet`;
-/// - `mobilenet`, `mobilenetv1`, `10mobilenet224`;
+/// - `mobilenet`, `mobilenetv1`, `10mobilenet224`, `100mobilenet224`;
 /// - `tinydarknet`, `darknet`;
 /// - `squeezenet`, `squeezenetv10` (v1.0) and `squeezenetv11` (v1.1);
 /// - `squeezenext`, `10sqnxt23` (variant 5);
@@ -58,7 +58,7 @@ pub fn by_name(name: &str) -> Option<Network> {
         name.to_ascii_lowercase().chars().filter(|c| c.is_ascii_alphanumeric()).collect();
     let net = match key.as_str() {
         "alexnet" => alexnet(),
-        "mobilenet" | "mobilenetv1" | "10mobilenet224" => mobilenet_v1(),
+        "mobilenet" | "mobilenetv1" | "10mobilenet224" | "100mobilenet224" => mobilenet_v1(),
         "tinydarknet" | "darknet" => tiny_darknet(),
         "squeezenet" | "squeezenetv10" => squeezenet_v1_0(),
         "squeezenetv11" => squeezenet_v1_1(),
@@ -128,6 +128,7 @@ mod tests {
             ("mobilenet", "1.00-MobileNet-224"),
             ("mobilenetv1", "1.00-MobileNet-224"),
             ("10mobilenet224", "1.00-MobileNet-224"),
+            ("100mobilenet224", "1.00-MobileNet-224"),
             ("tinydarknet", "Tiny Darknet"),
             ("darknet", "Tiny Darknet"),
             ("squeezenet", "SqueezeNet v1.0"),

@@ -17,7 +17,7 @@ use codesign_arch::{AcceleratorConfig, Dataflow, DataflowPolicy};
 use codesign_dnn::{Layer, Network};
 
 use crate::cache::{Lookups, WorkKey};
-use crate::engine::{choose_dataflow, finish_layer, SimOptions, Simulator};
+use crate::engine::{choose_dataflow, Parts, SimOptions, Simulator};
 use crate::error::{SimError, SimResult};
 use crate::perf::{LayerPerf, NetworkPerf, PhaseCycles};
 use crate::simd::simulate_simd;
@@ -115,7 +115,7 @@ impl Simulator {
             .and_then(|act| act.checked_mul(batch))
             .and_then(|act| act.checked_add(weights))
             .ok_or_else(|| SimError::overflow(SCALE_CTX))?;
-        Ok(finish_layer(layer, dataflow, compute, dram_bytes, cfg, cfg.pe_count()))
+        Ok(Parts::new(compute, dram_bytes, cfg).finish(layer, dataflow, cfg.pe_count()))
     }
 }
 

@@ -25,9 +25,10 @@
 //!
 //! Both keys hold the layer shape as a `WorkKey`: the [`ConvWork`]
 //! plus its fingerprint, one keyed hash of the shape taken where the
-//! simulator extracts it. A key hashes that one word and its few small
-//! fields, once per lookup: the hash picks the shard and the shard's
-//! table reuses it. Equality still compares the whole shape.
+//! simulator extracts it. A key's hash is derived from that fingerprint
+//! by one keyed fold over the key's remaining small fields (a multiply
+//! per field, no second hash pass); it picks the shard and the shard's
+//! table reuses it. Equality still compares the whole key.
 //!
 //! Each sub-cache is way-partitioned into `SHARD_COUNT` shards by key
 //! hash with a lock per shard, so parallel sweep workers rarely touch
@@ -60,19 +61,38 @@ const SHARD_COUNT: usize = 16;
 /// spread over all of its buckets.
 const SHARD_SHIFT: u32 = u64::BITS - 7 - SHARD_COUNT.trailing_zeros();
 
-/// The one process-wide hasher behind every fingerprint and every key
-/// hash. It stays keyed (SipHash under a per-process random key):
-/// `serve` clients choose the array sizes, RF depths and buffer sizes
-/// that land in the keys, and a fixed-key hash would let them craft
-/// keys that all collide.
+/// The one process-wide hasher behind every fingerprint, and through
+/// [`fold`] behind every key hash. It stays keyed (SipHash under a
+/// per-process random key): `serve` clients choose the array sizes, RF
+/// depths and buffer sizes that land in the keys, and a fixed-key hash
+/// would let them craft keys that all collide.
 fn keyed() -> &'static RandomState {
     static KEYED: OnceLock<RandomState> = OnceLock::new();
     KEYED.get_or_init(RandomState::new)
 }
 
-/// A layer shape and its fingerprint, the shape's keyed hash, taken
-/// once where a model extracts the shape so that every cache and dedup
-/// key built from it hashes one word instead of the shape's eleven.
+/// Folds one key field into a key hash: the 128-bit product of the hash
+/// xor the field and a per-process secret drawn from [`keyed`], its two
+/// halves xored (the folded multiply of foldhash and wyhash). The chain
+/// starts at a keyed fingerprint and multiplies by a keyed secret, so
+/// crafting two keys whose hashes collide still takes the process key.
+fn fold(hash: u64, field: u64) -> u64 {
+    static SECRET: OnceLock<u64> = OnceLock::new();
+    let secret = *SECRET.get_or_init(|| keyed().hash_one(u64::MAX) | 1);
+    let product = u128::from(hash ^ field) * u128::from(secret);
+    product as u64 ^ (product >> 64) as u64
+}
+
+/// A cache key's hash: its shape's fingerprint with every other field
+/// [`fold`]ed in, so no lookup hashes a key a second time.
+pub(crate) trait KeyHash {
+    fn key_hash(&self) -> u64;
+}
+
+/// A layer shape and its fingerprint, the keyed hash of the shape's
+/// [`ConvWork::words`], taken once where a model extracts the shape:
+/// every cache key's hash is derived from it, and the engine's dedup
+/// memo uses it as is.
 ///
 /// Equality compares the fingerprint and then the whole shape, so two
 /// shapes that share a fingerprint stay two keys. Fingerprints are per
@@ -85,7 +105,15 @@ pub(crate) struct WorkKey {
 
 impl WorkKey {
     pub(crate) fn new(work: ConvWork) -> Self {
-        Self { fingerprint: keyed().hash_one(work), work }
+        // The shape's words as one message: a write per field would pay
+        // the hasher's per-call cost eleven times.
+        let mut bytes = [0; 88];
+        for (chunk, word) in bytes.chunks_exact_mut(8).zip(work.words()) {
+            chunk.copy_from_slice(&word.to_le_bytes());
+        }
+        let mut hasher = keyed().build_hasher();
+        hasher.write(&bytes);
+        Self { fingerprint: hasher.finish(), work }
     }
 
     /// The shape.
@@ -100,10 +128,10 @@ impl Hash for WorkKey {
     }
 }
 
-/// An `f64` treated as its bit pattern so it can participate in a hash
-/// key (the simulator never produces NaN configuration fields, and bitwise
+/// An `f64` treated as its bit pattern so it can be part of a cache key
+/// (the simulator never produces NaN configuration fields, and bitwise
 /// equality is exactly the determinism contract the cache needs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) struct Bits(pub(crate) u64);
 
 impl From<f64> for Bits {
@@ -113,7 +141,7 @@ impl From<f64> for Bits {
 }
 
 /// The OS-datapath option fields that influence the OS cycle model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) struct OsOptsKey {
     pub(crate) zero_fraction: Bits,
     pub(crate) exploit_sparsity: bool,
@@ -136,13 +164,26 @@ impl OsOptsKey {
 /// [`crate::ws::simulate_ws`] / [`crate::os::simulate_os`] read. The
 /// cache holds it over a [`WorkKey`]; a snapshot record holds the bare
 /// [`ConvWork`], fingerprinted when it is loaded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ComputeKey<W = WorkKey> {
     pub(crate) work: W,
     pub(crate) dataflow: Dataflow,
     pub(crate) array_size: usize,
     pub(crate) rf_depth: usize,
     pub(crate) os: OsOptsKey,
+}
+
+impl KeyHash for ComputeKey {
+    fn key_hash(&self) -> u64 {
+        let os = &self.os;
+        let flags = self.dataflow as u64
+            | (os.exploit_sparsity as u64) << 1
+            | (os.preload_overlap as u64) << 2
+            | (os.channel_packing as u64) << 3;
+        [flags, self.array_size as u64, self.rf_depth as u64, os.zero_fraction.0]
+            .into_iter()
+            .fold(self.work.fingerprint, fold)
+    }
 }
 
 impl<W: Copy> ComputeKey<W> {
@@ -173,6 +214,14 @@ pub(crate) struct PlanKey<W = WorkKey> {
     pub(crate) work: W,
     pub(crate) bytes_per_element: usize,
     pub(crate) working_buffer_bytes: usize,
+}
+
+impl KeyHash for PlanKey {
+    fn key_hash(&self) -> u64 {
+        [self.bytes_per_element as u64, self.working_buffer_bytes as u64]
+            .into_iter()
+            .fold(self.work.fingerprint, fold)
+    }
 }
 
 impl<W: Copy> PlanKey<W> {
@@ -271,17 +320,17 @@ fn lock_counting<T>(mutex: &Mutex<T>) -> (MutexGuard<'_, T>, u64) {
     }
 }
 
-/// A key stored with its keyed hash, so that the shard's table reads
-/// the hash back instead of hashing the key a second time.
+/// A key stored with its derived hash, so that the shard's table reads
+/// the hash back instead of hashing the key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Hashed<K> {
     hash: u64,
     key: K,
 }
 
-impl<K: Hash> Hashed<K> {
+impl<K: KeyHash> Hashed<K> {
     fn new(key: K) -> Self {
-        Self { hash: keyed().hash_one(&key), key }
+        Self { hash: key.key_hash(), key }
     }
 }
 
@@ -291,10 +340,11 @@ impl<K> Hash for Hashed<K> {
     }
 }
 
-/// The shard tables' hasher: it hands back the one word a [`Hashed`]
-/// key writes, a hash already keyed.
+/// The hasher of the shard tables and of [`WorkMap`]: it hands back the
+/// one word a [`Hashed`] key or a [`WorkKey`] writes, a hash already
+/// keyed.
 #[derive(Default)]
-struct StoredHash(u64);
+pub(crate) struct StoredHash(u64);
 
 impl Hasher for StoredHash {
     fn finish(&self) -> u64 {
@@ -312,6 +362,10 @@ impl Hasher for StoredHash {
 
 type Shard<K, V> = Mutex<HashMap<Hashed<K>, V, BuildHasherDefault<StoredHash>>>;
 
+/// A map keyed by layer shape whose table hashes each key as its
+/// fingerprint: the engine's per-network dedup memo.
+pub(crate) type WorkMap<V> = HashMap<WorkKey, V, BuildHasherDefault<StoredHash>>;
+
 /// A way-partitioned concurrent memo map: `SHARD_COUNT` independent
 /// `Mutex<HashMap>` shards selected by key hash.
 #[derive(Debug)]
@@ -319,13 +373,13 @@ struct ShardedMap<K, V> {
     shards: Vec<Shard<K, V>>,
 }
 
-impl<K: Eq + Hash + Copy, V: Copy> Default for ShardedMap<K, V> {
+impl<K: KeyHash + Eq + Copy, V: Copy> Default for ShardedMap<K, V> {
     fn default() -> Self {
         Self { shards: (0..SHARD_COUNT).map(|_| Mutex::default()).collect() }
     }
 }
 
-impl<K: Eq + Hash + Copy, V: Copy> ShardedMap<K, V> {
+impl<K: KeyHash + Eq + Copy, V: Copy> ShardedMap<K, V> {
     fn shard(&self, key: &Hashed<K>) -> &Shard<K, V> {
         // SHARD_COUNT is a power of two and the vec holds exactly that
         // many shards, so the mask stays in bounds.
@@ -337,8 +391,8 @@ impl<K: Eq + Hash + Copy, V: Copy> ShardedMap<K, V> {
     /// cached. The shard lock is *not* held while computing, so parallel
     /// workers never serialize on a miss; two threads racing on the same
     /// key both compute it (deterministically identical values) and one
-    /// insert wins. The key is hashed once, for both the shard and its
-    /// table.
+    /// insert wins. The key's hash is derived once, for both the shard
+    /// and its table.
     fn get_or_compute<E>(
         &self,
         key: K,
@@ -381,12 +435,6 @@ impl<K: Eq + Hash + Copy, V: Copy> ShardedMap<K, V> {
     fn insert(&self, key: K, value: V) {
         let key = Hashed::new(key);
         lock_counting(self.shard(&key)).0.insert(key, value);
-    }
-
-    fn clear(&self) {
-        for shard in &self.shards {
-            lock_counting(shard).0.clear();
-        }
     }
 }
 
@@ -493,15 +541,6 @@ impl SimCache {
         let PlanKey { work, bytes_per_element, working_buffer_bytes } = key;
         let key = PlanKey { work: WorkKey::new(work), bytes_per_element, working_buffer_bytes };
         self.plans.insert(key, value);
-    }
-
-    /// Drops all entries and resets the counters.
-    pub fn clear(&self) {
-        self.compute.clear();
-        self.plans.clear();
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.contended.store(0, Ordering::Relaxed);
     }
 }
 
@@ -663,14 +702,72 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_everything() {
+    fn every_key_field_moves_the_derived_hash() {
+        // Keys one field apart: the fold covers that field, so their
+        // hashes differ, and the cache holds each as its own entry.
+        let cfg = AcceleratorConfig::paper_default();
+        let base = compute_key(8);
+        let os = base.os;
+        let zero = Bits(os.zero_fraction.0 ^ 1);
+        let computes = [
+            ComputeKey { work: WorkKey::new(ConvWork { in_w: 19, ..work() }), ..base },
+            ComputeKey { dataflow: Dataflow::WeightStationary, ..base },
+            ComputeKey { array_size: base.array_size + 1, ..base },
+            ComputeKey { rf_depth: base.rf_depth + 1, ..base },
+            ComputeKey { os: OsOptsKey { zero_fraction: zero, ..os }, ..base },
+            ComputeKey { os: OsOptsKey { exploit_sparsity: !os.exploit_sparsity, ..os }, ..base },
+            ComputeKey { os: OsOptsKey { preload_overlap: !os.preload_overlap, ..os }, ..base },
+            ComputeKey { os: OsOptsKey { channel_packing: !os.channel_packing, ..os }, ..base },
+        ];
+        let plan_base = PlanKey::new(&WorkKey::new(work()), &cfg);
+        let plans = [
+            PlanKey { work: WorkKey::new(ConvWork { in_w: 19, ..work() }), ..plan_base },
+            PlanKey { bytes_per_element: plan_base.bytes_per_element + 1, ..plan_base },
+            PlanKey { working_buffer_bytes: plan_base.working_buffer_bytes + 1, ..plan_base },
+        ];
+        for key in &computes {
+            assert_ne!(key.key_hash(), base.key_hash(), "{key:?}");
+        }
+        for key in &plans {
+            assert_ne!(key.key_hash(), plan_base.key_hash(), "{key:?}");
+        }
         let cache = SimCache::new();
-        cache.compute_or(compute_key(8), || Infallible::Ok(ComputePerf::default())).unwrap();
-        cache.plan_or(plan_key(64 * 1024), || Infallible::Ok(plan(1))).unwrap();
-        cache.clear();
+        let fresh = || Infallible::Ok(ComputePerf::default());
+        for key in std::iter::once(&base).chain(&computes) {
+            assert!(!cache.compute_or(*key, fresh).unwrap().hit);
+        }
+        for key in std::iter::once(&plan_base).chain(&plans) {
+            assert!(!cache.plan_or(*key, || Infallible::Ok(plan(1))).unwrap().hit);
+        }
+        assert_eq!(cache.stats().entries, computes.len() + plans.len() + 2);
+    }
+
+    #[test]
+    fn preloaded_entries_answer_live_lookups() {
+        // A snapshot record holds the bare shape; fingerprinted on
+        // preload, it must land where a live lookup of the same key
+        // looks.
+        let (cfg, opts) = (AcceleratorConfig::paper_default(), SimOptions::paper_default());
+        let perf = ComputePerf { executed_macs: 7, ..ComputePerf::default() };
+        let cache = SimCache::new();
+        for dataflow in [Dataflow::WeightStationary, Dataflow::OutputStationary] {
+            cache.preload_compute(ComputeKey::new(&work(), &cfg, &opts, dataflow), perf);
+        }
+        cache.preload_plan(PlanKey::new(&work(), &cfg), plan(3));
+        let must_hit = || -> Infallible<ComputePerf> { panic!("must hit") };
+        for dataflow in [Dataflow::WeightStationary, Dataflow::OutputStationary] {
+            let key = ComputeKey::new(&WorkKey::new(work()), &cfg, &opts, dataflow);
+            let l = cache.compute_or(key, must_hit).unwrap();
+            assert_eq!((l.hit, l.value), (true, perf));
+        }
+        let l = cache
+            .plan_or(PlanKey::new(&WorkKey::new(work()), &cfg), || -> Infallible<TilingPlan> {
+                panic!("must hit")
+            })
+            .unwrap();
+        assert_eq!((l.hit, l.value), (true, plan(3)));
         let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.entries, s.contended), (0, 0, 0, 0));
-        assert_eq!(s.hit_rate(), 0.0);
+        assert_eq!((s.hits, s.misses, s.entries), (3, 0, 3));
     }
 
     #[test]
@@ -790,29 +887,6 @@ mod tests {
         .unwrap();
         let s = sim.stats();
         assert!(s.hit_rate() > 0.5, "expected > 50% hit rate, got {s}");
-    }
-
-    #[test]
-    fn simulator_clear_cache_resets_accounting_and_recomputes() {
-        let sim = Simulator::new();
-        let cfg = AcceleratorConfig::paper_default();
-        let opts = SimOptions::paper_default();
-        let net = zoo::squeezenet_v1_1();
-        let cold = sim.try_simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts).unwrap();
-        let cold_stats = sim.stats();
-        assert!(cold_stats.misses > 0 && cold_stats.entries > 0);
-
-        sim.clear_cache();
-        assert_eq!(sim.stats(), CacheStats::default(), "clear resets counters and entries");
-
-        // A post-clear run must rebuild exactly the cold-run picture:
-        // same misses, same entries, bit-identical results.
-        let rebuilt = sim.try_simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts).unwrap();
-        assert_eq!(rebuilt, cold);
-        let s = sim.stats();
-        assert_eq!(s.misses, cold_stats.misses, "{s}");
-        assert_eq!(s.entries, cold_stats.entries, "{s}");
-        assert_eq!(s.hits, cold_stats.hits, "{s}");
     }
 
     #[test]

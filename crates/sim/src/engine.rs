@@ -2,7 +2,7 @@
 //! a dataflow policy, folds in DRAM timing, and assembles whole-network
 //! results.
 
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -10,7 +10,7 @@ use codesign_arch::{AcceleratorConfig, Dataflow, DataflowPolicy};
 use codesign_dnn::{Layer, Network};
 use codesign_trace::{Category, Tracer};
 
-use crate::cache::{CacheStats, ComputeKey, Lookups, PlanKey, SimCache, WorkKey};
+use crate::cache::{CacheStats, ComputeKey, Lookups, PlanKey, SimCache, WorkKey, WorkMap};
 use crate::compression::WeightCompression;
 use crate::dram::{combine_cycles, conv_traffic, simd_traffic, DramTraffic};
 use crate::error::{SimError, SimResult};
@@ -65,34 +65,46 @@ impl Default for SimOptions {
     }
 }
 
-/// Assembles a [`LayerPerf`] from the array's work and the layer's DRAM
-/// bytes: DMA cycles, the double-buffering combine, DRAM access counts
-/// and utilization over `pes` processing elements. Every network model
-/// (engine, batch, multi-core) builds its per-layer results here.
-pub(crate) fn finish_layer(
-    layer: &Layer,
-    dataflow: Option<Dataflow>,
-    mut compute: ComputePerf,
+/// One layer's result under one dataflow before it becomes a
+/// [`LayerPerf`]: the array's work with the layer's DRAM accesses added,
+/// its DRAM bytes, and its DRAM and total cycles. Every network model
+/// (engine, batch, multi-core) builds its per-layer results through it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Parts {
+    compute: ComputePerf,
     dram_bytes: u64,
-    cfg: &AcceleratorConfig,
-    pes: usize,
-) -> LayerPerf {
-    let dram_cycles = cfg.dram().transfer_cycles(dram_bytes);
-    let total_cycles = combine_cycles(compute.cycles(), dram_cycles, cfg);
-    compute.accesses.dram += dram_bytes / cfg.bytes_per_element() as u64;
-    let utilization = if total_cycles == 0 {
-        0.0
-    } else {
-        compute.executed_macs as f64 / (total_cycles as f64 * pes as f64)
-    };
-    LayerPerf {
-        name: layer.name.clone(),
-        dataflow,
-        compute,
-        dram_bytes,
-        dram_cycles,
-        total_cycles,
-        utilization,
+    dram_cycles: u64,
+    total_cycles: u64,
+}
+
+impl Parts {
+    /// The array's work and the layer's DRAM bytes: DMA cycles, the
+    /// double-buffering combine and DRAM access counts.
+    pub(crate) fn new(mut compute: ComputePerf, dram_bytes: u64, cfg: &AcceleratorConfig) -> Self {
+        let dram_cycles = cfg.dram().transfer_cycles(dram_bytes);
+        let total_cycles = combine_cycles(compute.cycles(), dram_cycles, cfg);
+        compute.accesses.dram += dram_bytes / cfg.bytes_per_element() as u64;
+        Self { compute, dram_bytes, dram_cycles, total_cycles }
+    }
+
+    /// Names the result after its layer, with utilization over `pes`
+    /// processing elements.
+    pub(crate) fn finish(self, layer: &Layer, dataflow: Option<Dataflow>, pes: usize) -> LayerPerf {
+        let Self { compute, dram_bytes, dram_cycles, total_cycles } = self;
+        let utilization = if total_cycles == 0 {
+            0.0
+        } else {
+            compute.executed_macs as f64 / (total_cycles as f64 * pes as f64)
+        };
+        LayerPerf {
+            name: layer.name.clone(),
+            dataflow,
+            compute,
+            dram_bytes,
+            dram_cycles,
+            total_cycles,
+            utilization,
+        }
     }
 }
 
@@ -121,40 +133,82 @@ pub(crate) fn choose_dataflow<T>(
     }
 }
 
-/// Per-network deduplication memo: structurally identical layers (the
-/// repeated fire/bottleneck blocks of SqueezeNet, SqueezeNext, and
-/// MobileNet) map to the same `(WorkKey, Dataflow)` key, so each unique
-/// layer shape is resolved once per network simulation — duplicates are
-/// answered locally without even consulting the shared cache.
-type LayerMemo = HashMap<(WorkKey, Dataflow), (ComputePerf, u64)>;
-
-/// What one simulation call accumulates across its layers: the global
-/// `sim.*` counters, flushed to the tracer once so that a whole network
-/// costs one batch of counter updates rather than several per layer,
-/// and a network call's dedup memo.
-#[derive(Default)]
-struct LayerTally {
+/// What one layer adds to a call's `sim.*` counters and odometer,
+/// summed over every dataflow its policy tried: layer simulations, DRAM
+/// bytes, executed MACs and total cycles.
+#[derive(Debug, Clone, Copy, Default)]
+struct Counts {
     layer_sims: u64,
     dram_bytes: u64,
     macs: u64,
+    cycles: u64,
+}
+
+impl Counts {
+    fn add(&mut self, other: &Counts) {
+        self.layer_sims += other.layer_sims;
+        self.dram_bytes += other.dram_bytes;
+        self.macs += other.macs;
+        self.cycles += other.cycles;
+    }
+
+    fn of(parts: &Parts) -> Self {
+        Self {
+            layer_sims: 1,
+            dram_bytes: parts.dram_bytes,
+            macs: parts.compute.executed_macs,
+            cycles: parts.total_cycles,
+        }
+    }
+}
+
+/// One layer resolved under a call's dataflow policy: the chosen
+/// dataflow (`None` on the SIMD path) with its parts, and the counts of
+/// every dataflow tried.
+#[derive(Debug, Clone, Copy)]
+struct Resolved {
+    dataflow: Option<Dataflow>,
+    parts: Parts,
+    counts: Counts,
+}
+
+/// Per-network deduplication memo: structurally identical layers (the
+/// repeated fire/bottleneck blocks of SqueezeNet, SqueezeNext, and
+/// MobileNet) share a `WorkKey`, so each unique layer shape is resolved
+/// once per network simulation — duplicates are answered locally
+/// without even consulting the shared cache. A network call has one
+/// policy, so the shape alone is the key.
+type LayerMemo = WorkMap<Resolved>;
+
+/// What one simulation call accumulates across its layers: the global
+/// `sim.*` counters and the odometer's cycles, flushed once so that a
+/// whole network costs one batch of counter updates rather than several
+/// per layer, and a network call's dedup memo.
+#[derive(Default)]
+struct LayerTally {
+    counts: Counts,
     cache: Lookups,
     /// Consulted before the shared cache (`None` outside a network).
     memo: Option<LayerMemo>,
 }
 
 impl LayerTally {
-    /// Adds the tally to the tracer's global counters. The cache.*
-    /// triple is schedule-dependent under parallel misses and lock
-    /// timing (see the [`SimCache`] docs) and is only created when
-    /// non-zero; everything else is a pure function of the work
-    /// simulated.
-    fn flush(&self, tracer: &Tracer) {
-        if !tracer.is_enabled() || self.layer_sims == 0 {
+    /// Adds the tally's cycles to `odometer` and, when tracing, its
+    /// counts to the tracer's global counters. The cache.* triple is
+    /// schedule-dependent under parallel misses and lock timing (see the
+    /// [`SimCache`] docs) and is only created when non-zero; everything
+    /// else is a pure function of the work simulated.
+    fn flush(&self, tracer: &Tracer, odometer: &AtomicU64) {
+        let counts = &self.counts;
+        if counts.cycles > 0 {
+            odometer.fetch_add(counts.cycles, Ordering::Relaxed);
+        }
+        if !tracer.is_enabled() || counts.layer_sims == 0 {
             return;
         }
-        tracer.add_counter("sim.layer_sims", self.layer_sims);
-        tracer.add_counter("sim.dram.bytes", self.dram_bytes);
-        tracer.add_counter("sim.macs", self.macs);
+        tracer.add_counter("sim.layer_sims", counts.layer_sims);
+        tracer.add_counter("sim.dram.bytes", counts.dram_bytes);
+        tracer.add_counter("sim.macs", counts.macs);
         for (name, value) in [
             ("sim.cache.hits", self.cache.hits),
             ("sim.cache.misses", self.cache.misses),
@@ -260,8 +314,9 @@ impl Simulator {
     }
 
     /// Total simulated cycles delivered through this handle (and its
-    /// plain clones): the sum of `total_cycles` over every per-layer
-    /// result returned, whether computed or answered from a memo.
+    /// plain clones): the sum of `total_cycles` over every layer
+    /// simulation, each dataflow a per-layer policy tried included,
+    /// whether computed or answered from a memo.
     pub fn cycles_simulated(&self) -> u64 {
         self.cycles.load(Ordering::Relaxed)
     }
@@ -280,32 +335,9 @@ impl Simulator {
         &self.tracer
     }
 
-    /// Whether this handle memoizes.
-    pub fn is_cached(&self) -> bool {
-        self.cache.is_some()
-    }
-
     /// Cache counters (all zero for an uncached simulator).
     pub fn stats(&self) -> CacheStats {
         self.cache.as_deref().map(SimCache::stats).unwrap_or_default()
-    }
-
-    /// Drops all cached entries and resets the counters.
-    pub fn clear_cache(&self) {
-        if let Some(cache) = self.cache.as_deref() {
-            cache.clear();
-        }
-    }
-
-    /// Whether this handle and `other` memoize through the same shared
-    /// [`SimCache`] — true for clones and [`Simulator::fork_counter`]
-    /// forks of one another, false for independently-built simulators
-    /// (and for any uncached handle).
-    pub fn shares_cache_with(&self, other: &Simulator) -> bool {
-        match (&self.cache, &other.cache) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        }
     }
 
     /// Serializes the shared cache into a snapshot (see
@@ -436,65 +468,71 @@ impl Simulator {
     ) -> SimResult<LayerPerf> {
         let mut tally = LayerTally::default();
         let work = ConvWork::from_layer(layer).map(WorkKey::new);
+        let policy = DataflowPolicy::Fixed(dataflow);
         let result =
-            self.try_simulate_layer_flagged(layer, work.as_ref(), cfg, opts, dataflow, &mut tally);
-        tally.flush(&self.tracer);
+            self.simulate_layer_tallied(layer, work.as_ref(), cfg, opts, policy, &mut tally);
+        tally.flush(&self.tracer, &self.cycles);
         Ok(result?.0)
     }
 
-    /// [`Simulator::try_simulate_layer`] on the layer's keyed work
-    /// (`None` for a SIMD layer), plus a flag telling whether the result
-    /// was answered from the tally's per-network dedup memo, which is
-    /// consulted *before* the shared cache so duplicate layer shapes
-    /// within one network resolve locally. The flag deliberately ignores
+    /// One layer (its keyed work, `None` for a SIMD layer) under
+    /// `policy`, plus a flag telling whether the result was answered
+    /// from the tally's per-network dedup memo, which is consulted
+    /// *before* the shared cache so duplicate layer shapes within one
+    /// network resolve locally. The flag deliberately ignores
     /// shared-cache hits: whether another sweep point already populated
     /// a shared entry is a race, while the dedup outcome is a pure
     /// function of the layer sequence — so the per-layer trace stays
-    /// schedule-independent. A successful layer adds itself to `tally`,
-    /// which the caller flushes; every cache lookup is added either way.
-    fn try_simulate_layer_flagged(
+    /// schedule-independent. Only the chosen dataflow becomes a
+    /// [`LayerPerf`]; a successful layer adds every dataflow tried to
+    /// `tally`, which the caller flushes, and every cache lookup is
+    /// added either way.
+    fn simulate_layer_tallied(
         &self,
         layer: &Layer,
         work: Option<&WorkKey>,
         cfg: &AcceleratorConfig,
         opts: SimOptions,
-        dataflow: Dataflow,
+        policy: DataflowPolicy,
         tally: &mut LayerTally,
     ) -> SimResult<(LayerPerf, bool)> {
-        let result = match work {
-            Some(work) => {
-                let mut simulate = || {
-                    let compute = self.compute(work, cfg, &opts, dataflow, &mut tally.cache)?;
-                    let traffic = self.traffic(work, cfg, &opts, &mut tally.cache)?;
-                    Ok((compute, traffic.total()))
-                };
-                let entry = tally.memo.as_mut().map(|m| m.entry((*work, dataflow)));
-                let (parts, memoized) = match entry {
-                    Some(Entry::Occupied(e)) => (Ok(*e.get()), true),
-                    Some(Entry::Vacant(e)) => (simulate().map(|parts| *e.insert(parts)), false),
-                    None => (simulate(), false),
-                };
-                parts.map(|(compute, dram_bytes)| {
-                    let pes = cfg.pe_count();
-                    let perf = finish_layer(layer, Some(dataflow), compute, dram_bytes, cfg, pes);
-                    (perf, memoized)
-                })
-            }
-            None => simulate_simd(layer, cfg).map(|compute| {
-                let traffic = simd_traffic(
-                    layer.input.elements() as u64,
-                    layer.output.elements() as u64,
-                    cfg,
-                );
-                (finish_layer(layer, None, compute, traffic.total(), cfg, cfg.pe_count()), false)
-            }),
+        let (resolved, memoized) = match work {
+            Some(work) => match tally.memo.as_mut().map(|m| m.entry(*work)) {
+                Some(Entry::Occupied(e)) => (Ok(*e.get()), true),
+                Some(Entry::Vacant(e)) => {
+                    let resolved = self.resolve(work, cfg, &opts, policy, &mut tally.cache);
+                    (resolved.map(|r| *e.insert(r)), false)
+                }
+                None => (self.resolve(work, cfg, &opts, policy, &mut tally.cache), false),
+            },
+            None => (resolve_simd(layer, cfg, policy), false),
         };
-        let (perf, answered) = result.map_err(|e| self.note_error(e.for_layer(&layer.name)))?;
-        self.cycles.fetch_add(perf.total_cycles, Ordering::Relaxed);
-        tally.layer_sims += 1;
-        tally.dram_bytes += perf.dram_bytes;
-        tally.macs += perf.compute.executed_macs;
-        Ok((perf, answered))
+        let resolved = resolved.map_err(|e| self.note_error(e.for_layer(&layer.name)))?;
+        tally.counts.add(&resolved.counts);
+        Ok((resolved.parts.finish(layer, resolved.dataflow, cfg.pe_count()), memoized))
+    }
+
+    /// One conv-shaped layer under `policy`: each dataflow tried reads
+    /// its compute and traffic through the cache, and the choice
+    /// compares their total cycles.
+    fn resolve(
+        &self,
+        work: &WorkKey,
+        cfg: &AcceleratorConfig,
+        opts: &SimOptions,
+        policy: DataflowPolicy,
+        seen: &mut Lookups,
+    ) -> SimResult<Resolved> {
+        let mut counts = Counts::default();
+        let simulate = |dataflow| {
+            let compute = self.compute(work, cfg, opts, dataflow, seen)?;
+            let traffic = self.traffic(work, cfg, opts, seen)?;
+            let parts = Parts::new(compute, traffic.total(), cfg);
+            counts.add(&Counts::of(&parts));
+            Ok(parts)
+        };
+        let (dataflow, parts) = choose_dataflow(policy, simulate, |p| p.total_cycles)?;
+        Ok(Resolved { dataflow: Some(dataflow), parts, counts })
     }
 
     /// Simulates one layer under both dataflows and returns
@@ -545,7 +583,7 @@ impl Simulator {
         // counts the layers simulated before it.
         let mut tally = LayerTally::default();
         let result = self.simulate_network_tallied(network, cfg, policy, opts, &mut tally);
-        tally.flush(&self.tracer);
+        tally.flush(&self.tracer, &self.cycles);
         result
     }
 
@@ -564,20 +602,16 @@ impl Simulator {
         let mut layers = Vec::with_capacity(n);
         // Per-network dedup memo: repeated layer shapes (fire modules,
         // depthwise blocks) resolve locally without touching the shared
-        // cache again. It holds at most one entry per compute layer and
-        // dataflow tried.
-        let dataflows = match policy {
-            DataflowPolicy::PerLayer => 2,
-            DataflowPolicy::Fixed(_) => 1,
-        };
-        tally.memo = Some(LayerMemo::with_capacity(dataflows * network.compute_layers().count()));
+        // cache again. It holds at most one entry per compute layer.
+        tally.memo = Some(LayerMemo::with_capacity_and_hasher(
+            network.compute_layers().count(),
+            Default::default(),
+        ));
         for layer in network.layers() {
             // One key per layer serves both dataflows.
             let work = ConvWork::from_layer(layer).map(WorkKey::new);
-            let simulate =
-                |d| self.try_simulate_layer_flagged(layer, work.as_ref(), cfg, opts, d, tally);
-            let (_, (perf, hit)) =
-                choose_dataflow(policy, simulate, |(perf, _)| perf.total_cycles)?;
+            let (perf, hit) =
+                self.simulate_layer_tallied(layer, work.as_ref(), cfg, opts, policy, tally)?;
             dedup_hits.push(hit);
             layers.push(perf);
         }
@@ -653,6 +687,27 @@ pub fn aggregate_cache_stats<'a>(sims: impl IntoIterator<Item = &'a Simulator>) 
     total
 }
 
+/// A SIMD layer under `policy`: it has no dataflow, so it runs once,
+/// and counts once per dataflow the policy tries.
+fn resolve_simd(
+    layer: &Layer,
+    cfg: &AcceleratorConfig,
+    policy: DataflowPolicy,
+) -> SimResult<Resolved> {
+    let compute = simulate_simd(layer, cfg)?;
+    let traffic = simd_traffic(layer.input.elements() as u64, layer.output.elements() as u64, cfg);
+    let parts = Parts::new(compute, traffic.total(), cfg);
+    let tries = match policy {
+        DataflowPolicy::PerLayer => 2,
+        DataflowPolicy::Fixed(_) => 1,
+    };
+    let mut counts = Counts::default();
+    for _ in 0..tries {
+        counts.add(&Counts::of(&parts));
+    }
+    Ok(Resolved { dataflow: None, parts, counts })
+}
+
 fn policy_tag(policy: DataflowPolicy) -> &'static str {
     match policy {
         DataflowPolicy::PerLayer => "hybrid",
@@ -697,9 +752,23 @@ mod tests {
 
     #[test]
     fn default_is_the_cached_handle() {
-        assert!(Simulator::default().is_cached());
-        assert!(Simulator::new().is_cached());
-        assert!(!Simulator::uncached().is_cached());
+        // A second run answers every lookup from a memoizing handle's
+        // cache; an uncached handle never consults one.
+        let net = zoo::squeezenet_v1_1();
+        let opts = SimOptions::paper_default();
+        for sim in [Simulator::default(), Simulator::new()] {
+            sim.try_simulate_network(&net, &cfg(), DataflowPolicy::PerLayer, opts).unwrap();
+            let cold = sim.stats();
+            sim.try_simulate_network(&net, &cfg(), DataflowPolicy::PerLayer, opts).unwrap();
+            let warm = sim.stats();
+            assert!(cold.misses > 0, "{cold}");
+            assert_eq!(warm.misses, cold.misses, "{warm}");
+            assert!(warm.hits > cold.hits, "{warm}");
+        }
+        let uncached = Simulator::uncached();
+        uncached.try_simulate_network(&net, &cfg(), DataflowPolicy::PerLayer, opts).unwrap();
+        assert_eq!(uncached.stats(), CacheStats::default());
+        assert_eq!(uncached.stats().hit_rate(), 0.0, "no lookups, no hit rate");
     }
 
     #[test]
@@ -945,12 +1014,16 @@ mod tests {
         assert_eq!(two.lookups(), shared.lookups() + other.stats().lookups());
         assert_eq!(two.entries, shared.entries + other.stats().entries);
 
-        // Cache identity is observable, and uncached handles are inert.
-        assert!(base.shares_cache_with(&fork_a));
-        assert!(fork_a.shares_cache_with(&fork_b));
-        assert!(!base.shares_cache_with(&other));
+        // Forks share entries and an independent simulator does not:
+        // other's run left the shared counters alone, and base answers
+        // what fork_a simulated without a miss.
+        assert_eq!(base.stats(), shared, "{}", base.stats());
+        base.try_simulate_network(&net, &cfg(), DataflowPolicy::PerLayer, opts).unwrap();
+        let rerun = base.stats();
+        assert_eq!((rerun.misses, rerun.entries), (shared.misses, shared.entries), "{rerun}");
+        assert!(rerun.hits > shared.hits, "{rerun}");
+        // Uncached handles are inert.
         let uncached = Simulator::uncached();
-        assert!(!uncached.shares_cache_with(&uncached.clone()));
         assert_eq!(aggregate_cache_stats([&uncached]), CacheStats::default());
     }
 

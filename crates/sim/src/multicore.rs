@@ -13,7 +13,7 @@ use codesign_dnn::{Layer, Network};
 
 use crate::cache::{Lookups, WorkKey};
 use crate::dram::simd_traffic;
-use crate::engine::{choose_dataflow, finish_layer, SimOptions, Simulator};
+use crate::engine::{choose_dataflow, Parts, SimOptions, Simulator};
 use crate::error::{SimError, SimResult};
 use crate::perf::{LayerPerf, NetworkPerf};
 use crate::simd::simulate_simd;
@@ -125,7 +125,7 @@ impl Simulator {
             }
         };
         let pes = cfg.pe_count().checked_mul(mc.cores).ok_or_else(|| SimError::overflow(CTX))?;
-        Ok(finish_layer(layer, dataflow, compute, traffic.total(), cfg, pes))
+        Ok(Parts::new(compute, traffic.total(), cfg).finish(layer, dataflow, pes))
     }
 }
 

@@ -122,25 +122,8 @@ fn push_u64(out: &mut Vec<u8>, v: u64) {
 }
 
 fn encode_work(out: &mut Vec<u8>, work: &ConvWork) {
-    let kind = match work.kind {
-        WorkKind::Dense => 0u64,
-        WorkKind::Depthwise => 1,
-        WorkKind::FullyConnected => 2,
-    };
-    push_u64(out, kind);
-    for dim in [
-        work.groups,
-        work.in_channels,
-        work.out_channels,
-        work.kernel_h,
-        work.kernel_w,
-        work.stride,
-        work.in_h,
-        work.in_w,
-        work.out_h,
-        work.out_w,
-    ] {
-        push_u64(out, dim as u64);
+    for word in work.words() {
+        push_u64(out, word);
     }
 }
 

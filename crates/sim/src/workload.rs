@@ -50,6 +50,30 @@ pub struct ConvWork {
 }
 
 impl ConvWork {
+    /// The shape as eleven words: the kind's tag (dense 0, depthwise 1,
+    /// fully connected 2), then every dimension in field order. A
+    /// snapshot record stores these words, and a fingerprint hashes them.
+    pub(crate) fn words(&self) -> [u64; 11] {
+        let kind = match self.kind {
+            WorkKind::Dense => 0,
+            WorkKind::Depthwise => 1,
+            WorkKind::FullyConnected => 2,
+        };
+        [
+            kind,
+            self.groups as u64,
+            self.in_channels as u64,
+            self.out_channels as u64,
+            self.kernel_h as u64,
+            self.kernel_w as u64,
+            self.stride as u64,
+            self.in_h as u64,
+            self.in_w as u64,
+            self.out_h as u64,
+            self.out_w as u64,
+        ]
+    }
+
     /// Extracts the PE-array workload from a layer, or `None` for layers
     /// the array does not accelerate (pooling, element-wise, concat).
     pub fn from_layer(layer: &Layer) -> Option<Self> {
