@@ -68,17 +68,6 @@ impl AreaBreakdown {
     pub fn total(&self) -> f64 {
         self.pes + self.register_files + self.buffers + self.dual_dataflow + self.fixed
     }
-
-    /// Fraction of total area spent on dual-dataflow support — the
-    /// overhead §4.1.1 says is minimized.
-    pub fn dual_dataflow_fraction(&self) -> f64 {
-        let total = self.total();
-        if total == 0.0 {
-            0.0
-        } else {
-            self.dual_dataflow / total
-        }
-    }
 }
 
 /// Computes the area of a configuration. `dual_dataflow` selects whether
@@ -110,7 +99,7 @@ mod tests {
     fn dual_dataflow_overhead_is_small() {
         // The paper's design claim: supporting both dataflows costs little.
         let a = area(&cfg(), &AreaModel::default(), true);
-        let frac = a.dual_dataflow_fraction();
+        let frac = a.dual_dataflow / a.total();
         assert!(frac > 0.0 && frac < 0.08, "overhead fraction = {frac:.3}");
     }
 

@@ -71,17 +71,6 @@ impl AccessCounts {
             + self.global_buffer as f64 * model.global_buffer
             + self.dram as f64 * model.dram
     }
-
-    /// Fraction of total energy spent in DRAM (interesting because the
-    /// paper attributes MobileNet's weak energy win to DRAM dominance).
-    pub fn dram_energy_fraction(&self, model: &EnergyModel) -> f64 {
-        let total = self.energy(model);
-        if total == 0.0 {
-            0.0
-        } else {
-            self.dram as f64 * model.dram / total
-        }
-    }
 }
 
 impl Add for AccessCounts {
@@ -144,14 +133,6 @@ mod tests {
         let mut d = a;
         d += b;
         assert_eq!(d, c);
-    }
-
-    #[test]
-    fn dram_fraction() {
-        let m = EnergyModel::eyeriss_normalized();
-        let c = AccessCounts { macs: 0, register_file: 0, inter_pe: 0, global_buffer: 0, dram: 3 };
-        assert!((c.dram_energy_fraction(&m) - 1.0).abs() < 1e-12);
-        assert_eq!(AccessCounts::zero().dram_energy_fraction(&m), 0.0);
     }
 
     #[test]

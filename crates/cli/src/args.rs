@@ -410,6 +410,13 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Invocation, 
             }
         }
     }
+    // `config` and the sweep space convert KiB to bytes, so every buffer
+    // size must fit in a byte count.
+    let largest_kib =
+        inv.buffer_kib.into_iter().chain(inv.buffers_kib.iter().flatten().copied()).max();
+    if largest_kib.is_some_and(|kib| kib > usize::MAX / 1024) {
+        return Err(ParseArgsError("--buffer/--buffers-kib do not fit in a byte count".to_owned()));
+    }
     if inv.max_line_bytes < 64 {
         return Err(ParseArgsError("--max-line-bytes must be at least 64".to_owned()));
     }
@@ -433,7 +440,10 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Invocation, 
 
 #[cfg(test)]
 mod tests {
+    use std::panic::catch_unwind;
+
     use super::*;
+    use crate::jsonval::tests::XorShift;
 
     fn parse(s: &str) -> Result<Invocation, ParseArgsError> {
         parse_args(s.split_whitespace().map(str::to_owned))
@@ -634,5 +644,114 @@ mod tests {
     fn config_surfaces_invalid_overrides() {
         let inv = parse("simulate net --array 1000").unwrap();
         assert!(inv.config().is_err());
+    }
+
+    #[test]
+    fn buffer_sizes_must_fit_in_bytes() {
+        // 2^54 + 128 KiB once wrapped to a 128 KiB buffer in release
+        // builds and overflowed `config` in debug ones.
+        let huge = (usize::MAX / 1024 + 1 + 128).to_string();
+        assert!(parse(&format!("simulate net --buffer {huge}")).is_err());
+        assert!(parse(&format!("sweep net --buffers-kib 64,{huge}")).is_err());
+        let max = (usize::MAX / 1024).to_string();
+        assert!(parse(&format!("simulate net --buffer {max}")).unwrap().config().is_ok());
+    }
+
+    /// Valid invocations covering every flag, the seeds of
+    /// [`every_mutation_of_a_valid_invocation_parses_or_is_refused_typed`].
+    const SEEDS: [&str; 5] = [
+        "simulate squeezenet-v1.0 --arch ws --array 16 --rf 8 --buffer 64 --batch 4 --cores 2 \
+         --jobs 2 --trace t.json --metrics m.json",
+        "sweep tiny-darknet --frontier --chunk 8 --prune --arrays 8,16 --rfs 8 --buffers-kib 64,128 \
+         --checkpoint ck --checkpoint-every 16 --resume --cache-load a.snap --cache-save b.snap",
+        "serve --port 0 --jobs 2 --deadline-ms 500 --max-line-bytes 4096 --max-connections 4 \
+         --autosave-every 2 --cache-save s.snap",
+        "wave alexnet conv1 --arch os --array 8",
+        "faultinject --serve",
+    ];
+
+    #[test]
+    fn every_mutation_of_a_valid_invocation_parses_or_is_refused_typed() {
+        // The fixed-seed mutation pattern of the snapshot and checkpoint
+        // decoders, over argument lists: every dropped, duplicated and
+        // swapped token, every truncation, every value replaced by a
+        // huge, negative or non-numeric one, and random compositions of
+        // those. Each ends in an invocation whose hardware builds or is
+        // refused, or in a `ParseArgsError`; never a panic.
+        let values = [
+            "18446744073709551615",
+            "18446744073709551616",
+            "18014398509482112",
+            "4294967296",
+            "65536",
+            "-1",
+            "0",
+            "1.5",
+            "1e3",
+            "+5",
+            "0x10",
+            "twelve",
+            "",
+            "8,",
+            ",8",
+            "8,,16",
+            "8,-1",
+            "--array",
+        ];
+        let mut cases: Vec<Vec<String>> = Vec::new();
+        for seed in SEEDS {
+            let tokens: Vec<String> = seed.split_whitespace().map(str::to_owned).collect();
+            let inv = parse_args(tokens.clone()).unwrap_or_else(|e| panic!("{seed}: {e}"));
+            assert!(inv.config().is_ok(), "seed hardware must build: {seed}");
+            for i in 0..tokens.len() {
+                let mut dropped = tokens.clone();
+                dropped.remove(i);
+                cases.push(dropped);
+                let mut doubled = tokens.clone();
+                doubled.insert(i, tokens[i].clone());
+                cases.push(doubled);
+                if i + 1 < tokens.len() {
+                    let mut swapped = tokens.clone();
+                    swapped.swap(i, i + 1);
+                    cases.push(swapped);
+                }
+                cases.push(tokens[..i].to_vec());
+                for value in values {
+                    let mut replaced = tokens.clone();
+                    replaced[i] = value.to_owned();
+                    cases.push(replaced);
+                }
+            }
+        }
+        let mut rng = XorShift(0xa5a5_0123_4567_89ab);
+        for _ in 0..2_000 {
+            let mut tokens: Vec<String> =
+                SEEDS[rng.below(SEEDS.len())].split_whitespace().map(str::to_owned).collect();
+            for _ in 0..1 + rng.below(3) {
+                let (at, other) = (rng.below(tokens.len()), rng.below(tokens.len()));
+                match rng.below(4) {
+                    0 => {
+                        tokens.remove(at);
+                    }
+                    1 => tokens.insert(at, tokens[other].clone()),
+                    2 => tokens.swap(at, other),
+                    _ => tokens[at] = values[rng.below(values.len())].to_owned(),
+                }
+                if tokens.is_empty() {
+                    break;
+                }
+            }
+            cases.push(tokens);
+        }
+        assert_eq!(cases.len(), 3_425, "every seed token mutated");
+        let mut refused = 0;
+        for tokens in &cases {
+            match catch_unwind(|| parse_args(tokens.clone()).map(|inv| inv.config())) {
+                Ok(Ok(Ok(_))) => {}
+                Ok(Ok(Err(_)) | Err(_)) => refused += 1,
+                Err(_) => panic!("parsing panicked on {tokens:?}"),
+            }
+        }
+        assert!(refused > cases.len() / 2, "only {refused} of {} were refused", cases.len());
     }
 }

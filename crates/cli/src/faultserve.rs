@@ -41,6 +41,7 @@ const EXCHANGE_TIMEOUT: Duration = Duration::from_secs(30);
 pub fn corpus() -> Vec<FaultCase> {
     [
         ("serve/oversized-line-answers-usage", case_oversized_line as fn() -> _),
+        ("serve/line-just-under-the-cap-answers-promptly", case_line_under_the_cap),
         ("serve/binary-garbage-line", case_binary_garbage),
         ("serve/slow-loris-partial-line", case_slow_loris_partial),
         ("serve/slow-loris-disconnect", case_slow_loris_disconnect),
@@ -326,6 +327,32 @@ fn case_oversized_line() -> Result<(), String> {
         }
         // One error per oversized line, then normal service resumes on
         // the very same connection.
+        c.assert_serves()
+    })
+}
+
+fn case_line_under_the_cap() -> Result<(), String> {
+    let opts = base_opts();
+    let cap = opts.max_line_bytes;
+    with_server(opts, |addr| {
+        let mut c = Client::connect(addr)?;
+        // A ping padded with one string to a line just under the default
+        // cap: the request is parsed on the connection thread before any
+        // deadline applies, so the parse must be linear in the line.
+        let head = r#"{"id":"long","cmd":"ping","pad":""#;
+        let line = format!("{head}{}\"}}", "x".repeat(cap - head.len() - 3));
+        let start = Instant::now();
+        let pong = c.request(&line)?;
+        let took = start.elapsed();
+        if !(pong.len() == 1
+            && pong[0].starts_with(r#"{"id":"long""#)
+            && pong[0].contains("\"ok\":true"))
+        {
+            return Err(format!("a {}-byte ping was not answered: {pong:?}", line.len()));
+        }
+        if took > Duration::from_secs(5) {
+            return Err(format!("a {}-byte ping took {took:?} to answer", line.len()));
+        }
         c.assert_serves()
     })
 }

@@ -58,11 +58,11 @@ impl Value {
     /// [`JsonError`] on any syntax error, depth overflow, or trailing
     /// non-whitespace.
     pub fn parse(text: &str) -> Result<Value, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { text, pos: 0 };
         p.skip_ws();
         let v = p.value(0)?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.text.len() {
             return Err(p.err("trailing characters after value"));
         }
         Ok(v)
@@ -141,8 +141,11 @@ impl Value {
     }
 }
 
+/// Recursive-descent state over one line. `pos` only ever advances over
+/// ASCII bytes or whole runs of string characters that end before an
+/// ASCII byte, so it always lies on a char boundary of `text`.
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
@@ -152,7 +155,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -171,7 +174,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, value: Value) -> Result<Value, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -205,8 +208,7 @@ impl<'a> Parser<'a> {
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("bad number"))?;
+        let text = &self.text[start..self.pos];
         let n: f64 = text.parse().map_err(|_| self.err(format!("bad number `{text}`")))?;
         if n.is_finite() {
             Ok(Value::Num(n))
@@ -238,10 +240,14 @@ impl<'a> Parser<'a> {
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .text
                                 .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
+                            // Exactly four hex digits: `from_str_radix`
+                            // alone would also accept a leading sign.
+                            if !hex.bytes().all(|h| h.is_ascii_hexdigit()) {
+                                return Err(self.err("bad \\u escape"));
+                            }
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("bad \\u escape"))?;
                             // Surrogates would need pairing; the protocol
@@ -258,14 +264,14 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so slicing
-                    // on char boundaries is safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    if let Some(c) = rest.chars().next() {
-                        out.push(c);
-                        self.pos += c.len_utf8();
+                    // A run of plain characters, copied in one piece. It
+                    // ends at a quote, a backslash or a control byte, all
+                    // ASCII and so never inside a multi-byte character.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(c) if c >= 0x20 && c != b'"' && c != b'\\') {
+                        self.pos += 1;
                     }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -324,8 +330,54 @@ impl<'a> Parser<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    use std::panic::catch_unwind;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
     use super::*;
+
+    /// Parses `text` on its own thread and waits at most `limit` for the
+    /// answer, so a parser that is too slow fails at the bound instead of
+    /// holding the test until the parse ends (the late thread is left to
+    /// the test process's exit).
+    fn parse_within(text: String, limit: Duration) -> Result<Value, JsonError> {
+        let (tx, rx) = mpsc::channel();
+        let parser = std::thread::spawn(move || {
+            let _ = tx.send(Value::parse(&text));
+        });
+        let parsed =
+            rx.recv_timeout(limit).unwrap_or_else(|e| panic!("no parse within {limit:?}: {e}"));
+        parser.join().expect("the parser thread sent its result and returned");
+        parsed
+    }
+
+    /// Valid lines covering every value kind, every escape, multi-byte
+    /// text, nesting and number forms: the seeds of
+    /// [`every_mutation_of_a_valid_line_parses_or_is_refused_typed`].
+    const SEEDS: [&str; 3] = [
+        r#"{"id":"r1","cmd":"sweep","network":"tiny-darknet","arrays":[8,16],"jobs":2,"prune":true,"x":null}"#,
+        r#"[-12.5,0,1e3,-0.0,2.5E-3,[true,false,null],{},{"a":[{"b":[1]}]}]"#,
+        r#"{"s":"q\" b\\ s\/ \b\f\n\r\t \u00e9\u0041 é ✓","deep":[[[[]]]],"n":-7}"#,
+    ];
+
+    /// Deterministic xorshift stream for the random edits of this
+    /// module's and `args`' mutation tests.
+    pub(crate) struct XorShift(pub(crate) u64);
+
+    impl XorShift {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        /// A draw from `0..n`.
+        pub(crate) fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
 
     #[test]
     fn parses_a_request_line() {
@@ -384,5 +436,138 @@ mod tests {
         assert_eq!(Value::Num(3.5).as_usize(), None);
         assert_eq!(Value::Num(-1.0).as_usize(), None);
         assert_eq!(Value::Str("3".to_owned()).as_usize(), None);
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(
+            Value::parse(r#""\u0041\u00e9\uFFFD""#),
+            Ok(Value::Str("Aé\u{fffd}".to_owned()))
+        );
+        // `from_str_radix` accepts a sign, so "+041" once decoded to `A`.
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u004g""#, r#""\u12é""#] {
+            assert_eq!(Value::parse(bad).unwrap_err().what, "bad \\u escape", "{bad}");
+        }
+        for short in [r#""\u004"#, r#""\u"#, "\"\\u0\u{e9}"] {
+            assert_eq!(Value::parse(short).unwrap_err().what, "truncated \\u escape", "{short}");
+        }
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Serve's default line cap is 1 MiB. One string filling it, and a
+        // line of many short strings, each parse well within a second
+        // even unoptimized; a parser that rescans the rest of the line
+        // for every character takes minutes.
+        let limit = Duration::from_secs(1);
+        let cap = 1 << 20;
+        let long = format!(r#"{{"pad":"{}"}}"#, "é".repeat(cap / 2 - 8));
+        assert!(long.len() < cap);
+        let v = parse_within(long, limit).unwrap();
+        assert_eq!(v.get("pad").and_then(Value::as_str).map(str::len), Some(cap - 16));
+        let item = r#""abcdefgh","#;
+        let count = (cap - 8) / item.len();
+        let many = format!(r#"[{}"z"]"#, item.repeat(count));
+        assert!(many.len() < cap);
+        let v = parse_within(many, limit).unwrap();
+        assert_eq!(v.as_arr().map(<[Value]>::len), Some(count + 1));
+    }
+
+    #[test]
+    fn every_mutation_of_a_valid_line_parses_or_is_refused_typed() {
+        // The fixed-seed mutation pattern of the snapshot and checkpoint
+        // decoders: every truncation and single-bit flip of each seed,
+        // random edits drawn from JSON syntax, hostile nesting, huge and
+        // malformed numbers, and bad escapes. Each line ends in a value
+        // or a `JsonError`, never a panic, and every value round-trips
+        // through `to_json`.
+        let mut lines: Vec<String> = Vec::new();
+        for seed in SEEDS {
+            let v = Value::parse(seed).unwrap_or_else(|e| panic!("seed must parse: {e}: {seed}"));
+            assert_eq!(Value::parse(&v.to_json()), Ok(v), "seed must round-trip: {seed}");
+            let bytes = seed.as_bytes();
+            for cut in 0..bytes.len() {
+                // A strict prefix of an object or array never closes it.
+                let prefix = String::from_utf8_lossy(&bytes[..cut]).into_owned();
+                assert!(Value::parse(&prefix).is_err(), "prefix parsed: {prefix}");
+                lines.push(prefix);
+            }
+            for (i, bit) in (0..bytes.len()).flat_map(|i| (0..8).map(move |bit| (i, bit))) {
+                let mut bad = bytes.to_vec();
+                bad[i] ^= 1 << bit;
+                // The connection loop decodes lines lossily, so do the same.
+                lines.push(String::from_utf8_lossy(&bad).into_owned());
+            }
+        }
+        let alphabet = [
+            "{", "}", "[", "]", ",", ":", "\"", "\\", "u", "0", "9", "f", "-", "+", ".", "e", " ",
+            "\u{1}", "é",
+        ];
+        let mut rng = XorShift(0x6a50_7a1d_f00d_5eed);
+        for _ in 0..2_000 {
+            let mut line = SEEDS[rng.below(SEEDS.len())].as_bytes().to_vec();
+            for _ in 0..1 + rng.below(3) {
+                let at = rng.below(line.len());
+                let token = alphabet[rng.below(alphabet.len())].bytes();
+                match rng.below(3) {
+                    0 => {
+                        line.remove(at);
+                    }
+                    1 => drop(line.splice(at..at, token)),
+                    _ => drop(line.splice(at..at + 1, token)),
+                }
+            }
+            lines.push(String::from_utf8_lossy(&line).into_owned());
+        }
+        for depth in [63, 64, 65, 66, 100, 100_000] {
+            lines.push("[".repeat(depth) + &"]".repeat(depth));
+            lines.push(r#"{"a":"#.repeat(depth) + "1" + &"}".repeat(depth));
+            lines.push("[".repeat(depth));
+        }
+        let numbers = [
+            "1e999",
+            "-1e400",
+            "1e-400",
+            "5e-324",
+            "1.7976931348623157e308",
+            "18446744073709551616",
+            "-0",
+            "01",
+            "1.",
+            ".5",
+            "+1",
+            "--1",
+            "1..2",
+            "1e",
+            "1e+",
+            "1-2",
+            "0x10",
+            "-",
+        ];
+        for n in numbers {
+            lines.push(n.to_owned());
+            lines.push(format!(r#"{{"id":{n},"a":[{n}]}}"#));
+        }
+        lines.push("1".repeat(100_000));
+        lines.push(format!("0.{}1", "0".repeat(100_000)));
+        for escape in
+            [r"\", r"\u", r"\u0", r"\ud800", r"\udfff", r"\x41", r"\'", r"\U0041", r"\u{41}"]
+        {
+            lines.push(format!(r#"["{escape}"]"#));
+            lines.push(format!(r#""{escape}"#));
+        }
+        assert_eq!(lines.len(), 4_180, "every seed byte mutated, every extra case kept");
+        let mut refused = 0;
+        for line in &lines {
+            match catch_unwind(|| Value::parse(line)) {
+                Ok(Ok(v)) => {
+                    let again = Value::parse(&v.to_json());
+                    assert_eq!(again, Ok(v), "accepted value does not round-trip: {line}");
+                }
+                Ok(Err(_)) => refused += 1,
+                Err(_) => panic!("parse panicked on {line:?}"),
+            }
+        }
+        assert!(refused > lines.len() / 2, "only {refused} of {} lines were refused", lines.len());
     }
 }

@@ -107,16 +107,6 @@ impl FusionSavings {
             self.elided_dram_bytes as f64 / total as f64
         }
     }
-
-    /// Fraction of the baseline's energy saved.
-    pub fn energy_fraction_saved(&self, energy_model: &EnergyModel) -> f64 {
-        let total = self.baseline.total_energy(energy_model);
-        if total == 0.0 {
-            0.0
-        } else {
-            self.energy_saved / total
-        }
-    }
 }
 
 /// Quantifies what a fusion plan saves, simulating the unfused baseline
@@ -210,7 +200,7 @@ mod tests {
             assert!(s.elided_tensors > 5, "{}: {} tensors", net.name(), s.elided_tensors);
             let dram = s.dram_fraction_saved();
             assert!((0.05..0.9).contains(&dram), "{}: {dram:.3}", net.name());
-            let energy = s.energy_fraction_saved(&em);
+            let energy = s.energy_saved / s.baseline.total_energy(&em);
             assert!((0.0..0.6).contains(&energy), "{}: {energy:.3}", net.name());
         }
     }

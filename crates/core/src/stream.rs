@@ -22,8 +22,8 @@
 //! * **Dominance branch-and-bound** — before evaluating a buffer-axis
 //!   segment, the engine evaluates one *witness corner* at the segment's
 //!   largest buffer. DRAM traffic (hence cycles and energy) is
-//!   non-increasing in the buffer budget (`codesign-sim`'s
-//!   [`bounds`](codesign_sim::bounds) module pins this), and area is
+//!   non-increasing in the buffer budget (`codesign-sim`'s tiling
+//!   tests pin this), and area is
 //!   increasing in every axis, so `(witness cycles, witness energy,
 //!   area at the smallest buildable buffer)` lower-bounds every point in
 //!   the segment componentwise. If a frontier member *strictly*

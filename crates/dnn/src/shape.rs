@@ -52,11 +52,6 @@ impl Shape {
     pub const fn bytes(&self, bytes_per_element: usize) -> usize {
         self.elements() * bytes_per_element
     }
-
-    /// Whether this is a `c × 1 × 1` vector shape.
-    pub const fn is_vector(&self) -> bool {
-        self.height == 1 && self.width == 1
-    }
 }
 
 impl fmt::Display for Shape {
@@ -122,9 +117,8 @@ mod tests {
     #[test]
     fn vector_shape() {
         let v = Shape::vector(1000);
-        assert!(v.is_vector());
+        assert_eq!(v, Shape::new(1000, 1, 1));
         assert_eq!(v.elements(), 1000);
-        assert!(!Shape::new(1000, 2, 1).is_vector());
     }
 
     #[test]

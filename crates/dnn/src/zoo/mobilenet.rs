@@ -80,59 +80,6 @@ pub(super) fn build_family() -> Vec<Network> {
     WIDTH_VARIANTS.iter().map(|(w, _)| mobilenet(*w)).collect()
 }
 
-/// Published resolution variants of 1.0-MobileNet with their ImageNet
-/// top-1 accuracies — the second scaling axis of the MobileNet paper,
-/// relevant to §2's discussion of input-resolution sensitivity.
-const RESOLUTION_VARIANTS: [(usize, f64); 4] = [(224, 70.6), (192, 69.1), (160, 67.2), (128, 64.4)];
-
-/// Builds 1.0-MobileNet at one of the published input resolutions
-/// (224, 192, 160, 128). Other resolutions build without accuracy
-/// metadata.
-///
-/// # Panics
-///
-/// Panics if `resolution < 32` (the 5-stride-2 trunk would collapse).
-pub fn mobilenet_resolution(resolution: usize) -> Network {
-    assert!(resolution >= 32, "resolution must be at least 32");
-    let mut b = NetworkBuilder::new(
-        format!("1.0-MobileNet-{resolution}"),
-        Shape::new(3, resolution, resolution),
-    );
-    b.conv("conv1", 32, 3, 2, 1);
-    let blocks: [(usize, usize); 13] = [
-        (64, 1),
-        (128, 2),
-        (128, 1),
-        (256, 2),
-        (256, 1),
-        (512, 2),
-        (512, 1),
-        (512, 1),
-        (512, 1),
-        (512, 1),
-        (512, 1),
-        (1024, 2),
-        (1024, 1),
-    ];
-    for (i, (out, stride)) in blocks.iter().enumerate() {
-        let n = i + 2;
-        b.depthwise_conv(&format!("conv{n}/dw"), 3, *stride, 1);
-        b.pointwise_conv(&format!("conv{n}/pw"), *out);
-    }
-    b.global_avg_pool("pool");
-    b.fully_connected("fc", 1000);
-    if let Some((_, acc)) = RESOLUTION_VARIANTS.iter().find(|(r, _)| *r == resolution) {
-        b.top1_accuracy(*acc);
-    }
-    b.finish()
-        .unwrap_or_else(|e| unreachable!("MobileNet resolution variant is shape-consistent: {e}"))
-}
-
-/// The published resolution family, largest first.
-pub fn mobilenet_resolution_family() -> Vec<Network> {
-    RESOLUTION_VARIANTS.iter().map(|(r, _)| mobilenet_resolution(*r)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,32 +132,5 @@ mod tests {
     #[should_panic(expected = "width multiplier")]
     fn rejects_nonpositive_width() {
         let _ = mobilenet(0.0);
-    }
-
-    #[test]
-    fn resolution_scales_macs_quadratically() {
-        let r224 = mobilenet_resolution(224);
-        let r128 = mobilenet_resolution(128);
-        // Params are resolution independent; MACs scale ~(224/128)^2.
-        assert_eq!(r224.total_params(), r128.total_params());
-        let ratio = r224.total_macs() as f64 / r128.total_macs() as f64;
-        assert!((2.4..3.8).contains(&ratio), "ratio = {ratio:.2}");
-    }
-
-    #[test]
-    fn resolution_family_has_accuracy_metadata() {
-        let fam = mobilenet_resolution_family();
-        assert_eq!(fam.len(), 4);
-        for net in &fam {
-            assert!(net.top1_accuracy().is_some(), "{}", net.name());
-        }
-        // 224 builds identically to the width-1.0 model up to its name.
-        assert_eq!(fam[0].total_macs(), mobilenet_v1().total_macs());
-    }
-
-    #[test]
-    #[should_panic(expected = "resolution")]
-    fn rejects_tiny_resolution() {
-        let _ = mobilenet_resolution(16);
     }
 }

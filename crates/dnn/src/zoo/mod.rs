@@ -5,8 +5,8 @@
 //! five SqueezeNext variants and the two Figure-4 families) is built at
 //! most once per process and shared: its function returns a clone of
 //! the first build, and a [`Network`] clone shares the layer allocation.
-//! The parametric builders ([`mobilenet`], [`mobilenet_resolution`],
-//! [`SqueezeNextConfig::build`]) build a fresh network on every call.
+//! The parametric builders ([`mobilenet`], [`SqueezeNextConfig::build`])
+//! build a fresh network on every call.
 
 mod alexnet;
 mod darknet;
@@ -17,9 +17,7 @@ mod squeezenext;
 
 pub use alexnet::alexnet;
 pub use darknet::tiny_darknet;
-pub use mobilenet::{
-    mobilenet, mobilenet_family, mobilenet_resolution, mobilenet_resolution_family, mobilenet_v1,
-};
+pub use mobilenet::{mobilenet, mobilenet_family, mobilenet_v1};
 pub use squeezedet::squeezedet_trunk;
 pub use squeezenet::{squeezenet_v1_0, squeezenet_v1_1};
 pub use squeezenext::{

@@ -19,9 +19,9 @@
 //! Worker threads are spawned on demand and live for the rest of the
 //! process — repeated sweep iterations reuse them instead of paying
 //! thread spawn/join per call. The pool's size tracks the *high-water
-//! mark* of `jobs - 1` across every call so far (capped at
-//! [`MAX_POOL_WORKERS`]): a call requesting more parallelism than any
-//! before it grows the pool first, so a long-lived server that starts
+//! mark* of `jobs - 1` across every call so far (capped at 256
+//! workers): a call requesting more parallelism than any before it
+//! grows the pool first, so a long-lived server that starts
 //! with `--jobs 2` requests is never stuck under-parallelized when a
 //! `--jobs 8` request arrives later. [`pool_size`] reports the current
 //! count. Each call submits a *job* to a shared injector; idle workers
@@ -45,9 +45,10 @@
 //! A panicking item cancels the job's remaining unclaimed items and the
 //! payload is re-raised on the calling thread as
 //! `"parallel worker panicked: …"` once every participant has stopped —
-//! a worker panic can never hang or kill the pool. [`par_map_catch`]
-//! additionally isolates each item with [`catch_unwind`] so one bad item
-//! degrades into a per-item `Err` instead of cancelling its siblings.
+//! a worker panic can never hang or kill the pool.
+//! [`par_map_catch_range`] additionally isolates each item with
+//! [`catch_unwind`] so one bad item degrades into a per-item `Err`
+//! instead of cancelling its siblings.
 
 #![warn(missing_docs)]
 // `deny` rather than `forbid`: the pool carries the workspace's single,
@@ -63,7 +64,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Number of worker threads the host supports (`1` when undetectable).
-pub fn max_jobs() -> usize {
+fn max_jobs() -> usize {
     std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1)
 }
 
@@ -215,7 +216,7 @@ impl Job {
 /// Hard ceiling on pool threads, far above any sane `--jobs`: a runaway
 /// request cannot exhaust the process's thread quota, it just caps out
 /// and the callers share the workers that exist.
-pub const MAX_POOL_WORKERS: usize = 256;
+const MAX_POOL_WORKERS: usize = 256;
 
 /// The process-wide worker pool: an injector of live jobs plus parked
 /// worker threads.
@@ -304,7 +305,7 @@ pub fn pool_size() -> usize {
 /// Re-raises a worker panic on the calling thread with the payload
 /// message attached.
 // Deliberate panic propagation through the crate's documented parallel
-// contract; `par_map_catch` is the non-panicking alternative.
+// contract; `par_map_catch_range` is the non-panicking alternative.
 #[allow(clippy::panic)]
 fn repanic(payload: PanicPayload) -> ! {
     let msg = if let Some(s) = payload.downcast_ref::<&str>() {
@@ -383,8 +384,19 @@ where
     .collect()
 }
 
-/// [`par_map_range`] with per-item panic isolation — see
-/// [`par_map_catch`].
+/// [`par_map_range`] with per-item panic isolation: each application
+/// of `f` runs under [`catch_unwind`], so one panicking item cannot
+/// poison its siblings or the caller — it degrades into an `Err`
+/// carrying the panic message while every other item completes
+/// normally.
+///
+/// This is the worker primitive behind degradation-tolerant sweeps: the
+/// `try_*` simulation APIs make panics unreachable for well-formed
+/// inputs, and this catches anything that slips through (including
+/// future bugs), converting it into a per-item diagnostic.
+///
+/// Output order is index order; serial (`jobs == 1`) and parallel runs
+/// are bit-identical.
 pub fn par_map_catch_range<R, F>(jobs: usize, len: usize, f: F) -> Vec<Result<R, String>>
 where
     R: Send,
@@ -392,37 +404,6 @@ where
 {
     par_map_range(jobs, len, |i| {
         catch_unwind(AssertUnwindSafe(|| f(i))).map_err(|payload| {
-            if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_owned()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "worker panicked with a non-string payload".to_owned()
-            }
-        })
-    })
-}
-
-/// [`par_map`] with per-item panic isolation: each application of `f`
-/// runs under [`catch_unwind`], so one panicking item cannot poison its
-/// siblings or the caller — it degrades into an `Err` carrying the panic
-/// message while every other item completes normally.
-///
-/// This is the worker primitive behind degradation-tolerant sweeps: the
-/// `try_*` simulation APIs make panics unreachable for well-formed
-/// inputs, and this catches anything that slips through (including
-/// future bugs), converting it into a per-item diagnostic.
-///
-/// Output order is input order; serial (`jobs == 1`) and parallel runs
-/// are bit-identical.
-pub fn par_map_catch<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<Result<R, String>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map(jobs, items, |i, item| {
-        catch_unwind(AssertUnwindSafe(|| f(i, item))).map_err(|payload| {
             if let Some(s) = payload.downcast_ref::<&str>() {
                 (*s).to_owned()
             } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -566,10 +547,9 @@ mod tests {
 
     #[test]
     fn catch_isolates_panicking_items() {
-        let items: Vec<u32> = (0..16).collect();
-        let out = par_map_catch(4, &items, |_, &x| {
+        let out = par_map_catch_range(4, 16, |x| {
             assert!(x != 7, "item 7 exploded");
-            x * 2
+            x as u32 * 2
         });
         assert_eq!(out.len(), 16);
         for (i, r) in out.iter().enumerate() {
@@ -584,11 +564,10 @@ mod tests {
 
     #[test]
     fn catch_is_schedule_independent() {
-        let items: Vec<u32> = (0..64).collect();
-        let f = |_: usize, &x: &u32| {
+        let f = |x: usize| {
             assert!(!x.is_multiple_of(13), "multiple of 13");
             x
         };
-        assert_eq!(par_map_catch(1, &items, f), par_map_catch(8, &items, f));
+        assert_eq!(par_map_catch_range(1, 64, f), par_map_catch_range(8, 64, f));
     }
 }

@@ -855,8 +855,6 @@ mod tests {
                 ..opts
             };
             sim.try_simulate_network(&net, cfg, DataflowPolicy::PerLayer, compressed).unwrap();
-            let conv = net.layers().iter().find(|l| l.is_compute()).unwrap();
-            sim.try_simulate_layer_event(conv, cfg, opts, Dataflow::WeightStationary).unwrap();
         }
         assert_eq!(searches() - before, keys.len() as u64, "one search per plan key");
     }

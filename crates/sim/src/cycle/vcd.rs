@@ -111,18 +111,6 @@ pub fn write_vcd<W: Write>(
     out.flush()
 }
 
-/// Renders the trace as a VCD document at segment granularity.
-/// Convenience wrapper over [`write_vcd`] for in-memory consumers.
-pub fn trace_to_vcd(trace: &MachineTrace, module: &str) -> String {
-    let mut buf = Vec::new();
-    // Writing into a Vec cannot fail; an I/O error here would mean a
-    // formatter bug, surfaced as an empty document.
-    if write_vcd(trace, module, VcdGranularity::Segment, &mut buf).is_err() {
-        return String::new();
-    }
-    String::from_utf8_lossy(&buf).into_owned()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,10 +136,17 @@ mod tests {
         trace_ws(&work, &cfg)
     }
 
+    /// The segment-granularity document [`write_vcd`] writes into a `Vec`.
+    fn segment_vcd(trace: &MachineTrace, module: &str) -> String {
+        let mut buf = Vec::new();
+        write_vcd(trace, module, VcdGranularity::Segment, &mut buf).expect("vec sink");
+        String::from_utf8_lossy(&buf).into_owned()
+    }
+
     #[test]
     fn header_and_footprint() {
         let t = trace();
-        let vcd = trace_to_vcd(&t, "conv demo");
+        let vcd = segment_vcd(&t, "conv demo");
         assert!(vcd.contains("$scope module conv_demo $end"));
         assert!(vcd.contains("$enddefinitions $end"));
         // Final timestamp equals total cycles, repeats included.
@@ -166,7 +161,7 @@ mod tests {
 
     #[test]
     fn timestamps_are_monotone() {
-        let vcd = trace_to_vcd(&trace(), "m");
+        let vcd = segment_vcd(&trace(), "m");
         let ts: Vec<u64> = vcd
             .lines()
             .filter_map(|l| l.strip_prefix('#'))
@@ -178,7 +173,7 @@ mod tests {
 
     #[test]
     fn consecutive_identical_states_are_merged() {
-        let vcd = trace_to_vcd(&trace(), "m");
+        let vcd = segment_vcd(&trace(), "m");
         // WS alternates load/compute; state changes = timestamps - final.
         let changes =
             vcd.lines().filter(|l| l.starts_with("b00 p") || l.starts_with("b01 p")).count();
@@ -190,7 +185,7 @@ mod tests {
     #[test]
     fn segment_mode_never_expands_repeats() {
         let t = trace();
-        let vcd = trace_to_vcd(&t, "m");
+        let vcd = segment_vcd(&t, "m");
         let timestamps = vcd.lines().filter(|l| l.starts_with('#')).count() as u64;
         assert!(timestamps <= t.segments().len() as u64 + 1);
         assert!(timestamps < t.cycles());

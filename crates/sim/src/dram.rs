@@ -30,16 +30,6 @@ impl DramTraffic {
     pub fn total(&self) -> u64 {
         self.input + self.weights + self.output
     }
-
-    /// The per-operand byte counts as trace counters, ready to attach to
-    /// a `codesign-trace` span.
-    pub fn counter_items(&self) -> [(&'static str, u64); 3] {
-        [
-            ("dram.input.bytes", self.input),
-            ("dram.weights.bytes", self.weights),
-            ("dram.output.bytes", self.output),
-        ]
-    }
 }
 
 /// Computes the DRAM traffic of a convolution-shaped layer.
@@ -195,13 +185,5 @@ mod tests {
         let t = simd_traffic(100, 25, &cfg);
         assert_eq!(t.total(), 250);
         assert_eq!(t.weights, 0);
-    }
-
-    #[test]
-    fn counter_items_cover_the_total() {
-        let t = DramTraffic { input: 10, weights: 20, output: 5 };
-        let items = t.counter_items();
-        assert_eq!(items.iter().map(|(_, v)| v).sum::<u64>(), t.total());
-        assert_eq!(items[1], ("dram.weights.bytes", 20));
     }
 }

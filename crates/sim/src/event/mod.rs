@@ -35,7 +35,7 @@
 
 pub mod units;
 
-use codesign_arch::{AcceleratorConfig, Dataflow, DataflowPolicy};
+use codesign_arch::{AcceleratorConfig, DataflowPolicy};
 use codesign_dnn::{Layer, Network};
 
 use crate::cache::{Lookups, WorkKey};
@@ -406,41 +406,6 @@ impl Simulator {
         }
         Ok(EventResult { network: network.name().to_owned(), layers })
     }
-
-    /// Runs one standalone layer through the event model under a forced
-    /// dataflow, time skipping on (unit tests, calibration, and the
-    /// no-panic fuzz target).
-    ///
-    /// # Errors
-    ///
-    /// Any [`SimError`](crate::SimError) the layer surfaces.
-    pub fn try_simulate_layer_event(
-        &self,
-        layer: &Layer,
-        cfg: &AcceleratorConfig,
-        opts: SimOptions,
-        dataflow: Dataflow,
-    ) -> SimResult<EventLayerResult> {
-        let perf = self.try_simulate_layer(layer, cfg, opts, dataflow)?;
-        let txns = self.lower_layer(layer, &perf, cfg, &opts)?;
-        let mut dma = DmaUnit::new(cfg.dram());
-        let mut array = ArrayUnit::new();
-        let state = PipelineState { prev_compute_start: 0, finished: 0 };
-        let (next, stalls) = play_layer(
-            &txns,
-            &mut dma,
-            &mut array,
-            state,
-            cfg.double_buffering(),
-            TimeSkip::Enabled,
-        );
-        Ok(EventLayerResult {
-            name: layer.name.clone(),
-            cycles: next.finished,
-            array_stall_cycles: stalls,
-            tiles: txns.count,
-        })
-    }
 }
 
 /// Runs a whole network through the event model (time skipping on) on a
@@ -469,6 +434,7 @@ mod tests {
     use super::*;
     use crate::perf::NetworkPerf;
     use crate::tiling::optimize_tiling;
+    use codesign_arch::Dataflow;
     use codesign_dnn::zoo;
 
     fn setup() -> (AcceleratorConfig, SimOptions) {

@@ -55,7 +55,6 @@
 #![forbid(unsafe_code)]
 
 pub mod batch;
-pub mod bounds;
 pub mod cache;
 pub mod cancel;
 pub mod compression;
@@ -68,7 +67,6 @@ pub mod fsio;
 pub mod multicore;
 pub mod nlr;
 pub mod os;
-pub mod parallel;
 pub mod perf;
 pub mod program;
 pub mod rs;
@@ -82,7 +80,6 @@ pub mod validate;
 pub mod workload;
 pub mod ws;
 
-pub use bounds::{layer_traffic_floor, network_traffic_floor};
 pub use cache::{CacheStats, SimCache};
 pub use cancel::CancelToken;
 pub use compression::WeightCompression;
@@ -94,22 +91,19 @@ pub use fsio::{
     write_generation, Candidate, Corrupt, Decoder, FramingError, GenerationStore, Recovery,
     GENERATIONS_KEPT,
 };
-pub use multicore::{schedule_branch_parallel, BranchParallelResult, MultiCoreConfig};
+pub use multicore::MultiCoreConfig;
 pub use nlr::simulate_nlr;
 pub use os::{simulate_os, OsModelOptions, SparsityModel};
-pub use parallel::{
-    max_jobs, par_map, par_map_catch, par_map_catch_range, par_map_range, pool_size, resolve_jobs,
-    MAX_POOL_WORKERS,
-};
+// The worker pool's entry points the rest of the workspace and the
+// benchmark reach through this crate.
+pub use codesign_parallel::{par_map, par_map_catch_range, pool_size, resolve_jobs};
 pub use perf::{ComputePerf, LayerPerf, NetworkPerf, PhaseCycles};
 pub use program::{Command, LayerProgram, Program};
 pub use rs::simulate_rs;
 pub use snapshot::{SnapshotError, SnapshotStats, SNAPSHOT_VERSION};
 pub use sparsity::{measure_sparsity, SparsityMap};
 pub use taxonomy::{TaxonomyComparison, TaxonomyDataflow};
-pub use tiling::{
-    optimize_tiling, optimize_tiling_exhaustive, traffic_lower_bound, LoopOrder, Tiling, TilingPlan,
-};
-pub use validate::{validate_network, validate_network_all, ValidationIssue};
+pub use tiling::{optimize_tiling, optimize_tiling_exhaustive, LoopOrder, Tiling, TilingPlan};
+pub use validate::validate_network;
 pub use workload::{ConvWork, WorkKind};
 pub use ws::simulate_ws;

@@ -129,75 +129,6 @@ impl Simulator {
     }
 }
 
-/// Result of the branch-parallel schedule.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BranchParallelResult {
-    /// Network name.
-    pub network: String,
-    /// Makespan in cycles.
-    pub makespan: u64,
-    /// Sum of layer durations (the single-core serial time).
-    pub serial_cycles: u64,
-    /// Layers that ran concurrently with at least one other layer.
-    pub overlapped_layers: usize,
-}
-
-impl BranchParallelResult {
-    /// Serial time over makespan (1.0 = no inter-layer parallelism found).
-    pub fn speedup(&self) -> f64 {
-        self.serial_cycles as f64 / self.makespan as f64
-    }
-}
-
-/// Schedules whole layers across `cores` cores, exploiting
-/// **inter-layer** parallelism: independent branches (fire expands,
-/// residual shortcuts) run on different cores concurrently. Each layer
-/// runs on one core for its duration in `single`, the network's
-/// single-core result (normally the per-layer hybrid from
-/// [`Simulator::try_simulate_network`]); dependencies follow the IR's
-/// `primary_input`/`extra_input` edges; DRAM contention between
-/// concurrent layers is not modeled (documented optimism — the
-/// data-parallel split in [`Simulator::try_simulate_network_multicore`]
-/// is the conservative counterpart).
-pub fn schedule_branch_parallel(
-    network: &Network,
-    single: &NetworkPerf,
-    cores: usize,
-) -> BranchParallelResult {
-    use std::collections::HashMap;
-
-    let durations: Vec<u64> = single.layers.iter().map(|l| l.total_cycles).collect();
-    let mut finish: HashMap<&str, u64> = HashMap::new();
-    let mut cores = vec![0u64; cores.max(1)];
-    let mut overlapped = 0usize;
-    let mut makespan = 0u64;
-    let mut intervals: Vec<(u64, u64)> = Vec::new();
-    for (layer, &dur) in network.layers().iter().zip(&durations) {
-        let dep = |name: &Option<String>| {
-            name.as_deref().and_then(|n| finish.get(n)).copied().unwrap_or(0)
-        };
-        let ready = dep(&layer.primary_input).max(dep(&layer.extra_input));
-        // Earliest-available core (`cores` is non-empty by construction:
-        // `cores.max(1)` above).
-        let core = cores.iter().enumerate().min_by_key(|(_, &t)| t).map(|(i, _)| i).unwrap_or(0);
-        let start = ready.max(cores[core]);
-        let end = start + dur;
-        cores[core] = end;
-        finish.insert(&layer.name, end);
-        if intervals.iter().any(|&(s, e)| start < e && s < end) {
-            overlapped += 1;
-        }
-        intervals.push((start, end));
-        makespan = makespan.max(end);
-    }
-    BranchParallelResult {
-        network: network.name().to_owned(),
-        makespan,
-        serial_cycles: durations.iter().sum(),
-        overlapped_layers: overlapped,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,10 +151,6 @@ mod tests {
 
     fn multicore_cycles(net: &Network, mc: &MultiCoreConfig) -> u64 {
         try_simulate_network_multicore(net, mc).unwrap().total_cycles()
-    }
-
-    fn schedule_branch_parallel(net: &Network, mc: &MultiCoreConfig) -> BranchParallelResult {
-        super::schedule_branch_parallel(net, &simulate_network(net, &mc.core), mc.cores)
     }
 
     #[test]
@@ -272,51 +199,6 @@ mod tests {
         let tiny = speedup(&zoo::tiny_darknet());
         assert!(tiny > alex, "compute-bound {tiny:.2} vs dram-bound {alex:.2}");
         assert!(alex < 2.0, "AlexNet cannot scale past the DRAM wall: {alex:.2}");
-    }
-
-    #[test]
-    fn branch_parallel_matches_serial_on_one_core() {
-        let cfg = AcceleratorConfig::paper_default();
-        let mc = MultiCoreConfig::single(cfg.clone());
-        let net = zoo::squeezenet_v1_1();
-        let r = schedule_branch_parallel(&net, &mc);
-        assert_eq!(r.makespan, r.serial_cycles);
-        assert!((r.speedup() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fire_branches_overlap_on_two_cores() {
-        let cfg = AcceleratorConfig::paper_default();
-        let mc = MultiCoreConfig { core: cfg.clone(), cores: 2 };
-        let net = zoo::squeezenet_v1_0();
-        let r = schedule_branch_parallel(&net, &mc);
-        // expand1x1 runs beside expand3x3 / shortcut work.
-        assert!(r.overlapped_layers > 4, "overlapped = {}", r.overlapped_layers);
-        assert!(r.makespan < r.serial_cycles);
-        assert!(r.speedup() <= 2.0 + 1e-9);
-    }
-
-    #[test]
-    fn linear_chains_cannot_overlap() {
-        // Tiny Darknet is a pure chain: extra cores buy nothing at the
-        // layer granularity.
-        let cfg = AcceleratorConfig::paper_default();
-        let mc = MultiCoreConfig { core: cfg.clone(), cores: 4 };
-        let r = schedule_branch_parallel(&zoo::tiny_darknet(), &mc);
-        assert_eq!(r.overlapped_layers, 0);
-        assert_eq!(r.makespan, r.serial_cycles);
-    }
-
-    #[test]
-    fn branch_parallelism_is_modest_next_to_data_parallelism() {
-        // The fire expands are unbalanced (3x3 dominates), so inter-layer
-        // parallelism saves far less than splitting each layer spatially.
-        let cfg = AcceleratorConfig::paper_default();
-        let mc = MultiCoreConfig { core: cfg.clone(), cores: 2 };
-        let net = zoo::squeezenet_v1_0();
-        let branch = schedule_branch_parallel(&net, &mc).makespan;
-        let data = multicore_cycles(&net, &mc);
-        assert!(data < branch, "data-parallel {data} should beat branch-parallel {branch}");
     }
 
     #[test]

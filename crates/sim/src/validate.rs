@@ -1,8 +1,9 @@
-//! Pre-flight validation of a (network, accelerator) pair.
+//! Validation of a (network, accelerator) pair.
 //!
-//! Sweeps and CLI runs call [`validate_network`] before simulating so
-//! that degenerate inputs surface as named, typed diagnostics *before*
-//! any cycle model runs — the validation order is:
+//! The CLI runs [`validate_network`] before it simulates, and `codesign
+//! serve` runs it before any answer other than `done`, so degenerate
+//! inputs surface as a typed diagnostic naming the first offending
+//! layer. The checks run in this order:
 //!
 //! 1. **configuration sanity** — the accelerator must have PEs and a
 //!    non-empty working buffer;
@@ -17,12 +18,9 @@
 //!    total today, so step 4 cannot fail for builder-produced networks
 //!    but guards hand-constructed layers).
 //!
-//! The same checks run lazily inside the `try_*` simulation APIs; the
-//! pre-flight pass exists so a whole-network report can list *all*
-//! offending layers ([`validate_network_all`]) instead of stopping at
-//! the first.
-
-use std::fmt;
+//! The same checks run lazily inside the `try_*` simulation APIs, which
+//! stop at the layer they fail on; validating up front finds the first
+//! offending layer in network order whatever else would stop a run.
 
 use codesign_arch::AcceleratorConfig;
 use codesign_dnn::{Layer, Network};
@@ -30,26 +28,6 @@ use codesign_dnn::{Layer, Network};
 use crate::error::{SimError, SimResult};
 use crate::tiling::min_working_set;
 use crate::workload::ConvWork;
-
-/// One named validation failure inside a network.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ValidationIssue {
-    /// Name of the offending layer (empty for configuration-level
-    /// issues).
-    pub layer: String,
-    /// What is wrong with it.
-    pub error: SimError,
-}
-
-impl fmt::Display for ValidationIssue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.layer.is_empty() {
-            write!(f, "configuration: {}", self.error)
-        } else {
-            write!(f, "{}", self.error)
-        }
-    }
-}
 
 fn validate_config(cfg: &AcceleratorConfig) -> SimResult<()> {
     if cfg.array_size() == 0 {
@@ -70,7 +48,7 @@ fn validate_config(cfg: &AcceleratorConfig) -> SimResult<()> {
 /// # Errors
 ///
 /// The first failing check's [`SimError`], attributed to the layer.
-pub fn validate_layer(layer: &Layer, cfg: &AcceleratorConfig) -> SimResult<()> {
+fn validate_layer(layer: &Layer, cfg: &AcceleratorConfig) -> SimResult<()> {
     let check = || -> SimResult<()> {
         match ConvWork::from_layer(layer) {
             Some(work) => {
@@ -110,22 +88,6 @@ pub fn validate_network(network: &Network, cfg: &AcceleratorConfig) -> SimResult
     Ok(())
 }
 
-/// Validates every layer of `network` against `cfg` and returns *all*
-/// failures, for whole-network diagnostics reports. An empty vector
-/// means the pair is feasible.
-pub fn validate_network_all(network: &Network, cfg: &AcceleratorConfig) -> Vec<ValidationIssue> {
-    let mut issues = Vec::new();
-    if let Err(error) = validate_config(cfg) {
-        issues.push(ValidationIssue { layer: String::new(), error });
-    }
-    for layer in network.layers() {
-        if let Err(error) = validate_layer(layer, cfg) {
-            issues.push(ValidationIssue { layer: layer.name.clone(), error });
-        }
-    }
-    issues
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,7 +98,6 @@ mod tests {
         let cfg = AcceleratorConfig::paper_default();
         for net in [zoo::squeezenet_v1_0(), zoo::mobilenet_v1(), zoo::alexnet()] {
             assert_eq!(validate_network(&net, &cfg), Ok(()), "{}", net.name());
-            assert!(validate_network_all(&net, &cfg).is_empty());
         }
     }
 
@@ -152,22 +113,6 @@ mod tests {
         let err = validate_network(&net, &cfg).unwrap_err();
         assert!(matches!(err, SimError::InfeasibleTiling { .. }), "{err}");
         assert!(err.layer().is_some(), "feasibility errors name their layer");
-    }
-
-    #[test]
-    fn all_issues_are_collected_not_just_the_first() {
-        let cfg = AcceleratorConfig::builder()
-            .array_size(2)
-            .global_buffer_bytes(64)
-            .double_buffering(false)
-            .build()
-            .unwrap();
-        let net = zoo::squeezenet_v1_0();
-        let issues = validate_network_all(&net, &cfg);
-        assert!(issues.len() > 1, "many layers cannot fit 64 B: {}", issues.len());
-        for issue in &issues {
-            assert_eq!(issue.error.layer(), Some(issue.layer.as_str()));
-        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use codesign_arch::{AcceleratorConfig, Dataflow, DataflowPolicy};
 use codesign_dnn::{ConvSpec, Kernel, Layer, LayerOp, NetworkBuilder, PoolKind, Shape};
-use codesign_sim::{SimOptions, Simulator};
+use codesign_sim::{SimOptions, Simulator, TimeSkip};
 use proptest::prelude::*;
 
 /// A possibly-degenerate feature-map shape. Zero extents are in-range on
@@ -90,15 +90,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Any layer on any buildable configuration either simulates or is
-    /// rejected with a typed error — under both dataflows, in both the
-    /// analytic and event-driven engines.
+    /// rejected with a typed error — under both dataflows.
     #[test]
     fn simulation_never_panics((layer, _) in arb_layer(), cfg in arb_config()) {
         let Some(cfg) = cfg else { return Ok(()) };
         let opts = SimOptions::paper_default();
         for dataflow in [Dataflow::WeightStationary, Dataflow::OutputStationary] {
             let _ = Simulator::new().try_simulate_layer(&layer, &cfg, opts, dataflow);
-            let _ = Simulator::new().try_simulate_layer_event(&layer, &cfg, opts, dataflow);
         }
     }
 
@@ -120,7 +118,9 @@ proptest! {
     }
 
     /// Whole parser-built networks (always shape-consistent) never panic
-    /// either, on arbitrary hardware.
+    /// either, on arbitrary hardware — in the analytic model, the
+    /// taxonomy comparison and, under both fixed dataflows, the
+    /// event-driven pipeline.
     #[test]
     fn well_formed_networks_never_panic(
         c in 1usize..=16, hw in 1usize..=32, k in prop_oneof![Just(1usize), Just(3), Just(7)],
@@ -138,6 +138,11 @@ proptest! {
             let opts = SimOptions::paper_default();
             let _ = Simulator::new().try_simulate_network(&net, &cfg, DataflowPolicy::PerLayer, opts);
             let _ = Simulator::new().try_compare_taxonomy(&net, &cfg, opts);
+            for dataflow in [Dataflow::WeightStationary, Dataflow::OutputStationary] {
+                let policy = DataflowPolicy::Fixed(dataflow);
+                let _ = Simulator::new()
+                    .try_simulate_network_event(&net, &cfg, policy, opts, TimeSkip::Enabled);
+            }
         }
     }
 }

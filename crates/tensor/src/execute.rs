@@ -93,7 +93,7 @@ impl WeightStore {
     }
 }
 
-/// Error produced by [`run_network`].
+/// Error produced by the network and layer runners.
 #[derive(Debug)]
 pub enum RunNetworkError {
     /// A compute layer has no weights in the store.
@@ -168,7 +168,7 @@ impl NetworkActivations {
 
 /// Incrementally builds [`NetworkActivations`] during a network run.
 ///
-/// [`run_network`] and [`run_network_reference`] drive their layer loops
+/// [`run_network_with`] and [`run_network_reference`] drive their layer loops
 /// through this builder, and so can a caller that steps a network one
 /// layer at a time (to time each layer, say): each layer's operands are
 /// resolved **by reference** out of the map (no activation tensor is
@@ -294,7 +294,7 @@ fn run_aux_layer(
 /// Runs one layer given its resolved input (and merge operand where
 /// relevant), computing convolutions and FC layers on the GEMM fast path
 /// with `jobs` workers (`0` = one per core). Results are bit-identical
-/// to [`run_layer_reference`] for every `jobs` value.
+/// to the reference operators ([`crate::ops`]) for every `jobs` value.
 ///
 /// # Errors
 ///
@@ -309,40 +309,18 @@ pub fn run_layer_with(
 ) -> Result<Tensor, RunNetworkError> {
     match &layer.op {
         LayerOp::Conv(spec) => {
-            Ok(crate::gemm::conv2d_gemm_jobs(input, layer_weights(layer, weights)?, spec, jobs)?)
+            Ok(crate::gemm::conv2d_gemm(input, layer_weights(layer, weights)?, spec, jobs)?)
         }
         LayerOp::FullyConnected { .. } => {
-            Ok(crate::gemm::fully_connected_gemm_jobs(input, layer_weights(layer, weights)?, jobs)?)
+            Ok(crate::gemm::fully_connected_gemm(input, layer_weights(layer, weights)?, jobs)?)
         }
         _ => run_aux_layer(layer, input, merge_operand),
     }
 }
 
-/// Runs one layer on the GEMM fast path with a single worker —
-/// [`run_layer_with`] with `jobs = 1`.
-///
-/// # Errors
-///
-/// Returns [`RunNetworkError`] when weights are missing or an operator
-/// rejects its arguments.
-pub fn run_layer(
-    layer: &Layer,
-    input: &Tensor,
-    merge_operand: Option<&Tensor>,
-    weights: &WeightStore,
-) -> Result<Tensor, RunNetworkError> {
-    run_layer_with(layer, input, merge_operand, weights, 1)
-}
-
 /// Runs one layer with the naive reference operators ([`crate::ops`]) —
-/// the executable specification of [`run_layer`], and the baseline the
-/// functional benchmark measures the GEMM path against.
-///
-/// # Errors
-///
-/// Returns [`RunNetworkError`] when weights are missing or an operator
-/// rejects its arguments.
-pub fn run_layer_reference(
+/// the executable specification of [`run_layer_with`].
+fn run_layer_reference(
     layer: &Layer,
     input: &Tensor,
     merge_operand: Option<&Tensor>,
@@ -399,29 +377,14 @@ pub fn run_network_with(
     })
 }
 
-/// Runs the whole network on `image` — [`run_network_with`] with a
-/// single worker.
-///
-/// # Errors
-///
-/// Returns [`RunNetworkError`] when weights are missing, a merge operand
-/// cannot be resolved, or an operator rejects its arguments.
-pub fn run_network(
-    network: &Network,
-    image: &Tensor,
-    weights: &WeightStore,
-) -> Result<NetworkActivations, RunNetworkError> {
-    run_network_with(network, image, weights, 1)
-}
-
 /// Runs the whole network with the naive reference operators — the
-/// executable specification [`run_network`] is proven bit-identical to
-/// (and the functional benchmark's baseline).
+/// executable specification [`run_network_with`] is proven bit-identical
+/// to (and the functional benchmark's baseline).
 ///
 /// # Errors
 ///
 /// Returns [`RunNetworkError`] under the same conditions as
-/// [`run_network`].
+/// [`run_network_with`].
 pub fn run_network_reference(
     network: &Network,
     image: &Tensor,
@@ -455,7 +418,7 @@ mod tests {
         let mut r = rng();
         let weights = WeightStore::random(&net, 8, 0.4, &mut r);
         let image = Tensor::random(net.input(), 16, &mut r);
-        let acts = run_network(&net, &image, &weights).unwrap();
+        let acts = run_network_with(&net, &image, &weights, 1).unwrap();
         assert_eq!(acts.final_output().shape(), Shape::vector(10));
         // Concat stacked both expands.
         assert_eq!(acts.get("fire2/concat").unwrap().shape().channels, 16);
@@ -468,7 +431,7 @@ mod tests {
         let mut r = rng();
         let weights = WeightStore::random(&net, 4, 0.0, &mut r);
         let image = Tensor::random(net.input(), 8, &mut r);
-        let acts = run_network(&net, &image, &weights).unwrap();
+        let acts = run_network_with(&net, &image, &weights, 1).unwrap();
         let cat = acts.get("f/concat").unwrap();
         let e3 = acts.get("f/expand3x3").unwrap();
         let e1 = acts.get("f/expand1x1").unwrap();
@@ -487,7 +450,7 @@ mod tests {
         let mut r = rng();
         let weights = WeightStore::random(&net, 4, 0.0, &mut r);
         let image = Tensor::random(net.input(), 8, &mut r);
-        let acts = run_network(&net, &image, &weights).unwrap();
+        let acts = run_network_with(&net, &image, &weights, 1).unwrap();
         let body = acts.get("body").unwrap();
         let add = acts.get("add").unwrap();
         assert_eq!(add.at(2, 3, 3), body.at(2, 3, 3) + image.at(2, 3, 3));
@@ -498,7 +461,7 @@ mod tests {
         let net =
             NetworkBuilder::new("t", Shape::new(1, 4, 4)).conv("c", 1, 1, 1, 0).finish().unwrap();
         let image = Tensor::zeros(net.input());
-        let err = run_network(&net, &image, &WeightStore::new()).unwrap_err();
+        let err = run_network_with(&net, &image, &WeightStore::new(), 1).unwrap_err();
         assert!(matches!(err, RunNetworkError::MissingWeights(_)));
         assert!(err.to_string().contains("`c`"));
     }

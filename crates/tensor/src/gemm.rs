@@ -296,21 +296,6 @@ fn dense_matvec(wrows: &[&[i32]], x: &[i32], acc: &mut [i64]) {
     }
 }
 
-/// Serial GEMM-backed grouped convolution — [`conv2d_gemm_jobs`] with one
-/// worker. Bit-identical to [`crate::ops::conv2d`].
-///
-/// # Errors
-///
-/// Returns [`ShapeMismatchError`] under the same conditions as
-/// [`crate::ops::conv2d`].
-pub fn conv2d_gemm(
-    input: &Tensor,
-    filters: &Filters,
-    spec: &ConvSpec,
-) -> Result<Tensor, ShapeMismatchError> {
-    conv2d_gemm_jobs(input, filters, spec, 1)
-}
-
 /// GEMM-backed grouped convolution, parallelised over output-channel
 /// blocks with `jobs` workers (`0` = one per core). Results are
 /// byte-identical to [`crate::ops::conv2d`] for **every** `jobs` value:
@@ -321,7 +306,7 @@ pub fn conv2d_gemm(
 ///
 /// Returns [`ShapeMismatchError`] under the same conditions as
 /// [`crate::ops::conv2d`].
-pub fn conv2d_gemm_jobs(
+pub fn conv2d_gemm(
     input: &Tensor,
     filters: &Filters,
     spec: &ConvSpec,
@@ -421,20 +406,6 @@ fn depthwise_direct(
     Tensor::from_vec(out_shape, data)
 }
 
-/// Serial GEMM-backed fully-connected layer — [`fully_connected_gemm_jobs`]
-/// with one worker. Bit-identical to [`crate::ops::fully_connected`].
-///
-/// # Errors
-///
-/// Returns [`ShapeMismatchError`] under the same conditions as
-/// [`crate::ops::fully_connected`].
-pub fn fully_connected_gemm(
-    input: &Tensor,
-    weights: &Filters,
-) -> Result<Tensor, ShapeMismatchError> {
-    fully_connected_gemm_jobs(input, weights, 1)
-}
-
 /// Fully-connected layer as a dense matrix-vector product: the flattened
 /// input vector stays cache-resident while each weight row streams past
 /// it once (`dense_matvec`) — no patch packing, no tap lists. Parallel
@@ -445,7 +416,7 @@ pub fn fully_connected_gemm(
 ///
 /// Returns [`ShapeMismatchError`] under the same conditions as
 /// [`crate::ops::fully_connected`].
-pub fn fully_connected_gemm_jobs(
+pub fn fully_connected_gemm(
     input: &Tensor,
     weights: &Filters,
     jobs: usize,
@@ -530,7 +501,7 @@ mod tests {
         for i in 0..60 {
             let (input, filters, spec) = random_case(&mut rng);
             let want = conv2d(&input, &filters, &spec).unwrap();
-            let got = conv2d_gemm(&input, &filters, &spec).unwrap();
+            let got = conv2d_gemm(&input, &filters, &spec, 1).unwrap();
             assert_eq!(got, want, "case {i}: {spec:?}");
         }
     }
@@ -541,7 +512,7 @@ mod tests {
         for _ in 0..30 {
             let (input, filters, spec) = random_case(&mut rng);
             let want = conv2d_im2col(&input, &filters, &spec).unwrap();
-            let got = conv2d_gemm(&input, &filters, &spec).unwrap();
+            let got = conv2d_gemm(&input, &filters, &spec, 1).unwrap();
             assert_eq!(got, want, "{spec:?}");
         }
     }
@@ -559,9 +530,9 @@ mod tests {
             pad_w: 1,
             groups: 1,
         };
-        let serial = conv2d_gemm_jobs(&input, &filters, &spec, 1).unwrap();
+        let serial = conv2d_gemm(&input, &filters, &spec, 1).unwrap();
         for jobs in [2, 3, 8] {
-            assert_eq!(conv2d_gemm_jobs(&input, &filters, &spec, jobs).unwrap(), serial);
+            assert_eq!(conv2d_gemm(&input, &filters, &spec, jobs).unwrap(), serial);
         }
     }
 
@@ -666,12 +637,12 @@ mod tests {
             let input = Tensor::random(Shape::new(n, 1, 1), 64, &mut rng);
             let w = Filters::random(k, n, 1, 1, 16, 0.4, &mut rng);
             let want = fully_connected(&input, &w).unwrap();
-            let got = fully_connected_gemm(&input, &w).unwrap();
+            let got = fully_connected_gemm(&input, &w, 1).unwrap();
             assert_eq!(got, want);
         }
         let bad = Filters::zeros(4, 7, 1, 1);
         let input = Tensor::zeros(Shape::new(3, 1, 1));
-        assert!(fully_connected_gemm(&input, &bad).is_err());
+        assert!(fully_connected_gemm(&input, &bad, 1).is_err());
     }
 
     #[test]
@@ -703,6 +674,6 @@ mod tests {
             pad_w: 1,
             groups: 1,
         };
-        assert!(conv2d_gemm(&input, &bad, &spec).is_err());
+        assert!(conv2d_gemm(&input, &bad, &spec, 1).is_err());
     }
 }

@@ -13,7 +13,7 @@
 //!
 //! ```
 //! use codesign_dnn::{NetworkBuilder, Shape};
-//! use codesign_tensor::{run_network, Tensor, WeightStore};
+//! use codesign_tensor::{run_network_with, Tensor, WeightStore};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -26,7 +26,7 @@
 //!     .finish()?;
 //! let weights = WeightStore::random(&net, 8, 0.4, &mut rng);
 //! let image = Tensor::random(net.input(), 64, &mut rng);
-//! let activations = run_network(&net, &image, &weights)?;
+//! let activations = run_network_with(&net, &image, &weights, 1)?;
 //! assert_eq!(activations.final_output().shape(), Shape::vector(10));
 //! # Ok(())
 //! # }
@@ -43,10 +43,10 @@ pub mod quant;
 pub mod tensor;
 
 pub use execute::{
-    run_layer, run_layer_reference, run_layer_with, run_network, run_network_reference,
-    run_network_with, ActivationBuilder, NetworkActivations, RunNetworkError, WeightStore,
+    run_layer_with, run_network_reference, run_network_with, ActivationBuilder, NetworkActivations,
+    RunNetworkError, WeightStore,
 };
-pub use gemm::{conv2d_gemm, conv2d_gemm_jobs, fully_connected_gemm, fully_connected_gemm_jobs};
+pub use gemm::{conv2d_gemm, fully_connected_gemm};
 pub use im2col::conv2d_im2col;
 pub use ops::ShapeMismatchError;
 pub use quant::{sqnr_db, QuantScale};

@@ -239,12 +239,6 @@ pub fn eltwise_add(a: &Tensor, b: &Tensor) -> Result<Tensor, ShapeMismatchError>
     Ok(Tensor::from_vec(a.shape(), data))
 }
 
-/// Rectified linear unit.
-pub fn relu(input: &Tensor) -> Tensor {
-    let data = input.as_slice().iter().map(|&v| v.max(0)).collect();
-    Tensor::from_vec(input.shape(), data)
-}
-
 /// Saturates a wide accumulator to the `i32` activation range.
 ///
 /// This single clamp, applied exactly once per output element after the
@@ -382,12 +376,6 @@ mod tests {
         assert_eq!(eltwise_add(&a, &b).unwrap().as_slice(), &[i32::MAX]);
         let c = Tensor::zeros(Shape::new(1, 2, 1));
         assert!(eltwise_add(&a, &c).is_err());
-    }
-
-    #[test]
-    fn relu_zeroes_negatives() {
-        let t = Tensor::from_vec(Shape::new(1, 1, 3), vec![-5, 0, 5]);
-        assert_eq!(relu(&t).as_slice(), &[0, 0, 5]);
     }
 
     #[test]

@@ -8,10 +8,6 @@
 
 use std::fmt;
 
-use codesign_dnn::Shape;
-
-use crate::tensor::Tensor;
-
 /// A symmetric quantization scale: `real = quantized * scale`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantScale {
@@ -65,16 +61,6 @@ impl QuantScale {
     /// Dequantizes one code.
     pub fn dequantize(&self, code: i32) -> f32 {
         code as f32 * self.scale
-    }
-
-    /// Quantizes a whole buffer into a [`Tensor`] of the given shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len() != shape.elements()`.
-    pub fn quantize_tensor(&self, values: &[f32], shape: Shape) -> Tensor {
-        assert_eq!(values.len(), shape.elements(), "buffer length must match shape");
-        Tensor::from_vec(shape, values.iter().map(|&v| self.quantize(v)).collect())
     }
 }
 
@@ -137,14 +123,6 @@ mod tests {
     fn calibrate_from_rejects_degenerate_data() {
         assert!(QuantScale::calibrate_from(&[], 8).is_none());
         assert!(QuantScale::calibrate_from(&[0.0, 0.0], 8).is_none());
-    }
-
-    #[test]
-    fn quantize_tensor_shape_checked() {
-        let s = QuantScale::calibrate(2.0, 16);
-        let t = s.quantize_tensor(&[0.5, 1.0, -1.0, 2.0], Shape::new(1, 2, 2));
-        assert_eq!(t.shape(), Shape::new(1, 2, 2));
-        assert_eq!(t.at(0, 1, 1), s.qmax());
     }
 
     #[test]

@@ -115,16 +115,6 @@ impl Tensor {
         &self.data[c * plane..(c + 1) * plane]
     }
 
-    /// The mutable flat backing slice (CHW order).
-    pub fn as_mut_slice(&mut self) -> &mut [i32] {
-        &mut self.data
-    }
-
-    /// Consumes the tensor and returns its backing buffer.
-    pub fn into_vec(self) -> Vec<i32> {
-        self.data
-    }
-
     /// Concatenates tensors along the channel axis.
     ///
     /// # Panics

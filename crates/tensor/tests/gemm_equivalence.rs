@@ -10,9 +10,7 @@
 //! depthwise, fully connected) to the same bits at 1, 2, 3 and 8 workers.
 
 use codesign_dnn::{ConvSpec, Kernel, Shape};
-use codesign_tensor::gemm::{
-    conv2d_gemm, conv2d_gemm_jobs, fully_connected_gemm, fully_connected_gemm_jobs,
-};
+use codesign_tensor::gemm::{conv2d_gemm, fully_connected_gemm};
 use codesign_tensor::{conv2d_im2col, Filters, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -56,7 +54,7 @@ fn conv_case() -> impl Strategy<Value = (Tensor, Filters, ConvSpec)> {
 fn assert_triple_equal(input: &Tensor, filters: &Filters, spec: &ConvSpec) {
     let naive = codesign_tensor::ops::conv2d(input, filters, spec).unwrap();
     let im2col = conv2d_im2col(input, filters, spec).unwrap();
-    let gemm = conv2d_gemm(input, filters, spec).unwrap();
+    let gemm = conv2d_gemm(input, filters, spec, 1).unwrap();
     assert_eq!(naive, im2col, "im2col diverged from the loop nest: {spec:?}");
     assert_eq!(naive, gemm, "GEMM diverged from the loop nest: {spec:?}");
 }
@@ -69,7 +67,7 @@ proptest! {
     fn gemm_matches_both_references((input, filters, spec) in conv_case()) {
         let naive = codesign_tensor::ops::conv2d(&input, &filters, &spec).unwrap();
         let im2col = conv2d_im2col(&input, &filters, &spec).unwrap();
-        let gemm = conv2d_gemm(&input, &filters, &spec).unwrap();
+        let gemm = conv2d_gemm(&input, &filters, &spec, 1).unwrap();
         prop_assert_eq!(&naive, &im2col);
         prop_assert_eq!(&naive, &gemm);
     }
@@ -77,8 +75,8 @@ proptest! {
     /// The worker count never changes a single bit of the output.
     #[test]
     fn gemm_is_jobs_invariant((input, filters, spec) in conv_case(), jobs in 2usize..=8) {
-        let serial = conv2d_gemm_jobs(&input, &filters, &spec, 1).unwrap();
-        let parallel = conv2d_gemm_jobs(&input, &filters, &spec, jobs).unwrap();
+        let serial = conv2d_gemm(&input, &filters, &spec, 1).unwrap();
+        let parallel = conv2d_gemm(&input, &filters, &spec, jobs).unwrap();
         prop_assert_eq!(serial, parallel);
     }
 
@@ -90,7 +88,7 @@ proptest! {
         let input = Tensor::random(Shape::new(n, 1, 1), 64, &mut rng);
         let weights = Filters::random(k, n, 1, 1, 16, 0.4, &mut rng);
         let want = codesign_tensor::ops::fully_connected(&input, &weights).unwrap();
-        let got = fully_connected_gemm(&input, &weights).unwrap();
+        let got = fully_connected_gemm(&input, &weights, 1).unwrap();
         prop_assert_eq!(want, got);
     }
 }
@@ -186,7 +184,7 @@ fn pinned_saturation() {
         groups: 1,
     };
     assert_triple_equal(&input, &filters, &spec);
-    let gemm = conv2d_gemm(&input, &filters, &spec).unwrap();
+    let gemm = conv2d_gemm(&input, &filters, &spec, 1).unwrap();
     assert_eq!(gemm.as_slice(), &[i32::MAX, i32::MIN]);
 }
 
@@ -224,10 +222,10 @@ fn assert_parallel_conv_matches(input: &Tensor, filters: &Filters, spec: &ConvSp
         * spec.kernel.width
         * out.shape().plane();
     assert!(macs >= PAR_GATE_MACS, "{macs} MACs run serially: {spec:?}");
-    let serial = conv2d_gemm_jobs(input, filters, spec, 1).unwrap();
+    let serial = conv2d_gemm(input, filters, spec, 1).unwrap();
     assert_eq!(serial, out, "one worker diverged from the loop nest: {spec:?}");
     for jobs in [2, 3, 8] {
-        assert_eq!(conv2d_gemm_jobs(input, filters, spec, jobs).unwrap(), serial, "jobs {jobs}");
+        assert_eq!(conv2d_gemm(input, filters, spec, jobs).unwrap(), serial, "jobs {jobs}");
     }
 }
 
@@ -309,13 +307,9 @@ fn parallel_fully_connected() {
     let weights = Filters::random(512, 9216, 1, 1, 16, 0.4, &mut rng);
     const { assert!(512 * 9216 >= PAR_GATE_MACS) };
     let want = codesign_tensor::ops::fully_connected(&input, &weights).unwrap();
-    let serial = fully_connected_gemm_jobs(&input, &weights, 1).unwrap();
+    let serial = fully_connected_gemm(&input, &weights, 1).unwrap();
     assert_eq!(serial, want);
     for jobs in [2, 3, 8] {
-        assert_eq!(
-            fully_connected_gemm_jobs(&input, &weights, jobs).unwrap(),
-            serial,
-            "jobs {jobs}"
-        );
+        assert_eq!(fully_connected_gemm(&input, &weights, jobs).unwrap(), serial, "jobs {jobs}");
     }
 }

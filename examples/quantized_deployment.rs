@@ -9,7 +9,7 @@
 
 use codesign::dnn::{LayerOp, NetworkBuilder, Shape};
 use codesign::tensor::{
-    run_network, run_network_reference, sqnr_db, Filters, QuantScale, Tensor, WeightStore,
+    run_network_reference, run_network_with, sqnr_db, Filters, QuantScale, Tensor, WeightStore,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -69,7 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // operators must agree bit for bit.
     let image = Tensor::random(net.input(), 127, &mut rng);
     let reference = run_network_reference(&net, &image, &store)?;
-    let gemm = run_network(&net, &image, &store)?;
+    let gemm = run_network_with(&net, &image, &store, 1)?;
     for (name, want) in reference.iter() {
         assert_eq!(gemm.get(name), Some(want), "{name} diverged");
     }
