@@ -74,8 +74,6 @@ pub struct Invocation {
     /// serve: autosave the cache to a rotating `--cache-save` generation
     /// file every N handled requests (`0` = off).
     pub autosave_every: u64,
-    /// faultinject: also run the server/persistence corpus (`--serve`).
-    pub serve_faults: bool,
     /// sweep: stream the bounded-memory online Pareto frontier instead
     /// of materializing every point (implied by the other streaming
     /// flags; see [`Invocation::frontier_mode`]).
@@ -159,7 +157,6 @@ commands:
   wave     <net> <layer>  layer waveform as VCD (stdout; pipe to a file)
   list             list the model zoo
   faultinject      run the hostile-input corpus against the simulator
-                   (--serve adds the server/persistence corpus)
   serve            run the line-delimited-JSON co-design server
   verify-functional [net]  run the GEMM functional executor and assert
                    bit-equality against the reference ops (whole zoo
@@ -202,8 +199,6 @@ options:
   --autosave-every N     serve: autosave the cache into rotating
                          --cache-save generation files every N requests
                          (default 0 = off; requires --cache-save)
-  --serve                faultinject: also run the server/persistence
-                         hostile corpus (slow clients, torn snapshots)
   --frontier             sweep: stream the online Pareto frontier with
                          bounded memory instead of materializing every
                          point (implied by the flags below)
@@ -282,7 +277,6 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Invocation, 
         max_line_bytes: 1 << 20,
         max_connections: 64,
         autosave_every: 0,
-        serve_faults: false,
         frontier: false,
         chunk: None,
         prune: false,
@@ -325,7 +319,6 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Invocation, 
                 inv.max_connections = parse_value("--max-connections", it.next())?
             }
             "--autosave-every" => inv.autosave_every = parse_value("--autosave-every", it.next())?,
-            "--serve" => inv.serve_faults = true,
             "--frontier" => inv.frontier = true,
             "--chunk" => inv.chunk = Some(parse_value("--chunk", it.next())?),
             "--prune" => inv.prune = true,
@@ -372,9 +365,6 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Invocation, 
         if let Some((flag, _)) = serve_only.iter().find(|(_, set)| *set) {
             return Err(ParseArgsError(format!("{flag} applies to serve only")));
         }
-    }
-    if inv.serve_faults && inv.action != Action::Faultinject {
-        return Err(ParseArgsError("--serve applies to faultinject only".to_owned()));
     }
     let sweep_only: &[(&str, bool)] = &[
         ("--frontier", inv.frontier),
@@ -435,6 +425,11 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Invocation, 
     if inv.cores == 0 {
         return Err(ParseArgsError("--cores must be at least 1".to_owned()));
     }
+    // The multi-core model splits one image across the cores and takes
+    // no batch: `simulate` would divide that one image's cycles by it.
+    if inv.batch > 1 && inv.cores > 1 {
+        return Err(ParseArgsError("--batch and --cores cannot both exceed 1".to_owned()));
+    }
     Ok(inv)
 }
 
@@ -452,7 +447,7 @@ mod tests {
     #[test]
     fn parses_a_full_invocation() {
         let inv = parse(
-            "simulate mobilenet --arch ws --array 16 --rf 8 --buffer 64 --batch 4 --cores 2 --jobs 3",
+            "simulate mobilenet --arch ws --array 16 --rf 8 --buffer 64 --batch 4 --cores 1 --jobs 3",
         )
         .unwrap();
         assert_eq!(inv.action, Action::Simulate);
@@ -460,7 +455,7 @@ mod tests {
         assert_eq!(inv.policy, DataflowPolicy::Fixed(Dataflow::WeightStationary));
         assert_eq!(inv.array_size, Some(16));
         assert_eq!(inv.batch, 4);
-        assert_eq!(inv.cores, 2);
+        assert_eq!(inv.cores, 1);
         assert_eq!(inv.jobs, 3);
         let cfg = inv.config().unwrap();
         assert_eq!(cfg.array_size(), 16);
@@ -486,6 +481,10 @@ mod tests {
     #[test]
     fn faultinject_needs_no_network() {
         assert_eq!(parse("faultinject").unwrap().action, Action::Faultinject);
+        // The server's hostile-client cases run against the real binary
+        // in `tests/serve.rs`; faultinject has no `--serve` corpus.
+        let err = parse("faultinject --serve").unwrap_err();
+        assert_eq!(err.to_string(), "unknown option `--serve`");
     }
 
     #[test]
@@ -557,11 +556,14 @@ mod tests {
     }
 
     #[test]
-    fn faultinject_serve_flag() {
-        assert!(!parse("faultinject").unwrap().serve_faults);
-        assert!(parse("faultinject --serve").unwrap().serve_faults);
-        assert!(parse("serve --serve").is_err(), "--serve is faultinject-only");
-        assert!(parse("sweep tiny-darknet --serve").is_err());
+    fn batch_and_cores_do_not_combine() {
+        // No model runs a batch on several cores: `simulate` would print
+        // a one-image multi-core run's cycles divided by the batch.
+        let err = parse("simulate squeezenet-v1.0 --cores 2 --batch 4").unwrap_err();
+        assert_eq!(err.to_string(), "--batch and --cores cannot both exceed 1");
+        assert!(parse("simulate squeezenet-v1.0 --batch 4 --cores 2").is_err());
+        assert_eq!(parse("simulate squeezenet-v1.0 --cores 2 --batch 1").unwrap().cores, 2);
+        assert_eq!(parse("simulate squeezenet-v1.0 --batch 4 --cores 1").unwrap().batch, 4);
     }
 
     #[test]
@@ -659,15 +661,16 @@ mod tests {
 
     /// Valid invocations covering every flag, the seeds of
     /// [`every_mutation_of_a_valid_invocation_parses_or_is_refused_typed`].
-    const SEEDS: [&str; 5] = [
-        "simulate squeezenet-v1.0 --arch ws --array 16 --rf 8 --buffer 64 --batch 4 --cores 2 \
+    const SEEDS: [&str; 6] = [
+        "simulate squeezenet-v1.0 --arch ws --array 16 --rf 8 --buffer 64 --batch 4 --cores 1 \
          --jobs 2 --trace t.json --metrics m.json",
+        "simulate squeezenet-v1.1 --arch os --cores 2 --batch 1",
         "sweep tiny-darknet --frontier --chunk 8 --prune --arrays 8,16 --rfs 8 --buffers-kib 64,128 \
          --checkpoint ck --checkpoint-every 16 --resume --cache-load a.snap --cache-save b.snap",
         "serve --port 0 --jobs 2 --deadline-ms 500 --max-line-bytes 4096 --max-connections 4 \
          --autosave-every 2 --cache-save s.snap",
         "wave alexnet conv1 --arch os --array 8",
-        "faultinject --serve",
+        "faultinject --metrics m.json",
     ];
 
     #[test]
@@ -743,15 +746,21 @@ mod tests {
             }
             cases.push(tokens);
         }
-        assert_eq!(cases.len(), 3_425, "every seed token mutated");
+        assert_eq!(cases.len(), 3_622, "every seed token mutated");
         let mut refused = 0;
+        let mut batch_on_cores = 0;
         for tokens in &cases {
             match catch_unwind(|| parse_args(tokens.clone()).map(|inv| inv.config())) {
                 Ok(Ok(Ok(_))) => {}
-                Ok(Ok(Err(_)) | Err(_)) => refused += 1,
+                Ok(Ok(Err(_))) => refused += 1,
+                Ok(Err(e)) => {
+                    refused += 1;
+                    batch_on_cores += usize::from(e.to_string().starts_with("--batch and --cores"));
+                }
                 Err(_) => panic!("parsing panicked on {tokens:?}"),
             }
         }
         assert!(refused > cases.len() / 2, "only {refused} of {} were refused", cases.len());
+        assert!(batch_on_cores > 0, "no mutation combined a batch with several cores");
     }
 }

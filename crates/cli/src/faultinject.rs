@@ -1,5 +1,5 @@
-//! Fault injection (`codesign faultinject [--serve]`): hostile-input
-//! corpora and the one harness that runs them.
+//! Fault injection (`codesign faultinject`): the simulator's
+//! hostile-input corpus and the harness that runs it.
 //!
 //! Each case runs under `catch_unwind` and ends **completed**,
 //! **rejected** with a typed error, or **panicked**; the report judges
@@ -7,13 +7,13 @@
 //! test: hostile inputs are *rejected, never panicked on*, and
 //! well-formed control inputs still complete.
 //!
-//! This module holds the simulator corpus: degenerate layers,
-//! overflow-scale shapes, infeasible buffer configurations and malformed
-//! `.net` files run through the fallible `Simulator` methods, plus
-//! zoo-network controls. Each simulator rejection bumps the matching
-//! `sim.error.<kind>` counter on the tracer passed to [`run`], so a
-//! traced run shows which error classes the corpus exercised. The
-//! serving and persistence corpus is [`crate::faultserve::corpus`].
+//! The corpus: degenerate layers, overflow-scale shapes, infeasible
+//! buffer configurations and malformed `.net` files run through the
+//! fallible `Simulator` methods, plus zoo-network controls. Each
+//! simulator rejection bumps the matching `sim.error.<kind>` counter on
+//! the tracer passed to [`run`], so a traced run shows which error
+//! classes the corpus exercised. The server's hostile-client and
+//! torn-snapshot cases run against the real binary in `tests/serve.rs`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -27,13 +27,12 @@ use codesign_trace::Tracer;
 
 /// What happened when one fault case ran.
 enum CaseOutcome {
-    /// The case completed (expected only for controls and invariants).
+    /// The case completed (expected only for controls).
     Completed,
     /// A typed error was surfaced: the desired outcome for every
     /// hostile case.
     Rejected {
-        /// Machine-readable error class ([`SimError::kind`], or
-        /// `violation` for a broken serving invariant).
+        /// Machine-readable error class ([`SimError::kind`]).
         kind: String,
         /// Human-readable error message.
         message: String,
@@ -45,49 +44,24 @@ enum CaseOutcome {
     },
 }
 
-/// Why a case did not complete.
-enum Refusal {
-    /// The simulator rejected the input with a typed error.
-    Sim(SimError),
-    /// A serving or persistence invariant did not hold.
-    Violation(String),
-}
-
 /// One corpus entry: a named, deliberately hostile (or deliberately
-/// well-formed) input plus the expectation its outcome is judged by.
+/// well-formed) simulator input plus the expectation its outcome is
+/// judged by.
 pub struct FaultCase {
     name: &'static str,
     expect_rejection: bool,
-    run: Box<dyn Fn() -> Result<(), Refusal>>,
+    run: Box<dyn Fn() -> SimResult<()>>,
 }
 
 impl FaultCase {
-    fn sim(
-        name: &'static str,
-        expect_rejection: bool,
-        run: impl Fn() -> SimResult<()> + 'static,
-    ) -> Self {
-        Self { name, expect_rejection, run: Box::new(move || run().map_err(Refusal::Sim)) }
-    }
-
     /// A hostile simulator input: must be rejected with a typed error.
     fn hostile(name: &'static str, run: impl Fn() -> SimResult<()> + 'static) -> Self {
-        Self::sim(name, true, run)
+        Self { name, expect_rejection: true, run: Box::new(run) }
     }
 
     /// A well-formed simulator input: must complete.
     fn control(name: &'static str, run: impl Fn() -> SimResult<()> + 'static) -> Self {
-        Self::sim(name, false, run)
-    }
-
-    /// A serving or persistence invariant: must hold. A violated one
-    /// surfaces as a `violation` rejection, which fails the report.
-    pub fn invariant(name: &'static str, run: fn() -> Result<(), String>) -> Self {
-        Self {
-            name,
-            expect_rejection: false,
-            run: Box::new(move || run().map_err(Refusal::Violation)),
-        }
+        Self { name, expect_rejection: false, run: Box::new(run) }
     }
 }
 
@@ -164,9 +138,9 @@ impl FaultReport {
 
 /// Runs `cases` in order, each isolated by `catch_unwind`. Every
 /// simulator rejection bumps `sim.error.<kind>` on `tracer` (a no-op when
-/// disabled). The default panic hook is silenced for the run, since the
-/// serve corpus injects panics on purpose; every payload still reaches
-/// the report.
+/// disabled). The default panic hook is silenced for the run, so a
+/// panicking case prints nothing outside its report line, which carries
+/// the payload.
 pub fn run(cases: &[FaultCase], tracer: &Tracer) -> FaultReport {
     let previous_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
@@ -175,12 +149,9 @@ pub fn run(cases: &[FaultCase], tracer: &Tracer) -> FaultReport {
         .map(|case| {
             let outcome = match catch_unwind(AssertUnwindSafe(&case.run)) {
                 Ok(Ok(())) => CaseOutcome::Completed,
-                Ok(Err(Refusal::Sim(e))) => {
+                Ok(Err(e)) => {
                     tracer.add_counter(&format!("sim.error.{}", e.kind()), 1);
                     CaseOutcome::Rejected { kind: e.kind().to_owned(), message: e.to_string() }
-                }
-                Ok(Err(Refusal::Violation(message))) => {
-                    CaseOutcome::Rejected { kind: "violation".to_owned(), message }
                 }
                 Err(payload) => CaseOutcome::Panicked {
                     message: payload
@@ -510,20 +481,20 @@ mod tests {
     }
 
     #[test]
-    fn panics_and_violations_fail_the_report() {
-        fn boom() -> Result<(), String> {
-            panic!("injected")
-        }
+    fn panics_and_mismatches_fail_the_report() {
+        let refused =
+            || Err(SimError::InvalidWorkload { layer: None, reason: "no way".to_owned() });
         let cases = [
-            FaultCase::invariant("holds", || Ok(())),
-            FaultCase::invariant("broken", || Err("lost the warm start".to_owned())),
-            FaultCase::invariant("boom", boom),
+            FaultCase::control("holds", || Ok(())),
+            FaultCase::control("refused", refused),
+            FaultCase::hostile("accepted", || Ok(())),
+            FaultCase::hostile("boom", || -> SimResult<()> { panic!("injected") }),
         ];
         let report = run(&cases, &Tracer::disabled());
-        assert_eq!((report.rejections(), report.panics(), report.mismatches()), (1, 1, 2));
+        assert_eq!((report.rejections(), report.panics(), report.mismatches()), (1, 1, 3));
         assert!(!report.passed());
         let rendered = report.render();
-        assert!(rendered.contains("-> rejected [violation] !! lost the warm start"), "{rendered}");
+        assert!(rendered.contains("-> rejected [invalid_workload] !! "), "{rendered}");
         assert!(rendered.contains("-> PANICKED !! injected"), "{rendered}");
     }
 }

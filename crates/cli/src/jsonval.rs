@@ -3,9 +3,10 @@
 //! The repo is dependency-free by policy, and the server speaks
 //! line-delimited JSON, so this module provides the smallest JSON
 //! surface the protocol needs: parse one request line into a [`Value`],
-//! and re-serialize scalars (the request `id` echo). It is a strict
-//! recursive-descent parser — no trailing garbage, no unquoted keys,
-//! depth-capped against hostile nesting.
+//! and re-serialize the request `id` for its echo. It is a strict
+//! recursive-descent parser — RFC 8259 numbers, no trailing garbage, no
+//! unquoted keys, depth-capped against hostile nesting. Numbers keep
+//! their source text, so an echoed `id` is byte for byte the one sent.
 
 use std::fmt;
 
@@ -18,8 +19,8 @@ pub enum Value {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any JSON number (always carried as `f64`).
-    Num(f64),
+    /// A finite JSON number, as its source text.
+    Num(String),
     /// A string, unescaped.
     Str(String),
     /// An array.
@@ -87,7 +88,7 @@ impl Value {
     /// The numeric payload, if this is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            Value::Num(n) => Some(*n),
+            Value::Num(text) => text.parse().ok(),
             _ => None,
         }
     }
@@ -124,9 +125,7 @@ impl Value {
         match self {
             Value::Null => "null".to_owned(),
             Value::Bool(b) => b.to_string(),
-            Value::Num(n) if n.is_finite() => format!("{n}"),
-            // JSON has no NaN/Infinity; null is the conventional fallback.
-            Value::Num(_) => "null".to_owned(),
+            Value::Num(text) => text.clone(),
             Value::Str(s) => quote(s),
             Value::Arr(items) => {
                 let inner: Vec<String> = items.iter().map(Value::to_json).collect();
@@ -199,22 +198,90 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Advances over a run of ASCII digits and returns its length.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// One number in RFC 8259's grammar (`-? int frac? exp?`, no leading
+    /// zeros), kept as its source text: the text is echoed back, so it
+    /// must itself be valid JSON.
     fn number(&mut self) -> Result<Value, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
+        let int = match self.peek() {
+            Some(b'0') => {
+                self.pos += 1;
+                1
+            }
+            _ => self.digits(),
+        };
+        let mut valid = int > 0;
+        if self.peek() == Some(b'.') {
             self.pos += 1;
+            valid &= self.digits() > 0;
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            valid &= self.digits() > 0;
         }
         let text = &self.text[start..self.pos];
-        let n: f64 = text.parse().map_err(|_| self.err(format!("bad number `{text}`")))?;
-        if n.is_finite() {
-            Ok(Value::Num(n))
-        } else {
-            Err(self.err(format!("number out of range `{text}`")))
+        if !valid {
+            return Err(self.err(format!("bad number `{text}`")));
         }
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Value::Num(text.to_owned())),
+            _ => Err(self.err(format!("number out of range `{text}`"))),
+        }
+    }
+
+    /// The four hex digits after the `u` at `pos`, leaving `pos` on the
+    /// last of them.
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        let hex = self
+            .text
+            .get(self.pos + 1..self.pos + 5)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        // Exactly four hex digits: `from_str_radix` alone would also
+        // accept a leading sign.
+        if !hex.bytes().all(|h| h.is_ascii_hexdigit()) {
+            return Err(self.err("bad \\u escape"));
+        }
+        let code = u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
+        self.pos += 4;
+        Ok(code)
+    }
+
+    /// The character a `\u` escape at `pos` (on the `u`) names, leaving
+    /// `pos` on its last hex digit. A high surrogate must be followed by
+    /// a `\u` low surrogate, and the pair names one character outside the
+    /// Basic Multilingual Plane.
+    fn unicode_escape(&mut self) -> Result<char, JsonError> {
+        let high = self.hex4()?;
+        let code = if (0xd800..0xdc00).contains(&high) {
+            if self.text.get(self.pos + 1..self.pos + 3) != Some("\\u") {
+                return Err(self.err("unpaired surrogate"));
+            }
+            self.pos += 2;
+            let low = self.hex4()?;
+            if !(0xdc00..0xe000).contains(&low) {
+                return Err(self.err("unpaired surrogate"));
+            }
+            0x10000 + ((high - 0xd800) << 10) + (low - 0xdc00)
+        } else {
+            high
+        };
+        // A low surrogate on its own is no character.
+        char::from_u32(code).ok_or_else(|| self.err("unpaired surrogate"))
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
@@ -238,26 +305,7 @@ impl<'a> Parser<'a> {
                         Some(b'n') => out.push('\n'),
                         Some(b'r') => out.push('\r'),
                         Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .text
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            // Exactly four hex digits: `from_str_radix`
-                            // alone would also accept a leading sign.
-                            if !hex.bytes().all(|h| h.is_ascii_hexdigit()) {
-                                return Err(self.err("bad \\u escape"));
-                            }
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            // Surrogates would need pairing; the protocol
-                            // never emits them, so reject instead of
-                            // silently mangling.
-                            let c = char::from_u32(code)
-                                .ok_or_else(|| self.err("unpaired surrogate"))?;
-                            out.push(c);
-                            self.pos += 4;
-                        }
+                        Some(b'u') => out.push(self.unicode_escape()?),
                         _ => return Err(self.err("bad escape")),
                     }
                     self.pos += 1;
@@ -400,6 +448,11 @@ pub(crate) mod tests {
             assert_eq!(Value::parse(&v.to_json()).unwrap(), v, "{text}");
         }
         assert_eq!(Value::parse(r#""é""#).unwrap(), Value::Str("é".to_owned()));
+        // Numbers are written back as sent: an `f64` would turn the first
+        // into 9007199254740992, another request's id, and rewrite the rest.
+        for id in ["9007199254740993", "12345678901234567891", "1.50", "1e2", "-0", "2.5E-3"] {
+            assert_eq!(Value::parse(id).unwrap().to_json(), id);
+        }
     }
 
     #[test]
@@ -422,6 +475,15 @@ pub(crate) mod tests {
             "\u{1}",
             r#""\ud800""#,
             "1e999",
+            "01",
+            "-01",
+            "1.",
+            "1.e5",
+            "-",
+            "1e",
+            "1e+",
+            "+1",
+            ".5",
         ] {
             assert!(Value::parse(bad).is_err(), "{bad:?} should fail");
         }
@@ -432,9 +494,15 @@ pub(crate) mod tests {
 
     #[test]
     fn as_usize_is_exact() {
-        assert_eq!(Value::Num(3.0).as_usize(), Some(3));
-        assert_eq!(Value::Num(3.5).as_usize(), None);
-        assert_eq!(Value::Num(-1.0).as_usize(), None);
+        let num = |text: &str| Value::parse(text).unwrap();
+        assert_eq!(num("3").as_usize(), Some(3));
+        assert_eq!(num("1e2").as_usize(), Some(100));
+        assert_eq!(num("3.0").as_usize(), Some(3));
+        assert_eq!(num("4294967295").as_usize(), Some(u32::MAX as usize));
+        assert_eq!(num("4294967296").as_usize(), None);
+        assert_eq!(num("3.5").as_usize(), None);
+        assert_eq!(num("-1").as_usize(), None);
+        assert_eq!(num("2.5E-3").as_f64(), Some(0.0025));
         assert_eq!(Value::Str("3".to_owned()).as_usize(), None);
     }
 
@@ -450,6 +518,27 @@ pub(crate) mod tests {
         }
         for short in [r#""\u004"#, r#""\u"#, "\"\\u0\u{e9}"] {
             assert_eq!(Value::parse(short).unwrap_err().what, "truncated \\u escape", "{short}");
+        }
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_character() {
+        // Python's default `json.dumps({"id": "😀"})` escapes the emoji
+        // as a UTF-16 pair.
+        assert_eq!(Value::parse(r#""\ud83d\ude00""#), Ok(Value::Str("😀".to_owned())));
+        assert_eq!(Value::parse(r#""a\uD834\uDD1Eb""#), Ok(Value::Str("a𝄞b".to_owned())));
+        for (bad, what) in [
+            (r#""\ud83d""#, "unpaired surrogate"),
+            (r#""\ud83dx""#, "unpaired surrogate"),
+            (r#""\ud83d\n""#, "unpaired surrogate"),
+            (r#""\ud83d\ud83d""#, "unpaired surrogate"),
+            (r#""\ude00""#, "unpaired surrogate"),
+            (r#""\ude00\ud83d""#, "unpaired surrogate"),
+            (r#""\ud83d\ude0""#, "bad \\u escape"),
+            (r#""\ud83d\ude0"#, "truncated \\u escape"),
+            (r#""\ud83d\u"#, "truncated \\u escape"),
+        ] {
+            assert_eq!(Value::parse(bad).unwrap_err().what, what, "{bad}");
         }
     }
 

@@ -11,7 +11,6 @@
 
 mod args;
 mod faultinject;
-mod faultserve;
 mod jsonval;
 mod serve;
 
@@ -103,17 +102,15 @@ fn load_network(spec: &str) -> Result<Network, RunError> {
 }
 
 /// The one `--cache-load` policy (`sweep`, `compare`, `serve`): warm-starts
-/// `sim` through [`recover`], noting each refused candidate on stderr
-/// unless `quiet`. No candidate at all is a usage error (exit 1); every
-/// candidate refused is a rejection (exit 2). Returns the refusal count.
-fn load_cache(sim: &Simulator, path: Option<&str>, quiet: bool) -> Result<usize, RunError> {
+/// `sim` through [`recover`], noting each refused candidate on stderr.
+/// No candidate at all is a usage error (exit 1); every candidate
+/// refused is a rejection (exit 2). Returns the refusal count.
+fn load_cache(sim: &Simulator, path: Option<&str>) -> Result<usize, RunError> {
     let Some(path) = path else { return Ok(0) };
     let (loaded, refused) = recover(std::path::Path::new(path), |b| sim.load_cache_snapshot(b))
         .map_err(|e| RunError::Usage(format!("cannot read {path}: {e}")))?;
-    if !quiet {
-        for r in &refused {
-            eprintln!("; refused snapshot {}: {}", r.path.display(), r.value);
-        }
+    for r in &refused {
+        eprintln!("; refused snapshot {}: {}", r.path.display(), r.value);
     }
     let Some(loaded) = loaded else {
         return Err(RunError::Rejected(format!(
@@ -121,31 +118,23 @@ fn load_cache(sim: &Simulator, path: Option<&str>, quiet: bool) -> Result<usize,
             refused.len()
         )));
     };
-    if !quiet {
-        eprintln!(
-            "; warm-started from {} ({} cache entries)",
-            loaded.path.display(),
-            loaded.value.entries()
-        );
-    }
+    eprintln!(
+        "; warm-started from {} ({} cache entries)",
+        loaded.path.display(),
+        loaded.value.entries()
+    );
     Ok(refused.len())
 }
 
 /// Saves `sim`'s cache to `path` (`--cache-save`), if given, and returns
 /// the bytes written. The write is atomic: a crash mid-save leaves the
 /// previous snapshot (or no file), never a torn one.
-fn save_cache(
-    sim: &Simulator,
-    path: Option<&str>,
-    quiet: bool,
-) -> Result<Option<Vec<u8>>, RunError> {
+fn save_cache(sim: &Simulator, path: Option<&str>) -> Result<Option<Vec<u8>>, RunError> {
     let Some(path) = path else { return Ok(None) };
     let snap = sim.cache_snapshot().map_err(|e| RunError::Rejected(e.to_string()))?;
     atomic_write(std::path::Path::new(path), &snap)
         .map_err(|e| RunError::Usage(format!("cannot write {path}: {e}")))?;
-    if !quiet {
-        eprintln!("; saved cache snapshot to {path} ({} bytes)", snap.len());
-    }
+    eprintln!("; saved cache snapshot to {path} ({} bytes)", snap.len());
     Ok(Some(snap))
 }
 
@@ -391,14 +380,8 @@ fn run(inv: &Invocation) -> Result<(), RunError> {
     if inv.action == Action::Faultinject {
         let report = faultinject::run(&faultinject::sim_corpus(), &tracer);
         print!("{}", report.render());
-        let mut passed = report.passed();
-        if inv.serve_faults {
-            let serve_report = faultinject::run(&faultserve::corpus(), &tracer);
-            print!("{}", serve_report.render());
-            passed &= serve_report.passed();
-        }
         write_sinks(inv, &tracer)?;
-        if !passed {
+        if !report.passed() {
             return Err(RunError::Rejected("fault-injection corpus failed".to_owned()));
         }
         return Ok(());
@@ -473,7 +456,7 @@ fn run(inv: &Invocation) -> Result<(), RunError> {
         }
         Action::Compare => {
             let sim = Simulator::new().with_tracer(tracer.clone());
-            load_cache(&sim, inv.cache_load.as_deref(), false)?;
+            load_cache(&sim, inv.cache_load.as_deref())?;
             let never = CancelToken::never();
             let Some(c) = ArchitectureComparison::evaluate_cancellable_with(
                 &sim, &net, &cfg, opts, energy, &never,
@@ -483,17 +466,17 @@ fn run(inv: &Invocation) -> Result<(), RunError> {
                 unreachable!("a never-cancelled token cannot cancel")
             };
             println!("{c}");
-            save_cache(&sim, inv.cache_save.as_deref(), false)?;
+            save_cache(&sim, inv.cache_save.as_deref())?;
         }
         Action::Sweep if inv.frontier_mode() => {
             let sim = Simulator::new().with_tracer(tracer.clone());
-            load_cache(&sim, inv.cache_load.as_deref(), false)?;
+            load_cache(&sim, inv.cache_load.as_deref())?;
             run_frontier_sweep(&sim, &net, inv, opts, &energy)?;
-            save_cache(&sim, inv.cache_save.as_deref(), false)?;
+            save_cache(&sim, inv.cache_save.as_deref())?;
         }
         Action::Sweep => {
             let sim = Simulator::new().with_tracer(tracer.clone());
-            load_cache(&sim, inv.cache_load.as_deref(), false)?;
+            load_cache(&sim, inv.cache_load.as_deref())?;
             let started = std::time::Instant::now();
             let outcome = codesign_core::sweep_full_with(
                 &sim,
@@ -534,7 +517,7 @@ fn run(inv: &Invocation) -> Result<(), RunError> {
                 codesign_sim::resolve_jobs(inv.jobs),
                 sim.stats()
             );
-            save_cache(&sim, inv.cache_save.as_deref(), false)?;
+            save_cache(&sim, inv.cache_save.as_deref())?;
         }
         Action::Wave => {
             let Some(layer_name) = inv.layer.as_deref() else {
@@ -560,13 +543,8 @@ fn run(inv: &Invocation) -> Result<(), RunError> {
             if tracer.is_enabled() {
                 trace.record_spans(&mut tracer.track(track));
             }
-            cycle::write_vcd(
-                &trace,
-                layer_name,
-                cycle::VcdGranularity::Segment,
-                std::io::stdout().lock(),
-            )
-            .map_err(|e| RunError::Usage(format!("cannot write VCD: {e}")))?;
+            cycle::write_vcd(&trace, layer_name, std::io::stdout().lock())
+                .map_err(|e| RunError::Usage(format!("cannot write VCD: {e}")))?;
             eprintln!(
                 "; {} on {}: {} cycles, {} macro-segments ({} steps)",
                 layer_name,

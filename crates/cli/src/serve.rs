@@ -63,8 +63,7 @@ use codesign_core::{
 };
 use codesign_dnn::Network;
 use codesign_sim::{
-    aggregate_cache_stats, pool_size, resolve_jobs, validate_network, CancelToken, GenerationStore,
-    SimOptions, Simulator,
+    pool_size, resolve_jobs, validate_network, CancelToken, GenerationStore, SimOptions, Simulator,
 };
 use codesign_trace::json::quote;
 use codesign_trace::Tracer;
@@ -81,47 +80,6 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 /// internally consistent between operations.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Everything `serve` needs, decoupled from CLI argument parsing so the
-/// fault-injection corpus can run servers in-process.
-pub struct ServeOptions {
-    /// TCP port (`0` = ephemeral).
-    pub port: u16,
-    /// Sweep fan-out width.
-    pub jobs: usize,
-    /// Snapshot file (plus `.gen-K` siblings) to warm-start from.
-    pub cache_load: Option<String>,
-    /// Snapshot file to save to at shutdown (and the autosave base).
-    pub cache_save: Option<String>,
-    /// Server-wide per-request compute budget in milliseconds.
-    pub deadline_ms: Option<u64>,
-    /// Longest accepted request line.
-    pub max_line_bytes: usize,
-    /// Concurrent connection slots.
-    pub max_connections: usize,
-    /// Autosave period in handled requests (`0` = off).
-    pub autosave_every: u64,
-    /// Suppress the stdout handshake and stderr chatter (in-process
-    /// fault-corpus servers must not pollute the CLI's output).
-    pub quiet: bool,
-}
-
-impl ServeOptions {
-    /// The options a `codesign serve` invocation selects.
-    pub fn from_invocation(inv: &Invocation) -> Self {
-        Self {
-            port: inv.port,
-            jobs: inv.jobs,
-            cache_load: inv.cache_load.clone(),
-            cache_save: inv.cache_save.clone(),
-            deadline_ms: inv.deadline_ms,
-            max_line_bytes: inv.max_line_bytes,
-            max_connections: inv.max_connections,
-            autosave_every: inv.autosave_every,
-            quiet: false,
-        }
-    }
 }
 
 /// The output buffer of one in-flight (or just-finished) computation.
@@ -174,51 +132,37 @@ struct ServerState {
     /// can't snapshot concurrently ([`maybe_autosave`] skips when the
     /// lock is held — the other thread is already saving).
     autosave: Option<Mutex<GenerationStore>>,
-    quiet: bool,
 }
 
-/// Runs the server until a `shutdown` request arrives (CLI entry).
+/// Runs the server until a `shutdown` request arrives.
 pub fn run_serve(inv: &Invocation) -> Result<(), RunError> {
-    run_serve_opts(&ServeOptions::from_invocation(inv), |_| {})
-}
-
-/// Runs the server with explicit options; `on_ready` observes the bound
-/// address after the listener is up (used by the in-process fault
-/// corpus, which cannot parse the stdout handshake).
-pub fn run_serve_opts(
-    opts: &ServeOptions,
-    on_ready: impl FnOnce(SocketAddr),
-) -> Result<(), RunError> {
     let sim = Simulator::new();
     // Counters only: the server reports cumulative counters in `stats`
     // and has no sink for spans, so recording them would be pure cost.
     let tracer = Tracer::counters_only();
-    let refused = load_cache(&sim, opts.cache_load.as_deref(), opts.quiet)?;
+    let refused = load_cache(&sim, inv.cache_load.as_deref())?;
     if refused > 0 {
         tracer.add_counter("serve.snapshot.refused", refused as u64);
     }
-    let listener = TcpListener::bind(("127.0.0.1", opts.port))
-        .map_err(|e| RunError::Usage(format!("cannot bind 127.0.0.1:{}: {e}", opts.port)))?;
+    let listener = TcpListener::bind(("127.0.0.1", inv.port))
+        .map_err(|e| RunError::Usage(format!("cannot bind 127.0.0.1:{}: {e}", inv.port)))?;
     let addr =
         listener.local_addr().map_err(|e| RunError::Usage(format!("cannot resolve port: {e}")))?;
-    if !opts.quiet {
-        // The port line is the startup handshake: clients (and the CI
-        // smoke test) parse it to learn an ephemeral port, so
-        // print-and-flush before accepting.
-        println!("codesign serve listening on {addr}");
-        let _ = std::io::stdout().flush();
-    }
-    on_ready(addr);
+    // The port line is the startup handshake: clients (and the CI smoke
+    // test) parse it to learn an ephemeral port, so print-and-flush
+    // before accepting.
+    println!("codesign serve listening on {addr}");
+    let _ = std::io::stdout().flush();
 
-    let autosave = opts
+    let autosave = inv
         .cache_save
         .as_ref()
-        .filter(|_| opts.autosave_every > 0)
+        .filter(|_| inv.autosave_every > 0)
         .map(|base| Mutex::new(GenerationStore::open(base)));
     let state = Arc::new(ServerState {
         sim,
         tracer,
-        jobs: opts.jobs,
+        jobs: inv.jobs,
         addr,
         inflight: Mutex::new(HashMap::new()),
         requests: AtomicU64::new(0),
@@ -226,11 +170,10 @@ pub fn run_serve_opts(
         completed: AtomicU64::new(0),
         active: AtomicUsize::new(0),
         shutdown: AtomicBool::new(false),
-        deadline_ms: opts.deadline_ms,
-        max_line_bytes: opts.max_line_bytes,
-        autosave_every: opts.autosave_every,
+        deadline_ms: inv.deadline_ms,
+        max_line_bytes: inv.max_line_bytes,
+        autosave_every: inv.autosave_every,
         autosave,
-        quiet: opts.quiet,
     });
 
     let mut handles: Vec<JoinHandle<()>> = Vec::new();
@@ -242,7 +185,7 @@ pub fn run_serve_opts(
         // Reap finished connection threads as we go: under connection
         // churn the handle list stays bounded by the live connections.
         reap_finished(&mut handles);
-        if state.active.load(Ordering::SeqCst) >= opts.max_connections {
+        if state.active.load(Ordering::SeqCst) >= inv.max_connections {
             fast_reject_overloaded(stream, &state);
             continue;
         }
@@ -259,7 +202,7 @@ pub fn run_serve_opts(
         let _ = h.join();
     }
 
-    if let Some(snap) = save_cache(&state.sim, opts.cache_save.as_deref(), state.quiet)? {
+    if let Some(snap) = save_cache(&state.sim, inv.cache_save.as_deref())? {
         // Keep the newest generation at least as fresh as the base file:
         // recovery prefers generations, so a stale one must not shadow
         // the shutdown snapshot.
@@ -555,29 +498,21 @@ fn maybe_autosave(state: &ServerState) {
     let snap = match state.sim.cache_snapshot() {
         Ok(snap) => snap,
         Err(e) => {
-            if !state.quiet {
-                eprintln!("; autosave skipped: {e}");
-            }
+            eprintln!("; autosave skipped: {e}");
             return;
         }
     };
     match store.write(&snap) {
         Ok(path) => {
             state.tracer.add_counter("serve.autosave", 1);
-            if !state.quiet {
-                eprintln!("; autosaved cache to {} ({} bytes)", path.display(), snap.len());
-            }
+            eprintln!("; autosaved cache to {} ({} bytes)", path.display(), snap.len());
         }
-        Err(e) => {
-            if !state.quiet {
-                eprintln!("; autosave failed: {e}");
-            }
-        }
+        Err(e) => eprintln!("; autosave failed: {e}"),
     }
 }
 
 fn stats_body(state: &ServerState) -> String {
-    let cache = aggregate_cache_stats([&state.sim]);
+    let cache = state.sim.stats();
     let inflight = lock(&state.inflight).len();
     let counters = state.tracer.snapshot().counters;
     let counters_json: Vec<String> =

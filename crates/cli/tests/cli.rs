@@ -90,10 +90,12 @@ fn errors_are_clean_and_nonzero() {
         &["simulate", "alexnet", "--array", "9999"],
         &["wave", "alexnet"],
         &["simulate"],
+        &["faultinject", "--serve"],
+        &["simulate", "squeezenet-v1.0", "--cores", "2", "--batch", "4"],
     ];
     for args in cases {
         let o = run(args);
-        assert!(!o.status.success(), "{args:?} should fail");
+        assert_eq!(o.status.code(), Some(1), "{args:?} is a usage error");
         assert!(!stderr(&o).is_empty(), "{args:?} should explain itself");
     }
 }

@@ -1,9 +1,12 @@
 //! End-to-end tests of `codesign serve`: a real server process on an
-//! ephemeral port, real TCP clients, real line-delimited JSON.
+//! ephemeral port, real TCP clients, real line-delimited JSON. Besides
+//! the protocol, they hold the server's hostile-client and torn-snapshot
+//! invariants: each hostile input costs at most one typed error, and the
+//! server keeps serving.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::process::{Child, ChildStdout, Command, Stdio};
+use std::process::{Child, ChildStdout, Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
 
 /// A running server process, killed on drop so a failing test can't
@@ -31,6 +34,22 @@ fn spawn_server(extra: &[&str]) -> Server {
     let stdout = child.stdout.take().expect("stdout piped");
     let port = read_port_line(stdout);
     Server { child, port }
+}
+
+/// Waits for `child` to exit; a server still running after a minute is
+/// killed and fails the test instead of hanging it.
+fn exit_within_a_minute(child: &mut Child) -> ExitStatus {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        if let Some(status) = child.try_wait().expect("child status readable") {
+            return status;
+        }
+        if Instant::now() >= deadline {
+            let _ = child.kill();
+            panic!("the server was still running after a minute");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
 }
 
 /// Parses the startup handshake: `codesign serve listening on 127.0.0.1:PORT`.
@@ -123,17 +142,36 @@ fn ping_stats_and_errors_speak_the_protocol() {
 
     let pong = c.request(r#"{"id":41,"cmd":"ping"}"#);
     assert_eq!(pong, vec![r#"{"id":41,"event":"done","cmd":"ping","ok":true}"#.to_owned()]);
+    // Every id comes back as sent: numbers an `f64` would round or
+    // rewrite, and a string that Python's `json.dumps` escapes as a
+    // UTF-16 surrogate pair.
+    for (id, echo) in [
+        ("9007199254740993", "9007199254740993"),
+        ("12345678901234567891", "12345678901234567891"),
+        ("1.50", "1.50"),
+        ("1e2", "1e2"),
+        (r#""\ud83d\ude00""#, r#""😀""#),
+    ] {
+        let pong = c.request(&format!(r#"{{"id":{id},"cmd":"ping"}}"#));
+        assert_eq!(pong, [format!(r#"{{"id":{echo},"event":"done","cmd":"ping","ok":true}}"#)]);
+    }
 
     // Unknown command and bad JSON are usage errors, not disconnects.
     let err = c.request(r#"{"id":"x","cmd":"explode"}"#).pop().unwrap();
     assert!(err.contains(r#""event":"error""#) && err.contains(r#""code":"usage""#), "{err}");
     let err = c.request("this is not json").pop().unwrap();
     assert!(err.contains(r#""code":"usage""#), "{err}");
+    // So are 255 bytes of binary garbage: every byte but the newline.
+    let mut garbage: Vec<u8> = (0..=255u8).filter(|&b| b != b'\n').collect();
+    garbage.push(b'\n');
+    c.writer.write_all(&garbage).expect("garbage sends");
+    let err = c.recv();
+    assert!(err.starts_with(r#"{"id":null,"#) && err.contains(r#""code":"usage""#), "{err}");
     let err = c.request(r#"{"id":7,"cmd":"simulate","network":"no-such-net"}"#).pop().unwrap();
     assert!(err.contains(r#""code":"usage""#) && err.contains("no-such-net"), "{err}");
 
     let stats = c.request(r#"{"id":"s","cmd":"stats"}"#).pop().unwrap();
-    assert!(field_u64(&stats, "requests") >= 4, "{stats}");
+    assert!(field_u64(&stats, "requests") >= 9, "{stats}");
     assert_eq!(field_u64(&stats, "deduped"), 0, "{stats}");
     assert!(stats.contains("\"cache\":"), "{stats}");
 }
@@ -175,27 +213,31 @@ fn json_range(range: std::ops::RangeInclusive<usize>) -> String {
     format!("[{}]", items.join(","))
 }
 
+/// A sweep that stays in flight until its 1 s deadline fires. The grid
+/// has 241 x 64 x 64 ~ 987k valid points, ~45 s of work for a release
+/// build on a 2-core x86-64 host (~47 us per point) and far more in
+/// debug, so a test that sees it in flight can act before it ends.
+fn sweep_until_the_deadline(id: &str) -> String {
+    format!(
+        r#"{{"id":"{id}","cmd":"sweep","network":"squeezenet-v1.1","deadline_ms":1000,"arrays":{},"rfs":{},"buffers_kib":{}}}"#,
+        json_range(16..=256),
+        json_range(1..=64),
+        json_range(512..=575)
+    )
+}
+
 #[test]
 fn identical_inflight_sweeps_are_deduplicated() {
     let server = spawn_server(&[]);
     // Leader and follower send the same deadline, which is part of the
-    // dedup key. The grid has 241 x 64 x 64 ~ 987k valid points, ~45 s
-    // of work for a release build on a 2-core x86-64 host (~47 us per
-    // point) and far more in debug, so the leader stays registered in
-    // flight until its 1 s deadline fires: the follower attaches by
-    // construction instead of racing the leader's sweep.
-    let sweep = format!(
-        r#"{{"id":"ID","cmd":"sweep","network":"squeezenet-v1.1","deadline_ms":1000,"arrays":{},"rfs":{},"buffers_kib":{}}}"#,
-        json_range(16..=256),
-        json_range(1..=64),
-        json_range(512..=575)
-    );
-
+    // dedup key. The leader stays registered in flight until its
+    // deadline fires, so the follower attaches by construction instead
+    // of racing the leader's sweep.
     let mut leader = Client::connect(server.port);
-    leader.send(&sweep.replace("ID", "a"));
+    leader.send(&sweep_until_the_deadline("a"));
     wait_for_stats(server.port, |s| field_u64(s, "inflight") >= 1);
     let mut follower = Client::connect(server.port);
-    follower.send(&sweep.replace("ID", "b"));
+    follower.send(&sweep_until_the_deadline("b"));
 
     let leader_lines = leader.recv_until_done();
     let follower_lines = follower.recv_until_done();
@@ -297,7 +339,7 @@ fn shutdown_saves_a_snapshot_a_new_server_warm_starts_from() {
         let bye = c.request(r#"{"id":2,"cmd":"shutdown"}"#).pop().unwrap();
         assert!(bye.contains(r#""cmd":"shutdown""#), "{bye}");
         drop(c); // disconnect so the server can finish joining
-        let status = server.child.wait().expect("server exits");
+        let status = exit_within_a_minute(&mut server.child);
         assert!(status.success(), "clean shutdown exits 0");
         assert!(snap.exists(), "snapshot written on shutdown");
     }
@@ -429,7 +471,10 @@ fn deadlines_answer_typed_errors_and_the_server_keeps_serving() {
 fn server_wide_deadline_caps_every_request() {
     let server = spawn_server(&["--deadline-ms", "0"]);
     let mut c = Client::connect(server.port);
-    // The client asks for a generous budget; the server's cap wins.
+    // A request without a budget of its own gets the server's…
+    let err = c.request(r#"{"id":0,"cmd":"codesign","network":"tiny-darknet"}"#).pop().unwrap();
+    assert!(err.contains(r#""code":"deadline""#), "{err}");
+    // …and one asking for a generous budget cannot raise it.
     let err = c
         .request(r#"{"id":1,"cmd":"codesign","network":"tiny-darknet","deadline_ms":60000}"#)
         .pop()
@@ -503,6 +548,21 @@ fn connections_beyond_the_slot_limit_are_fast_rejected() {
     // The admitted client is unaffected.
     let pong = a.request(r#"{"id":2,"cmd":"ping"}"#).pop().unwrap();
     assert!(pong.contains(r#""ok":true"#), "{pong}");
+
+    // Once it leaves, its slot admits the next client. The server sees
+    // the disconnect on its next read, so a client arriving first is
+    // still turned away: retry until one is served.
+    drop(a);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let mut c = Client::connect(server.port);
+        c.send(r#"{"id":3,"cmd":"ping"}"#);
+        if c.recv().contains(r#""ok":true"#) {
+            break;
+        }
+        assert!(Instant::now() < deadline, "the freed slot never admitted a client");
+        std::thread::sleep(Duration::from_millis(20));
+    }
 }
 
 #[test]
@@ -530,7 +590,7 @@ fn kill_nine_after_autosave_never_loses_the_warm_start() {
 
     let mut server = spawn_server(&["--cache-save", snap_str, "--autosave-every", "1"]);
     let mut c = Client::connect(server.port);
-    for (i, array) in [8u64, 16, 32].iter().enumerate() {
+    for (i, array) in [8u64, 16, 32, 8, 16].iter().enumerate() {
         let done = c
             .request(&format!(
                 r#"{{"id":{i},"cmd":"simulate","network":"tiny-darknet","array":{array}}}"#
@@ -539,22 +599,25 @@ fn kill_nine_after_autosave_never_loses_the_warm_start() {
             .unwrap();
         assert!(field_u64(&done, "cycles") > 0, "{done}");
     }
-    // Autosaves land after the response is written; wait for all three.
-    wait_for_stats(server.port, |s| s.contains(r#""serve.autosave":3"#));
+    // Autosaves land after the response is written; wait for all five.
+    // Each stats probe is a request too, and may autosave once more.
+    wait_for_stats(server.port, |s| {
+        s.contains(r#""serve.autosave":"#) && field_u64(s, "serve.autosave") >= 5
+    });
     server.child.kill().expect("SIGKILL lands");
     server.child.wait().expect("killed server reaped");
     assert!(!snap.exists(), "no clean-shutdown snapshot after kill -9");
 
+    // Five autosaves rotated down to the kept generations. The kill may
+    // land in a probe's autosave, between writing one generation and
+    // pruning the oldest, so one more can be left.
+    let gens = codesign_sim::scan_generations(&snap);
+    let kept = codesign_sim::GENERATIONS_KEPT;
+    assert!((kept..=kept + 1).contains(&gens.len()), "rotation bounds the files: {gens:?}");
+
     // Tear the newest generation mid-write, as a crash during the next
     // autosave would.
-    let mut gens: Vec<std::path::PathBuf> = std::fs::read_dir(&dir)
-        .expect("dir readable")
-        .map(|e| e.expect("entry").path())
-        .filter(|p| p.to_string_lossy().contains(".gen-"))
-        .collect();
-    gens.sort();
-    assert!(!gens.is_empty(), "autosave left generation files");
-    let newest = gens.last().unwrap();
+    let (_, newest) = gens.last().unwrap();
     let bytes = std::fs::read(newest).expect("newest gen readable");
     std::fs::write(newest, &bytes[..bytes.len() / 2]).expect("newest gen torn");
 
@@ -592,4 +655,119 @@ fn reader_interleaves_requests_without_blocking() {
     std::thread::sleep(Duration::from_millis(50));
     writeln!(c.writer, r#""ping"}}"#).expect("rest of line");
     assert!(c.recv().starts_with(r#"{"id":3,"#));
+    // A slow client: three fragments, each pause longer than the
+    // server's 200 ms read tick, still make one line.
+    for fragment in [r#"{"id":4,"#, r#""cmd":"#, "\"ping\"}\n"] {
+        c.writer.write_all(fragment.as_bytes()).expect("fragment sends");
+        std::thread::sleep(Duration::from_millis(250));
+    }
+    assert!(c.recv().starts_with(r#"{"id":4,"#));
+}
+
+#[test]
+fn a_line_just_under_the_cap_is_answered_promptly() {
+    // A ping padded with one string to a line one byte under the default
+    // 1 MiB cap. The connection thread parses a request before any
+    // deadline applies, so the parse must be linear in the line.
+    let server = spawn_server(&[]);
+    let mut c = Client::connect(server.port);
+    let head = r#"{"id":"long","cmd":"ping","pad":""#;
+    let line = format!("{head}{}\"}}", "x".repeat((1 << 20) - head.len() - 3));
+    assert_eq!(line.len() + 1, 1 << 20, "the line and its newline fill the cap");
+    let start = Instant::now();
+    let pong = c.request(&line);
+    let took = start.elapsed();
+    assert_eq!(pong, [r#"{"id":"long","event":"done","cmd":"ping","ok":true}"#]);
+    assert!(took < Duration::from_secs(5), "a 1 MiB ping took {took:?}");
+    let pong = c.request(r#"{"id":1,"cmd":"ping"}"#).pop().unwrap();
+    assert!(pong.contains(r#""ok":true"#), "{pong}");
+}
+
+#[test]
+fn a_client_vanishing_mid_line_frees_its_slot() {
+    let server = spawn_server(&[]);
+    {
+        let mut loris = Client::connect(server.port);
+        loris.writer.write_all(br#"{"id":1,"#).expect("half line sends");
+        std::thread::sleep(Duration::from_millis(250));
+        // Vanish mid-line.
+    }
+    let pong = Client::connect(server.port).request(r#"{"id":2,"cmd":"ping"}"#).pop().unwrap();
+    assert!(pong.contains(r#""ok":true"#), "{pong}");
+    // Only the probe itself is left connected.
+    wait_for_stats(server.port, |s| field_u64(s, "active") == 1);
+}
+
+#[test]
+fn a_client_vanishing_mid_sweep_leaves_nothing_in_flight() {
+    let server = spawn_server(&[]);
+    {
+        let mut gone = Client::connect(server.port);
+        gone.send(&sweep_until_the_deadline("gone"));
+        wait_for_stats(server.port, |s| field_u64(s, "inflight") == 1);
+        // Disconnect mid-sweep without reading a single streamed delta.
+    }
+    let pong = Client::connect(server.port).request(r#"{"id":1,"cmd":"ping"}"#).pop().unwrap();
+    assert!(pong.contains(r#""ok":true"#), "{pong}");
+    // The abandoned sweep runs to its deadline against a dead writer,
+    // then leaves the in-flight table and frees its connection slot.
+    let stats = wait_for_stats(server.port, |s| field_u64(s, "active") == 1);
+    assert_eq!(field_u64(&stats, "inflight"), 0, "{stats}");
+    assert!(stats.contains(r#""serve.deadline":1"#), "{stats}");
+}
+
+#[test]
+fn shutdown_racing_an_inflight_sweep_exits_zero() {
+    let mut server = spawn_server(&[]);
+    let mut a = Client::connect(server.port);
+    a.send(&sweep_until_the_deadline("race"));
+    wait_for_stats(server.port, |s| field_u64(s, "inflight") == 1);
+    let bye = Client::connect(server.port).request(r#"{"id":"stop","cmd":"shutdown"}"#);
+    assert_eq!(bye, [r#"{"id":"stop","event":"done","cmd":"shutdown","ok":true}"#]);
+    // The in-flight sweep still ends in its terminator, and the server
+    // joins its connection and exits cleanly.
+    let last = a.recv_until_done().pop().unwrap();
+    assert!(last.contains(r#""code":"deadline""#), "{last}");
+    let status = exit_within_a_minute(&mut server.child);
+    assert!(status.success(), "{status}");
+}
+
+#[test]
+fn serve_refuses_to_start_when_every_snapshot_candidate_is_refused() {
+    // Every candidate damaged: the base file bit-flipped, generation 1
+    // torn, generation 2 empty. The server must not serve from a
+    // half-trusted cache: exit 2, naming the refusals, before the port
+    // line.
+    let dir = std::env::temp_dir().join(format!("codesign-all-refused-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let snap = dir.join("cache.snap");
+    let snap_str = snap.to_str().expect("utf-8 temp path");
+    let cold = Command::new(env!("CARGO_BIN_EXE_codesign"))
+        .args(["sweep", "tiny-darknet", "--cache-save", snap_str])
+        .output()
+        .expect("binary runs");
+    assert!(cold.status.success(), "{}", String::from_utf8_lossy(&cold.stderr));
+    let bytes = std::fs::read(&snap).expect("snapshot readable");
+    let mut flipped = bytes.clone();
+    flipped[bytes.len() / 2] ^= 0x20;
+    std::fs::write(&snap, &flipped).expect("base file writes");
+    std::fs::write(dir.join("cache.snap.gen-1"), &bytes[..bytes.len() / 2]).expect("gen 1 writes");
+    std::fs::write(dir.join("cache.snap.gen-2"), b"").expect("gen 2 writes");
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_codesign"))
+        .args(["serve", "--port", "0", "--cache-load", snap_str])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("server spawns");
+    let status = exit_within_a_minute(&mut child);
+    let (mut out, mut err) = (String::new(), String::new());
+    child.stdout.take().expect("stdout piped").read_to_string(&mut out).expect("stdout reads");
+    child.stderr.take().expect("stderr piped").read_to_string(&mut err).expect("stderr reads");
+    assert_eq!(status.code(), Some(2), "{err}");
+    assert_eq!(out, "", "no port line");
+    assert!(err.contains("all 3 snapshot candidate(s) refused"), "{err}");
+
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -75,7 +75,7 @@ pub struct VariantResult {
 /// # Errors
 ///
 /// The first [`SimError`](codesign_sim::SimError) the run surfaces.
-pub fn evaluate_variant_with(
+fn evaluate_variant_with(
     sim: &Simulator,
     network: &Network,
     cfg: &AcceleratorConfig,

@@ -483,30 +483,6 @@ impl OnlineFrontier {
     }
 }
 
-/// Isolated effect of the paper's register-file tune-up (8 -> 16) on a
-/// network, simulated through `sim`: returns `(cycles at rf 8, cycles at
-/// rf 16)`.
-///
-/// # Errors
-///
-/// The first [`SimError`] either run surfaces.
-pub fn rf_tuneup_effect(
-    sim: &Simulator,
-    network: &Network,
-    opts: SimOptions,
-) -> Result<(u64, u64), SimError> {
-    let mk = |rf: usize| {
-        // Both depths sit inside the builder's validated range.
-        let cfg = AcceleratorConfig::builder()
-            .rf_depth(rf)
-            .build()
-            .unwrap_or_else(|e| unreachable!("rf{rf} sweep point is valid: {e}"));
-        sim.try_simulate_network(network, &cfg, DataflowPolicy::PerLayer, opts)
-            .map(|p| p.total_cycles())
-    };
-    Ok((mk(8)?, mk(16)?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -546,16 +522,6 @@ mod tests {
         assert!(n32.cycles < n8.cycles);
         // But small arrays utilize better.
         assert!(n8.utilization > n32.utilization);
-    }
-
-    #[test]
-    fn rf_tuneup_helps_squeezenext() {
-        // §4.2: "fine-tuned the hardware utilization by doubling the
-        // register file size from 8 to 16".
-        let (rf8, rf16) =
-            rf_tuneup_effect(&Simulator::new(), &zoo::squeezenext(), SimOptions::default())
-                .unwrap();
-        assert!(rf16 < rf8, "rf16 {rf16} should beat rf8 {rf8}");
     }
 
     #[test]

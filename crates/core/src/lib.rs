@@ -46,10 +46,10 @@ pub mod select;
 pub mod stream;
 
 pub use checkpoint::CheckpointError;
-pub use codesign::{evaluate_variant_with, CodesignStudy, ModelTransform, VariantResult};
+pub use codesign::{CodesignStudy, ModelTransform, VariantResult};
 pub use dse::{
-    best_by_energy_delay, pareto_designs, rf_tuneup_effect, sweep_full_with, DesignParams,
-    DesignPoint, OnlineFrontier, PointFailure, SweepError, SweepOutcome, SweepSpace,
+    best_by_energy_delay, pareto_designs, sweep_full_with, DesignParams, DesignPoint,
+    OnlineFrontier, PointFailure, SweepError, SweepOutcome, SweepSpace,
 };
 pub use evaluate::{compare_all, compare_networks_with, ArchitectureComparison, RelativeResult};
 pub use fusion::{fusion_savings_with, plan_fusion, FusionGroup, FusionSavings};

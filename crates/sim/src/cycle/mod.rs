@@ -23,7 +23,7 @@ use crate::steps;
 use crate::workload::ConvWork;
 
 pub use machine::{CycleState, MachineTrace, Phase, PhaseSegment};
-pub use vcd::{write_vcd, VcdGranularity};
+pub use vcd::write_vcd;
 
 /// The WS machine trace: one (preload, stream) macro pair per distinct
 /// (column-tile, row-tile) shape, repeated `groups × tiles × taps` times.

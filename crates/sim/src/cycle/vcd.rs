@@ -5,27 +5,14 @@
 //! so a layer's execution can be inspected in GTKWave or any other
 //! waveform viewer next to RTL simulations of a real implementation.
 //!
-//! The writer streams through a [`BufWriter`] and defaults to
-//! *segment granularity*: one value-change record per macro-segment
-//! state change, so dumping a layer never re-expands the run-length
-//! aggregated trace to single cycles. [`VcdGranularity::Cycle`] keeps
-//! the old exhaustive per-cycle dump for viewers that want every
-//! timestep spelled out.
+//! The writer streams through a [`BufWriter`] at *segment granularity*:
+//! one value-change record per macro-segment state change, so dumping a
+//! layer never re-expands the run-length aggregated trace to single
+//! cycles. The dump size is O(segments), not O(cycles).
 
 use std::io::{self, BufWriter, Write};
 
 use super::machine::{MachineTrace, Phase};
-
-/// How densely the waveform samples the trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum VcdGranularity {
-    /// One value-change record per macro-segment state change; repeats
-    /// stay folded. The dump size is O(segments), not O(cycles).
-    #[default]
-    Segment,
-    /// One timestamp per machine cycle (exhaustive expansion).
-    Cycle,
-}
 
 fn phase_code(p: Phase) -> &'static str {
     match p {
@@ -66,7 +53,8 @@ fn write_state<W: Write>(
 /// Streams the trace as a VCD document into `sink` (wrapped in a
 /// [`BufWriter`], so handing a raw [`File`](std::fs::File) or stdout
 /// lock is fine). `module` names the enclosing scope (e.g. the layer);
-/// the timescale is one cycle = 1 ns nominal.
+/// the timescale is one cycle = 1 ns nominal. Consecutive segments in
+/// the same state share one record.
 ///
 /// Signals:
 ///
@@ -77,37 +65,20 @@ fn write_state<W: Write>(
 /// # Errors
 ///
 /// Propagates the sink's I/O errors.
-pub fn write_vcd<W: Write>(
-    trace: &MachineTrace,
-    module: &str,
-    granularity: VcdGranularity,
-    sink: W,
-) -> io::Result<()> {
+pub fn write_vcd<W: Write>(trace: &MachineTrace, module: &str, sink: W) -> io::Result<()> {
     let mut out = BufWriter::new(sink);
     write_header(&mut out, module)?;
-    match granularity {
-        VcdGranularity::Segment => {
-            let mut time = 0u64;
-            let mut last: Option<(Phase, u64, u64)> = None;
-            for seg in trace.segments() {
-                let state = (seg.phase, seg.active_pes, seg.macs_per_cycle);
-                if last != Some(state) {
-                    write_state(&mut out, time, seg.phase, seg.active_pes, seg.macs_per_cycle)?;
-                    last = Some(state);
-                }
-                time += seg.total_cycles();
-            }
-            writeln!(out, "#{time}")?;
+    let mut time = 0u64;
+    let mut last: Option<(Phase, u64, u64)> = None;
+    for seg in trace.segments() {
+        let state = (seg.phase, seg.active_pes, seg.macs_per_cycle);
+        if last != Some(state) {
+            write_state(&mut out, time, seg.phase, seg.active_pes, seg.macs_per_cycle)?;
+            last = Some(state);
         }
-        VcdGranularity::Cycle => {
-            let mut time = 0u64;
-            for c in trace.iter_cycles() {
-                write_state(&mut out, c.cycle, c.phase, c.active_pes, c.macs)?;
-                time = c.cycle + 1;
-            }
-            writeln!(out, "#{time}")?;
-        }
+        time += seg.total_cycles();
     }
+    writeln!(out, "#{time}")?;
     out.flush()
 }
 
@@ -136,10 +107,10 @@ mod tests {
         trace_ws(&work, &cfg)
     }
 
-    /// The segment-granularity document [`write_vcd`] writes into a `Vec`.
+    /// The document [`write_vcd`] writes into a `Vec`.
     fn segment_vcd(trace: &MachineTrace, module: &str) -> String {
         let mut buf = Vec::new();
-        write_vcd(trace, module, VcdGranularity::Segment, &mut buf).expect("vec sink");
+        write_vcd(trace, module, &mut buf).expect("vec sink");
         String::from_utf8_lossy(&buf).into_owned()
     }
 
@@ -189,24 +160,6 @@ mod tests {
         let timestamps = vcd.lines().filter(|l| l.starts_with('#')).count() as u64;
         assert!(timestamps <= t.segments().len() as u64 + 1);
         assert!(timestamps < t.cycles());
-    }
-
-    #[test]
-    fn cycle_mode_expands_every_cycle() {
-        let t = trace();
-        let mut buf = Vec::new();
-        write_vcd(&t, "m", VcdGranularity::Cycle, &mut buf).expect("vec sink");
-        let vcd = String::from_utf8_lossy(&buf);
-        let timestamps = vcd.lines().filter(|l| l.starts_with('#')).count() as u64;
-        assert_eq!(timestamps, t.cycles() + 1);
-        // Both modes agree on the final timestamp.
-        let last_ts = vcd
-            .lines()
-            .filter_map(|l| l.strip_prefix('#'))
-            .next_back()
-            .and_then(|v| v.parse::<u64>().ok())
-            .expect("final timestamp");
-        assert_eq!(last_ts, t.cycles());
     }
 
     #[test]

@@ -453,7 +453,7 @@ mod tests {
     use super::*;
 
     use codesign_arch::{AcceleratorConfig, DataflowPolicy};
-    use codesign_dnn::zoo;
+    use codesign_dnn::{zoo, NetworkBuilder, Shape};
 
     use crate::engine::{SimOptions, Simulator};
     use crate::snapshot::{SnapshotError, SnapshotStats};
@@ -576,23 +576,42 @@ mod tests {
         assert!(refused.is_empty());
     }
 
+    /// A snapshot of one small conv layer: short enough to tear at
+    /// every byte offset.
+    fn one_layer_snapshot() -> Vec<u8> {
+        let net = NetworkBuilder::new("one-layer", Shape::new(8, 8, 3))
+            .conv("c1", 8, 3, 1, 1)
+            .finish()
+            .expect("one conv layer builds");
+        let sim = Simulator::new();
+        let cfg = AcceleratorConfig::paper_default();
+        sim.try_simulate_network(&net, &cfg, DataflowPolicy::PerLayer, SimOptions::paper_default())
+            .expect("one conv layer simulates");
+        sim.cache_snapshot().expect("cached simulator snapshots")
+    }
+
     #[test]
     fn torn_newest_generation_is_refused_and_older_one_loads() {
-        let scratch = Scratch::new("recover-torn");
-        let base = scratch.path("cache.snap");
-        let snap = populated_snapshot();
-        write_generation(&base, 1, &snap).unwrap();
-        // Generation 2 torn at every byte offset: whatever prefix a
-        // crashed (non-atomic) writer left behind, recovery must refuse
-        // it and warm-start from generation 1.
-        for cut in [0, 1, 7, 8, 11, 12, snap.len() / 2, snap.len() - 1] {
-            atomic_write(&generation_path(&base, 2), &snap[..cut]).unwrap();
-            let sim = Simulator::new();
-            let (loaded, refused) = recover_into(&sim, &base).unwrap();
-            let loaded = loaded.expect("generation 1 still loads");
-            assert_eq!(loaded.generation, Some(1), "cut={cut}");
-            assert_eq!(refused.len(), 1, "cut={cut}");
-            assert!(refused[0].path.ends_with("cache.snap.gen-2"));
+        // Generation 2 torn at a byte offset: whatever prefix a crashed
+        // (non-atomic) writer left behind, recovery must refuse it and
+        // warm-start from generation 1. Every offset of a one-layer
+        // snapshot, and a sample of offsets of a whole network's.
+        let small = one_layer_snapshot();
+        let large = populated_snapshot();
+        let cuts = [0, 1, 7, 8, 11, 12, large.len() / 2, large.len() - 1];
+        for (snap, cuts) in [(&small, (0..small.len()).collect()), (&large, cuts.to_vec())] {
+            let scratch = Scratch::new(&format!("recover-torn-{}", snap.len()));
+            let base = scratch.path("cache.snap");
+            write_generation(&base, 1, snap).unwrap();
+            for cut in cuts {
+                fs::write(generation_path(&base, 2), &snap[..cut]).unwrap();
+                let sim = Simulator::new();
+                let (loaded, refused) = recover_into(&sim, &base).unwrap();
+                let loaded = loaded.expect("generation 1 still loads");
+                assert_eq!(loaded.generation, Some(1), "cut={cut}/{}", snap.len());
+                assert_eq!(refused.len(), 1, "cut={cut}/{}", snap.len());
+                assert!(refused[0].path.ends_with("cache.snap.gen-2"));
+            }
         }
     }
 

@@ -65,7 +65,7 @@ pub mod error;
 pub mod event;
 pub mod fsio;
 pub mod multicore;
-pub mod nlr;
+mod nlr;
 pub mod os;
 pub mod perf;
 pub mod program;
@@ -83,7 +83,7 @@ pub mod ws;
 pub use cache::{CacheStats, SimCache};
 pub use cancel::CancelToken;
 pub use compression::WeightCompression;
-pub use engine::{aggregate_cache_stats, SimOptions, Simulator, TrafficModel};
+pub use engine::{SimOptions, Simulator, TrafficModel};
 pub use error::{SimError, SimResult};
 pub use event::{simulate_network_event, EventLayerResult, EventResult, TimeSkip};
 pub use fsio::{
@@ -92,7 +92,6 @@ pub use fsio::{
     GENERATIONS_KEPT,
 };
 pub use multicore::MultiCoreConfig;
-pub use nlr::simulate_nlr;
 pub use os::{simulate_os, OsModelOptions, SparsityModel};
 // The worker pool's entry points the rest of the workspace and the
 // benchmark reach through this crate.

@@ -23,7 +23,7 @@ fn port_width(cfg: &AcceleratorConfig) -> u64 {
 /// Each MAC consumes one input and one weight from the buffer (partial
 /// sums ride the adder trees), so the layer needs `2·MACs / port` cycles
 /// of supply, floored by the pure compute time `MACs / N²`.
-pub fn simulate_nlr(work: &ConvWork, cfg: &AcceleratorConfig) -> ComputePerf {
+pub(crate) fn simulate_nlr(work: &ConvWork, cfg: &AcceleratorConfig) -> ComputePerf {
     let macs = work.macs();
     let supply = (2 * macs).div_ceil(port_width(cfg));
     let compute_floor = macs.div_ceil(cfg.pe_count() as u64);

@@ -1,9 +1,10 @@
 //! Analytic row-stationary (RS) dataflow model (Eyeriss \[3\]).
 //!
 //! §3.2 lists four dataflows — WS, OS, RS, NLR — and the paper builds its
-//! accelerator on the first two. This model (and [`crate::nlr`]) fills in
-//! the other half of the taxonomy so the choice can be examined: would a
-//! Squeezelerator that also offered RS or NLR per layer be faster?
+//! accelerator on the first two. This model and the crate's NLR model
+//! fill in the other half of the taxonomy ([`crate::taxonomy`]) so the
+//! choice can be examined: would a Squeezelerator that also offered RS or
+//! NLR per layer be faster?
 //!
 //! Mapping (after Eyeriss): PE `(i, j)` keeps **filter row i** resident
 //! and processes **input row i+j**, producing partial sums of **output

@@ -21,10 +21,9 @@
 //! * **no dependencies** — vendored like `rand`/`proptest`; the JSON
 //!   writers live in [`json`].
 //!
-//! Three sinks render a [`TraceData`] snapshot:
+//! Two sinks render a [`TraceData`] snapshot:
 //!
 //! * [`chrome::chrome_trace`] — Chrome `about:tracing` / Perfetto JSON;
-//! * [`jsonl::jsonl`] — one JSON object per line, for ad-hoc tooling;
 //! * [`metrics::MetricsSnapshot`] — aggregated per-category totals.
 //!
 //! # Examples
@@ -52,13 +51,11 @@
 
 pub mod chrome;
 pub mod json;
-pub mod jsonl;
 pub mod metrics;
 pub mod span;
 pub mod tracer;
 
 pub use chrome::chrome_trace;
-pub use jsonl::jsonl;
 pub use metrics::{CategoryMetrics, MetricsSnapshot};
 pub use span::{Category, SpanRecord, Track, TrackData};
 pub use tracer::{TraceData, Tracer};
