@@ -5,8 +5,11 @@
 #
 # For each crate under crates/ it prints two numbers, then their totals:
 #   non-test lines  lines of crates/<crate>/src/**/*.rs before each
-#                   file's first `#[cfg(test)]` (a file without one
-#                   counts whole);
+#                   file's test module: the first top-level
+#                   `#[cfg(test)]` whose item (after any further
+#                   attributes) is a `mod` (a file without one counts
+#                   whole; a `#[cfg(test)]` on a statement or another
+#                   item counts like any other line);
 #   public decls    those non-test lines that open a `pub fn`, `struct`,
 #                   `enum`, `trait`, `type`, `const`, `static`, `mod` or
 #                   `use` (`pub(crate)` and other restricted forms do not
@@ -17,9 +20,18 @@ set -euo pipefail
 root=${1:-$(cd "$(dirname "$0")/../.." && pwd)}
 decl='^[[:space:]]*pub (fn|struct|enum|trait|type|const|static|mod|use)([^[:alnum:]_]|$)'
 
-# Non-test text of one file: everything before its first #[cfg(test)].
+# Non-test text of one file: everything before its test module. A
+# top-level #[cfg(test)] is held back with the attributes that follow
+# it until the item shows whether it opens a `mod`.
 non_test() {
-    awk '/#\[cfg\(test\)\]/ { exit } { print }' "$1"
+    awk '
+        held != "" && /^#\[/ { held = held "\n" $0; next }
+        held != "" && /^(pub(\([^)]*\))? )?mod / { held = ""; exit }
+        held != "" { print held; held = "" }
+        /^#\[cfg\(test\)\]/ { held = $0; next }
+        { print }
+        END { if (held != "") print held }
+    ' "$1"
 }
 
 printf '%-10s %15s %13s\n' crate non-test-lines public-decls

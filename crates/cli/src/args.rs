@@ -72,7 +72,8 @@ pub struct Invocation {
     /// connections are fast-rejected with an `overloaded` error.
     pub max_connections: usize,
     /// serve: autosave the cache to a rotating `--cache-save` generation
-    /// file every N handled requests (`0` = off).
+    /// file every N handled `sweep`/`simulate`/`codesign` requests
+    /// (`0` = off).
     pub autosave_every: u64,
     /// sweep: stream the bounded-memory online Pareto frontier instead
     /// of materializing every point (implied by the other streaming
@@ -197,7 +198,8 @@ options:
                          at capacity connections get one `overloaded`
                          error and are closed
   --autosave-every N     serve: autosave the cache into rotating
-                         --cache-save generation files every N requests
+                         --cache-save generation files every N sweep,
+                         simulate or codesign requests
                          (default 0 = off; requires --cache-save)
   --frontier             sweep: stream the online Pareto frontier with
                          bounded memory instead of materializing every

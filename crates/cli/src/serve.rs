@@ -42,7 +42,8 @@
 //!   (never raise) it with their own `deadline_ms` field.
 //! * With `--autosave-every N --cache-save PATH`, the cache is
 //!   atomically snapshotted into rotating `PATH.gen-K` files every N
-//!   requests; `--cache-load PATH` recovers the newest generation that
+//!   `sweep`, `simulate` or `codesign` requests, the only ones that can
+//!   change it; `--cache-load PATH` recovers the newest generation that
 //!   validates end-to-end, refusing torn or corrupt ones
 //!   (`serve.snapshot.refused` counts them) — the same policy as the
 //!   one-shot commands' `--cache-load`.
@@ -120,7 +121,9 @@ struct ServerState {
     inflight: Mutex<HashMap<String, Arc<Inflight>>>,
     requests: AtomicU64,
     deduped: AtomicU64,
-    /// Requests fully handled — the autosave clock.
+    /// `sweep`, `simulate` and `codesign` requests handled — the
+    /// autosave clock. Only they can change the cache, so `stats`,
+    /// `ping` and refused requests never rewrite an unchanged snapshot.
     completed: AtomicU64,
     /// Connections currently being served (admission control).
     active: AtomicUsize,
@@ -465,9 +468,11 @@ fn handle_request(text: &str, writer: &mut ConnWriter, state: &ServerState) -> b
             false
         }
     };
-    let completed = state.completed.fetch_add(1, Ordering::SeqCst) + 1;
-    if state.autosave_every > 0 && completed.is_multiple_of(state.autosave_every) {
-        maybe_autosave(state);
+    if matches!(cmd.as_str(), "sweep" | "simulate" | "codesign") {
+        let completed = state.completed.fetch_add(1, Ordering::SeqCst) + 1;
+        if state.autosave_every > 0 && completed.is_multiple_of(state.autosave_every) {
+            maybe_autosave(state);
+        }
     }
     close
 }

@@ -578,6 +578,39 @@ fn request_panics_are_isolated_and_answered() {
 }
 
 #[test]
+fn only_compute_requests_advance_the_autosave_clock() {
+    // `stats`, `ping` and refused requests cannot change the cache, so
+    // under `--autosave-every 1` they must not rewrite the snapshot.
+    let dir = std::env::temp_dir().join(format!("codesign-autosave-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let snap = dir.join("cache.snap");
+    let snap_str = snap.to_str().expect("utf-8 temp path");
+
+    let server = spawn_server(&["--cache-save", snap_str, "--autosave-every", "1"]);
+    let mut c = Client::connect(server.port);
+    let done = c
+        .request(r#"{"id":"sim","cmd":"simulate","network":"tiny-darknet","array":8}"#)
+        .pop()
+        .unwrap();
+    assert!(field_u64(&done, "cycles") > 0, "{done}");
+    for i in 0..20 {
+        let cmd = if i % 2 == 0 { "stats" } else { "ping" };
+        let line = c.request(&format!(r#"{{"id":{i},"cmd":"{cmd}"}}"#)).pop().unwrap();
+        assert!(!line.contains(r#""event":"error""#), "{line}");
+    }
+    let refused = c.request(r#"{"id":"bad","cmd":"bogus"}"#).pop().unwrap();
+    assert!(refused.contains(r#""code":"usage""#), "{refused}");
+    // One connection is served in order and each request autosaves
+    // before the next is read, so this count is final.
+    let stats = c.request(r#"{"id":"last","cmd":"stats"}"#).pop().unwrap();
+    assert_eq!(field_u64(&stats, "serve.autosave"), 1, "{stats}");
+    assert_eq!(codesign_sim::scan_generations(&snap).len(), 1);
+
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn kill_nine_after_autosave_never_loses_the_warm_start() {
     // The crash-safety acceptance path end to end, with a real SIGKILL:
     // autosaved generations survive the kill, a torn newest generation
@@ -600,7 +633,8 @@ fn kill_nine_after_autosave_never_loses_the_warm_start() {
         assert!(field_u64(&done, "cycles") > 0, "{done}");
     }
     // Autosaves land after the response is written; wait for all five.
-    // Each stats probe is a request too, and may autosave once more.
+    // The stats probes do not advance the autosave clock, so no sixth
+    // one follows.
     wait_for_stats(server.port, |s| {
         s.contains(r#""serve.autosave":"#) && field_u64(s, "serve.autosave") >= 5
     });
@@ -608,12 +642,10 @@ fn kill_nine_after_autosave_never_loses_the_warm_start() {
     server.child.wait().expect("killed server reaped");
     assert!(!snap.exists(), "no clean-shutdown snapshot after kill -9");
 
-    // Five autosaves rotated down to the kept generations. The kill may
-    // land in a probe's autosave, between writing one generation and
-    // pruning the oldest, so one more can be left.
+    // Five autosaves rotated down to the kept generations.
     let gens = codesign_sim::scan_generations(&snap);
     let kept = codesign_sim::GENERATIONS_KEPT;
-    assert!((kept..=kept + 1).contains(&gens.len()), "rotation bounds the files: {gens:?}");
+    assert_eq!(gens.len(), kept, "rotation bounds the files: {gens:?}");
 
     // Tear the newest generation mid-write, as a crash during the next
     // autosave would.

@@ -10,7 +10,7 @@
 //!
 //! This lives in its own dependency-free crate (rather than inside
 //! `codesign-sim`, where it started) so the functional tensor layer can
-//! parallelize convolution output channels over the *same* process-wide
+//! split each convolution's output pixels over the *same* process-wide
 //! pool the sweep engine uses — one thread budget, one high-water mark,
 //! no second pool fighting the first for cores.
 //!

@@ -60,8 +60,9 @@ impl PhaseSegment {
 
 /// Snapshot of one machine cycle (produced by
 /// [`MachineTrace::iter_cycles`]).
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CycleState {
+pub(crate) struct CycleState {
     /// Cycle index from the start of the layer.
     pub cycle: u64,
     /// Activity.
@@ -178,8 +179,10 @@ impl MachineTrace {
     }
 
     /// Expands the trace to one [`CycleState`] per machine cycle,
-    /// repeats included.
-    pub fn iter_cycles(&self) -> impl Iterator<Item = CycleState> + '_ {
+    /// repeats included: the unit tests' cycle-by-cycle check of the
+    /// run-length folds.
+    #[cfg(test)]
+    pub(crate) fn iter_cycles(&self) -> impl Iterator<Item = CycleState> + '_ {
         self.segments.iter().flat_map(|s| (0..s.total_cycles()).map(move |_| s)).enumerate().map(
             |(i, s)| CycleState {
                 cycle: i as u64,

@@ -4,8 +4,8 @@
 //! A [`MachineTrace`] is a list of run-length [`PhaseSegment`]s (load,
 //! compute, drain, each with a repeat count); its aggregates — cycles,
 //! MACs, busy-PE cycles, per-phase totals, step count — fold the repeats
-//! in closed form, and [`MachineTrace::iter_cycles`] expands it to single
-//! cycles when a consumer wants every one. The `trace_*` functions
+//! in closed form (the unit tests check the folds against a
+//! cycle-by-cycle expansion). The `trace_*` functions
 //! project the same run-length schedule that `simulate_ws`/`simulate_os`/
 //! `simulate_rs` fold into a [`ComputePerf`](crate::ComputePerf), so the
 //! trace and the analytic counts are one description and cannot drift
@@ -22,7 +22,7 @@ use crate::os::OsModelOptions;
 use crate::steps;
 use crate::workload::ConvWork;
 
-pub use machine::{CycleState, MachineTrace, Phase, PhaseSegment};
+pub use machine::{MachineTrace, Phase, PhaseSegment};
 pub use vcd::write_vcd;
 
 /// The WS machine trace: one (preload, stream) macro pair per distinct

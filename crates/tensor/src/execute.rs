@@ -259,9 +259,11 @@ fn layer_weights<'a>(
     weights.get(&layer.name).ok_or_else(|| RunNetworkError::MissingWeights(layer.name.clone()))
 }
 
-/// Runs every non-convolution/non-FC layer with the reference operators
-/// (pools, merges and activations have a single implementation — there
-/// is no fast/spec split for them).
+/// Runs every layer other than a convolution or fully-connected one.
+/// Both network runners share these operators: pools, merges and
+/// concatenation have one implementation each, not a fast/spec pair.
+/// [`max_pool`]'s row-wise form is checked against the naive window loop
+/// in `ops`' tests instead.
 fn run_aux_layer(
     layer: &Layer,
     input: &Tensor,
@@ -353,9 +355,9 @@ fn run_network_inner(
 }
 
 /// Runs the whole network on `image` with the GEMM fast path, returning
-/// every layer's output. `jobs` workers (`0` = one per core) parallelise
-/// each layer over output channels; results are byte-identical for every
-/// `jobs` value.
+/// every layer's output. `jobs` workers (`0` = one per core) split each
+/// convolution and fully-connected layer into disjoint output ranges;
+/// results are byte-identical for every `jobs` value.
 ///
 /// The linearized-DAG convention of [`codesign_dnn::NetworkBuilder`] is
 /// honored: each layer reads the output of the layer named by its

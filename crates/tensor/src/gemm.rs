@@ -10,39 +10,50 @@
 //!
 //! * **packed patches** ([`pack_patches`]): the patch matrix is laid out
 //!   in **lane-interleaved column blocks** — [`NC`] output pixels share a
-//!   block, and tap `r` of all [`NC`] pixels is one contiguous `i32`
-//!   slice. A micro-kernel step therefore touches a single cache line
-//!   per tap (a pixel-major layout touches [`NC`] lines), the lane loop
-//!   is a fixed-width SIMD multiply-add, and padding is resolved once
-//!   during packing, never in the reduction loop. Packing fills a block
-//!   one tap at a time by copying contiguous input-row runs, clipped
-//!   against the padding by `valid_range`;
-//! * **pack-free pointwise layers**: for a 1×1, stride-1, unpadded
-//!   convolution, tap `c` of column block `b` is already contiguous in
-//!   the CHW input at `input[c][b * NC..][..NC]`, so the micro-kernel
-//!   reads full blocks in place with the channel plane as its tap stride,
-//!   and only each group's partial last block is packed;
-//! * **zero-skipping micro-kernel** ([`gemm_accumulate`]): each filter's
-//!   nonzero taps are gathered once into an index/weight list and swept
-//!   over register-blocked column groups, so sparse filters — the
-//!   common case for the quantized networks this repo models, and the
-//!   very effect the paper's accelerator exploits — cost only their
-//!   density, while dense filters degrade gracefully to a sequential
-//!   register-blocked walk. Filters are swept in chunks of `MR` with
-//!   the column-block loop outside the filter loop, so one resident
-//!   block is reused `MR` times instead of the whole patch matrix
-//!   streaming from L2 once per filter — the blocking that turns the
-//!   kernel from memory-bound into multiply-bound;
+//!   block, and tap `r` of all [`NC`] pixels is one contiguous slice. A
+//!   micro-kernel step therefore touches a single cache line per tap (a
+//!   pixel-major layout touches [`NC`] lines), and padding is resolved
+//!   once during packing, never in the reduction loop. Packing fills a
+//!   block one tap at a time by copying contiguous input-row runs,
+//!   clipped against the padding by `valid_range`;
+//! * **lane-pair words**: each packed block is folded into `u64` words
+//!   that hold two adjacent pixels' lanes, lane `2j` in the low half and
+//!   lane `2j + 1` in the high half. The tap loop multiplies the low
+//!   halves and the `>> 32` high halves straight from the loaded words;
+//!   both are sign-extended 32-bit values, so each product is one
+//!   `vpmuldq` under AVX2 and no lane-widening shuffle is left in the
+//!   loop;
+//! * **zero-skipping micro-kernel** ([`gemm_accumulate`]): each chunk of
+//!   `MR` filters has its nonzero taps gathered once into an index/weight
+//!   list, which is swept over register-blocked column blocks, so sparse
+//!   filters — the common case for the quantized networks this repo
+//!   models, and the very effect the paper's accelerator exploits — cost
+//!   only their density, while dense filters degrade gracefully to a
+//!   sequential register-blocked walk. One resident block is reused by
+//!   all `MR` filters of a chunk instead of streaming from L2 once per
+//!   filter — the blocking that turns the kernel from memory-bound into
+//!   multiply-bound;
+//! * **pixel-range tasks**: [`conv2d_gemm`] builds every chunk's tap list
+//!   once per layer, then splits the output pixels into about
+//!   `TASKS_PER_WORKER` column-block ranges per worker. Each task packs
+//!   only its own blocks and sweeps every filter chunk over them, so
+//!   packing, one-chunk layers and small layers all spread over the
+//!   worker pool (`codesign-parallel`);
 //! * **a dedicated depthwise path** that skips the im2col blowup
 //!   entirely — depthwise patches would duplicate each input pixel
 //!   `kh × kw` times for a reduction of depth `kh × kw`, so the direct
-//!   row-sliding loop is both smaller and faster;
-//! * **output-channel parallelism** over the process-wide worker pool
-//!   (`codesign-parallel`): tasks compute disjoint output-channel blocks
-//!   that are reassembled in deterministic order, so results are
-//!   byte-identical for every `jobs` value.
+//!   loop, which sums one output row over every kernel tap while the
+//!   row stays in L1, is both smaller and faster.
+//!
+//! Every parallel task owns a disjoint output range (pixels, channels or
+//! features), and ranges are reassembled in order, so results are
+//! byte-identical for every `jobs` value. Layers below one MAC gate run
+//! on the calling thread alone.
+
+use std::ops::Range;
 
 use codesign_dnn::{ConvSpec, Shape};
+use codesign_parallel::{par_map_range, resolve_jobs};
 
 use crate::ops::{check_conv_args, clamp_acc, ShapeMismatchError};
 use crate::tensor::{Filters, Tensor};
@@ -51,15 +62,19 @@ use crate::tensor::{Filters, Tensor};
 /// micro-kernel step (one `i64` accumulator each, held in registers
 /// across the reduction).
 pub const NC: usize = 16;
+/// Lane-pair words per tap of a column block.
+const NW: usize = NC / 2;
 /// Filters swept per pass over a resident column block — the outer-level
 /// reuse factor that keeps the kernel multiply-bound instead of
 /// streaming the patch matrix from L2 once per filter.
 const MR: usize = 16;
-/// Output-channel chunk handed to one worker-pool task.
-const PAR_FILTER_CHUNK: usize = 16;
-/// Layers below this many multiply-accumulates run serially — pool
+/// Layers below this many multiply-accumulates run on one worker — pool
 /// latency would dominate the work.
-const MIN_PAR_MACS: u64 = 1 << 22;
+const MIN_PAR_MACS: u64 = 1 << 18;
+/// Output ranges per resolved worker: enough that one slow range is a
+/// small share of a layer, few enough that each range's packing and pool
+/// round trip stay cheap.
+const TASKS_PER_WORKER: usize = 4;
 
 /// Whether `spec` over `in_shape` is a depthwise convolution (one input
 /// channel and one filter per group) — the case that takes the direct
@@ -104,23 +119,22 @@ pub(crate) fn valid_range(
 ///
 /// This is [`crate::im2col::im2col`] transposed and tiled: one tap of
 /// [`NC`] neighbouring pixels is a single contiguous slice, so the
-/// reduction loop reads one cache line per tap and the lane loop is a
-/// fixed-width SIMD multiply-add. A block's pixels split into output-row
-/// runs; each run is clipped against the padding once per kernel column
-/// with `valid_range`, and every tap then copies it from one input row,
-/// so no per-pixel padding branch remains.
+/// reduction loop reads one cache line per tap. A block's pixels split
+/// into output-row runs; each run is clipped against the padding once
+/// per kernel column with `valid_range`, and every tap then copies it
+/// from one input row, so no per-pixel padding branch remains.
 pub fn pack_patches(input: &Tensor, spec: &ConvSpec, group: usize, out_shape: Shape) -> Vec<i32> {
-    pack_blocks(input, spec, group, out_shape, 0)
+    pack_blocks(input, spec, group, out_shape, 0..out_shape.plane().div_ceil(NC))
 }
 
-/// [`pack_patches`] from column block `first` on: the same bytes, minus
-/// the first `first * rows * NC` elements.
+/// The column blocks `blocks` of [`pack_patches`]: the same bytes as its
+/// elements `blocks.start * rows * NC..blocks.end * rows * NC`.
 fn pack_blocks(
     input: &Tensor,
     spec: &ConvSpec,
     group: usize,
     out_shape: Shape,
-    first: usize,
+    blocks: Range<usize>,
 ) -> Vec<i32> {
     let s = input.shape();
     let cg = s.channels / spec.groups.max(1);
@@ -128,8 +142,7 @@ fn pack_blocks(
     let ow = out_shape.width;
     let rows = cg * kh * kw;
     let cols = out_shape.plane();
-    let nblocks = cols.div_ceil(NC);
-    let mut m = vec![0i32; nblocks.saturating_sub(first) * rows * NC];
+    let mut m = vec![0i32; blocks.len() * rows * NC];
     if s.height == 0 || s.width == 0 || rows == 0 {
         return m;
     }
@@ -137,7 +150,7 @@ fn pack_blocks(
     // kernel row's taps, first input column, length) for each clipped
     // output-row run and kernel column.
     let mut runs = Vec::with_capacity(NC * kw);
-    for (b, blk) in (first..nblocks).zip(m.chunks_exact_mut(rows * NC)) {
+    for (b, blk) in blocks.zip(m.chunks_exact_mut(rows * NC)) {
         runs.clear();
         let (mut col, end) = (b * NC, cols.min(b * NC + NC));
         while col < end {
@@ -166,8 +179,8 @@ fn pack_blocks(
                     if spec.stride == 1 {
                         dst.copy_from_slice(&src[..n]);
                     } else {
-                        for (d, &v) in dst.iter_mut().zip(src.iter().step_by(spec.stride)) {
-                            *d = v;
+                        for (d, v) in dst.iter_mut().zip(src.chunks(spec.stride)) {
+                            *d = v[0];
                         }
                     }
                 }
@@ -177,19 +190,81 @@ fn pack_blocks(
     m
 }
 
+/// Folds lane-interleaved blocks into lane-pair words: word `j` of a tap
+/// holds lane `2j` in its low half and lane `2j + 1` in its high half —
+/// the little-endian bytes of the same two lanes.
+fn fold_pairs(lanes: &[i32]) -> Vec<u64> {
+    lanes.chunks_exact(2).map(|p| u64::from(p[0] as u32) | u64::from(p[1] as u32) << 32).collect()
+}
+
+/// The nonzero taps of a chunk of at most [`MR`] filters: filter `i`'s
+/// `(tap row, weight)` pairs are `nnz[offs[i]..offs[i + 1]]`.
+struct TapList {
+    nnz: Vec<(u32, i32)>,
+    offs: Vec<usize>,
+}
+
+impl TapList {
+    /// Gathers the nonzero taps among the first `rows` of each filter row.
+    fn new<'a>(wrows: impl ExactSizeIterator<Item = &'a [i32]>, rows: usize) -> Self {
+        debug_assert!(wrows.len() <= MR && u32::try_from(rows).is_ok());
+        let mut offs = Vec::with_capacity(wrows.len() + 1);
+        offs.push(0);
+        let mut nnz = Vec::new();
+        for w in wrows {
+            let taps = w[..rows].iter().enumerate().filter(|(_, &v)| v != 0);
+            nnz.extend(taps.map(|(r, &v)| (r as u32, v)));
+            offs.push(nnz.len());
+        }
+        Self { nnz, offs }
+    }
+
+    /// Filters in the chunk.
+    fn len(&self) -> usize {
+        self.offs.len() - 1
+    }
+}
+
+/// One column block under one filter chunk: `sums[i]` receives filter
+/// `i`'s [`NC`] pixel sums over `blk`, whose tap `r` is the lane-pair
+/// words `blk[r * NW..][..NW]`. The sums keep the words' split: pixel
+/// `2j` at `sums[i][j]`, pixel `2j + 1` at `sums[i][NW + j]` (see
+/// [`lane`]). Kept out of line so every caller shares one compiled copy
+/// of the tap loop.
+#[inline(never)]
+fn sweep_block(taps: &TapList, blk: &[u64], sums: &mut [[i64; NC]; MR]) {
+    for (span, out) in taps.offs.windows(2).zip(sums.iter_mut()) {
+        let (mut lo, mut hi) = ([0i64; NW], [0i64; NW]);
+        for &(r, w) in &taps.nnz[span[0]..span[1]] {
+            let x = &blk[r as usize * NW..][..NW];
+            let w = i64::from(w);
+            for j in 0..NW {
+                lo[j] += i64::from(x[j] as i32) * w;
+                hi[j] += (x[j] as i64 >> 32) * w;
+            }
+        }
+        out[..NW].copy_from_slice(&lo);
+        out[NW..].copy_from_slice(&hi);
+    }
+}
+
+/// Pixel `j`'s sum in one filter's row of [`sweep_block`]'s output.
+fn lane(sums: &[i64; NC], j: usize) -> i64 {
+    sums[j % 2 * NW + j / 2]
+}
+
 /// The zero-skipping micro-kernel:
 /// `acc[f * cols + col] += dot(wrows[f], patch(col))` for every filter
 /// row and pixel column, where `patches` is the lane-interleaved block
 /// matrix from [`pack_patches`].
 ///
-/// Filters are processed in chunks of `MR`: the chunk's nonzero taps
-/// are gathered into one index/weight list, then the **column blocks are
-/// the outer loop** — each resident block is swept by all `MR` tap
-/// lists before moving on, so the patch matrix streams from cache once
-/// per chunk instead of once per filter. Per tap the kernel reads [`NC`]
-/// contiguous lanes and widens `i32 × i32 → i64` into [`NC`] register
-/// accumulators — a fixed-width pattern LLVM turns into SIMD widening
-/// multiplies.
+/// The blocks are first folded into lane-pair words. Filters are then
+/// processed in chunks of `MR`: the chunk's nonzero taps are gathered
+/// into one index/weight list, and each resident column block is swept
+/// by all `MR` tap lists before moving on, so the patch matrix streams
+/// from cache once per chunk instead of once per filter. Per tap the
+/// kernel reads [`NC`] lanes as lane-pair words and widens
+/// `i32 × i32 → i64` into [`NC`] register accumulators.
 ///
 /// Skipping a zero weight drops a term that is exactly `0`, and `i64`
 /// addition (wrapping in release builds) is commutative, so the totals
@@ -205,68 +280,22 @@ pub fn gemm_accumulate(
     cols: usize,
     acc: &mut [i64],
 ) {
-    debug_assert!(patches.len() >= cols.div_ceil(NC) * rows * NC);
-    accumulate(wrows, rows, cols, acc, |b| (&patches[b * rows * NC..][..rows * NC], NC));
-}
-
-/// [`gemm_accumulate`] over any block layout: `block(b)` returns column
-/// block `b`'s taps as a slice and a tap stride, with tap `r` of its
-/// [`NC`] pixels at `slice[r * stride..][..NC]`.
-fn accumulate<'a>(
-    wrows: &[&[i32]],
-    rows: usize,
-    cols: usize,
-    acc: &mut [i64],
-    block: impl Fn(usize) -> (&'a [i32], usize),
-) {
     debug_assert_eq!(acc.len(), wrows.len() * cols);
     if rows == 0 || cols == 0 {
         return;
     }
-    let mut nnz: Vec<(u32, i32)> = Vec::with_capacity(MR * rows);
-    let mut offs = [0usize; MR + 1];
-    for f0 in (0..wrows.len()).step_by(MR) {
-        let fl = MR.min(wrows.len() - f0);
-        nnz.clear();
-        for i in 0..fl {
-            offs[i] = nnz.len();
-            let w = &wrows[f0 + i][..rows];
-            nnz.extend(w.iter().enumerate().filter(|(_, &v)| v != 0).map(|(r, &v)| (r as u32, v)));
-        }
-        offs[fl] = nnz.len();
-        let acc = &mut acc[f0 * cols..(f0 + fl) * cols];
-        for b in 0..cols.div_ceil(NC) {
-            let (blk, stride) = block(b);
-            sweep_block(&nnz, &offs[..=fl], blk, stride, acc, cols, b * NC);
-        }
-    }
-}
-
-/// One column block under one filter chunk: filter `i`'s nonzero taps are
-/// `nnz[offs[i]..offs[i + 1]]`, and its [`NC`] sums land in
-/// `acc[i * cols + c0..]`, clipped to the `cols` real pixels. Kept out of
-/// line so every caller shares one compiled copy of the tap loop.
-#[inline(never)]
-fn sweep_block(
-    nnz: &[(u32, i32)],
-    offs: &[usize],
-    blk: &[i32],
-    stride: usize,
-    acc: &mut [i64],
-    cols: usize,
-    c0: usize,
-) {
-    let bw = NC.min(cols - c0);
-    for (i, span) in offs.windows(2).enumerate() {
-        let mut a = [0i64; NC];
-        for &(r, wv) in &nnz[span[0]..span[1]] {
-            let x = &blk[r as usize * stride..][..NC];
-            for j in 0..NC {
-                a[j] += wv as i64 * x[j] as i64;
+    let words = fold_pairs(&patches[..cols.div_ceil(NC) * rows * NC]);
+    let mut sums = [[0i64; NC]; MR];
+    for (chunk, wrows) in wrows.chunks(MR).enumerate() {
+        let taps = TapList::new(wrows.iter().copied(), rows);
+        for (b, blk) in words.chunks_exact(rows * NW).enumerate() {
+            sweep_block(&taps, blk, &mut sums);
+            let (c0, bw) = (b * NC, NC.min(cols - b * NC));
+            for (i, s) in sums[..taps.len()].iter().enumerate() {
+                for (j, d) in acc[(chunk * MR + i) * cols + c0..][..bw].iter_mut().enumerate() {
+                    *d += lane(s, j);
+                }
             }
-        }
-        for (d, &av) in acc[i * cols + c0..][..bw].iter_mut().zip(a.iter()) {
-            *d += av;
         }
     }
 }
@@ -296,11 +325,11 @@ fn dense_matvec(wrows: &[&[i32]], x: &[i32], acc: &mut [i64]) {
     }
 }
 
-/// GEMM-backed grouped convolution, parallelised over output-channel
-/// blocks with `jobs` workers (`0` = one per core). Results are
-/// byte-identical to [`crate::ops::conv2d`] for **every** `jobs` value:
-/// each task produces a disjoint output-channel block and blocks are
-/// reassembled in order.
+/// GEMM-backed grouped convolution with `jobs` workers (`0` = one per
+/// core). Results are byte-identical to [`crate::ops::conv2d`] for
+/// **every** `jobs` value: each task computes every filter of one group
+/// over a disjoint range of output pixels, and ranges are reassembled in
+/// order.
 ///
 /// # Errors
 ///
@@ -313,54 +342,73 @@ pub fn conv2d_gemm(
     jobs: usize,
 ) -> Result<Tensor, ShapeMismatchError> {
     let out_shape = check_conv_args(input, filters, spec, "conv2d_gemm")?;
+    let jobs = resolve_jobs(jobs);
     if is_depthwise(spec, input.shape()) {
         return Ok(depthwise_direct(input, filters, spec, out_shape, jobs));
     }
-    let cg = input.shape().channels / spec.groups;
-    let kg = spec.out_channels / spec.groups;
-    let (kh, kw) = (spec.kernel.height, spec.kernel.width);
-    let rows = cg * kh * kw;
+    let groups = spec.groups;
+    let cg = input.shape().channels / groups;
+    let kg = spec.out_channels / groups;
+    let rows = cg * spec.kernel.height * spec.kernel.width;
     let cols = out_shape.plane();
+    if rows == 0 || cols == 0 {
+        return Ok(Tensor::zeros(out_shape));
+    }
     let jobs = effective_jobs(jobs, (spec.out_channels * rows * cols) as u64);
-    // A 1x1, stride-1, unpadded layer's patch matrix is its input: tap `c`
-    // of full column block `b` is `input[c][b * NC..][..NC]`, read in place
-    // with the plane as tap stride. Only the partial last block is packed.
-    let in_place = (kh, kw, spec.stride, spec.pad_h, spec.pad_w) == (1, 1, 1, 0, 0);
-    let full = if in_place { cols / NC } else { 0 };
+
+    let chunks = kg.div_ceil(MR);
+    let taps = par_map_range(jobs, groups * chunks, |i| {
+        let (group, k0) = (i / chunks, i % chunks * MR);
+        TapList::new((k0..kg.min(k0 + MR)).map(|k| filters.filter_taps(group * kg + k)), rows)
+    });
+    let nblocks = cols.div_ceil(NC);
+    let ranges = task_count(nblocks, jobs);
+    let pixels = |r: usize| {
+        let blocks = task_span(r, ranges, nblocks);
+        blocks.start * NC..cols.min(blocks.end * NC)
+    };
+    // Task `t` computes group `t / ranges`'s filters over pixel range
+    // `t % ranges`, filter-major.
+    let parts = par_map_range(jobs, groups * ranges, |t| {
+        let (group, range) = (t / ranges, t % ranges);
+        let blocks = task_span(range, ranges, nblocks);
+        let words = fold_pairs(&pack_blocks(input, spec, group, out_shape, blocks));
+        let n = pixels(range).len();
+        let mut out = vec![0i32; kg * n];
+        let mut sums = [[0i64; NC]; MR];
+        for (chunk, taps) in taps[group * chunks..][..chunks].iter().enumerate() {
+            for (b, blk) in words.chunks_exact(rows * NW).enumerate() {
+                sweep_block(taps, blk, &mut sums);
+                let bw = NC.min(n - b * NC);
+                for (i, s) in sums[..taps.len()].iter().enumerate() {
+                    let row = &mut out[(chunk * MR + i) * n + b * NC..][..bw];
+                    for (j, d) in row.iter_mut().enumerate() {
+                        *d = clamp_acc(lane(s, j));
+                    }
+                }
+            }
+        }
+        out
+    });
 
     let mut data = Vec::with_capacity(out_shape.elements());
-    for group in 0..spec.groups {
-        let src = &input.as_slice()[group * cg * input.shape().plane()..];
-        let packed = pack_blocks(input, spec, group, out_shape, full);
-        let block = |b: usize| {
-            if b < full {
-                (&src[b * NC..], cols)
-            } else {
-                (&packed[(b - full) * rows * NC..], NC)
+    for parts in parts.chunks(ranges) {
+        for k in 0..kg {
+            for (range, part) in parts.iter().enumerate() {
+                let n = pixels(range).len();
+                data.extend_from_slice(&part[k * n..][..n]);
             }
-        };
-        let chunks = kg.div_ceil(PAR_FILTER_CHUNK);
-        let blocks = codesign_parallel::par_map_range(jobs, chunks, |chunk| {
-            let k0 = chunk * PAR_FILTER_CHUNK;
-            let klen = PAR_FILTER_CHUNK.min(kg - k0);
-            let wrows: Vec<&[i32]> =
-                (k0..k0 + klen).map(|kk| filters.filter_taps(group * kg + kk)).collect();
-            let mut acc = vec![0i64; klen * cols];
-            accumulate(&wrows, rows, cols, &mut acc, block);
-            acc.into_iter().map(clamp_acc).collect::<Vec<i32>>()
-        });
-        for b in &blocks {
-            data.extend_from_slice(b);
         }
     }
     Ok(Tensor::from_vec(out_shape, data))
 }
 
 /// Depthwise convolution without the im2col blowup: each channel slides
-/// its own `kh × kw` window directly over its input plane, with padding
-/// resolved per kernel row via `valid_range` and zero taps skipped
-/// (a zero tap contributes an exact `0` to the sum, so skipping it never
-/// changes the result). Parallel over channels.
+/// its own `kh × kw` window directly over its input plane. Each output
+/// row is summed over every kernel tap in one `i64` row buffer that stays
+/// in L1, with padding resolved per tap via `valid_range` and zero taps
+/// skipped (a zero tap contributes an exact `0` to the sum, so skipping
+/// it never changes the result). Parallel over channel ranges.
 fn depthwise_direct(
     input: &Tensor,
     filters: &Filters,
@@ -371,45 +419,60 @@ fn depthwise_direct(
     let s = input.shape();
     let (kh, kw) = (spec.kernel.height, spec.kernel.width);
     let (oh, ow) = (out_shape.height, out_shape.width);
-    let plane = oh * ow;
-    let jobs = effective_jobs(jobs, (s.channels * plane * kh * kw) as u64);
+    let jobs = effective_jobs(jobs, (s.channels * oh * ow * kh * kw) as u64);
+    // Per kernel column: the output columns it reaches and the input
+    // column the first of them reads.
+    let columns: Vec<(usize, Range<usize>, usize)> = (0..kw)
+        .filter_map(|dx| {
+            let (lo, hi) = valid_range(ow, 0, spec.stride, dx, spec.pad_w, s.width);
+            (lo < hi).then(|| (dx, lo..hi, lo * spec.stride + dx - spec.pad_w))
+        })
+        .collect();
 
-    let planes = codesign_parallel::par_map_range(jobs, s.channels, |c| {
-        let mut acc = vec![0i64; plane];
-        let src = input.channel_plane(c);
-        for dy in 0..kh {
-            let (ylo, yhi) = valid_range(oh, 0, spec.stride, dy, spec.pad_h, s.height);
-            for dx in 0..kw {
-                let w = filters.tap(c, 0, dy, dx) as i64;
-                if w == 0 {
-                    continue;
-                }
-                let (xlo, xhi) = valid_range(ow, 0, spec.stride, dx, spec.pad_w, s.width);
-                for oy in ylo..yhi {
-                    let iy = oy * spec.stride + dy - spec.pad_h;
-                    let src_row = &src[iy * s.width..(iy + 1) * s.width];
-                    let dst = &mut acc[oy * ow..(oy + 1) * ow];
-                    let mut ix = xlo * spec.stride + dx - spec.pad_w;
-                    for d in dst.iter_mut().take(xhi).skip(xlo) {
-                        *d += w * src_row[ix] as i64;
-                        ix += spec.stride;
+    let ranges = task_count(s.channels, jobs);
+    let parts = par_map_range(jobs, ranges, |t| {
+        let channels = task_span(t, ranges, s.channels);
+        let mut out = Vec::with_capacity(channels.len() * oh * ow);
+        let mut acc = vec![0i64; ow];
+        for c in channels {
+            let src = input.channel_plane(c);
+            for oy in 0..oh {
+                acc.fill(0);
+                for dy in 0..kh {
+                    let iy = oy * spec.stride + dy;
+                    if iy < spec.pad_h || iy - spec.pad_h >= s.height {
+                        continue;
+                    }
+                    let row = &src[(iy - spec.pad_h) * s.width..][..s.width];
+                    for (dx, xs, ix) in &columns {
+                        let w = i64::from(filters.tap(c, 0, dy, *dx));
+                        if w == 0 {
+                            continue;
+                        }
+                        let (acc, row) = (&mut acc[xs.clone()], &row[*ix..]);
+                        if spec.stride == 1 {
+                            for (d, &v) in acc.iter_mut().zip(row) {
+                                *d += w * i64::from(v);
+                            }
+                        } else {
+                            for (d, v) in acc.iter_mut().zip(row.chunks(spec.stride)) {
+                                *d += w * i64::from(v[0]);
+                            }
+                        }
                     }
                 }
+                out.extend(acc.iter().map(|&v| clamp_acc(v)));
             }
         }
-        acc.into_iter().map(clamp_acc).collect::<Vec<i32>>()
+        out
     });
-    let mut data = Vec::with_capacity(out_shape.elements());
-    for p in &planes {
-        data.extend_from_slice(p);
-    }
-    Tensor::from_vec(out_shape, data)
+    Tensor::from_vec(out_shape, parts.concat())
 }
 
 /// Fully-connected layer as a dense matrix-vector product: the flattened
 /// input vector stays cache-resident while each weight row streams past
 /// it once (`dense_matvec`) — no patch packing, no tap lists. Parallel
-/// over output-feature blocks; byte-identical to
+/// over output-feature ranges; byte-identical to
 /// [`crate::ops::fully_connected`] for every `jobs` value.
 ///
 /// # Errors
@@ -428,24 +491,18 @@ pub fn fully_connected_gemm(
     {
         return Err(ShapeMismatchError::new("fully_connected_gemm", "weight matrix mismatch"));
     }
-    let rows = flat.len();
     let out_features = weights.out_channels();
-    let jobs = effective_jobs(jobs, (out_features * rows) as u64);
+    let jobs = effective_jobs(resolve_jobs(jobs), (out_features * flat.len()) as u64);
 
-    let chunks = out_features.div_ceil(PAR_FILTER_CHUNK);
-    let blocks = codesign_parallel::par_map_range(jobs, chunks, |chunk| {
-        let k0 = chunk * PAR_FILTER_CHUNK;
-        let klen = PAR_FILTER_CHUNK.min(out_features - k0);
-        let wrows: Vec<&[i32]> = (k0..k0 + klen).map(|k| weights.filter_taps(k)).collect();
-        let mut acc = vec![0i64; klen];
+    let ranges = task_count(out_features, jobs);
+    let parts = par_map_range(jobs, ranges, |t| {
+        let features = task_span(t, ranges, out_features);
+        let wrows: Vec<&[i32]> = features.clone().map(|k| weights.filter_taps(k)).collect();
+        let mut acc = vec![0i64; features.len()];
         dense_matvec(&wrows, flat, &mut acc);
         acc.into_iter().map(clamp_acc).collect::<Vec<i32>>()
     });
-    let mut data = Vec::with_capacity(out_features);
-    for b in &blocks {
-        data.extend_from_slice(b);
-    }
-    Ok(Tensor::from_vec(Shape::vector(out_features), data))
+    Ok(Tensor::from_vec(Shape::vector(out_features), parts.concat()))
 }
 
 /// Collapses `jobs` to `1` for layers too small to amortise pool latency.
@@ -455,6 +512,18 @@ fn effective_jobs(jobs: usize, macs: u64) -> usize {
     } else {
         jobs
     }
+}
+
+/// Tasks for `len` output units (pixel blocks, channels or features) on
+/// `jobs` workers: `TASKS_PER_WORKER` per worker, at most one per unit.
+fn task_count(len: usize, jobs: usize) -> usize {
+    len.min(TASKS_PER_WORKER * jobs)
+}
+
+/// Task `t`'s share of `len` units split evenly over `tasks` tasks; the
+/// shares are disjoint, in order, and cover `0..len`.
+fn task_span(t: usize, tasks: usize, len: usize) -> Range<usize> {
+    t * len / tasks..(t + 1) * len / tasks
 }
 
 #[cfg(test)]

@@ -137,6 +137,12 @@ pub fn fully_connected(input: &Tensor, weights: &Filters) -> Result<Tensor, Shap
 
 /// Max pooling with Caffe ceil-mode output rounding.
 ///
+/// Row by row: a running column max over the window's input rows, then
+/// one window max per output over that row of column maxima. Ceil-mode
+/// windows that run past the bottom or right edge are clipped; one that
+/// starts past it (a stride above the kernel) is empty and yields
+/// `i32::MIN`.
+///
 /// # Errors
 ///
 /// Returns [`ShapeMismatchError`] when the window does not fit.
@@ -150,25 +156,26 @@ pub fn max_pool(
         .ok_or_else(|| ShapeMismatchError::new("max_pool", "window does not fit"))?;
     let ow = codesign_dnn::shape::pool_out_dim_ceil(s.width, kernel, stride, 0)
         .ok_or_else(|| ShapeMismatchError::new("max_pool", "window does not fit"))?;
-    let mut out = Tensor::zeros(Shape::new(s.channels, oh, ow));
+    let clip =
+        |o: usize, extent: usize| (o * stride).min(extent)..(o * stride + kernel).min(extent);
+    let mut data = Vec::with_capacity(s.channels * oh * ow);
+    let mut colmax = vec![i32::MIN; s.width];
     for c in 0..s.channels {
+        let plane = input.channel_plane(c);
         for oy in 0..oh {
-            for ox in 0..ow {
-                let mut best = i32::MIN;
-                for dy in 0..kernel {
-                    for dx in 0..kernel {
-                        let iy = oy * stride + dy;
-                        let ix = ox * stride + dx;
-                        if iy < s.height && ix < s.width {
-                            best = best.max(input.at(c, iy, ix));
-                        }
-                    }
+            let ys = clip(oy, s.height);
+            colmax.fill(i32::MIN);
+            for row in plane[ys.start * s.width..ys.end * s.width].chunks_exact(s.width) {
+                for (m, &v) in colmax.iter_mut().zip(row) {
+                    *m = (*m).max(v);
                 }
-                *out.at_mut(c, oy, ox) = best;
             }
+            data.extend(
+                (0..ow).map(|ox| colmax[clip(ox, s.width)].iter().fold(i32::MIN, |a, &v| a.max(v))),
+            );
         }
     }
-    Ok(out)
+    Ok(Tensor::from_vec(Shape::new(s.channels, oh, ow), data))
 }
 
 /// Average pooling (floor-mode rounding, truncating integer division).
@@ -254,6 +261,34 @@ pub fn clamp_acc(acc: i64) -> i32 {
 mod tests {
     use super::*;
     use codesign_dnn::Kernel;
+    use proptest::prelude::*;
+
+    /// The naive window loop [`max_pool`] replaced: every output scans
+    /// its whole window, clipped at the input's edges.
+    fn max_pool_naive(input: &Tensor, kernel: usize, stride: usize) -> Tensor {
+        let s = input.shape();
+        let oh = codesign_dnn::shape::pool_out_dim_ceil(s.height, kernel, stride, 0).unwrap();
+        let ow = codesign_dnn::shape::pool_out_dim_ceil(s.width, kernel, stride, 0).unwrap();
+        let mut out = Tensor::zeros(Shape::new(s.channels, oh, ow));
+        for c in 0..s.channels {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut best = i32::MIN;
+                    for dy in 0..kernel {
+                        for dx in 0..kernel {
+                            let iy = oy * stride + dy;
+                            let ix = ox * stride + dx;
+                            if iy < s.height && ix < s.width {
+                                best = best.max(input.at(c, iy, ix));
+                            }
+                        }
+                    }
+                    *out.at_mut(c, oy, ox) = best;
+                }
+            }
+        }
+        out
+    }
 
     fn spec(out: usize, k: usize, s: usize, p: usize, groups: usize) -> ConvSpec {
         ConvSpec {
@@ -353,6 +388,27 @@ mod tests {
         assert_eq!(out.shape(), Shape::new(1, 3, 3));
         assert_eq!(out.at(0, 0, 0), 6);
         assert_eq!(out.at(0, 2, 2), 24);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The row-wise max pool against the naive window loop: kernels
+        /// 1-4, strides 1-3 (above the kernel too, which leaves empty
+        /// ceil-mode windows) and planes of 1-20 with partial edge windows.
+        #[test]
+        fn max_pool_matches_the_window_loop(
+            kernel in 1usize..=4,
+            stride in 1usize..=3,
+            (channels, h, w) in (1usize..=3, 1usize..=20, 1usize..=20),
+            seed in any::<u64>(),
+        ) {
+            use rand::{rngs::StdRng, SeedableRng};
+            let shape = Shape::new(channels, h.max(kernel), w.max(kernel));
+            let input = Tensor::random(shape, 1 << 20, &mut StdRng::seed_from_u64(seed));
+            let want = max_pool_naive(&input, kernel, stride);
+            prop_assert_eq!(max_pool(&input, kernel, stride).unwrap(), want);
+        }
     }
 
     #[test]

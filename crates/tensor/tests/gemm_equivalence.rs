@@ -6,8 +6,9 @@
 //! regressions cover the shapes that route through special paths:
 //! depthwise (skips the im2col blowup), grouped, pointwise 1x1,
 //! single-pixel outputs, and zero-padding-dominant patches. Fixed cases
-//! above the parallel gate hold every path (pointwise in place, packed,
-//! depthwise, fully connected) to the same bits at 1, 2, 3 and 8 workers.
+//! and a property above the parallel gate hold every path (pixel ranges
+//! of packed blocks, depthwise channel ranges, fully-connected feature
+//! ranges) to one worker's bits at 0 (one per core), 2, 3 and 8 workers.
 
 use codesign_dnn::{ConvSpec, Kernel, Shape};
 use codesign_tensor::gemm::{conv2d_gemm, fully_connected_gemm};
@@ -208,29 +209,160 @@ fn pinned_zero_padding_dominant() {
 
 /// `gemm.rs`'s `MIN_PAR_MACS`: layers below it run on one worker
 /// whatever `jobs` asks for, so the cases below all sit above it.
-const PAR_GATE_MACS: usize = 1 << 22;
+const PAR_GATE_MACS: usize = 1 << 18;
 
-/// Asserts that a convolution above the parallel gate gives the
-/// reference output at one worker and at 2, 3 and 8.
-fn assert_parallel_conv_matches(input: &Tensor, filters: &Filters, spec: &ConvSpec) {
-    let s = input.shape();
-    let out = codesign_tensor::ops::conv2d(input, filters, spec).unwrap();
-    // Depthwise layers included: they have one input channel per group.
-    let macs = spec.out_channels
-        * (s.channels / spec.groups)
+/// Worker counts the parallel cases compare against one worker: `0`
+/// resolves to one per core before the work is split.
+const PAR_JOBS: [usize; 4] = [0, 2, 3, 8];
+
+/// Multiply-accumulates of `spec` over `in_shape` (depthwise layers
+/// included: they have one input channel per group).
+fn conv_macs(spec: &ConvSpec, in_shape: Shape, out_shape: Shape) -> usize {
+    spec.out_channels
+        * (in_shape.channels / spec.groups)
         * spec.kernel.height
         * spec.kernel.width
-        * out.shape().plane();
+        * out_shape.plane()
+}
+
+/// A random well-formed convolution above the parallel gate: dense,
+/// grouped or depthwise, with the filter (or channel) count raised until
+/// the layer clears the gate.
+fn parallel_conv_case() -> impl Strategy<Value = (Tensor, Filters, ConvSpec)> {
+    (
+        prop_oneof![Just(1usize), Just(2), Just(0)], // groups; 0 = depthwise
+        1usize..=24,                                 // channels per group
+        1usize..=40,                                 // filters per group
+        prop_oneof![Just((1usize, 1usize)), Just((3, 3)), Just((1, 3)), Just((5, 5))],
+        1usize..=2,                 // stride
+        0usize..=2,                 // pad
+        (8usize..=40, 8usize..=40), // input plane
+        any::<u64>(),               // data seed
+    )
+        .prop_map(|(groups, cg, kg, (kh, kw), stride, pad, (h, w), seed)| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (pad_h, pad_w) = (pad.min(kh / 2), pad.min(kw / 2));
+            let (oh, ow) = ((h + 2 * pad_h - kh) / stride + 1, (w + 2 * pad_w - kw) / stride + 1);
+            let per_filter = kh * kw * oh * ow;
+            let (groups, cg, kg) = if groups == 0 {
+                let c = cg.max(PAR_GATE_MACS.div_ceil(per_filter));
+                (c, 1, 1)
+            } else {
+                (groups, cg, kg.max(PAR_GATE_MACS.div_ceil(groups * cg * per_filter)))
+            };
+            let input = Tensor::random(Shape::new(groups * cg, h, w), 64, &mut rng);
+            let filters = Filters::random(groups * kg, cg, kh, kw, 16, 0.4, &mut rng);
+            let spec = ConvSpec {
+                out_channels: groups * kg,
+                kernel: Kernel::new(kh, kw),
+                stride,
+                pad_h,
+                pad_w,
+                groups,
+            };
+            (input, filters, spec)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Above the gate the work really splits: any worker count gives one
+    /// worker's bits, on dense, grouped and depthwise layers.
+    #[test]
+    fn above_gate_gemm_is_jobs_invariant(
+        (input, filters, spec) in parallel_conv_case(),
+        jobs in prop_oneof![Just(0usize), Just(2), Just(3), Just(5), Just(8)],
+    ) {
+        let serial = conv2d_gemm(&input, &filters, &spec, 1).unwrap();
+        let macs = conv_macs(&spec, input.shape(), serial.shape());
+        prop_assert!(macs >= PAR_GATE_MACS, "{} MACs run serially: {:?}", macs, spec);
+        prop_assert_eq!(conv2d_gemm(&input, &filters, &spec, jobs).unwrap(), serial);
+    }
+}
+
+/// Asserts that a convolution above the parallel gate gives the
+/// reference output at one worker and at every count in `PAR_JOBS`.
+fn assert_parallel_conv_matches(input: &Tensor, filters: &Filters, spec: &ConvSpec) {
+    let out = codesign_tensor::ops::conv2d(input, filters, spec).unwrap();
+    let macs = conv_macs(spec, input.shape(), out.shape());
     assert!(macs >= PAR_GATE_MACS, "{macs} MACs run serially: {spec:?}");
     let serial = conv2d_gemm(input, filters, spec, 1).unwrap();
     assert_eq!(serial, out, "one worker diverged from the loop nest: {spec:?}");
-    for jobs in [2, 3, 8] {
+    for jobs in PAR_JOBS {
         assert_eq!(conv2d_gemm(input, filters, spec, jobs).unwrap(), serial, "jobs {jobs}");
     }
 }
 
-/// Pointwise read in place, over a 13x13 plane whose last column block
-/// holds 9 of 16 pixels.
+/// A dense, unpadded or same-padded `k`x`k` layer of `filters` filters
+/// over `channels` channels, with seeded data.
+fn dense_case(
+    seed: u64,
+    channels: usize,
+    plane: usize,
+    filters: usize,
+    k: usize,
+) -> (Tensor, Filters, ConvSpec) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let input = Tensor::random(Shape::new(channels, plane, plane), 64, &mut rng);
+    let weights = Filters::random(filters, channels, k, k, 16, 0.4, &mut rng);
+    let spec = ConvSpec {
+        out_channels: filters,
+        kernel: Kernel::square(k),
+        stride: 1,
+        pad_h: k / 2,
+        pad_w: k / 2,
+        groups: 1,
+    };
+    (input, weights, spec)
+}
+
+/// One 16-filter chunk over a 56x56 plane: every task sweeps the same
+/// single tap list, pointwise and 3x3.
+#[test]
+fn parallel_one_chunk_layers() {
+    for k in [1, 3] {
+        let (input, filters, spec) = dense_case(206, 32, 56, 16, k);
+        assert_parallel_conv_matches(&input, &filters, &spec);
+    }
+}
+
+/// 1,024 filters over a 7x7 plane: 4 column blocks, fewer than the
+/// tasks two or more workers ask for, so each task gets one block.
+#[test]
+fn parallel_many_filters_few_blocks() {
+    let (input, filters, spec) = dense_case(207, 64, 7, 1024, 1);
+    assert_parallel_conv_matches(&input, &filters, &spec);
+}
+
+/// Pointwise over a 30x30 plane: 56 full blocks and a 4-pixel tail, so
+/// the ranges span several full blocks and the last one ends on the
+/// tail.
+#[test]
+fn parallel_pointwise_ranges_cut_full_and_tail_blocks() {
+    let (input, filters, spec) = dense_case(208, 48, 30, 40, 1);
+    assert_parallel_conv_matches(&input, &filters, &spec);
+}
+
+/// Grouped 3x3: each group's tasks pack their own channel slice.
+#[test]
+fn parallel_grouped_3x3() {
+    let mut rng = StdRng::seed_from_u64(209);
+    let input = Tensor::random(Shape::new(32, 28, 28), 64, &mut rng);
+    let filters = Filters::random(64, 16, 3, 3, 16, 0.4, &mut rng);
+    let spec = ConvSpec {
+        out_channels: 64,
+        kernel: Kernel::square(3),
+        stride: 1,
+        pad_h: 1,
+        pad_w: 1,
+        groups: 2,
+    };
+    assert_parallel_conv_matches(&input, &filters, &spec);
+}
+
+/// Pointwise over a 13x13 plane whose last column block holds 9 of 16
+/// pixels.
 #[test]
 fn parallel_pointwise_with_tail_block() {
     let mut rng = StdRng::seed_from_u64(201);
@@ -247,7 +379,7 @@ fn parallel_pointwise_with_tail_block() {
     assert_parallel_conv_matches(&input, &filters, &spec);
 }
 
-/// Grouped pointwise: each group reads its own channel range in place.
+/// Grouped pointwise: each group packs its own channel range.
 #[test]
 fn parallel_grouped_pointwise() {
     let mut rng = StdRng::seed_from_u64(202);
@@ -264,8 +396,8 @@ fn parallel_grouped_pointwise() {
     assert_parallel_conv_matches(&input, &filters, &spec);
 }
 
-/// Strided, padded 3x3 through the packed path, with a filter count
-/// that leaves a partial last filter chunk.
+/// Strided, padded 3x3, with a filter count that leaves a partial last
+/// filter chunk.
 #[test]
 fn parallel_strided_padded_3x3() {
     let mut rng = StdRng::seed_from_u64(203);
@@ -282,7 +414,7 @@ fn parallel_strided_padded_3x3() {
     assert_parallel_conv_matches(&input, &filters, &spec);
 }
 
-/// Depthwise, parallel over channels.
+/// Depthwise, parallel over channel ranges.
 #[test]
 fn parallel_depthwise() {
     let mut rng = StdRng::seed_from_u64(204);
@@ -309,7 +441,7 @@ fn parallel_fully_connected() {
     let want = codesign_tensor::ops::fully_connected(&input, &weights).unwrap();
     let serial = fully_connected_gemm(&input, &weights, 1).unwrap();
     assert_eq!(serial, want);
-    for jobs in [2, 3, 8] {
+    for jobs in PAR_JOBS {
         assert_eq!(fully_connected_gemm(&input, &weights, jobs).unwrap(), serial, "jobs {jobs}");
     }
 }

@@ -57,8 +57,16 @@ fn gemm_executor_matches_reference_on_zoo() {
     for net in networks() {
         let (image, weights) = case(&net);
         let reference = run_network_reference(&net, &image, &weights).unwrap();
-        let gemm = run_network_with(&net, &image, &weights, 1).unwrap();
-        assert_layers_identical(&net, "GEMM executor", &reference, &gemm);
+        // `0` is one worker per core, as `codesign verify-functional` runs it.
+        for jobs in [1, 0, 2, 3, 8] {
+            let gemm = run_network_with(&net, &image, &weights, jobs).unwrap();
+            assert_layers_identical(
+                &net,
+                &format!("GEMM executor at jobs {jobs}"),
+                &reference,
+                &gemm,
+            );
+        }
     }
 }
 
