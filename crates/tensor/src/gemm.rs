@@ -11,28 +11,33 @@
 //! * **packed patches** ([`pack_patches`]): the patch matrix is laid out
 //!   in **lane-interleaved column blocks** — [`NC`] output pixels share a
 //!   block, and tap `r` of all [`NC`] pixels is one contiguous slice. A
-//!   micro-kernel step therefore touches a single cache line per tap (a
+//!   micro-kernel step therefore touches two cache lines per tap (a
 //!   pixel-major layout touches [`NC`] lines), and padding is resolved
 //!   once during packing, never in the reduction loop. Packing fills a
 //!   block one tap at a time by copying contiguous input-row runs,
 //!   clipped against the padding by `valid_range`;
-//! * **lane-pair words**: each packed block is folded into `u64` words
-//!   that hold two adjacent pixels' lanes, lane `2j` in the low half and
-//!   lane `2j + 1` in the high half. The tap loop multiplies the low
-//!   halves and the `>> 32` high halves straight from the loaded words;
-//!   both are sign-extended 32-bit values, so each product is one
+//! * **lane-pair words**: packing writes each block straight into `u64`
+//!   words that hold two adjacent pixels' lanes, lane `2j` in the low
+//!   half and lane `2j + 1` in the high half. The tap loop multiplies the
+//!   low halves and the `>> 32` high halves straight from the loaded
+//!   words; both are sign-extended 32-bit values, so each product is one
 //!   `vpmuldq` under AVX2 and no lane-widening shuffle is left in the
-//!   loop;
+//!   loop. [`pack_patches`] is the words' unfolded `i32` view, and
+//!   [`gemm_accumulate`] folds its `&[i32]` argument back into words;
 //! * **zero-skipping micro-kernel** ([`gemm_accumulate`]): each chunk of
-//!   `MR` filters has its nonzero taps gathered once into an index/weight
-//!   list, which is swept over register-blocked column blocks, so sparse
-//!   filters — the common case for the quantized networks this repo
-//!   models, and the very effect the paper's accelerator exploits — cost
-//!   only their density, while dense filters degrade gracefully to a
-//!   sequential register-blocked walk. One resident block is reused by
-//!   all `MR` filters of a chunk instead of streaming from L2 once per
-//!   filter — the blocking that turns the kernel from memory-bound into
-//!   multiply-bound;
+//!   `MR` filters has its nonzero taps gathered once into a list of `u64`
+//!   entries (the weight in the low half, the tap row in the high half).
+//!   The gather writes every tap and advances the list's length only past
+//!   nonzero ones, so it has no data-dependent branch. The list is swept
+//!   over register-blocked column blocks, so sparse filters — the common
+//!   case for the quantized networks this repo models, and the very
+//!   effect the paper's accelerator exploits — cost only their density,
+//!   while dense filters degrade gracefully to a sequential
+//!   register-blocked walk. One resident block is reused by all `MR`
+//!   filters of a chunk instead of streaming from L2 once per filter —
+//!   the blocking that turns the kernel from memory-bound into
+//!   multiply-bound — and each tap's row lookup, bounds check and weight
+//!   broadcast serve all [`NC`] pixels of the block;
 //! * **pixel-range tasks**: [`conv2d_gemm`] builds every chunk's tap list
 //!   once per layer, then splits the output pixels into about
 //!   `TASKS_PER_WORKER` column-block ranges per worker. Each task packs
@@ -61,7 +66,7 @@ use crate::tensor::{Filters, Tensor};
 /// Lane count of one interleaved column block: output pixels handled per
 /// micro-kernel step (one `i64` accumulator each, held in registers
 /// across the reduction).
-pub const NC: usize = 16;
+pub const NC: usize = 32;
 /// Lane-pair words per tap of a column block.
 const NW: usize = NC / 2;
 /// Filters swept per pass over a resident column block — the outer-level
@@ -119,30 +124,36 @@ pub(crate) fn valid_range(
 ///
 /// This is [`crate::im2col::im2col`] transposed and tiled: one tap of
 /// [`NC`] neighbouring pixels is a single contiguous slice, so the
-/// reduction loop reads one cache line per tap. A block's pixels split
-/// into output-row runs; each run is clipped against the padding once
-/// per kernel column with `valid_range`, and every tap then copies it
-/// from one input row, so no per-pixel padding branch remains.
+/// reduction loop reads two adjacent cache lines per tap. A block's
+/// pixels split into output-row runs; each run is clipped against the
+/// padding once per kernel column with `valid_range`, and every tap then
+/// copies it from one input row, so no per-pixel padding branch remains.
+///
+/// [`conv2d_gemm`] packs straight into lane-pair words; this is their
+/// unfolded view, lane `2j` from word `j`'s low half and lane `2j + 1`
+/// from its high half.
 pub fn pack_patches(input: &Tensor, spec: &ConvSpec, group: usize, out_shape: Shape) -> Vec<i32> {
-    pack_blocks(input, spec, group, out_shape, 0..out_shape.plane().div_ceil(NC))
+    let words = pack_blocks(input, spec, group, out_shape, 0..out_shape.plane().div_ceil(NC));
+    words.iter().flat_map(|&w| [w as i32, (w >> 32) as i32]).collect()
 }
 
-/// The column blocks `blocks` of [`pack_patches`]: the same bytes as its
-/// elements `blocks.start * rows * NC..blocks.end * rows * NC`.
+/// The column blocks `blocks` of [`pack_patches`] as lane-pair words:
+/// word `j` of a tap holds lane `2j` in its low half and lane `2j + 1` in
+/// its high half, so the buffer has `blocks.len() * rows * NW` words.
 fn pack_blocks(
     input: &Tensor,
     spec: &ConvSpec,
     group: usize,
     out_shape: Shape,
     blocks: Range<usize>,
-) -> Vec<i32> {
+) -> Vec<u64> {
     let s = input.shape();
     let cg = s.channels / spec.groups.max(1);
     let (kh, kw) = (spec.kernel.height, spec.kernel.width);
     let ow = out_shape.width;
     let rows = cg * kh * kw;
     let cols = out_shape.plane();
-    let mut m = vec![0i32; blocks.len() * rows * NC];
+    let mut m = vec![0u64; blocks.len() * rows * NW];
     if s.height == 0 || s.width == 0 || rows == 0 {
         return m;
     }
@@ -150,7 +161,9 @@ fn pack_blocks(
     // kernel row's taps, first input column, length) for each clipped
     // output-row run and kernel column.
     let mut runs = Vec::with_capacity(NC * kw);
-    for (b, blk) in blocks.zip(m.chunks_exact_mut(rows * NC)) {
+    // One strided run's samples, gathered before they are paired.
+    let mut strided = [0i32; NC];
+    for (b, blk) in blocks.zip(m.chunks_exact_mut(rows * NW)) {
         runs.clear();
         let (mut col, end) = (b * NC, cols.min(b * NC + NC));
         while col < end {
@@ -168,26 +181,44 @@ fn pack_blocks(
         for c in 0..cg {
             let src = input.channel_plane(group * cg + c);
             for dy in 0..kh {
-                let taps = &mut blk[(c * kh + dy) * kw * NC..][..kw * NC];
+                let taps = &mut blk[(c * kh + dy) * kw * NW..][..kw * NW];
                 for &(y0, at, ix, n) in &runs {
                     let iy = y0 + dy;
                     if iy < spec.pad_h || iy - spec.pad_h >= s.height {
                         continue;
                     }
                     let src = &src[(iy - spec.pad_h) * s.width + ix..];
-                    let dst = &mut taps[at..at + n];
                     if spec.stride == 1 {
-                        dst.copy_from_slice(&src[..n]);
+                        put_lanes(taps, at, &src[..n]);
                     } else {
-                        for (d, v) in dst.iter_mut().zip(src.chunks(spec.stride)) {
+                        for (d, v) in strided[..n].iter_mut().zip(src.chunks(spec.stride)) {
                             *d = v[0];
                         }
+                        put_lanes(taps, at, &strided[..n]);
                     }
                 }
             }
         }
     }
     m
+}
+
+/// ORs `values` into the zeroed lanes `at..` of lane-pair words `dst`:
+/// lane `l` is the low half of word `l / 2` if `l` is even, its high half
+/// if odd. Whole pairs of lanes go in as one word each.
+fn put_lanes(dst: &mut [u64], at: usize, values: &[i32]) {
+    let (head, values) = values.split_at(values.len().min(at % 2));
+    if let [v] = head {
+        dst[at / 2] |= u64::from(*v as u32) << 32;
+    }
+    let words = &mut dst[at.div_ceil(2)..];
+    let (pairs, tail) = values.as_chunks::<2>();
+    for (d, &[lo, hi]) in words.iter_mut().zip(pairs) {
+        *d |= u64::from(lo as u32) | u64::from(hi as u32) << 32;
+    }
+    if let [v] = tail {
+        words[pairs.len()] |= u64::from(*v as u32);
+    }
 }
 
 /// Folds lane-interleaved blocks into lane-pair words: word `j` of a tap
@@ -198,24 +229,31 @@ fn fold_pairs(lanes: &[i32]) -> Vec<u64> {
 }
 
 /// The nonzero taps of a chunk of at most [`MR`] filters: filter `i`'s
-/// `(tap row, weight)` pairs are `nnz[offs[i]..offs[i + 1]]`.
+/// taps are `nnz[offs[i]..offs[i + 1]]`, each one `u64` that holds the
+/// tap's weight in its low half and its row in its high half.
 struct TapList {
-    nnz: Vec<(u32, i32)>,
+    nnz: Vec<u64>,
     offs: Vec<usize>,
 }
 
 impl TapList {
     /// Gathers the nonzero taps among the first `rows` of each filter row.
+    /// Every tap is written, and the list's length advances only past
+    /// nonzero ones, so the loop has no data-dependent branch.
     fn new<'a>(wrows: impl ExactSizeIterator<Item = &'a [i32]>, rows: usize) -> Self {
         debug_assert!(wrows.len() <= MR && u32::try_from(rows).is_ok());
         let mut offs = Vec::with_capacity(wrows.len() + 1);
         offs.push(0);
-        let mut nnz = Vec::new();
+        let mut nnz = vec![0u64; wrows.len() * rows];
+        let mut n = 0;
         for w in wrows {
-            let taps = w[..rows].iter().enumerate().filter(|(_, &v)| v != 0);
-            nnz.extend(taps.map(|(r, &v)| (r as u32, v)));
-            offs.push(nnz.len());
+            for (r, &v) in w[..rows].iter().enumerate() {
+                nnz[n] = (r as u64) << 32 | u64::from(v as u32);
+                n += usize::from(v != 0);
+            }
+            offs.push(n);
         }
+        nnz.truncate(n);
         Self { nnz, offs }
     }
 
@@ -233,11 +271,12 @@ impl TapList {
 /// of the tap loop.
 #[inline(never)]
 fn sweep_block(taps: &TapList, blk: &[u64], sums: &mut [[i64; NC]; MR]) {
+    let (words, _) = blk.as_chunks::<NW>();
     for (span, out) in taps.offs.windows(2).zip(sums.iter_mut()) {
         let (mut lo, mut hi) = ([0i64; NW], [0i64; NW]);
-        for &(r, w) in &taps.nnz[span[0]..span[1]] {
-            let x = &blk[r as usize * NW..][..NW];
-            let w = i64::from(w);
+        for &tap in &taps.nnz[span[0]..span[1]] {
+            let x = &words[(tap >> 32) as usize];
+            let w = i64::from(tap as i32);
             for j in 0..NW {
                 lo[j] += i64::from(x[j] as i32) * w;
                 hi[j] += (x[j] as i64 >> 32) * w;
@@ -372,7 +411,7 @@ pub fn conv2d_gemm(
     let parts = par_map_range(jobs, groups * ranges, |t| {
         let (group, range) = (t / ranges, t % ranges);
         let blocks = task_span(range, ranges, nblocks);
-        let words = fold_pairs(&pack_blocks(input, spec, group, out_shape, blocks));
+        let words = pack_blocks(input, spec, group, out_shape, blocks);
         let n = pixels(range).len();
         let mut out = vec![0i32; kg * n];
         let mut sums = [[0i64; NC]; MR];
@@ -607,10 +646,10 @@ mod tests {
 
     #[test]
     fn pack_patches_is_lane_interleaved_im2col() {
-        // 2 channels, 5x5 input, 3x3 kernel with padding: 25 output
+        // 2 channels, 7x7 input, 3x3 kernel with padding: 49 output
         // pixels span two NC-wide column blocks, so both the interleaved
         // layout and the zero-padded tail lanes are exercised.
-        let input = Tensor::from_fn(Shape::new(2, 5, 5), |c, y, x| (c * 25 + y * 5 + x) as i32 + 1);
+        let input = Tensor::from_fn(Shape::new(2, 7, 7), |c, y, x| (c * 49 + y * 7 + x) as i32 + 1);
         let spec = ConvSpec {
             out_channels: 1,
             kernel: Kernel::square(3),
@@ -619,11 +658,11 @@ mod tests {
             pad_w: 1,
             groups: 1,
         };
-        let out_shape = Shape::new(1, 5, 5);
+        let out_shape = Shape::new(1, 7, 7);
         let rowmajor = crate::im2col::im2col(&input, &spec, 0, out_shape);
         let packed = pack_patches(&input, &spec, 0, out_shape);
-        let (rows, cols): (usize, usize) = (2 * 9, 25);
-        assert_eq!(packed.len(), cols.div_ceil(NC) * rows * NC);
+        let (rows, cols): (usize, usize) = (2 * 9, 49);
+        assert_eq!(packed.len(), 2 * rows * NC);
         for r in 0..rows {
             for c in 0..cols {
                 // im2col element (r, c) lands in block c / NC, lane c % NC.
@@ -637,6 +676,56 @@ mod tests {
             for lane in cols % NC..NC {
                 assert_eq!(packed[(cols / NC) * rows * NC + r * NC + lane], 0);
             }
+        }
+    }
+
+    /// The filter-based gather [`TapList::new`] replaced: each filter's
+    /// nonzero `(row, weight)` pairs among its first `rows` taps, and the
+    /// offsets where each filter's pairs start and end.
+    fn gather_filtered(wrows: &[Vec<i32>], rows: usize) -> (Vec<(u32, i32)>, Vec<usize>) {
+        let mut offs = vec![0];
+        let mut nnz = Vec::new();
+        for w in wrows {
+            let taps = w[..rows].iter().enumerate().filter(|(_, &v)| v != 0);
+            nnz.extend(taps.map(|(r, &v)| (r as u32, v)));
+            offs.push(nnz.len());
+        }
+        (nnz, offs)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The branch-free gather against the filter-based one: chunks of 1
+        /// to `MR` filters; `rows` the whole row or, as `gemm_accumulate`
+        /// may pass it, a strict prefix with nonzero taps past its end;
+        /// zero fractions 0, 0.4 and 1 (the last leaves every span empty);
+        /// and the weights `i32::MIN`, `-1` and `i32::MAX`, whose signs
+        /// must come back out of the packed entries as `sweep_block` reads
+        /// them.
+        #[test]
+        fn tap_list_matches_the_filtered_gather(
+            filters in 1usize..=MR,
+            (len, cut, prefix) in (1usize..=40, any::<u32>(), any::<bool>()),
+            zeros in prop_oneof![Just(0.0f64), Just(0.4), Just(1.0)],
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let rows = if prefix && len > 1 { cut as usize % (len - 1) + 1 } else { len };
+            let weight = |rng: &mut StdRng| {
+                if rng.gen_bool(zeros) {
+                    return 0;
+                }
+                [i32::MIN, -1, i32::MAX, rng.gen_range(1..=64)][rng.gen_range(0..4usize)]
+            };
+            let wrows: Vec<Vec<i32>> =
+                (0..filters).map(|_| (0..len).map(|_| weight(&mut rng)).collect()).collect();
+            let taps = TapList::new(wrows.iter().map(Vec::as_slice), rows);
+            let (nnz, offs) = gather_filtered(&wrows, rows);
+            prop_assert_eq!(&taps.offs, &offs);
+            let entries: Vec<(u32, i32)> =
+                taps.nnz.iter().map(|&tap| ((tap >> 32) as u32, tap as i32)).collect();
+            prop_assert_eq!(entries, nnz);
         }
     }
 

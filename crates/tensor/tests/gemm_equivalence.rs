@@ -11,7 +11,7 @@
 //! ranges) to one worker's bits at 0 (one per core), 2, 3 and 8 workers.
 
 use codesign_dnn::{ConvSpec, Kernel, Shape};
-use codesign_tensor::gemm::{conv2d_gemm, fully_connected_gemm};
+use codesign_tensor::gemm::{conv2d_gemm, fully_connected_gemm, NC};
 use codesign_tensor::{conv2d_im2col, Filters, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -327,7 +327,7 @@ fn parallel_one_chunk_layers() {
     }
 }
 
-/// 1,024 filters over a 7x7 plane: 4 column blocks, fewer than the
+/// 1,024 filters over a 7x7 plane: 2 column blocks, fewer than the
 /// tasks two or more workers ask for, so each task gets one block.
 #[test]
 fn parallel_many_filters_few_blocks() {
@@ -335,13 +335,27 @@ fn parallel_many_filters_few_blocks() {
     assert_parallel_conv_matches(&input, &filters, &spec);
 }
 
-/// Pointwise over a 30x30 plane: 56 full blocks and a 4-pixel tail, so
+/// Pointwise over a 30x30 plane: 28 full blocks and a 4-pixel tail, so
 /// the ranges span several full blocks and the last one ends on the
 /// tail.
 #[test]
 fn parallel_pointwise_ranges_cut_full_and_tail_blocks() {
     let (input, filters, spec) = dense_case(208, 48, 30, 40, 1);
     assert_parallel_conv_matches(&input, &filters, &spec);
+}
+
+/// 3x3 over a 21x21 plane at strides 1 and 2: the 21x21 and 11x11
+/// outputs both end in a 25-pixel tail block, more than half its lanes,
+/// and their odd widths start output rows on the high half of a
+/// lane-pair word.
+#[test]
+fn parallel_odd_width_wide_tail() {
+    let (input, filters, spec) = dense_case(210, 24, 21, 40, 3);
+    for stride in [1, 2] {
+        let ow = (21 + 2 - 3) / stride + 1;
+        assert!(ow % 2 == 1 && ow * ow % NC > NC / 2, "stride {stride}: {ow}x{ow}");
+        assert_parallel_conv_matches(&input, &filters, &ConvSpec { stride, ..spec });
+    }
 }
 
 /// Grouped 3x3: each group's tasks pack their own channel slice.
@@ -361,7 +375,7 @@ fn parallel_grouped_3x3() {
     assert_parallel_conv_matches(&input, &filters, &spec);
 }
 
-/// Pointwise over a 13x13 plane whose last column block holds 9 of 16
+/// Pointwise over a 13x13 plane whose last column block holds 9 of 32
 /// pixels.
 #[test]
 fn parallel_pointwise_with_tail_block() {
