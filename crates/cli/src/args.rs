@@ -21,8 +21,6 @@ pub enum Action {
     Wave,
     /// List the model zoo.
     List,
-    /// Run the fault-injection corpus against the simulator.
-    Faultinject,
     /// Run the line-delimited-JSON co-design server.
     Serve,
     /// Run the functional executors and assert zoo-wide bit-equality.
@@ -157,7 +155,6 @@ commands:
   sweep    <net>   hardware design-space sweep
   wave     <net> <layer>  layer waveform as VCD (stdout; pipe to a file)
   list             list the model zoo
-  faultinject      run the hostile-input corpus against the simulator
   serve            run the line-delimited-JSON co-design server
   verify-functional [net]  run the GEMM functional executor and assert
                    bit-equality against the reference ops (whole zoo
@@ -168,21 +165,22 @@ commands:
 
 exit codes: 0 success; 1 usage or I/O error; 2 the workload or
 configuration was rejected by the simulator (preflight validation,
-infeasible tiling, overflow-scale shapes, ...) or the fault-injection
-corpus failed.
+infeasible tiling, overflow-scale shapes, ...) or verify-functional
+found a divergent layer.
 
 options:
-  --arch ws|os|hybrid    dataflow policy            (default hybrid)
+  --arch ws|os|hybrid    simulate/compile: dataflow policy (default hybrid)
   --array N              PE array edge              (default 32)
   --rf R                 register-file depth        (default 16)
   --buffer KB            global buffer KiB          (default 128)
-  --batch B              batch size                 (default 1)
-  --cores C              core count                 (default 1)
+  --batch B              simulate: batch size       (default 1)
+  --cores C              simulate: core count       (default 1)
   --jobs N               sweep worker threads, 0 = one per core
                                                     (default 0)
   --trace PATH           write a Chrome-trace JSON (about:tracing /
                          ui.perfetto.dev) of the simulated run
   --metrics PATH         write an aggregated metrics JSON snapshot
+                         (both: not on list, serve or verify-functional)
   --port N               serve: TCP port, 0 = ephemeral (default 7227)
   --cache-load PATH      sweep/compare/serve: warm-start the simulation
                          cache from a snapshot file (serve also scans
@@ -253,7 +251,6 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Invocation, 
         Some("sweep") => Action::Sweep,
         Some("wave") => Action::Wave,
         Some("list") => Action::List,
-        Some("faultinject") => Action::Faultinject,
         Some("serve") => Action::Serve,
         Some("verify-functional") => Action::VerifyFunctional,
         Some(other) => return Err(ParseArgsError(format!("unknown command `{other}`"))),
@@ -343,10 +340,7 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Invocation, 
         }
     }
     if inv.network.is_none()
-        && !matches!(
-            inv.action,
-            Action::List | Action::Faultinject | Action::Serve | Action::VerifyFunctional
-        )
+        && !matches!(inv.action, Action::List | Action::Serve | Action::VerifyFunctional)
     {
         return Err(ParseArgsError("this command needs a network".to_owned()));
     }
@@ -357,31 +351,54 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Invocation, 
             "--cache-load/--cache-save apply to sweep, compare, and serve".to_owned(),
         ));
     }
-    let serve_only: &[(&str, bool)] = &[
-        ("--deadline-ms", inv.deadline_ms.is_some()),
-        ("--max-line-bytes", inv.max_line_bytes != 1 << 20),
-        ("--max-connections", inv.max_connections != 64),
-        ("--autosave-every", inv.autosave_every != 0),
+    // Flags, the commands that read them, and those commands as the
+    // refusal names them: any other command would silently ignore the
+    // flag, so it refuses it.
+    use Action::{Compare, Compile, Schedule, Serve, Simulate, Sweep, Wave};
+    let scopes: [(&[_], &[Action], &str); 5] = [
+        (
+            &[
+                ("--deadline-ms", inv.deadline_ms.is_some()),
+                ("--max-line-bytes", inv.max_line_bytes != 1 << 20),
+                ("--max-connections", inv.max_connections != 64),
+                ("--autosave-every", inv.autosave_every != 0),
+            ],
+            &[Serve],
+            "serve only",
+        ),
+        (
+            &[
+                ("--frontier", inv.frontier),
+                ("--chunk", inv.chunk.is_some()),
+                ("--prune", inv.prune),
+                ("--arrays", inv.arrays.is_some()),
+                ("--rfs", inv.rfs.is_some()),
+                ("--buffers-kib", inv.buffers_kib.is_some()),
+                ("--checkpoint", inv.checkpoint.is_some()),
+                ("--checkpoint-every", inv.checkpoint_every != 2048),
+                ("--resume", inv.resume),
+            ],
+            &[Sweep],
+            "sweep only",
+        ),
+        (&[("--batch", inv.batch != 1), ("--cores", inv.cores != 1)], &[Simulate], "simulate only"),
+        (
+            &[("--arch", inv.policy != DataflowPolicy::PerLayer)],
+            &[Simulate, Compile],
+            "simulate and compile only",
+        ),
+        (
+            &[("--trace", inv.trace.is_some()), ("--metrics", inv.metrics.is_some())],
+            &[Simulate, Schedule, Compile, Compare, Sweep, Wave],
+            "simulate, schedule, compile, compare, sweep and wave",
+        ),
     ];
-    if inv.action != Action::Serve {
-        if let Some((flag, _)) = serve_only.iter().find(|(_, set)| *set) {
-            return Err(ParseArgsError(format!("{flag} applies to serve only")));
+    for (flags, commands, names) in scopes {
+        if commands.contains(&inv.action) {
+            continue;
         }
-    }
-    let sweep_only: &[(&str, bool)] = &[
-        ("--frontier", inv.frontier),
-        ("--chunk", inv.chunk.is_some()),
-        ("--prune", inv.prune),
-        ("--arrays", inv.arrays.is_some()),
-        ("--rfs", inv.rfs.is_some()),
-        ("--buffers-kib", inv.buffers_kib.is_some()),
-        ("--checkpoint", inv.checkpoint.is_some()),
-        ("--checkpoint-every", inv.checkpoint_every != 2048),
-        ("--resume", inv.resume),
-    ];
-    if inv.action != Action::Sweep {
-        if let Some((flag, _)) = sweep_only.iter().find(|(_, set)| *set) {
-            return Err(ParseArgsError(format!("{flag} applies to sweep only")));
+        if let Some((flag, _)) = flags.iter().find(|(_, set)| *set) {
+            return Err(ParseArgsError(format!("{flag} applies to {names}")));
         }
     }
     if inv.chunk == Some(0) {
@@ -481,15 +498,6 @@ mod tests {
     }
 
     #[test]
-    fn faultinject_needs_no_network() {
-        assert_eq!(parse("faultinject").unwrap().action, Action::Faultinject);
-        // The server's hostile-client cases run against the real binary
-        // in `tests/serve.rs`; faultinject has no `--serve` corpus.
-        let err = parse("faultinject --serve").unwrap_err();
-        assert_eq!(err.to_string(), "unknown option `--serve`");
-    }
-
-    #[test]
     fn wave_takes_a_layer_operand() {
         let inv = parse("wave squeezenet conv1").unwrap();
         assert_eq!(inv.action, Action::Wave);
@@ -555,6 +563,38 @@ mod tests {
         assert!(parse("sweep tiny-darknet --deadline-ms 100").is_err(), "serve-only flag");
         assert!(parse("simulate net --max-connections 2").is_err(), "serve-only flag");
         assert!(parse("sweep tiny-darknet --autosave-every 3").is_err(), "serve-only flag");
+    }
+
+    #[test]
+    fn flags_a_command_would_ignore_are_refused() {
+        let simulate = "simulate only";
+        let arch = "simulate and compile only";
+        let traced = "simulate, schedule, compile, compare, sweep and wave";
+        for (args, flag, commands) in [
+            ("compare tiny-darknet --batch 4", "--batch", simulate),
+            ("compare tiny-darknet --cores 4", "--cores", simulate),
+            ("sweep tiny-darknet --arch ws", "--arch", arch),
+            ("schedule tiny-darknet --arch os", "--arch", arch),
+            ("wave squeezenet-v1.1 conv1 --arch ws", "--arch", arch),
+            ("list --metrics m.json", "--metrics", traced),
+            ("verify-functional tiny-darknet --metrics m.json", "--metrics", traced),
+            ("serve --trace t.json", "--trace", traced),
+            ("serve --metrics m.json", "--metrics", traced),
+        ] {
+            let refusal = parse(args).unwrap_err().to_string();
+            assert_eq!(refusal, format!("{flag} applies to {commands}"), "{args}");
+        }
+        // Where a command reads the flag, it parses.
+        for args in [
+            "simulate tiny-darknet --batch 4",
+            "simulate tiny-darknet --cores 4",
+            "compile tiny-darknet --arch os",
+            "schedule tiny-darknet --trace t.json",
+            "wave squeezenet-v1.1 conv1 --metrics m.json",
+            "serve --port 0 --jobs 2 --cache-load a.snap",
+        ] {
+            assert!(parse(args).is_ok(), "{args}");
+        }
     }
 
     #[test]
@@ -671,8 +711,8 @@ mod tests {
          --checkpoint ck --checkpoint-every 16 --resume --cache-load a.snap --cache-save b.snap",
         "serve --port 0 --jobs 2 --deadline-ms 500 --max-line-bytes 4096 --max-connections 4 \
          --autosave-every 2 --cache-save s.snap",
-        "wave alexnet conv1 --arch os --array 8",
-        "faultinject --metrics m.json",
+        "wave alexnet conv1 --array 8 --trace w.json",
+        "compile tiny-darknet --arch os --rf 8 --metrics m.json",
     ];
 
     #[test]
@@ -748,7 +788,7 @@ mod tests {
             }
             cases.push(tokens);
         }
-        assert_eq!(cases.len(), 3_622, "every seed token mutated");
+        assert_eq!(cases.len(), 3_732, "every seed token mutated");
         let mut refused = 0;
         let mut batch_on_cores = 0;
         for tokens in &cases {

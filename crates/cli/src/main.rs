@@ -10,7 +10,6 @@
 //! ```
 
 mod args;
-mod faultinject;
 mod jsonval;
 mod serve;
 
@@ -31,9 +30,10 @@ use codesign_trace::{chrome_trace, MetricsSnapshot, Tracer};
 
 use args::{parse_args, Action, Invocation, USAGE};
 
-/// Exit code 2: the simulator rejected the workload or configuration
-/// with a typed error (preflight validation, infeasible tiling,
-/// overflow-scale shapes), or the fault-injection corpus failed.
+/// Exit code 2: the input was refused with a typed error (preflight
+/// validation, infeasible tiling, overflow-scale shapes, a malformed
+/// `.net` file, no usable cache snapshot), or `verify-functional` found
+/// a divergent layer.
 const EXIT_REJECTED: u8 = 2;
 
 /// A failed run, classified for the process exit code: `Usage` exits 1
@@ -377,16 +377,6 @@ fn run(inv: &Invocation) -> Result<(), RunError> {
         return serve::run_serve(inv);
     }
 
-    if inv.action == Action::Faultinject {
-        let report = faultinject::run(&faultinject::sim_corpus(), &tracer);
-        print!("{}", report.render());
-        write_sinks(inv, &tracer)?;
-        if !report.passed() {
-            return Err(RunError::Rejected("fault-injection corpus failed".to_owned()));
-        }
-        return Ok(());
-    }
-
     if inv.action == Action::VerifyFunctional {
         let nets = match inv.network.as_deref() {
             Some(spec) => vec![load_network(spec)?],
@@ -554,7 +544,7 @@ fn run(inv: &Invocation) -> Result<(), RunError> {
                 trace.steps()
             );
         }
-        Action::List | Action::Faultinject | Action::Serve | Action::VerifyFunctional => {
+        Action::List | Action::Serve | Action::VerifyFunctional => {
             unreachable!("handled above")
         }
     }

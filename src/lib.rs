@@ -14,7 +14,7 @@
 //! * [`core`] — the co-design engine (hybrid scheduling, DSE, model
 //!   transformations, Pareto analysis);
 //! * [`trace`] — the observability layer (spans, counters, Chrome-trace
-//!   / JSONL / metrics sinks).
+//!   and metrics sinks).
 //!
 //! # Examples
 //!

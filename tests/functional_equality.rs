@@ -26,9 +26,8 @@ fn networks() -> Vec<Network> {
     nets
 }
 
-/// Seeded case matching `codesign verify-functional` and the committed
-/// `functional_bench` headline: weight range 8 at 40% sparsity, 8-bit-ish
-/// input.
+/// Seeded case matching `codesign verify-functional`: weight range 8 at
+/// 40% sparsity, 8-bit-ish input.
 fn case(net: &Network) -> (Tensor, WeightStore) {
     let mut rng = StdRng::seed_from_u64(2018);
     let weights = WeightStore::random(net, 8, 0.4, &mut rng);

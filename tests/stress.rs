@@ -145,7 +145,129 @@ fn degenerate_networks_are_handled() {
     );
 }
 
-/// The seven malformed files of `codesign faultinject`'s corpus.
+#[test]
+fn hostile_simulator_inputs_are_refused_with_their_kind() {
+    use codesign::dnn::{ConvSpec, Kernel, Layer, LayerOp};
+    use codesign::sim::MultiCoreConfig;
+
+    const INVALID: &str = "invalid_workload";
+    const OVERFLOW: &str = "arithmetic_overflow";
+    const INFEASIBLE: &str = "infeasible_tiling";
+    const HUGE: usize = 1 << 21; // HUGE^3 overflows the bounded 64-bit range
+    let (s, v) = (Shape::new, Shape::vector);
+    let conv = |out_channels, k, stride, groups| {
+        let kernel = Kernel::square(k);
+        LayerOp::Conv(ConvSpec { out_channels, kernel, stride, pad_h: 0, pad_w: 0, groups })
+    };
+    let fc = |out_features| LayerOp::FullyConnected { out_features };
+    let paper = AcceleratorConfig::paper_default();
+    // The smallest buffer the builder accepts: feasible for almost nothing.
+    let tiny = AcceleratorConfig::builder()
+        .array_size(2)
+        .bytes_per_element(1)
+        .global_buffer_bytes(8)
+        .double_buffering(false)
+        .build()
+        .unwrap();
+
+    // Hand-built layers that no `NetworkBuilder` would produce: each is
+    // refused under both dataflows with its kind, and the error names it.
+    let layers = [
+        ("conv/3x3-on-2x2-input", &paper, conv(8, 3, 1, 1), s(8, 2, 2), s(8, 2, 2), INVALID),
+        ("conv/zero-out-channels", &paper, conv(0, 3, 1, 1), s(4, 8, 8), s(0, 8, 8), INVALID),
+        ("conv/zero-height-input", &paper, conv(4, 1, 1, 1), s(4, 0, 8), s(4, 1, 8), INVALID),
+        ("conv/zero-width-input", &paper, conv(4, 1, 1, 1), s(4, 8, 0), s(4, 8, 1), INVALID),
+        ("conv/zero-kernel", &paper, conv(4, 0, 1, 1), s(4, 8, 8), s(4, 8, 8), INVALID),
+        ("conv/zero-stride", &paper, conv(4, 3, 0, 1), s(4, 8, 8), s(4, 8, 8), INVALID),
+        ("conv/zero-groups", &paper, conv(4, 3, 1, 0), s(4, 8, 8), s(4, 8, 8), INVALID),
+        ("conv/zero-output-plane", &paper, conv(4, 3, 1, 1), s(4, 8, 8), s(4, 0, 0), INVALID),
+        ("fc/zero-features", &paper, fc(0), v(64), v(0), INVALID),
+        ("fc/zero-input", &paper, fc(10), v(0), v(10), INVALID),
+        (
+            "overflow/mac-count",
+            &paper,
+            conv(HUGE, 1, 1, 1),
+            s(HUGE, HUGE, HUGE),
+            s(HUGE, HUGE, HUGE),
+            OVERFLOW,
+        ),
+        (
+            "overflow/channel-square",
+            &paper,
+            conv(1 << 30, 16, 1, 1),
+            s(1 << 30, 16, 16),
+            s(1 << 30, 1, 1),
+            OVERFLOW,
+        ),
+        (
+            "overflow/input-elements",
+            &paper,
+            conv(1, 1, 1, 1),
+            s(1 << 30, 1 << 30, 1 << 14),
+            s(1, 1, 1),
+            OVERFLOW,
+        ),
+        (
+            "overflow/fc-features",
+            &paper,
+            fc(usize::MAX / 2),
+            v(1 << 20),
+            v(usize::MAX / 2),
+            OVERFLOW,
+        ),
+        (
+            "buffer/single-conv-tiling",
+            &tiny,
+            conv(128, 3, 1, 1),
+            s(128, 56, 56),
+            s(128, 56, 56),
+            INFEASIBLE,
+        ),
+    ];
+    for (case, cfg, op, input, output, kind) in layers {
+        let layer = Layer {
+            name: case.to_owned(),
+            op,
+            input,
+            output,
+            is_first_conv: false,
+            primary_input: None,
+            extra_input: None,
+        };
+        for flow in [Dataflow::WeightStationary, Dataflow::OutputStationary] {
+            let err =
+                Simulator::new().try_simulate_layer(&layer, cfg, opts(), flow).expect_err(case);
+            assert_eq!((err.kind(), err.layer()), (kind, Some(case)), "{case} on {flow}: {err}");
+        }
+    }
+
+    // Whole networks: refused at the core count, before any layer, or at
+    // the first layer whose smallest tile overflows the buffer.
+    let (sim, policy) = (Simulator::new(), DataflowPolicy::PerLayer);
+    let no_cores = MultiCoreConfig { core: paper, cores: 0 };
+    let networks = [
+        (
+            "overflow/zero-cores",
+            sim.try_simulate_network_multicore(&zoo::tiny_darknet(), &no_cores, policy, opts()),
+            INVALID,
+            None,
+        ),
+        (
+            "buffer/mobilenet-on-8-bytes",
+            sim.try_simulate_network(&zoo::mobilenet_v1(), &tiny, policy, opts()),
+            INFEASIBLE,
+            Some("conv1"),
+        ),
+    ];
+    for (case, result, kind, layer) in networks {
+        let err = result.expect_err(case);
+        assert_eq!((err.kind(), err.layer()), (kind, layer), "{case}: {err}");
+    }
+}
+
+/// Seven malformed `.net` files: empty, header-only, truncated, an
+/// unknown op, non-numeric dimensions, a bad stride token and a kernel
+/// larger than its input.
 const MALFORMED_NETFILES: [&str; 7] = [
     "",
     "network t 3x224x224\n",
